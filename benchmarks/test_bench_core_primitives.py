@@ -12,7 +12,7 @@ import pytest
 from repro.baselines.khop_pipeline import TraditionalConfig, TraditionalPipeline
 from repro.gnn.model import build_model
 from repro.graph.generators import powerlaw_graph
-from repro.inference import InferTurbo, InferenceConfig, StrategyConfig
+from repro.inference import InferenceConfig, InferenceSession, StrategyConfig
 from repro.tensor import ops
 from repro.tensor.tensor import Tensor
 
@@ -45,16 +45,18 @@ def test_bench_segment_softmax(benchmark):
 def test_bench_pregel_inference(benchmark, bench_graph, bench_model):
     config = InferenceConfig(backend="pregel", num_workers=8,
                              strategies=StrategyConfig(partial_gather=True))
-    engine = InferTurbo(bench_model, config)
-    result = benchmark.pedantic(lambda: engine.run(bench_graph), rounds=3, iterations=1)
+    result = benchmark.pedantic(
+        lambda: InferenceSession(bench_model, config).infer(bench_graph),
+        rounds=3, iterations=1)
     assert result.scores.shape == (bench_graph.num_nodes, 4)
 
 
 def test_bench_mapreduce_inference(benchmark, bench_graph, bench_model):
     config = InferenceConfig(backend="mapreduce", num_workers=8,
                              strategies=StrategyConfig(partial_gather=True))
-    engine = InferTurbo(bench_model, config)
-    result = benchmark.pedantic(lambda: engine.run(bench_graph), rounds=2, iterations=1)
+    result = benchmark.pedantic(
+        lambda: InferenceSession(bench_model, config).infer(bench_graph),
+        rounds=2, iterations=1)
     assert result.scores.shape == (bench_graph.num_nodes, 4)
 
 

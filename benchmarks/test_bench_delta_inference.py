@@ -13,9 +13,9 @@ enabled, 8 workers), refreshes 1% of the feature rows, and times
 * ``apply_delta`` + ``infer(mode="incremental")`` against
 * a fresh ``prepare`` + full ``infer`` on the mutated graph,
 
-asserting the incremental path wins by at least 3x (typical local runs show
-~4x; both sides are measured best-of-3 in the same process so a loaded CI
-runner degrades them together).
+printing the ratio (typical local runs show ~4x; both sides are measured
+best-of-3 in the same process) and asserting bit-identity.  Wall-clock is
+judged in ``bench/`` (the ``delta_ticks`` workload), not asserted here.
 """
 
 import time
@@ -32,8 +32,6 @@ from repro.inference import (
     StrategyConfig,
 )
 
-from bench_thresholds import min_speedup
-
 NUM_NODES = 25_000
 AVG_DEGREE = 4.0          # ~100k edges
 FEATURE_DIM = 32
@@ -42,8 +40,6 @@ NUM_CLASSES = 8
 NUM_WORKERS = 8
 DELTA_FRACTION = 0.01     # 1% of the feature rows refreshed per round
 TIMING_ROUNDS = 3         # best-of to damp scheduler noise on shared runners
-# CI-enforced floor; scale with REPRO_BENCH_MIN_SPEEDUP_SCALE on loaded runners.
-MIN_SPEEDUP = min_speedup(3.0)
 
 
 def make_config() -> InferenceConfig:
@@ -109,7 +105,3 @@ def test_bench_delta_inference(benchmark):
     print(f"apply_delta + incremental ({delta_size} dirty rows, "
           f"{DELTA_FRACTION:.0%} of nodes):           {incremental_seconds * 1e3:.1f} ms")
     print(f"incremental delta-inference speedup:            {speedup:.1f}x")
-    assert speedup >= MIN_SPEEDUP, (
-        f"incremental infer after a {DELTA_FRACTION:.0%} feature delta must be "
-        f">= {MIN_SPEEDUP}x faster than a full re-prepare + infer "
-        f"(got {speedup:.1f}x)")

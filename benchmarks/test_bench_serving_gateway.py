@@ -11,9 +11,10 @@ algorithmic (requests / tick, deterministic) and only second parallel.
 Both sides serve the identical workload — the same tenants, the same delta
 stream, the same request count — and the gateway's answers are checked
 bit-identical to the serial loop's before any clock starts.  With at least
-``REQUIRED_CORES`` usable cores the gateway must win by ``>=2x`` wall clock
-(scaled by ``REPRO_BENCH_MIN_SPEEDUP_SCALE`` like every CI floor); on smaller
-machines the identity checks still run and the timing assertion is skipped.
+``REQUIRED_CORES`` usable cores both sides are timed and the ratio printed
+(nothing is asserted on it — ``bench/``'s ``serve_gateway`` workload is where
+serving time is judged); on smaller machines the identity checks still run
+and the timing is skipped.
 
 The run dumps ``BENCH_serving_gateway.json`` (gateway snapshot + p50/p99 tick
 latency + requests/second for both sides) — uploaded as a CI artifact so
@@ -41,8 +42,6 @@ from repro.inference import (
 )
 from repro.serving import ServingGateway
 
-from bench_thresholds import min_speedup
-
 NUM_TENANTS = 4
 NUM_NODES = 8_000
 AVG_DEGREE = 4.0
@@ -51,7 +50,6 @@ DELTA_ROWS = 30           # feature rows refreshed per tenant per tick
 BURST = 6                 # concurrent infer requests per tenant per tick
 TICKS = 4                 # measured serving rounds
 REQUIRED_CORES = 4        # below this, assert identity but skip the timing
-MIN_SPEEDUP = min_speedup(2.0)
 ARTIFACT = "BENCH_serving_gateway.json"
 
 
@@ -170,7 +168,7 @@ def test_bench_serving_gateway(benchmark):
     cores = usable_cores()
     if cores < REQUIRED_CORES:
         pytest.skip(
-            f"only {cores} usable core(s); the timing floor needs "
+            f"only {cores} usable core(s); the timing needs "
             f"{REQUIRED_CORES} (identity + batching checks passed)")
 
     # --- timing pass: fresh pools on both sides, identical workloads.
@@ -211,7 +209,6 @@ def test_bench_serving_gateway(benchmark):
         "serial_requests_per_second": total_requests / serial_seconds,
         "gateway_requests_per_second": total_requests / gateway_seconds,
         "speedup": speedup,
-        "min_speedup": MIN_SPEEDUP,
     })
     artifact_dir = Path(os.environ.get("REPRO_BENCH_ARTIFACT_DIR", "."))
     artifact_dir.mkdir(parents=True, exist_ok=True)
@@ -228,6 +225,3 @@ def test_bench_serving_gateway(benchmark):
           f"p99 tick {payload['p99_tick_seconds'] * 1e3:.1f} ms; "
           f"{payload['requests']} req in {payload['ticks']} tick(s)")
     print(f"serving speedup: {speedup:.1f}x  -> {artifact_dir / ARTIFACT}")
-    assert speedup >= MIN_SPEEDUP, (
-        f"gateway must serve the burst workload >= {MIN_SPEEDUP}x faster "
-        f"than the request-at-a-time loop (got {speedup:.1f}x)")

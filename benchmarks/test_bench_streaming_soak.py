@@ -7,26 +7,18 @@ async gateway with a generated fault plan mixing worker kills, forced pool
 evictions and delta-arrival bursts.  The CI tier-1 matrix runs the default
 30-second soak under both executors; the nightly job stretches it to minutes.
 
-Gates, in order of importance:
-
-1. **Deterministic SLOs (always asserted)** — the soak is ``clean`` (every
-   tick's scores matched the un-faulted oracle; every injected crash
-   recovered), nothing in the logical stream was dropped, zero delta-forced
-   re-plans on the stable-hub stream (shadow nodes on — edge deltas must
-   patch cached plans in place), and the shm segment census never grew past
-   the steady state a short un-faulted run of the same stack establishes
-   (the segment-leak ceiling).
-2. **Latency SLO (core-gated)** — p99 tick latency stays under a ceiling;
-   on starved runners the ceiling is skipped, not the correctness gates.
-   ``REPRO_BENCH_MIN_SPEEDUP_SCALE`` relaxes the ceiling the same way it
-   relaxes every CI speedup floor (scale 0.5 doubles the allowed p99).
+Gates — **deterministic SLOs, always asserted**: the soak is ``clean`` (every
+tick's scores matched the un-faulted oracle; every injected crash
+recovered), nothing in the logical stream was dropped, zero delta-forced
+re-plans on the stable-hub stream (shadow nodes on — edge deltas must patch
+cached plans in place), and the shm segment census never grew past the steady
+state a short un-faulted run of the same stack establishes (the segment-leak
+ceiling).  p50/p99 tick latency is reported, not asserted.
 
 The run dumps ``BENCH_streaming_soak.json`` (full :class:`SoakReport`) —
 uploaded as a CI artifact so steady-state serving health is trackable across
 commits.  ``REPRO_BENCH_ARTIFACT_DIR`` redirects where it lands (default CWD).
 """
-
-import os
 
 import pytest
 
@@ -40,23 +32,10 @@ from repro.streaming import (
     soak_seed_from_env,
 )
 
-from bench_thresholds import min_speedup
-
 TENANTS = 2
 GRAPH_NODES = 300
 FAULT_RATE = 0.15         # ~1 fault per 7 simulated seconds
 FAULT_KINDS = ("kill_worker", "delay_deltas", "evict_tenant")
-REQUIRED_CORES = 2        # below this, assert the SLOs but skip the latency gate
-#: Base p99 ceiling per inference tick (seconds); relaxed by the shared
-#: REPRO_BENCH_MIN_SPEEDUP_SCALE knob (scale 0.5 => ceiling doubles).
-P99_TICK_CEILING_SECONDS = 0.5 / min_speedup(1.0)
-
-
-def usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def soak_config(ticks: int, seed: int, faults) -> SoakConfig:
@@ -110,16 +89,4 @@ def test_bench_streaming_soak(benchmark):
     print()
     print(plan.describe())
     print(report.describe())
-    print(f"p99 ceiling {P99_TICK_CEILING_SECONDS * 1e3:.0f} ms "
-          f"-> {path}")
-
-    # --- latency SLO: core-gated so starved runners skip the clock, not
-    # the correctness gates above.
-    cores = usable_cores()
-    if cores < REQUIRED_CORES:
-        pytest.skip(
-            f"only {cores} usable core(s); the p99 ceiling needs "
-            f"{REQUIRED_CORES} (deterministic SLO gates passed)")
-    assert report.p99_tick_seconds <= P99_TICK_CEILING_SECONDS, (
-        f"p99 tick latency {report.p99_tick_seconds * 1e3:.1f} ms exceeds "
-        f"the {P99_TICK_CEILING_SECONDS * 1e3:.0f} ms SLO")
+    print(f"-> {path}")

@@ -10,7 +10,7 @@ and the test suites.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 from repro.analysis.findings import Finding
 from repro.analysis.lint import ModuleSource, register_rule
@@ -377,32 +377,27 @@ class BroadExceptRule:
 
 
 # --------------------------------------------------------------------------- #
-# backend-protocol completeness
+# backend-protocol: near-miss hook names
 # --------------------------------------------------------------------------- #
 
 
 @register_rule("backend-protocol")
 class BackendProtocolRule:
-    """Registered backends must implement the protocol — exactly.
+    """A registered backend's hook overrides must be spelled exactly.
 
-    The session discovers the optional delta hooks via ``getattr``, so a
-    typo'd hook name (``apply_deltas``, ``execute_incremenal``) never errors
-    — it silently degrades every delta to a full recompute, which is the
-    worst kind of performance bug: invisible until someone profiles.  This
-    rule checks every ``@register_backend`` class for the required surface
-    (``plan`` / ``execute`` / ``default_cluster``), verifies present optional
-    hooks match the protocol signatures *exactly*, and flags near-miss
-    method names as probable typos.
+    ``Backend`` is an abstract base class: a missing ``plan`` / ``execute`` /
+    ``default_cluster`` fails at ``register_backend`` time, and ``mypy
+    --strict`` checks every override's signature.  What neither catches is a
+    *near-miss name*: a subclass defining ``apply_deltas`` or
+    ``execute_incremenal`` overrides nothing, silently inherits the
+    full-recompute default, and degrades every delta to a re-plan — the worst
+    kind of performance bug: invisible until someone profiles.  This rule
+    flags public methods of ``@register_backend`` classes within edit
+    distance 2 of an overridable hook.
     """
 
     name = "backend-protocol"
-    REQUIRED = {"plan", "execute", "default_cluster"}
-    #: optional hook -> exact positional parameter names.
-    HOOKS = {
-        "apply_delta": ["self", "plan", "delta"],
-        "execute_incremental": ["self", "plan", "metrics",
-                                "feature_dirty", "topo_dirty"],
-    }
+    HOOKS = ("apply_delta", "execute_incremental", "release")
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
@@ -423,42 +418,15 @@ class BackendProtocolRule:
 
     def _check_backend(self, module: ModuleSource,
                        node: ast.ClassDef) -> Iterator[Finding]:
-        methods = {stmt.name: stmt for stmt in node.body
-                   if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))}
-        for required in sorted(self.REQUIRED - set(methods)):
-            yield module.finding(
-                node, self.name,
-                f"backend class {node.name} is missing required protocol "
-                f"method {required}(); registration would fail at first use")
-        for hook, expected in self.HOOKS.items():
-            method = methods.get(hook)
-            if method is not None:
-                yield from self._check_hook_signature(module, method, expected)
-        for name, method in methods.items():
-            if name.startswith("_") or name in self.REQUIRED or name in self.HOOKS:
+        for method in node.body:
+            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if method.name.startswith("_") or method.name in self.HOOKS:
                 continue
             for hook in self.HOOKS:
-                if edit_distance(name, hook) <= 2:
+                if edit_distance(method.name, hook) <= 2:
                     yield module.finding(
                         method, self.name,
-                        f"method {name}() looks like a misspelling of the "
-                        f"optional hook {hook}(); the session discovers hooks "
-                        f"by exact name via getattr, so this would silently "
-                        f"degrade every delta to a full recompute")
-
-    def _check_hook_signature(self, module: ModuleSource,
-                              method: ast.FunctionDef,
-                              expected: Sequence[str]) -> Iterator[Finding]:
-        args = method.args
-        actual = [arg.arg for arg in args.posonlyargs + args.args]
-        clean = (actual == list(expected)
-                 and not args.vararg and not args.kwarg
-                 and not args.kwonlyargs and not args.defaults)
-        if not clean:
-            yield module.finding(
-                method, self.name,
-                f"optional hook {method.name}({', '.join(actual)}) does not "
-                f"match the protocol signature "
-                f"{method.name}({', '.join(expected)}); the session calls "
-                f"hooks positionally, so a drifted signature fails (or "
-                f"worse, silently misbinds) at serving time")
+                        f"method {method.name}() looks like a misspelling of "
+                        f"the hook {hook}(); it overrides nothing, so the "
+                        f"backend silently keeps the base-class default")

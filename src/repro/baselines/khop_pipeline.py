@@ -94,7 +94,7 @@ class TraditionalPipeline:
             compute += gnn_layer_compute_units(
                 num_messages=subgraph.num_edges, message_dim=layer.message_dim,
                 num_nodes=subgraph.num_nodes, in_dim=layer.in_dim,
-                out_dim=getattr(layer, "output_dim", layer.out_dim))
+                out_dim=layer.output_dim)
             compute += subgraph.num_edges * layer.message_dim
         if self.model.head is not None:
             compute += subgraph.num_nodes * self.model.head.in_features * self.model.head.out_features

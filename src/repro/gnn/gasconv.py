@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.gnn.annotations import collect_annotations, stage_annotation
 from repro.tensor import ops
-from repro.tensor.nn import Module
+from repro.tensor.nn import Linear, Module
 from repro.tensor.tensor import Tensor
 
 
@@ -50,6 +50,9 @@ class GASConv(Module):
     message buffers.
     """
 
+    #: projection of edge features into the message, when the layer has one.
+    edge_linear: Optional[Linear] = None
+
     def __init__(self, in_dim: int, out_dim: int) -> None:
         super().__init__()
         self.in_dim = int(in_dim)
@@ -66,6 +69,11 @@ class GASConv(Module):
     @property
     def message_dim(self) -> int:
         """Width of the per-edge message produced by :meth:`apply_edge`."""
+        return self.out_dim
+
+    @property
+    def output_dim(self) -> int:
+        """Width of :meth:`apply_node`'s output (head-concatenating layers override)."""
         return self.out_dim
 
     @property

@@ -21,11 +21,6 @@ from repro.tensor.nn import Linear, Module
 from repro.tensor.tensor import Tensor
 
 
-def _layer_output_dim(layer: GASConv) -> int:
-    """Width of the embedding a layer hands to the next layer."""
-    return getattr(layer, "output_dim", layer.out_dim)
-
-
 class GNNModel(Module):
     """A k-layer GNN with a feature encoder and a prediction head.
 
@@ -52,7 +47,7 @@ class GNNModel(Module):
                 raise ValueError(
                     f"layer {position} expects in_dim={layer.in_dim} but receives {expected}"
                 )
-            expected = _layer_output_dim(layer)
+            expected = layer.output_dim
         if head is not None and head.in_features != expected:
             raise ValueError(
                 f"prediction head expects in_features={head.in_features} but receives {expected}"
@@ -70,7 +65,7 @@ class GNNModel(Module):
     def output_dim(self) -> int:
         if self.head is not None:
             return self.head.out_features
-        return _layer_output_dim(self.layers[-1])
+        return self.layers[-1].output_dim
 
     def encode(self, features: Tensor) -> Tensor:
         """Initial-superstep transform: raw features → layer-0 input state."""

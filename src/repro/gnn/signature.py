@@ -113,7 +113,7 @@ class ModelSignature:
             layers.append(cls(**layer_sig.config))
         head = None
         if self.has_head:
-            last_width = getattr(layers[-1], "output_dim", layers[-1].out_dim)
+            last_width = layers[-1].output_dim
             head = Linear(last_width, self.output_dim, rng=rng)
         model = GNNModel(encoder, layers, head)
         if self.parameters:

@@ -65,9 +65,6 @@ once::
     pool = SessionPool(signature, InferenceConfig(backend="pregel"),
                        capacity=64)
     scores = pool.infer(tenant_graph).scores      # plan-cache hit after tick 0
-
-:class:`~repro.inference.inferturbo.InferTurbo` remains as a deprecated
-one-shot shim over the session API.
 """
 
 from repro.inference.backends import (
@@ -87,7 +84,6 @@ from repro.inference.delta import (
     StalePlanError,
     graph_fingerprint,
 )
-from repro.inference.inferturbo import InferTurbo
 from repro.inference.pool import PoolEntry, PoolStats, SessionPool, default_weigher
 from repro.inference.session import InferenceResult, InferenceSession, RunReport
 from repro.inference.strategies import hub_threshold, StrategyPlan, build_strategy_plan
@@ -108,7 +104,6 @@ __all__ = [
     "DeltaOutcome",
     "StalePlanError",
     "graph_fingerprint",
-    "InferTurbo",
     "InferenceResult",
     "Backend",
     "ExecutionPlan",

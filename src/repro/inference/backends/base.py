@@ -1,15 +1,17 @@
 """Backend plugin registry and the execution-plan abstraction.
 
 A *backend* is an interchangeable execution substrate for full-graph GNN
-inference under the shared GAS programming model.  Each backend implements a
-small protocol:
+inference under the shared GAS programming model.  Each backend subclasses
+:class:`Backend`:
 
 * ``name`` — the registry key users put in :class:`InferenceConfig.backend`;
 * ``plan(model, graph, config)`` — one-time preparation: strategy resolution,
   shadow-node graph rewrite, partition layout / input-record ingest — anything
   that can be computed once and reused across repeated executions;
 * ``execute(plan, metrics)`` — one inference run over a previously built
-  :class:`ExecutionPlan`, recording per-instance counters into ``metrics``.
+  :class:`ExecutionPlan`, recording per-instance counters into ``metrics``;
+* optionally ``apply_delta`` / ``execute_incremental`` / ``release`` — the
+  base-class defaults are the full-recompute fallback.
 
 Backends self-register through the :func:`register_backend` decorator; the
 rest of the system looks them up by name via :func:`get_backend` and never
@@ -19,8 +21,9 @@ the same way (the decorator is the whole plugin API).
 
 from __future__ import annotations
 
+import abc
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Protocol, Set, Tuple, Type, runtime_checkable
+from typing import Any, Callable, Dict, Optional, Set, Tuple, Type
 
 import numpy as np
 
@@ -31,6 +34,12 @@ from repro.gnn.model import GNNModel
 from repro.graph.graph import Graph
 from repro.graph.partition import HashPartitioner
 from repro.inference.config import InferenceConfig
+from repro.inference.delta import (
+    DeltaOutcome,
+    GraphDelta,
+    apply_delta_to_graph,
+    validate_delta_against_graph,
+)
 from repro.inference.shadow import ShadowNodePlan, apply_shadow_nodes
 from repro.inference.strategies import (
     StrategyPlan,
@@ -104,46 +113,64 @@ class ExecutionPlan:
         return ", ".join(parts)
 
 
-@runtime_checkable
-class Backend(Protocol):
-    """The protocol every registered backend implements.
+class Backend(abc.ABC):
+    """Base class of every registered backend.
 
-    Beyond the required methods, a backend may implement two *optional* delta
-    hooks (the session discovers them via ``getattr``, so plain backends like
-    ``mapreduce``/``khop`` keep working with full-recompute semantics):
+    ``plan`` / ``execute`` / ``default_cluster`` are abstract —
+    :func:`register_backend` instantiates the class, so an incomplete backend
+    fails at registration.  The three delta/lifecycle methods have defaults
+    that *are* the full-recompute fallback: a backend that overrides nothing
+    (``khop``) re-plans on every delta and serves incremental requests with
+    full executions.
 
-    * ``apply_delta(plan, delta) -> DeltaOutcome`` — patch the cached plan in
-      place for a :class:`~repro.inference.delta.GraphDelta`; return
-      ``in_place=False`` when the delta invalidates the plan (the session
-      then re-prepares from the already-updated graph);
-    * ``execute_incremental(plan, metrics, feature_dirty, topo_dirty)`` —
-      run one inference restricted to the dirty k-hop region, or return
-      ``None`` to make the session fall back to a full ``execute``.
-
-    ``pregel`` implements both hooks (bit-identical incremental runs over a
+    ``pregel`` overrides all three (bit-identical incremental runs over a
     warm partition cache, feature *and* hub-preserving edge deltas — under
     shadow nodes included, via the position-stable mirror assignment);
-    ``mapreduce`` implements both too — feature deltas patch its cached input
-    records row-wise, edge deltas splice the records' adjacency payloads in
-    place, and incremental runs replay only the dirty region's dependency
-    closure, splicing into cached scores (tolerance-identical, see
-    :mod:`repro.inference.mapreduce_adaptor`); ``khop`` has neither and
-    always takes the full-recompute default.
+    ``mapreduce`` does too — feature deltas patch its cached input records
+    row-wise, edge deltas splice the records' adjacency payloads in place, and
+    incremental runs replay only the dirty region's dependency closure,
+    splicing into cached scores (tolerance-identical, see
+    :mod:`repro.inference.mapreduce_adaptor`).
     """
 
+    #: registry key, set by :func:`register_backend`.
     name: str
 
+    @abc.abstractmethod
     def default_cluster(self, num_workers: int) -> ClusterSpec:
         """The cluster flavour this backend simulates by default."""
-        ...
 
+    @abc.abstractmethod
     def plan(self, model: GNNModel, graph: Graph,
              config: InferenceConfig) -> ExecutionPlan:
-        ...
+        """One-time preparation, cached and reused by every execution."""
 
+    @abc.abstractmethod
     def execute(self, plan: ExecutionPlan,
                 metrics: MetricsCollector) -> Dict[str, np.ndarray]:
-        ...
+        """One full inference run; returns ``scores`` (and ``embeddings``)."""
+
+    def apply_delta(self, plan: ExecutionPlan, delta: GraphDelta) -> DeltaOutcome:
+        """Fold ``delta`` into ``plan``; ``in_place=False`` makes the session re-plan.
+
+        Whatever the outcome, the delta must have landed on ``plan.graph``
+        when this returns, so the session can re-prepare from the updated
+        state.  The default does only that.
+        """
+        apply_delta_to_graph(plan.graph, delta)
+        return DeltaOutcome(in_place=False,
+                            reason=f"backend {self.name!r} re-plans on every delta")
+
+    def execute_incremental(self, plan: ExecutionPlan, metrics: MetricsCollector,
+                            feature_dirty: np.ndarray,
+                            topo_dirty: np.ndarray) -> Optional[Dict[str, np.ndarray]]:
+        """Run restricted to the dirty k-hop region, or ``None`` to make the
+        session fall back to a full :meth:`execute` (the default)."""
+        return None
+
+    def release(self, plan: ExecutionPlan) -> None:
+        """Shut down OS resources ``plan`` owns (worker processes, shared
+        memory).  The plan stays usable and lazily respawns them."""
 
 
 class UnknownBackendError(ValueError):
@@ -153,16 +180,22 @@ class UnknownBackendError(ValueError):
 _REGISTRY: Dict[str, Backend] = {}
 
 
-def register_backend(name: str) -> "Callable[[Type[Any]], Type[Any]]":
-    """Class decorator registering a :class:`Backend` implementation.
+def register_backend(name: str) -> Callable[[Type[Any]], Type[Any]]:
+    """Class decorator registering a :class:`Backend` subclass.
 
     The decorated class is instantiated once (backends are stateless — all
     per-run state lives in the :class:`ExecutionPlan`) and becomes reachable
-    through :func:`get_backend`.  Registering a name twice is an error so a
-    plugin cannot silently replace a built-in.
+    through :func:`get_backend`; a class that is not a :class:`Backend` or
+    leaves an abstract method undefined raises ``TypeError`` here.
+    Registering a name twice is an error so a plugin cannot silently replace
+    a built-in.
     """
 
     def decorator(cls: Type[Any]) -> Type[Any]:
+        if not (isinstance(cls, type) and issubclass(cls, Backend)):
+            raise TypeError(
+                f"backend {name!r}: {cls!r} must subclass "
+                "repro.inference.backends.Backend")
         if name in _REGISTRY:
             raise ValueError(
                 f"backend {name!r} is already registered "
@@ -250,6 +283,55 @@ def check_edge_delta_stability(plan: ExecutionPlan) -> Tuple[bool, str, int]:
     return True, "", new_threshold
 
 
+def land_gas_delta(plan: ExecutionPlan, delta: GraphDelta,
+                   edge_blocker: str = "") -> Tuple[DeltaOutcome, np.ndarray]:
+    """The delta steps every GAS backend shares, before it patches its own state.
+
+    Lands ``delta`` on the base graph (validation happens first — a rejected
+    delta leaves everything untouched), re-checks the hub contract for edge
+    changes (:func:`check_edge_delta_stability`), splices them into the
+    shadow-expanded working graph with the position-stable mirror assignment
+    (:meth:`~repro.inference.shadow.ShadowNodePlan.patch_edge_delta`), and
+    refreshes shadow-mirror feature copies.  ``edge_blocker`` is a backend's
+    own reason an edge delta cannot be patched in place (checked before the
+    hub contract).
+
+    Returns the outcome — ``feature_dirty`` is the replica closure of the
+    changed feature rows — and the working-graph source ids whose out-edge set
+    changed (removed edges' sources, captured while their positions are still
+    valid, plus the mirror-assigned sources of appended edges).
+    """
+    graph, shadow = plan.graph, plan.shadow_plan
+    touched = np.empty(0, dtype=np.int64)
+    if delta.removed_edge_ids is not None and delta.removed_edge_ids.size:
+        # The working graph keeps base edge order, so base positions index it
+        # 1:1; validate first so a malformed delta raises before this read.
+        validate_delta_against_graph(graph, delta)
+        touched = plan.working_graph.src[delta.removed_edge_ids]
+    topo_dirty = apply_delta_to_graph(graph, delta)
+
+    if delta.has_edge_changes:
+        if edge_blocker:
+            return DeltaOutcome(in_place=False, reason=edge_blocker), touched
+        stable, reason, threshold = check_edge_delta_stability(plan)
+        if not stable:
+            return DeltaOutcome(in_place=False, reason=reason), touched
+        plan.strategy_plan.threshold = threshold
+        if shadow is not None:
+            touched = np.concatenate([touched, shadow.patch_edge_delta(graph, delta)])
+        elif delta.added_src is not None:
+            touched = np.concatenate([touched, delta.added_src])
+
+    feature_dirty = np.empty(0, dtype=np.int64)
+    if delta.has_feature_changes:
+        if shadow is not None and shadow.has_mirrors:
+            feature_dirty = shadow.refresh_mirror_features(graph, delta.node_ids)
+        else:
+            feature_dirty = np.unique(delta.node_ids)
+    return DeltaOutcome(in_place=True, feature_dirty=feature_dirty,
+                        topo_dirty=topo_dirty), touched
+
+
 def plan_gas_execution(backend_name: str, model: GNNModel, graph: Graph,
                        config: InferenceConfig) -> ExecutionPlan:
     """The planning steps shared by every full-graph (GAS) backend.
@@ -268,15 +350,9 @@ def plan_gas_execution(backend_name: str, model: GNNModel, graph: Graph,
         shadow_plan = apply_shadow_nodes(graph, strategy_plan.threshold,
                                          config.num_workers)
         merge_hub_mirrors(strategy_plan, shadow_plan)
-    working_graph = shadow_plan.graph if shadow_plan is not None else graph
-    layout = ClusterLayout.build(working_graph.num_nodes,
-                                 HashPartitioner(config.num_workers))
-    return ExecutionPlan(
-        backend=backend_name,
-        model=model,
-        graph=graph,
-        config=config,
-        strategy_plan=strategy_plan,
-        shadow_plan=shadow_plan,
-        layout=layout,
-    )
+    plan = ExecutionPlan(backend=backend_name, model=model, graph=graph,
+                         config=config, strategy_plan=strategy_plan,
+                         shadow_plan=shadow_plan)
+    plan.layout = ClusterLayout.build(plan.working_graph.num_nodes,
+                                      HashPartitioner(config.num_workers))
+    return plan

@@ -31,12 +31,12 @@ from repro.cluster.resources import ClusterSpec
 from repro.gnn.model import GNNModel
 from repro.graph.graph import Graph
 from repro.inference.config import InferenceConfig
-from repro.inference.backends.base import ExecutionPlan, register_backend
+from repro.inference.backends.base import Backend, ExecutionPlan, register_backend
 from repro.inference.strategies import build_strategy_plan
 
 
 @register_backend("khop")
-class KHopBackend:
+class KHopBackend(Backend):
     """Mini-batch k-hop neighbourhood inference (the PyG/DGL-style baseline)."""
 
     def default_cluster(self, num_workers: int) -> ClusterSpec:

@@ -4,11 +4,11 @@ Planning ingests the (possibly shadow-expanded) node table into input records
 once; every execution replays the cached records through a fresh engine, so
 repeated ``infer()`` calls skip the per-node table scan.
 
-This backend implements the optional delta hooks of the
-:class:`~repro.inference.backends.base.Backend` protocol: ``apply_delta``
+This backend overrides the delta hooks of
+:class:`~repro.inference.backends.base.Backend`: ``apply_delta``
 patches the cached input records in place — feature rows row-wise, edge
-deltas by rebuilding only the touched records' adjacency payloads
-(:func:`~repro.inference.mapreduce_adaptor.patch_record_adjacency`, using
+deltas by rebuilding only the touched records
+(:func:`~repro.inference.mapreduce_adaptor.patch_input_records`, using
 the position-stable shadow mirror assignment when mirrors exist) — and
 ``execute_incremental`` replays only the delta's dependency closure,
 splicing the recomputed scores into the matrix cached by the last full run
@@ -19,41 +19,38 @@ set or a hub's mirror-group count changes.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import AbstractSet, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.batch.mapreduce import MapReduceEngine
 from repro.cluster.executor import Executor, build_executor
 from repro.cluster.metrics import MetricsCollector
 from repro.cluster.resources import ClusterSpec
 from repro.gnn.model import GNNModel
 from repro.graph.graph import Graph
 from repro.inference.config import InferenceConfig
-from repro.inference.delta import (
-    DeltaOutcome,
-    GraphDelta,
-    apply_delta_to_graph,
-    validate_delta_against_graph,
-)
+from repro.inference.delta import DeltaOutcome, GraphDelta, expand_frontier
 from repro.inference.backends.base import (
+    Backend,
     ExecutionPlan,
-    check_edge_delta_stability,
+    land_gas_delta,
     plan_gas_execution,
     register_backend,
 )
 from repro.inference.mapreduce_adaptor import (
+    GNNRoundJob,
+    Record,
+    _partition_fn,
     build_input_records,
+    collect_scores,
+    dependency_closure,
     patch_input_records,
-    patch_record_adjacency,
-    run_mapreduce_inference,
-    run_mapreduce_inference_incremental,
 )
-
-_EMPTY = np.empty(0, dtype=np.int64)
 
 
 @register_backend("mapreduce")
-class MapReduceBackend:
+class MapReduceBackend(Backend):
     """Storage-resident batch backend (one map/reduce round per layer)."""
 
     def default_cluster(self, num_workers: int) -> ClusterSpec:
@@ -66,6 +63,11 @@ class MapReduceBackend:
         plan.state["input_records"] = build_input_records(model, plan.working_graph)
         return plan
 
+    def release(self, plan: ExecutionPlan) -> None:
+        executor = plan.state.get("executor")
+        if executor is not None:
+            executor.shutdown()
+
     def _plan_executor(self, plan: ExecutionPlan) -> Executor:
         """The plan-cached executor every round of every run reuses.
 
@@ -75,87 +77,42 @@ class MapReduceBackend:
         once per round.
         """
         executor = plan.state.get("executor")
-        if not isinstance(executor, Executor) or executor.name != plan.config.executor:
+        if executor is None:
             executor = build_executor(plan.config.executor, plan.config.num_workers)
             plan.state["executor"] = executor
         return executor
 
+    def _run_rounds(self, plan: ExecutionPlan, metrics: MetricsCollector,
+                    records: List[Record], phase: str, scores: np.ndarray,
+                    targets: Optional[Sequence[AbstractSet[int]]] = None) -> np.ndarray:
+        """Chain one :class:`GNNRoundJob` per layer; write outputs into ``scores``."""
+        assert plan.layout is not None      # set by plan_gas_execution
+        workers = plan.config.num_workers
+        engine = MapReduceEngine(num_mappers=workers, num_reducers=workers,
+                                 metrics=metrics, partition_fn=_partition_fn,
+                                 executor=self._plan_executor(plan))
+        plan.model.eval()
+        for layer_index in range(plan.model.num_layers):
+            job = GNNRoundJob(plan.model, plan.strategy_plan, plan.shadow_plan,
+                              layer_index, plan.original_num_nodes, plan.layout,
+                              targets=targets)
+            records, _ = engine.run(job, records, phase=f"{phase}_{layer_index}")
+        return collect_scores(records, scores)
+
     def execute(self, plan: ExecutionPlan,
                 metrics: MetricsCollector) -> Dict[str, np.ndarray]:
-        outputs = run_mapreduce_inference(plan.model, plan.graph, plan.config,
-                                          plan.strategy_plan, plan.shadow_plan, metrics,
-                                          input_records=plan.state.get("input_records"),
-                                          layout=plan.layout,
-                                          executor=self._plan_executor(plan))
+        scores = self._run_rounds(
+            plan, metrics, plan.state["input_records"], "round",
+            np.zeros((plan.original_num_nodes, plan.model.output_dim)))
         # Lazy incremental cache: the score matrix only stays resident once
         # the session has seen a delta (mirrors the pregel state cache — the
         # first post-delta incremental request falls back to this full run,
         # which primes it).
         if plan.config.incremental_state_cache and plan.delta_seen:
-            plan.state["scores"] = outputs["scores"].copy()
+            plan.state["scores"] = scores.copy()
         else:
             plan.state.pop("scores", None)
-        return outputs
-
-    # ------------------------------------------------------------------ #
-    # optional delta hooks
-    # ------------------------------------------------------------------ #
-    def apply_delta(self, plan: ExecutionPlan, delta: GraphDelta) -> DeltaOutcome:
-        """Patch the cached input records in place; re-plan only on hub churn.
-
-        Feature rows land on the base graph, propagate into shadow-mirror
-        copies through the replica CSR, and are scattered row-wise into the
-        id-indexed record cache.  Edge deltas splice into the same cache:
-        the working-graph sources whose out-edge set changes (removal
-        survivors plus the mirror-assigned sources of appends) get their
-        record's adjacency payload rebuilt from the patched working graph —
-        byte-identical to a fresh record scan, because the graph's adjacency
-        index orders edges per source stably.  Only a hub-set or
-        mirror-group-count change (:func:`check_edge_delta_stability`) lands
-        the delta on the graph and makes the session re-plan from it.
-        """
-        graph = plan.graph
-        removed_working_src = added_working_src = _EMPTY
-        if delta.has_edge_changes:
-            # Capture the removed edges' *working* sources (mirror ids under
-            # shadow) while the positions are still valid — the working graph
-            # keeps base edge order, so base positions index it 1:1.  The
-            # delta is validated first so a malformed one raises cleanly
-            # before any read or write.
-            validate_delta_against_graph(graph, delta)
-            if delta.removed_edge_ids is not None and delta.removed_edge_ids.size:
-                removed_working_src = plan.working_graph.src[
-                    delta.removed_edge_ids].copy()
-
-        topo_dirty = apply_delta_to_graph(graph, delta)
-
-        if delta.has_edge_changes:
-            stable, why, new_threshold = check_edge_delta_stability(plan)
-            if not stable:
-                return DeltaOutcome(in_place=False, reason=why)
-            plan.strategy_plan.threshold = new_threshold
-            shadow_plan = plan.shadow_plan
-            if shadow_plan is not None:
-                added_working_src = shadow_plan.patch_edge_delta(graph, delta)
-            elif delta.added_src is not None:
-                added_working_src = delta.added_src
-            records = plan.state.get("input_records")
-            touched = np.concatenate([removed_working_src, added_working_src])
-            if records is not None and touched.size:
-                patch_record_adjacency(records, plan.working_graph, touched)
-
-        feature_dirty = _EMPTY
-        if delta.has_feature_changes:
-            shadow_plan = plan.shadow_plan
-            if shadow_plan is not None and shadow_plan.has_mirrors:
-                feature_dirty = shadow_plan.refresh_mirror_features(graph, delta.node_ids)
-            else:
-                feature_dirty = np.unique(delta.node_ids)
-            records = plan.state.get("input_records")
-            if records is not None and feature_dirty.size:
-                patch_input_records(records, plan.working_graph, feature_dirty)
-        return DeltaOutcome(in_place=True, feature_dirty=feature_dirty,
-                            topo_dirty=topo_dirty)
+        return {"scores": scores}
 
     def execute_incremental(self, plan: ExecutionPlan, metrics: MetricsCollector,
                             feature_dirty: np.ndarray,
@@ -163,21 +120,50 @@ class MapReduceBackend:
         """Replay the dirty closure against cached scores, or None to go full.
 
         Requires a warm score cache (one full run after the first delta);
-        anything else falls back to ``execute``.  Topology-dirty destinations
-        seed the closure alongside feature-dirty nodes — the cached rows
-        outside the delta's reach stay exact, so splicing remains valid after
-        an in-place edge delta.
+        anything else falls back to ``execute``.  ``topo_dirty`` carries the
+        destinations whose in-edge set an edge delta changed; they join the
+        frontier at the first gather exactly as in
+        :func:`~repro.inference.delta.expand_frontier` — the cached rows
+        outside the delta's reach stay exact, so splicing the replay's output
+        records into a copy of the cache remains valid after an in-place edge
+        delta.  Agreement with a full recompute is tolerance-level (~1e-15),
+        not bit-exact; see :mod:`repro.inference.mapreduce_adaptor`.
         """
-        if not plan.config.incremental_state_cache:
-            return None
         cached_scores = plan.state.get("scores")
-        input_records = plan.state.get("input_records")
-        if cached_scores is None or input_records is None:
+        if cached_scores is None or not plan.config.incremental_state_cache:
             return None
-        outputs = run_mapreduce_inference_incremental(
-            plan.model, plan.graph, plan.config, plan.strategy_plan,
-            plan.shadow_plan, metrics, input_records, cached_scores,
-            feature_dirty, topo_dirty=topo_dirty, layout=plan.layout,
-            executor=self._plan_executor(plan))
-        plan.state["scores"] = outputs["scores"].copy()
-        return outputs
+        scores = cached_scores.copy()
+        frontiers = expand_frontier(plan.working_graph, feature_dirty, topo_dirty,
+                                    plan.model.num_layers + 1, plan.shadow_plan)
+        if frontiers[-1].size:
+            targets, input_closure = dependency_closure(
+                plan.working_graph, frontiers, plan.shadow_plan)
+            input_records = plan.state["input_records"]
+            self._run_rounds(plan, metrics,
+                             [input_records[int(g)] for g in input_closure],
+                             "incremental_round", scores,
+                             targets=[set(t.tolist()) for t in targets])
+        plan.state["scores"] = scores.copy()
+        return {"scores": scores}
+
+    def apply_delta(self, plan: ExecutionPlan, delta: GraphDelta) -> DeltaOutcome:
+        """Patch the cached input records in place; re-plan only on hub churn.
+
+        Feature rows land on the base graph, propagate into shadow-mirror
+        copies through the replica CSR, and are scattered row-wise into the
+        id-indexed record cache.  Edge deltas splice into the same cache:
+        the working-graph sources whose out-edge set changes (removed edges'
+        sources plus the mirror-assigned sources of appends) get their record
+        rebuilt from the patched working graph — byte-identical to a fresh
+        record scan, because the graph's adjacency index orders edges per
+        source stably.  Only a hub-set or
+        mirror-group-count change
+        (:func:`~repro.inference.backends.base.land_gas_delta`) makes the
+        session re-plan from the landed delta.
+        """
+        outcome, touched_sources = land_gas_delta(plan, delta)
+        if outcome.in_place:
+            patch_input_records(
+                plan.state["input_records"], plan.model, plan.working_graph,
+                np.concatenate([touched_sources, outcome.feature_dirty]))
+        return outcome

@@ -5,8 +5,8 @@ Planning partitions the (possibly shadow-expanded) graph once into a
 partitions and only swaps in a fresh metrics collector, so repeated
 ``infer()`` calls skip the hash-partitioning pass entirely.
 
-This backend also implements the optional delta hooks of the
-:class:`~repro.inference.backends.base.Backend` protocol: ``apply_delta``
+This backend overrides the delta hooks of
+:class:`~repro.inference.backends.base.Backend`: ``apply_delta``
 patches the cached plan in place for feature refreshes (including shadow
 mirror copies) and hub-preserving edge deltas, and ``execute_incremental``
 reruns only the dirty k-hop region against the warm engine — the serving
@@ -24,24 +24,27 @@ from repro.cluster.resources import ClusterSpec
 from repro.gnn.model import GNNModel
 from repro.graph.graph import Graph
 from repro.inference.config import InferenceConfig
-from repro.inference.delta import DeltaOutcome, GraphDelta, apply_delta_to_graph
+from repro.inference.delta import DeltaOutcome, GraphDelta, expand_frontier
 from repro.inference.backends.base import (
+    Backend,
     ExecutionPlan,
-    check_edge_delta_stability,
+    land_gas_delta,
     plan_gas_execution,
     register_backend,
 )
 from repro.inference.pregel_adaptor import (
+    EdgeRows,
+    FrontierSchedule,
+    GNNInferenceProgram,
     build_pregel_engine,
-    run_pregel_inference,
-    run_pregel_inference_incremental,
+    frontier_schedule,
+    has_cached_run,
+    run_program,
 )
-
-_EMPTY = np.empty(0, dtype=np.int64)
 
 
 @register_backend("pregel")
-class PregelBackend:
+class PregelBackend(Backend):
     """Memory-resident graph-processing backend (one superstep per layer)."""
 
     def default_cluster(self, num_workers: int) -> ClusterSpec:
@@ -52,8 +55,22 @@ class PregelBackend:
         plan = plan_gas_execution(self.name, model, graph, config)
         plan.num_supersteps = model.num_layers + 1
         plan.state["engine"] = build_pregel_engine(plan.working_graph, config,
-                                                   layout=plan.layout)
+                                                   plan.layout)
         return plan
+
+    def release(self, plan: ExecutionPlan) -> None:
+        plan.state["engine"].shutdown()
+
+    @staticmethod
+    def _run(plan: ExecutionPlan, metrics: MetricsCollector, cache_states: bool,
+             edge_rows: Optional[EdgeRows] = None,
+             frontier: Optional[FrontierSchedule] = None) -> Dict[str, np.ndarray]:
+        program = GNNInferenceProgram(
+            plan.model, plan.strategy_plan, plan.shadow_plan,
+            cache_states=cache_states, edge_rows=edge_rows,
+            collect_embeddings=plan.config.collect_embeddings)
+        return run_program(plan.state["engine"], program, metrics,
+                           plan.original_num_nodes, frontier)
 
     def execute(self, plan: ExecutionPlan,
                 metrics: MetricsCollector) -> Dict[str, np.ndarray]:
@@ -62,15 +79,29 @@ class PregelBackend:
         # seen a delta (plan.delta_seen) — sessions serving an immutable
         # graph keep pre-delta peak memory.  The first post-delta incremental
         # request then falls back to one full run, which primes the cache.
-        cache = plan.config.incremental_state_cache and plan.delta_seen
-        return run_pregel_inference(plan.model, plan.graph, plan.config,
-                                    plan.strategy_plan, plan.shadow_plan, metrics,
-                                    engine=plan.state.get("engine"),
-                                    cache_states=cache)
+        return self._run(plan, metrics, cache_states=(
+            plan.config.incremental_state_cache and plan.delta_seen))
 
-    # ------------------------------------------------------------------ #
-    # optional delta hooks
-    # ------------------------------------------------------------------ #
+    def execute_incremental(self, plan: ExecutionPlan, metrics: MetricsCollector,
+                            feature_dirty: np.ndarray,
+                            topo_dirty: np.ndarray) -> Optional[Dict[str, np.ndarray]]:
+        """Rerun only the dirty k-hop region against the warm engine.
+
+        ``feature_dirty``/``topo_dirty`` are working-graph node ids (replica-
+        closed) from the session's accumulated deltas.  Returns None when the
+        engine has no complete cached run to splice into (the session then
+        falls back to a full execution), otherwise the same outputs as
+        :meth:`execute` — bit-identical to a fresh full run.
+        """
+        engine = plan.state["engine"]
+        if not all(has_cached_run(p, plan.model.num_layers) for p in engine.partitions):
+            return None
+        frontiers = expand_frontier(plan.working_graph, feature_dirty, topo_dirty,
+                                    plan.num_supersteps, plan.shadow_plan)
+        schedule, edge_rows = frontier_schedule(engine, frontiers)
+        return self._run(plan, metrics, cache_states=True, edge_rows=edge_rows,
+                         frontier=schedule)
+
     def apply_delta(self, plan: ExecutionPlan, delta: GraphDelta) -> DeltaOutcome:
         """Patch the cached plan for ``delta``; report what stays valid.
 
@@ -79,86 +110,39 @@ class PregelBackend:
         replica CSR) and every engine partition's feature slice are updated
         through one :class:`~repro.cluster.layout.ClusterLayout` translate +
         grouped scatter.  Edge deltas are applied in place only when that is
-        provably bit-stable: the hub set and every hub's mirror-group count
-        must survive the threshold re-check
-        (:func:`~repro.inference.backends.base.check_edge_delta_stability`),
-        and every layer's ``apply_edge`` must be the identity (a projecting
-        apply_edge runs at edge-table shape, which the delta changes).  Under
-        shadow nodes the position-stable mirror assignment
-        (:meth:`~repro.inference.shadow.ShadowNodePlan.patch_edge_delta`)
-        splices the delta into the expanded working graph exactly as a fresh
-        rewrite would place it.  Anything else returns ``in_place=False``
-        after landing the delta on the base graph, and the session re-plans
-        from it.
+        provably bit-stable: the hub contract must survive
+        (:func:`~repro.inference.backends.base.land_gas_delta`), and every
+        layer's ``apply_edge`` must be the identity (a projecting apply_edge
+        runs at edge-table shape, which the delta changes).  Anything else
+        returns ``in_place=False`` after landing the delta on the base graph,
+        and the session re-plans from it.
         """
-        graph = plan.graph
-        has_edge_features = graph.edge_features is not None
+        blocker = ""
+        if delta.has_edge_changes and any(
+                not layer.apply_edge_is_identity(plan.graph.edge_features is not None)
+                for layer in plan.model.layers):
+            blocker = ("edge-count changes are not bit-stable "
+                       "for projecting apply_edge layers")
+        outcome, _ = land_gas_delta(plan, delta, blocker)
+        if not outcome.in_place:
+            return outcome
 
-        in_place, reason = True, ""
+        engine = plan.state["engine"]
+        layout, working = engine.layout, plan.working_graph
+        dirty = outcome.feature_dirty
+        if dirty.size:
+            rows = working.node_features[dirty]
+            local = layout.local_indices(dirty)
+            for pid, sel in layout.group_by_owner(dirty):
+                if sel.size:
+                    engine.partitions[pid].node_features[local[sel]] = rows[sel]
         if delta.has_edge_changes:
-            if any(not layer.apply_edge_is_identity(has_edge_features)
-                   for layer in plan.model.layers):
-                in_place, reason = False, ("edge-count changes are not bit-stable "
-                                           "for projecting apply_edge layers")
-
-        # Land the delta on the base graph first — validation happens here,
-        # and even an invalidating delta must reach the graph so the session
-        # can re-prepare from the updated state.
-        topo_dirty = apply_delta_to_graph(graph, delta)
-
-        if in_place and delta.has_edge_changes:
-            stable, why, new_threshold = check_edge_delta_stability(plan)
-            if stable:
-                plan.strategy_plan.threshold = new_threshold
-            else:
-                in_place, reason = False, why
-        if not in_place:
-            return DeltaOutcome(in_place=False, reason=reason)
-
-        engine = plan.state.get("engine")
-        feature_dirty = _EMPTY
-        if delta.has_feature_changes:
-            shadow_plan = plan.shadow_plan
-            if shadow_plan is not None and shadow_plan.has_mirrors:
-                feature_dirty = shadow_plan.refresh_mirror_features(graph, delta.node_ids)
-            else:
-                feature_dirty = np.unique(delta.node_ids)
-            if engine is not None and plan.layout is not None:
-                working = plan.working_graph
-                rows = working.node_features[feature_dirty]
-                local = plan.layout.local_indices(feature_dirty)
-                for pid, sel in plan.layout.group_by_owner(feature_dirty):
-                    if sel.size:
-                        engine.partitions[pid].node_features[local[sel]] = rows[sel]
-
-        if delta.has_edge_changes:
-            # Under shadow nodes, splice the delta into the expanded working
-            # graph first (position-stable mirror assignment); without
-            # mirrors the working graph *is* the base graph and the delta
-            # already landed on it above.
-            if plan.shadow_plan is not None:
-                plan.shadow_plan.patch_edge_delta(graph, delta)
-            if engine is not None and plan.layout is not None:
-                # Regroup the updated working edge list per owning partition
-                # (one stable argsort — the same slicing a fresh partitioning
-                # would produce; partitions that lost their last edge get
-                # empty arrays).
-                working = plan.working_graph
-                efeat = working.edge_features
-                for pid, ids in plan.layout.group_by_owner(working.src):
-                    engine.partitions[pid].replace_out_edges(
-                        working.src[ids], working.dst[ids],
-                        None if efeat is None else efeat[ids])
-
-        return DeltaOutcome(in_place=True, feature_dirty=feature_dirty,
-                            topo_dirty=topo_dirty)
-
-    def execute_incremental(self, plan: ExecutionPlan, metrics: MetricsCollector,
-                            feature_dirty: np.ndarray,
-                            topo_dirty: np.ndarray) -> Optional[Dict[str, np.ndarray]]:
-        engine = plan.state.get("engine")
-        if engine is None:
-            return None
-        return run_pregel_inference_incremental(
-            plan.model, plan.graph, plan.config, plan.strategy_plan,
-            plan.shadow_plan, metrics, engine, feature_dirty, topo_dirty)
+            # Regroup the updated working edge list per owning partition (one
+            # stable argsort — the same slicing a fresh partitioning would
+            # produce; partitions that lost their last edge get empty arrays).
+            efeat = working.edge_features
+            for pid, ids in layout.group_by_owner(working.src):
+                engine.partitions[pid].replace_out_edges(
+                    working.src[ids], working.dst[ids],
+                    None if efeat is None else efeat[ids])
+        return outcome

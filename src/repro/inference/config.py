@@ -60,11 +60,6 @@ class GatewayConfig:
         parallelism comes from the backend substrate (the ``process``
         executor runs compute off-GIL); these threads mainly overlap tenants
         and keep the event loop free.
-    latency_window:
-        How many recent tick-latency samples each tenant keeps for p50/p99
-        percentiles (sampled from
-        :attr:`~repro.inference.session.InferenceResult.elapsed_seconds` —
-        the session's own measurement, not a gateway-side timer).
     default_retry_after_seconds:
         The ``retry_after`` hint handed to rejected requests before the
         tenant has any latency history to estimate from.
@@ -73,7 +68,6 @@ class GatewayConfig:
     max_queue_depth: int = 64
     max_batch: int = 32
     max_concurrent_ticks: int = 4
-    latency_window: int = 512
     default_retry_after_seconds: float = 0.05
 
     def __post_init__(self) -> None:
@@ -83,8 +77,6 @@ class GatewayConfig:
             raise ValueError("max_batch must be positive")
         if self.max_concurrent_ticks <= 0:
             raise ValueError("max_concurrent_ticks must be positive")
-        if self.latency_window <= 0:
-            raise ValueError("latency_window must be positive")
         if self.default_retry_after_seconds <= 0:
             raise ValueError("default_retry_after_seconds must be positive")
 

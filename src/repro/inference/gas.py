@@ -1,0 +1,185 @@
+"""The GAS stages of GNN inference, each implemented exactly once.
+
+One layer per iteration: **gather** the in-messages, **apply_node**, then
+**apply_edge** + **scatter** the next layer's messages; ``encode`` opens the
+pipeline and ``predict`` closes it.  Every function here takes raw ndarrays
+(state rows, edge endpoints, message rows), runs under ``no_grad`` and returns
+arrays plus the compute units the stage costs.  None of them knows which
+backend called: the Pregel adaptor feeds them a mailbox and keeps state in
+``block_state``, the MapReduce adaptor feeds them shuffled records and emits
+state as records — packaging is all the adaptors own.
+
+Row subsets (incremental inference)
+-----------------------------------
+
+Every stage takes an optional ``rows`` set.  The rule that keeps a
+restricted run bit-identical to a fresh full one lives here and nowhere else:
+
+* matmul stages (``encode``, ``gather_apply``, ``predict``, a *projecting*
+  ``apply_edge``) always run at **full matrix shape** and the caller splices
+  ``result[rows]`` into its cache — BLAS kernels are not bit-stable across
+  differing shapes, so a subset-shaped matmul would drift in the last ulp;
+* an *identity* ``apply_edge`` (GCN/SAGE without edge features — the common
+  serving case) is an exact row gather at any subset size and skips the
+  full-shape pass;
+* compute units charge ``rows`` only: what a production kernel recomputing
+  just those rows would pay (the full-shape pass is an artefact of
+  simulating on BLAS).
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple, Optional, Tuple
+
+import numpy as np
+
+from repro.cluster.cost_model import gnn_layer_compute_units
+from repro.gnn.gasconv import GASConv
+from repro.gnn.model import GNNModel
+from repro.inference.shadow import ShadowNodePlan
+from repro.inference.strategies import LayerStrategy, split_hub_edges
+from repro.tensor.tensor import Tensor, no_grad
+
+_EMPTY = np.empty(0, dtype=np.int64)
+
+
+def _charged(rows: Optional[np.ndarray], full: int) -> int:
+    """How many rows a stage is charged for (``rows=None`` means all)."""
+    return full if rows is None else int(rows.size)
+
+
+def splice(cached: np.ndarray, full: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A copy of ``cached`` with ``rows`` taken from the full-shape result."""
+    out = cached.copy()
+    out[rows] = full[rows]
+    return out
+
+
+@no_grad()
+def encode(model: GNNModel, features: np.ndarray,
+           rows: Optional[np.ndarray] = None) -> Tuple[np.ndarray, float]:
+    """Raw feature rows → layer-0 input state."""
+    encoder = model.encoder
+    state = (model.encode(Tensor(features)).data if features.shape[0]
+             else np.zeros((0, encoder.out_features)))
+    return state, (_charged(rows, features.shape[0])
+                   * encoder.in_features * encoder.out_features)
+
+
+@no_grad()
+def gather_apply(layer: GASConv, state: np.ndarray, payload: np.ndarray,
+                 dst_index: np.ndarray, counts: np.ndarray,
+                 rows: Optional[np.ndarray] = None) -> Tuple[np.ndarray, float]:
+    """``gather`` + ``apply_node`` over one block of destination rows.
+
+    ``payload[i]`` is a message (standing for ``counts[i]`` raw ones after
+    partial-gather) for ``state`` row ``dst_index[i]``.  Message order per
+    destination is the caller's: segment reductions are order-sensitive, so
+    the transport decides the bits, never this function.
+    """
+    num_nodes = state.shape[0]
+    if payload.shape[0] == 0:
+        payload = np.zeros((0, layer.message_dim))
+    aggr = layer.gather(Tensor(payload), dst_index, num_nodes, counts)
+    new_state = layer.apply_node(Tensor(state), aggr).data
+    return new_state, gnn_layer_compute_units(
+        num_messages=payload.shape[0], message_dim=layer.message_dim,
+        num_nodes=_charged(rows, num_nodes), in_dim=layer.in_dim,
+        out_dim=layer.output_dim)
+
+
+@no_grad()
+def edge_messages(layer: GASConv, state: np.ndarray, src_pos: np.ndarray,
+                  edge_features: Optional[np.ndarray],
+                  rows: Optional[np.ndarray] = None) -> Tuple[np.ndarray, float]:
+    """``apply_edge`` over out-edges: one message row per edge.
+
+    ``src_pos[e]`` is the ``state`` row of edge ``e``'s source.  With ``rows``
+    only those edges' messages are returned (see the module docstring for the
+    identity-gather vs full-shape-then-slice rule).  The cost is one pass
+    over every outgoing message element; per-edge projections are folded
+    into that rate.
+    """
+    edge_tensor = None if edge_features is None else Tensor(edge_features)
+    if rows is not None and layer.apply_edge_is_identity(edge_tensor is not None):
+        messages = state[src_pos[rows]]
+    else:
+        messages = layer.apply_edge(Tensor(state[src_pos]), edge_tensor).data
+        if rows is not None:
+            messages = messages[rows]
+    return messages, messages.shape[0] * messages.shape[1]
+
+
+class Routed(NamedTuple):
+    """Where one scatter's messages go, as index arrays into its edge rows.
+
+    Per-edge path: output message ``i`` carries ``messages[plain_rows[i]]`` to
+    ``plain_dst[i]``.  Broadcast path: hub ``k``'s one shared payload is
+    ``messages[hub_rows[k]]`` (hubs in first-appearance order) and reference
+    ``j`` delivers hub ``hub_refs[j]``'s payload to ``hub_dst[j]``.
+    Destinations already include the shadow-mirror fan-out.
+    """
+
+    plain_rows: np.ndarray
+    plain_dst: np.ndarray
+    hub_rows: np.ndarray
+    hub_refs: np.ndarray
+    hub_dst: np.ndarray
+
+
+def _fan_out(shadow_plan: Optional[ShadowNodePlan], dst_ids: np.ndarray,
+             inline: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """``(row_index, expanded_dst)``: every destination plus its mirrors."""
+    if shadow_plan is not None and shadow_plan.has_mirrors and inline:
+        return shadow_plan.expand_rows(dst_ids)
+    rows = np.arange(dst_ids.shape[0], dtype=np.int64)
+    if shadow_plan is None or not shadow_plan.has_mirrors:
+        return rows, dst_ids
+    expanded_dst, row_index, _ = shadow_plan.expand_destinations(dst_ids, rows)
+    return row_index, expanded_dst
+
+
+def scatter(strategy: LayerStrategy, hubs: np.ndarray,
+            shadow_plan: Optional[ShadowNodePlan], source_ids: np.ndarray,
+            dst_ids: np.ndarray, inline: bool) -> Routed:
+    """Split out-edge rows into per-edge and broadcast paths; fan out mirrors.
+
+    An edge takes the broadcast path iff the layer's strategy enables it and
+    its source is an out-degree hub — ``LayerStrategy.broadcast`` already
+    excludes layers whose messages depend on edge features, so this is the
+    whole rule, on every backend.
+
+    ``inline`` picks the order of the mirror fan-out, not a backend: replicas
+    where the row was (``True`` — a record stream keeps per-source order) or
+    untouched rows first, then the replicas (``False`` — one block per
+    path).  Both orders are frozen by the bit-identity contracts, because
+    they fix the operand order of the receivers' segment reductions.
+    """
+    if strategy.broadcast and hubs.size:
+        hub_edges, plain_edges = split_hub_edges(source_ids, hubs)
+    else:
+        hub_edges, plain_edges = _EMPTY, np.arange(dst_ids.shape[0])
+    plain_index, plain_dst = _fan_out(shadow_plan, dst_ids[plain_edges], inline)
+    if hub_edges.size == 0:
+        return Routed(plain_edges[plain_index], plain_dst, _EMPTY, _EMPTY, _EMPTY)
+    # Every out-edge of a hub carries the same payload: keep one row per hub
+    # (its first edge) and an integer reference per edge.
+    _, first, inverse = np.unique(source_ids[hub_edges], return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    hub_index, hub_dst = _fan_out(shadow_plan, dst_ids[hub_edges], inline)
+    return Routed(plain_edges[plain_index], plain_dst,
+                  hub_edges[first[order]], rank[inverse][hub_index],
+                  hub_dst)
+
+
+@no_grad()
+def predict(model: GNNModel, state: np.ndarray,
+            rows: Optional[np.ndarray] = None) -> Tuple[np.ndarray, float]:
+    """Last layer's state → logits (the prediction head)."""
+    logits = (model.predict(Tensor(state)).data if state.shape[0]
+              else np.zeros((0, model.output_dim)))
+    return logits, (_charged(rows, state.shape[0]) * state.shape[1]
+                    * max(logits.shape[1], 1))

@@ -14,7 +14,9 @@ The pipeline mirrors the paper's Section IV-C2:
 Unlike the Pregel backend nothing persists in worker memory between rounds —
 state is itself shuffled — so peak memory stays bounded (records stream
 through bounded chunks) at the price of more bytes moved, which is exactly the
-trade-off Table III measures.
+trade-off Table III measures.  The stages themselves live in
+:mod:`repro.inference.gas`; what this module owns is the transport: messages
+arrive as shuffled records, state leaves as a record.
 
 Record value formats (keys are node ids unless noted):
 
@@ -49,23 +51,18 @@ keep their cached bits, which a fresh full run reproduces exactly.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import AbstractSet, Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.batch.mapreduce import MapReduceEngine, MapReduceJob, TaskContext
-from repro.cluster.cost_model import gnn_layer_compute_units
-from repro.cluster.executor import Executor
+from repro.batch.mapreduce import MapReduceJob, TaskContext
 from repro.cluster.layout import ClusterLayout
-from repro.cluster.metrics import MetricsCollector, tensor_bytes
-from repro.gnn.gasconv import GASConv
+from repro.cluster.metrics import tensor_bytes
 from repro.gnn.model import GNNModel
 from repro.graph.graph import Graph
-from repro.inference.config import InferenceConfig
-from repro.inference.delta import expand_frontier
+from repro.inference import gas
 from repro.inference.shadow import ShadowNodePlan
 from repro.inference.strategies import StrategyPlan
-from repro.tensor.tensor import Tensor, no_grad
 
 Record = Tuple[Any, Any]
 
@@ -74,103 +71,16 @@ Record = Tuple[Any, Any]
 REDUCE_CHUNK_NODES = 4096
 
 
+def _is_broadcast_key(key: Any) -> bool:
+    return isinstance(key, tuple) and len(key) == 2 and key[0] == "bc"
+
+
 def _partition_fn(key: Any, num_reducers: int) -> int:
     """Route node ids by modulo; broadcast payload keys carry their bucket."""
-    if isinstance(key, tuple) and len(key) == 2 and key[0] == "bc":
-        return int(key[1]) % num_reducers
-    return int(key) % num_reducers
+    return int(key[1] if _is_broadcast_key(key) else key) % num_reducers
 
 
-class _ScatterMixin:
-    """Shared message-emission logic for the init map and the reduce rounds.
-
-    The scatter is columnar: all of a batch's out-edge messages are computed
-    with **one** ``apply_edge`` call over the concatenated edge rows, shadow
-    destinations expand through the plan's CSR replica arrays
-    (:meth:`~repro.inference.shadow.ShadowNodePlan.expand_rows`), and broadcast
-    buckets resolve through the cached
-    :class:`~repro.cluster.layout.ClusterLayout` — the only Python iteration
-    left is building the output record tuples the engine shuffles.
-    """
-
-    model: GNNModel
-    plan: StrategyPlan
-    shadow_plan: Optional[ShadowNodePlan]
-    num_reducers: int
-    layout: Optional[ClusterLayout]
-
-    def _emit_messages(self, layer_index: int, node_ids: np.ndarray, state: np.ndarray,
-                       out_nbrs: List[np.ndarray], out_edge_feats: List[Optional[np.ndarray]],
-                       context: TaskContext) -> List[Record]:
-        """Build layer ``layer_index`` messages for the given nodes' out-edges."""
-        layer = self.model.layers[layer_index]
-        strategy = self.plan.layer(layer_index)
-        num_nodes = len(out_nbrs)
-        sizes = np.fromiter((nbrs.size for nbrs in out_nbrs), dtype=np.int64,
-                            count=num_nodes)
-        total_edges = int(sizes.sum())
-        context.add_compute(total_edges * layer.message_dim)
-        if total_edges == 0:
-            return []
-
-        node_pos = np.repeat(np.arange(num_nodes, dtype=np.int64), sizes)
-        all_dst = np.concatenate(
-            [np.asarray(nbrs, dtype=np.int64) for nbrs in out_nbrs])
-        node_indptr = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(sizes)])
-
-        feats = [out_edge_feats[position] for position in range(num_nodes)
-                 if sizes[position]]
-        edge_tensor = None
-        if any(f is not None for f in feats):
-            if any(f is None for f in feats):
-                raise ValueError(
-                    "mixed edge-feature availability across nodes in one batch")
-            edge_tensor = Tensor(np.concatenate(feats, axis=0))
-
-        with no_grad():
-            messages = layer.apply_edge(Tensor(state[node_pos]), edge_tensor).data
-
-        # Rows taking the broadcast path: hub source without edge features.
-        if strategy.broadcast and self.plan.out_degree_hubs.size:
-            no_feats = np.fromiter((f is None for f in out_edge_feats),
-                                   dtype=bool, count=num_nodes)
-            hub_node = np.isin(node_ids, self.plan.out_degree_hubs) & no_feats
-        else:
-            hub_node = np.zeros(num_nodes, dtype=bool)
-
-        outputs: List[Record] = []
-        plain_rows = np.nonzero(~hub_node[node_pos])[0]
-        if plain_rows.size:
-            if self.shadow_plan is not None:
-                row_index, exp_dst = self.shadow_plan.expand_rows(all_dst[plain_rows])
-                payload_rows = messages[plain_rows[row_index]]
-            else:
-                exp_dst = all_dst[plain_rows]
-                payload_rows = messages[plain_rows]
-            outputs.extend((dst, ("m", payload_rows[index], 1))
-                           for index, dst in enumerate(exp_dst.tolist()))
-
-        for position in np.nonzero(hub_node)[0].tolist():
-            # One iteration per hub *node* (rare), never per edge row.
-            # Broadcast: one payload per destination bucket + id-only refs.
-            # Destinations are expanded through the shadow replica CSR first so
-            # every reducer that will see a ref also gets the payload.
-            node_id = int(node_ids[position])
-            start = int(node_indptr[position])
-            payload = messages[start]
-            dst = all_dst[start:int(node_indptr[position + 1])]
-            if self.shadow_plan is not None:
-                _, dst = self.shadow_plan.expand_rows(dst)
-            buckets = (self.layout.owners(dst) if self.layout is not None
-                       else dst % self.num_reducers)
-            outputs.extend((("bc", bucket), ("p", node_id, payload))
-                           for bucket in np.unique(buckets).tolist())
-            outputs.extend((d, ("r", node_id, 1)) for d in dst.tolist())
-        return outputs
-
-
-class GNNRoundJob(MapReduceJob, _ScatterMixin):
+class GNNRoundJob(MapReduceJob):
     """One MapReduce round = one GNN layer.
 
     Round 0's map is the paper's initialisation Map phase (encode + first
@@ -179,6 +89,15 @@ class GNNRoundJob(MapReduceJob, _ScatterMixin):
     combiner on the map side implements partial-gather when the consuming
     layer allows it; the reducer runs the layer itself (and the prediction
     head on the last round).
+
+    ``targets`` restricts the rounds to a dirty-region dependency closure
+    (incremental inference); ``None`` means "everything".  ``targets[r]``
+    lists the nodes whose states round ``r`` must recompute (``T[r]``): state
+    records of carrier-only nodes are dropped before the reduce, so a node
+    outside the closure can never propagate a state built from an incomplete
+    message set, and the layer-``r`` scatter is bounded to ``targets[r]`` —
+    the filter runs after shadow-replica expansion, so mirror-bound copies
+    survive exactly when the (replica-closed) closure contains the mirror.
     """
 
     uses_partition_map = True
@@ -186,17 +105,69 @@ class GNNRoundJob(MapReduceJob, _ScatterMixin):
 
     def __init__(self, model: GNNModel, plan: StrategyPlan,
                  shadow_plan: Optional[ShadowNodePlan], layer_index: int,
-                 num_reducers: int, original_num_nodes: int,
-                 layout: Optional[ClusterLayout] = None) -> None:
+                 original_num_nodes: int, layout: ClusterLayout,
+                 targets: Optional[Sequence[AbstractSet[int]]] = None) -> None:
         self.model = model
         self.plan = plan
         self.shadow_plan = shadow_plan
         self.layer_index = layer_index
-        self.num_reducers = num_reducers
         self.original_num_nodes = original_num_nodes
         self.layout = layout
+        self.targets = targets
         self.is_init_round = layer_index == 0
         self.has_combiner = plan.layer(layer_index).partial_gather
+
+    # ------------------------------------------------------------------ #
+    def _emit_messages(self, layer_index: int, node_ids: np.ndarray, state: np.ndarray,
+                       out_nbrs: List[np.ndarray], out_edge_feats: List[Optional[np.ndarray]],
+                       context: TaskContext) -> List[Record]:
+        """Layer ``layer_index`` message records for the given nodes' out-edges.
+
+        The scatter is columnar — one ``edge_messages`` call over the batch's
+        concatenated edge rows, one shared split/fan-out — and the only Python
+        iteration left builds the record tuples the engine shuffles: plain
+        messages first, then per broadcasting hub one payload per destination
+        bucket (so every reducer that will see a ref also gets the payload)
+        followed by its id-only refs.
+        """
+        sizes = np.fromiter((nbrs.size for nbrs in out_nbrs), dtype=np.int64,
+                            count=len(out_nbrs))
+        if not sizes.sum():
+            return []
+        node_pos = np.repeat(np.arange(len(out_nbrs), dtype=np.int64), sizes)
+        all_dst = np.concatenate([np.asarray(nbrs, dtype=np.int64) for nbrs in out_nbrs])
+        feats = [out_edge_feats[position] for position in np.nonzero(sizes)[0]]
+        edge_features = None
+        if any(f is not None for f in feats):
+            if any(f is None for f in feats):
+                raise ValueError(
+                    "mixed edge-feature availability across nodes in one batch")
+            edge_features = np.concatenate(feats, axis=0)
+
+        messages, units = gas.edge_messages(self.model.layers[layer_index], state,
+                                            node_pos, edge_features)
+        context.add_compute(units)
+        source_ids = node_ids[node_pos]
+        routed = gas.scatter(self.plan.layer(layer_index), self.plan.out_degree_hubs,
+                             self.shadow_plan, source_ids, all_dst, inline=True)
+
+        payload_rows = messages[routed.plain_rows]
+        outputs: List[Record] = [(dst, ("m", payload_rows[index], 1))
+                                 for index, dst in enumerate(routed.plain_dst.tolist())]
+        # One iteration per hub *node* (rare), never per edge row; edges are
+        # grouped by source and hubs come in first-appearance order, so each
+        # hub's refs are one contiguous slice.
+        bounds = np.searchsorted(routed.hub_refs, np.arange(routed.hub_rows.size + 1))
+        for hub, row in enumerate(routed.hub_rows.tolist()):
+            node_id = int(source_ids[row])
+            dst = routed.hub_dst[bounds[hub]:bounds[hub + 1]]
+            outputs.extend((("bc", bucket), ("p", node_id, messages[row]))
+                           for bucket in np.unique(self.layout.owners(dst)).tolist())
+            outputs.extend((d, ("r", node_id, 1)) for d in dst.tolist())
+        if self.targets is not None:
+            outputs = _filter_scatter_records(outputs, self.targets[layer_index],
+                                              self.layout)
+        return outputs
 
     # ------------------------------------------------------------------ #
     def map_partition(self, records: List[Record], context: TaskContext) -> Iterable[Record]:
@@ -208,9 +179,8 @@ class GNNRoundJob(MapReduceJob, _ScatterMixin):
         out_nbrs = [value[1] for _, value in records]
         out_edge_feats = [value[2] for _, value in records]
 
-        with no_grad():
-            state = self.model.encode(Tensor(features)).data
-        context.add_compute(features.shape[0] * features.shape[1] * state.shape[1])
+        state, units = gas.encode(self.model, features)
+        context.add_compute(units)
         context.observe_memory(tensor_bytes(state.shape) + float(features.nbytes))
 
         outputs: List[Record] = [
@@ -225,30 +195,27 @@ class GNNRoundJob(MapReduceJob, _ScatterMixin):
     # ------------------------------------------------------------------ #
     def reduce_partition(self, groups: List[Tuple[Any, List[Any]]],
                          context: TaskContext) -> Iterable[Record]:
-        layer = self.model.layers[self.layer_index]
-        is_last = self.layer_index == self.model.num_layers - 1
-
+        compute_keep = None if self.targets is None else self.targets[self.layer_index]
         # Broadcast payload lookup for this reducer instance.
         payload_lookup: Dict[int, np.ndarray] = {}
         node_groups: List[Tuple[int, List[Any]]] = []
         for key, values in groups:
-            if isinstance(key, tuple) and key and key[0] == "bc":
+            if _is_broadcast_key(key):
                 for value in values:
                     payload_lookup[int(value[1])] = value[2]
-            else:
+            elif compute_keep is None or int(key) in compute_keep:
                 node_groups.append((int(key), values))
 
         outputs: List[Record] = []
         for start in range(0, len(node_groups), REDUCE_CHUNK_NODES):
             chunk = node_groups[start:start + REDUCE_CHUNK_NODES]
-            outputs.extend(self._reduce_chunk(chunk, payload_lookup, layer, is_last, context))
+            outputs.extend(self._reduce_chunk(chunk, payload_lookup, context))
         return outputs
 
     def _reduce_chunk(self, chunk: List[Tuple[int, List[Any]]],
-                      payload_lookup: Dict[int, np.ndarray], layer: GASConv,
-                      is_last: bool,
+                      payload_lookup: Dict[int, np.ndarray],
                       context: TaskContext) -> List[Record]:
-        node_ids: List[int] = []
+        layer = self.model.layers[self.layer_index]
         states: List[np.ndarray] = []
         out_nbrs: List[np.ndarray] = []
         out_edge_feats: List[Optional[np.ndarray]] = []
@@ -264,16 +231,12 @@ class GNNRoundJob(MapReduceJob, _ScatterMixin):
                 kind = value[0]
                 if kind == "s":
                     state_row, nbrs, edge_feats = value[1], value[2], value[3]
-                elif kind == "m":
-                    message_rows.append(value[1])
-                    message_dst.append(local_index)
-                    message_counts.append(int(value[2]))
-                elif kind == "r":
-                    hub_payload = payload_lookup.get(int(value[1]))
-                    if hub_payload is None:
+                elif kind in ("m", "r"):
+                    row = value[1] if kind == "m" else payload_lookup.get(int(value[1]))
+                    if row is None:
                         raise RuntimeError(
                             f"broadcast payload for hub {value[1]} missing on reducer")
-                    message_rows.append(hub_payload)
+                    message_rows.append(row)
                     message_dst.append(local_index)
                     message_counts.append(int(value[2]))
             if state_row is None:
@@ -281,49 +244,33 @@ class GNNRoundJob(MapReduceJob, _ScatterMixin):
                 # no own record cannot exist: the init map emits a state record
                 # for every node in the node table.
                 raise RuntimeError(f"state record missing for node {node_id}")
-            node_ids.append(node_id)
             states.append(state_row)
             out_nbrs.append(nbrs)
             out_edge_feats.append(edge_feats)
 
-        node_ids_arr = np.asarray(node_ids, dtype=np.int64)
-        state_matrix = np.stack(states) if states else np.zeros((0, layer.in_dim))
-        if message_rows:
-            payload = np.stack(message_rows)
-            dst_index = np.asarray(message_dst, dtype=np.int64)
-            counts = np.asarray(message_counts, dtype=np.int64)
-        else:
-            payload = np.zeros((0, layer.message_dim))
-            dst_index = np.empty(0, dtype=np.int64)
-            counts = np.empty(0, dtype=np.int64)
-
-        with no_grad():
-            aggr = layer.gather(Tensor(payload), dst_index, len(chunk), counts)
-            new_state = layer.apply_node(Tensor(state_matrix), aggr).data
-
-        context.add_compute(gnn_layer_compute_units(
-            num_messages=payload.shape[0], message_dim=layer.message_dim,
-            num_nodes=len(chunk), in_dim=layer.in_dim,
-            out_dim=getattr(layer, "output_dim", layer.out_dim)))
+        node_ids = np.asarray([node_id for node_id, _ in chunk], dtype=np.int64)
+        state_matrix = np.stack(states)
+        payload = np.stack(message_rows) if message_rows else np.zeros((0, 0))
+        new_state, units = gas.gather_apply(
+            layer, state_matrix, payload, np.asarray(message_dst, dtype=np.int64),
+            np.asarray(message_counts, dtype=np.int64))
+        context.add_compute(units)
         context.observe_memory(
             tensor_bytes(new_state.shape) + tensor_bytes(state_matrix.shape)
             + float(payload.nbytes))
 
-        outputs: List[Record] = []
-        if is_last:
-            with no_grad():
-                logits = self.model.predict(Tensor(new_state)).data
-            context.add_compute(len(chunk) * new_state.shape[1] * logits.shape[1])
-            outputs.extend((node_id, ("o", logits[position]))
-                           for position, node_id in enumerate(node_ids_arr.tolist())
-                           if node_id < self.original_num_nodes)
-        else:
-            outputs.extend(
-                (node_id, ("s", new_state[position], out_nbrs[position],
-                           out_edge_feats[position]))
-                for position, node_id in enumerate(node_ids_arr.tolist()))
-            outputs.extend(self._emit_messages(
-                self.layer_index + 1, node_ids_arr, new_state, out_nbrs, out_edge_feats, context))
+        if self.layer_index == self.model.num_layers - 1:
+            logits, units = gas.predict(self.model, new_state)
+            context.add_compute(units)
+            return [(node_id, ("o", logits[position]))
+                    for position, node_id in enumerate(node_ids.tolist())
+                    if node_id < self.original_num_nodes]
+        outputs: List[Record] = [
+            (node_id, ("s", new_state[position], out_nbrs[position],
+                       out_edge_feats[position]))
+            for position, node_id in enumerate(node_ids.tolist())]
+        outputs.extend(self._emit_messages(
+            self.layer_index + 1, node_ids, new_state, out_nbrs, out_edge_feats, context))
         return outputs
 
 
@@ -358,6 +305,17 @@ def _combine_messages(model: GNNModel, plan: StrategyPlan, layer_index: int,
     return passthrough
 
 
+def _input_record(model: GNNModel, working_graph: Graph, node_id: int) -> Record:
+    """``(node_id, (feature_row, out_nbrs, out_edge_feats))`` from the graph."""
+    edge_feats = None
+    if working_graph.edge_features is not None:
+        edge_feats = working_graph.edge_features[working_graph.out_edge_ids(node_id)]
+    features = (working_graph.node_features[node_id]
+                if working_graph.node_features is not None
+                else np.zeros(model.encoder.in_features))
+    return node_id, (features, working_graph.out_neighbors(node_id).copy(), edge_feats)
+
+
 def build_input_records(model: GNNModel, working_graph: Graph) -> List[Record]:
     """Ingest the (possibly shadow-expanded) node table into input records.
 
@@ -366,121 +324,46 @@ def build_input_records(model: GNNModel, working_graph: Graph) -> List[Record]:
     every execution.  The rounds never mutate record arrays in place, so the
     cached records can be reused safely.
     """
-    input_records: List[Record] = []
-    for node_id in range(working_graph.num_nodes):
-        neighbors = working_graph.out_neighbors(node_id).copy()
-        edge_feats = None
-        if working_graph.edge_features is not None:
-            edge_feats = working_graph.edge_features[working_graph.out_edge_ids(node_id)]
-        features = (working_graph.node_features[node_id]
-                    if working_graph.node_features is not None
-                    else np.zeros(model.encoder.in_features))
-        input_records.append((node_id, (features, neighbors, edge_feats)))
-    return input_records
+    return [_input_record(model, working_graph, node_id)
+            for node_id in range(working_graph.num_nodes)]
 
 
-def run_mapreduce_inference(model: GNNModel, graph: Graph, config: InferenceConfig,
-                            plan: StrategyPlan, shadow_plan: Optional[ShadowNodePlan],
-                            metrics: MetricsCollector,
-                            input_records: Optional[List[Record]] = None,
-                            layout: Optional[ClusterLayout] = None,
-                            executor: Optional[Executor] = None) -> Dict[str, np.ndarray]:
-    """Execute full-graph inference on the MapReduce backend.
+def patch_input_records(input_records: List[Record], model: GNNModel,
+                        working_graph: Graph, node_ids: np.ndarray) -> None:
+    """Rebuild the cached records of ``node_ids`` after an in-place delta.
 
-    ``layout`` is the plan-cached :class:`~repro.cluster.layout.ClusterLayout`
-    over the working graph; the scatter uses its owner table to resolve
-    broadcast buckets (``_partition_fn`` routes int keys by the same modulo).
-    ``executor`` is an optional shared :class:`~repro.cluster.executor.Executor`
-    the round engine routes every mapper/reducer instance through (the
-    backend passes its plan-cached one so a serving session reuses a single
-    persistent process pool); ``None`` builds one from ``config.executor``.
+    ``input_records`` is id-indexed (``input_records[g][0] == g`` — the
+    invariant :func:`build_input_records` establishes and the rounds never
+    break), so the patch is one direct scatter.  ``node_ids`` are the
+    working-graph nodes whose feature row changed (replica-closed — mirror
+    rows are separate records) or whose *out-edge* set changed (removed
+    edges' sources plus the — already mirror-assigned — sources of appended
+    edges).  Each gets the record a fresh :func:`build_input_records` over
+    the patched graph would produce, byte for byte:
+    :meth:`~repro.graph.graph.Graph._build_index` sorts edges by source with
+    a *stable* argsort, so the rebuilt adjacency payload keeps edge order.
     """
-    working_graph = shadow_plan.graph if shadow_plan is not None else graph
-    original_num_nodes = shadow_plan.original_num_nodes if shadow_plan is not None else graph.num_nodes
-    if layout is not None and (layout.num_nodes != working_graph.num_nodes
-                               or layout.num_partitions != config.num_workers):
-        raise ValueError("layout does not match the working graph / worker count")
+    for g in np.unique(np.asarray(node_ids, dtype=np.int64)).tolist():
+        if int(input_records[g][0]) != g:
+            raise RuntimeError(
+                f"input_records are no longer id-indexed (record {g} is keyed "
+                f"{input_records[g][0]}); re-plan instead of patching")
+        input_records[g] = _input_record(model, working_graph, g)
 
-    engine = MapReduceEngine(
-        num_mappers=config.num_workers,
-        num_reducers=config.num_workers,
-        metrics=metrics,
-        partition_fn=_partition_fn,
-        executor=executor if executor is not None else config.executor,
-    )
-    model.eval()
 
-    if input_records is None:
-        input_records = build_input_records(model, working_graph)
-
-    records: List[Record] = input_records
-    for layer_index in range(model.num_layers):
-        job = GNNRoundJob(model, plan, shadow_plan, layer_index,
-                          config.num_workers, original_num_nodes, layout=layout)
-        records, _ = engine.run(job, records, phase=f"round_{layer_index}")
-
-    scores = np.zeros((original_num_nodes, model.output_dim))
+def collect_scores(records: Iterable[Record], scores: np.ndarray) -> np.ndarray:
+    """Write a final round's ``("o", logits_row)`` records into ``scores``."""
     for key, value in records:
         if isinstance(value, tuple) and value and value[0] == "o":
             scores[int(key)] = value[1]
-    return {"scores": scores}
+    return scores
 
 
 # --------------------------------------------------------------------------- #
 # incremental inference: dependency-closure replay over the cached records
 # --------------------------------------------------------------------------- #
-def patch_input_records(input_records: List[Record], working_graph: Graph,
-                        node_ids: np.ndarray) -> None:
-    """Row-wise patch of the cached input records after a feature delta.
-
-    ``input_records`` is id-indexed (``input_records[g][0] == g`` — the
-    invariant :func:`build_input_records` establishes and the rounds never
-    break), so refreshing the dirty rows is one direct scatter: each touched
-    record gets a rebuilt value tuple carrying the working graph's current
-    feature row, with its adjacency payload untouched.  ``node_ids`` must
-    already be replica-closed (mirror rows are separate records).
-    """
-    features = working_graph.node_features
-    for g in np.asarray(node_ids, dtype=np.int64).tolist():
-        node_id, (_, nbrs, efeats) = input_records[g]
-        if int(node_id) != g:
-            raise RuntimeError(
-                f"input_records are no longer id-indexed (record {g} is keyed "
-                f"{node_id}); re-plan instead of patching")
-        input_records[g] = (g, (features[g], nbrs, efeats))
-
-
-def patch_record_adjacency(input_records: List[Record], working_graph: Graph,
-                           source_ids: np.ndarray) -> None:
-    """Splice an edge delta's adjacency changes into the cached records.
-
-    ``source_ids`` lists the working-graph nodes whose *out-edge* set changed
-    (removal survivors' sources plus the — already mirror-assigned — sources
-    of appended edges).  Each touched record gets its neighbour array and
-    edge-feature block rebuilt from the working graph's current adjacency
-    index; feature rows are untouched.  Because
-    :meth:`~repro.graph.graph.Graph._build_index` sorts edges by source with
-    a *stable* argsort, the rebuilt payloads are byte-identical to what a
-    fresh :func:`build_input_records` over the patched graph would produce.
-    Requires the same id-indexed invariant as :func:`patch_input_records`.
-    """
-    edge_features = working_graph.edge_features
-    for g in np.unique(np.asarray(source_ids, dtype=np.int64)).tolist():
-        node_id, (features, _, _) = input_records[g]
-        if int(node_id) != g:
-            raise RuntimeError(
-                f"input_records are no longer id-indexed (record {g} is keyed "
-                f"{node_id}); re-plan instead of patching")
-        nbrs = working_graph.out_neighbors(g).copy()
-        efeats = None
-        if edge_features is not None:
-            efeats = edge_features[working_graph.out_edge_ids(g)]
-        input_records[g] = (g, (features, nbrs, efeats))
-
-
-def _filter_scatter_records(records: List[Record], keep: Set[int],
-                            layout: Optional[ClusterLayout],
-                            num_reducers: int) -> List[Record]:
+def _filter_scatter_records(records: List[Record], keep: AbstractSet[int],
+                            layout: ClusterLayout) -> List[Record]:
     """Drop scattered messages bound outside ``keep`` (post shadow expansion).
 
     Plain ``("m", ...)`` messages and broadcast ``("r", ...)`` refs are kept
@@ -492,58 +375,18 @@ def _filter_scatter_records(records: List[Record], keep: Set[int],
     payloads: List[Record] = []
     hub_buckets: Set[Tuple[int, int]] = set()
     for key, value in records:
-        if isinstance(key, tuple) and key and key[0] == "bc":
+        if _is_broadcast_key(key):
             payloads.append((key, value))
             continue
         dst = int(key)
         if dst not in keep:
             continue
         kept.append((key, value))
-        if isinstance(value, tuple) and value and value[0] == "r":
-            bucket = (int(layout.owner_of[dst]) if layout is not None
-                      else dst % num_reducers)
-            hub_buckets.add((int(value[1]), bucket))
+        if value[0] == "r":
+            hub_buckets.add((int(value[1]), int(layout.owner_of[dst])))
     kept.extend((key, value) for key, value in payloads
                 if (int(value[1]), int(key[1])) in hub_buckets)
     return kept
-
-
-class IncrementalGNNRoundJob(GNNRoundJob):
-    """A :class:`GNNRoundJob` restricted to a dirty-region dependency closure.
-
-    ``compute_keep`` lists the nodes whose states round ``r`` must recompute
-    (``T[r]``); state records of carrier-only nodes are dropped before the
-    reduce, so a node outside the closure can never propagate a state built
-    from an incomplete message set.  ``scatter_keep_by_layer[l]`` bounds the
-    layer-``l`` scatter to the next round's closure — the filter runs after
-    shadow-replica expansion, so mirror-bound copies survive exactly when the
-    (replica-closed) closure contains the mirror.
-    """
-
-    def __init__(self, *args: Any, compute_keep: Optional[Set[int]] = None,
-                 scatter_keep_by_layer: Optional[Dict[int, Set[int]]] = None,
-                 **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self.compute_keep = compute_keep
-        self.scatter_keep_by_layer = scatter_keep_by_layer or {}
-
-    def _emit_messages(self, layer_index: int, node_ids: np.ndarray, state: np.ndarray,
-                       out_nbrs: List[np.ndarray], out_edge_feats: List[Optional[np.ndarray]],
-                       context: TaskContext) -> List[Record]:
-        records = super()._emit_messages(layer_index, node_ids, state,
-                                         out_nbrs, out_edge_feats, context)
-        keep = self.scatter_keep_by_layer.get(layer_index)
-        if keep is None:
-            return records
-        return _filter_scatter_records(records, keep, self.layout, self.num_reducers)
-
-    def reduce_partition(self, groups: List[Tuple[Any, List[Any]]],
-                         context: TaskContext) -> Iterable[Record]:
-        if self.compute_keep is not None:
-            groups = [(key, values) for key, values in groups
-                      if (isinstance(key, tuple) and key and key[0] == "bc")
-                      or int(key) in self.compute_keep]
-        return super().reduce_partition(groups, context)
 
 
 def _in_neighbors_of(working_graph: Graph, node_ids: np.ndarray) -> np.ndarray:
@@ -559,79 +402,26 @@ def _in_neighbors_of(working_graph: Graph, node_ids: np.ndarray) -> np.ndarray:
     return np.unique(working_graph.src[mask])
 
 
-def run_mapreduce_inference_incremental(
-        model: GNNModel, graph: Graph, config: InferenceConfig,
-        plan: StrategyPlan, shadow_plan: Optional[ShadowNodePlan],
-        metrics: MetricsCollector, input_records: List[Record],
-        cached_scores: np.ndarray, feature_dirty: np.ndarray,
-        topo_dirty: Optional[np.ndarray] = None,
-        layout: Optional[ClusterLayout] = None,
-        executor: Optional[Executor] = None) -> Dict[str, np.ndarray]:
-    """Replay only the delta's dependency closure; splice the rest.
+def dependency_closure(working_graph: Graph, frontiers: Sequence[np.ndarray],
+                       shadow_plan: Optional[ShadowNodePlan],
+                       ) -> Tuple[List[np.ndarray], np.ndarray]:
+    """Per-round recompute targets and the input records a replay starts from.
 
-    ``cached_scores`` is the score matrix of the last full run on this plan
-    (pre-delta scores are still exact for every node outside the delta's
-    k-hop out-reach).  ``topo_dirty`` carries the destinations whose in-edge
-    set an edge delta changed; they join the frontier at the first gather
-    exactly as in :func:`~repro.inference.delta.expand_frontier`.  The
-    restricted run recomputes the reach — walking the per-round closures
-    described in the module docstring — and splices its output records into a
-    copy of the cache.  Agreement with a full recompute is tolerance-level
-    (~1e-15), not bit-exact; see the module docstring.
+    ``frontiers`` are the delta's per-superstep dirty frontiers
+    (:func:`~repro.inference.delta.expand_frontier`, one more than there are
+    layers).  Walking backwards from the changed final states, round ``r``
+    must recompute ``T[r] = T[r+1] ∪ in-neighbours(T[r+1])`` (replica-closed);
+    the input closure adds ``T[0]``'s message sources.
     """
-    working_graph = shadow_plan.graph if shadow_plan is not None else graph
-    num_layers = model.num_layers
-    if topo_dirty is None:
-        topo_dirty = np.empty(0, dtype=np.int64)
-
     def close(ids: np.ndarray) -> np.ndarray:
-        ids = np.unique(np.asarray(ids, dtype=np.int64))
         if shadow_plan is None or not shadow_plan.has_mirrors:
             return ids
         return shadow_plan.replicas_of(ids)
 
-    frontiers = expand_frontier(working_graph, feature_dirty, topo_dirty,
-                                num_layers + 1, shadow_plan)
-    if frontiers[num_layers].size == 0:
-        return {"scores": cached_scores.copy()}
+    def with_sources(ids: np.ndarray) -> np.ndarray:
+        return close(np.union1d(ids, _in_neighbors_of(working_graph, ids)))
 
-    # T[r]: nodes round r's reduce must recompute, walking backwards from the
-    # changed final states; the input closure adds their message sources.
-    targets: List[np.ndarray] = [np.empty(0, dtype=np.int64)] * num_layers
-    targets[num_layers - 1] = frontiers[num_layers]
-    for r in range(num_layers - 1, 0, -1):
-        targets[r - 1] = close(np.union1d(
-            targets[r], _in_neighbors_of(working_graph, targets[r])))
-    input_closure = close(np.union1d(
-        targets[0], _in_neighbors_of(working_graph, targets[0])))
-
-    engine = MapReduceEngine(
-        num_mappers=config.num_workers,
-        num_reducers=config.num_workers,
-        metrics=metrics,
-        partition_fn=_partition_fn,
-        executor=executor if executor is not None else config.executor,
-    )
-    model.eval()
-
-    original_num_nodes = (shadow_plan.original_num_nodes if shadow_plan is not None
-                          else graph.num_nodes)
-    target_sets = [set(t.tolist()) for t in targets]
-    records: List[Record] = [input_records[int(g)] for g in input_closure]
-    for layer_index in range(num_layers):
-        keeps = {layer_index: target_sets[layer_index]}
-        if layer_index + 1 < num_layers:
-            keeps[layer_index + 1] = target_sets[layer_index + 1]
-        job = IncrementalGNNRoundJob(
-            model, plan, shadow_plan, layer_index, config.num_workers,
-            original_num_nodes, layout=layout,
-            compute_keep=target_sets[layer_index],
-            scatter_keep_by_layer=keeps)
-        records, _ = engine.run(job, records,
-                                phase=f"incremental_round_{layer_index}")
-
-    scores = cached_scores.copy()
-    for key, value in records:
-        if isinstance(value, tuple) and value and value[0] == "o":
-            scores[int(key)] = value[1]
-    return {"scores": scores}
+    targets = [frontiers[-1]]
+    for _ in range(len(frontiers) - 2):
+        targets.insert(0, with_sources(targets[0]))
+    return targets, with_sources(targets[0])

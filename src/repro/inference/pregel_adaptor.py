@@ -8,12 +8,13 @@ One superstep per GNN layer plus an initialisation superstep:
   layer s-1's ``apply_node``, then scatter layer s's messages;
 * superstep L — final gather/apply_node and the prediction head; no scatter.
 
-Node state, out-edges and features stay in partition memory across supersteps
-(the defining property of this backend); messages travel as packed
-:class:`~repro.pregel.vertex.MessageBlock`s so every stage stays vectorised.
-The hub-node strategies plug in here: partial-gather through the per-superstep
-combiner, broadcast through :class:`~repro.inference.strategies.BroadcastMessageBlock`,
-shadow-nodes through destination expansion against the replica map.
+The stages themselves live in :mod:`repro.inference.gas`; what this module
+owns is the transport.  Messages arrive in a mailbox of packed
+:class:`~repro.pregel.vertex.MessageBlock`\\ s and leave as one plain block
+plus one :class:`~repro.inference.strategies.BroadcastMessageBlock` per
+superstep (partial-gather rides on the per-superstep combiner); node state,
+out-edges and features stay in partition memory (``block_state``) across
+supersteps — the defining property of this backend.
 
 Incremental inference
 ---------------------
@@ -23,45 +24,37 @@ can rerun just the delta's reach: full runs cache every superstep's state
 per partition (``h_history``); an incremental run walks a per-superstep dirty
 frontier (:func:`~repro.inference.delta.expand_frontier`), sends only messages
 bound for next-frontier destinations, recomputes only frontier rows, and
-splices them into the cached states.  Bit-identity with a fresh full run is
-preserved by two rules:
-
-* per-destination message *sets and order* are unchanged — filtering keeps
-  all of a frontier destination's rows and drops whole destinations, so the
-  order-sensitive segment reductions accumulate identical bits;
-* matmul stages (``encode`` / ``apply_edge`` with projections /
-  ``apply_node`` / ``predict``) always run at full matrix shape before rows
-  are sliced — BLAS kernels are not bit-stable across differing shapes, so
-  subset-shaped matmuls would drift in the last ulp.  Layers whose
-  ``apply_edge`` is the identity skip the full-shape pass entirely (a row
-  gather is exact at any shape), which is the common GCN/SAGE serving case.
+splices them into the cached states.  Bit-identity with a fresh full run
+rests on the stage module's row-subset rule plus one transport rule kept
+here: per-destination message *sets and order* are unchanged — filtering
+keeps all of a frontier destination's rows and drops whole destinations, so
+the order-sensitive segment reductions accumulate identical bits.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.cost_model import gnn_layer_compute_units
 from repro.cluster.layout import ClusterLayout
 from repro.cluster.metrics import MetricsCollector, tensor_bytes
 from repro.gnn.model import GNNModel
 from repro.graph.graph import Graph
+from repro.inference import gas
 from repro.inference.config import InferenceConfig
-from repro.inference.delta import expand_frontier
 from repro.inference.shadow import ShadowNodePlan
-from repro.inference.strategies import (
-    BroadcastMessageBlock,
-    StrategyPlan,
-    split_hub_edges,
-)
+from repro.inference.strategies import BroadcastMessageBlock, StrategyPlan
 from repro.pregel.combiners import MessageCombiner
 from repro.pregel.engine import PregelEngine, PregelPartition
 from repro.pregel.vertex import BlockVertexProgram, MessageBlock, PartitionContext
-from repro.tensor.tensor import Tensor, no_grad
 
 _EMPTY_ROWS = np.empty(0, dtype=np.int64)
+
+#: per-superstep, per-partition local frontier rows (the engine's schedule).
+FrontierSchedule = List[Dict[int, np.ndarray]]
+#: ``(partition_id, superstep)`` → out-edge rows an incremental run scatters.
+EdgeRows = Dict[Tuple[int, int], np.ndarray]
 
 
 class GNNInferenceProgram(BlockVertexProgram):
@@ -69,51 +62,36 @@ class GNNInferenceProgram(BlockVertexProgram):
 
     ``cache_states=True`` makes a full run record every superstep's state (and
     the final logits) in partition ``block_state`` — the warm cache
-    incremental runs splice into.  ``incremental=True`` runs against that
-    cache: ``context.frontier_rows`` names the local rows to recompute and
-    ``edge_rows[(partition_id, superstep)]`` the out-edge rows whose messages
-    must still be sent (everything bound for a next-frontier destination).
+    incremental runs splice into.  Passing ``edge_rows`` makes the run
+    incremental against that cache: ``context.frontier_rows`` names the local
+    rows to recompute and ``edge_rows[(partition_id, superstep)]`` the
+    out-edge rows whose messages must still be sent (everything bound for a
+    next-frontier destination).
     """
 
     def __init__(self, model: GNNModel, plan: StrategyPlan,
                  shadow_plan: Optional[ShadowNodePlan] = None,
-                 cache_states: bool = False, incremental: bool = False,
-                 edge_rows: Optional[Dict[Tuple[int, int], np.ndarray]] = None,
+                 cache_states: bool = False,
+                 edge_rows: Optional[EdgeRows] = None,
                  collect_embeddings: bool = False) -> None:
         self.model = model
         self.plan = plan
         self.shadow_plan = shadow_plan
         self.num_layers = model.num_layers
-        self.incremental = bool(incremental)
+        self.edge_rows = edge_rows
+        self.incremental = edge_rows is not None
         self.cache_states = bool(cache_states) or self.incremental
-        self.edge_rows = edge_rows if edge_rows is not None else {}
         self.collect_embeddings = bool(collect_embeddings)
-
-    # ------------------------------------------------------------------ #
-    @property
-    def block_state_ship_keys(self) -> Tuple[str, ...]:
-        """Process-executor shipping manifest: what this run reads.
-
-        Incremental runs splice into the cached superstep states of the last
-        full run; full runs reset every per-run entry in
-        :meth:`setup_partition`, so nothing needs to travel to the workers.
-        """
-        return ("h_history", "output") if self.incremental else ()
-
-    @property
-    def block_state_return_keys(self) -> Tuple[str, ...]:
-        """What this run leaves behind for the parent to keep.
-
-        ``output`` feeds score collection; ``h`` only matters when the caller
-        collects embeddings; ``h_history`` is the warm cache a later
-        incremental run splices into (kept only when this run maintains it).
-        """
-        keys = ["output"]
-        if self.collect_embeddings:
-            keys.append("h")
-        if self.cache_states:
-            keys.extend(("h", "h_history"))
-        return tuple(dict.fromkeys(keys))
+        # Process-executor shipping manifest.  Incremental runs read (and
+        # splice into) the cached superstep states of the last full run; full
+        # runs reset every per-run entry in setup_partition, so nothing
+        # travels to the workers.  Coming back: ``output`` feeds score
+        # collection, ``h`` the embeddings, ``h_history`` the warm cache a
+        # later incremental run needs (only when this run maintains it).
+        self.block_state_ship_keys = ("h_history", "output") if self.incremental else ()
+        self.block_state_return_keys = (
+            ("output",) + (("h",) if self.collect_embeddings or self.cache_states else ())
+            + (("h_history",) if self.cache_states else ()))
 
     # ------------------------------------------------------------------ #
     def max_supersteps(self) -> int:
@@ -130,9 +108,9 @@ class GNNInferenceProgram(BlockVertexProgram):
 
         ``out_src_local`` depends only on the partition layout, so an engine
         prepared once (see :func:`build_pregel_engine`) keeps it across runs;
-        a fresh engine computes it here on first use.  An incremental run
-        keeps the cached ``h_history``/``output`` (that cache *is* its input);
-        a full run resets them.
+        an in-place edge delta drops it and it is recomputed here.  An
+        incremental run keeps the cached ``h_history``/``output`` (that cache
+        *is* its input); a full run resets them.
         """
         if "out_src_local" not in partition.block_state:
             partition.block_state["out_src_local"] = partition.local_indices(partition.out_src)
@@ -150,21 +128,19 @@ class GNNInferenceProgram(BlockVertexProgram):
             partition.block_state.pop("h_history", None)
 
     # ------------------------------------------------------------------ #
-    def _assemble_messages(self, partition: PregelPartition,
-                           incoming: List[MessageBlock],
+    @staticmethod
+    def _assemble_messages(partition: PregelPartition, incoming: List[MessageBlock],
                            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenate incoming blocks into (local_dst, payload, counts)."""
+        """Concatenate incoming blocks into (payload, local_dst, counts)."""
         if not incoming:
-            width = 0
-            return (np.empty(0, dtype=np.int64), np.zeros((0, width)), np.empty(0, dtype=np.int64))
+            return np.zeros((0, 0)), _EMPTY_ROWS, _EMPTY_ROWS
         dst = np.concatenate([block.dst_ids for block in incoming])
         payload = np.concatenate([block.dense_payload() for block in incoming], axis=0)
         counts = np.concatenate([block.counts for block in incoming])
-        local_dst = partition.local_indices(dst)
-        return local_dst, payload, counts
+        return payload, partition.local_indices(dst), counts
 
-    def _scatter_messages(self, context: PartitionContext, partition: PregelPartition,
-                          state: np.ndarray, superstep: int) -> None:
+    def _scatter(self, context: PartitionContext, partition: PregelPartition,
+                 state: np.ndarray, superstep: int) -> None:
         """Build and send this superstep's out-edge messages.
 
         An incremental run restricts the scatter to the precomputed out-edge
@@ -174,172 +150,65 @@ class GNNInferenceProgram(BlockVertexProgram):
         """
         if partition.num_out_edges == 0:
             return
-        next_layer = self.model.layers[superstep]
-        layer_strategy = self.plan.layer(superstep)
-        src_local = partition.block_state["out_src_local"]
-        edge_features = partition.out_edge_features
-        edge_tensor = None if edge_features is None else Tensor(edge_features)
-
-        if self.incremental:
-            edge_rows = self.edge_rows.get((partition.partition_id, superstep),
-                                           _EMPTY_ROWS)
-            if edge_rows.size == 0:
+        rows = None
+        dst_ids, source_ids = partition.out_dst, partition.out_src
+        if self.edge_rows is not None:
+            rows = self.edge_rows.get((partition.partition_id, superstep), _EMPTY_ROWS)
+            if rows.size == 0:
                 return
-            if next_layer.apply_edge_is_identity(edge_tensor is not None):
-                # Identity messages: a row gather is exact at any subset size.
-                messages = state[src_local[edge_rows]]
-            else:
-                # Projecting layers run apply_edge at full edge-table shape
-                # and slice after — subset-shaped matmuls are not bit-stable.
-                messages = next_layer.apply_edge(
-                    Tensor(state[src_local]), edge_tensor).data[edge_rows]
-            dst_ids = partition.out_dst[edge_rows]
-            source_ids = partition.out_src[edge_rows]
-        else:
-            messages = next_layer.apply_edge(Tensor(state[src_local]), edge_tensor).data
-            dst_ids = partition.out_dst
-            source_ids = partition.out_src
-        counts = np.ones(dst_ids.shape[0], dtype=np.int64)
+            dst_ids, source_ids = dst_ids[rows], source_ids[rows]
+        messages, units = gas.edge_messages(
+            self.model.layers[superstep], state, partition.block_state["out_src_local"],
+            partition.out_edge_features, rows)
+        context.add_compute(units)
 
-        # apply_edge cost: one pass over every outgoing message element (the
-        # per-edge projections some layers perform are folded into this rate).
-        context.add_compute(messages.shape[0] * messages.shape[1])
-
-        if layer_strategy.broadcast and self.plan.out_degree_hubs.size:
-            hub_rows, plain_rows = split_hub_edges(source_ids, self.plan.out_degree_hubs)
-        else:
-            hub_rows = np.empty(0, dtype=np.int64)
-            plain_rows = np.arange(dst_ids.shape[0])
-
-        if plain_rows.size:
-            plain_dst, plain_payload, plain_counts = self._expand(
-                dst_ids[plain_rows], messages[plain_rows], counts[plain_rows])
-            context.send_block(MessageBlock(dst_ids=plain_dst, payload=plain_payload,
-                                            counts=plain_counts))
-
-        if hub_rows.size:
-            # Each hub source appears on many rows with the same payload: keep
-            # one copy per hub and reference it per edge.
-            hub_sources = source_ids[hub_rows]
-            unique_sources, first_rows, refs = np.unique(hub_sources, return_index=True,
-                                                         return_inverse=True)
-            unique_payloads = messages[hub_rows][first_rows]
-            hub_dst, hub_refs, hub_counts = self._expand(
-                dst_ids[hub_rows], refs.reshape(-1, 1).astype(np.float64), counts[hub_rows])
+        routed = gas.scatter(self.plan.layer(superstep), self.plan.out_degree_hubs,
+                             self.shadow_plan, source_ids, dst_ids, inline=False)
+        if routed.plain_rows.size:
+            context.send_block(MessageBlock(dst_ids=routed.plain_dst,
+                                            payload=messages[routed.plain_rows]))
+        if routed.hub_refs.size:
             context.send_block(BroadcastMessageBlock(
-                dst_ids=hub_dst,
-                payload_refs=hub_refs.reshape(-1).astype(np.int64),
-                unique_payloads=unique_payloads,
-                counts=hub_counts,
-            ))
-
-    def _expand(self, dst_ids: np.ndarray, payload: np.ndarray, counts: np.ndarray,
-                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Apply shadow-node destination expansion when the strategy is active."""
-        if self.shadow_plan is None or not self.shadow_plan.has_mirrors:
-            return dst_ids, payload, counts
-        return self.shadow_plan.expand_destinations(dst_ids, payload, counts)
+                dst_ids=routed.hub_dst, payload_refs=routed.hub_refs,
+                unique_payloads=messages[routed.hub_rows]))
 
     # ------------------------------------------------------------------ #
-    def _compute_state_full(self, context: PartitionContext,
-                            partition: PregelPartition,
-                            incoming: List[MessageBlock], superstep: int) -> np.ndarray:
-        """One full superstep: encode (step 0) or gather + apply_node."""
-        state = partition.block_state["h"]
-        if superstep == 0:
-            if partition.num_nodes:
-                features = Tensor(partition.node_features)
-                state = self.model.encode(features).data
-            else:
-                state = np.zeros((0, self.model.encoder.out_features))
-            context.add_compute(
-                partition.num_nodes * self.model.encoder.in_features
-                * self.model.encoder.out_features)
-            return state
-        layer = self.model.layers[superstep - 1]
-        local_dst, payload, counts = self._assemble_messages(partition, incoming)
-        if payload.shape[1] == 0:
-            payload = np.zeros((0, layer.message_dim))
-        aggr = layer.gather(Tensor(payload), local_dst, partition.num_nodes, counts)
-        new_state = layer.apply_node(Tensor(state), aggr)
-        context.add_compute(gnn_layer_compute_units(
-            num_messages=payload.shape[0], message_dim=layer.message_dim,
-            num_nodes=partition.num_nodes, in_dim=layer.in_dim,
-            out_dim=getattr(layer, "output_dim", layer.out_dim)))
-        return new_state.data
-
-    def _compute_state_incremental(self, context: PartitionContext,
-                                   partition: PregelPartition,
-                                   incoming: List[MessageBlock],
-                                   superstep: int) -> np.ndarray:
-        """Recompute only the frontier rows; splice them into the cached state.
-
-        All matmul stages run at full matrix shape (their recomputed rows are
-        then bit-identical to a fresh full run's), while the incoming message
-        set — and therefore every segment reduction — is already restricted
-        to frontier destinations by the senders.  Rows outside the frontier
-        keep the cached bits, which a fresh run would reproduce exactly.
-        """
-        rows = context.frontier_rows if context.frontier_rows is not None else _EMPTY_ROWS
-        history = partition.block_state["h_history"]
-        if rows.size == 0 or not partition.num_nodes:
-            return history[superstep]
-        if superstep == 0:
-            full = self.model.encode(Tensor(partition.node_features)).data
-            context.add_compute(rows.size * self.model.encoder.in_features
-                                * self.model.encoder.out_features)
-        else:
-            layer = self.model.layers[superstep - 1]
-            local_dst, payload, counts = self._assemble_messages(partition, incoming)
-            if payload.shape[1] == 0:
-                payload = np.zeros((0, layer.message_dim))
-            aggr = layer.gather(Tensor(payload), local_dst, partition.num_nodes, counts)
-            full = layer.apply_node(Tensor(partition.block_state["h"]), aggr).data
-            # Modeled cost: what a production kernel recomputing just the
-            # frontier would pay (the full-shape pass is a bit-exactness
-            # artefact of simulating on BLAS).
-            context.add_compute(gnn_layer_compute_units(
-                num_messages=payload.shape[0], message_dim=layer.message_dim,
-                num_nodes=rows.size, in_dim=layer.in_dim,
-                out_dim=getattr(layer, "output_dim", layer.out_dim)))
-        state = history[superstep].copy()
-        state[rows] = full[rows]
-        return state
-
     def compute_partition(self, context: PartitionContext,
                           incoming: List[MessageBlock]) -> None:
-        partition: PregelPartition = context.partition
+        partition = context.partition
         superstep = context.superstep
+        store = partition.block_state
+        # ``rows`` is the row set this superstep recomputes: None = every row
+        # (a full run); an incremental run's frontier rows are spliced into
+        # the cached state, everything else keeps the cached bits — which a
+        # fresh run would reproduce exactly.
+        rows = context.frontier_rows if self.incremental else None
+        idle = rows is not None and (rows.size == 0 or not partition.num_nodes)
 
-        with no_grad():
-            if self.incremental:
-                state = self._compute_state_incremental(context, partition,
-                                                        incoming, superstep)
+        if idle:
+            state = store["h_history"][superstep]
+        else:
+            if superstep == 0:
+                state, units = gas.encode(self.model, partition.node_features, rows)
             else:
-                state = self._compute_state_full(context, partition, incoming, superstep)
+                payload, local_dst, counts = self._assemble_messages(partition, incoming)
+                state, units = gas.gather_apply(self.model.layers[superstep - 1],
+                                                store["h"], payload, local_dst,
+                                                counts, rows)
+            context.add_compute(units)
+            if rows is not None:
+                state = gas.splice(store["h_history"][superstep], state, rows)
+        store["h"] = state
+        if self.cache_states:
+            store["h_history"][superstep] = state
 
-            partition.block_state["h"] = state
-            if self.cache_states:
-                partition.block_state["h_history"][superstep] = state
-
-            if superstep < self.num_layers:
-                self._scatter_messages(context, partition, state, superstep)
-            elif self.incremental:
-                rows = (context.frontier_rows
-                        if context.frontier_rows is not None else _EMPTY_ROWS)
-                if rows.size and partition.num_nodes:
-                    logits = self.model.predict(Tensor(state)).data
-                    output = partition.block_state["output"].copy()
-                    output[rows] = logits[rows]
-                    partition.block_state["output"] = output
-                    context.add_compute(rows.size * state.shape[1]
-                                        * max(output.shape[1], 1))
-            else:
-                logits = self.model.predict(Tensor(state)).data if partition.num_nodes else \
-                    np.zeros((0, self.model.output_dim))
-                partition.block_state["output"] = logits
-                context.add_compute(partition.num_nodes * state.shape[1] * max(logits.shape[1], 1)
-                                    if partition.num_nodes else 0)
+        if superstep < self.num_layers:
+            self._scatter(context, partition, state, superstep)
+        elif not idle:
+            logits, units = gas.predict(self.model, state, rows)
+            context.add_compute(units)
+            store["output"] = (logits if rows is None
+                               else gas.splice(store["output"], logits, rows))
 
         # Peak memory: resident state + features + incoming messages (+ the
         # cached superstep states an incremental-capable session keeps warm).
@@ -352,27 +221,24 @@ class GNNInferenceProgram(BlockVertexProgram):
             # Earlier supersteps' cached states; the current one is already
             # counted as the resident state above.
             resident += sum(float(h.nbytes)
-                            for h in partition.block_state["h_history"][:superstep]
+                            for h in store["h_history"][:superstep]
                             if h is not None)
         context.observe_memory(resident)
 
 
 def build_pregel_engine(working_graph: Graph, config: InferenceConfig,
-                        metrics: Optional[MetricsCollector] = None,
-                        layout: Optional[ClusterLayout] = None) -> PregelEngine:
+                        layout: Optional[ClusterLayout]) -> PregelEngine:
     """Partition the (possibly shadow-expanded) graph into a reusable engine.
 
     Partitioning is the expensive part of Pregel preparation; a session builds
     the engine once at ``prepare()`` time and swaps in a fresh metrics
-    collector per execution.  A :class:`~repro.cluster.layout.ClusterLayout`
-    already computed for this graph (the execution plan caches one) is reused
-    instead of rebuilt, and the layout-derived local index of every
-    partition's out-edge sources is precomputed here too, so executions reuse
-    both instead of recomputing them per run.
+    collector per execution.  The plan's
+    :class:`~repro.cluster.layout.ClusterLayout` is reused instead of rebuilt,
+    and the layout-derived local index of every partition's out-edge sources
+    is precomputed here too, so executions reuse both.
     """
     engine = PregelEngine(working_graph, num_workers=config.num_workers,
-                          metrics=metrics, layout=layout,
-                          executor=config.executor)
+                          layout=layout, executor=config.executor)
     for partition in engine.partitions:
         partition.block_state["out_src_local"] = partition.local_indices(partition.out_src)
     return engine
@@ -387,84 +253,19 @@ def has_cached_run(partition: PregelPartition, num_layers: int) -> bool:
             and partition.block_state.get("output") is not None)
 
 
-def _collect_outputs(partitions: List[PregelPartition], model: GNNModel,
-                     config: InferenceConfig,
-                     original_num_nodes: int) -> Dict[str, np.ndarray]:
-    """Assemble per-partition outputs into dense score/embedding matrices."""
-    scores = np.zeros((original_num_nodes, model.output_dim))
-    embeddings = None
-    if config.collect_embeddings:
-        last_width = getattr(model.layers[-1], "output_dim", model.layers[-1].out_dim)
-        embeddings = np.zeros((original_num_nodes, last_width))
-    for partition in partitions:
-        output = partition.block_state.get("output")
-        if output is None:
-            continue
-        keep = partition.node_ids < original_num_nodes
-        scores[partition.node_ids[keep]] = output[keep]
-        if embeddings is not None:
-            embeddings[partition.node_ids[keep]] = partition.block_state["h"][keep]
-    payload: Dict[str, np.ndarray] = {"scores": scores}
-    if embeddings is not None:
-        payload["embeddings"] = embeddings
-    return payload
+def frontier_schedule(engine: PregelEngine, frontiers: Sequence[np.ndarray],
+                      ) -> Tuple[FrontierSchedule, EdgeRows]:
+    """Turn per-superstep dirty frontiers into what an incremental run needs.
 
-
-def run_pregel_inference(model: GNNModel, graph: Graph, config: InferenceConfig,
-                         plan: StrategyPlan, shadow_plan: Optional[ShadowNodePlan],
-                         metrics: MetricsCollector,
-                         engine: Optional[PregelEngine] = None,
-                         cache_states: bool = False) -> Dict[str, np.ndarray]:
-    """Execute full-graph inference on the Pregel backend.
-
-    Returns a dict with ``scores`` [N, C] (original nodes only) and, when
-    requested, ``embeddings`` (the last layer's state before the head).
-    ``engine`` may carry a pre-partitioned engine from a previous ``plan``
-    step; the program's ``setup_partition`` resets all per-run block state, so
-    reuse is safe and repeated runs stay bit-identical.  ``cache_states``
-    keeps every superstep's state in partition memory, priming the cache
-    incremental runs splice into.
+    The schedule gives each partition its local frontier rows per superstep
+    (one grouped pass each); the edge rows name what each partition must still
+    scatter at superstep ``s``: every out-edge bound for a superstep-``s+1``
+    frontier destination.  Frontiers are replica-closed, so testing the
+    pre-expansion destination id suffices; they are also sorted unique, so
+    membership is one searchsorted pass.
     """
-    working_graph = shadow_plan.graph if shadow_plan is not None else graph
-    original_num_nodes = shadow_plan.original_num_nodes if shadow_plan is not None else graph.num_nodes
-
-    program = GNNInferenceProgram(model, plan, shadow_plan, cache_states=cache_states,
-                                  collect_embeddings=config.collect_embeddings)
-    if engine is None:
-        engine = build_pregel_engine(working_graph, config, metrics)
-    else:
-        engine.metrics = metrics
-    model.eval()
-    result = engine.run(program)
-    return _collect_outputs(result.partitions, model, config, original_num_nodes)
-
-
-def run_pregel_inference_incremental(
-        model: GNNModel, graph: Graph, config: InferenceConfig,
-        plan: StrategyPlan, shadow_plan: Optional[ShadowNodePlan],
-        metrics: MetricsCollector, engine: PregelEngine,
-        feature_dirty: np.ndarray,
-        topo_dirty: np.ndarray) -> Optional[Dict[str, np.ndarray]]:
-    """Rerun only the dirty k-hop region against a warm engine.
-
-    ``feature_dirty``/``topo_dirty`` are working-graph node ids (replica-
-    closed) from the session's accumulated deltas.  Returns None when the
-    engine has no complete cached run to splice into (the caller then falls
-    back to a full execution), otherwise the same output dict as
-    :func:`run_pregel_inference` — bit-identical to a fresh full run.
-    """
-    if not all(has_cached_run(p, model.num_layers) for p in engine.partitions):
-        return None
-    working_graph = shadow_plan.graph if shadow_plan is not None else graph
-    original_num_nodes = (shadow_plan.original_num_nodes if shadow_plan is not None
-                          else graph.num_nodes)
-    num_supersteps = model.num_layers + 1
-    frontiers = expand_frontier(working_graph, feature_dirty, topo_dirty,
-                                num_supersteps, shadow_plan)
-
-    # Per-superstep, per-partition local frontier rows (one grouped pass each).
     layout = engine.layout
-    schedule: List[Dict[int, np.ndarray]] = []
+    schedule: FrontierSchedule = []
     for frontier in frontiers:
         per_partition: Dict[int, np.ndarray] = {}
         if frontier.size:
@@ -474,26 +275,44 @@ def run_pregel_inference_incremental(
                              if rows.size}
         schedule.append(per_partition)
 
-    # Out-edge rows each partition must still scatter at superstep s: every
-    # edge bound for a superstep-(s+1) frontier destination.  Frontiers are
-    # replica-closed, so testing the pre-expansion destination id suffices;
-    # they are also sorted unique, so membership is one searchsorted pass.
-    edge_rows: Dict[Tuple[int, int], np.ndarray] = {}
+    edge_rows: EdgeRows = {}
     for partition in engine.partitions:
-        for superstep in range(model.num_layers):
-            nxt = frontiers[superstep + 1]
+        for superstep, nxt in enumerate(frontiers[1:]):
+            rows = _EMPTY_ROWS
             if nxt.size and partition.out_dst.size:
                 pos = np.minimum(np.searchsorted(nxt, partition.out_dst),
                                  nxt.size - 1)
                 rows = np.nonzero(nxt[pos] == partition.out_dst)[0]
-            else:
-                rows = _EMPTY_ROWS
             edge_rows[(partition.partition_id, superstep)] = rows
+    return schedule, edge_rows
 
-    program = GNNInferenceProgram(model, plan, shadow_plan, incremental=True,
-                                  edge_rows=edge_rows,
-                                  collect_embeddings=config.collect_embeddings)
+
+def run_program(engine: PregelEngine, program: GNNInferenceProgram,
+                metrics: MetricsCollector, original_num_nodes: int,
+                frontier: Optional[FrontierSchedule] = None) -> Dict[str, np.ndarray]:
+    """Run one program over the warm engine and assemble dense outputs.
+
+    Returns ``scores`` [N, C] (original nodes only) and, when the program
+    collects them, ``embeddings`` (the last layer's state before the head).
+    ``setup_partition`` resets all per-run block state, so engine reuse is
+    safe and repeated runs stay bit-identical.
+    """
+    model = program.model
     engine.metrics = metrics
     model.eval()
-    result = engine.run(program, frontier=schedule)
-    return _collect_outputs(result.partitions, model, config, original_num_nodes)
+    partitions = engine.run(program, frontier=frontier).partitions
+
+    scores = np.zeros((original_num_nodes, model.output_dim))
+    outputs: Dict[str, np.ndarray] = {"scores": scores}
+    if program.collect_embeddings:
+        outputs["embeddings"] = np.zeros((original_num_nodes,
+                                          model.layers[-1].output_dim))
+    for partition in partitions:
+        output = partition.block_state.get("output")
+        if output is None:
+            continue
+        keep = partition.node_ids < original_num_nodes
+        scores[partition.node_ids[keep]] = output[keep]
+        if program.collect_embeddings:
+            outputs["embeddings"][partition.node_ids[keep]] = partition.block_state["h"][keep]
+    return outputs

@@ -1,6 +1,6 @@
 """Serving-oriented inference sessions: plan once, infer many.
 
-:class:`InferenceSession` splits the old monolithic ``InferTurbo.run()`` into
+:class:`InferenceSession` splits a one-shot inference run into
 
 * :meth:`~InferenceSession.prepare` — table ingest, strategy planning, the
   shadow-node graph rewrite and the backend's partition/ingest work, computed
@@ -48,7 +48,6 @@ from repro.inference.delta import (
     DeltaOutcome,
     GraphDelta,
     StalePlanError,
-    apply_delta_to_graph,
     graph_fingerprint,
     validate_delta_against_graph,
 )
@@ -234,21 +233,6 @@ class InferenceSession:
             graph = tables_to_graph(node_table, edge_table)
         return graph
 
-    @staticmethod
-    def _release_plan_resources(plan: Optional[ExecutionPlan]) -> None:
-        """Shut down backend state that owns OS resources (worker processes,
-        shared-memory segments).  Backend-agnostic: anything in ``plan.state``
-        exposing a ``shutdown()`` — a partitioned Pregel engine, a plan-cached
-        process executor — is released; the plan itself stays usable and lazily
-        respawns workers on its next execution.
-        """
-        if plan is None:
-            return
-        for value in plan.state.values():
-            shutdown = getattr(value, "shutdown", None)
-            if callable(shutdown):
-                shutdown()
-
     def close(self) -> None:
         """Release worker processes / shared memory held by the cached plan.
 
@@ -261,7 +245,8 @@ class InferenceSession:
         """
         note_slow_call("close")
         with self._exec_lock:
-            self._release_plan_resources(self._plan)
+            if self._plan is not None:
+                self.backend.release(self._plan)
 
     def prepare(self, graph: GraphLike) -> ExecutionPlan:
         """Build and cache the execution plan for ``graph``.
@@ -287,7 +272,8 @@ class InferenceSession:
             # The replaced plan's backend state may own worker processes and
             # shared-memory segments; release them eagerly rather than waiting
             # for garbage collection.
-            self._release_plan_resources(self._plan)
+            if self._plan is not None:
+                self.backend.release(self._plan)
             self._plan = self.backend.plan(self.model, self._ingest(graph), self.config)
             self._plan.fingerprint = graph_fingerprint(self._plan.graph)
             self._source = graph
@@ -347,14 +333,14 @@ class InferenceSession:
     def apply_delta(self, delta: GraphDelta, defer: bool = False) -> DeltaOutcome:
         """Fold a :class:`~repro.inference.delta.GraphDelta` into the session.
 
-        Backends exposing an ``apply_delta`` hook (pregel, mapreduce) patch
+        Backends overriding ``apply_delta`` (pregel, mapreduce) patch
         the cached plan in place — feature rows are scattered into the
         partitions / cached input records through the cluster layout, shadow
         mirror copies refreshed, hub thresholds re-checked — and the dirty
         region accumulates until the next :meth:`infer`.  When the delta
         invalidates the plan (hub set changed, mirror-group counts moved) or
-        the backend has no hook (khop), the delta still lands on the graph
-        and the session transparently re-plans — the full-recompute default.
+        the backend keeps the base-class default (khop), the delta still lands
+        on the graph and the session transparently re-plans.
         Either way the fingerprint is refreshed, so a following :meth:`infer`
         serves *current* scores.
 
@@ -463,20 +449,13 @@ class InferenceSession:
 
     def _apply_delta_now_locked(self, delta: GraphDelta) -> DeltaOutcome:
         self._plan.delta_seen = True
-        hook = getattr(self.backend, "apply_delta", None)
-        if hook is not None:
-            outcome = hook(self._plan, delta)
-            if outcome.in_place:
-                self._feature_dirty = np.union1d(self._feature_dirty,
-                                                 outcome.feature_dirty)
-                self._topo_dirty = np.union1d(self._topo_dirty, outcome.topo_dirty)
-                self._plan.fingerprint = graph_fingerprint(self._plan.graph)
-                return outcome
-        else:
-            apply_delta_to_graph(self._plan.graph, delta)
-            outcome = DeltaOutcome(in_place=False,
-                                   reason=f"backend {self.backend.name!r} has no "
-                                          "delta hook; re-planned")
+        outcome = self.backend.apply_delta(self._plan, delta)
+        if outcome.in_place:
+            self._feature_dirty = np.union1d(self._feature_dirty,
+                                             outcome.feature_dirty)
+            self._topo_dirty = np.union1d(self._topo_dirty, outcome.topo_dirty)
+            self._plan.fingerprint = graph_fingerprint(self._plan.graph)
+            return outcome
         # Full-recompute default: the delta is already on the graph; rebuild
         # the plan over it.  Keep the original source object (e.g. the
         # (NodeTable, EdgeTable) pair this session was prepared from) valid as
@@ -504,8 +483,9 @@ class InferenceSession:
 
         ``mode="incremental"`` reruns only the dirty k-hop region accumulated
         by :meth:`apply_delta` on backends that support it, bit-identical to
-        a full run; it falls back to a full execution when the backend has no
-        incremental hook or no warm state cache yet.  The per-superstep state
+        a full run; it falls back to a full execution when the backend's
+        ``execute_incremental`` returns ``None`` (no override, or no warm
+        state cache yet).  The per-superstep state
         cache incremental runs splice into is **lazy**: it only starts filling
         once the session has seen a delta (see
         :attr:`InferenceConfig.incremental_state_cache`), so the first
@@ -539,11 +519,10 @@ class InferenceSession:
             metrics = MetricsCollector()
             outputs = None
             if mode == "incremental":
-                hook = getattr(self.backend, "execute_incremental", None)
-                if hook is not None:
-                    outputs = hook(plan, metrics, self._feature_dirty, self._topo_dirty)
-                    if outputs is None:
-                        metrics = MetricsCollector()   # discard the aborted attempt
+                outputs = self.backend.execute_incremental(
+                    plan, metrics, self._feature_dirty, self._topo_dirty)
+                if outputs is None:
+                    metrics = MetricsCollector()   # discard the aborted attempt
             if outputs is None:
                 outputs = self.backend.execute(plan, metrics)
             # Either path leaves the backend's caches describing the current

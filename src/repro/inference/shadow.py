@@ -100,23 +100,6 @@ class ShadowNodePlan:
         return self.replica_indptr is not None
 
     @property
-    def replica_map(self) -> Dict[int, np.ndarray]:
-        """Legacy dict view: original node id -> its replica id array.
-
-        Only nodes that actually have mirrors appear, exactly as the old
-        ``Dict[int, np.ndarray]`` storage behaved.  Materialised on demand
-        from the CSR arrays (hub counts are tiny); the CSR arrays remain the
-        source of truth on the routing path.
-        """
-        if self.replica_indptr is None:
-            return {}
-        counts = np.diff(self.replica_indptr)
-        replicated = np.nonzero(counts > 1)[0]
-        return {int(node): self.replica_ids[
-                    int(self.replica_indptr[node]):int(self.replica_indptr[node + 1])]
-                for node in replicated}
-
-    @property
     def origin_of(self) -> np.ndarray:
         """Dense ``working id -> original id`` table (identity for non-mirrors)."""
         if self._origin_of is None:
@@ -161,8 +144,7 @@ class ShadowNodePlan:
     # in-place edge deltas
     # ------------------------------------------------------------------ #
     def mirror_groups_stable(self, out_degrees: np.ndarray, threshold: int,
-                             num_workers: int,
-                             max_mirrors: Optional[int] = None) -> bool:
+                             num_workers: int) -> bool:
         """Whether a fresh rewrite would reproduce this plan's mirror layout.
 
         ``out_degrees`` are the *base* graph's post-delta out-degrees.  The
@@ -176,8 +158,8 @@ class ShadowNodePlan:
         hubs = select_hubs(out_degrees, threshold)
         if hubs.size:
             degrees = np.asarray(out_degrees, dtype=np.int64)[hubs]
-            cap = max_mirrors if max_mirrors is not None else num_workers
-            expected[hubs] = np.maximum(_group_count(degrees, threshold, cap), 1)
+            expected[hubs] = np.maximum(
+                _group_count(degrees, threshold, num_workers), 1)
         if self.replica_indptr is None:
             return bool((expected == 1).all())
         current = np.diff(self.replica_indptr)[:self.original_num_nodes]
@@ -308,8 +290,8 @@ def _build_replica_csr(num_nodes: int,
     return indptr, flat
 
 
-def apply_shadow_nodes(graph: Graph, threshold: int, num_workers: int,
-                       max_mirrors: Optional[int] = None) -> ShadowNodePlan:
+def apply_shadow_nodes(graph: Graph, threshold: int,
+                       num_workers: int) -> ShadowNodePlan:
     """Split hub out-edges across mirror nodes.
 
     The number of mirrors for a hub with out-degree ``d`` is
@@ -333,7 +315,6 @@ def apply_shadow_nodes(graph: Graph, threshold: int, num_workers: int,
     if hubs.size == 0:
         return ShadowNodePlan(graph=graph, original_num_nodes=graph.num_nodes)
 
-    cap = max_mirrors if max_mirrors is not None else num_workers
     new_src = graph.src.copy()
     replica_lists: Dict[int, np.ndarray] = {}
     mirror_origin: Dict[int, int] = {}
@@ -345,7 +326,7 @@ def apply_shadow_nodes(graph: Graph, threshold: int, num_workers: int,
         hub = int(hub)
         edge_positions = graph.out_edge_ids(hub)
         degree = edge_positions.size
-        num_groups = int(_group_count(degree, threshold, cap))
+        num_groups = int(_group_count(degree, threshold, num_workers))
         if num_groups <= 1:
             continue
         slots = _mirror_slot(np.full(degree, hub, dtype=np.int64),

@@ -12,7 +12,7 @@ This module holds everything the two backend adaptors share:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -71,10 +71,6 @@ class StrategyPlan:
     def layer(self, index: int) -> LayerStrategy:
         return self.layer_strategies[index]
 
-    @property
-    def hub_set(self) -> Set[int]:
-        return set(int(h) for h in self.out_degree_hubs)
-
 
 def build_strategy_plan(model: GNNModel, graph: Graph, num_workers: int,
                         config: StrategyConfig, has_edge_features: bool) -> StrategyPlan:
@@ -95,7 +91,7 @@ def build_strategy_plan(model: GNNModel, graph: Graph, num_workers: int,
     layer_strategies: List[LayerStrategy] = []
     for index, layer in enumerate(model.layers):
         partial = bool(config.partial_gather and layer.supports_partial_gather)
-        message_uses_edges = has_edge_features and getattr(layer, "edge_linear", None) is not None
+        message_uses_edges = has_edge_features and layer.edge_linear is not None
         broadcast = bool(config.broadcast and not message_uses_edges)
         combiner = combiner_for_aggregate_kind(layer.aggregate_kind) if partial else None
         layer_strategies.append(LayerStrategy(
@@ -152,17 +148,12 @@ class BroadcastMessageBlock(MessageBlock):
 
 
 def split_hub_edges(src_ids: np.ndarray,
-                    hubs: Union[np.ndarray, AbstractSet[int]],
-                    ) -> Tuple[np.ndarray, np.ndarray]:
+                    hubs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Partition edge positions into (hub-source rows, regular rows).
 
-    ``hubs`` is the plan's sorted ``out_degree_hubs`` array (a ``set`` is
-    still accepted for callers off the hot path).  Membership is one
-    vectorised ``np.isin`` pass — the last per-element Python loop on the
-    scatter path used to live here, testing ``int(s) in hub_set`` per edge.
+    ``hubs`` is the plan's sorted ``out_degree_hubs`` array; membership is
+    one vectorised ``np.isin`` pass.
     """
-    if isinstance(hubs, (set, frozenset)):
-        hubs = np.fromiter(hubs, dtype=np.int64, count=len(hubs))
     hubs = np.asarray(hubs, dtype=np.int64)
     src_ids = np.asarray(src_ids, dtype=np.int64)
     if hubs.size == 0:

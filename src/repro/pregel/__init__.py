@@ -1,49 +1,30 @@
 """A Pregel-like bulk-synchronous graph processing engine.
 
-The engine follows the "think like a vertex" model: the graph is hash
-partitioned by node id (each partition holds its nodes and their out-edges),
-computation proceeds in supersteps, and vertices exchange messages that are
-delivered at the start of the next superstep.  Message *combiners* can
-pre-reduce messages bound for the same destination on the sender side, and
-*aggregators* provide global shared values — both mechanisms the paper reuses
-for its partial-gather and broadcast strategies.
+The graph is hash partitioned by node id (each partition holds its nodes and
+their out-edges), computation proceeds in supersteps, and partitions exchange
+packed :class:`~repro.pregel.vertex.MessageBlock`\\ s that are delivered at
+the start of the next superstep.  Message *combiners* pre-reduce rows bound for
+the same destination on the sender side — the mechanism the paper reuses for
+its partial-gather strategy.
 
-Two program styles are supported:
-
-* :class:`~repro.pregel.vertex.VertexProgram` — classic per-vertex
-  ``compute(vertex, messages)`` (PageRank and friends; see the examples);
-* :class:`~repro.pregel.vertex.BlockVertexProgram` — per-partition block
-  compute over packed :class:`~repro.pregel.vertex.MessageBlock`s, which is
-  what the InferTurbo adaptor uses so tensorised GNN stages stay vectorised.
+Programs are :class:`~repro.pregel.vertex.BlockVertexProgram`\\ s: one
+``compute_partition(context, incoming)`` call per partition per superstep over
+columnar blocks, so tensorised stages (the GNN adaptor's, or the PageRank
+example's segment-sum) stay vectorised.
 """
 
-from repro.pregel.vertex import (
-    VertexMessage,
-    MessageBlock,
-    VertexContext,
-    PartitionContext,
-    VertexProgram,
-    BlockVertexProgram,
-)
+from repro.pregel.vertex import MessageBlock, PartitionContext, BlockVertexProgram
 from repro.pregel.combiners import MessageCombiner, SumCombiner, MeanCombiner, MaxCombiner
-from repro.pregel.aggregators import Aggregator, SumAggregator, MaxAggregator, DictUnionAggregator
 from repro.pregel.engine import PregelEngine, PregelPartition, PregelResult
 
 __all__ = [
-    "VertexMessage",
     "MessageBlock",
-    "VertexContext",
     "PartitionContext",
-    "VertexProgram",
     "BlockVertexProgram",
     "MessageCombiner",
     "SumCombiner",
     "MeanCombiner",
     "MaxCombiner",
-    "Aggregator",
-    "SumAggregator",
-    "MaxAggregator",
-    "DictUnionAggregator",
     "PregelEngine",
     "PregelPartition",
     "PregelResult",

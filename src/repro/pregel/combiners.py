@@ -10,7 +10,7 @@ associative).
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -19,10 +19,6 @@ from repro.pregel.vertex import MessageBlock
 
 class MessageCombiner:
     """Interface for combining per-destination messages on the sender side."""
-
-    def combine(self, values: List[Any]) -> Any:
-        """Fold plain vertex-message values bound for one destination."""
-        raise NotImplementedError
 
     def combine_block(self, block: MessageBlock) -> MessageBlock:
         """Fold a packed block so each destination id appears at most once."""
@@ -43,9 +39,6 @@ class MessageCombiner:
 class SumCombiner(MessageCombiner):
     """Sum messages per destination (also carries partial sums for mean)."""
 
-    def combine(self, values: List[Any]) -> Any:
-        return sum(values[1:], start=values[0])
-
     def _reduce_payload(self, payload: np.ndarray, inverse: np.ndarray,
                         num_groups: int) -> np.ndarray:
         out = np.zeros((num_groups,) + payload.shape[1:], dtype=np.float64)
@@ -64,12 +57,6 @@ class MeanCombiner(SumCombiner):
 
 class MaxCombiner(MessageCombiner):
     """Element-wise maximum per destination."""
-
-    def combine(self, values: List[Any]) -> Any:
-        result = values[0]
-        for value in values[1:]:
-            result = np.maximum(result, value)
-        return result
 
     def _reduce_payload(self, payload: np.ndarray, inverse: np.ndarray,
                         num_groups: int) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 The engine owns graph partitions (nodes + their out-edges + in-memory state),
 runs supersteps, routes messages between partitions, applies sender-side
-combiners, reduces aggregators, and records per-instance counters into a
+combiners, and records per-instance counters into a
 :class:`~repro.cluster.metrics.MetricsCollector` so the cost model can derive
 wall-clock / cpu*min numbers afterwards.
 
@@ -45,9 +45,6 @@ partitioning:
   "sent", so bytes/records-out reflect post-combine volume.
 * On the receiving side, destination global ids translate to dense local rows
   with one ``local_of`` gather (:meth:`PregelPartition.local_indices`).
-* Only the legacy per-vertex program path still groups
-  :class:`~repro.pregel.vertex.VertexMessage` values through Python dicts —
-  per-vertex messages carry arbitrary payloads and are not columnar.
 """
 
 from __future__ import annotations
@@ -70,23 +67,12 @@ from repro.cluster.layout import ClusterLayout
 from repro.cluster.metrics import MetricsCollector
 from repro.graph.graph import Graph
 from repro.graph.partition import HashPartitioner, Partition, partition_graph_with_layout
-from repro.pregel.aggregators import Aggregator
 from repro.pregel.combiners import MessageCombiner
-from repro.pregel.vertex import (
-    BlockVertexProgram,
-    MessageBlock,
-    PartitionContext,
-    PregelPartitionState,
-    VertexContext,
-    VertexMessage,
-    VertexProgram,
-)
-
-AnyMessage = Union[VertexMessage, MessageBlock]
+from repro.pregel.vertex import BlockVertexProgram, MessageBlock, PartitionContext
 
 
 class PregelPartition:
-    """A worker's share of the graph plus its in-memory vertex state.
+    """A worker's share of the graph plus its in-memory block state.
 
     Global→local translation goes through the cluster-wide
     :class:`~repro.cluster.layout.ClusterLayout` tables (shared across all
@@ -103,18 +89,12 @@ class PregelPartition:
         self.out_src = partition.out_src
         self.out_dst = partition.out_dst
         self.out_edge_features = partition.out_edge_features
-        self.state = PregelPartitionState()
         if layout is None:
             layout = self._single_partition_layout(partition)
         self.layout = layout
         self._owner_of = layout.owner_of
         self._local_of = layout.local_of
-        # CSR over owned out-edges for per-vertex programs.
-        order = np.argsort(self.out_src, kind="stable")
-        self._out_sorted_src = self.out_src[order]
-        self._out_sorted_dst = self.out_dst[order]
-        self._out_sorted_edge_ids = order
-        # Extra, engine-agnostic scratch space used by block programs.
+        # Engine-agnostic scratch space used by block programs.
         self.block_state: Dict[str, Any] = {}
 
     def _single_partition_layout(self, partition: Partition) -> ClusterLayout:
@@ -136,17 +116,6 @@ class PregelPartition:
     def num_out_edges(self) -> int:
         return int(self.out_src.size)
 
-    def owns(self, vertex_id: int) -> bool:
-        vertex_id = int(vertex_id)
-        return (0 <= vertex_id < self._owner_of.size
-                and int(self._owner_of[vertex_id]) == self.partition_id)
-
-    def local_index(self, vertex_id: int) -> int:
-        if not self.owns(vertex_id):
-            raise ValueError(
-                f"partition {self.partition_id} does not own vertex {int(vertex_id)}")
-        return int(self._local_of[int(vertex_id)])
-
     def local_indices(self, vertex_ids: np.ndarray) -> np.ndarray:
         """Vectorised global → local index translation for owned vertices.
 
@@ -164,26 +133,17 @@ class PregelPartition:
                 f"partition {self.partition_id} does not own vertex {offender}")
         return self._local_of[vertex_ids]
 
-    def out_edges_of(self, vertex_id: int) -> np.ndarray:
-        left = np.searchsorted(self._out_sorted_src, vertex_id, side="left")
-        right = np.searchsorted(self._out_sorted_src, vertex_id, side="right")
-        return self._out_sorted_dst[left:right]
-
     def replace_out_edges(self, out_src: np.ndarray, out_dst: np.ndarray,
                           out_edge_features: Optional[np.ndarray] = None) -> None:
         """Swap this partition's out-edge arrays after an in-place edge delta.
 
-        Rebuilds the per-vertex CSR view and drops the layout-derived
-        ``out_src_local`` scratch entry so block programs recompute it from
-        the new arrays on their next ``setup_partition``.
+        Drops the layout-derived ``out_src_local`` scratch entry so block
+        programs recompute it from the new arrays on their next
+        ``setup_partition``.
         """
         self.out_src = np.asarray(out_src, dtype=np.int64)
         self.out_dst = np.asarray(out_dst, dtype=np.int64)
         self.out_edge_features = out_edge_features
-        order = np.argsort(self.out_src, kind="stable")
-        self._out_sorted_src = self.out_src[order]
-        self._out_sorted_dst = self.out_dst[order]
-        self._out_sorted_edge_ids = order
         self.block_state.pop("out_src_local", None)
 
 
@@ -192,10 +152,8 @@ class PregelResult:
     """Outcome of a Pregel run."""
 
     num_supersteps: int
-    vertex_values: Dict[int, Any] = field(default_factory=dict)
     partitions: List[PregelPartition] = field(default_factory=list)
     metrics: MetricsCollector = field(default_factory=MetricsCollector)
-    aggregated: Dict[str, Any] = field(default_factory=dict)
 
 
 # --------------------------------------------------------------------------- #
@@ -212,48 +170,24 @@ class PregelStepResult:
     records_out: int = 0
     peak_memory_bytes: float = 0.0
     measured_seconds: float = 0.0
-    messages_sent: int = 0
-    any_active: bool = False
-    all_halted: bool = True
-    aggregator_inputs: Dict[str, List[Any]] = field(default_factory=dict)
 
 
 def _route_outgoing(context: PartitionContext, layout: ClusterLayout,
                     num_workers: int,
-                    combiner: Optional[MessageCombiner]) -> List[List[AnyMessage]]:
-    """Split a partition's outgoing messages by destination partition.
+                    combiner: Optional[MessageCombiner]) -> List[List[MessageBlock]]:
+    """Split a partition's outgoing blocks by destination partition.
 
-    Block routing is columnar: one ``owner_of`` gather resolves every row's
+    Routing is columnar: one ``owner_of`` gather resolves every row's
     destination partition and one stable argsort
     (:meth:`~repro.pregel.vertex.MessageBlock.split_by`) buckets all rows at
-    once — no per-target masks, no per-row Python.  The effective combiner is
+    once — no per-target masks, no per-row Python.  The superstep's combiner is
     applied per destination partition before the messages are "sent", and the
     sender's bytes/records-out counters reflect the post-combine volume — this
     is how partial-gather shrinks IO, exactly as the real combiner does on
     the wire.
     """
-    outgoing: List[List[AnyMessage]] = [[] for _ in range(num_workers)]
-
-    # Plain vertex messages (legacy per-vertex path): group by destination
-    # partition through dicts — payloads are arbitrary Python values.
-    by_partition: Dict[int, Dict[int, List[Any]]] = {}
-    for message in context.outgoing_vertex_messages:
-        dst = int(message.dst)
-        if not 0 <= dst < layout.owner_of.size:
-            raise ValueError(
-                f"partition {context.partition_id} sent a message to "
-                f"unknown vertex {dst} (graph has "
-                f"{layout.owner_of.size} vertices)")
-        target = int(layout.owner_of[dst])
-        by_partition.setdefault(target, {}).setdefault(message.dst, []).append(message.value)
-    for target, per_vertex in by_partition.items():
-        for dst, values in per_vertex.items():
-            if combiner is not None and len(values) > 1:
-                values = [combiner.combine(values)]
-            for value in values:
-                outgoing[target].append(VertexMessage(dst=dst, value=value))
-
-    # Packed blocks: one owner gather + one argsort bucketing per block.
+    outgoing: List[List[MessageBlock]] = [[] for _ in range(num_workers)]
+    # One owner gather + one argsort bucketing per block.
     for block in context.outgoing_blocks:
         if block.dst_ids.size == 0:
             continue
@@ -269,97 +203,45 @@ class PregelPartitionHarness(WorkerHarness):
     """One partition's superstep loop body, hosted by an executor slot.
 
     The harness runs exactly the per-partition work the engine's historical
-    in-process loop performed — compute (or the per-vertex dispatch), routing,
-    combining, accounting — and reports a :class:`PregelStepResult` per
-    superstep.  Under the serial executor it operates on the engine's live
-    :class:`PregelPartition`; under the process executor it operates on a
-    worker-side replica built over shared-memory arrays, and
-    :meth:`finish` ships the final partition state back to the parent.
+    in-process loop performed — compute, routing, combining, accounting — and
+    reports a :class:`PregelStepResult` per superstep.  Under the serial
+    executor it operates on the engine's live :class:`PregelPartition`; under
+    the process executor it operates on a worker-side replica built over
+    shared-memory arrays, and :meth:`finish` ships the final partition state
+    back to the parent.
     """
 
-    def __init__(self, partition: PregelPartition,
-                 program: Union[VertexProgram, BlockVertexProgram],
+    def __init__(self, partition: PregelPartition, program: BlockVertexProgram,
                  layout: ClusterLayout, num_workers: int,
-                 num_graph_vertices: int,
-                 engine_combiner: Optional[MessageCombiner],
-                 is_block: bool, ship_final_state: bool,
-                 return_state_keys: Optional[Sequence[str]] = None) -> None:
+                 ship_final_state: bool) -> None:
         self.partition = partition
         self.program = program
         self.layout = layout
         self.num_workers = int(num_workers)
-        self.num_graph_vertices = int(num_graph_vertices)
-        self.engine_combiner = engine_combiner
-        self.is_block = bool(is_block)
         self.ship_final_state = bool(ship_final_state)
-        self.return_state_keys = return_state_keys
-        if self.is_block:
-            program.setup_partition(partition)
-        else:
-            for vertex_id in partition.node_ids:
-                partition.state.values[int(vertex_id)] = program.initial_value(int(vertex_id))
-                partition.state.halted[int(vertex_id)] = False
+        program.setup_partition(partition)
 
     # ------------------------------------------------------------------ #
     def step(self, control: Any,
-             incoming: List[AnyMessage]) -> Tuple[PregelStepResult,
-                                                  List[Tuple[int, List[AnyMessage]]]]:
-        superstep, aggregated, frontier_rows = control
+             incoming: List[MessageBlock]) -> Tuple[PregelStepResult,
+                                                    List[Tuple[int, List[MessageBlock]]]]:
+        superstep, frontier_rows = control
         started = time.perf_counter()
-        partition = self.partition
-        program = self.program
 
         bytes_in = sum(m.nbytes() for m in incoming)
         records_in = sum(m.num_records() for m in incoming)
-        context = PartitionContext(partition, superstep, aggregated,
-                                   self.num_graph_vertices)
-        context.frontier_rows = frontier_rows
+        context = PartitionContext(self.partition, superstep, frontier_rows)
+        self.program.compute_partition(context, incoming)
+        routed = _route_outgoing(context, self.layout, self.num_workers,
+                                 self.program.combiner_for_superstep(superstep))
 
-        any_active = False
-        if self.is_block:
-            blocks = [m for m in incoming if isinstance(m, MessageBlock)]
-            program.compute_partition(context, blocks)
-            any_active = True
-        else:
-            grouped: Dict[int, List[Any]] = {}
-            for message in incoming:
-                if isinstance(message, VertexMessage):
-                    grouped.setdefault(message.dst, []).append(message.value)
-                else:  # pragma: no cover - blocks to per-vertex programs
-                    for row in range(message.num_records()):
-                        grouped.setdefault(int(message.dst_ids[row]), []).append(
-                            message.payload[row])
-            for vertex_id in partition.node_ids:
-                vertex_id = int(vertex_id)
-                vertex_messages = grouped.get(vertex_id, [])
-                if partition.state.halted.get(vertex_id, False) and not vertex_messages:
-                    continue
-                partition.state.halted[vertex_id] = False
-                any_active = True
-                program.compute(VertexContext(vertex_id, context), vertex_messages)
-
-        program_combiner = None
-        if self.is_block and hasattr(program, "combiner_for_superstep"):
-            program_combiner = program.combiner_for_superstep(superstep)
-        combiner = program_combiner if program_combiner is not None else self.engine_combiner
-        routed = _route_outgoing(context, self.layout, self.num_workers, combiner)
-
-        bytes_out = sum(m.nbytes() for bucket in routed for m in bucket)
-        records_out = sum(m.num_records() for bucket in routed for m in bucket)
-        all_halted = True
-        if not self.is_block:
-            all_halted = all(partition.state.halted.get(int(v), False)
-                             for v in partition.node_ids)
         result = PregelStepResult(
             compute_units=context.compute_units,
             bytes_in=bytes_in, records_in=records_in,
-            bytes_out=bytes_out, records_out=records_out,
+            bytes_out=sum(m.nbytes() for bucket in routed for m in bucket),
+            records_out=sum(m.num_records() for bucket in routed for m in bucket),
             peak_memory_bytes=context.peak_memory_bytes,
             measured_seconds=time.perf_counter() - started,
-            messages_sent=sum(len(bucket) for bucket in routed),
-            any_active=any_active,
-            all_halted=all_halted,
-            aggregator_inputs=context.aggregator_inputs,
         )
         outgoing = [(target, bucket) for target, bucket in enumerate(routed) if bucket]
         return result, outgoing
@@ -371,22 +253,14 @@ class PregelPartitionHarness(WorkerHarness):
         everything else the program declared live (see
         :attr:`BlockVertexProgram.block_state_return_keys`) — e.g. the
         outputs, plus the per-superstep state cache incremental inference
-        splices into — and the per-vertex value/halt dictionaries travel back
-        so the engine's partitions end the run holding every state a later
-        run (or output collection) will read.
+        splices into — travels back so the engine's partitions end the run
+        holding every state a later run (or output collection) will read.
         """
         if not self.ship_final_state:
             return None
-        partition = self.partition
-        keys = self.return_state_keys
-        block_state = {key: value for key, value in partition.block_state.items()
-                       if key != "out_src_local"
-                       and (keys is None or key in keys)}
-        return {
-            "block_state": block_state,
-            "values": partition.state.values,
-            "halted": partition.state.halted,
-        }
+        keys = self.program.block_state_return_keys
+        return {key: value for key, value in self.partition.block_state.items()
+                if key != "out_src_local" and (keys is None or key in keys)}
 
 
 def _build_serial_harness(slot_id: int, payload: Dict[str, Any]) -> PregelPartitionHarness:
@@ -396,9 +270,6 @@ def _build_serial_harness(slot_id: int, payload: Dict[str, Any]) -> PregelPartit
         program=payload["program"],
         layout=payload["layout"],
         num_workers=payload["num_workers"],
-        num_graph_vertices=payload["num_graph_vertices"],
-        engine_combiner=payload["combiner"],
-        is_block=payload["is_block"],
         ship_final_state=False,
     )
 
@@ -443,11 +314,7 @@ def _build_process_harness(slot_id: int, payload: Dict[str, Any]) -> PregelParti
         program=payload["program"],
         layout=layout,
         num_workers=payload["num_workers"],
-        num_graph_vertices=payload["num_graph_vertices"],
-        engine_combiner=payload["combiner"],
-        is_block=payload["is_block"],
         ship_final_state=True,
-        return_state_keys=payload["return_state_keys"],
     )
 
 
@@ -466,8 +333,6 @@ class PregelEngine:
         self,
         graph: Graph,
         num_workers: int,
-        combiner: Optional[MessageCombiner] = None,
-        aggregators: Optional[Dict[str, Aggregator]] = None,
         metrics: Optional[MetricsCollector] = None,
         partitioner: Optional[HashPartitioner] = None,
         layout: Optional[ClusterLayout] = None,
@@ -479,8 +344,6 @@ class PregelEngine:
         partitions, self.layout = partition_graph_with_layout(
             graph, self.partitioner, layout)
         self.partitions = [PregelPartition(p, self.layout) for p in partitions]
-        self.combiner = combiner
-        self.aggregators = aggregators or {}
         self.metrics = metrics or MetricsCollector()
         if isinstance(executor, Executor):
             self._executor: Optional[Executor] = executor
@@ -530,15 +393,12 @@ class PregelEngine:
             setattr(owner, attr, pack.array_for(key))
         return pack.spec_for(key)
 
-    def _process_payloads(self, program, is_block: bool) -> List[Dict[str, Any]]:
-        # Programs may declare which block_state keys a run actually *reads*
-        # (ship) and which it leaves behind for later runs / output collection
-        # (return); None means "everything", the safe default for arbitrary
-        # programs.  GNNInferenceProgram ships nothing into full runs and only
-        # the warm caches into incremental ones — the difference is tens of
-        # megabytes per serving tick at benchmark scale.
-        ship_keys = getattr(program, "block_state_ship_keys", None)
-        return_keys = getattr(program, "block_state_return_keys", None)
+    def _process_payloads(self, program: BlockVertexProgram) -> List[Dict[str, Any]]:
+        # Programs declare which block_state keys a run actually *reads*;
+        # None means "everything".  GNNInferenceProgram ships nothing into
+        # full runs and only the warm caches into incremental ones — the
+        # difference is tens of megabytes per serving tick at benchmark scale.
+        ship_keys = program.block_state_ship_keys
         if self._shm_pack is None:
             self._shm_pack = SharedArrayPack()
         layout_payload = {
@@ -561,15 +421,11 @@ class PregelEngine:
                 "arrays": arrays,
                 "layout": layout_payload,
                 "program": program,
-                "combiner": self.combiner,
-                "is_block": is_block,
                 "num_workers": self.num_workers,
-                "num_graph_vertices": self.graph.num_nodes,
                 "block_state": {key: value
                                 for key, value in partition.block_state.items()
                                 if key != "out_src_local"
                                 and (ship_keys is None or key in ship_keys)},
-                "return_state_keys": return_keys,
             })
         return payloads
 
@@ -579,17 +435,14 @@ class PregelEngine:
             if final is None:
                 continue
             preserved = partition.block_state.get("out_src_local")
-            partition.block_state = dict(final["block_state"])
+            partition.block_state = dict(final)
             if preserved is not None:
                 partition.block_state["out_src_local"] = preserved
-            partition.state.values = final["values"]
-            partition.state.halted = final["halted"]
 
     # ------------------------------------------------------------------ #
-    def run(self, program: Union[VertexProgram, BlockVertexProgram],
-            max_supersteps: int = 30,
+    def run(self, program: BlockVertexProgram,
             frontier: Optional[Sequence[Dict[int, np.ndarray]]] = None) -> PregelResult:
-        """Execute ``program`` until it halts or ``max_supersteps`` is reached.
+        """Execute ``program`` for its ``max_supersteps()`` supersteps.
 
         ``frontier`` restricts supersteps to a dirty-vertex schedule:
         ``frontier[s]`` maps a partition id to the local row indices whose
@@ -601,15 +454,10 @@ class PregelEngine:
 
         All per-partition compute — the program itself, message routing,
         combining, accounting — runs through the engine's executor; the loop
-        here only owns the bulk-synchronous structure (superstep barriers,
-        aggregator reduction, termination) and the metrics roll-up.
+        here only owns the bulk-synchronous structure (superstep barriers)
+        and the metrics roll-up.
         """
-        is_block = isinstance(program, BlockVertexProgram)
-        if frontier is not None and not is_block:
-            raise ValueError("frontier schedules require a block program")
-        if is_block:
-            max_supersteps = program.max_supersteps()
-
+        max_supersteps = program.max_supersteps()
         executor = self.executor
         if executor.is_in_process:
             factory = _build_serial_harness
@@ -617,22 +465,16 @@ class PregelEngine:
                 "partition": partition,
                 "program": program,
                 "layout": self.layout,
-                "combiner": self.combiner,
-                "is_block": is_block,
                 "num_workers": self.num_workers,
-                "num_graph_vertices": self.graph.num_nodes,
             } for partition in self.partitions]
         else:
             factory = _build_process_harness
-            payloads = self._process_payloads(program, is_block)
+            payloads = self._process_payloads(program)
 
         executor.open(factory, payloads)
-        aggregated: Dict[str, Any] = {name: agg.identity()
-                                      for name, agg in self.aggregators.items()}
-        superstep = 0
         finals: Optional[List[Any]] = None
         try:
-            while superstep < max_supersteps:
+            for superstep in range(max_supersteps):
                 phase = f"superstep_{superstep}"
                 controls = []
                 for partition in self.partitions:
@@ -640,14 +482,8 @@ class PregelEngine:
                     if frontier is not None and superstep < len(frontier):
                         rows = frontier[superstep].get(partition.partition_id,
                                                        np.empty(0, dtype=np.int64))
-                    controls.append((superstep, aggregated, rows))
-                results = executor.step(controls)
-
-                messages_sent = 0
-                any_active = False
-                aggregator_contribs: Dict[str, List[Any]] = {name: []
-                                                             for name in self.aggregators}
-                for slot, result in enumerate(results):
+                    controls.append((superstep, rows))
+                for slot, result in enumerate(executor.step(controls)):
                     # One record call per partition per superstep: compute, in-
                     # and out-volumes land in a single InstanceMetrics entry.
                     self.metrics.record(
@@ -658,23 +494,6 @@ class PregelEngine:
                         peak_memory_bytes=result.peak_memory_bytes,
                         measured_seconds=result.measured_seconds,
                     )
-                    messages_sent += result.messages_sent
-                    any_active = any_active or result.any_active
-                    for name, values in result.aggregator_inputs.items():
-                        if name in aggregator_contribs:
-                            aggregator_contribs[name].extend(values)
-
-                for name, aggregator in self.aggregators.items():
-                    contributions = aggregator_contribs[name]
-                    aggregated[name] = (aggregator.reduce(contributions)
-                                        if contributions else aggregator.identity())
-
-                superstep += 1
-                if not is_block and messages_sent == 0:
-                    if not any_active:
-                        break
-                    if all(result.all_halted for result in results):
-                        break
             finals = executor.close()
         finally:
             if finals is None:
@@ -690,15 +509,5 @@ class PregelEngine:
                     # matters.
                     pass
         self._apply_final_states(finals)
-
-        vertex_values: Dict[int, Any] = {}
-        if not is_block:
-            for partition in self.partitions:
-                vertex_values.update(partition.state.values)
-        return PregelResult(
-            num_supersteps=superstep,
-            vertex_values=vertex_values,
-            partitions=self.partitions,
-            metrics=self.metrics,
-            aggregated=aggregated,
-        )
+        return PregelResult(num_supersteps=max_supersteps,
+                            partitions=self.partitions, metrics=self.metrics)

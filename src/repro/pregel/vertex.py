@@ -1,28 +1,18 @@
-"""Message types, contexts and program interfaces for the Pregel engine."""
+"""Message blocks, the partition context and the block-program interface."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
 from repro.cluster.layout import stable_group_by
-from repro.cluster.metrics import ID_BYTES, RECORD_OVERHEAD_BYTES, estimate_payload_bytes
+from repro.cluster.metrics import ID_BYTES, RECORD_OVERHEAD_BYTES
 
-
-@dataclass
-class VertexMessage:
-    """A single message addressed to one vertex (classic Pregel style)."""
-
-    dst: int
-    value: Any
-
-    def nbytes(self) -> float:
-        return ID_BYTES + RECORD_OVERHEAD_BYTES + estimate_payload_bytes(self.value)
-
-    def num_records(self) -> int:
-        return 1
+if TYPE_CHECKING:
+    from repro.pregel.combiners import MessageCombiner
+    from repro.pregel.engine import PregelPartition
 
 
 @dataclass
@@ -100,125 +90,28 @@ class MessageBlock:
         return pieces
 
 
-@dataclass
-class PregelPartitionState:
-    """Mutable per-partition vertex storage for per-vertex programs."""
-
-    values: Dict[int, Any] = field(default_factory=dict)
-    halted: Dict[int, bool] = field(default_factory=dict)
-
-
-class VertexContext:
-    """Hands a single vertex its state and messaging capabilities."""
-
-    def __init__(self, vertex_id: int, partition_context: "PartitionContext") -> None:
-        self.vertex_id = vertex_id
-        self._partition = partition_context
-
-    # -- state ---------------------------------------------------------- #
-    @property
-    def superstep(self) -> int:
-        return self._partition.superstep
-
-    @property
-    def value(self) -> Any:
-        return self._partition.get_value(self.vertex_id)
-
-    @value.setter
-    def value(self, new_value: Any) -> None:
-        self._partition.set_value(self.vertex_id, new_value)
-
-    def out_edges(self) -> np.ndarray:
-        """Destination ids of this vertex's out-edges."""
-        return self._partition.out_edges_of(self.vertex_id)
-
-    @property
-    def num_vertices(self) -> int:
-        return self._partition.num_graph_vertices
-
-    # -- actions -------------------------------------------------------- #
-    def send_message(self, dst: int, value: Any) -> None:
-        self._partition.send_message(dst, value)
-
-    def send_message_to_all_neighbors(self, value: Any) -> None:
-        for dst in self.out_edges():
-            self._partition.send_message(int(dst), value)
-
-    def vote_to_halt(self) -> None:
-        self._partition.vote_to_halt(self.vertex_id)
-
-    def aggregate(self, name: str, value: Any) -> None:
-        self._partition.aggregate(name, value)
-
-    def get_aggregated(self, name: str) -> Any:
-        return self._partition.get_aggregated(name)
-
-
 class PartitionContext:
-    """Per-partition view handed to programs during one superstep.
+    """Per-partition view handed to a block program during one superstep.
 
-    It exposes the owned vertices, out-edges and the outgoing mailbox, and it
-    accumulates the compute/memory accounting that the cost model consumes.
+    It exposes the partition, the outgoing mailbox and the local rows a
+    frontier-restricted superstep may recompute, and it accumulates the
+    compute/memory accounting that the cost model consumes.
     """
 
-    def __init__(self, partition, superstep: int, aggregated: Dict[str, Any],
-                 num_graph_vertices: int) -> None:
-        self._partition = partition
+    def __init__(self, partition: PregelPartition, superstep: int,
+                 frontier_rows: Optional[np.ndarray] = None) -> None:
+        self.partition = partition
         self.superstep = superstep
-        self._aggregated = aggregated
-        self.num_graph_vertices = num_graph_vertices
-        self.outgoing_vertex_messages: List[VertexMessage] = []
+        #: local row indices this superstep is restricted to, or None for a
+        #: full superstep.  Set when the engine runs with a frontier schedule
+        #: (incremental inference).
+        self.frontier_rows = frontier_rows
         self.outgoing_blocks: List[MessageBlock] = []
-        self.aggregator_inputs: Dict[str, List[Any]] = {}
         self.compute_units: float = 0.0
         self.peak_memory_bytes: float = 0.0
-        self._halt_votes: List[int] = []
-        #: local row indices this superstep is restricted to, or None for a
-        #: full superstep.  Set by the engine when it runs with a frontier
-        #: schedule (incremental inference); block programs that support
-        #: frontier-restricted supersteps read it in ``compute_partition``.
-        self.frontier_rows: Optional[np.ndarray] = None
-
-    # -- state access ---------------------------------------------------- #
-    @property
-    def partition(self):
-        """The :class:`~repro.pregel.engine.PregelPartition` being processed."""
-        return self._partition
-
-    @property
-    def partition_id(self) -> int:
-        return self._partition.partition_id
-
-    @property
-    def vertex_ids(self) -> np.ndarray:
-        return self._partition.node_ids
-
-    def get_value(self, vertex_id: int) -> Any:
-        return self._partition.state.values.get(vertex_id)
-
-    def set_value(self, vertex_id: int, value: Any) -> None:
-        self._partition.state.values[vertex_id] = value
-
-    def out_edges_of(self, vertex_id: int) -> np.ndarray:
-        return self._partition.out_edges_of(vertex_id)
-
-    # -- messaging -------------------------------------------------------- #
-    def send_message(self, dst: int, value: Any) -> None:
-        self.outgoing_vertex_messages.append(VertexMessage(dst=int(dst), value=value))
 
     def send_block(self, block: MessageBlock) -> None:
         self.outgoing_blocks.append(block)
-
-    def vote_to_halt(self, vertex_id: int) -> None:
-        self._halt_votes.append(vertex_id)
-        self._partition.state.halted[vertex_id] = True
-
-    # -- aggregators ------------------------------------------------------ #
-    def aggregate(self, name: str, value: Any) -> None:
-        self.aggregator_inputs.setdefault(name, []).append(value)
-
-    def get_aggregated(self, name: str) -> Any:
-        return self._aggregated.get(name)
 
     # -- accounting -------------------------------------------------------- #
     def add_compute(self, units: float) -> None:
@@ -228,43 +121,33 @@ class PartitionContext:
         self.peak_memory_bytes = max(self.peak_memory_bytes, float(bytes_used))
 
 
-class VertexProgram:
-    """Per-vertex program: override :meth:`compute`."""
-
-    def compute(self, vertex: VertexContext, messages: List[Any]) -> None:
-        raise NotImplementedError
-
-    def initial_value(self, vertex_id: int) -> Any:
-        """Initial vertex value before superstep 0 (default None)."""
-        return None
-
-
 class BlockVertexProgram:
     """Per-partition block program: override :meth:`compute_partition`.
 
     ``incoming`` is the list of :class:`MessageBlock`s whose destinations are
     owned by the partition; the program is responsible for its own
     vectorisation and for sending outgoing blocks through the context.
-
-    Programs running under a process executor may additionally declare two
-    optional attributes (read via ``getattr``; ``None``/absent means
-    "everything", which is always safe):
-
-    * ``block_state_ship_keys`` — the ``partition.block_state`` keys a run
-      *reads* from previous runs, shipped to the worker at open time;
-    * ``block_state_return_keys`` — the keys a run leaves behind for later
-      runs or output collection, shipped back at close time.
-
-    Declaring them precisely avoids round-tripping large state matrices the
-    program would reset anyway.
     """
+
+    #: ``partition.block_state`` keys a run *reads* from previous runs (the
+    #: process executor ships them to the worker at open time) and the keys
+    #: it leaves behind for later runs or output collection (shipped back at
+    #: close time).  ``None`` means "everything", which is always safe;
+    #: declaring them precisely avoids round-tripping large state matrices
+    #: the program would reset anyway.
+    block_state_ship_keys: Optional[Tuple[str, ...]] = None
+    block_state_return_keys: Optional[Tuple[str, ...]] = None
 
     def compute_partition(self, context: PartitionContext,
                           incoming: List[MessageBlock]) -> None:
         raise NotImplementedError
 
-    def setup_partition(self, partition) -> None:
+    def setup_partition(self, partition: PregelPartition) -> None:
         """Hook called once before superstep 0 for each partition."""
 
     def max_supersteps(self) -> int:
         raise NotImplementedError
+
+    def combiner_for_superstep(self, superstep: int) -> Optional[MessageCombiner]:
+        """Sender-side combiner applied to this superstep's outgoing blocks."""
+        return None

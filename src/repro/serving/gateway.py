@@ -199,8 +199,7 @@ class ServingGateway:
         if tenant_id in self._tenants:
             raise ValueError(f"tenant {tenant_id!r} is already registered")
         self._tenants[tenant_id] = _TenantState(
-            tenant_id=tenant_id, graph=graph,
-            window=LatencyWindow(self.config.latency_window))
+            tenant_id=tenant_id, graph=graph, window=LatencyWindow())
 
     def tenants(self) -> List[str]:
         """Registered tenant ids, registration order."""

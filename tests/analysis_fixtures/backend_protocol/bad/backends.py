@@ -1,18 +1,26 @@
-"""Fixture: a registered backend with every protocol defect the rule knows.
+"""Fixture: registered backends whose hook overrides are near-miss names.
 
-Missing required methods, a typo'd optional hook (the silent-degradation
-bug: getattr discovery never errors on ``apply_deltas``), and a drifted
-``execute_incremental`` signature.
+The silent-degradation bug: a method that *almost* overrides a ``Backend``
+hook overrides nothing, and the base-class full-recompute default runs.
 """
 
 
 @register_backend("broken")
-class BrokenBackend:
+class BrokenBackend(Backend):
+    def default_cluster(self, num_workers):
+        return None
+
     def plan(self, model, graph, config):
+        return None
+
+    def execute(self, plan, metrics):
         return None
 
     def apply_deltas(self, plan, delta):
         return plan
 
-    def execute_incremental(self, plan, metrics, dirty):
+    def execute_incremenal(self, plan, metrics, feature_dirty, topo_dirty):
+        return None
+
+    def relase(self, plan):
         return None

@@ -1,8 +1,8 @@
-"""Counter-fixture: a protocol-complete registered backend."""
+"""Counter-fixture: exactly-spelled hook overrides and unrelated helpers."""
 
 
 @register_backend("complete")
-class CompleteBackend:
+class CompleteBackend(Backend):
     def default_cluster(self, num_workers):
         return None
 
@@ -18,5 +18,16 @@ class CompleteBackend:
     def execute_incremental(self, plan, metrics, feature_dirty, topo_dirty):
         return None
 
+    def release(self, plan):
+        return None
+
     def describe(self):
         return "complete"
+
+    def _apply_deltas(self, plan, deltas):
+        return plan
+
+
+class NotRegistered:
+    def apply_deltas(self, plan, delta):
+        return plan

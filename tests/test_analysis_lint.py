@@ -108,14 +108,14 @@ def test_broad_except_accepts_reraise_justification_and_narrow():
 
 def test_backend_protocol_flags_every_defect():
     assert findings_in("backend_protocol/bad") == [
-        ("backend-protocol", "backends.py", 10),  # missing default_cluster
-        ("backend-protocol", "backends.py", 10),  # missing execute
-        ("backend-protocol", "backends.py", 14),  # apply_deltas typo
-        ("backend-protocol", "backends.py", 17),  # drifted incremental sig
+        ("backend-protocol", "backends.py", 19),  # apply_deltas
+        ("backend-protocol", "backends.py", 22),  # execute_incremenal
+        ("backend-protocol", "backends.py", 25),  # relase
     ]
 
 
 def test_backend_protocol_accepts_complete_backend():
+    """Exact overrides, private helpers and unregistered classes are fine."""
     assert findings_in("backend_protocol/good") == []
 
 

@@ -23,6 +23,10 @@ assumes, under **every** executor substrate
    fresh prepare+infer even where no incremental hook exists.
 5. **Plan reuse** — ``infer_many`` never re-plans (backend spy) and repeated
    runs are bit-identical to each other.
+6. **Simulated counters** — ``compute_units`` / ``records_out`` /
+   ``bytes_out`` of a full run on the GAS backends equal golden integers,
+   per hub-strategy set and on both executors: the unit-level twin of "the
+   benchmark's ``sim_*`` metrics must not move".
 
 A backend registered by third-party code inherits this suite for free: the
 parametrisation is over the live registry, not a hard-coded list.
@@ -44,7 +48,7 @@ from repro.inference import (
     StalePlanError,
     StrategyConfig,
 )
-from repro.inference.backends import available_backends
+from repro.inference.backends import Backend, available_backends
 
 BACKENDS = sorted(available_backends())
 EXECUTORS = sorted(available_executors())
@@ -207,7 +211,7 @@ class TestEdgeDeltaContract:
         model = make_model()
         session = InferenceSession(model, make_config(backend, executor))
         session.prepare(graph)
-        has_hook = getattr(get_backend(backend), "apply_delta", None) is not None
+        has_hook = type(get_backend(backend)).apply_delta is not Backend.apply_delta
         try:
             session.infer()
             threshold = session.plan.strategy_plan.threshold
@@ -278,8 +282,8 @@ class TestStreamingDeltaConformance:
     def test_coalesced_stream_matches_eager_application(self, backend,
                                                         executor):
         from repro.inference.backends import get_backend
-        if getattr(get_backend(backend), "apply_delta", None) is None:
-            pytest.skip(f"backend {backend!r} has no apply_delta hook")
+        if type(get_backend(backend)).apply_delta is Backend.apply_delta:
+            pytest.skip(f"backend {backend!r} keeps the re-plan default")
 
         rng = np.random.default_rng(41)
         graph_eager = make_graph(seed=17)
@@ -326,3 +330,43 @@ class TestStreamingDeltaConformance:
             eager.close()
             coalesced.close()
         assert checkpoints == 5
+
+
+#: (compute_units, bytes_out, records_out) of one full ``infer()`` on
+#: ``make_graph(seed=0)`` / ``make_model()`` / 4 workers / hub threshold 15,
+#: recorded before the GAS stages were unified (PR 13's parent commit).  A
+#: stage refactor must reproduce them exactly; a change that means to move
+#: simulated cost updates them and says why.
+GOLDEN_COUNTERS = {
+    ("pregel", "base"): (414400, 661200, 4350),
+    ("pregel", "PG"): (382688, 359936, 2368),
+    ("pregel", "PG+BC"): (405248, 337856, 3778),
+    ("pregel", "PG+BC+SN"): (449312, 428112, 4296),
+    ("mapreduce", "base"): (414400, 1175925, 8125),
+    ("mapreduce", "PG"): (382592, 887665, 6137),
+    ("mapreduce", "PG+BC"): (405296, 745660, 7916),
+    ("mapreduce", "PG+BC+SN"): (449120, 911427, 9457),
+}
+STRATEGY_SETS = {
+    "base": dict(partial_gather=False, broadcast=False, shadow_nodes=False),
+    "PG": dict(partial_gather=True, broadcast=False, shadow_nodes=False),
+    "PG+BC": dict(partial_gather=True, broadcast=True, shadow_nodes=False),
+    "PG+BC+SN": dict(partial_gather=True, broadcast=True, shadow_nodes=True),
+}
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("backend,strategies", sorted(GOLDEN_COUNTERS))
+def test_simulated_counters_match_golden(backend, strategies, executor):
+    config = InferenceConfig(
+        backend=backend, num_workers=NUM_WORKERS, executor=executor,
+        strategies=StrategyConfig(hub_threshold_override=15,
+                                  **STRATEGY_SETS[strategies]))
+    session = InferenceSession(make_model(), config)
+    try:
+        metrics = session.infer(make_graph(seed=0)).metrics
+    finally:
+        session.close()
+    counters = tuple(int(metrics.total(name))
+                     for name in ("compute_units", "bytes_out", "records_out"))
+    assert counters == GOLDEN_COUNTERS[backend, strategies]

@@ -9,7 +9,10 @@ import pytest
 from repro.cluster.resources import ClusterSpec
 from repro.gnn.model import build_model
 from repro.graph.generators import labeled_community_graph
+from repro.graph.graph import Graph
 from repro.inference import (
+    Backend,
+    GraphDelta,
     InferenceConfig,
     InferenceSession,
     UnknownBackendError,
@@ -51,7 +54,7 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         @register_backend("test-dummy")
-        class DummyBackend:
+        class DummyBackend(Backend):
             def default_cluster(self, num_workers):
                 return ClusterSpec.pregel_default(num_workers)
 
@@ -68,6 +71,42 @@ class TestRegistry:
         finally:
             unregister_backend("test-dummy")
         assert "test-dummy" not in available_backends()
+
+    def test_incomplete_backend_fails_at_registration(self):
+        """abc enforces the required surface when the registry instantiates."""
+        with pytest.raises(TypeError, match="abstract"):
+            @register_backend("test-incomplete")
+            class NoExecute(Backend):
+                def default_cluster(self, num_workers):
+                    return ClusterSpec.pregel_default(num_workers)
+
+                def plan(self, model, graph, config):
+                    raise NotImplementedError
+        assert "test-incomplete" not in available_backends()
+
+    def test_non_backend_class_rejected(self):
+        with pytest.raises(TypeError, match="must subclass"):
+            @register_backend("test-duck")
+            class Duck:
+                def plan(self, model, graph, config):
+                    raise NotImplementedError
+        assert "test-duck" not in available_backends()
+
+    def test_default_hooks_are_the_full_recompute_fallback(self, community):
+        """A backend overriding nothing lands the delta and asks for a re-plan."""
+        khop = get_backend("khop")
+        model = build_model("sage", community.feature_dim, 8, 3, num_layers=2, seed=1)
+        graph = Graph(community.src.copy(), community.dst.copy(),
+                      node_features=community.node_features.copy(),
+                      num_nodes=community.num_nodes)
+        plan = khop.plan(model, graph, InferenceConfig(backend="khop", num_workers=2))
+        row = np.full((1, graph.feature_dim), 7.0)
+        outcome = khop.apply_delta(plan, GraphDelta(node_ids=np.array([3]),
+                                                    node_features=row))
+        assert not outcome.in_place and "re-plans" in outcome.reason
+        np.testing.assert_array_equal(graph.node_features[3], row[0])
+        assert khop.execute_incremental(plan, None, np.array([3]), np.empty(0)) is None
+        khop.release(plan)     # no-op, must not raise
 
     def test_decorator_stamps_name(self):
         assert get_backend("khop").name == "khop"

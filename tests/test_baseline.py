@@ -10,7 +10,7 @@ from repro.baselines.khop_pipeline import TraditionalConfig, TraditionalPipeline
 from repro.cluster.resources import ClusterSpec, WorkerSpec
 from repro.gnn.model import build_model
 from repro.graph.generators import labeled_community_graph
-from repro.inference import InferTurbo, InferenceConfig
+from repro.inference import InferenceConfig, InferenceSession
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +49,7 @@ class TestTraditionalPipeline:
         targets = np.arange(60)
         pipeline = TraditionalPipeline(model, TraditionalConfig(num_workers=4, fanout=None))
         traditional = pipeline.run(graph, targets=targets, compute_scores=True)
-        inferturbo = InferTurbo(model, InferenceConfig(num_workers=4)).run(graph)
+        inferturbo = InferenceSession(model, InferenceConfig(num_workers=4)).infer(graph)
         np.testing.assert_allclose(traditional.scores[targets], inferturbo.scores[targets],
                                    atol=1e-9)
 

@@ -1,0 +1,192 @@
+"""The GAS stage module, driven directly — no backend, no engine, no records.
+
+One tiny hub graph, shadow mirrors on, the whole working graph treated as a
+single partition.  ``edge_messages → scatter → gather_apply`` must reproduce
+``layer.forward(..., mode=PREDICT)`` over the *original* graph bit for bit,
+and every stage's row-subset path must return exactly the corresponding rows
+of its full path — the two facts both adaptors (full and incremental) build on.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.cluster.cost_model import gnn_layer_compute_units
+from repro.gnn.gasconv import LayerMode
+from repro.gnn.model import build_model
+from repro.graph.graph import Graph
+from repro.inference import gas
+from repro.inference.backends import merge_hub_mirrors
+from repro.inference.config import StrategyConfig
+from repro.inference.shadow import apply_shadow_nodes
+from repro.inference.strategies import build_strategy_plan
+from repro.tensor.tensor import Tensor, no_grad
+
+NUM_NODES = 40
+HUBS = (0, 1)
+THRESHOLD = 6
+WORKERS = 4
+HIDDEN = 8
+
+
+def hub_graph(edge_dim: int) -> Graph:
+    """Random sparse edges first, then two out-degree hubs' edges.
+
+    Hub edges come last on purpose: the scatter delivers the per-edge block
+    before the broadcast block, so a destination sees its in-messages in
+    *edge order* — and therefore sums them to the same bits as the reference
+    forward pass — exactly when no hub edge precedes a plain one.
+    """
+    rng = np.random.default_rng(11)
+    plain_src = rng.integers(len(HUBS), NUM_NODES, size=60)
+    plain_dst = rng.integers(0, NUM_NODES, size=60)      # hubs receive too
+    hub_src = np.repeat(HUBS, 17)
+    hub_dst = rng.integers(len(HUBS), NUM_NODES, size=hub_src.size)
+    src = np.concatenate([plain_src, hub_src])
+    dst = np.concatenate([plain_dst, hub_dst])
+    edge_features = rng.normal(size=(src.size, edge_dim)) if edge_dim else None
+    return Graph(src, dst, node_features=rng.normal(size=(NUM_NODES, 5)),
+                 edge_features=edge_features, num_nodes=NUM_NODES)
+
+
+def one_partition_layer(layer, strategy, hubs, shadow, state, rows=None):
+    """Run one layer through the stages over the whole working graph."""
+    working = shadow.graph
+    messages, edge_units = gas.edge_messages(layer, state, working.src,
+                                             working.edge_features, rows)
+    src, dst = working.src, working.dst
+    if rows is not None:
+        src, dst = src[rows], dst[rows]
+    routed = gas.scatter(strategy, hubs, shadow, src, dst, inline=False)
+    payload = np.concatenate([messages[routed.plain_rows],
+                              messages[routed.hub_rows][routed.hub_refs]])
+    dst_index = np.concatenate([routed.plain_dst, routed.hub_dst])
+    new_state, node_units = gas.gather_apply(
+        layer, state, payload, dst_index, np.ones(dst_index.size, dtype=np.int64))
+    return new_state, messages, routed, edge_units, node_units
+
+
+@pytest.mark.parametrize("edge_dim", [0, 3], ids=["identity", "projecting"])
+@pytest.mark.parametrize("arch", ["gcn", "sage", "gat"])
+def test_stages_reproduce_the_reference_layer_and_its_row_subsets(arch, edge_dim):
+    graph = hub_graph(edge_dim)
+    model = build_model(arch, graph.feature_dim, HIDDEN, 3, num_layers=2,
+                        heads=2, edge_dim=edge_dim, seed=3)
+    config = StrategyConfig(partial_gather=False, broadcast=True, shadow_nodes=True,
+                            hub_threshold_override=THRESHOLD)
+    plan = build_strategy_plan(model, graph, WORKERS, config, edge_dim > 0)
+    shadow = apply_shadow_nodes(graph, plan.threshold, WORKERS)
+    merge_hub_mirrors(plan, shadow)
+    assert shadow.num_mirrors >= 2 and set(HUBS) <= set(plan.out_degree_hubs.tolist())
+    layer, strategy = model.layers[0], plan.layer(0)
+    identity = layer.apply_edge_is_identity(edge_dim > 0)
+    assert identity == (arch != "gat" and edge_dim == 0)
+    assert strategy.broadcast == (edge_dim == 0)
+
+    # ---- encode: full shape either way; units charge the row subset.
+    encoded, units = gas.encode(model, graph.node_features)
+    assert units == NUM_NODES * graph.feature_dim * HIDDEN
+    some_nodes = np.array([1, 7, 8])
+    again, subset_units = gas.encode(model, graph.node_features, some_nodes)
+    np.testing.assert_array_equal(again, encoded)
+    assert subset_units == some_nodes.size * graph.feature_dim * HIDDEN
+    with no_grad():
+        np.testing.assert_array_equal(
+            encoded, model.encode(Tensor(graph.node_features)).data)
+
+    # ---- one full layer over the single partition == the reference forward.
+    state = encoded[shadow.origin_of]          # mirrors carry their origin's state
+    new_state, messages, routed, edge_units, node_units = one_partition_layer(
+        layer, strategy, plan.out_degree_hubs, shadow, state)
+    with no_grad():
+        edge_state = None if edge_dim == 0 else Tensor(graph.edge_features)
+        expected = layer.forward(Tensor(encoded), graph.src, graph.dst,
+                                 edge_state=edge_state, mode=LayerMode.PREDICT).data
+    np.testing.assert_array_equal(new_state[:NUM_NODES], expected)
+    np.testing.assert_array_equal(new_state, new_state[shadow.origin_of])
+    # hub edges took the broadcast path iff the layer may broadcast, one shared
+    # payload per (mirror of a) hub; every hub in-message fanned out to mirrors.
+    hub_edges = int(np.isin(shadow.graph.src, plan.out_degree_hubs).sum())
+    assert routed.hub_dst.size == (hub_edges if strategy.broadcast else 0)
+    assert routed.hub_rows.size == (np.unique(
+        shadow.graph.src[np.isin(shadow.graph.src, plan.out_degree_hubs)]).size
+        if strategy.broadcast else 0)
+    fan_out = np.diff(shadow.replica_indptr)[shadow.graph.dst].sum()
+    assert routed.plain_dst.size + routed.hub_dst.size == fan_out
+    assert edge_units == graph.num_edges * layer.message_dim
+    assert node_units == gnn_layer_compute_units(
+        num_messages=fan_out, message_dim=layer.message_dim,
+        num_nodes=shadow.graph.num_nodes, in_dim=layer.in_dim,
+        out_dim=layer.output_dim)
+
+    # ---- row subsets: exactly the corresponding rows of the full path.
+    edge_rows = np.array([0, 3, 4, 59, 60, 61, 80, graph.num_edges - 1])
+    subset, subset_units = gas.edge_messages(layer, state, shadow.graph.src,
+                                             shadow.graph.edge_features, edge_rows)
+    np.testing.assert_array_equal(subset, messages[edge_rows])
+    assert subset_units == edge_rows.size * layer.message_dim
+    frontier = np.array([2, 5, 9, 30])
+    payload = messages[routed.plain_rows]
+    counts = np.ones(routed.plain_dst.size, dtype=np.int64)
+    full, full_units = gas.gather_apply(layer, state, payload, routed.plain_dst, counts)
+    part, part_units = gas.gather_apply(layer, state, payload, routed.plain_dst,
+                                        counts, frontier)
+    np.testing.assert_array_equal(part, full)
+    assert full_units - part_units == (
+        (state.shape[0] - frontier.size) * layer.in_dim * layer.output_dim)
+    cached = np.zeros_like(full)
+    spliced = gas.splice(cached, part, frontier)
+    np.testing.assert_array_equal(spliced[frontier], full[frontier])
+    assert not spliced[np.setdiff1d(np.arange(full.shape[0]), frontier)].any()
+    assert not cached.any()                    # splice copies, never writes through
+
+    # ---- predict closes the pipeline the same way.
+    last = np.random.default_rng(5).normal(size=(6, model.layers[-1].output_dim))
+    logits, units = gas.predict(model, last)
+    _, subset_units = gas.predict(model, last, np.array([4]))
+    with no_grad():
+        np.testing.assert_array_equal(logits, model.predict(Tensor(last)).data)
+    assert (units, subset_units) == (6 * last.shape[1] * 3, 1 * last.shape[1] * 3)
+
+
+def test_empty_inputs_keep_their_widths():
+    """A partition that owns nothing still produces correctly shaped blocks."""
+    model = build_model("sage", 5, HIDDEN, 3, num_layers=2, seed=0)
+    state, units = gas.encode(model, np.zeros((0, 5)))
+    assert state.shape == (0, HIDDEN) and units == 0
+    layer = model.layers[0]
+    empty = np.empty(0, dtype=np.int64)
+    new_state, units = gas.gather_apply(layer, np.ones((3, HIDDEN)), np.zeros((0, 0)),
+                                        empty, empty)
+    assert new_state.shape == (3, HIDDEN)
+    assert units == 3 * layer.in_dim * layer.output_dim      # no messages gathered
+    logits, units = gas.predict(model, np.zeros((0, HIDDEN)))
+    assert logits.shape == (0, 3) and units == 0
+
+
+def test_inline_fan_out_keeps_rows_in_place():
+    """The record-stream order: replicas where the row was; on edges grouped
+    by source (what a record batch holds) hubs come in first-appearance order
+    with contiguous reference slices."""
+    graph = hub_graph(0)
+    model = build_model("sage", graph.feature_dim, HIDDEN, 3, num_layers=1, seed=0)
+    plan = build_strategy_plan(model, graph, WORKERS, StrategyConfig(
+        broadcast=True, shadow_nodes=True, hub_threshold_override=THRESHOLD), False)
+    shadow = apply_shadow_nodes(graph, plan.threshold, WORKERS)
+    merge_hub_mirrors(plan, shadow)
+    grouped = np.argsort(shadow.graph.src, kind="stable")[::-1]   # hub mirrors first
+    src, dst = shadow.graph.src[grouped], shadow.graph.dst[grouped]
+    routed = gas.scatter(plan.layer(0), plan.out_degree_hubs, shadow, src, dst,
+                         inline=True)
+    plain_edges = np.nonzero(~np.isin(src, plan.out_degree_hubs))[0]
+    row_index, expanded = shadow.expand_rows(dst[plain_edges])
+    np.testing.assert_array_equal(routed.plain_rows, plain_edges[row_index])
+    np.testing.assert_array_equal(routed.plain_dst, expanded)
+    assert (np.diff(routed.hub_refs) >= 0).all()
+    assert (np.diff(routed.hub_rows) > 0).all()
+    bounds = np.searchsorted(routed.hub_refs, np.arange(routed.hub_rows.size + 1))
+    for hub, row in enumerate(routed.hub_rows):
+        _, expected = shadow.expand_rows(dst[src == src[row]])
+        np.testing.assert_array_equal(
+            routed.hub_dst[bounds[hub]:bounds[hub + 1]], expected)

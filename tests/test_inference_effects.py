@@ -10,14 +10,14 @@ import pytest
 
 from repro.gnn.model import build_model
 from repro.graph.generators import powerlaw_graph, star_graph
-from repro.inference import InferTurbo, InferenceConfig, StrategyConfig
+from repro.inference import InferenceConfig, InferenceSession, StrategyConfig
 
 
 def run_with(graph, arch="sage", backend="pregel", num_workers=8, **strategy_kwargs):
     model = build_model(arch, graph.feature_dim, 16, 2, num_layers=2, seed=0)
     config = InferenceConfig(backend=backend, num_workers=num_workers,
                              strategies=StrategyConfig(**strategy_kwargs))
-    return InferTurbo(model, config).run(graph)
+    return InferenceSession(model, config).infer(graph)
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,7 @@ from repro.gnn.signature import export_signature
 from repro.graph.generators import labeled_community_graph, powerlaw_graph, star_graph
 from repro.graph.graph import Graph
 from repro.graph.tables import graph_to_tables
-from repro.inference import InferTurbo, InferenceConfig, StrategyConfig
+from repro.inference import InferenceConfig, InferenceSession, StrategyConfig
 from repro.tensor.tensor import Tensor, no_grad
 
 
@@ -54,8 +54,8 @@ class TestEquivalence:
     def test_matches_reference_base_strategies(self, community, arch, backend):
         model = build_model(arch, community.feature_dim, 16, 4, num_layers=2, seed=1)
         expected = reference_scores(model, community)
-        engine = InferTurbo(model, InferenceConfig(backend=backend, num_workers=4))
-        result = engine.run(community)
+        result = InferenceSession(
+            model, InferenceConfig(backend=backend, num_workers=4)).infer(community)
         np.testing.assert_allclose(result.scores, expected, atol=1e-9)
 
     @pytest.mark.parametrize("strategy_name", list(ALL_STRATEGIES))
@@ -65,7 +65,7 @@ class TestEquivalence:
         expected = reference_scores(model, skewed)
         config = InferenceConfig(backend=backend, num_workers=4,
                                  strategies=ALL_STRATEGIES[strategy_name])
-        result = InferTurbo(model, config).run(skewed)
+        result = InferenceSession(model, config).infer(skewed)
         np.testing.assert_allclose(result.scores, expected, atol=1e-9)
 
     @pytest.mark.parametrize("strategy_name", ["broadcast", "shadow", "all"])
@@ -75,20 +75,20 @@ class TestEquivalence:
         expected = reference_scores(model, skewed)
         config = InferenceConfig(backend="pregel", num_workers=4,
                                  strategies=ALL_STRATEGIES[strategy_name])
-        result = InferTurbo(model, config).run(skewed)
+        result = InferenceSession(model, config).infer(skewed)
         np.testing.assert_allclose(result.scores, expected, atol=1e-9)
 
     def test_three_layer_model(self, community):
         model = build_model("sage", community.feature_dim, 12, 4, num_layers=3, seed=4)
         expected = reference_scores(model, community)
-        result = InferTurbo(model, InferenceConfig(backend="pregel", num_workers=3)).run(community)
+        result = InferenceSession(model, InferenceConfig(backend="pregel", num_workers=3)).infer(community)
         np.testing.assert_allclose(result.scores, expected, atol=1e-9)
         assert result.num_supersteps == 4
 
     def test_single_layer_model(self, community):
         model = build_model("gcn", community.feature_dim, 12, 4, num_layers=1, seed=4)
         expected = reference_scores(model, community)
-        result = InferTurbo(model, InferenceConfig(backend="mapreduce", num_workers=2)).run(community)
+        result = InferenceSession(model, InferenceConfig(backend="mapreduce", num_workers=2)).infer(community)
         np.testing.assert_allclose(result.scores, expected, atol=1e-9)
 
     def test_edge_features_respected(self):
@@ -97,7 +97,7 @@ class TestEquivalence:
         model = build_model("sage", 6, 12, 3, num_layers=2, edge_dim=4, seed=5)
         expected = reference_scores(model, graph)
         for backend in ("pregel", "mapreduce"):
-            result = InferTurbo(model, InferenceConfig(backend=backend, num_workers=3)).run(graph)
+            result = InferenceSession(model, InferenceConfig(backend=backend, num_workers=3)).infer(graph)
             np.testing.assert_allclose(result.scores, expected, atol=1e-9,
                                        err_msg=f"backend={backend}")
 
@@ -109,7 +109,7 @@ class TestEquivalence:
         model = build_model("sage", 5, 8, 2, num_layers=2, seed=0)
         expected = reference_scores(model, graph)
         for backend in ("pregel", "mapreduce"):
-            result = InferTurbo(model, InferenceConfig(backend=backend, num_workers=3)).run(graph)
+            result = InferenceSession(model, InferenceConfig(backend=backend, num_workers=3)).infer(graph)
             np.testing.assert_allclose(result.scores, expected, atol=1e-9)
 
     def test_star_graph_extreme_hub(self):
@@ -120,7 +120,7 @@ class TestEquivalence:
                                  strategies=StrategyConfig(partial_gather=True, broadcast=True,
                                                            shadow_nodes=True,
                                                            hub_threshold_override=20))
-        result = InferTurbo(model, config).run(star)
+        result = InferenceSession(model, config).infer(star)
         np.testing.assert_allclose(result.scores, expected, atol=1e-9)
 
     def test_more_workers_than_nodes(self):
@@ -128,38 +128,38 @@ class TestEquivalence:
                                         avg_degree=3.0, seed=3)
         model = build_model("sage", 4, 8, 2, seed=0)
         expected = reference_scores(model, graph)
-        result = InferTurbo(model, InferenceConfig(backend="pregel", num_workers=16)).run(graph)
+        result = InferenceSession(model, InferenceConfig(backend="pregel", num_workers=16)).infer(graph)
         np.testing.assert_allclose(result.scores, expected, atol=1e-9)
 
     def test_runs_from_signature(self, community):
         model = build_model("sage", community.feature_dim, 16, 4, seed=6)
         signature = export_signature(model)
         expected = reference_scores(model, community)
-        result = InferTurbo(signature, InferenceConfig(backend="pregel", num_workers=4)).run(community)
+        result = InferenceSession(signature, InferenceConfig(backend="pregel", num_workers=4)).infer(community)
         np.testing.assert_allclose(result.scores, expected, atol=1e-9)
 
     def test_runs_from_tables(self, community):
         model = build_model("gcn", community.feature_dim, 16, 4, seed=7)
         expected = reference_scores(model, community)
         tables = graph_to_tables(community)
-        result = InferTurbo(model, InferenceConfig(backend="mapreduce", num_workers=4)).run(tables)
+        result = InferenceSession(model, InferenceConfig(backend="mapreduce", num_workers=4)).infer(tables)
         np.testing.assert_allclose(result.scores, expected, atol=1e-9)
 
     def test_rejects_bad_table_pair(self, community):
         model = build_model("sage", community.feature_dim, 8, 4, seed=0)
         with pytest.raises(TypeError):
-            InferTurbo(model).run(("not", "tables"))
+            InferenceSession(model).infer(("not", "tables"))
 
     def test_embeddings_returned_when_requested(self, community):
         model = build_model("sage", community.feature_dim, 16, 4, seed=1)
         config = InferenceConfig(backend="pregel", num_workers=4, collect_embeddings=True)
-        result = InferTurbo(model, config).run(community)
+        result = InferenceSession(model, config).infer(community)
         assert result.embeddings is not None
         assert result.embeddings.shape == (community.num_nodes, 16)
 
     def test_predicted_classes_helper(self, community):
         model = build_model("sage", community.feature_dim, 16, 4, seed=1)
-        result = InferTurbo(model, InferenceConfig(num_workers=4)).run(community)
+        result = InferenceSession(model, InferenceConfig(num_workers=4)).infer(community)
         predictions = result.predicted_classes()
         assert predictions.shape == (community.num_nodes,)
         np.testing.assert_array_equal(predictions, result.scores.argmax(axis=-1))
@@ -171,8 +171,8 @@ class TestConsistency:
         model = build_model("sage", skewed.feature_dim, 16, 3, seed=11)
         config = InferenceConfig(backend="pregel", num_workers=4,
                                  strategies=StrategyConfig(partial_gather=True))
-        first = InferTurbo(model, config).run(skewed).scores
-        second = InferTurbo(model, config).run(skewed).scores
+        first = InferenceSession(model, config).infer(skewed).scores
+        second = InferenceSession(model, config).infer(skewed).scores
         np.testing.assert_array_equal(first, second)
 
     def test_worker_count_does_not_change_results(self, community):
@@ -181,14 +181,14 @@ class TestConsistency:
         for workers in (1, 3, 8):
             config = InferenceConfig(backend="pregel", num_workers=workers,
                                      strategies=StrategyConfig(partial_gather=True))
-            results.append(InferTurbo(model, config).run(community).scores)
+            results.append(InferenceSession(model, config).infer(community).scores)
         np.testing.assert_allclose(results[0], results[1], atol=1e-9)
         np.testing.assert_allclose(results[1], results[2], atol=1e-9)
 
     def test_backends_agree_with_each_other(self, community):
         model = build_model("gat", community.feature_dim, 16, 4, seed=13)
-        pregel = InferTurbo(model, InferenceConfig(backend="pregel", num_workers=4)).run(community)
-        mapreduce = InferTurbo(model, InferenceConfig(backend="mapreduce", num_workers=4)).run(community)
+        pregel = InferenceSession(model, InferenceConfig(backend="pregel", num_workers=4)).infer(community)
+        mapreduce = InferenceSession(model, InferenceConfig(backend="mapreduce", num_workers=4)).infer(community)
         np.testing.assert_allclose(pregel.scores, mapreduce.scores, atol=1e-9)
 
 

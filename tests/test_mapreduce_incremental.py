@@ -198,13 +198,17 @@ class TestRecordPatching:
         assert shadow_plan is not None and shadow_plan.has_mirrors
         # Pick a mirrored hub and refresh its features: every replica record
         # must carry the new row.
-        hub = int(next(iter(shadow_plan.replica_map)))
+        group_sizes = np.diff(shadow_plan.replica_indptr)
+        hub = int(np.nonzero(group_sizes > 1)[0][0])
+        replicas = shadow_plan.replica_ids[
+            shadow_plan.replica_indptr[hub]:shadow_plan.replica_indptr[hub + 1]]
+        assert replicas[0] == hub and replicas.size == group_sizes[hub]
         delta = GraphDelta(node_ids=np.array([hub]),
                            node_features=rng.standard_normal((1, 8)))
         outcome = session.apply_delta(delta)
         assert outcome.in_place
         records = session.plan.state["input_records"]
-        for replica in shadow_plan.replica_map[hub].tolist():
+        for replica in replicas.tolist():
             np.testing.assert_array_equal(records[replica][1][0],
                                           delta.node_features[0])
 
@@ -217,4 +221,4 @@ class TestRecordPatching:
         records = session.plan.state["input_records"]
         records[5], records[6] = records[6], records[5]
         with pytest.raises(RuntimeError, match="id-indexed"):
-            patch_input_records(records, graph, np.array([5]))
+            patch_input_records(records, session.model, graph, np.array([5]))

@@ -7,7 +7,6 @@ import pytest
 
 from repro.cluster.metrics import MetricsCollector
 from repro.graph.graph import Graph
-from repro.pregel.aggregators import DictUnionAggregator, MaxAggregator, SumAggregator
 from repro.pregel.combiners import (
     MaxCombiner,
     MeanCombiner,
@@ -15,7 +14,7 @@ from repro.pregel.combiners import (
     combiner_for_aggregate_kind,
 )
 from repro.pregel.engine import PregelEngine
-from repro.pregel.vertex import MessageBlock, VertexProgram
+from repro.pregel.vertex import BlockVertexProgram, MessageBlock
 
 
 def ring_graph(num_nodes: int) -> Graph:
@@ -24,119 +23,76 @@ def ring_graph(num_nodes: int) -> Graph:
     return Graph(src, dst, num_nodes=num_nodes)
 
 
-class TokenPassProgram(VertexProgram):
-    """Vertex 0 emits a token that travels around a directed ring."""
+class PageRankProgram(BlockVertexProgram):
+    """Classic PageRank as a block program (module-level: it ships to workers)."""
 
-    def initial_value(self, vertex_id: int):
-        return 0
-
-    def compute(self, vertex, messages):
-        if vertex.superstep == 0:
-            if vertex.vertex_id == 0:
-                vertex.send_message_to_all_neighbors(1)
-        elif messages:
-            vertex.value = vertex.value + sum(messages)
-            if vertex.superstep < vertex.num_vertices:
-                vertex.send_message_to_all_neighbors(1)
-        vertex.vote_to_halt()
-
-
-class DegreeCountProgram(VertexProgram):
-    """Each vertex sends 1 to its out-neighbours; values become in-degrees."""
-
-    def initial_value(self, vertex_id: int):
-        return 0
-
-    def compute(self, vertex, messages):
-        if vertex.superstep == 0:
-            vertex.send_message_to_all_neighbors(1)
-        else:
-            vertex.value = sum(messages)
-        vertex.vote_to_halt()
-
-
-class PageRankProgram(VertexProgram):
-    """Classic PageRank with a fixed number of iterations."""
-
-    def __init__(self, num_iterations: int = 10, damping: float = 0.85) -> None:
+    def __init__(self, num_iterations: int = 10, damping: float = 0.85,
+                 combine: bool = False) -> None:
         self.num_iterations = num_iterations
         self.damping = damping
+        self.combine = combine
 
-    def initial_value(self, vertex_id: int):
-        return 1.0
+    def max_supersteps(self) -> int:
+        return self.num_iterations + 1
 
-    def compute(self, vertex, messages):
-        if vertex.superstep > 0:
-            rank = (1 - self.damping) + self.damping * sum(messages)
-            vertex.value = rank
-        if vertex.superstep < self.num_iterations:
-            out_edges = vertex.out_edges()
-            if out_edges.size:
-                vertex.send_message_to_all_neighbors(vertex.value / out_edges.size)
-        vertex.vote_to_halt()
+    def combiner_for_superstep(self, superstep: int):
+        return SumCombiner() if self.combine else None
+
+    def setup_partition(self, partition) -> None:
+        src_local = partition.local_indices(partition.out_src)
+        partition.block_state.update(
+            rank=np.ones(partition.num_nodes), src_local=src_local,
+            out_degree=np.bincount(src_local, minlength=partition.num_nodes))
+
+    def compute_partition(self, context, incoming) -> None:
+        partition = context.partition
+        state = partition.block_state
+        if context.superstep > 0:
+            received = np.zeros(partition.num_nodes)
+            for block in incoming:
+                received += np.bincount(partition.local_indices(block.dst_ids),
+                                        weights=block.payload[:, 0],
+                                        minlength=partition.num_nodes)
+            state["rank"] = (1 - self.damping) + self.damping * received
+        if context.superstep < self.num_iterations and partition.num_out_edges:
+            share = state["rank"] / np.maximum(state["out_degree"], 1)
+            context.send_block(MessageBlock(dst_ids=partition.out_dst,
+                                            payload=share[state["src_local"]]))
 
 
-class AggregatingProgram(VertexProgram):
-    """Every vertex contributes its id to a global max aggregator."""
+def run_pagerank(graph: Graph, num_workers: int, program: PageRankProgram,
+                 metrics: MetricsCollector = None):
+    """Run ``program``; return ``(ranks, result)``.
 
-    def initial_value(self, vertex_id: int):
-        return None
+    Ranks are read while the engine is alive: under the process executor a
+    partition's arrays are views into the engine's shared-memory segments.
+    """
+    engine = PregelEngine(graph, num_workers=num_workers, metrics=metrics)
+    try:
+        result = engine.run(program)
+        ranks = np.empty(graph.num_nodes)
+        for partition in result.partitions:
+            ranks[partition.node_ids] = partition.block_state["rank"]
+        return ranks, result
+    finally:
+        engine.shutdown()
 
-    def compute(self, vertex, messages):
-        if vertex.superstep == 0:
-            vertex.aggregate("max_id", float(vertex.vertex_id))
-            vertex.send_message(vertex.vertex_id, 0.0)  # keep everyone alive one step
-        else:
-            vertex.value = vertex.get_aggregated("max_id")
-        vertex.vote_to_halt()
 
-
-class TestPerVertexPrograms:
-    def test_degree_count_matches_graph(self, small_graph):
-        engine = PregelEngine(small_graph, num_workers=4)
-        result = engine.run(DegreeCountProgram())
-        in_degrees = small_graph.in_degrees()
-        for node in range(small_graph.num_nodes):
-            assert result.vertex_values[node] == in_degrees[node]
-
-    def test_token_travels_ring(self):
-        graph = ring_graph(6)
-        engine = PregelEngine(graph, num_workers=3)
-        result = engine.run(TokenPassProgram(), max_supersteps=10)
-        # Every vertex except the emitter receives the token exactly once.
-        received = [result.vertex_values[node] for node in range(1, 6)]
-        assert all(value >= 1 for value in received)
-
+class TestBlockPrograms:
     def test_pagerank_sums_to_node_count(self):
-        graph = ring_graph(10)
-        engine = PregelEngine(graph, num_workers=2)
-        result = engine.run(PageRankProgram(num_iterations=15))
-        total = sum(result.vertex_values.values())
-        assert total == pytest.approx(10.0, rel=0.05)
+        ranks, result = run_pagerank(ring_graph(10), 2, PageRankProgram(num_iterations=15))
+        assert result.num_supersteps == 16
+        assert ranks.sum() == pytest.approx(10.0, rel=0.05)
 
     def test_pagerank_uniform_on_ring(self):
-        graph = ring_graph(8)
-        result = PregelEngine(graph, num_workers=4).run(PageRankProgram(num_iterations=20))
-        values = np.array([result.vertex_values[n] for n in range(8)])
-        np.testing.assert_allclose(values, np.ones(8), atol=0.05)
-
-    def test_halting_terminates_early(self, small_graph):
-        engine = PregelEngine(small_graph, num_workers=2)
-        result = engine.run(DegreeCountProgram(), max_supersteps=30)
-        assert result.num_supersteps <= 3
-
-    def test_aggregator_visible_next_superstep(self, small_graph):
-        engine = PregelEngine(small_graph, num_workers=3,
-                              aggregators={"max_id": MaxAggregator()})
-        result = engine.run(AggregatingProgram(), max_supersteps=3)
-        assert result.vertex_values[0] == float(small_graph.num_nodes - 1)
+        ranks, _ = run_pagerank(ring_graph(8), 4, PageRankProgram(num_iterations=20))
+        np.testing.assert_allclose(ranks, np.ones(8), atol=0.05)
 
     def test_metrics_recorded_per_superstep(self, small_graph):
-        engine = PregelEngine(small_graph, num_workers=4)
-        result = engine.run(DegreeCountProgram())
-        phases = result.metrics.phases()
-        assert "superstep_0" in phases
+        _, result = run_pagerank(small_graph, 4, PageRankProgram(2))
+        assert result.metrics.phases() == ["superstep_0", "superstep_1", "superstep_2"]
         assert result.metrics.total("records_out", "superstep_0") == small_graph.num_edges
+        assert result.metrics.total("records_out", "superstep_2") == 0
 
     def test_single_record_call_per_partition_per_superstep(self, small_graph):
         """compute/bytes_in and bytes_out land in ONE record() call, so
@@ -149,25 +105,25 @@ class TestPerVertexPrograms:
                 calls.append((phase, int(instance_id)))
                 super().record(phase, instance_id, **kwargs)
 
-        engine = PregelEngine(small_graph, num_workers=4, metrics=CountingCollector())
-        result = engine.run(DegreeCountProgram())
+        _, result = run_pagerank(small_graph, 4, PageRankProgram(2), CountingCollector())
+        assert len(calls) == 3 * 4
         assert len(calls) == len(set(calls)), "duplicate record() per (phase, instance)"
         # Every call carries both directions of IO for superstep 0.
         for instance in range(4):
             entry = result.metrics.get("superstep_0", instance)
             assert entry is not None
             assert entry.bytes_in == 0.0          # nothing received yet
-            assert entry.bytes_out > 0.0          # everyone sends degree messages
+            assert entry.bytes_out > 0.0          # everyone sends rank shares
 
-    def test_engine_combiner_reduces_messages(self, small_graph):
-        plain = PregelEngine(small_graph, num_workers=2).run(DegreeCountProgram())
-        combined_engine = PregelEngine(small_graph, num_workers=2, combiner=SumCombiner())
-        combined = combined_engine.run(DegreeCountProgram())
-        # Results identical (sum combiner is exact for counting)...
-        assert plain.vertex_values == combined.vertex_values
+    def test_program_combiner_reduces_messages(self, small_graph):
+        plain_ranks, plain = run_pagerank(small_graph, 2, PageRankProgram(5))
+        combined_ranks, combined = run_pagerank(small_graph, 2,
+                                                PageRankProgram(5, combine=True))
+        # Results agree (the sum combiner only re-associates the additions)...
+        np.testing.assert_allclose(combined_ranks, plain_ranks, rtol=1e-12)
         # ...but fewer records cross the wire.
         assert (combined.metrics.total("records_out", "superstep_0")
-                <= plain.metrics.total("records_out", "superstep_0"))
+                < plain.metrics.total("records_out", "superstep_0"))
 
 
 class TestMessageBlocks:
@@ -216,11 +172,6 @@ class TestCombiners:
         combined = MaxCombiner().combine_block(block)
         np.testing.assert_allclose(combined.payload, [[3.0, 9.0]])
 
-    def test_plain_value_combiners(self):
-        assert SumCombiner().combine([1.0, 2.0, 3.0]) == 6.0
-        np.testing.assert_allclose(MaxCombiner().combine([np.array([1.0, 5.0]),
-                                                          np.array([4.0, 2.0])]), [4.0, 5.0])
-
     def test_combiner_for_aggregate_kind(self):
         assert isinstance(combiner_for_aggregate_kind("sum"), SumCombiner)
         assert isinstance(combiner_for_aggregate_kind("mean"), MeanCombiner)
@@ -232,18 +183,3 @@ class TestCombiners:
     def test_empty_block_passthrough(self):
         block = MessageBlock(dst_ids=np.array([], dtype=np.int64), payload=np.zeros((0, 4)))
         assert SumCombiner().combine_block(block).num_records() == 0
-
-
-class TestAggregators:
-    def test_sum_aggregator(self):
-        assert SumAggregator().reduce([1.0, 2.0, 3.5]) == 6.5
-        assert SumAggregator().identity() == 0.0
-
-    def test_max_aggregator_arrays(self):
-        out = MaxAggregator().reduce([np.array([1.0, 9.0]), np.array([5.0, 2.0])])
-        np.testing.assert_allclose(out, [5.0, 9.0])
-
-    def test_dict_union_aggregator(self):
-        merged = DictUnionAggregator().reduce([{"a": 1}, {"b": 2}, {"a": 3}])
-        assert merged == {"a": 3, "b": 2}
-        assert DictUnionAggregator().identity() == {}

@@ -49,15 +49,23 @@ def naive_route_blocks(blocks: List[MessageBlock], partitioner: HashPartitioner,
     return outgoing
 
 
-def naive_expand(replica_map: Dict[int, np.ndarray], dst_ids: np.ndarray,
+def replica_lists(plan) -> Dict[int, np.ndarray]:
+    """Naive dict view of the replica CSR: replicated node -> its replica ids."""
+    indptr, ids = plan.replica_indptr, plan.replica_ids
+    return {int(node): ids[indptr[node]:indptr[node + 1]]
+            for node in np.nonzero(np.diff(indptr) > 1)[0]}
+
+
+def naive_expand(replicas_by_node: Dict[int, np.ndarray], dst_ids: np.ndarray,
                  payload: np.ndarray, counts: Optional[np.ndarray] = None) -> tuple:
     """Old ``expand_destinations``: per-row dict lookups and appends."""
     dst_ids = np.asarray(dst_ids, dtype=np.int64)
     if counts is None:
         counts = np.ones(dst_ids.shape[0], dtype=np.int64)
-    if not replica_map:
+    if not replicas_by_node:
         return dst_ids, payload, counts
-    replicated = np.fromiter(replica_map.keys(), dtype=np.int64, count=len(replica_map))
+    replicated = np.fromiter(replicas_by_node.keys(), dtype=np.int64,
+                             count=len(replicas_by_node))
     needs = np.isin(dst_ids, replicated)
     if not needs.any():
         return dst_ids, payload, counts
@@ -66,7 +74,7 @@ def naive_expand(replica_map: Dict[int, np.ndarray], dst_ids: np.ndarray,
     out_payload = [payload[keep]]
     out_counts = [counts[keep]]
     for row in np.nonzero(needs)[0]:
-        replicas = replica_map[int(dst_ids[row])]
+        replicas = replicas_by_node[int(dst_ids[row])]
         out_dst.append(replicas)
         out_payload.append(np.repeat(payload[row][None, :], replicas.size, axis=0))
         out_counts.append(np.full(replicas.size, counts[row], dtype=np.int64))
@@ -111,8 +119,7 @@ def edge_blocks(graph, rng, chunks: int = 3) -> List[MessageBlock]:
 
 def _route_via_engine(engine: PregelEngine, blocks: List[MessageBlock],
                       combiner=None) -> List[List[MessageBlock]]:
-    context = PartitionContext(engine.partitions[0], superstep=0, aggregated={},
-                               num_graph_vertices=engine.graph.num_nodes)
+    context = PartitionContext(engine.partitions[0], superstep=0)
     for block in blocks:
         context.send_block(block)
     # The engine-hosted routing pass the partition harness runs per superstep
@@ -169,7 +176,7 @@ class TestRouteEquivalence:
         payload = rng.normal(size=(graph.num_edges, PAYLOAD_DIM))
         counts = rng.integers(1, 4, size=graph.num_edges).astype(np.int64)
 
-        expected = naive_expand(plan.replica_map, graph.dst, payload, counts)
+        expected = naive_expand(replica_lists(plan), graph.dst, payload, counts)
         actual = plan.expand_destinations(graph.dst, payload, counts)
         for a, e in zip(actual, expected):
             np.testing.assert_array_equal(a, e)
@@ -188,12 +195,12 @@ class TestRouteEquivalence:
         plan = apply_shadow_nodes(graph, threshold=8, num_workers=NUM_WORKERS)
         if not plan.has_mirrors:
             pytest.skip("graph produced no mirrors at this threshold")
-        replica_map = plan.replica_map
+        replicas_by_node = replica_lists(plan)
         row_index, expanded = plan.expand_rows(graph.dst)
         # Naive inline expansion.
         naive_rows, naive_dst = [], []
         for row, dst in enumerate(graph.dst):
-            replicas = replica_map.get(int(dst), np.array([dst], dtype=np.int64))
+            replicas = replicas_by_node.get(int(dst), np.array([dst], dtype=np.int64))
             naive_rows.extend([row] * replicas.size)
             naive_dst.extend(replicas.tolist())
         np.testing.assert_array_equal(row_index, naive_rows)
@@ -249,24 +256,11 @@ class TestLocalIndices:
         foreign = int(engine.partitions[1].node_ids[0])
         with pytest.raises(ValueError, match=rf"partition 0 does not own vertex {foreign}"):
             partition.local_indices(np.array([int(partition.node_ids[0]), foreign]))
-        with pytest.raises(ValueError, match="partition 0 does not own vertex"):
-            partition.local_index(foreign)
 
     def test_out_of_range_vertex_raises_value_error(self, small_graph):
         engine = PregelEngine(small_graph, num_workers=NUM_WORKERS)
         partition = engine.partitions[0]
         with pytest.raises(ValueError, match="does not own vertex"):
             partition.local_indices(np.array([small_graph.num_nodes + 5]))
-        assert not partition.owns(-1)
-        assert not partition.owns(small_graph.num_nodes + 5)
-
-    @pytest.mark.parametrize("bad_dst", [-1, 10**6])
-    def test_vertex_message_to_unknown_vertex_raises(self, small_graph, bad_dst):
-        """The legacy per-vertex path reports unroutable destinations clearly
-        instead of crashing with a bare IndexError (or wrapping negatives)."""
-        engine = PregelEngine(small_graph, num_workers=NUM_WORKERS)
-        context = PartitionContext(engine.partitions[0], superstep=0, aggregated={},
-                                   num_graph_vertices=small_graph.num_nodes)
-        context.send_message(bad_dst, 1.0)
-        with pytest.raises(ValueError, match=f"unknown vertex {bad_dst}"):
-            _route_outgoing(context, engine.layout, engine.num_workers, None)
+        with pytest.raises(ValueError, match="does not own vertex -1"):
+            partition.local_indices(np.array([-1]))

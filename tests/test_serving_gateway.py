@@ -229,7 +229,7 @@ class _GatedBackend:
         self._inner = inner
         self.name = inner.name
         self.entered = threading.Event()   # set when an execute begins
-        self.release = threading.Event()   # execute waits for this
+        self.resume = threading.Event()   # execute waits for this
 
     def default_cluster(self, num_workers):
         return self._inner.default_cluster(num_workers)
@@ -239,8 +239,11 @@ class _GatedBackend:
 
     def execute(self, plan, metrics):
         self.entered.set()
-        assert self.release.wait(timeout=30), "gated execute never released"
+        assert self.resume.wait(timeout=30), "gated execute never released"
         return self._inner.execute(plan, metrics)
+
+    def release(self, plan):
+        return self._inner.release(plan)
 
     def apply_delta(self, plan, delta):
         return self._inner.apply_delta(plan, delta)
@@ -281,7 +284,7 @@ class TestOverlap:
                 # may overlap execution; it must not be visible to tick N.
                 await gateway.submit_delta("tenant", delta)
                 assert session.num_pending_deltas == 1
-                gate.release.set()
+                gate.resume.set()
                 before = await tick_n
                 after = await gateway.infer("tenant")
                 assert session.num_pending_deltas == 0
@@ -333,7 +336,7 @@ class TestAdmission:
                         stats_after.evictions) == (stats_before.hits,
                                                    stats_before.misses,
                                                    stats_before.evictions)
-                gate.release.set()
+                gate.resume.set()
                 await asyncio.gather(*in_flight)
                 return excinfo.value, gateway.tenant_stats("tenant")
 
@@ -519,7 +522,7 @@ class TestFaultPaths:
                     None, gate.entered.wait, 30)
                 with pytest.raises(Overloaded) as excinfo:
                     await gateway.infer("tenant")
-                gate.release.set()
+                gate.resume.set()
                 await asyncio.gather(*in_flight)
                 return excinfo.value, mean_before
 
@@ -547,7 +550,7 @@ class TestFaultPaths:
                     None, gate.entered.wait, 30)
                 with pytest.raises(Overloaded) as excinfo:
                     await gateway.infer("tenant")
-                gate.release.set()
+                gate.resume.set()
                 await blocked
                 return excinfo.value
 

@@ -1,5 +1,5 @@
-"""InferenceSession: plan-once/infer-many semantics, bit-identical parity with
-the deprecated InferTurbo shim, structured reports, and the hub-mirror merge."""
+"""InferenceSession: plan-once/infer-many semantics, structured reports, and
+the hub-mirror merge."""
 
 from __future__ import annotations
 
@@ -13,10 +13,9 @@ from repro.graph.tables import graph_to_tables
 from repro.inference import (
     InferenceConfig,
     InferenceSession,
-    InferTurbo,
     StrategyConfig,
 )
-from repro.inference.backends import merge_hub_mirrors, plan_gas_execution
+from repro.inference.backends import Backend, merge_hub_mirrors, plan_gas_execution
 from repro.inference.shadow import ShadowNodePlan, apply_shadow_nodes
 from repro.inference.strategies import build_strategy_plan
 
@@ -37,7 +36,7 @@ ALL_ON = StrategyConfig(partial_gather=True, broadcast=True, shadow_nodes=True,
                         hub_threshold_override=15)
 
 
-class _CountingBackend:
+class _CountingBackend(Backend):
     """Delegating spy that counts plan/execute calls on one session."""
 
     def __init__(self, inner):
@@ -52,6 +51,9 @@ class _CountingBackend:
     def plan(self, model, graph, config):
         self.plan_calls += 1
         return self._inner.plan(model, graph, config)
+
+    def release(self, plan):
+        return self._inner.release(plan)
 
     def execute(self, plan, metrics):
         self.execute_calls += 1
@@ -193,28 +195,6 @@ class TestReport:
         assert report.mean_elapsed_seconds == pytest.approx(
             report.total_elapsed_seconds / 3)
         assert "measured" in report.describe()
-
-
-class TestShimParity:
-    @pytest.mark.parametrize("backend", ["pregel", "mapreduce"])
-    def test_session_bit_identical_to_inferturbo(self, skewed, backend):
-        model = build_model("sage", skewed.feature_dim, 16, 3, num_layers=2, seed=2)
-        config = dict(backend=backend, num_workers=4, strategies=ALL_ON)
-        session = InferenceSession(model, InferenceConfig(**config))
-        via_session = session.infer(skewed)
-        with pytest.deprecated_call():
-            shim = InferTurbo(model, InferenceConfig(**config))
-        via_shim = shim.run(skewed)
-        np.testing.assert_array_equal(via_session.scores, via_shim.scores)
-
-    def test_shim_exposes_model_and_config(self, community):
-        model = build_model("sage", community.feature_dim, 8, 4, seed=0)
-        config = InferenceConfig(num_workers=2)
-        with pytest.deprecated_call():
-            shim = InferTurbo(model, config)
-        assert shim.model is model
-        assert shim.config is config
-        assert isinstance(shim.session, InferenceSession)
 
 
 class TestHubMirrorMerge:

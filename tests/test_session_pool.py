@@ -64,6 +64,9 @@ class _PlanCounter:
     def execute(self, plan, metrics):
         return self._inner.execute(plan, metrics)
 
+    def release(self, plan):
+        return self._inner.release(plan)
+
     def apply_delta(self, plan, delta):
         return self._inner.apply_delta(plan, delta)
 
@@ -374,7 +377,7 @@ class _BlockingBackend:
         self._inner = inner
         self.name = inner.name
         self.entered = threading.Event()
-        self.release = threading.Event()
+        self.resume = threading.Event()
 
     def default_cluster(self, num_workers):
         return self._inner.default_cluster(num_workers)
@@ -384,8 +387,11 @@ class _BlockingBackend:
 
     def execute(self, plan, metrics):
         self.entered.set()
-        assert self.release.wait(timeout=30), "blocked execute never released"
+        assert self.resume.wait(timeout=30), "blocked execute never released"
         return self._inner.execute(plan, metrics)
+
+    def release(self, plan):
+        return self._inner.release(plan)
 
     def apply_delta(self, plan, delta):
         return self._inner.apply_delta(plan, delta)
@@ -484,14 +490,15 @@ class TestThreadSafety:
         # Regression: a cache miss's prepare() runs outside the pool lock
         # (per-fingerprint once-guard), so one tenant's slow planning must
         # not stall another tenant's lookup.
-        from repro.inference.backends import (get_backend, register_backend,
+        from repro.inference.backends import (Backend, get_backend,
+                                              register_backend,
                                               unregister_backend)
 
         inner = get_backend("pregel")
         first_plan_entered = threading.Event()
         release_first_plan = threading.Event()
 
-        class GatedPlanBackend:
+        class GatedPlanBackend(Backend):
             """Delegates to pregel; the FIRST plan() blocks until released."""
             name = "gated-pregel-test"
 
@@ -518,6 +525,9 @@ class TestThreadSafety:
                                     feature_dirty, topo_dirty):
                 return inner.execute_incremental(plan, metrics,
                                                  feature_dirty, topo_dirty)
+
+            def release(self, plan):
+                return inner.release(plan)
 
         register_backend("gated-pregel-test")(GatedPlanBackend)
         try:
@@ -567,7 +577,7 @@ class TestThreadSafety:
         assert gate.entered.wait(timeout=30)
         # B's miss evicts A and then waits — outside the pool lock — inside
         # close() for A's execute to finish; release it after a beat.
-        releaser = threading.Timer(0.05, gate.release.set)
+        releaser = threading.Timer(0.05, gate.resume.set)
         releaser.start()
         scores_b = pool.infer(tenant_b).scores
         thread_a.join(timeout=30)

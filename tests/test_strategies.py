@@ -21,6 +21,11 @@ from repro.inference.strategies import (
 from repro.pregel.vertex import MessageBlock
 
 
+def replicas_of(plan, node: int) -> np.ndarray:
+    """``node``'s replica ids (itself first, then its mirrors) from the CSR."""
+    return plan.replica_ids[plan.replica_indptr[node]:plan.replica_indptr[node + 1]]
+
+
 class TestHubThreshold:
     def test_paper_formula(self):
         # 1e9 edges over 1000 workers with lambda 0.1 -> threshold 100000 (paper example)
@@ -68,7 +73,7 @@ class TestStrategyPlan:
         model = build_model("sage", star.feature_dim, 8, 2)
         plan = build_strategy_plan(model, star, 4, StrategyConfig(broadcast=True),
                                    has_edge_features=False)
-        assert 0 in plan.hub_set
+        assert 0 in plan.out_degree_hubs
         assert plan.threshold >= 1
 
     def test_threshold_override_in_plan(self, powerlaw_out_graph):
@@ -81,13 +86,13 @@ class TestStrategyPlan:
 
     def test_split_hub_edges(self):
         src = np.array([0, 1, 0, 2, 0])
-        hub_rows, plain_rows = split_hub_edges(src, {0})
+        hub_rows, plain_rows = split_hub_edges(src, np.array([0]))
         np.testing.assert_array_equal(hub_rows, [0, 2, 4])
         np.testing.assert_array_equal(plain_rows, [1, 3])
 
     def test_split_hub_edges_empty_hub_set(self):
         src = np.array([0, 1, 2])
-        hub_rows, plain_rows = split_hub_edges(src, set())
+        hub_rows, plain_rows = split_hub_edges(src, np.empty(0, dtype=np.int64))
         assert hub_rows.size == 0
         assert plain_rows.size == 3
 
@@ -129,7 +134,7 @@ class TestHubDefinitionUnified:
         plan = build_strategy_plan(model, graph, 2,
                                    StrategyConfig(hub_threshold_override=threshold),
                                    has_edge_features=False)
-        assert 0 in plan.hub_set and 1 in plan.hub_set
+        assert {0, 1} <= set(plan.out_degree_hubs.tolist())
 
         seen = {}
         real = shadow_mod.select_hubs
@@ -141,8 +146,8 @@ class TestHubDefinitionUnified:
         np.testing.assert_array_equal(seen["hubs"], plan.out_degree_hubs)
         # ...and a tie-degree hub needs no mirrors (one out-edge group), while
         # the above-threshold hub is still split.
-        assert 0 not in shadow.replica_map
-        assert 1 in shadow.replica_map
+        assert replicas_of(shadow, 0).tolist() == [0]
+        assert replicas_of(shadow, 1).size > 1
 
 
 class TestBroadcastMessageBlock:
@@ -199,7 +204,7 @@ class TestShadowNodes:
         star = star_graph(100, direction="out")
         plan = apply_shadow_nodes(star, threshold=10, num_workers=4)
         assert plan.num_mirrors > 0
-        assert 0 in plan.replica_map
+        assert replicas_of(plan, 0).size == 1 + plan.num_mirrors
         # Total edges preserved and every edge still points at the same dst.
         assert plan.graph.num_edges == star.num_edges
         np.testing.assert_array_equal(np.sort(plan.graph.dst), np.sort(star.dst))
@@ -208,7 +213,7 @@ class TestShadowNodes:
         star = star_graph(200, direction="out")
         plan = apply_shadow_nodes(star, threshold=25, num_workers=16)
         out_degrees = plan.graph.out_degrees()
-        replicas = plan.replica_map[0]
+        replicas = replicas_of(plan, 0)
         for replica in replicas:
             assert out_degrees[replica] <= 25 + 25  # ceil splitting keeps groups near threshold
 
@@ -222,12 +227,12 @@ class TestShadowNodes:
     def test_mirror_count_capped_by_workers(self):
         star = star_graph(1000, direction="out")
         plan = apply_shadow_nodes(star, threshold=10, num_workers=4)
-        assert len(plan.replica_map[0]) <= 4
+        assert replicas_of(plan, 0).size <= 4
 
     def test_expand_destinations_duplicates_rows(self):
         star = star_graph(100, direction="out")
         plan = apply_shadow_nodes(star, threshold=10, num_workers=4)
-        replicas = plan.replica_map[0]
+        replicas = replicas_of(plan, 0)
         dst = np.array([0, 5])
         payload = np.array([[1.0, 2.0], [3.0, 4.0]])
         new_dst, new_payload, new_counts = plan.expand_destinations(dst, payload)
