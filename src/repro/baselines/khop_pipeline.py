@@ -107,7 +107,6 @@ class TraditionalPipeline:
     # ------------------------------------------------------------------ #
     def run(self, graph: Graph, targets: Optional[Sequence[int]] = None,
             compute_scores: bool = True, seed: Optional[int] = None,
-            check_memory: bool = False,
             metrics: Optional[MetricsCollector] = None,
             compute_cost: bool = True) -> TraditionalResult:
         """Run batched k-hop inference over ``targets`` (default: every node).
@@ -161,7 +160,7 @@ class TraditionalPipeline:
                         num_nodes=subgraph.num_nodes, mode=LayerMode.PREDICT)
                 scores[seeds] = logits.data[subgraph.target_positions]
 
-        cost = (CostModel(config.cluster).summarize(metrics, check_memory=check_memory)
+        cost = (CostModel(config.cluster).summarize(metrics)
                 if compute_cost else None)
         return TraditionalResult(
             scores=scores, cost=cost, metrics=metrics, num_batches=num_batches,

@@ -3,20 +3,15 @@
 The paper's second backend runs GNN inference as a chain of MapReduce (or
 Spark) rounds: one Map round initialises node states and fans out the first
 messages, then each Reduce round executes one GNN layer per node key.  This
-package provides that substrate: jobs with ``map`` / ``combine`` / ``reduce``
-(or vectorised ``reduce_partition``), a hash shuffle, per-instance counters
-(records, bytes, compute, spill IO) and an optional on-disk spill store so the
-"data lives in external storage, memory stays bounded" property can be
-demonstrated, not just asserted.
+package provides that substrate: jobs with ``map_partition`` / ``combine`` /
+``reduce_partition``, a shuffle placed by the caller's partition function,
+and per-instance counters (records, bytes, compute, measured seconds).
 """
 
 from repro.batch.mapreduce import MapReduceJob, MapReduceEngine, TaskContext
-from repro.batch.storage import RecordStore, serialized_size
 
 __all__ = [
     "MapReduceJob",
     "MapReduceEngine",
     "TaskContext",
-    "RecordStore",
-    "serialized_size",
 ]

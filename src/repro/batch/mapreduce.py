@@ -1,110 +1,47 @@
-"""MapReduce engine: map → combine → shuffle → reduce with instance counters.
+"""MapReduce engine: partition map → combine → shuffle → partition reduce.
 
-A job implements :class:`MapReduceJob`; the engine splits the input among
-mappers, runs the map function, optionally combines mapper output per key
-(the sender-side pre-aggregation the partial-gather strategy rides on), hash
-shuffles by key to reducers, and runs either the per-key ``reduce`` or the
-vectorised per-instance ``reduce_partition``.  Every mapper/reducer instance
-records records/bytes/compute/spill counters into the shared
-:class:`~repro.cluster.metrics.MetricsCollector` so the cost model can price
-the run on an arbitrary cluster spec.
+One round runs one :class:`MapReduceJob` — the GNN round job of
+:mod:`repro.inference.mapreduce_adaptor` is the only one in ``src/``.  The
+input is cut into contiguous splits, one per mapper; a mapper runs
+``map_partition`` over its split, optionally folds its output per key with
+``combine`` (the sender-side pre-aggregation partial-gather rides on) and
+buckets the result by reducer with the engine's partition function; a reducer
+groups the records addressed to it by key, in arrival order, and runs
+``reduce_partition`` once over all its groups.
 
-Each mapper/reducer instance is one unit of work routed through the engine's
-:class:`~repro.cluster.executor.Executor`: the serial executor runs them
-in-process in instance order (the historical behaviour, bit for bit), the
-process executor fans every instance of a wave out to one OS process each —
-the job object and its record split travel as pickled numpy bundles, and the
-per-instance counters (including real measured wall seconds) come back with
-the outputs.  The shuffle stays in the coordinator: mappers return their
-per-reducer buckets, the engine appends them to the (possibly spilling)
-:class:`~repro.batch.storage.RecordStore`\\ s in mapper order, which is
-exactly the record order the sequential loop produced.
+Every mapper and reducer instance is one task of the engine's
+:class:`~repro.cluster.executor.Executor`, so the job, the partition function
+and the records must pickle (module-level classes and functions).  The shuffle
+itself stays in the coordinator: reducer ``r`` receives mapper 0's bucket
+``r``, then mapper 1's, ... — the record order of a sequential loop, whatever
+the executor.  Placement is stable across worker processes because the caller
+supplies the partition function and the only one in use is the adaptor's
+explicit modulo (nothing here calls the per-process salted ``hash``).
 
-Under the process executor the engine protects itself against both pitfalls
-of shipping the shuffle: a job or partition function that cannot pickle
-degrades to an in-process round, and the salted-``hash`` *default* partition
-function is only shipped when every worker provably agrees on the hash seed
-(fork start method, or a pinned ``PYTHONHASHSEED``) — otherwise the mappers
-return raw output and the coordinator buckets it, so placement is always
-consistent.  A *custom* partition function is shipped as-is and must be
-deterministic across processes (the GNN round jobs use an explicit modulo
-function, placement-stable everywhere).
+Accounting follows the data.  Whoever emits a record sizes it, once: a mapper
+sizes its input split (``bytes_in``) and every record it buckets, returning
+one byte total per bucket (their sum is its ``bytes_out``); a reducer's
+``bytes_in`` is the sum of the bucket totals addressed to it — sizes are
+integer-valued floats, so that sum is exact in any order — and it sizes only
+what it emits.  The counters land per instance in the shared
+:class:`~repro.cluster.metrics.MetricsCollector` under ``<phase>/map`` and
+``<phase>/reduce``, ``measured_seconds`` included, for the cost model to price.
 """
 
 from __future__ import annotations
 
-import functools
-import os
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.batch.storage import RecordStore, serialized_size
-from repro.cluster.executor import Executor, build_executor
-from repro.cluster.metrics import MetricsCollector
+from repro.cluster.executor import Executor
+from repro.cluster.metrics import MetricsCollector, estimate_payload_bytes
 
 Record = Tuple[Any, Any]
-
-
-def _default_partition_fn(key: Any, num_reducers: int) -> int:
-    """Default shuffle placement (module-level so it pickles to workers)."""
-    return hash(key) % num_reducers
-
-
-_PICKLABLE_CACHE: Dict[type, bool] = {}
-
-
-def _is_picklable(value: Any) -> bool:
-    """Whether ``value`` can ship to a process-executor worker.
-
-    Job objects are probed once per concrete class and cached: the probe
-    fully serialises the object (a GNN round job carries the model weights)
-    and picklability is a property of the class there.  Plain functions are
-    probed per object — a module-level function and a lambda share one type
-    but not one verdict — which is cheap since functions pickle by reference.
-    """
-    import pickle
-    import types
-
-    if isinstance(value, (types.FunctionType, types.BuiltinFunctionType,
-                          types.MethodType, functools.partial)):
-        try:
-            pickle.dumps(value)
-            return True
-        except Exception:
-            # The probe's verdict IS the point: pickling arbitrary user jobs
-            # can raise anything (PicklingError, TypeError, RecursionError on
-            # cyclic closures); any failure means "run in-process" rather
-            # than crash the round.
-            return False
-    cached = _PICKLABLE_CACHE.get(type(value))
-    if cached is not None:
-        return cached
-    try:
-        pickle.dumps(value)
-        verdict = True
-    except Exception:
-        # Same contract as above: an unpicklable job class is a valid
-        # answer (degrade to the in-process round), never an error.
-        verdict = False
-    _PICKLABLE_CACHE[type(value)] = verdict
-    return verdict
-
-
-def _hash_is_process_stable(executor: Executor) -> bool:
-    """Whether Python's salted ``hash()`` agrees across this executor's workers.
-
-    ``fork`` children inherit the parent's hash seed; ``spawn``/``forkserver``
-    workers only agree when ``PYTHONHASHSEED`` pins it explicitly.  Shipping a
-    ``hash()``-based partition function across disagreeing workers would place
-    the same key on different reducers — silently wrong output, not an error.
-    """
-    if executor.start_method == "fork":
-        return True
-    seed = os.environ.get("PYTHONHASHSEED", "")
-    return seed not in ("", "random")
+Groups = List[Tuple[Any, List[Any]]]
+PartitionFn = Callable[[Any, int], int]
 
 
 class TaskContext:
@@ -124,362 +61,146 @@ class TaskContext:
 
 
 class MapReduceJob:
-    """Base class for MapReduce jobs.
+    """One round's work: a whole-split mapper and a whole-reducer reduce.
 
-    Override :meth:`map` and either :meth:`reduce` (per key) or
-    :meth:`reduce_partition` (whole reducer at once, for vectorised work).
-    :meth:`combine` runs on mapper output per key when implemented.
+    Set ``has_combiner`` to have :meth:`combine` fold each mapper's output
+    per key before the shuffle.
     """
-
-    def map(self, key: Any, value: Any, context: TaskContext) -> Iterable[Record]:
-        raise NotImplementedError
-
-    def map_partition(self, records: List[Record], context: TaskContext) -> Iterable[Record]:
-        """Optional whole-split mapper; default loops over :meth:`map`."""
-        outputs: List[Record] = []
-        for key, value in records:
-            outputs.extend(self.map(key, value, context))
-        return outputs
-
-    uses_partition_map: bool = False
-
-    def combine(self, key: Any, values: List[Any], context: TaskContext) -> Iterable[Record]:
-        """Optional mapper-side combiner; default passes records through."""
-        return [(key, value) for value in values]
 
     has_combiner: bool = False
 
-    def reduce(self, key: Any, values: List[Any], context: TaskContext) -> Iterable[Record]:
+    def map_partition(self, records: List[Record], context: TaskContext) -> Iterable[Record]:
         raise NotImplementedError
 
-    def reduce_partition(self, groups: List[Tuple[Any, List[Any]]],
-                         context: TaskContext) -> Iterable[Record]:
-        """Optional whole-partition reducer; default loops over :meth:`reduce`."""
-        outputs: List[Record] = []
-        for key, values in groups:
-            outputs.extend(self.reduce(key, values, context))
-        return outputs
+    def combine(self, key: Any, values: List[Any], context: TaskContext) -> Iterable[Record]:
+        raise NotImplementedError
 
-    uses_partition_reduce: bool = False
+    def reduce_partition(self, groups: Groups, context: TaskContext) -> Iterable[Record]:
+        raise NotImplementedError
 
 
 @dataclass
-class MapReduceStats:
-    """Simple per-phase roll-up returned alongside the output records."""
+class _TaskResult:
+    """One instance's output and counters.
 
-    phase: str
-    num_mappers: int
-    num_reducers: int
-    map_output_records: int
-    reduce_output_records: int
-    shuffle_bytes: float
-
-
-@dataclass
-class _MapTaskResult:
-    """One mapper instance's output: per-reducer buckets plus its counters.
-
-    ``per_reducer`` is ``None`` when the task ran without a shipped partition
-    function (see :meth:`MapReduceEngine.run`); ``emitted`` then carries the
-    raw mapper output for the coordinator to bucket.
+    A mapper's ``outputs`` holds one record list per reducer and
+    ``bucket_bytes`` their byte totals; a reducer's ``outputs`` is its flat
+    record list and ``bucket_bytes`` is empty.
     """
 
-    per_reducer: Optional[List[List[Record]]]
-    emitted: Optional[List[Record]] = None
-    compute_units: float = 0.0
-    bytes_in: float = 0.0
-    bytes_out: float = 0.0
-    records_in: int = 0
-    records_out: int = 0
-    peak_memory_bytes: float = 0.0
-    measured_seconds: float = 0.0
+    outputs: List[Any]
+    bucket_bytes: List[float]
+    compute_units: float
+    bytes_in: float
+    bytes_out: float
+    records_in: int
+    records_out: int
+    peak_memory_bytes: float
+    measured_seconds: float
 
 
-@dataclass
-class _ReduceTaskResult:
-    """One reducer instance's output records plus its counters."""
-
-    outputs: List[Record] = field(default_factory=list)
-    compute_units: float = 0.0
-    bytes_in: float = 0.0
-    bytes_out: float = 0.0
-    records_in: int = 0
-    records_out: int = 0
-    peak_memory_bytes: float = 0.0
-    measured_seconds: float = 0.0
+def _group_by_key(records: Iterable[Record]) -> Groups:
+    """``(key, values)`` groups in first-appearance order, values in arrival order."""
+    grouped: Dict[Any, List[Any]] = {}
+    for key, value in records:
+        grouped.setdefault(key, []).append(value)
+    return list(grouped.items())
 
 
-def _run_map_task(job: MapReduceJob, split: List[Record], mapper_id: int,
-                  map_phase: str, num_reducers: int,
-                  partition_fn: Optional[Callable[[Any, int], int]]) -> _MapTaskResult:
-    """One mapper instance: map → combine → bucket by reducer (module-level
-    so the process executor can ship it).
-
-    With ``partition_fn=None`` the bucketing (and its ``bytes_out``
-    accounting) is left to the coordinator — the escape hatch for partition
-    functions that cannot cross a process boundary.
-    """
+def _run_map_task(job: MapReduceJob, split: List[Record], mapper_id: int, phase: str,
+                  num_reducers: int, partition_fn: PartitionFn) -> _TaskResult:
+    """One mapper instance: map → combine → bucket by reducer, sizing as it goes."""
     started = time.perf_counter()
-    context = TaskContext(map_phase, mapper_id)
-    bytes_in = sum(serialized_size(record) for record in split)
-    if job.uses_partition_map:
-        emitted = list(job.map_partition(split, context))
-    else:
-        emitted = []
-        for key, value in split:
-            emitted.extend(job.map(key, value, context))
+    context = TaskContext(phase, mapper_id)
+    bytes_in = sum(estimate_payload_bytes(record) for record in split)
+    emitted = list(job.map_partition(split, context))
     if job.has_combiner:
-        grouped: Dict[Any, List[Any]] = {}
-        order: List[Any] = []
-        for key, value in emitted:
-            if key not in grouped:
-                grouped[key] = []
-                order.append(key)
-            grouped[key].append(value)
-        combined: List[Record] = []
-        for key in order:
-            combined.extend(job.combine(key, grouped[key], context))
-        emitted = combined
-    if partition_fn is None:
-        return _MapTaskResult(
-            per_reducer=None, emitted=emitted,
-            compute_units=context.compute_units,
-            bytes_in=bytes_in,
-            records_in=len(split), records_out=len(emitted),
-            peak_memory_bytes=context.peak_memory_bytes,
-            measured_seconds=time.perf_counter() - started,
-        )
-    per_reducer: List[List[Record]] = [[] for _ in range(num_reducers)]
-    bytes_out = 0.0
-    for key, value in emitted:
-        bucket = partition_fn(key, num_reducers)
-        record = (key, value)
-        per_reducer[bucket].append(record)
-        bytes_out += serialized_size(record)
-    return _MapTaskResult(
-        per_reducer=per_reducer,
+        emitted = [record for key, values in _group_by_key(emitted)
+                   for record in job.combine(key, values, context)]
+    buckets: List[List[Record]] = [[] for _ in range(num_reducers)]
+    bucket_bytes = [0.0] * num_reducers
+    for record in emitted:
+        bucket = partition_fn(record[0], num_reducers)
+        buckets[bucket].append(record)
+        bucket_bytes[bucket] += estimate_payload_bytes(record)
+    return _TaskResult(
+        outputs=buckets, bucket_bytes=bucket_bytes,
         compute_units=context.compute_units,
-        bytes_in=bytes_in, bytes_out=bytes_out,
+        bytes_in=bytes_in, bytes_out=sum(bucket_bytes),
         records_in=len(split), records_out=len(emitted),
         peak_memory_bytes=context.peak_memory_bytes,
-        measured_seconds=time.perf_counter() - started,
-    )
+        measured_seconds=time.perf_counter() - started)
 
 
-def _run_reduce_task(job: MapReduceJob, records: List[Record], reducer_id: int,
-                     reduce_phase: str) -> _ReduceTaskResult:
-    """One reducer instance: group by key → reduce (module-level, ships)."""
+def _run_reduce_task(job: MapReduceJob, records: List[Record], bytes_in: float,
+                     reducer_id: int, phase: str) -> _TaskResult:
+    """One reducer instance: group by key → reduce; ``bytes_in`` came with the data."""
     started = time.perf_counter()
-    context = TaskContext(reduce_phase, reducer_id)
-    grouped: Dict[Any, List[Any]] = {}
-    order: List[Any] = []
-    bytes_in = 0.0
-    records_in = 0
-    for key, value in records:
-        if key not in grouped:
-            grouped[key] = []
-            order.append(key)
-        grouped[key].append(value)
-        bytes_in += serialized_size((key, value))
-        records_in += 1
-    groups = [(key, grouped[key]) for key in order]
-    if job.uses_partition_reduce:
-        emitted = list(job.reduce_partition(groups, context))
-    else:
-        emitted = []
-        for key, values in groups:
-            emitted.extend(job.reduce(key, values, context))
-    bytes_out = sum(serialized_size(record) for record in emitted)
-    return _ReduceTaskResult(
-        outputs=emitted,
+    context = TaskContext(phase, reducer_id)
+    emitted = list(job.reduce_partition(_group_by_key(records), context))
+    return _TaskResult(
+        outputs=emitted, bucket_bytes=[],
         compute_units=context.compute_units,
-        bytes_in=bytes_in, bytes_out=bytes_out,
-        records_in=records_in, records_out=len(emitted),
+        bytes_in=bytes_in,
+        bytes_out=sum(estimate_payload_bytes(record) for record in emitted),
+        records_in=len(records), records_out=len(emitted),
         peak_memory_bytes=context.peak_memory_bytes,
-        measured_seconds=time.perf_counter() - started,
-    )
+        measured_seconds=time.perf_counter() - started)
 
 
 class MapReduceEngine:
-    """MapReduce executor with per-instance accounting.
+    """Runs rounds of ``num_mappers`` map and ``num_reducers`` reduce tasks.
 
-    ``executor`` selects the worker substrate (an
-    :class:`~repro.cluster.executor.Executor` instance, a registry name, or
-    ``None`` for the ``$REPRO_EXECUTOR`` default): every mapper and reducer
-    instance of a round runs as one executor task.  A shared executor can be
-    passed in so a serving session reuses one persistent process pool across
-    rounds and runs (the mapreduce inference backend does this).
+    The executor is borrowed: the mapreduce backend keeps one per prepared
+    plan, so a process pool is started once and shared by every round.
     """
 
-    def __init__(
-        self,
-        num_mappers: int,
-        num_reducers: int,
-        metrics: Optional[MetricsCollector] = None,
-        spill_to_disk: bool = False,
-        partition_fn: Optional[Callable[[Any, int], int]] = None,
-        executor: Union[Executor, str, None] = None,
-    ) -> None:
+    def __init__(self, num_mappers: int, num_reducers: int, metrics: MetricsCollector,
+                 partition_fn: PartitionFn, executor: Executor) -> None:
         if num_mappers <= 0 or num_reducers <= 0:
             raise ValueError("num_mappers and num_reducers must be positive")
         self.num_mappers = int(num_mappers)
         self.num_reducers = int(num_reducers)
-        self.metrics = metrics or MetricsCollector()
-        self.spill_to_disk = spill_to_disk
-        self._partition_fn = partition_fn or _default_partition_fn
-        if isinstance(executor, Executor):
-            self._executor: Optional[Executor] = executor
-            self._owns_executor = False
-            self.executor_name: Optional[str] = executor.name
-        else:
-            self._executor = None
-            self._owns_executor = True
-            self.executor_name = executor
+        self.metrics = metrics
+        self.partition_fn = partition_fn
+        self.executor = executor
 
-    # ------------------------------------------------------------------ #
-    @property
-    def executor(self) -> Executor:
-        """The lazily built executor mapper/reducer instances run through."""
-        if self._executor is None:
-            self._executor = build_executor(
-                self.executor_name, max(self.num_mappers, self.num_reducers))
-            self.executor_name = self._executor.name
-        return self._executor
-
-    def shutdown(self) -> None:
-        """Release the executor's workers (no-op for a borrowed executor)."""
-        if self._executor is not None and self._owns_executor:
-            self._executor.shutdown()
-            self._executor = None
-
-    def _effective_executor(self, job: MapReduceJob) -> Executor:
-        """The executor this round actually runs on.
-
-        A job that cannot cross a process boundary (e.g. a locally defined
-        test class) degrades gracefully to an in-process round with identical
-        results instead of failing — process execution is a speed substrate,
-        never a correctness requirement.  Every job in this repository is
-        module-level and ships fine.
-        """
-        executor = self.executor
-        if executor.is_in_process or _is_picklable(job):
-            return executor
-        if not hasattr(self, "_serial_fallback"):
-            self._serial_fallback = build_executor(
-                "serial", max(self.num_mappers, self.num_reducers))
-        return self._serial_fallback
-
-    # ------------------------------------------------------------------ #
     def _split_input(self, records: Sequence[Record]) -> List[List[Record]]:
         """Contiguous, near-equal splits of the input across mappers."""
-        splits: List[List[Record]] = [[] for _ in range(self.num_mappers)]
-        if not records:
-            return splits
         per_mapper = int(np.ceil(len(records) / self.num_mappers))
-        for index in range(self.num_mappers):
-            splits[index] = list(records[index * per_mapper:(index + 1) * per_mapper])
-        return splits
+        return [list(records[index * per_mapper:(index + 1) * per_mapper])
+                for index in range(self.num_mappers)]
 
-    # ------------------------------------------------------------------ #
+    def _record(self, phase: str, instance_id: int, result: _TaskResult) -> None:
+        self.metrics.record(
+            phase, instance_id,
+            compute_units=result.compute_units,
+            bytes_in=result.bytes_in, bytes_out=result.bytes_out,
+            records_in=result.records_in, records_out=result.records_out,
+            peak_memory_bytes=result.peak_memory_bytes,
+            disk_bytes=result.bytes_in + result.bytes_out,
+            measured_seconds=result.measured_seconds)
+
     def run(self, job: MapReduceJob, input_records: Sequence[Record],
-            phase: str = "mapreduce") -> Tuple[List[Record], MapReduceStats]:
-        """Run one full map → shuffle → reduce round and return reducer output.
-
-        Both sides fan out through the executor; only the shuffle itself —
-        appending each mapper's buckets to the reducer record stores, in
-        mapper order — runs in the coordinator, which keeps record order (and
-        therefore results) identical across executors.
-        """
+            phase: str) -> List[Record]:
+        """Run one map → shuffle → reduce round and return the reducers' output."""
         map_phase = f"{phase}/map"
         reduce_phase = f"{phase}/reduce"
-        executor = self._effective_executor(job)
-        splits = self._split_input(input_records)
-
-        # A partition function that cannot cross the process boundary (a
-        # test's lambda) — or whose placement would not be *stable* across
-        # workers (the salted-hash default under spawn without a pinned
-        # PYTHONHASHSEED) — keeps working: the mappers return their raw
-        # output and the coordinator buckets it — identical placement,
-        # identical record order, the bucketing pass just runs here instead.
-        if executor.is_in_process:
-            ship_partition_fn = True
-        elif self._partition_fn is _default_partition_fn:
-            ship_partition_fn = _hash_is_process_stable(executor)
-        else:
-            ship_partition_fn = _is_picklable(self._partition_fn)
-        shipped_fn = self._partition_fn if ship_partition_fn else None
-
-        # ------------------------- map side ---------------------------- #
-        shuffle_buckets: List[RecordStore] = [
-            RecordStore(spill_to_disk=self.spill_to_disk) for _ in range(self.num_reducers)
-        ]
-        map_output_records = 0
-        map_results = executor.run_tasks(
+        mapped = self.executor.run_tasks(
             _run_map_task,
-            [(job, split, mapper_id, map_phase, self.num_reducers, shipped_fn)
-             for mapper_id, split in enumerate(splits)])
-        for mapper_id, result in enumerate(map_results):
-            if result.per_reducer is None:
-                per_reducer: List[List[Record]] = [[] for _ in range(self.num_reducers)]
-                bytes_out = 0.0
-                for key, value in result.emitted:
-                    record = (key, value)
-                    per_reducer[self._partition_fn(key, self.num_reducers)].append(record)
-                    bytes_out += serialized_size(record)
-                result.per_reducer = per_reducer
-                result.bytes_out = bytes_out
-            for bucket_id, bucket_records in enumerate(result.per_reducer):
-                for record in bucket_records:
-                    shuffle_buckets[bucket_id].append(record)
-            map_output_records += result.records_out
-            self.metrics.record(
-                map_phase, mapper_id,
-                compute_units=result.compute_units,
-                bytes_in=result.bytes_in, bytes_out=result.bytes_out,
-                records_in=result.records_in, records_out=result.records_out,
-                peak_memory_bytes=result.peak_memory_bytes,
-                disk_bytes=result.bytes_in + result.bytes_out,
-                measured_seconds=result.measured_seconds,
-            )
-
-        # ------------------------ reduce side --------------------------- #
-        outputs: List[Record] = []
-        reduce_output_records = 0
-        shuffle_bytes = 0.0
-        reduce_results = executor.run_tasks(
+            [(job, split, mapper_id, map_phase, self.num_reducers, self.partition_fn)
+             for mapper_id, split in enumerate(self._split_input(input_records))])
+        for mapper_id, result in enumerate(mapped):
+            self._record(map_phase, mapper_id, result)
+        reduced = self.executor.run_tasks(
             _run_reduce_task,
-            [(job, list(bucket), reducer_id, reduce_phase)
-             for reducer_id, bucket in enumerate(shuffle_buckets)])
-        for reducer_id, (bucket, result) in enumerate(zip(shuffle_buckets, reduce_results)):
-            shuffle_bytes += result.bytes_in
-            reduce_output_records += result.records_out
+            [(job,
+              [record for result in mapped for record in result.outputs[reducer_id]],
+              sum(result.bucket_bytes[reducer_id] for result in mapped),
+              reducer_id, reduce_phase)
+             for reducer_id in range(self.num_reducers)])
+        outputs: List[Record] = []
+        for reducer_id, result in enumerate(reduced):
+            self._record(reduce_phase, reducer_id, result)
             outputs.extend(result.outputs)
-            self.metrics.record(
-                reduce_phase, reducer_id,
-                compute_units=result.compute_units,
-                bytes_in=result.bytes_in, bytes_out=result.bytes_out,
-                records_in=result.records_in, records_out=result.records_out,
-                peak_memory_bytes=result.peak_memory_bytes,
-                disk_bytes=result.bytes_in + result.bytes_out,
-                measured_seconds=result.measured_seconds,
-            )
-            bucket.close()
-
-        stats = MapReduceStats(
-            phase=phase,
-            num_mappers=self.num_mappers,
-            num_reducers=self.num_reducers,
-            map_output_records=map_output_records,
-            reduce_output_records=reduce_output_records,
-            shuffle_bytes=shuffle_bytes,
-        )
-        return outputs, stats
-
-    # ------------------------------------------------------------------ #
-    def run_chained(self, jobs: Sequence[MapReduceJob], input_records: Sequence[Record],
-                    phase_prefix: str = "round") -> List[Record]:
-        """Run jobs back to back, feeding each round's output to the next."""
-        records: List[Record] = list(input_records)
-        for index, job in enumerate(jobs):
-            records, _ = self.run(job, records, phase=f"{phase_prefix}_{index}")
-        return records
+        return outputs

@@ -292,16 +292,6 @@ class Executor:
         """True when harnesses run inside the calling process on live objects."""
         return False
 
-    @property
-    def start_method(self) -> Optional[str]:
-        """The multiprocessing start method, or None for in-process executors.
-
-        Engines consult this for placement stability: Python's salted
-        ``hash()`` only agrees across workers that inherited the parent's
-        hash seed (``fork``) or run under a pinned ``PYTHONHASHSEED``.
-        """
-        return None
-
 
 class SerialExecutor(Executor):
     """The historical in-process loop: slot ``i`` runs ``i``-th, same process.
@@ -468,19 +458,14 @@ class ProcessExecutor(Executor):
 
     name = "process"
 
-    def __init__(self, num_slots: int, start_method: Optional[str] = None) -> None:
+    def __init__(self, num_slots: int) -> None:
         super().__init__(num_slots)
-        self._start_method = start_method or default_start_method()
-        self._context = get_context(self._start_method)
+        self._context = get_context(default_start_method())
         self._processes: List[Any] = []
         self._connections: List[Any] = []
         self._session_open = False
         self._mail_blobs: List[List[bytes]] = [[] for _ in range(self.num_slots)]
         self._finalizer: Optional[weakref.finalize] = None
-
-    @property
-    def start_method(self) -> Optional[str]:
-        return self._start_method
 
     # ------------------------------------------------------------------ #
     def _ensure_workers(self) -> None:

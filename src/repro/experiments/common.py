@@ -35,8 +35,8 @@ def untrained_model(dataset: Dataset, arch: str, hidden_dim: int = 64, num_layer
 
 
 def run_inference(model: GNNModel, dataset: Dataset, backend: str = "pregel",
-                  num_workers: int = 8, strategies: Optional[StrategyConfig] = None,
-                  collect_embeddings: bool = False) -> InferenceResult:
+                  num_workers: int = 8,
+                  strategies: Optional[StrategyConfig] = None) -> InferenceResult:
     """One-shot inference through any registered backend via a session.
 
     ``backend`` accepts every registered name (``"pregel"``, ``"mapreduce"``,
@@ -44,8 +44,7 @@ def run_inference(model: GNNModel, dataset: Dataset, backend: str = "pregel",
     single entry point.
     """
     config = InferenceConfig(backend=backend, num_workers=num_workers,
-                             strategies=strategies or StrategyConfig(),
-                             collect_embeddings=collect_embeddings)
+                             strategies=strategies or StrategyConfig())
     session = InferenceSession(model, config)
     session.prepare(dataset.graph)
     return session.infer()

@@ -148,7 +148,7 @@ class Backend(abc.ABC):
     @abc.abstractmethod
     def execute(self, plan: ExecutionPlan,
                 metrics: MetricsCollector) -> Dict[str, np.ndarray]:
-        """One full inference run; returns ``scores`` (and ``embeddings``)."""
+        """One full inference run; returns ``scores``."""
 
     def apply_delta(self, plan: ExecutionPlan, delta: GraphDelta) -> DeltaOutcome:
         """Fold ``delta`` into ``plan``; ``in_place=False`` makes the session re-plan.

@@ -23,7 +23,7 @@ from typing import AbstractSet, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.batch.mapreduce import MapReduceEngine
+from repro.batch.mapreduce import MapReduceEngine, Record
 from repro.cluster.executor import Executor, build_executor
 from repro.cluster.metrics import MetricsCollector
 from repro.cluster.resources import ClusterSpec
@@ -40,7 +40,6 @@ from repro.inference.backends.base import (
 )
 from repro.inference.mapreduce_adaptor import (
     GNNRoundJob,
-    Record,
     _partition_fn,
     build_input_records,
     collect_scores,
@@ -96,7 +95,7 @@ class MapReduceBackend(Backend):
             job = GNNRoundJob(plan.model, plan.strategy_plan, plan.shadow_plan,
                               layer_index, plan.original_num_nodes, plan.layout,
                               targets=targets)
-            records, _ = engine.run(job, records, phase=f"{phase}_{layer_index}")
+            records = engine.run(job, records, phase=f"{phase}_{layer_index}")
         return collect_scores(records, scores)
 
     def execute(self, plan: ExecutionPlan,

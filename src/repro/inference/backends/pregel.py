@@ -67,8 +67,7 @@ class PregelBackend(Backend):
              frontier: Optional[FrontierSchedule] = None) -> Dict[str, np.ndarray]:
         program = GNNInferenceProgram(
             plan.model, plan.strategy_plan, plan.shadow_plan,
-            cache_states=cache_states, edge_rows=edge_rows,
-            collect_embeddings=plan.config.collect_embeddings)
+            cache_states=cache_states, edge_rows=edge_rows)
         return run_program(plan.state["engine"], program, metrics,
                            plan.original_num_nodes, frontier)
 

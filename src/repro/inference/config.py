@@ -111,9 +111,6 @@ class InferenceConfig:
         per-backend flavour scaled down.
     strategies:
         Hub-node strategy switches (see :class:`StrategyConfig`).
-    collect_embeddings:
-        When True the result also carries the final-layer embeddings, not just
-        the prediction scores.
     staleness_check:
         When True (default) every ``infer()`` re-fingerprints the prepared
         graph and raises :class:`~repro.inference.delta.StalePlanError` if it
@@ -139,7 +136,6 @@ class InferenceConfig:
     executor: str = field(default_factory=default_executor_name)
     cluster: Optional[ClusterSpec] = None
     strategies: StrategyConfig = field(default_factory=StrategyConfig)
-    collect_embeddings: bool = False
     staleness_check: bool = True
     incremental_state_cache: bool = True
 

@@ -55,7 +55,7 @@ from typing import AbstractSet, Any, Dict, Iterable, List, Optional, Sequence, S
 
 import numpy as np
 
-from repro.batch.mapreduce import MapReduceJob, TaskContext
+from repro.batch.mapreduce import MapReduceJob, Record, TaskContext
 from repro.cluster.layout import ClusterLayout
 from repro.cluster.metrics import tensor_bytes
 from repro.gnn.model import GNNModel
@@ -63,8 +63,6 @@ from repro.graph.graph import Graph
 from repro.inference import gas
 from repro.inference.shadow import ShadowNodePlan
 from repro.inference.strategies import StrategyPlan
-
-Record = Tuple[Any, Any]
 
 #: number of node groups processed together inside one reducer chunk; bounds
 #: the reducer's working set (the "stream from external storage" property).
@@ -99,9 +97,6 @@ class GNNRoundJob(MapReduceJob):
     the filter runs after shadow-replica expansion, so mirror-bound copies
     survive exactly when the (replica-closed) closure contains the mirror.
     """
-
-    uses_partition_map = True
-    uses_partition_reduce = True
 
     def __init__(self, model: GNNModel, plan: StrategyPlan,
                  shadow_plan: Optional[ShadowNodePlan], layer_index: int,

@@ -494,8 +494,7 @@ class SessionPool:
         """Warm the cache for ``graph`` without running inference."""
         return self.session_for(graph)
 
-    def infer(self, graph: GraphLike, mode: str = "full",
-              check_memory: bool = False) -> InferenceResult:
+    def infer(self, graph: GraphLike, mode: str = "full") -> InferenceResult:
         """One inference over ``graph`` through its cached (or fresh) plan.
 
         Pending deferred deltas on the owning session are flushed by the
@@ -512,7 +511,7 @@ class SessionPool:
         """
         fingerprint, session = self._lookup(graph)
         try:
-            result = session.infer(mode=mode, check_memory=check_memory)
+            result = session.infer(mode=mode)
             with self._lock:
                 self._infer_seconds += result.elapsed_seconds
             return result

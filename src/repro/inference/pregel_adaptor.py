@@ -72,8 +72,7 @@ class GNNInferenceProgram(BlockVertexProgram):
     def __init__(self, model: GNNModel, plan: StrategyPlan,
                  shadow_plan: Optional[ShadowNodePlan] = None,
                  cache_states: bool = False,
-                 edge_rows: Optional[EdgeRows] = None,
-                 collect_embeddings: bool = False) -> None:
+                 edge_rows: Optional[EdgeRows] = None) -> None:
         self.model = model
         self.plan = plan
         self.shadow_plan = shadow_plan
@@ -81,17 +80,15 @@ class GNNInferenceProgram(BlockVertexProgram):
         self.edge_rows = edge_rows
         self.incremental = edge_rows is not None
         self.cache_states = bool(cache_states) or self.incremental
-        self.collect_embeddings = bool(collect_embeddings)
         # Process-executor shipping manifest.  Incremental runs read (and
         # splice into) the cached superstep states of the last full run; full
         # runs reset every per-run entry in setup_partition, so nothing
         # travels to the workers.  Coming back: ``output`` feeds score
-        # collection, ``h`` the embeddings, ``h_history`` the warm cache a
-        # later incremental run needs (only when this run maintains it).
+        # collection, ``h`` and ``h_history`` the warm cache a later
+        # incremental run needs (only when this run maintains it).
         self.block_state_ship_keys = ("h_history", "output") if self.incremental else ()
         self.block_state_return_keys = (
-            ("output",) + (("h",) if self.collect_embeddings or self.cache_states else ())
-            + (("h_history",) if self.cache_states else ()))
+            ("output",) + (("h", "h_history") if self.cache_states else ()))
 
     # ------------------------------------------------------------------ #
     def max_supersteps(self) -> int:
@@ -290,12 +287,11 @@ def frontier_schedule(engine: PregelEngine, frontiers: Sequence[np.ndarray],
 def run_program(engine: PregelEngine, program: GNNInferenceProgram,
                 metrics: MetricsCollector, original_num_nodes: int,
                 frontier: Optional[FrontierSchedule] = None) -> Dict[str, np.ndarray]:
-    """Run one program over the warm engine and assemble dense outputs.
+    """Run one program over the warm engine and assemble the dense scores.
 
-    Returns ``scores`` [N, C] (original nodes only) and, when the program
-    collects them, ``embeddings`` (the last layer's state before the head).
-    ``setup_partition`` resets all per-run block state, so engine reuse is
-    safe and repeated runs stay bit-identical.
+    Returns ``scores`` [N, C] (original nodes only).  ``setup_partition``
+    resets all per-run block state, so engine reuse is safe and repeated runs
+    stay bit-identical.
     """
     model = program.model
     engine.metrics = metrics
@@ -303,16 +299,10 @@ def run_program(engine: PregelEngine, program: GNNInferenceProgram,
     partitions = engine.run(program, frontier=frontier).partitions
 
     scores = np.zeros((original_num_nodes, model.output_dim))
-    outputs: Dict[str, np.ndarray] = {"scores": scores}
-    if program.collect_embeddings:
-        outputs["embeddings"] = np.zeros((original_num_nodes,
-                                          model.layers[-1].output_dim))
     for partition in partitions:
         output = partition.block_state.get("output")
         if output is None:
             continue
         keep = partition.node_ids < original_num_nodes
         scores[partition.node_ids[keep]] = output[keep]
-        if program.collect_embeddings:
-            outputs["embeddings"][partition.node_ids[keep]] = partition.block_state["h"][keep]
-    return outputs
+    return {"scores": scores}

@@ -66,7 +66,6 @@ class InferenceResult:
     cost: CostSummary
     metrics: MetricsCollector
     plan: StrategyPlan
-    embeddings: Optional[np.ndarray] = None
     num_supersteps: int = 0
     #: Real wall-clock seconds this ``infer()`` call took once it held the
     #: execution lock (deferred-delta flush included, queueing behind another
@@ -470,7 +469,7 @@ class InferenceSession:
         return outcome
 
     def infer(self, graph: Optional[GraphLike] = None,
-              check_memory: bool = False, mode: str = "full") -> InferenceResult:
+              mode: str = "full") -> InferenceResult:
         """Execute one inference run against the cached plan.
 
         ``graph`` is only needed on the first call (or to re-target the
@@ -492,9 +491,6 @@ class InferenceSession:
         post-delta incremental request is served by one full run that primes
         it.  Deltas buffered with ``apply_delta(..., defer=True)`` are flushed
         (one merged application) before the run.
-        ``check_memory=True`` makes the cost model raise
-        :class:`~repro.cluster.resources.OutOfMemoryError` if any simulated
-        instance exceeds its memory budget.
         """
         if mode not in ("full", "incremental"):
             raise ValueError(f"mode must be 'full' or 'incremental', got {mode!r}")
@@ -529,11 +525,10 @@ class InferenceSession:
             # graph, so the dirty region is consumed.
             self._feature_dirty = _EMPTY_IDS
             self._topo_dirty = _EMPTY_IDS
-            cost = CostModel(self.config.cluster).summarize(metrics, check_memory=check_memory)
+            cost = CostModel(self.config.cluster).summarize(metrics)
             elapsed = time.perf_counter() - started
             result = InferenceResult(
                 scores=outputs["scores"],
-                embeddings=outputs.get("embeddings"),
                 cost=cost,
                 metrics=metrics,
                 plan=plan.strategy_plan,
@@ -548,7 +543,7 @@ class InferenceSession:
             self._total_elapsed_seconds += elapsed
             return result
 
-    def infer_many(self, n: int, check_memory: bool = False) -> List[InferenceResult]:
+    def infer_many(self, n: int) -> List[InferenceResult]:
         """Run ``n`` repeated executions against the cached plan.
 
         ``n`` must be a true integer: a float like ``0.5`` used to slip past
@@ -565,7 +560,7 @@ class InferenceSession:
         self._check_staleness()
         self._staleness_checked = self.is_prepared
         try:
-            return [self.infer(check_memory=check_memory) for _ in range(int(n))]
+            return [self.infer() for _ in range(int(n))]
         finally:
             self._staleness_checked = False
 

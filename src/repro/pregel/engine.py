@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -149,11 +149,17 @@ class PregelPartition:
 
 @dataclass
 class PregelResult:
-    """Outcome of a Pregel run."""
+    """Outcome of a Pregel run.
+
+    ``partitions`` are the engine's live partitions, whose arrays may be views
+    into its shared-memory segments; holding ``engine`` keeps those segments
+    mapped for as long as the result is reachable.
+    """
 
     num_supersteps: int
     partitions: List[PregelPartition] = field(default_factory=list)
     metrics: MetricsCollector = field(default_factory=MetricsCollector)
+    engine: Optional["PregelEngine"] = field(default=None, repr=False)
 
 
 # --------------------------------------------------------------------------- #
@@ -363,11 +369,20 @@ class PregelEngine:
         return self._executor
 
     def shutdown(self) -> None:
-        """Release worker processes and shared-memory segments (if any)."""
+        """Release worker processes and shared-memory segments (if any).
+
+        The live partitions and the layout outlive the engine (results alias
+        them, a plan keeps the layout), so every attribute still pointing into
+        a segment gets a private copy before the segment is unmapped.
+        """
         if self._executor is not None:
             self._executor.shutdown()
             self._executor = None
         if self._shm_pack is not None:
+            for key, owner, attr in self._shared_attrs():
+                array = getattr(owner, attr)
+                if array is not None and self._shm_pack.is_current(key, array):
+                    setattr(owner, attr, array.copy())
             self._shm_pack.close()
             self._shm_pack = None
 
@@ -375,9 +390,16 @@ class PregelEngine:
     _PARTITION_ARRAYS = ("node_ids", "node_features", "labels",
                          "out_src", "out_dst", "out_edge_features")
 
-    def _shared_spec(self, key: str, array: Optional[np.ndarray],
-                     owner: Any, attr: str):
-        """Share ``array`` once and point ``owner.attr`` at the shm view.
+    def _shared_attrs(self) -> Iterator[Tuple[str, Any, str]]:
+        """``(segment key, owner, attribute)`` of every array the workers attach."""
+        for name in ("owner_of", "local_of"):
+            yield f"layout/{name}", self.layout, name
+        for partition in self.partitions:
+            for name in self._PARTITION_ARRAYS:
+                yield f"part{partition.partition_id}/{name}", partition, name
+
+    def _shared_spec(self, key: str, owner: Any, attr: str):
+        """Share ``owner.attr`` once and point it at the shm view.
 
         Re-sharing is a no-op while ``owner.attr`` still is the shared view;
         an attribute swapped wholesale since the last run (an edge delta's
@@ -385,6 +407,7 @@ class PregelEngine:
         at the view is what makes later *in-place* writes (feature-delta
         scatters) visible to attached workers without re-shipping anything.
         """
+        array = getattr(owner, attr)
         if array is None:
             return None
         pack = self._shm_pack
@@ -401,24 +424,20 @@ class PregelEngine:
         ship_keys = program.block_state_ship_keys
         if self._shm_pack is None:
             self._shm_pack = SharedArrayPack()
+        specs = {key: self._shared_spec(key, owner, attr)
+                 for key, owner, attr in self._shared_attrs()}
         layout_payload = {
-            "owner_of": self._shared_spec("layout/owner_of", self.layout.owner_of,
-                                          self.layout, "owner_of"),
-            "local_of": self._shared_spec("layout/local_of", self.layout.local_of,
-                                          self.layout, "local_of"),
+            "owner_of": specs["layout/owner_of"],
+            "local_of": specs["layout/local_of"],
             "num_partitions": self.layout.num_partitions,
         }
         payloads: List[Dict[str, Any]] = []
         for partition in self.partitions:
             pid = partition.partition_id
-            arrays = {
-                name: self._shared_spec(f"part{pid}/{name}",
-                                        getattr(partition, name), partition, name)
-                for name in self._PARTITION_ARRAYS
-            }
             payloads.append({
                 "partition_id": pid,
-                "arrays": arrays,
+                "arrays": {name: specs[f"part{pid}/{name}"]
+                           for name in self._PARTITION_ARRAYS},
                 "layout": layout_payload,
                 "program": program,
                 "num_workers": self.num_workers,
@@ -509,5 +528,5 @@ class PregelEngine:
                     # matters.
                     pass
         self._apply_final_states(finals)
-        return PregelResult(num_supersteps=max_supersteps,
-                            partitions=self.partitions, metrics=self.metrics)
+        return PregelResult(num_supersteps=max_supersteps, partitions=self.partitions,
+                            metrics=self.metrics, engine=self)

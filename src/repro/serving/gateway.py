@@ -76,7 +76,6 @@ class _Request:
 
     future: "asyncio.Future[InferenceResult]"
     mode: str
-    check_memory: bool
 
 
 @dataclass
@@ -235,8 +234,7 @@ class ServingGateway:
         await loop.run_in_executor(self._threads(),
                                    self.pool.prepare, state.graph)
 
-    async def infer(self, tenant_id: str, mode: str = "full",
-                    check_memory: bool = False) -> InferenceResult:
+    async def infer(self, tenant_id: str, mode: str = "full") -> InferenceResult:
         """One inference for ``tenant_id``, batched into its next tick.
 
         Concurrent requests for one tenant (same ``mode``) are served by a
@@ -259,13 +257,12 @@ class ServingGateway:
         state.requests += 1
         future: "asyncio.Future[InferenceResult]" = (
             asyncio.get_running_loop().create_future())
-        state.queue.append(_Request(future=future, mode=mode,
-                                    check_memory=check_memory))
+        state.queue.append(_Request(future=future, mode=mode))
         state.wake.set()
         return await future
 
-    async def map(self, tenant_ids: Iterable[str], mode: str = "full",
-                  check_memory: bool = False) -> List[InferenceResult]:
+    async def map(self, tenant_ids: Iterable[str],
+                  mode: str = "full") -> List[InferenceResult]:
         """Concurrent :meth:`infer` over many tenants, results in input order.
 
         The ``runner.map`` idiom: think one tenant, scale with map — each
@@ -273,8 +270,7 @@ class ServingGateway:
         the worker threads.
         """
         return await asyncio.gather(
-            *(self.infer(tenant_id, mode=mode, check_memory=check_memory)
-              for tenant_id in tenant_ids))
+            *(self.infer(tenant_id, mode=mode) for tenant_id in tenant_ids))
 
     async def submit_delta(self, tenant_id: str,
                            delta: GraphDelta) -> DeltaOutcome:
@@ -302,23 +298,20 @@ class ServingGateway:
     # the tick loop
     # ------------------------------------------------------------------ #
     def _next_batch(self, state: _TenantState) -> List[_Request]:
-        """Pop the longest same-shaped FIFO prefix, up to ``max_batch``.
+        """Pop the longest same-mode FIFO prefix, up to ``max_batch``.
 
-        Requests batch only when one execution can serve them all: same mode
-        and same ``check_memory``.  A shape change starts the next tick.
+        Requests batch only when one execution can serve them all; a mode
+        change starts the next tick.
         """
         batch: List[_Request] = [state.queue.popleft()]
         while (state.queue and len(batch) < self.config.max_batch
-               and state.queue[0].mode == batch[0].mode
-               and state.queue[0].check_memory == batch[0].check_memory):
+               and state.queue[0].mode == batch[0].mode):
             batch.append(state.queue.popleft())
         return batch
 
-    def _execute_tick(self, state: _TenantState,
-                      mode: str, check_memory: bool) -> InferenceResult:
+    def _execute_tick(self, state: _TenantState, mode: str) -> InferenceResult:
         """Worker-thread body: one batched, coalesced-flush execution."""
-        return self.pool.infer(state.graph, mode=mode,
-                               check_memory=check_memory)
+        return self.pool.infer(state.graph, mode=mode)
 
     async def _tenant_loop(self, state: _TenantState) -> None:
         """Per-tenant scheduler: drain the queue one batched tick at a time."""
@@ -331,9 +324,7 @@ class ServingGateway:
                 state.executing = len(batch)
                 try:
                     result = await loop.run_in_executor(
-                        self._threads(),
-                        self._execute_tick, state,
-                        batch[0].mode, batch[0].check_memory)
+                        self._threads(), self._execute_tick, state, batch[0].mode)
                 except Exception as exc:
                     # Deliberately broad: whatever a tick raises (backend
                     # errors, StalePlanError, WorkerCrashError) belongs to

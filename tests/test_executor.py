@@ -30,7 +30,6 @@ from repro.cluster.executor import (
     build_executor,
     default_executor_name,
 )
-from repro.batch.mapreduce import _default_partition_fn, _hash_is_process_stable
 from repro.cluster.metrics import MetricsCollector
 from repro.cluster.resources import ClusterSpec
 
@@ -182,28 +181,6 @@ class TestCrashRecovery:
             assert set(executor.run_tasks(_getpid, [(), ()])) != set(pids)
         finally:
             executor.shutdown()
-
-
-class TestShufflePlacementStability:
-    def test_salted_hash_default_only_ships_with_stable_seed(self, monkeypatch):
-        # The default partition function uses Python's salted hash(); shipping
-        # it to workers with divergent hash seeds would split one key across
-        # reducers — silently wrong output.  Fork inherits the parent's seed;
-        # spawn only agrees under an explicitly pinned PYTHONHASHSEED.
-        spawn_executor = ProcessExecutor(2, start_method="spawn")
-        fork_executor = ProcessExecutor(2, start_method="fork")
-        try:
-            monkeypatch.delenv("PYTHONHASHSEED", raising=False)
-            assert not _hash_is_process_stable(spawn_executor)
-            assert _hash_is_process_stable(fork_executor)
-            monkeypatch.setenv("PYTHONHASHSEED", "random")
-            assert not _hash_is_process_stable(spawn_executor)
-            monkeypatch.setenv("PYTHONHASHSEED", "0")
-            assert _hash_is_process_stable(spawn_executor)
-            assert _default_partition_fn("key", 4) == hash("key") % 4
-        finally:
-            spawn_executor.shutdown()   # no workers were ever spawned
-            fork_executor.shutdown()
 
 
 class TestSharedArrays:

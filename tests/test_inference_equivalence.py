@@ -150,13 +150,6 @@ class TestEquivalence:
         with pytest.raises(TypeError):
             InferenceSession(model).infer(("not", "tables"))
 
-    def test_embeddings_returned_when_requested(self, community):
-        model = build_model("sage", community.feature_dim, 16, 4, seed=1)
-        config = InferenceConfig(backend="pregel", num_workers=4, collect_embeddings=True)
-        result = InferenceSession(model, config).infer(community)
-        assert result.embeddings is not None
-        assert result.embeddings.shape == (community.num_nodes, 16)
-
     def test_predicted_classes_helper(self, community):
         model = build_model("sage", community.feature_dim, 16, 4, seed=1)
         result = InferenceSession(model, InferenceConfig(num_workers=4)).infer(community)

@@ -1,13 +1,16 @@
-"""Tests for the MapReduce engine, spill storage and cluster cost model."""
+"""Tests for the MapReduce engine, its byte accounting and the cluster cost model."""
 
 from __future__ import annotations
+
+import zlib
 
 import numpy as np
 import pytest
 
-from repro.batch.mapreduce import MapReduceEngine, MapReduceJob, TaskContext
-from repro.batch.storage import RecordStore, serialized_size
+import repro.batch.mapreduce as mapreduce_module
+from repro.batch.mapreduce import MapReduceEngine, MapReduceJob, _run_map_task
 from repro.cluster.cost_model import CostModel, gnn_layer_compute_units
+from repro.cluster.executor import available_executors, build_executor
 from repro.cluster.metrics import (
     InstanceMetrics,
     MetricsCollector,
@@ -16,34 +19,45 @@ from repro.cluster.metrics import (
     tensor_bytes,
 )
 from repro.cluster.resources import ClusterSpec, OutOfMemoryError, WorkerSpec
+from repro.gnn.model import build_model
+from repro.graph.generators import powerlaw_graph
+from repro.inference import InferenceConfig, InferenceSession, StrategyConfig
 
 
+# Jobs and partition functions are module-level: every task ships to the
+# process executor's workers by pickle.
 class WordCountJob(MapReduceJob):
-    def map(self, key, value, context):
-        for word in value.split():
-            yield word, 1
+    def map_partition(self, records, context):
+        return [(word, 1) for _, text in records for word in text.split()]
 
-    def reduce(self, key, values, context):
-        yield key, sum(values)
+    def reduce_partition(self, groups, context):
+        return [(key, sum(values)) for key, values in groups]
 
 
 class CombiningWordCountJob(WordCountJob):
     has_combiner = True
 
     def combine(self, key, values, context):
-        yield key, sum(values)
+        return [(key, sum(values))]
 
 
 class PartitionSumJob(MapReduceJob):
-    uses_partition_reduce = True
-
-    def map(self, key, value, context):
-        yield key % 3, value
+    def map_partition(self, records, context):
+        return [(key % 3, value) for key, value in records]
 
     def reduce_partition(self, groups, context):
         for key, values in groups:
             context.add_compute(len(values))
             yield key, sum(values)
+
+
+def by_crc(key, num_reducers):
+    """Process-stable placement for string and integer keys alike."""
+    return zlib.crc32(str(key).encode()) % num_reducers
+
+
+def all_to_zero(key, num_reducers):
+    return 0
 
 
 DOCUMENTS = [
@@ -54,108 +68,121 @@ DOCUMENTS = [
 ]
 
 
+@pytest.fixture(params=sorted(available_executors()))
+def executor(request):
+    built = build_executor(request.param, 4)
+    yield built
+    built.shutdown()
+
+
+def make_engine(executor, num_mappers=2, num_reducers=2, partition_fn=by_crc):
+    return MapReduceEngine(num_mappers, num_reducers, MetricsCollector(),
+                           partition_fn, executor)
+
+
 class TestMapReduceEngine:
-    def test_wordcount_correct(self):
-        engine = MapReduceEngine(num_mappers=2, num_reducers=2)
-        output, stats = engine.run(WordCountJob(), DOCUMENTS, phase="wc")
-        counts = dict(output)
+    def test_wordcount_correct(self, executor):
+        engine = make_engine(executor)
+        counts = dict(engine.run(WordCountJob(), DOCUMENTS, phase="wc"))
         assert counts["the"] == 3
         assert counts["brown"] == 3
         assert counts["jumps"] == 1
-        assert stats.map_output_records == 15
+        assert engine.metrics.total("records_out", "wc/map") == 15
 
-    def test_results_independent_of_worker_count(self):
-        small = dict(MapReduceEngine(1, 1).run(WordCountJob(), DOCUMENTS)[0])
-        large = dict(MapReduceEngine(4, 7).run(WordCountJob(), DOCUMENTS)[0])
+    def test_results_independent_of_worker_count(self, executor):
+        small = dict(make_engine(executor, 1, 1).run(WordCountJob(), DOCUMENTS, "wc"))
+        large = dict(make_engine(executor, 4, 7).run(WordCountJob(), DOCUMENTS, "wc"))
         assert small == large
 
-    def test_combiner_reduces_shuffle_records_but_not_results(self):
-        plain_engine = MapReduceEngine(2, 2)
-        plain, plain_stats = plain_engine.run(WordCountJob(), DOCUMENTS)
-        combined_engine = MapReduceEngine(2, 2)
-        combined, combined_stats = combined_engine.run(CombiningWordCountJob(), DOCUMENTS)
+    def test_combiner_reduces_shuffle_records_but_not_results(self, executor):
+        plain_engine = make_engine(executor)
+        plain = plain_engine.run(WordCountJob(), DOCUMENTS, "wc")
+        combined_engine = make_engine(executor)
+        combined = combined_engine.run(CombiningWordCountJob(), DOCUMENTS, "wc")
         assert dict(plain) == dict(combined)
-        assert combined_stats.map_output_records < plain_stats.map_output_records
+        assert (combined_engine.metrics.total("records_out", "wc/map")
+                < plain_engine.metrics.total("records_out", "wc/map"))
 
-    def test_partition_reduce(self):
+    def test_partition_reduce(self, executor):
         records = [(i, i) for i in range(30)]
-        output, _ = MapReduceEngine(3, 3).run(PartitionSumJob(), records)
-        totals = dict(output)
+        engine = make_engine(executor, 3, 3)
+        totals = dict(engine.run(PartitionSumJob(), records, "sum"))
         assert sum(totals.values()) == sum(range(30))
+        assert engine.metrics.total("compute_units", "sum/reduce") == 30
 
-    def test_metrics_recorded_for_both_phases(self):
-        metrics = MetricsCollector()
-        engine = MapReduceEngine(2, 3, metrics=metrics)
+    def test_metrics_recorded_for_both_phases(self, executor):
+        engine = make_engine(executor, 2, 3)
         engine.run(WordCountJob(), DOCUMENTS, phase="job")
-        assert "job/map" in metrics.phases()
-        assert "job/reduce" in metrics.phases()
+        metrics = engine.metrics
+        assert metrics.phases() == ["job/map", "job/reduce"]
         assert metrics.total("records_out", "job/map") == 15
         assert metrics.total("records_in", "job/reduce") == 15
+        for instance in metrics.instances():
+            assert instance.disk_bytes == instance.bytes_in + instance.bytes_out
+            assert instance.measured_seconds > 0
 
-    def test_custom_partition_fn(self):
-        engine = MapReduceEngine(1, 4, partition_fn=lambda key, n: 0)
-        metrics = engine.metrics
+    def test_custom_partition_fn(self, executor):
+        engine = make_engine(executor, 1, 4, partition_fn=all_to_zero)
         engine.run(WordCountJob(), DOCUMENTS, phase="p")
         # Everything lands on reducer 0.
-        busy = [m for m in metrics.instances("p/reduce") if m.records_in > 0]
+        busy = [m for m in engine.metrics.instances("p/reduce") if m.records_in > 0]
         assert len(busy) == 1 and busy[0].instance_id == 0
 
-    def test_empty_input(self):
-        output, stats = MapReduceEngine(2, 2).run(WordCountJob(), [])
-        assert output == []
-        assert stats.map_output_records == 0
+    def test_empty_input(self, executor):
+        engine = make_engine(executor)
+        assert engine.run(WordCountJob(), [], "wc") == []
+        assert engine.metrics.total("records_out", "wc/map") == 0
 
-    def test_invalid_worker_counts(self):
+    def test_invalid_worker_counts(self, executor):
         with pytest.raises(ValueError):
-            MapReduceEngine(0, 2)
+            make_engine(executor, 0, 2)
         with pytest.raises(ValueError):
-            MapReduceEngine(2, 0)
-
-    def test_run_chained(self):
-        class Add(MapReduceJob):
-            def map(self, key, value, context):
-                yield key, value
-
-            def reduce(self, key, values, context):
-                yield key, sum(values) + 1
-
-        records = [(0, 0)]
-        out = MapReduceEngine(1, 1).run_chained([Add(), Add()], records)
-        assert out == [(0, 2)]
-
-    def test_spill_to_disk_roundtrip(self):
-        engine = MapReduceEngine(2, 2, spill_to_disk=True)
-        output, _ = engine.run(WordCountJob(), DOCUMENTS)
-        assert dict(output)["the"] == 3
+            make_engine(executor, 2, 0)
 
 
-class TestRecordStore:
-    def test_memory_mode(self):
-        store = RecordStore()
-        store.extend([(1, "a"), (2, "b")])
-        assert len(store) == 2
-        assert list(store) == [(1, "a"), (2, "b")]
-        assert store.bytes_written > 0
+class TestAccountingFollowsTheData:
+    """Whoever emits a record sizes it once; ``bytes_in`` is summed, not re-derived."""
 
-    def test_disk_mode_roundtrip_and_cleanup(self):
-        import os
-        store = RecordStore(spill_to_disk=True)
-        payload = (7, np.arange(10.0))
-        store.append(payload)
-        items = list(store)
-        assert items[0][0] == 7
-        np.testing.assert_allclose(items[0][1], np.arange(10.0))
-        path = store._path
-        store.close()
-        assert not os.path.exists(path)
+    def test_reducer_bytes_in_is_the_sum_of_the_bucket_totals_sent_to_it(self, executor):
+        engine = make_engine(executor, 3, 4)
+        engine.run(WordCountJob(), DOCUMENTS, phase="wc")
+        mapped = [_run_map_task(WordCountJob(), split, mapper_id, "wc/map", 4, by_crc)
+                  for mapper_id, split in enumerate(engine._split_input(DOCUMENTS))]
+        for mapper_id, result in enumerate(mapped):
+            assert result.bucket_bytes == [
+                sum(estimate_payload_bytes(record) for record in bucket)
+                for bucket in result.outputs]
+            assert engine.metrics.get("wc/map", mapper_id).bytes_out == sum(result.bucket_bytes)
+        for reducer_id in range(4):
+            assert engine.metrics.get("wc/reduce", reducer_id).bytes_in == sum(
+                result.bucket_bytes[reducer_id] for result in mapped)
 
-    def test_context_manager(self):
-        with RecordStore(spill_to_disk=True) as store:
-            store.append(("x", 1))
-            assert len(store) == 1
+    def test_full_infer_sizes_each_record_once_per_emitter(self, monkeypatch):
+        graph = powerlaw_graph(300, avg_degree=4.0, skew="both", feature_dim=6,
+                               num_classes=3, seed=1)
+        model = build_model("gcn", graph.feature_dim, 8, 3, num_layers=2, seed=0)
+        config = InferenceConfig(
+            backend="mapreduce", num_workers=4, executor="serial",
+            strategies=StrategyConfig(partial_gather=True, broadcast=True,
+                                      shadow_nodes=True))
+        # The engine's name for the (recursive) estimator sees top-level calls only.
+        calls = []
+        monkeypatch.setattr(
+            mapreduce_module, "estimate_payload_bytes",
+            lambda payload: calls.append(1) or estimate_payload_bytes(payload))
+        metrics = InferenceSession(model, config).infer(graph).metrics
 
-    def test_serialized_size_monotonic(self):
-        assert serialized_size((1, np.zeros(100))) > serialized_size((1, np.zeros(10)))
+        map_phases = [phase for phase in metrics.phases() if phase.endswith("/map")]
+        assert len(map_phases) == model.num_layers
+        budget = (sum(metrics.total("records_in", phase) for phase in map_phases)
+                  + metrics.total("records_out"))
+        assert 0 < len(calls) <= budget
+        for map_phase in map_phases:
+            reduce_phase = map_phase[:-len("map")] + "reduce"
+            assert (metrics.total("bytes_out", map_phase)
+                    == metrics.total("bytes_in", reduce_phase) > 0)
+            assert (metrics.total("records_out", map_phase)
+                    == metrics.total("records_in", reduce_phase))
 
 
 class TestMetricsCollector:

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -62,11 +67,7 @@ class PageRankProgram(BlockVertexProgram):
 
 def run_pagerank(graph: Graph, num_workers: int, program: PageRankProgram,
                  metrics: MetricsCollector = None):
-    """Run ``program``; return ``(ranks, result)``.
-
-    Ranks are read while the engine is alive: under the process executor a
-    partition's arrays are views into the engine's shared-memory segments.
-    """
+    """Run ``program``; return ``(ranks, result)``."""
     engine = PregelEngine(graph, num_workers=num_workers, metrics=metrics)
     try:
         result = engine.run(program)
@@ -76,6 +77,44 @@ def run_pagerank(graph: Graph, num_workers: int, program: PageRankProgram,
         return ranks, result
     finally:
         engine.shutdown()
+
+
+#: Under the process executor a partition's arrays are views into the engine's
+#: shared-memory segments; reading them after the segments were unmapped
+#: crashed the interpreter, hence a subprocess and its exit code.
+_READ_PARTITIONS_AFTER_ENGINE = """
+import gc, sys
+import numpy as np
+from tests.test_pregel import PageRankProgram
+from repro.graph.graph import Graph
+from repro.pregel.engine import PregelEngine
+
+src = np.arange(12)
+features = np.arange(24.0).reshape(12, 2)
+graph = Graph(src, (src + 1) % 12, node_features=features, num_nodes=12)
+engine = PregelEngine(graph, num_workers=2, executor="process")
+result = engine.run(PageRankProgram(2))
+layout = engine.layout
+if sys.argv[1] == "shutdown":
+    engine.shutdown()
+del engine
+gc.collect()
+first = result.partitions[0]
+assert np.array_equal(first.node_features, features[first.node_ids])
+assert np.array_equal(layout.owner_of[first.node_ids], np.zeros(first.num_nodes))
+"""
+
+
+@pytest.mark.parametrize("release", ["shutdown", "drop"])
+def test_result_partitions_readable_after_the_engine_is_gone(release):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), str(root), env.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-c", _READ_PARTITIONS_AFTER_ENGINE, release],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert completed.returncode == 0, completed.stderr[-2000:]
 
 
 class TestBlockPrograms:
