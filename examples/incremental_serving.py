@@ -76,7 +76,9 @@ def main() -> None:
     full = fresh.infer()
     identical = np.array_equal(refreshed.scores, full.scores)
     print(f"incremental scores bit-identical to a fresh full run: {identical}")
-    print(session.report().describe())
+    print(f"{session.plan.describe()}: last tick cost "
+          f"{refreshed.cost.wall_clock_seconds:.3f}s simulated wall clock, "
+          f"{refreshed.cost.cpu_minutes:.4f} cpu*min")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,8 @@ This walks the paper's end-to-end pipeline at laptop scale:
    graph once (strategy plan + shadow rewrite + partition layout), then
    ``infer()`` repeatedly against the cached plan — every node gets a
    prediction, no sampling, bit-identical results at every run;
-5. report accuracy and the simulated cluster cost via ``session.report()``.
+5. report accuracy and the simulated cluster cost of the run
+   (``InferenceResult.cost``).
 
 Run:  python examples/quickstart.py
 """
@@ -54,7 +55,7 @@ def main() -> None:
     config = InferenceConfig(backend="pregel", num_workers=8,
                              strategies=StrategyConfig(partial_gather=True))
     session = InferenceSession(signature, config)
-    plan = session.prepare(graph)        # ingest + strategy plan + partition layout
+    plan = session.prepare(graph)        # strategy plan + shadow rewrite + partition layout
     print(f"plan: {plan.describe()}")
     result = session.infer()             # executes against the cached plan
 
@@ -72,7 +73,6 @@ def main() -> None:
     assert np.array_equal(result.scores, again.scores)
     assert session.plan is plan          # no re-planning happened
     print("consistency: repeated run produced identical scores ✓")
-    print(f"session report: {session.report().describe()}")
 
 
 if __name__ == "__main__":

@@ -11,10 +11,10 @@ predictions with a simulated cluster cost breakdown::
 
     session = InferenceSession(signature, InferenceConfig(backend="pregel",
                                                           num_workers=16))
-    session.prepare(graph)               # plan once
+    plan = session.prepare(graph)        # plan once
     result = session.infer()             # ...infer many
     nightly = session.infer_many(7)
-    print(session.report().describe())
+    print(plan.describe(), result.cost.wall_clock_seconds)
 
 Backends live in a plugin registry (:mod:`repro.inference.backends`):
 
@@ -57,7 +57,7 @@ eager application.
 
 For multi-tenant serving — one deployed model scoring many prepared
 graphs — :class:`~repro.inference.pool.SessionPool` keeps one session per
-graph content (fingerprint-keyed, LRU-bounded) so every tenant is planned
+graph content (fingerprint-keyed, capacity-bounded) so every tenant is planned
 once::
 
     from repro.inference import SessionPool
@@ -84,8 +84,8 @@ from repro.inference.delta import (
     StalePlanError,
     graph_fingerprint,
 )
-from repro.inference.pool import PoolEntry, PoolStats, SessionPool, default_weigher
-from repro.inference.session import InferenceResult, InferenceSession, RunReport
+from repro.inference.pool import PoolStats, SessionPool
+from repro.inference.session import InferenceResult, InferenceSession
 from repro.inference.strategies import hub_threshold, StrategyPlan, build_strategy_plan
 from repro.inference.shadow import ShadowNodePlan, apply_shadow_nodes
 
@@ -96,9 +96,6 @@ __all__ = [
     "InferenceSession",
     "SessionPool",
     "PoolStats",
-    "PoolEntry",
-    "default_weigher",
-    "RunReport",
     "GraphDelta",
     "DeltaBuffer",
     "DeltaOutcome",

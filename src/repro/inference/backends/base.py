@@ -81,9 +81,9 @@ class ExecutionPlan:
     #: mutation instead of serving stale scores.
     fingerprint: Optional[Tuple[int, int, int]] = None
     #: set by the session the first time a delta lands on (or is deferred
-    #: against) this plan.  Backends gate their incremental state caches on it
-    #: (``config.incremental_state_cache and plan.delta_seen``), so sessions
-    #: that never see a delta keep pre-delta peak memory; the price is that
+    #: against) this plan.  Backends gate their incremental state caches on
+    #: it, so sessions that never see a delta keep pre-delta peak memory
+    #: (~(layers+1)x the node-state memory on pregel); the price is that
     #: the first post-delta incremental request falls back to one full run,
     #: which primes the cache.
     delta_seen: bool = False
@@ -99,7 +99,7 @@ class ExecutionPlan:
                 else self.graph.num_nodes)
 
     def describe(self) -> str:
-        """One-line human-readable summary used by ``RunReport``."""
+        """One-line human-readable summary of the plan."""
         parts = [
             f"backend={self.backend}",
             f"layers={self.model.num_layers}",

@@ -107,7 +107,7 @@ class MapReduceBackend(Backend):
         # the session has seen a delta (mirrors the pregel state cache — the
         # first post-delta incremental request falls back to this full run,
         # which primes it).
-        if plan.config.incremental_state_cache and plan.delta_seen:
+        if plan.delta_seen:
             plan.state["scores"] = scores.copy()
         else:
             plan.state.pop("scores", None)
@@ -129,7 +129,7 @@ class MapReduceBackend(Backend):
         not bit-exact; see :mod:`repro.inference.mapreduce_adaptor`.
         """
         cached_scores = plan.state.get("scores")
-        if cached_scores is None or not plan.config.incremental_state_cache:
+        if cached_scores is None:
             return None
         scores = cached_scores.copy()
         frontiers = expand_frontier(plan.working_graph, feature_dirty, topo_dirty,

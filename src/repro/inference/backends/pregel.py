@@ -78,8 +78,7 @@ class PregelBackend(Backend):
         # seen a delta (plan.delta_seen) — sessions serving an immutable
         # graph keep pre-delta peak memory.  The first post-delta incremental
         # request then falls back to one full run, which primes the cache.
-        return self._run(plan, metrics, cache_states=(
-            plan.config.incremental_state_cache and plan.delta_seen))
+        return self._run(plan, metrics, cache_states=plan.delta_seen)
 
     def execute_incremental(self, plan: ExecutionPlan, metrics: MetricsCollector,
                             feature_dirty: np.ndarray,

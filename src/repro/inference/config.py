@@ -111,24 +111,6 @@ class InferenceConfig:
         per-backend flavour scaled down.
     strategies:
         Hub-node strategy switches (see :class:`StrategyConfig`).
-    staleness_check:
-        When True (default) every ``infer()`` re-fingerprints the prepared
-        graph and raises :class:`~repro.inference.delta.StalePlanError` if it
-        was mutated out of band — the loud-failure half of the staleness
-        contract.  Disable only for graphs guaranteed immutable, to shave the
-        checksum pass off the serving hot path.
-    incremental_state_cache:
-        When True (default) backends that support incremental inference keep
-        per-run state resident between runs — the pregel backend caches every
-        superstep's node states, the mapreduce backend its last full score
-        matrix — so ``infer(mode="incremental")`` after an ``apply_delta``
-        recomputes only the dirty k-hop region.  The cache is **lazy**: it
-        only starts filling once a session first sees a delta, so sessions
-        serving an immutable graph pay no extra memory at all; the first
-        post-delta incremental request falls back to one full run that primes
-        it.  Costs ~(layers+1)x the node-state memory (pregel) once armed;
-        disable on memory-tight deployments (incremental requests then always
-        fall back to full executions).
     """
 
     backend: str = "pregel"
@@ -136,8 +118,6 @@ class InferenceConfig:
     executor: str = field(default_factory=default_executor_name)
     cluster: Optional[ClusterSpec] = None
     strategies: StrategyConfig = field(default_factory=StrategyConfig)
-    staleness_check: bool = True
-    incremental_state_cache: bool = True
 
     def __post_init__(self) -> None:
         # Imported lazily: the backend modules themselves import this module.

@@ -163,7 +163,11 @@ class DeltaOutcome:
 # delta coalescing
 # --------------------------------------------------------------------------- #
 class DeltaBuffer:
-    """Accumulates deferred :class:`GraphDelta`\\ s and folds them into one.
+    """Accumulates a session's :class:`GraphDelta`\\ s and folds them into one.
+
+    Every delta a session accepts passes through here — an eager
+    ``apply_delta`` is "add, then flush" — so this is the one place a delta is
+    validated and the one shape (a merged delta) a backend ever sees.
 
     A serving loop often receives many small deltas between two inference
     ticks.  Applying each eagerly costs one plan scatter plus one frontier
@@ -188,7 +192,8 @@ class DeltaBuffer:
 
     def __init__(self, graph: Graph) -> None:
         self._graph = graph
-        self._base_num_edges = graph.num_edges
+        #: edge count of the virtual graph state after the buffered deltas.
+        self._num_edges = graph.num_edges
         #: base-edge positions already deleted by a buffered delta.
         self._removed_base = np.zeros(graph.num_edges, dtype=bool)
         self._added_src = np.empty(0, dtype=np.int64)
@@ -209,11 +214,6 @@ class DeltaBuffer:
         """How many deltas have been buffered since the last flush."""
         return self._num_deltas
 
-    @property
-    def _current_num_edges(self) -> int:
-        """Edge count of the virtual graph state after the buffered deltas."""
-        return (int((~self._removed_base).sum()) + int(self._added_keep.sum()))
-
     def describe(self) -> str:
         return (f"{self._num_deltas} pending delta(s): "
                 f"{self.merge().describe() if self._num_deltas else '<empty>'}")
@@ -221,34 +221,9 @@ class DeltaBuffer:
     # ------------------------------------------------------------------ #
     def add(self, delta: GraphDelta) -> None:
         """Buffer ``delta`` (validated against the virtual post-buffer state)."""
-        graph = self._graph
-        if delta.has_feature_changes:
-            if graph.node_features is None:
-                raise ValueError("delta carries feature rows but the graph has no features")
-            _check_node_ids(delta.node_ids, graph.num_nodes, "delta.node_ids")
-            if delta.node_features.shape[1] != graph.node_features.shape[1]:
-                raise ValueError(
-                    f"delta feature width {delta.node_features.shape[1]} does not "
-                    f"match graph feature width {graph.node_features.shape[1]}")
+        _validate_delta(self._graph, delta, self._num_edges)
         removing = delta.removed_edge_ids is not None and delta.removed_edge_ids.size > 0
         adding = delta.added_src is not None and delta.added_src.size > 0
-        if removing:
-            current = self._current_num_edges
-            removed = delta.removed_edge_ids
-            if int(removed.min()) < 0 or int(removed.max()) >= current:
-                raise ValueError(f"removed_edge_ids must lie in [0, {current})")
-        if adding:
-            _check_node_ids(delta.added_src, graph.num_nodes, "delta.added_src")
-            _check_node_ids(delta.added_dst, graph.num_nodes, "delta.added_dst")
-            if graph.edge_features is not None and delta.added_edge_features is None:
-                raise ValueError("graph has edge features; delta must carry "
-                                 "added_edge_features for appended edges")
-            if graph.edge_features is None and delta.added_edge_features is not None:
-                raise ValueError("delta carries edge features but the graph has none")
-            if delta.added_edge_features is not None and (
-                    delta.added_edge_features.ndim != 2
-                    or delta.added_edge_features.shape[1] != graph.edge_features.shape[1]):
-                raise ValueError("added_edge_features width does not match the graph")
 
         # All validation passed — now mutate the buffer.
         if removing:
@@ -262,7 +237,9 @@ class DeltaBuffer:
             if in_added.size:
                 survivors_added = np.nonzero(self._added_keep)[0]
                 self._added_keep[survivors_added[in_added]] = False
+            self._num_edges -= removed.size
         if adding:
+            self._num_edges += delta.added_src.size
             self._added_src = np.concatenate([self._added_src, delta.added_src])
             self._added_dst = np.concatenate([self._added_dst, delta.added_dst])
             self._added_keep = np.concatenate(
@@ -334,20 +311,17 @@ def _check_node_ids(ids: np.ndarray, num_nodes: int, what: str) -> None:
             "adding nodes requires a fresh prepare()")
 
 
-def validate_delta_against_graph(graph: Graph, delta: GraphDelta) -> None:
-    """Check ``delta`` against ``graph`` without touching either edge list.
+def _check_finite(values: np.ndarray, what: str) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(
+            f"{what} contains NaN/Inf; one non-finite row would poison its whole "
+            "k-hop region and every cached superstep state")
 
-    Raises ``ValueError`` on any mismatch — out-of-range node or edge ids,
-    feature-width disagreements, edge features present/absent against the
-    graph's buffers — and leaves both objects untouched, so callers can
-    validate at the API boundary (``session.apply_delta`` does, eager *and*
-    deferred) before committing to any mutation.  As a side effect the
-    delta's ``added_edge_features`` dtype is aligned to the graph's
-    edge-feature buffer, so a later concatenate never silently upcasts.
-    """
-    removing = delta.removed_edge_ids is not None and delta.removed_edge_ids.size > 0
-    adding = delta.added_src is not None and delta.added_src.size > 0
 
+def _validate_delta(graph: Graph, delta: GraphDelta, num_edges: int) -> None:
+    """The one delta validator; ``num_edges`` is the edge count
+    ``removed_edge_ids`` index into (the graph's own, or a
+    :class:`DeltaBuffer`'s virtual post-buffer count)."""
     if delta.has_feature_changes:
         if graph.node_features is None:
             raise ValueError("delta carries feature rows but the graph has no features")
@@ -356,11 +330,12 @@ def validate_delta_against_graph(graph: Graph, delta: GraphDelta) -> None:
             raise ValueError(
                 f"delta feature width {delta.node_features.shape[1]} does not match "
                 f"graph feature width {graph.node_features.shape[1]}")
-    if removing:
+        _check_finite(delta.node_features, "delta.node_features")
+    if delta.removed_edge_ids is not None and delta.removed_edge_ids.size > 0:
         removed = delta.removed_edge_ids
-        if int(removed.min()) < 0 or int(removed.max()) >= graph.num_edges:
-            raise ValueError(f"removed_edge_ids must lie in [0, {graph.num_edges})")
-    if adding:
+        if int(removed.min()) < 0 or int(removed.max()) >= num_edges:
+            raise ValueError(f"removed_edge_ids must lie in [0, {num_edges})")
+    if delta.added_src is not None and delta.added_src.size > 0:
         _check_node_ids(delta.added_src, graph.num_nodes, "delta.added_src")
         _check_node_ids(delta.added_dst, graph.num_nodes, "delta.added_dst")
         if graph.edge_features is not None and delta.added_edge_features is None:
@@ -368,18 +343,33 @@ def validate_delta_against_graph(graph: Graph, delta: GraphDelta) -> None:
                              "added_edge_features for appended edges")
         if graph.edge_features is None and delta.added_edge_features is not None:
             raise ValueError("delta carries edge features but the graph has none")
-        if delta.added_edge_features is not None and (
-                delta.added_edge_features.ndim != 2
-                or delta.added_edge_features.shape[1] != graph.edge_features.shape[1]):
-            raise ValueError(
-                f"added_edge_features must be a "
-                f"[{delta.added_src.size}, {graph.edge_features.shape[1]}] matrix "
-                f"matching the graph's edge-feature width; "
-                f"got shape {delta.added_edge_features.shape}")
-        if delta.added_edge_features is not None and (
-                delta.added_edge_features.dtype != graph.edge_features.dtype):
-            delta.added_edge_features = delta.added_edge_features.astype(
-                graph.edge_features.dtype, copy=False)
+        if delta.added_edge_features is not None:
+            if (delta.added_edge_features.ndim != 2
+                    or delta.added_edge_features.shape[1] != graph.edge_features.shape[1]):
+                raise ValueError(
+                    f"added_edge_features must be a "
+                    f"[{delta.added_src.size}, {graph.edge_features.shape[1]}] matrix "
+                    f"matching the graph's edge-feature width; "
+                    f"got shape {delta.added_edge_features.shape}")
+            _check_finite(delta.added_edge_features, "delta.added_edge_features")
+            if delta.added_edge_features.dtype != graph.edge_features.dtype:
+                delta.added_edge_features = delta.added_edge_features.astype(
+                    graph.edge_features.dtype, copy=False)
+
+
+def validate_delta_against_graph(graph: Graph, delta: GraphDelta) -> None:
+    """Check ``delta`` against ``graph`` without touching either edge list.
+
+    Raises ``ValueError`` on any mismatch — out-of-range node or edge ids,
+    feature-width disagreements, edge features present/absent against the
+    graph's buffers, non-finite feature values — and leaves both objects
+    untouched, so a rejected delta never reaches a plan, a buffer or a
+    tenant handle (``session.apply_delta`` validates through
+    :meth:`DeltaBuffer.add`, which shares this body).  As a side effect the
+    delta's ``added_edge_features`` dtype is aligned to the graph's
+    edge-feature buffer, so a later concatenate never silently upcasts.
+    """
+    _validate_delta(graph, delta, graph.num_edges)
 
 
 def apply_delta_to_graph(graph: Graph, delta: GraphDelta) -> np.ndarray:

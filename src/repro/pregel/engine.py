@@ -76,12 +76,10 @@ class PregelPartition:
 
     Global→local translation goes through the cluster-wide
     :class:`~repro.cluster.layout.ClusterLayout` tables (shared across all
-    partitions of one engine); when a partition is built stand-alone a
-    single-partition layout is derived from its own node ids.
+    partitions of one engine).
     """
 
-    def __init__(self, partition: Partition,
-                 layout: Optional[ClusterLayout] = None) -> None:
+    def __init__(self, partition: Partition, layout: ClusterLayout) -> None:
         self.partition_id = partition.partition_id
         self.node_ids = partition.node_ids
         self.node_features = partition.node_features
@@ -89,23 +87,11 @@ class PregelPartition:
         self.out_src = partition.out_src
         self.out_dst = partition.out_dst
         self.out_edge_features = partition.out_edge_features
-        if layout is None:
-            layout = self._single_partition_layout(partition)
         self.layout = layout
         self._owner_of = layout.owner_of
         self._local_of = layout.local_of
         # Engine-agnostic scratch space used by block programs.
         self.block_state: Dict[str, Any] = {}
-
-    def _single_partition_layout(self, partition: Partition) -> ClusterLayout:
-        """Fallback owner/local tables when no engine-wide layout is given."""
-        size = int(partition.node_ids.max()) + 1 if partition.node_ids.size else 0
-        owner_of = np.full(size, self.partition_id + 1, dtype=np.int64)
-        local_of = np.zeros(size, dtype=np.int64)
-        owner_of[partition.node_ids] = self.partition_id
-        local_of[partition.node_ids] = np.arange(partition.node_ids.size, dtype=np.int64)
-        return ClusterLayout(owner_of=owner_of, local_of=local_of,
-                             num_partitions=self.partition_id + 2)
 
     # ------------------------------------------------------------------ #
     @property
@@ -340,13 +326,12 @@ class PregelEngine:
         graph: Graph,
         num_workers: int,
         metrics: Optional[MetricsCollector] = None,
-        partitioner: Optional[HashPartitioner] = None,
         layout: Optional[ClusterLayout] = None,
         executor: Union[Executor, str, None] = None,
     ) -> None:
         self.graph = graph
         self.num_workers = int(num_workers)
-        self.partitioner = partitioner or HashPartitioner(self.num_workers)
+        self.partitioner = HashPartitioner(self.num_workers)
         partitions, self.layout = partition_graph_with_layout(
             graph, self.partitioner, layout)
         self.partitions = [PregelPartition(p, self.layout) for p in partitions]

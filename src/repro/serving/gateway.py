@@ -112,8 +112,8 @@ class ServingGateway:
     pool:
         The (thread-safe) session pool executions are served from.  The
         gateway drives it from worker threads but never owns it — pool
-        capacity, weighted eviction and TTLs keep working underneath, and
-        the caller may keep using the pool directly.
+        capacity and weighted eviction keep working underneath, and the
+        caller may keep using the pool directly.
     config:
         :class:`~repro.inference.config.GatewayConfig` knobs (queue bound,
         batch size, tick thread count, latency window).
@@ -369,8 +369,11 @@ class ServingGateway:
         """Whole-gateway view: per-tenant stats, merged percentiles, pool."""
         tenants = [self.tenant_stats(tenant_id) for tenant_id in self._tenants]
         windows = [state.window for state in self._tenants.values()]
-        pool_stats = asdict(self.pool.stats)
-        pool_stats["hit_rate"] = self.pool.stats.hit_rate
+        # One read of the pool's counters: hit_rate must describe the same
+        # instant as the hits/misses it is reported next to.
+        stats = self.pool.stats
+        pool_stats = asdict(stats)
+        pool_stats["hit_rate"] = stats.hit_rate
         return GatewaySnapshot(
             tenants=tenants,
             requests=sum(t.requests for t in tenants),

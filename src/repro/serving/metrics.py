@@ -3,9 +3,8 @@
 The latency samples flowing in here are
 :attr:`~repro.inference.session.InferenceResult.elapsed_seconds` — measured
 *inside* ``InferenceSession.infer()`` (deferred-delta flush included), so the
-gateway's percentiles, the pool's ``total_infer_seconds`` and a bare
-session's :class:`~repro.inference.session.RunReport` all describe the same
-clock.  The gateway never wraps its own timer around a tick.
+gateway's percentiles and the pool's ``total_infer_seconds`` describe the
+same clock.  The gateway never wraps its own timer around a tick.
 
 :class:`GatewaySnapshot` is the dump format for the serving benchmark's
 ``BENCH_serving_gateway.json`` artifact: everything in it is a plain float /
@@ -21,13 +20,16 @@ from typing import Deque, Dict, List, Optional
 import numpy as np
 
 
+#: Samples a :class:`LatencyWindow` keeps — recent enough that percentiles
+#: and ``retry_after`` estimates track the current load, not the whole run.
+WINDOW_SAMPLES = 512
+
+
 class LatencyWindow:
     """A bounded window of recent latency samples with percentile queries."""
 
-    def __init__(self, maxlen: int = 512) -> None:
-        if maxlen <= 0:
-            raise ValueError("maxlen must be positive")
-        self._samples: Deque[float] = deque(maxlen=maxlen)
+    def __init__(self) -> None:
+        self._samples: Deque[float] = deque(maxlen=WINDOW_SAMPLES)
 
     def record(self, seconds: float) -> None:
         self._samples.append(float(seconds))

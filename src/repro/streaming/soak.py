@@ -376,7 +376,7 @@ class _SoakState:
         self.replans = 0
         self.max_worker_processes = 0
         self.max_rss_bytes = 0
-        self.window = LatencyWindow(maxlen=4096)
+        self.window = LatencyWindow()
 
 
 async def _replay(cfg: SoakConfig, trace: WorkloadTrace, pool: SessionPool,

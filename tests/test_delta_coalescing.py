@@ -356,3 +356,121 @@ class TestDeferredSessions:
             eager.apply_delta(delta_b)
         np.testing.assert_array_equal(deferred.infer().scores,
                                       eager.infer().scores)
+
+
+# --------------------------------------------------------------------------- #
+# the one delta path: eager == buffer + flush, on every front and backend
+# --------------------------------------------------------------------------- #
+def shaped_delta(kind: str, graph, rng: np.random.Generator) -> GraphDelta:
+    """A feature / edge / mixed / hub-moving delta over ``graph``.
+
+    Edge changes keep every touched source far below the hub threshold (20)
+    so pregel and mapreduce patch in place; ``hub_moving`` pushes one
+    low-degree source over it, which must re-plan.
+    """
+    out_degree = np.bincount(graph.src, minlength=graph.num_nodes)
+    low = np.nonzero(out_degree < 5)[0]
+    kwargs = {}
+    if kind in ("feature", "mixed"):
+        kwargs["node_ids"] = rng.choice(graph.num_nodes, size=9, replace=False)
+        kwargs["node_features"] = rng.standard_normal((9, 8))
+    if kind in ("edge", "mixed"):
+        kwargs["added_src"] = low[:4]
+        kwargs["added_dst"] = rng.integers(0, graph.num_nodes, size=4)
+        kwargs["removed_edge_ids"] = np.nonzero(np.isin(graph.src, low[4:40]))[0][:3]
+    if kind == "hub_moving":
+        kwargs["added_src"] = np.full(30, low[0])
+        kwargs["added_dst"] = rng.choice(graph.num_nodes, size=30, replace=False)
+    return GraphDelta(**kwargs)
+
+
+def graph_bytes(graph):
+    return [None if a is None else a.tobytes()
+            for a in (graph.src, graph.dst, graph.node_features, graph.edge_features)]
+
+
+class TestOneDeltaPath:
+    @pytest.mark.parametrize("front", ["session", "pool"])
+    @pytest.mark.parametrize("kind", ["feature", "edge", "mixed", "hub_moving"])
+    @pytest.mark.parametrize("backend", ["pregel", "mapreduce", "khop"])
+    def test_eager_equals_defer_then_flush(self, backend, kind, front):
+        from repro.inference import SessionPool
+
+        def run(two_step: bool):
+            graph = make_graph(61, num_nodes=300)
+            delta = shaped_delta(kind, graph, np.random.default_rng(61))
+            if front == "pool":
+                pool = SessionPool(build_model("gcn", 8, 16, 4, num_layers=2, seed=0),
+                                   make_config(backend), capacity=2)
+                pool.infer(graph)
+                session = pool.session_for(graph)
+                apply = lambda **kw: pool.apply_delta(graph, delta, **kw)
+                infer = lambda: pool.infer(graph, mode="incremental")
+            else:
+                session = make_session(backend)
+                session.prepare(graph)
+                session.infer()
+                apply = lambda **kw: session.apply_delta(delta, **kw)
+                infer = lambda: session.infer(mode="incremental")
+            if two_step:
+                assert apply(defer=True).deferred
+                outcome = session.flush_deltas()
+            else:
+                outcome = apply()
+            assert session.num_pending_deltas == 0 and not outcome.deferred
+            fingerprint = session.plan.fingerprint
+            scores = infer().scores
+            if front == "pool":
+                assert pool.stats.misses == 1          # the handle kept hitting
+                assert graph_bytes(graph) == graph_bytes(session.plan.graph)
+            return (scores, graph_bytes(session.plan.graph), fingerprint,
+                    outcome.in_place, session.num_replans)
+
+        eager, two_step = run(False), run(True)
+        if backend == "pregel":
+            np.testing.assert_array_equal(eager[0], two_step[0])
+        else:
+            np.testing.assert_allclose(eager[0], two_step[0], atol=1e-9, rtol=0)
+        assert eager[1:] == two_step[1:]
+        # The shapes exercise what they claim: in-place patches where the
+        # backend has hooks and the hub set holds, exactly one re-plan where not.
+        in_place, replans = eager[3], eager[4]
+        assert in_place == (backend != "khop" and kind != "hub_moving")
+        assert replans == (0 if in_place else 1)
+
+    @pytest.mark.parametrize("backend", ["pregel", "mapreduce"])
+    def test_eager_on_pending_buffer_is_one_merged_patch(self, backend, monkeypatch):
+        # k deferred deltas + one eager delta reach the backend as ONE merged
+        # apply_delta (not "flush, then a second patch"), and land the same
+        # bytes and scores as applying all k+1 eagerly one by one.
+        rng = np.random.default_rng(67)
+        merged, sequential = make_session(backend), make_session(backend)
+        graph_a, graph_b = make_graph(67, num_nodes=300), make_graph(67, num_nodes=300)
+        merged.prepare(graph_a)
+        merged.infer()
+        sequential.prepare(graph_b)
+        sequential.infer()
+        calls = []
+        inner = merged.backend.apply_delta
+        monkeypatch.setattr(merged.backend, "apply_delta",
+                            lambda plan, delta: calls.append(delta) or inner(plan, delta))
+        deltas = [random_mixed_delta(rng, 300, graph_b.num_edges, edges=False)
+                  for _ in range(3)]
+        deltas.append(shaped_delta("mixed", graph_b, rng))
+        for delta in deltas[:-1]:
+            merged.apply_delta(delta, defer=True)
+        assert not calls and merged.num_pending_deltas == 3
+        outcome = merged.apply_delta(deltas[-1])
+        assert len(calls) == 1 and outcome.in_place and not outcome.deferred
+        assert merged.num_pending_deltas == 0
+        monkeypatch.undo()
+        for delta in deltas:
+            sequential.apply_delta(delta)
+        assert graph_bytes(graph_a) == graph_bytes(graph_b)
+        assert merged.plan.fingerprint == sequential.plan.fingerprint
+        a = merged.infer(mode="incremental").scores
+        b = sequential.infer(mode="incremental").scores
+        if backend == "pregel":
+            np.testing.assert_array_equal(a, b)
+        else:
+            np.testing.assert_allclose(a, b, atol=1e-9, rtol=0)

@@ -100,17 +100,6 @@ class TestStaleness:
         graph.node_features[5] = saved
         np.testing.assert_array_equal(session.infer().scores, base)
 
-    def test_staleness_check_can_be_disabled(self):
-        graph = make_graph(seed=4)
-        model = build_model("gcn", graph.feature_dim, 16, 4, num_layers=2, seed=0)
-        config = make_config()
-        config.staleness_check = False
-        session = InferenceSession(model, config)
-        session.prepare(graph)
-        session.infer()
-        graph.node_features[0, 0] += 1.0
-        session.infer()     # explicitly opted out of the contract
-
     def test_apply_delta_on_stale_graph_raises(self):
         # apply_delta must not launder an out-of-band mutation into a fresh
         # fingerprint: the patch would cover only the delta's rows while the
@@ -124,21 +113,6 @@ class TestStaleness:
                            node_features=np.ones((1, graph.feature_dim)))
         with pytest.raises(StalePlanError):
             session.apply_delta(delta)
-
-    def test_apply_delta_checks_staleness_even_when_disabled(self):
-        # staleness_check=False only buys back the per-infer() CRC pass;
-        # apply_delta must still refuse to absorb a foreign mutation.
-        graph = make_graph(seed=8)
-        model = build_model("gcn", graph.feature_dim, 16, 4, num_layers=2, seed=0)
-        config = make_config()
-        config.staleness_check = False
-        session = InferenceSession(model, config)
-        session.prepare(graph)
-        session.infer()
-        graph.node_features[7] += 5.0     # out of band
-        with pytest.raises(StalePlanError):
-            session.apply_delta(GraphDelta(node_ids=np.array([3]),
-                                           node_features=np.ones((1, graph.feature_dim))))
 
     def test_fingerprint_tracks_content(self):
         graph = make_graph(seed=5)
@@ -220,22 +194,6 @@ class TestIncrementalFeatureDelta:
         session.apply_delta(delta)
         scores = session.infer(mode="incremental").scores
         reference = make_graph(seed=17)
-        reference.node_features[delta.node_ids] = delta.node_features
-        np.testing.assert_array_equal(scores, fresh_scores(reference))
-
-    def test_incremental_without_state_cache_falls_back(self):
-        rng = np.random.default_rng(19)
-        graph = make_graph(seed=19)
-        model = build_model("gcn", graph.feature_dim, 16, 4, num_layers=2, seed=0)
-        config = make_config()
-        config.incremental_state_cache = False
-        session = InferenceSession(model, config)
-        session.prepare(graph)
-        session.infer()
-        delta = random_feature_delta(rng, graph)
-        session.apply_delta(delta)
-        scores = session.infer(mode="incremental").scores
-        reference = make_graph(seed=19)
         reference.node_features[delta.node_ids] = delta.node_features
         np.testing.assert_array_equal(scores, fresh_scores(reference))
 
@@ -462,22 +420,25 @@ class TestEdgeDelta:
 # --------------------------------------------------------------------------- #
 class TestFallbackBackends:
     def test_tables_source_survives_the_replan_path(self):
-        # A session prepared from (NodeTable, EdgeTable) whose delta takes the
-        # full-recompute path must keep serving post-delta scores when called
-        # as infer(tables) — re-ingesting the pair would resurrect the
-        # pre-delta edge arrays.
-        from repro.graph.tables import graph_to_tables
+        # A session prepared from a converted (NodeTable, EdgeTable) pair
+        # whose delta takes the full-recompute path must keep serving
+        # post-delta scores when called as infer(source) — the re-plan runs
+        # over the same (patched) Graph object, so the source stays current.
+        from repro.graph.tables import graph_to_tables, tables_to_graph
 
         graph = make_graph(seed=43, num_nodes=300)
-        tables = graph_to_tables(graph)
+        source = tables_to_graph(*graph_to_tables(graph))
         session = make_session(graph, backend="khop")
-        session.prepare(tables)
+        plan = session.prepare(source)
         session.infer()
         delta = GraphDelta(added_src=np.array([2, 3]), added_dst=np.array([0, 1]))
         outcome = session.apply_delta(delta)
         assert not outcome.in_place                      # khop: no delta hooks
+        assert session.plan is not plan and session.num_replans == 1
+        replanned = session.plan
         after = session.infer().scores
-        again = session.infer(tables).scores             # must not re-ingest
+        again = session.infer(source).scores             # must not re-plan
+        assert session.plan is replanned
         np.testing.assert_array_equal(again, after)
 
     def test_khop_apply_delta_replans_and_serves_current(self):

@@ -154,23 +154,6 @@ class TestIncrementalReplay:
         reference.node_features[delta.node_ids] = delta.node_features
         np.testing.assert_array_equal(scores, fresh_scores(reference))
 
-    def test_incremental_disabled_cache_falls_back(self):
-        rng = np.random.default_rng(21)
-        graph = make_graph(21)
-        config = make_config()
-        config.incremental_state_cache = False
-        session = InferenceSession(build_model("gcn", 8, 16, 4, num_layers=2, seed=0),
-                                   config)
-        session.prepare(graph)
-        session.infer()
-        delta = feature_delta(rng, graph.num_nodes)
-        session.apply_delta(delta)
-        scores = session.infer(mode="incremental").scores
-        assert "scores" not in session.plan.state
-        reference = make_graph(21)
-        reference.node_features[delta.node_ids] = delta.node_features
-        np.testing.assert_array_equal(scores, fresh_scores(reference))
-
 
 class TestRecordPatching:
     def test_full_infer_after_patch_bit_identical_to_fresh_plan(self):

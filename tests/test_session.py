@@ -1,5 +1,4 @@
-"""InferenceSession: plan-once/infer-many semantics, structured reports, and
-the hub-mirror merge."""
+"""InferenceSession: plan-once/infer-many semantics and the hub-mirror merge."""
 
 from __future__ import annotations
 
@@ -9,7 +8,7 @@ import pytest
 from repro.gnn.model import build_model
 from repro.gnn.signature import export_signature
 from repro.graph.generators import labeled_community_graph, powerlaw_graph
-from repro.graph.tables import graph_to_tables
+from repro.graph.tables import graph_to_tables, tables_to_graph
 from repro.inference import (
     InferenceConfig,
     InferenceSession,
@@ -135,66 +134,48 @@ class TestSessionLifecycle:
         from_model = InferenceSession(model, InferenceConfig(num_workers=3)).infer(community)
         signature_session = InferenceSession(export_signature(model),
                                              InferenceConfig(num_workers=3))
-        from_signature = signature_session.infer(graph_to_tables(community))
+        from_signature = signature_session.infer(
+            tables_to_graph(*graph_to_tables(community)))
         np.testing.assert_allclose(from_model.scores, from_signature.scores, atol=1e-12)
 
     def test_table_pair_does_not_replan_per_infer(self, community):
-        """A (NodeTable, EdgeTable) source is ingested once, not per call."""
+        """A converted (NodeTable, EdgeTable) source is planned once, not per call."""
         model = build_model("sage", community.feature_dim, 8, 4, seed=1)
         session = InferenceSession(model, InferenceConfig(backend="pregel", num_workers=2))
         spy = _CountingBackend(session.backend)
         session.backend = spy
-        tables = graph_to_tables(community)
-        session.prepare(tables)
-        first = session.infer(tables)
-        second = session.infer(tables)
+        source = tables_to_graph(*graph_to_tables(community))
+        session.prepare(source)
+        first = session.infer(source)
+        second = session.infer(source)
         assert spy.plan_calls == 1
         np.testing.assert_array_equal(first.scores, second.scores)
 
     def test_bad_table_pair_rejected(self, community):
+        # Sessions take a Graph; an unconverted pair fails loudly at the door.
         model = build_model("sage", community.feature_dim, 8, 4, seed=0)
         session = InferenceSession(model, InferenceConfig(num_workers=2))
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="tables_to_graph"):
             session.prepare(("not", "tables"))
+        with pytest.raises(TypeError, match="tables_to_graph"):
+            session.prepare(graph_to_tables(community))
+        assert not session.is_prepared
 
 
-class TestReport:
-    def test_report_aggregates_runs(self, community):
-        model = build_model("sage", community.feature_dim, 8, 4, seed=4)
-        session = InferenceSession(model, InferenceConfig(backend="pregel", num_workers=2))
-        empty = session.report()
-        assert empty.num_runs == 0 and empty.scores is None
-        assert empty.plan_description == "<unprepared>"
-
-        session.prepare(community)
-        results = session.infer_many(2)
-        report = session.report()
-        assert report.backend == "pregel"
-        assert report.num_runs == 2
-        assert report.scores is results[-1].scores
-        assert report.total_wall_clock_seconds == pytest.approx(
-            sum(r.cost.wall_clock_seconds for r in results))
-        assert report.total_cpu_minutes == pytest.approx(
-            sum(r.cost.cpu_minutes for r in results))
-        assert "pregel" in report.describe()
-
-    def test_report_tracks_measured_wall_clock(self, community):
+class TestMeasuredWallClock:
+    def test_results_carry_measured_wall_clock_and_cost(self, community):
         # elapsed_seconds is the *measured* per-infer wall clock (distinct
         # from the simulated cluster cost model) — the single latency source
         # of truth the pool's totals and the gateway's percentiles read.
         model = build_model("sage", community.feature_dim, 8, 4, seed=4)
         session = InferenceSession(model, InferenceConfig(backend="pregel",
                                                           num_workers=2))
-        session.prepare(community)
+        plan = session.prepare(community)
         results = session.infer_many(3)
+        assert session.num_runs == 3
         assert all(r.elapsed_seconds > 0.0 for r in results)
-        report = session.report()
-        assert report.total_elapsed_seconds == pytest.approx(
-            sum(r.elapsed_seconds for r in results))
-        assert report.last_elapsed_seconds == results[-1].elapsed_seconds
-        assert report.mean_elapsed_seconds == pytest.approx(
-            report.total_elapsed_seconds / 3)
-        assert "measured" in report.describe()
+        assert all(r.cost.wall_clock_seconds > 0.0 for r in results)
+        assert all(r.num_supersteps == plan.num_supersteps for r in results)
 
 
 class TestHubMirrorMerge:

@@ -18,7 +18,7 @@ from repro.cluster.executor import WorkerCrashError, available_executors
 from repro.gnn import export_signature
 from repro.gnn.model import build_model
 from repro.graph.generators import powerlaw_graph
-from repro.graph.tables import graph_to_tables
+from repro.graph.tables import graph_to_tables, tables_to_graph
 from repro.inference import (
     GraphDelta,
     InferenceConfig,
@@ -118,14 +118,6 @@ class TestPlanCache:
         s1 = pool.session_for(make_graph(8))
         s2 = pool.session_for(make_graph(9))
         assert s1.model is s2.model is pool.model
-
-    def test_tables_pairs_are_content_addressed(self):
-        pool = SessionPool(make_model(), make_config(), capacity=4)
-        graph = make_graph(10)
-        tables = graph_to_tables(graph)
-        pool.infer(tables)
-        pool.infer(tables)
-        assert pool.stats.hits == 1 and pool.stats.misses == 1
 
 
 class TestEviction:
@@ -228,14 +220,20 @@ class TestDeltaRouting:
         assert pool.stats.hits == hits_before + 1
 
     def test_apply_delta_rejects_tables_tenants(self):
-        # A (NodeTable, EdgeTable) pair is re-ingested per lookup; a delta
-        # could not be mirrored onto the caller's object and would be lost.
+        # Tenants are Graph handles (a delta could not be mirrored onto a
+        # (NodeTable, EdgeTable) pair): an unconverted pair is refused on
+        # every pool path; the converted graph is served and content-addressed.
         pool = SessionPool(make_model(), make_config(), capacity=4)
         tables = graph_to_tables(make_graph(20))
-        pool.infer(tables)
+        with pytest.raises(TypeError, match="tables_to_graph"):
+            pool.infer(tables)
         with pytest.raises(TypeError, match="tables_to_graph"):
             pool.apply_delta(tables, GraphDelta(node_ids=np.array([1]),
                                                 node_features=np.ones((1, 8))))
+        assert len(pool) == 0 and pool.stats.misses == 0
+        pool.infer(tables_to_graph(*tables))
+        pool.infer(make_graph(20))
+        assert pool.stats.hits == 1 and pool.stats.misses == 1
 
     def test_discarded_deferred_deltas_do_not_arm_state_cache(self):
         session = InferenceSession(make_model(), make_config())
@@ -486,6 +484,58 @@ class TestThreadSafety:
         np.testing.assert_array_equal(pool.infer(graph).scores,
                                       solo.infer().scores)
 
+    def test_concurrent_eager_and_deferred_deltas_keep_handle_and_copy_equal(self):
+        # Same hammer, two writers on one tenant — one eager, one deferred —
+        # plus readers.  Every delta is buffered, mirrored and re-keyed under
+        # the session's buffer lock (the eager writer's flush happens after
+        # it, outside), so the tenant's handle and the session's private copy
+        # see the deltas in the same order: byte-equal at the end, one miss
+        # ever, and scores equal to a fresh plan over the final content.
+        pool = SessionPool(make_model(), make_config(), capacity=4)
+        graph = make_graph(58, num_nodes=200)
+        pool.prepare(graph)
+        session = pool.session_for(graph)
+        rng = np.random.default_rng(8)
+        # Overlapping ids on purpose: the final rows depend on the order the
+        # two writers interleave, which handle and copy must agree on.
+        deltas = {mode: [GraphDelta(node_ids=rng.choice(40, size=5, replace=False),
+                                    node_features=rng.standard_normal((5, 8)))
+                         for _ in range(12)]
+                  for mode in ("eager", "deferred")}
+        errors = []
+
+        def writer(mode):
+            try:
+                for delta in deltas[mode]:
+                    pool.apply_delta(graph, delta, defer=(mode == "deferred"))
+            except Exception as exc:       # pragma: no cover - diagnostic
+                errors.append(exc)
+
+        def reader():
+            try:
+                for _ in range(6):
+                    pool.infer(graph)
+            except Exception as exc:       # pragma: no cover - diagnostic
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(mode,))
+                   for mode in deltas] + [threading.Thread(target=reader)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors, errors[:1]
+        scores = pool.infer(graph).scores
+        assert pool.stats.misses == 1 and pool.session_for(graph) is session
+        assert session.num_pending_deltas == 0 and session.num_replans == 0
+        private = session.plan.graph
+        assert private is not graph
+        np.testing.assert_array_equal(private.node_features, graph.node_features)
+        assert session.plan.fingerprint == graph_fingerprint(graph)
+        solo = InferenceSession(make_model(), make_config())
+        solo.prepare(graph)
+        np.testing.assert_array_equal(scores, solo.infer().scores)
+
     def test_slow_prepare_does_not_block_other_tenants(self):
         # Regression: a cache miss's prepare() runs outside the pool lock
         # (per-fingerprint once-guard), so one tenant's slow planning must
@@ -621,76 +671,88 @@ class TestWeightedEviction:
         pool.session_for(make_graph(36, num_nodes=150))
         assert heavy not in pool and light in pool
 
-    def test_custom_weigher_pins_chosen_tenant(self):
-        # The weigher seam: measured prepare cost (or any policy) replaces
-        # the byte-size default.  Here a pin-weigher keeps one tenant
-        # resident through a stream of insertions that would evict it by LRU.
-        pinned = make_graph(37, num_nodes=150)
-        pinned_fingerprint = graph_fingerprint(pinned)
 
-        def pin_weigher(entry):
-            return 1e9 if entry.fingerprint == pinned_fingerprint else 1.0
+class TestNonFiniteDeltasRejected:
+    """One NaN row would poison a k-hop region and every cached superstep
+    state; all three entry paths refuse it before anything is written."""
 
-        pool = SessionPool(make_model(), make_config(), capacity=2,
-                           weigher=pin_weigher)
-        pool.session_for(pinned)
-        for seed in (38, 39, 41, 42):
-            pool.session_for(make_graph(seed, num_nodes=150))
-        assert pinned in pool
-        assert pool.stats.evictions == 3
+    @staticmethod
+    def _poisoned(graph):
+        rows = np.ones((3, 8))
+        rows[1, 4] = np.nan
+        return GraphDelta(node_ids=np.array([2, 5, 9]), node_features=rows)
 
-    def test_entries_expose_measured_prepare_cost(self):
+    @staticmethod
+    def _snapshot(graph, session):
+        return (graph.node_features.tobytes(), graph.src.tobytes(),
+                graph_fingerprint(graph), session.plan.fingerprint,
+                session.num_pending_deltas)
+
+    @pytest.mark.parametrize("defer", [False, True])
+    def test_session_rejects_before_any_write(self, defer):
+        graph = make_graph(70)
+        session = InferenceSession(make_model(), make_config())
+        session.prepare(graph)
+        session.infer()
+        session.apply_delta(GraphDelta(node_ids=np.array([1]),
+                                       node_features=np.ones((1, 8))), defer=True)
+        before = self._snapshot(graph, session)
+        with pytest.raises(ValueError, match="NaN/Inf"):
+            session.apply_delta(self._poisoned(graph), defer=defer)
+        assert self._snapshot(graph, session) == before   # 1 still pending
+        scores = session.infer(mode="incremental").scores
+        solo = InferenceSession(make_model(), make_config())
+        solo.prepare(graph)
+        np.testing.assert_array_equal(scores, solo.infer().scores)
+
+    @pytest.mark.parametrize("front", ["pool", "gateway"])
+    def test_pool_and_gateway_reject_before_mirror_and_rekey(self, front):
+        import asyncio
+
+        from repro.serving import ServingGateway
+
         pool = SessionPool(make_model(), make_config(), capacity=4)
-        pool.session_for(make_graph(43, num_nodes=150))
-        pool.session_for(make_graph(44, num_nodes=1200))
-        small, large = pool.entries()
-        assert small.prepare_seconds > 0.0 and large.prepare_seconds > 0.0
-        assert large.graph_bytes > small.graph_bytes
-        assert small.weight == float(small.graph_bytes)     # default weigher
-        measured = SessionPool(make_model(), make_config(), capacity=4,
-                               weigher=lambda entry: entry.prepare_seconds)
-        measured.session_for(make_graph(43, num_nodes=150))
-        entry = measured.entries()[0]
-        assert entry.weight == entry.prepare_seconds
+        graph = make_graph(71)
+        baseline = pool.infer(graph).scores
+        session = pool.session_for(graph)
+        before = self._snapshot(graph, session)
+        keys = pool.fingerprints()
 
+        async def through_gateway():
+            async with ServingGateway(pool) as gateway:
+                gateway.register("t", graph)
+                await gateway.submit_delta("t", self._poisoned(graph))
 
-class TestTTL:
-    def test_expired_entry_repreparess_transparently(self):
-        t = [0.0]
-        pool = SessionPool(make_model(), make_config(), capacity=4,
-                           ttl_seconds=10.0, clock=lambda: t[0])
-        graph = make_graph(45)
-        before = pool.infer(graph).scores
-        first_session = pool.session_for(graph)
-        t[0] = 9.99
-        assert graph in pool
-        t[0] = 10.0
-        assert graph not in pool           # TTL elapsed: entry is dead
-        after = pool.infer(graph).scores   # ...but serving just works
-        stats = pool.stats
-        assert stats.expirations == 1
-        assert stats.misses == 2           # the re-prepare is an honest miss
-        assert pool.session_for(graph) is not first_session
-        np.testing.assert_array_equal(before, after)
+        with pytest.raises(ValueError, match="NaN/Inf"):
+            if front == "pool":
+                pool.apply_delta(graph, self._poisoned(graph))
+            else:
+                asyncio.run(through_gateway())
+        assert self._snapshot(graph, session) == before
+        assert pool.fingerprints() == keys and graph in pool
+        hits = pool.stats.hits
+        np.testing.assert_array_equal(pool.infer(graph).scores, baseline)
+        assert pool.stats.hits == hits + 1 and pool.stats.misses == 1
+        solo = InferenceSession(make_model(), make_config())
+        solo.prepare(make_graph(71))
+        np.testing.assert_array_equal(baseline, solo.infer().scores)
 
-    def test_purge_expired_sweeps_all_dead_entries(self):
-        t = [0.0]
-        pool = SessionPool(make_model(), make_config(), capacity=4,
-                           ttl_seconds=5.0, clock=lambda: t[0])
-        pool.session_for(make_graph(46))
-        t[0] = 3.0
-        pool.session_for(make_graph(47))   # expires later than the first
-        assert pool.purge_expired() == 0
-        t[0] = 5.0
-        assert pool.purge_expired() == 1   # only the first has expired
-        t[0] = 8.0
-        assert pool.purge_expired() == 1
-        assert len(pool) == 0
-        assert pool.stats.expirations == 2 and pool.stats.evictions == 0
+    def test_validators_reject_non_finite_edge_features(self):
+        from repro.inference import DeltaBuffer
+        from repro.inference.delta import validate_delta_against_graph
 
-    def test_ttl_must_be_positive(self):
-        with pytest.raises(ValueError, match="ttl_seconds"):
-            SessionPool(make_model(), make_config(), ttl_seconds=0.0)
+        graph = make_graph(72)
+        graph.edge_features = np.zeros((graph.num_edges, 3))
+        delta = GraphDelta(added_src=np.array([0, 1]), added_dst=np.array([2, 3]),
+                           added_edge_features=np.array([[0.0, np.inf, 0.0],
+                                                         [0.0, 0.0, 0.0]]))
+        before = graph_fingerprint(graph)
+        with pytest.raises(ValueError, match="added_edge_features contains NaN/Inf"):
+            validate_delta_against_graph(graph, delta)
+        buffer = DeltaBuffer(graph)
+        with pytest.raises(ValueError, match="added_edge_features contains NaN/Inf"):
+            buffer.add(delta)
+        assert buffer.is_empty and graph_fingerprint(graph) == before
 
 
 class TestLatencyAccounting:
