@@ -2,10 +2,13 @@
 
 The paper's second backend runs GNN inference as a chain of MapReduce (or
 Spark) rounds: one Map round initialises node states and fans out the first
-messages, then each Reduce round executes one GNN layer per node key.  This
-package provides that substrate: jobs with ``map_partition`` / ``combine`` /
-``reduce_partition``, a shuffle placed by the caller's partition function,
-and per-instance counters (records, bytes, compute, measured seconds).
+messages, then each Reduce round executes one GNN layer over the reducer's
+nodes.  This package provides that substrate: jobs with ``map_partition``
+(which also buckets its output, one item list per reducer) and
+``reduce_partition``, row-range input splits, a coordinator-side shuffle of
+whatever columnar items the job emits (anything with ``num_records()`` and
+``nbytes()``), and per-instance counters (records, bytes, compute, measured
+seconds).
 """
 
 from repro.batch.mapreduce import MapReduceJob, MapReduceEngine, TaskContext

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import numpy as np
 
 
 @dataclass
@@ -116,7 +115,7 @@ class MetricsCollector:
 
 
 # --------------------------------------------------------------------------- #
-# payload size estimation
+# wire and memory sizes
 # --------------------------------------------------------------------------- #
 FLOAT_BYTES = 8
 ID_BYTES = 8
@@ -135,20 +134,3 @@ def tensor_bytes(shape: Iterable[int]) -> float:
     for dim in shape:
         total *= float(dim)
     return total * FLOAT_BYTES
-
-
-def estimate_payload_bytes(payload: object) -> float:
-    """Best-effort size estimate of an arbitrary (nested) message payload."""
-    if payload is None:
-        return 0.0
-    if isinstance(payload, np.ndarray):
-        return float(payload.nbytes)
-    if isinstance(payload, (int, float, np.integer, np.floating)):
-        return 8.0
-    if isinstance(payload, (bytes, str)):
-        return float(len(payload))
-    if isinstance(payload, dict):
-        return sum(estimate_payload_bytes(k) + estimate_payload_bytes(v) for k, v in payload.items())
-    if isinstance(payload, (list, tuple, set)):
-        return sum(estimate_payload_bytes(item) for item in payload)
-    return float(RECORD_OVERHEAD_BYTES)

@@ -21,7 +21,7 @@ aggregated payloads are merged.
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -175,33 +175,3 @@ class GASConv(Module):
             else:
                 aggr_state = default_scatter_and_gather()
         return self.apply_node(node_state, aggr_state)
-
-    # ------------------------------------------------------------------ #
-    # partial-aggregation helpers shared by the inference engine
-    # ------------------------------------------------------------------ #
-    def partial_reduce(self, message: np.ndarray, counts: Optional[np.ndarray] = None
-                       ) -> Tuple[np.ndarray, int]:
-        """Fold a block of raw/partial message rows bound for one destination.
-
-        Returns ``(payload_row, count)`` where ``payload_row`` is a single row
-        that, merged with other partials through the same rule, reproduces the
-        exact full aggregation.  Only valid when
-        :attr:`supports_partial_gather` is True.
-        """
-        if not self.supports_partial_gather:
-            raise RuntimeError(
-                f"{type(self).__name__} does not declare a commutative/associative "
-                "aggregate; partial reduction is not legal"
-            )
-        message = np.asarray(message, dtype=np.float64)
-        if counts is None:
-            counts = np.ones(message.shape[0], dtype=np.int64)
-        total = int(np.asarray(counts).sum())
-        kind = self.aggregate_kind
-        if kind in ("sum", "mean"):
-            # Mean is carried as (partial sum, count); the division happens in
-            # gather() once all partials have arrived.
-            return message.sum(axis=0), total
-        if kind == "max":
-            return message.max(axis=0), total
-        raise RuntimeError(f"aggregate kind {kind!r} cannot be partially reduced")

@@ -56,14 +56,7 @@ class GCNConv(GASConv):
     def gather(self, message: Tensor, dst_index: np.ndarray, num_nodes: int,
                counts: Optional[np.ndarray] = None) -> Tensor:
         """Mean-pool in-edge messages per destination (partial-gather aware)."""
-        message = message if isinstance(message, Tensor) else Tensor(message)
-        summed = ops.segment_sum(message, dst_index, num_nodes)
-        if counts is None:
-            counts = np.ones(message.shape[0], dtype=np.float64)
-        denom = np.zeros(num_nodes, dtype=np.float64)
-        np.add.at(denom, np.asarray(dst_index, dtype=np.int64), np.asarray(counts, dtype=np.float64))
-        denom = np.maximum(denom, 1.0)
-        return summed * Tensor(1.0 / denom.reshape(-1, 1))
+        return ops.segment_mean(message, dst_index, num_nodes, counts)
 
     @apply_node_stage
     def apply_node(self, node_state: Tensor, aggr_state: Tensor) -> Tensor:

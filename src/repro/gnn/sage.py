@@ -92,15 +92,9 @@ class SAGEConv(GASConv):
         message = message if isinstance(message, Tensor) else Tensor(message)
         if self.aggregator == "max":
             return ops.segment_max(message, dst_index, num_nodes)
-        summed = ops.segment_sum(message, dst_index, num_nodes)
         if self.aggregator == "sum":
-            return summed
-        if counts is None:
-            counts = np.ones(message.shape[0], dtype=np.float64)
-        denom = np.zeros(num_nodes, dtype=np.float64)
-        np.add.at(denom, np.asarray(dst_index, dtype=np.int64), np.asarray(counts, dtype=np.float64))
-        denom = np.maximum(denom, 1.0)
-        return summed * Tensor(1.0 / denom.reshape(-1, 1))
+            return ops.segment_sum(message, dst_index, num_nodes)
+        return ops.segment_mean(message, dst_index, num_nodes, counts)
 
     @apply_node_stage
     def apply_node(self, node_state: Tensor, aggr_state: Tensor) -> Tensor:
@@ -123,18 +117,11 @@ class SAGEConv(GASConv):
     # ------------------------------------------------------------------ #
     def scatter_and_gather(self, node_state: Tensor, src_index: np.ndarray,
                            dst_index: np.ndarray, num_nodes: int) -> Tensor:
-        """Fused scatter→apply_edge→gather via sparse matmul (training only).
+        """Fused scatter→apply_edge→gather (training only, no edge features).
 
-        Only exact for the mean/sum aggregators without edge features; the
-        base class falls back to the default path otherwise.
+        Sum pooling is one sparse matmul; mean and max pool the scattered rows
+        through :meth:`gather`, which is the same reduction.
         """
-        if self.aggregator == "max":
-            message = self.scatter(node_state, src_index)
-            return self.gather(message, dst_index, num_nodes)
-        summed = ops.spmm(dst_index, src_index, None, node_state, num_nodes)
         if self.aggregator == "sum":
-            return summed
-        counts = np.zeros(num_nodes, dtype=np.float64)
-        np.add.at(counts, np.asarray(dst_index, dtype=np.int64), 1.0)
-        counts = np.maximum(counts, 1.0)
-        return summed * Tensor(1.0 / counts.reshape(-1, 1))
+            return ops.spmm(dst_index, src_index, None, node_state, num_nodes)
+        return self.gather(self.scatter(node_state, src_index), dst_index, num_nodes)

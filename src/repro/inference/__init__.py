@@ -4,7 +4,7 @@ The public entry point is :class:`~repro.inference.session.InferenceSession`:
 load a trained model (or its exported signature), pick a registered backend by
 name, ``prepare(graph)`` once, then ``infer()`` as many times as traffic
 demands — every execution reuses the cached plan (strategy resolution,
-shadow-node rewrite, partition layout / record ingest) and returns per-node
+shadow-node rewrite, partition layout, Pregel partitions) and returns per-node
 predictions with a simulated cluster cost breakdown::
 
     from repro.inference import InferenceSession, InferenceConfig, StrategyConfig

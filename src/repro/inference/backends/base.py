@@ -6,7 +6,7 @@ inference under the shared GAS programming model.  Each backend subclasses
 
 * ``name`` — the registry key users put in :class:`InferenceConfig.backend`;
 * ``plan(model, graph, config)`` — one-time preparation: strategy resolution,
-  shadow-node graph rewrite, partition layout / input-record ingest — anything
+  shadow-node graph rewrite, partition layout, engine build — anything
   that can be computed once and reused across repeated executions;
 * ``execute(plan, metrics)`` — one inference run over a previously built
   :class:`ExecutionPlan`, recording per-instance counters into ``metrics``;
@@ -38,7 +38,6 @@ from repro.inference.delta import (
     DeltaOutcome,
     GraphDelta,
     apply_delta_to_graph,
-    validate_delta_against_graph,
 )
 from repro.inference.shadow import ShadowNodePlan, apply_shadow_nodes
 from repro.inference.strategies import (
@@ -56,7 +55,7 @@ class ExecutionPlan:
     The plan is the cacheable half of an inference run: the resolved strategy
     switches, the (optional) shadow-node rewritten graph, and any
     backend-private artefacts in ``state`` (a partitioned Pregel engine, the
-    MapReduce input records, a k-hop pipeline).  One plan supports
+    MapReduce executor, a k-hop pipeline).  One plan supports
     arbitrarily many ``execute`` calls: execution never changes what a plan
     *means*, though it may refresh backend-private caches inside ``state``
     (e.g. the per-superstep node states incremental inference splices into),
@@ -73,7 +72,7 @@ class ExecutionPlan:
     #: graph, computed once at plan time and reused by every execution.
     layout: Optional[ClusterLayout] = None
     num_supersteps: int = 0
-    #: backend-private precomputed artefacts (engines, records, pipelines).
+    #: backend-private precomputed artefacts (engines, executors, pipelines).
     state: Dict[str, Any] = field(default_factory=dict)
     #: content fingerprint of ``graph`` at plan (or last delta) time — see
     #: :func:`repro.inference.delta.graph_fingerprint`.  The session checks it
@@ -126,11 +125,10 @@ class Backend(abc.ABC):
     ``pregel`` overrides all three (bit-identical incremental runs over a
     warm partition cache, feature *and* hub-preserving edge deltas — under
     shadow nodes included, via the position-stable mirror assignment);
-    ``mapreduce`` does too — feature deltas patch its cached input records
-    row-wise, edge deltas splice the records' adjacency payloads in place, and
-    incremental runs replay only the dirty region's dependency closure,
-    splicing into cached scores (tolerance-identical, see
-    :mod:`repro.inference.mapreduce_adaptor`).
+    ``mapreduce`` does too — landing a delta is the whole patch, because its
+    rounds read their input rows from the working graph, and incremental runs
+    replay only the dirty region's dependency closure, splicing into cached
+    scores (tolerance-identical, see :mod:`repro.inference.mapreduce_adaptor`).
     """
 
     #: registry key, set by :func:`register_backend`.
@@ -284,7 +282,7 @@ def check_edge_delta_stability(plan: ExecutionPlan) -> Tuple[bool, str, int]:
 
 
 def land_gas_delta(plan: ExecutionPlan, delta: GraphDelta,
-                   edge_blocker: str = "") -> Tuple[DeltaOutcome, np.ndarray]:
+                   edge_blocker: str = "") -> DeltaOutcome:
     """The delta steps every GAS backend shares, before it patches its own state.
 
     Lands ``delta`` on the base graph (validation happens first — a rejected
@@ -294,33 +292,21 @@ def land_gas_delta(plan: ExecutionPlan, delta: GraphDelta,
     (:meth:`~repro.inference.shadow.ShadowNodePlan.patch_edge_delta`), and
     refreshes shadow-mirror feature copies.  ``edge_blocker`` is a backend's
     own reason an edge delta cannot be patched in place (checked before the
-    hub contract).
-
-    Returns the outcome — ``feature_dirty`` is the replica closure of the
-    changed feature rows — and the working-graph source ids whose out-edge set
-    changed (removed edges' sources, captured while their positions are still
-    valid, plus the mirror-assigned sources of appended edges).
+    hub contract).  The outcome's ``feature_dirty`` is the replica closure of
+    the changed feature rows.
     """
     graph, shadow = plan.graph, plan.shadow_plan
-    touched = np.empty(0, dtype=np.int64)
-    if delta.removed_edge_ids is not None and delta.removed_edge_ids.size:
-        # The working graph keeps base edge order, so base positions index it
-        # 1:1; validate first so a malformed delta raises before this read.
-        validate_delta_against_graph(graph, delta)
-        touched = plan.working_graph.src[delta.removed_edge_ids]
     topo_dirty = apply_delta_to_graph(graph, delta)
 
     if delta.has_edge_changes:
         if edge_blocker:
-            return DeltaOutcome(in_place=False, reason=edge_blocker), touched
+            return DeltaOutcome(in_place=False, reason=edge_blocker)
         stable, reason, threshold = check_edge_delta_stability(plan)
         if not stable:
-            return DeltaOutcome(in_place=False, reason=reason), touched
+            return DeltaOutcome(in_place=False, reason=reason)
         plan.strategy_plan.threshold = threshold
         if shadow is not None:
-            touched = np.concatenate([touched, shadow.patch_edge_delta(graph, delta)])
-        elif delta.added_src is not None:
-            touched = np.concatenate([touched, delta.added_src])
+            shadow.patch_edge_delta(graph, delta)
 
     feature_dirty = np.empty(0, dtype=np.int64)
     if delta.has_feature_changes:
@@ -329,7 +315,7 @@ def land_gas_delta(plan: ExecutionPlan, delta: GraphDelta,
         else:
             feature_dirty = np.unique(delta.node_ids)
     return DeltaOutcome(in_place=True, feature_dirty=feature_dirty,
-                        topo_dirty=topo_dirty), touched
+                        topo_dirty=topo_dirty)
 
 
 def plan_gas_execution(backend_name: str, model: GNNModel, graph: Graph,

@@ -1,29 +1,30 @@
 """The MapReduce batch-processing backend as a registry plugin.
 
-Planning ingests the (possibly shadow-expanded) node table into input records
-once; every execution replays the cached records through a fresh engine, so
-repeated ``infer()`` calls skip the per-node table scan.
+Planning resolves strategies, the shadow rewrite and the layout — nothing
+else: the backend keeps no copy of the node table.  Every execution cuts the
+first round's input rows fresh from the working graph's own arrays
+(:func:`~repro.inference.mapreduce_adaptor.input_rows`) and chains one
+:class:`~repro.inference.mapreduce_adaptor.GNNRoundJob` per layer through a
+fresh engine on the plan's executor.
 
 This backend overrides the delta hooks of
-:class:`~repro.inference.backends.base.Backend`: ``apply_delta``
-patches the cached input records in place — feature rows row-wise, edge
-deltas by rebuilding only the touched records
-(:func:`~repro.inference.mapreduce_adaptor.patch_input_records`, using
-the position-stable shadow mirror assignment when mirrors exist) — and
-``execute_incremental`` replays only the delta's dependency closure,
-splicing the recomputed scores into the matrix cached by the last full run
-(see :mod:`repro.inference.mapreduce_adaptor` for the closure construction
-and the tolerance-identity caveat).  Edge deltas re-plan only when the hub
-set or a hub's mirror-group count changes.
+:class:`~repro.inference.backends.base.Backend`: ``apply_delta`` is
+:func:`~repro.inference.backends.base.land_gas_delta` alone (the graph *is*
+the input, so landing the delta patches it), and ``execute_incremental``
+replays only the delta's dependency closure, splicing the recomputed scores
+into the matrix cached by the last full run (see
+:mod:`repro.inference.mapreduce_adaptor` for the closure construction and the
+tolerance-identity caveat).  Edge deltas re-plan only when the hub set or a
+hub's mirror-group count changes.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.batch.mapreduce import MapReduceEngine, Record
+from repro.batch.mapreduce import MapReduceEngine
 from repro.cluster.executor import Executor, build_executor
 from repro.cluster.metrics import MetricsCollector
 from repro.cluster.resources import ClusterSpec
@@ -40,11 +41,10 @@ from repro.inference.backends.base import (
 )
 from repro.inference.mapreduce_adaptor import (
     GNNRoundJob,
-    _partition_fn,
-    build_input_records,
-    collect_scores,
+    Records,
+    StateBlock,
     dependency_closure,
-    patch_input_records,
+    input_rows,
 )
 
 
@@ -59,7 +59,6 @@ class MapReduceBackend(Backend):
              config: InferenceConfig) -> ExecutionPlan:
         plan = plan_gas_execution(self.name, model, graph, config)
         plan.num_supersteps = model.num_layers
-        plan.state["input_records"] = build_input_records(model, plan.working_graph)
         return plan
 
     def release(self, plan: ExecutionPlan) -> None:
@@ -82,26 +81,27 @@ class MapReduceBackend(Backend):
         return executor
 
     def _run_rounds(self, plan: ExecutionPlan, metrics: MetricsCollector,
-                    records: List[Record], phase: str, scores: np.ndarray,
-                    targets: Optional[Sequence[AbstractSet[int]]] = None) -> np.ndarray:
+                    rows: StateBlock, phase: str, scores: np.ndarray,
+                    targets: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
         """Chain one :class:`GNNRoundJob` per layer; write outputs into ``scores``."""
         assert plan.layout is not None      # set by plan_gas_execution
-        workers = plan.config.num_workers
-        engine = MapReduceEngine(num_mappers=workers, num_reducers=workers,
-                                 metrics=metrics, partition_fn=_partition_fn,
-                                 executor=self._plan_executor(plan))
+        engine = MapReduceEngine(plan.config.num_workers, metrics,
+                                 self._plan_executor(plan))
         plan.model.eval()
+        items = [Records(rows)]
         for layer_index in range(plan.model.num_layers):
             job = GNNRoundJob(plan.model, plan.strategy_plan, plan.shadow_plan,
                               layer_index, plan.original_num_nodes, plan.layout,
                               targets=targets)
-            records = engine.run(job, records, phase=f"{phase}_{layer_index}")
-        return collect_scores(records, scores)
+            items = engine.run(job, items, phase=f"{phase}_{layer_index}")
+        for item in items:
+            scores[item.block.dst_ids] = item.block.payload
+        return scores
 
     def execute(self, plan: ExecutionPlan,
                 metrics: MetricsCollector) -> Dict[str, np.ndarray]:
         scores = self._run_rounds(
-            plan, metrics, plan.state["input_records"], "round",
+            plan, metrics, input_rows(plan.model, plan.working_graph), "round",
             np.zeros((plan.original_num_nodes, plan.model.output_dim)))
         # Lazy incremental cache: the score matrix only stays resident once
         # the session has seen a delta (mirrors the pregel state cache — the
@@ -124,7 +124,7 @@ class MapReduceBackend(Backend):
         frontier at the first gather exactly as in
         :func:`~repro.inference.delta.expand_frontier` — the cached rows
         outside the delta's reach stay exact, so splicing the replay's output
-        records into a copy of the cache remains valid after an in-place edge
+        rows into a copy of the cache remains valid after an in-place edge
         delta.  Agreement with a full recompute is tolerance-level (~1e-15),
         not bit-exact; see :mod:`repro.inference.mapreduce_adaptor`.
         """
@@ -137,32 +137,21 @@ class MapReduceBackend(Backend):
         if frontiers[-1].size:
             targets, input_closure = dependency_closure(
                 plan.working_graph, frontiers, plan.shadow_plan)
-            input_records = plan.state["input_records"]
-            self._run_rounds(plan, metrics,
-                             [input_records[int(g)] for g in input_closure],
-                             "incremental_round", scores,
-                             targets=[set(t.tolist()) for t in targets])
+            rows = input_rows(plan.model, plan.working_graph).take(input_closure)
+            self._run_rounds(plan, metrics, rows, "incremental_round", scores,
+                             targets=targets)
         plan.state["scores"] = scores.copy()
         return {"scores": scores}
 
     def apply_delta(self, plan: ExecutionPlan, delta: GraphDelta) -> DeltaOutcome:
-        """Patch the cached input records in place; re-plan only on hub churn.
+        """Land the delta; there is nothing else to patch.
 
-        Feature rows land on the base graph, propagate into shadow-mirror
-        copies through the replica CSR, and are scattered row-wise into the
-        id-indexed record cache.  Edge deltas splice into the same cache:
-        the working-graph sources whose out-edge set changes (removed edges'
-        sources plus the mirror-assigned sources of appends) get their record
-        rebuilt from the patched working graph — byte-identical to a fresh
-        record scan, because the graph's adjacency index orders edges per
-        source stably.  Only a hub-set or
+        Feature rows land on the base graph and propagate into shadow-mirror
+        copies through the replica CSR; edge deltas splice into the working
+        graph with the position-stable mirror assignment.  The next execution
+        reads its input rows from those arrays.  Only a hub-set or
         mirror-group-count change
         (:func:`~repro.inference.backends.base.land_gas_delta`) makes the
         session re-plan from the landed delta.
         """
-        outcome, touched_sources = land_gas_delta(plan, delta)
-        if outcome.in_place:
-            patch_input_records(
-                plan.state["input_records"], plan.model, plan.working_graph,
-                np.concatenate([touched_sources, outcome.feature_dirty]))
-        return outcome
+        return land_gas_delta(plan, delta)

@@ -121,7 +121,7 @@ class PregelBackend(Backend):
                 for layer in plan.model.layers):
             blocker = ("edge-count changes are not bit-stable "
                        "for projecting apply_edge layers")
-        outcome, _ = land_gas_delta(plan, delta, blocker)
+        outcome = land_gas_delta(plan, delta, blocker)
         if not outcome.in_place:
             return outcome
 

@@ -3,46 +3,50 @@
 The pipeline mirrors the paper's Section IV-C2:
 
 * **Map (initialisation)** — read node-table rows, encode raw features into
-  the layer-0 state, then emit (a) the node's own state + out-edge adjacency
-  to itself and (b) layer-0 messages to every out-edge neighbour;
-* **Reduce round r** — for every node key, gather the incoming messages, run
-  layer r's ``apply_node``, and emit the updated self state plus layer r+1's
-  messages (shuffle keys: the node itself, and the destination node ids);
+  the layer-0 state, then send (a) every node's own state + out-adjacency to
+  its owner and (b) layer-0 messages along every out-edge;
+* **Reduce round r** — gather the incoming messages of the reducer's nodes,
+  run layer r's ``apply_node``, and emit the updated state rows plus layer
+  r+1's messages; the next round's map only folds (partial-gather) and
+  buckets them;
 * the prediction head is merged into the last Reduce round, which emits one
-  output record per node.
+  output row per node.
 
 Unlike the Pregel backend nothing persists in worker memory between rounds —
-state is itself shuffled — so peak memory stays bounded (records stream
-through bounded chunks) at the price of more bytes moved, which is exactly the
+state is itself shuffled — so peak memory stays bounded (rows stream through
+bounded chunks) at the price of more bytes moved, which is exactly the
 trade-off Table III measures.  The stages themselves live in
-:mod:`repro.inference.gas`; what this module owns is the transport: messages
-arrive as shuffled records, state leaves as a record.
+:mod:`repro.inference.gas`; what this module owns is the transport, and the
+transport moves the Pregel backend's own blocks:
 
-Record value formats (keys are node ids unless noted):
+* :class:`~repro.pregel.vertex.MessageBlock` — per-edge messages;
+* :class:`~repro.inference.strategies.BroadcastMessageBlock` — hub messages,
+  split per destination bucket at the sender so every reducer that sees a
+  reference also holds the payload table it indexes;
+* :class:`StateBlock` — the message a node sends itself: its state row and
+  out-adjacency.  Raw input rows and final output rows are state blocks too.
 
-* ``("s", h_row, out_nbrs, out_edge_feats)`` — self state + out adjacency
-* ``("m", payload_row, count)``              — an in-edge message
-* ``("r", hub_id, count)``                   — broadcast reference to a hub payload
-* ``("p", hub_id, payload_row)``             — broadcast payload, keyed ``("bc", bucket)``
-* ``("o", logits_row)``                      — final output record
+Placement is ``block.split_by(layout.owners(block.dst_ids))`` for all three —
+the layout's modulo is the only partitioner.  :class:`Records` prices a block
+as the rows this backend puts on the wire; that is all the engine sees.
 
 Incremental inference
 ---------------------
 
 The backend keeps no worker-resident state, so it cannot splice recomputed
 rows into cached per-superstep matrices the way the Pregel backend does.
-What it *can* do after an in-place feature delta is replay only the delta's
+What it *can* do after an in-place delta is replay only the delta's
 **dependency closure**: walking backwards from the nodes whose final score
 can change (the delta's k-hop out-reach), each round ``r`` must recompute
 states for ``T[r] = T[r+1] ∪ in-neighbours(T[r+1])`` (replica-closed under
-shadow nodes), and the whole pipeline restarts from the cached — already
-patched — input records of ``T[0] ∪ in-neighbours(T[0])``.  Per-round
-destination filters keep the scatter inside the closure, per-round group
-filters drop carrier-only state records, and the final output records are
-spliced into the score matrix cached by the last full run.
+shadow nodes), and the whole pipeline restarts from the working graph's rows
+of ``T[0] ∪ in-neighbours(T[0])``.  Per-round destination filters keep the
+scatter inside the closure, per-round row filters drop carrier-only state
+rows, and the final output rows are spliced into the score matrix cached by
+the last full run.
 
 Unlike the Pregel path this is **tolerance-identical, not bit-identical**, to
-a full recompute: the restricted run batches fewer records per mapper split /
+a full recompute: the restricted run batches fewer rows per mapper split /
 reducer chunk, and BLAS accumulation order varies with matrix shape, so
 recomputed rows can drift in the last ulp (observed ~1e-15, asserted well
 inside the repo's 1e-9 equivalence tolerance).  Rows outside the closure
@@ -51,47 +55,152 @@ keep their cached bits, which a fresh full run reproduces exactly.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.batch.mapreduce import MapReduceJob, Record, TaskContext
-from repro.cluster.layout import ClusterLayout
-from repro.cluster.metrics import tensor_bytes
+from repro.batch.mapreduce import MapReduceJob, TaskContext
+from repro.cluster.layout import ClusterLayout, csr_gather, stable_group_by
+from repro.cluster.metrics import ID_BYTES, tensor_bytes
 from repro.gnn.model import GNNModel
 from repro.graph.graph import Graph
 from repro.inference import gas
 from repro.inference.shadow import ShadowNodePlan
-from repro.inference.strategies import StrategyPlan
+from repro.inference.strategies import BroadcastMessageBlock, StrategyPlan, concat_messages
+from repro.pregel.vertex import MessageBlock
 
-#: number of node groups processed together inside one reducer chunk; bounds
+#: number of node rows processed together inside one reducer chunk; bounds
 #: the reducer's working set (the "stream from external storage" property).
 REDUCE_CHUNK_NODES = 4096
 
+#: wire bytes besides the arrays: the one-character kind tag every shuffled row
+#: carries, a message row's fold count, and the two-character-prefixed bucket
+#: key a hub payload row travels under instead of a node id.
+TAG_BYTES = 1
+COUNT_BYTES = 8
+BROADCAST_KEY_BYTES = 2 + ID_BYTES
 
-def _is_broadcast_key(key: Any) -> bool:
-    return isinstance(key, tuple) and len(key) == 2 and key[0] == "bc"
+
+class StateBlock(MessageBlock):
+    """Node rows: id, one state row, out-adjacency as a CSR over the rows.
+
+    A state row is the message a node sends itself, so it buckets and slices
+    like any other block (``dst_ids`` are the node ids, ``payload`` the state
+    matrix).  ``tagged=False`` marks the raw node-table rows the first round
+    reads — features for state, no kind tag on the wire; the last round's
+    output rows are state rows (logits) without adjacency.
+    """
+
+    combinable = False
+
+    def __init__(self, node_ids: np.ndarray, state: np.ndarray,
+                 indptr: Optional[np.ndarray] = None, nbrs: Optional[np.ndarray] = None,
+                 edge_feats: Optional[np.ndarray] = None, tagged: bool = True) -> None:
+        super().__init__(dst_ids=node_ids, payload=state)
+        empty = nbrs is None
+        self.indptr = np.zeros(self.num_records() + 1, dtype=np.int64) if empty else indptr
+        self.nbrs = np.empty(0, dtype=np.int64) if empty else nbrs
+        self.edge_feats = edge_feats
+        self.tagged = tagged
+
+    def with_state(self, state: np.ndarray) -> "StateBlock":
+        """The same nodes and adjacency carrying a new (tagged) state matrix."""
+        return StateBlock(self.dst_ids, state, self.indptr, self.nbrs, self.edge_feats)
+
+    def take(self, rows: np.ndarray) -> "StateBlock":
+        degrees = np.diff(self.indptr)[rows]
+        edges = csr_gather(self.indptr, np.arange(self.nbrs.shape[0]), rows)
+        return StateBlock(
+            self.dst_ids[rows], self.payload[rows],
+            np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(degrees)]),
+            self.nbrs[edges],
+            None if self.edge_feats is None else self.edge_feats[edges], self.tagged)
+
+    @staticmethod
+    def concat(blocks: Sequence["StateBlock"]) -> "StateBlock":
+        """``blocks`` end to end (they agree on having edge features or not)."""
+        ends = np.cumsum([0] + [block.nbrs.shape[0] for block in blocks])
+        feats = [block.edge_feats for block in blocks if block.edge_feats is not None]
+        return StateBlock(
+            np.concatenate([block.dst_ids for block in blocks]),
+            np.concatenate([block.payload for block in blocks], axis=0),
+            np.concatenate([np.zeros(1, dtype=np.int64)]
+                           + [block.indptr[1:] + end for block, end in zip(blocks, ends)]),
+            np.concatenate([block.nbrs for block in blocks]),
+            np.concatenate(feats, axis=0) if feats else None, blocks[0].tagged)
 
 
-def _partition_fn(key: Any, num_reducers: int) -> int:
-    """Route node ids by modulo; broadcast payload keys carry their bucket."""
-    return int(key[1] if _is_broadcast_key(key) else key) % num_reducers
+def input_rows(model: GNNModel, working_graph: Graph) -> StateBlock:
+    """The (possibly shadow-expanded) node table as one untagged state block.
+
+    Views of the graph's own feature matrix and cached out-edge index — no
+    per-node scan, nothing to keep in step with a delta: the block is cut
+    fresh from the graph at every execution.
+    """
+    indptr, nbrs, edge_ids = working_graph.out_csr()
+    features = working_graph.node_features
+    if features is None:
+        features = np.zeros((working_graph.num_nodes, model.encoder.in_features))
+    edge_feats = working_graph.edge_features
+    return StateBlock(np.arange(working_graph.num_nodes), features, indptr, nbrs,
+                      None if edge_feats is None else edge_feats[edge_ids], tagged=False)
+
+
+class Records:
+    """A block priced as the rows this backend shuffles — what the engine moves.
+
+    Per row, besides the float arrays: a message carries its destination id,
+    a kind tag and its fold count; a broadcast reference those plus the hub's
+    id in place of a payload; a hub payload row (one per destination bucket —
+    the sender already split the block) its bucket key, tag and hub id; a
+    state row its id, tag and out-neighbour ids (+ edge features).
+    """
+
+    def __init__(self, block: MessageBlock) -> None:
+        self.block = block
+
+    def __len__(self) -> int:
+        """Rows a mapper split can be cut at."""
+        return self.block.num_records()
+
+    def take(self, rows: np.ndarray) -> "Records":
+        return Records(self.block.take(rows))
+
+    def num_records(self) -> int:
+        block = self.block
+        if isinstance(block, BroadcastMessageBlock):
+            return block.num_records() + block.unique_payloads.shape[0]
+        return block.num_records()
+
+    def nbytes(self) -> float:
+        block, rows = self.block, self.block.num_records()
+        if isinstance(block, StateBlock):
+            edge_bytes = 0 if block.edge_feats is None else block.edge_feats.nbytes
+            return float(rows * (ID_BYTES + TAG_BYTES * block.tagged)
+                         + block.payload.nbytes + block.nbrs.nbytes + edge_bytes)
+        if isinstance(block, BroadcastMessageBlock):
+            return float(rows * (2 * ID_BYTES + TAG_BYTES + COUNT_BYTES)
+                         + block.unique_payloads.shape[0]
+                         * (BROADCAST_KEY_BYTES + TAG_BYTES + ID_BYTES)
+                         + block.unique_payloads.nbytes)
+        return float(rows * (ID_BYTES + TAG_BYTES + COUNT_BYTES) + block.payload.nbytes)
 
 
 class GNNRoundJob(MapReduceJob):
     """One MapReduce round = one GNN layer.
 
     Round 0's map is the paper's initialisation Map phase (encode + first
-    scatter); later rounds use an identity map, because the previous round's
-    reducers already emitted records keyed by their destination node.  The
-    combiner on the map side implements partial-gather when the consuming
-    layer allows it; the reducer runs the layer itself (and the prediction
-    head on the last round).
+    scatter); later rounds map the identity, because the previous round's
+    reducers already emitted blocks addressed to their destination nodes.
+    Either way the map then folds plain messages per destination with the
+    consuming layer's combiner (partial-gather, when the plan allows it) and
+    buckets every block by owner; the reducer runs the layer itself (and the
+    prediction head on the last round).
 
     ``targets`` restricts the rounds to a dirty-region dependency closure
     (incremental inference); ``None`` means "everything".  ``targets[r]``
     lists the nodes whose states round ``r`` must recompute (``T[r]``): state
-    records of carrier-only nodes are dropped before the reduce, so a node
+    rows of carrier-only nodes are dropped before the reduce, so a node
     outside the closure can never propagate a state built from an incomplete
     message set, and the layer-``r`` scatter is bounded to ``targets[r]`` —
     the filter runs after shadow-replica expansion, so mirror-bound copies
@@ -101,7 +210,7 @@ class GNNRoundJob(MapReduceJob):
     def __init__(self, model: GNNModel, plan: StrategyPlan,
                  shadow_plan: Optional[ShadowNodePlan], layer_index: int,
                  original_num_nodes: int, layout: ClusterLayout,
-                 targets: Optional[Sequence[AbstractSet[int]]] = None) -> None:
+                 targets: Optional[Sequence[np.ndarray]] = None) -> None:
         self.model = model
         self.plan = plan
         self.shadow_plan = shadow_plan
@@ -109,298 +218,115 @@ class GNNRoundJob(MapReduceJob):
         self.original_num_nodes = original_num_nodes
         self.layout = layout
         self.targets = targets
-        self.is_init_round = layer_index == 0
-        self.has_combiner = plan.layer(layer_index).partial_gather
 
     # ------------------------------------------------------------------ #
-    def _emit_messages(self, layer_index: int, node_ids: np.ndarray, state: np.ndarray,
-                       out_nbrs: List[np.ndarray], out_edge_feats: List[Optional[np.ndarray]],
-                       context: TaskContext) -> List[Record]:
-        """Layer ``layer_index`` message records for the given nodes' out-edges.
+    def _scatter(self, layer_index: int, state: StateBlock,
+                 context: TaskContext) -> List[MessageBlock]:
+        """Layer ``layer_index`` messages along the out-edges of ``state``'s rows.
 
-        The scatter is columnar — one ``edge_messages`` call over the batch's
-        concatenated edge rows, one shared split/fan-out — and the only Python
-        iteration left builds the record tuples the engine shuffles: plain
-        messages first, then per broadcasting hub one payload per destination
-        bucket (so every reducer that will see a ref also gets the payload)
-        followed by its id-only refs.
+        One ``edge_messages`` call over the block's edge rows and one shared
+        split/fan-out give a plain block plus, per destination bucket, one
+        broadcast block: a hub's payload once, id-only references per edge.
+        A closure replay keeps only rows bound for ``targets[layer_index]``;
+        ``take`` drops the payloads and buckets no surviving row references.
         """
-        sizes = np.fromiter((nbrs.size for nbrs in out_nbrs), dtype=np.int64,
-                            count=len(out_nbrs))
-        if not sizes.sum():
-            return []
-        node_pos = np.repeat(np.arange(len(out_nbrs), dtype=np.int64), sizes)
-        all_dst = np.concatenate([np.asarray(nbrs, dtype=np.int64) for nbrs in out_nbrs])
-        feats = [out_edge_feats[position] for position in np.nonzero(sizes)[0]]
-        edge_features = None
-        if any(f is not None for f in feats):
-            if any(f is None for f in feats):
-                raise ValueError(
-                    "mixed edge-feature availability across nodes in one batch")
-            edge_features = np.concatenate(feats, axis=0)
-
-        messages, units = gas.edge_messages(self.model.layers[layer_index], state,
-                                            node_pos, edge_features)
+        node_pos = np.repeat(np.arange(state.num_records()), np.diff(state.indptr))
+        messages, units = gas.edge_messages(self.model.layers[layer_index], state.payload,
+                                            node_pos, state.edge_feats)
         context.add_compute(units)
-        source_ids = node_ids[node_pos]
         routed = gas.scatter(self.plan.layer(layer_index), self.plan.out_degree_hubs,
-                             self.shadow_plan, source_ids, all_dst, inline=True)
-
-        payload_rows = messages[routed.plain_rows]
-        outputs: List[Record] = [(dst, ("m", payload_rows[index], 1))
-                                 for index, dst in enumerate(routed.plain_dst.tolist())]
-        # One iteration per hub *node* (rare), never per edge row; edges are
-        # grouped by source and hubs come in first-appearance order, so each
-        # hub's refs are one contiguous slice.
-        bounds = np.searchsorted(routed.hub_refs, np.arange(routed.hub_rows.size + 1))
-        for hub, row in enumerate(routed.hub_rows.tolist()):
-            node_id = int(source_ids[row])
-            dst = routed.hub_dst[bounds[hub]:bounds[hub + 1]]
-            outputs.extend((("bc", bucket), ("p", node_id, messages[row]))
-                           for bucket in np.unique(self.layout.owners(dst)).tolist())
-            outputs.extend((d, ("r", node_id, 1)) for d in dst.tolist())
+                             self.shadow_plan, state.dst_ids[node_pos], state.nbrs,
+                             inline=True)
+        plain: MessageBlock = MessageBlock(routed.plain_dst, messages[routed.plain_rows])
+        hubs: MessageBlock = BroadcastMessageBlock(routed.hub_dst, routed.hub_refs,
+                                                   messages[routed.hub_rows])
         if self.targets is not None:
-            outputs = _filter_scatter_records(outputs, self.targets[layer_index],
-                                              self.layout)
-        return outputs
+            plain, hubs = (block.take(np.nonzero(
+                np.isin(block.dst_ids, self.targets[layer_index]))[0]) for block in (plain, hubs))
+        blocks = [plain] if plain.num_records() else []
+        return blocks + [piece for _, piece in hubs.split_by(
+            self.layout.owners(hubs.dst_ids), self.layout.num_partitions)]
 
     # ------------------------------------------------------------------ #
-    def map_partition(self, records: List[Record], context: TaskContext) -> Iterable[Record]:
-        if not self.is_init_round or not records:
-            # Identity map: records already carry their destination node key.
-            return list(records)
-        node_ids = np.asarray([key for key, _ in records], dtype=np.int64)
-        features = np.stack([value[0] for _, value in records])
-        out_nbrs = [value[1] for _, value in records]
-        out_edge_feats = [value[2] for _, value in records]
-
-        state, units = gas.encode(self.model, features)
-        context.add_compute(units)
-        context.observe_memory(tensor_bytes(state.shape) + float(features.nbytes))
-
-        outputs: List[Record] = [
-            (node_id, ("s", state[position], out_nbrs[position], out_edge_feats[position]))
-            for position, node_id in enumerate(node_ids.tolist())]
-        outputs.extend(self._emit_messages(0, node_ids, state, out_nbrs, out_edge_feats, context))
-        return outputs
-
-    def combine(self, key: Any, values: List[Any], context: TaskContext) -> Iterable[Record]:
-        return _combine_messages(self.model, self.plan, self.layer_index, key, values)
+    def map_partition(self, items: List[Any], context: TaskContext) -> List[List[Any]]:
+        blocks: List[MessageBlock] = [item.block for item in items]
+        if self.layer_index == 0:
+            rows, blocks = blocks, []
+            for block in rows:
+                state, units = gas.encode(self.model, block.payload)
+                context.add_compute(units)
+                context.observe_memory(tensor_bytes(state.shape) + float(block.payload.nbytes))
+                blocks.append(block.with_state(state))
+                blocks.extend(self._scatter(0, blocks[-1], context))
+        combiner = self.plan.layer(self.layer_index).combiner
+        foldable = [block for block in blocks if block.combinable]
+        if combiner is not None and foldable:
+            folded = combiner.combine_block(MessageBlock(*concat_messages(foldable)))
+            blocks = [block for block in blocks if not block.combinable] + [folded]
+        buckets: List[List[Any]] = [[] for _ in range(self.layout.num_partitions)]
+        for block in blocks:
+            for bucket, piece in block.split_by(self.layout.owners(block.dst_ids),
+                                                len(buckets)):
+                buckets[bucket].append(Records(piece))
+        return buckets
 
     # ------------------------------------------------------------------ #
-    def reduce_partition(self, groups: List[Tuple[Any, List[Any]]],
-                         context: TaskContext) -> Iterable[Record]:
-        compute_keep = None if self.targets is None else self.targets[self.layer_index]
-        # Broadcast payload lookup for this reducer instance.
-        payload_lookup: Dict[int, np.ndarray] = {}
-        node_groups: List[Tuple[int, List[Any]]] = []
-        for key, values in groups:
-            if _is_broadcast_key(key):
-                for value in values:
-                    payload_lookup[int(value[1])] = value[2]
-            elif compute_keep is None or int(key) in compute_keep:
-                node_groups.append((int(key), values))
+    def reduce_partition(self, items: List[Any], context: TaskContext) -> List[Any]:
+        states = [item.block for item in items if isinstance(item.block, StateBlock)]
+        dst, payload, counts = concat_messages(
+            [item.block for item in items if not isinstance(item.block, StateBlock)])
+        if not states:      # no node rows here: any message below is an orphan
+            states = [StateBlock(np.empty(0, dtype=np.int64), np.zeros((0, 0)))]
+        state = StateBlock.concat(states)
+        # One node order whatever the mappers sent: ascending id.  Messages
+        # keep their arrival order per destination (the segment reductions in
+        # ``gather_apply`` accumulate in row order).
+        order = np.argsort(state.dst_ids)
+        if self.targets is not None:
+            order = order[np.isin(state.dst_ids[order], self.targets[self.layer_index])]
+        node_ids = state.dst_ids[order]
+        rows = np.searchsorted(node_ids, dst)
+        known = rows < node_ids.size
+        known[known] = node_ids[rows[known]] == dst[known]
+        if not known.all():
+            raise RuntimeError(f"state row missing for node {int(dst[~known][0])}")
 
-        outputs: List[Record] = []
-        for start in range(0, len(node_groups), REDUCE_CHUNK_NODES):
-            chunk = node_groups[start:start + REDUCE_CHUNK_NODES]
-            outputs.extend(self._reduce_chunk(chunk, payload_lookup, context))
-        return outputs
+        num_chunks = -(-node_ids.size // REDUCE_CHUNK_NODES)
+        by_chunk, sizes, starts = stable_group_by(rows // REDUCE_CHUNK_NODES, num_chunks)
+        outputs: List[MessageBlock] = []
+        for chunk in range(num_chunks):
+            first = chunk * REDUCE_CHUNK_NODES
+            picked = by_chunk[starts[chunk]:starts[chunk] + sizes[chunk]]
+            outputs.extend(self._reduce_chunk(
+                state.take(order[first:first + REDUCE_CHUNK_NODES]),
+                payload[picked], rows[picked] - first, counts[picked], context))
+        return [Records(block) for block in outputs]
 
-    def _reduce_chunk(self, chunk: List[Tuple[int, List[Any]]],
-                      payload_lookup: Dict[int, np.ndarray],
-                      context: TaskContext) -> List[Record]:
-        layer = self.model.layers[self.layer_index]
-        states: List[np.ndarray] = []
-        out_nbrs: List[np.ndarray] = []
-        out_edge_feats: List[Optional[np.ndarray]] = []
-        message_rows: List[np.ndarray] = []
-        message_dst: List[int] = []
-        message_counts: List[int] = []
-
-        for local_index, (node_id, values) in enumerate(chunk):
-            state_row = None
-            nbrs: np.ndarray = np.empty(0, dtype=np.int64)
-            edge_feats = None
-            for value in values:
-                kind = value[0]
-                if kind == "s":
-                    state_row, nbrs, edge_feats = value[1], value[2], value[3]
-                elif kind in ("m", "r"):
-                    row = value[1] if kind == "m" else payload_lookup.get(int(value[1]))
-                    if row is None:
-                        raise RuntimeError(
-                            f"broadcast payload for hub {value[1]} missing on reducer")
-                    message_rows.append(row)
-                    message_dst.append(local_index)
-                    message_counts.append(int(value[2]))
-            if state_row is None:
-                # A node that only ever appears as a message destination but has
-                # no own record cannot exist: the init map emits a state record
-                # for every node in the node table.
-                raise RuntimeError(f"state record missing for node {node_id}")
-            states.append(state_row)
-            out_nbrs.append(nbrs)
-            out_edge_feats.append(edge_feats)
-
-        node_ids = np.asarray([node_id for node_id, _ in chunk], dtype=np.int64)
-        state_matrix = np.stack(states)
-        payload = np.stack(message_rows) if message_rows else np.zeros((0, 0))
-        new_state, units = gas.gather_apply(
-            layer, state_matrix, payload, np.asarray(message_dst, dtype=np.int64),
-            np.asarray(message_counts, dtype=np.int64))
+    def _reduce_chunk(self, state: StateBlock, payload: np.ndarray, dst_index: np.ndarray,
+                      counts: np.ndarray, context: TaskContext) -> List[MessageBlock]:
+        """Layer ``layer_index`` over one bounded chunk of node rows."""
+        new_state, units = gas.gather_apply(self.model.layers[self.layer_index],
+                                            state.payload, payload, dst_index, counts)
         context.add_compute(units)
         context.observe_memory(
-            tensor_bytes(new_state.shape) + tensor_bytes(state_matrix.shape)
+            tensor_bytes(new_state.shape) + tensor_bytes(state.payload.shape)
             + float(payload.nbytes))
-
         if self.layer_index == self.model.num_layers - 1:
             logits, units = gas.predict(self.model, new_state)
             context.add_compute(units)
-            return [(node_id, ("o", logits[position]))
-                    for position, node_id in enumerate(node_ids.tolist())
-                    if node_id < self.original_num_nodes]
-        outputs: List[Record] = [
-            (node_id, ("s", new_state[position], out_nbrs[position],
-                       out_edge_feats[position]))
-            for position, node_id in enumerate(node_ids.tolist())]
-        outputs.extend(self._emit_messages(
-            self.layer_index + 1, node_ids, new_state, out_nbrs, out_edge_feats, context))
-        return outputs
-
-
-def _combine_messages(model: GNNModel, plan: StrategyPlan, layer_index: int,
-                      key: Any, values: List[Any]) -> List[Record]:
-    """Mapper-side combiner implementing partial-gather for message records.
-
-    Only plain ``("m", payload, count)`` records are folded; state records,
-    broadcast refs and broadcast payloads pass through unchanged.  The fold
-    uses the consuming layer's ``partial_reduce`` so the semantics (sum vs
-    max, count bookkeeping for mean) always match the layer.
-    """
-    strategy = plan.layer(layer_index)
-    if not strategy.partial_gather:
-        return [(key, value) for value in values]
-    layer = model.layers[layer_index]
-    passthrough: List[Record] = []
-    payloads: List[np.ndarray] = []
-    counts: List[int] = []
-    for value in values:
-        if isinstance(value, tuple) and value and value[0] == "m":
-            payloads.append(value[1])
-            counts.append(int(value[2]))
-        else:
-            passthrough.append((key, value))
-    if len(payloads) <= 1:
-        if payloads:
-            passthrough.append((key, ("m", payloads[0], counts[0])))
-        return passthrough
-    folded, total = layer.partial_reduce(np.stack(payloads), np.asarray(counts))
-    passthrough.append((key, ("m", folded, total)))
-    return passthrough
-
-
-def _input_record(model: GNNModel, working_graph: Graph, node_id: int) -> Record:
-    """``(node_id, (feature_row, out_nbrs, out_edge_feats))`` from the graph."""
-    edge_feats = None
-    if working_graph.edge_features is not None:
-        edge_feats = working_graph.edge_features[working_graph.out_edge_ids(node_id)]
-    features = (working_graph.node_features[node_id]
-                if working_graph.node_features is not None
-                else np.zeros(model.encoder.in_features))
-    return node_id, (features, working_graph.out_neighbors(node_id).copy(), edge_feats)
-
-
-def build_input_records(model: GNNModel, working_graph: Graph) -> List[Record]:
-    """Ingest the (possibly shadow-expanded) node table into input records.
-
-    This per-node scan is the expensive part of MapReduce preparation; a
-    session builds the records once at ``prepare()`` time and replays them on
-    every execution.  The rounds never mutate record arrays in place, so the
-    cached records can be reused safely.
-    """
-    return [_input_record(model, working_graph, node_id)
-            for node_id in range(working_graph.num_nodes)]
-
-
-def patch_input_records(input_records: List[Record], model: GNNModel,
-                        working_graph: Graph, node_ids: np.ndarray) -> None:
-    """Rebuild the cached records of ``node_ids`` after an in-place delta.
-
-    ``input_records`` is id-indexed (``input_records[g][0] == g`` — the
-    invariant :func:`build_input_records` establishes and the rounds never
-    break), so the patch is one direct scatter.  ``node_ids`` are the
-    working-graph nodes whose feature row changed (replica-closed — mirror
-    rows are separate records) or whose *out-edge* set changed (removed
-    edges' sources plus the — already mirror-assigned — sources of appended
-    edges).  Each gets the record a fresh :func:`build_input_records` over
-    the patched graph would produce, byte for byte:
-    :meth:`~repro.graph.graph.Graph._build_index` sorts edges by source with
-    a *stable* argsort, so the rebuilt adjacency payload keeps edge order.
-    """
-    for g in np.unique(np.asarray(node_ids, dtype=np.int64)).tolist():
-        if int(input_records[g][0]) != g:
-            raise RuntimeError(
-                f"input_records are no longer id-indexed (record {g} is keyed "
-                f"{input_records[g][0]}); re-plan instead of patching")
-        input_records[g] = _input_record(model, working_graph, g)
-
-
-def collect_scores(records: Iterable[Record], scores: np.ndarray) -> np.ndarray:
-    """Write a final round's ``("o", logits_row)`` records into ``scores``."""
-    for key, value in records:
-        if isinstance(value, tuple) and value and value[0] == "o":
-            scores[int(key)] = value[1]
-    return scores
+            original = np.nonzero(state.dst_ids < self.original_num_nodes)[0]
+            return [StateBlock(state.dst_ids[original], logits[original])]
+        updated = state.with_state(new_state)
+        return [updated] + self._scatter(self.layer_index + 1, updated, context)
 
 
 # --------------------------------------------------------------------------- #
-# incremental inference: dependency-closure replay over the cached records
+# incremental inference: dependency-closure replay from the graph's own rows
 # --------------------------------------------------------------------------- #
-def _filter_scatter_records(records: List[Record], keep: AbstractSet[int],
-                            layout: ClusterLayout) -> List[Record]:
-    """Drop scattered messages bound outside ``keep`` (post shadow expansion).
-
-    Plain ``("m", ...)`` messages and broadcast ``("r", ...)`` refs are kept
-    iff their destination survives; broadcast ``("p", ...)`` payloads are kept
-    only for ``(hub, bucket)`` pairs some surviving ref still needs, using the
-    same bucket resolution the emitter used.
-    """
-    kept: List[Record] = []
-    payloads: List[Record] = []
-    hub_buckets: Set[Tuple[int, int]] = set()
-    for key, value in records:
-        if _is_broadcast_key(key):
-            payloads.append((key, value))
-            continue
-        dst = int(key)
-        if dst not in keep:
-            continue
-        kept.append((key, value))
-        if value[0] == "r":
-            hub_buckets.add((int(value[1]), int(layout.owner_of[dst])))
-    kept.extend((key, value) for key, value in payloads
-                if (int(value[1]), int(key[1])) in hub_buckets)
-    return kept
-
-
-def _in_neighbors_of(working_graph: Graph, node_ids: np.ndarray) -> np.ndarray:
-    """Sources with an out-edge into ``node_ids`` (one isin pass over dst).
-
-    ``dst`` arrays only ever carry original ids (mirror fan-out happens at
-    scatter time), so a replica-closed ``node_ids`` — which always contains
-    the origin of each of its mirrors — needs no extra translation here.
-    """
-    if node_ids.size == 0 or working_graph.num_edges == 0:
-        return np.empty(0, dtype=np.int64)
-    mask = np.isin(working_graph.dst, node_ids)
-    return np.unique(working_graph.src[mask])
-
-
 def dependency_closure(working_graph: Graph, frontiers: Sequence[np.ndarray],
                        shadow_plan: Optional[ShadowNodePlan],
                        ) -> Tuple[List[np.ndarray], np.ndarray]:
-    """Per-round recompute targets and the input records a replay starts from.
+    """Per-round recompute targets and the input rows a replay starts from.
 
     ``frontiers`` are the delta's per-superstep dirty frontiers
     (:func:`~repro.inference.delta.expand_frontier`, one more than there are
@@ -408,13 +334,12 @@ def dependency_closure(working_graph: Graph, frontiers: Sequence[np.ndarray],
     must recompute ``T[r] = T[r+1] ∪ in-neighbours(T[r+1])`` (replica-closed);
     the input closure adds ``T[0]``'s message sources.
     """
-    def close(ids: np.ndarray) -> np.ndarray:
-        if shadow_plan is None or not shadow_plan.has_mirrors:
-            return ids
-        return shadow_plan.replicas_of(ids)
-
     def with_sources(ids: np.ndarray) -> np.ndarray:
-        return close(np.union1d(ids, _in_neighbors_of(working_graph, ids)))
+        # ``dst`` only ever carries original ids (mirror fan-out happens at
+        # scatter time) and a replica-closed ``ids`` contains the origin of
+        # each of its mirrors, so one isin pass finds every message source.
+        closure = np.union1d(ids, working_graph.src[np.isin(working_graph.dst, ids)])
+        return closure if shadow_plan is None else shadow_plan.replicas_of(closure)
 
     targets = [frontiers[-1]]
     for _ in range(len(frontiers) - 2):

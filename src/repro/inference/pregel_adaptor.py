@@ -44,7 +44,7 @@ from repro.graph.graph import Graph
 from repro.inference import gas
 from repro.inference.config import InferenceConfig
 from repro.inference.shadow import ShadowNodePlan
-from repro.inference.strategies import BroadcastMessageBlock, StrategyPlan
+from repro.inference.strategies import BroadcastMessageBlock, StrategyPlan, concat_messages
 from repro.pregel.combiners import MessageCombiner
 from repro.pregel.engine import PregelEngine, PregelPartition
 from repro.pregel.vertex import BlockVertexProgram, MessageBlock, PartitionContext
@@ -129,11 +129,7 @@ class GNNInferenceProgram(BlockVertexProgram):
     def _assemble_messages(partition: PregelPartition, incoming: List[MessageBlock],
                            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Concatenate incoming blocks into (payload, local_dst, counts)."""
-        if not incoming:
-            return np.zeros((0, 0)), _EMPTY_ROWS, _EMPTY_ROWS
-        dst = np.concatenate([block.dst_ids for block in incoming])
-        payload = np.concatenate([block.dense_payload() for block in incoming], axis=0)
-        counts = np.concatenate([block.counts for block in incoming])
+        dst, payload, counts = concat_messages(incoming)
         return payload, partition.local_indices(dst), counts
 
     def _scatter(self, context: PartitionContext, partition: PregelPartition,

@@ -208,8 +208,8 @@ class InferenceSession:
 
         Runs strategy planning, the shadow-node rewrite, the
         :class:`~repro.cluster.layout.ClusterLayout` routing-table build and
-        the backend's own preparation (Pregel partitioning / MapReduce record
-        ingest / k-hop pipeline setup).  Subsequent :meth:`infer` /
+        the backend's own preparation (Pregel partitioning / k-hop pipeline
+        setup; MapReduce needs none).  Subsequent :meth:`infer` /
         :meth:`infer_many` calls reuse the returned plan — including the
         cached layout, which is never recomputed per run.
 
@@ -271,9 +271,9 @@ class InferenceSession:
         caches all untouched.  By default the buffer is then flushed at once
         (:meth:`flush_deltas`) and the flush's outcome returned: backends
         overriding ``apply_delta`` (pregel, mapreduce) patch the cached plan
-        in place — feature rows are scattered into the partitions / cached
-        input records through the cluster layout, shadow mirror copies
-        refreshed, hub thresholds re-checked — and the dirty region
+        in place — feature rows are scattered into the partitions through the
+        cluster layout (mapreduce reads them from the graph), shadow mirror
+        copies refreshed, hub thresholds re-checked — and the dirty region
         accumulates until the next :meth:`infer`.  When the delta invalidates
         the plan (hub set changed, mirror-group counts moved) or the backend
         keeps the base-class default (khop), the delta still lands on the

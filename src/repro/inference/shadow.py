@@ -37,8 +37,6 @@ from repro.graph.graph import Graph
 from repro.inference.delta import GraphDelta
 from repro.inference.strategies import select_hubs
 
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
-
 
 def _mirror_slot(src_ids: np.ndarray, dst_ids: np.ndarray,
                  num_groups: np.ndarray) -> np.ndarray:
@@ -188,8 +186,7 @@ class ShadowNodePlan:
                 self.replica_indptr[src_ids[rows]] + slots]
         return assigned
 
-    def patch_edge_delta(self, base_graph: Graph,
-                         delta: GraphDelta) -> np.ndarray:
+    def patch_edge_delta(self, base_graph: Graph, delta: GraphDelta) -> None:
         """Splice ``delta``'s edge changes into the expanded working graph.
 
         The caller has already landed ``delta`` on ``base_graph`` and verified
@@ -198,29 +195,25 @@ class ShadowNodePlan:
         ids), so the delta's removal positions apply one-to-one; appends get
         their position-stable mirror assignment.  The result is byte-identical
         to a fresh :func:`apply_shadow_nodes` over the post-delta base graph.
-        Returns the working-graph source id assigned to each appended edge.
         """
-        added = (delta.added_src is not None and delta.added_src.size > 0)
-        assigned = (self.assign_sources(delta.added_src, delta.added_dst)
-                    if added else _EMPTY_IDS)
         if self.graph is base_graph:
             # No mirrors: the working graph IS the base graph, and the delta
             # already landed there.
-            return assigned
+            return
         src, dst = self.graph.src, self.graph.dst
         if delta.removed_edge_ids is not None and delta.removed_edge_ids.size:
             keep = np.ones(src.size, dtype=bool)
             keep[delta.removed_edge_ids] = False
             src, dst = src[keep], dst[keep]
-        if added:
-            src = np.concatenate([src, assigned])
+        if delta.added_src is not None and delta.added_src.size:
+            src = np.concatenate(
+                [src, self.assign_sources(delta.added_src, delta.added_dst)])
             dst = np.concatenate([dst, delta.added_dst])
         self.graph.src, self.graph.dst = src, dst
         # The expanded graph shares the base edge-feature buffer; the base
         # application swapped it for a patched array, so re-point the share.
         self.graph.edge_features = base_graph.edge_features
         self.graph.invalidate_adjacency()
-        return assigned
 
     # ------------------------------------------------------------------ #
     def expand_destinations(self, dst_ids: np.ndarray, payload: np.ndarray,

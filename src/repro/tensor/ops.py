@@ -100,13 +100,18 @@ def segment_count(segment_ids, num_segments: int) -> np.ndarray:
     return counts
 
 
-def segment_mean(values: Tensor, segment_ids, num_segments: int) -> Tensor:
-    """Mean-reduce ``values`` rows per segment (empty segments yield zeros)."""
+def segment_mean(values: Tensor, segment_ids, num_segments: int,
+                 counts: Optional[np.ndarray] = None) -> Tensor:
+    """Mean-reduce ``values`` rows per segment (empty segments yield zeros).
+
+    ``counts[i]`` is the number of raw rows ``values[i]`` stands for — a
+    partial sum folded by a sender-side combiner — so the mean divides the
+    summed rows by the summed counts; ``None`` means one each.
+    """
     ids = _as_index(segment_ids)
-    counts = segment_count(ids, num_segments).astype(np.float64)
-    counts = np.maximum(counts, 1.0)
     summed = segment_sum(values, ids, num_segments)
-    scale = Tensor(1.0 / counts.reshape((num_segments,) + (1,) * (summed.ndim - 1)))
+    denom = np.maximum(np.bincount(ids, weights=counts, minlength=num_segments), 1.0)
+    scale = Tensor(1.0 / denom.reshape((num_segments,) + (1,) * (summed.ndim - 1)))
     return summed * scale
 
 

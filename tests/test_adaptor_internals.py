@@ -1,8 +1,8 @@
 """White-box tests for what the backend adaptors still own: the transport.
 
-Record formats and shuffle keys on the MapReduce side, mailbox assembly and
-block packaging on the Pregel side.  The stages themselves are tested in
-``test_gas_stages.py``.
+Block kinds, bucketing and the map-side fold on the MapReduce side, mailbox
+assembly and block packaging on the Pregel side.  The stages themselves are
+tested in ``test_gas_stages.py``.
 """
 
 from __future__ import annotations
@@ -16,12 +16,7 @@ from repro.graph.generators import labeled_community_graph, star_graph
 from repro.cluster.layout import ClusterLayout
 from repro.graph.partition import HashPartitioner
 from repro.inference import InferenceConfig, InferenceSession, StrategyConfig
-from repro.inference.mapreduce_adaptor import (
-    GNNRoundJob,
-    _combine_messages,
-    _filter_scatter_records,
-    _partition_fn,
-)
+from repro.inference.mapreduce_adaptor import GNNRoundJob, Records, StateBlock, input_rows
 from repro.inference.pregel_adaptor import GNNInferenceProgram
 from repro.inference.strategies import BroadcastMessageBlock, build_strategy_plan
 from repro.pregel.engine import PregelEngine
@@ -49,130 +44,200 @@ def gat(graph):
     return build_model("gat", graph.feature_dim, 8, 3, num_layers=2, seed=0)
 
 
-class TestPartitionFn:
-    def test_integer_keys_by_modulo(self):
-        assert _partition_fn(13, 4) == 1
-        assert _partition_fn(8, 4) == 0
+def flatten(buckets):
+    """Every bucketed block of one ``map_partition`` call, in bucket order."""
+    return [item.block for bucket in buckets for item in bucket]
 
-    def test_broadcast_keys_carry_bucket(self):
-        assert _partition_fn(("bc", 2), 8) == 2
-        assert _partition_fn(("bc", 11), 8) == 3
+
+def plain_blocks(blocks):
+    return [block for block in blocks if type(block) is MessageBlock]
+
+
+def round_job(model, graph, layout, layer_index, shadow_plan=None, targets=None,
+              **strategies):
+    plan = build_strategy_plan(model, graph, 4, StrategyConfig(**strategies),
+                               graph.edge_features is not None)
+    return GNNRoundJob(model, plan, shadow_plan, layer_index, graph.num_nodes, layout,
+                       targets=targets)
+
+
+class TestBucketing:
+    def test_every_row_lands_on_its_owner(self, graph, sage, layout):
+        """Placement is ``layout.owners`` and nothing else — state rows,
+        messages and hub references alike (hub threshold 3: most nodes)."""
+        job = round_job(sage, graph, layout, 0, broadcast=True, hub_threshold_override=3)
+        buckets = job.map_partition([Records(input_rows(sage, graph))], TaskContext())
+        assert len(buckets) == layout.num_partitions
+        kinds = set()
+        for bucket, items in enumerate(buckets):
+            for item in items:
+                kinds.add(type(item.block))
+                assert (layout.owners(item.block.dst_ids) == bucket).all()
+        assert kinds == {StateBlock, MessageBlock, BroadcastMessageBlock}
+        states = [block for block in flatten(buckets) if isinstance(block, StateBlock)]
+        assert sorted(np.concatenate([b.dst_ids for b in states]).tolist()) == list(
+            range(graph.num_nodes))
 
 
 class TestCombineMessages:
-    def test_folds_only_message_records(self, graph, sage):
-        plan = build_strategy_plan(sage, graph, 4, StrategyConfig(partial_gather=True), False)
-        values = [("m", np.ones(8), 1), ("m", np.ones(8) * 3, 1),
-                  ("s", np.zeros(8), np.array([1]), None)]
-        combined = _combine_messages(sage, plan, 0, 7, values)
-        kinds = sorted(value[0] for _, value in combined)
-        assert kinds == ["m", "s"]
-        message = [value for _, value in combined if value[0] == "m"][0]
-        np.testing.assert_allclose(message[1], np.ones(8) * 4)
-        assert message[2] == 2
+    """Partial-gather on the map side is the plan's ``MessageCombiner``."""
 
-    def test_passthrough_when_partial_gather_disabled(self, graph, sage):
-        plan = build_strategy_plan(sage, graph, 4, StrategyConfig(partial_gather=False), False)
-        values = [("m", np.ones(8), 1), ("m", np.ones(8), 1)]
-        combined = _combine_messages(sage, plan, 0, 7, values)
-        assert len(combined) == 2
+    @staticmethod
+    def later_round_items(dim):
+        state = StateBlock(np.array([7]), np.zeros((1, dim)), np.array([0, 1]), np.array([1]))
+        messages = MessageBlock(np.array([7, 2, 7]),
+                                np.stack([np.ones(dim), np.ones(dim) * 5, np.ones(dim) * 3]),
+                                np.array([1, 2, 1]))
+        return [Records(state), Records(messages)]
 
-    def test_single_message_kept_as_is(self, graph, sage):
-        plan = build_strategy_plan(sage, graph, 4, StrategyConfig(partial_gather=True), False)
-        combined = _combine_messages(sage, plan, 0, 7, [("m", np.ones(8), 2)])
-        assert combined[0][1][2] == 2
+    def test_folds_only_message_records(self, graph, sage, layout):
+        job = round_job(sage, graph, layout, 1, partial_gather=True)
+        blocks = flatten(job.map_partition(self.later_round_items(8), TaskContext()))
+        (state,) = [block for block in blocks if isinstance(block, StateBlock)]
+        np.testing.assert_array_equal(state.dst_ids, [7])
+        np.testing.assert_array_equal(state.nbrs, [1])
+        folded = {int(block.dst_ids[0]): block for block in plain_blocks(blocks)}
+        assert sorted(folded) == [2, 7]
+        np.testing.assert_allclose(folded[7].payload, np.ones((1, 8)) * 4)
+        assert folded[7].counts.tolist() == [2]
 
-    def test_gat_never_combines(self, graph, gat):
-        plan = build_strategy_plan(gat, graph, 4, StrategyConfig(partial_gather=True), False)
-        values = [("m", np.ones(gat.layers[0].message_dim), 1)] * 3
-        combined = _combine_messages(gat, plan, 0, 7, values)
-        assert len(combined) == 3
+    def test_single_message_kept_as_is(self, graph, sage, layout):
+        job = round_job(sage, graph, layout, 1, partial_gather=True)
+        blocks = flatten(job.map_partition(self.later_round_items(8), TaskContext()))
+        (lone,) = [block for block in plain_blocks(blocks) if block.dst_ids[0] == 2]
+        np.testing.assert_allclose(lone.payload, np.ones((1, 8)) * 5)
+        assert lone.counts.tolist() == [2]      # the count it arrived with
+
+    def test_passthrough_when_partial_gather_disabled(self, graph, sage, layout):
+        job = round_job(sage, graph, layout, 1, partial_gather=False)
+        blocks = flatten(job.map_partition(self.later_round_items(8), TaskContext()))
+        assert sum(block.num_records() for block in plain_blocks(blocks)) == 3
+
+    def test_gat_never_combines(self, graph, gat, layout):
+        job = round_job(gat, graph, layout, 1, partial_gather=True)
+        assert job.plan.layer(1).combiner is None
+        dim = gat.layers[1].message_dim
+        blocks = flatten(job.map_partition(self.later_round_items(dim), TaskContext()))
+        assert sum(block.num_records() for block in plain_blocks(blocks)) == 3
 
 
 class TestGNNRoundJob:
     def test_identity_map_for_later_rounds(self, graph, sage, layout):
-        plan = build_strategy_plan(sage, graph, 4, StrategyConfig(), False)
-        job = GNNRoundJob(sage, plan, None, 1, graph.num_nodes, layout)
-        records = [(3, ("m", np.ones(8), 1))]
-        assert list(job.map_partition(records, TaskContext("map", 0))) == records
+        """Without a combiner a later round's map only buckets: the same rows
+        come out, each in its owner's bucket, in arrival order."""
+        job = round_job(sage, graph, layout, 1, partial_gather=False)
+        rng = np.random.default_rng(0)
+        dst = rng.integers(0, graph.num_nodes, size=30)
+        payload = rng.normal(size=(30, 8))
+        context = TaskContext()
+        buckets = job.map_partition([Records(MessageBlock(dst, payload))], context)
+        assert context.compute_units == 0
+        for bucket, items in enumerate(buckets):
+            rows = np.nonzero(layout.owners(dst) == bucket)[0]
+            (block,) = [item.block for item in items] or [MessageBlock(dst[:0], payload[:0])]
+            np.testing.assert_array_equal(block.dst_ids, dst[rows])
+            np.testing.assert_array_equal(block.payload, payload[rows])
 
     def test_init_round_emits_state_and_messages(self, graph, sage, layout):
-        plan = build_strategy_plan(sage, graph, 4, StrategyConfig(), False)
-        job = GNNRoundJob(sage, plan, None, 0, graph.num_nodes, layout)
+        job = round_job(sage, graph, layout, 0, partial_gather=False)
         node_id = 0
         neighbors = graph.out_neighbors(node_id)
-        records = [(node_id, (graph.node_features[node_id], neighbors, None))]
-        context = TaskContext("map", 0)
-        emitted = list(job.map_partition(records, context))
-        kinds = [value[0] for _, value in emitted]
-        assert kinds.count("s") == 1
-        assert kinds.count("m") == neighbors.size
-        # ("s", h_row, out_nbrs, out_edge_feats) keyed by the node itself;
-        # ("m", payload_row, count) keyed by the destination.
-        key, (_, h_row, out_nbrs, out_edge_feats) = emitted[0]
-        assert key == node_id and h_row.shape == (8,) and out_edge_feats is None
-        np.testing.assert_array_equal(out_nbrs, neighbors)
-        assert [key for key, value in emitted if value[0] == "m"] == neighbors.tolist()
-        assert all(value[2] == 1 for _, value in emitted if value[0] == "m")
+        rows = input_rows(sage, graph).take(np.array([node_id]))
+        assert not rows.tagged
+        np.testing.assert_array_equal(rows.payload[0], graph.node_features[node_id])
+        context = TaskContext()
+        blocks = flatten(job.map_partition([Records(rows)], context))
+        (state,) = [block for block in blocks if isinstance(block, StateBlock)]
+        # the node's own encoded state + out-adjacency, addressed to itself;
+        # one count-1 message per out-edge, addressed to the destination.
+        assert state.tagged and state.edge_feats is None
+        assert state.dst_ids.tolist() == [node_id] and state.payload.shape == (1, 8)
+        np.testing.assert_array_equal(state.nbrs, neighbors)
+        messages = plain_blocks(blocks)
+        assert sorted(np.concatenate([b.dst_ids for b in messages]).tolist()) == sorted(
+            neighbors.tolist())
+        assert all((block.counts == 1).all() for block in messages)
+        assert all((block.payload == state.payload[0]).all() for block in messages)
         # encode + one pass over the outgoing message elements
         assert context.compute_units == graph.feature_dim * 8 + neighbors.size * 8
 
-    def test_hub_emits_one_payload_per_bucket_plus_refs(self):
+    @staticmethod
+    def star_hub_round(edge_feature_dim):
+        """Init-round map over the hub row of an out-star, broadcast on."""
         star = star_graph(40, direction="out", seed=0)
+        if edge_feature_dim:
+            star.edge_features = np.ones((star.num_edges, edge_feature_dim))
         model = build_model("sage", star.feature_dim, 8, 2, num_layers=2, seed=0)
         layout = ClusterLayout.build(star.num_nodes, HashPartitioner(4))
-        plan = build_strategy_plan(model, star, 4, StrategyConfig(
-            broadcast=True, hub_threshold_override=10), False)
-        job = GNNRoundJob(model, plan, None, 0, star.num_nodes, layout)
-        neighbors = star.out_neighbors(0)
-        emitted = list(job.map_partition(
-            [(0, (star.node_features[0], neighbors, None))], TaskContext("map", 0)))
-        payloads = [(key, value) for key, value in emitted if value[0] == "p"]
-        refs = [(key, value) for key, value in emitted if value[0] == "r"]
-        # ("p", hub_id, payload_row) keyed ("bc", bucket): once per bucket;
-        # ("r", hub_id, count) keyed by destination: once per out-edge.
-        assert sorted(key for key, _ in payloads) == [
-            ("bc", bucket) for bucket in np.unique(layout.owners(neighbors)).tolist()]
-        assert [key for key, _ in refs] == neighbors.tolist()
-        assert all(value[1] == 0 and value[2] == 1 for _, value in refs)
-        assert not any(value[0] == "m" for _, value in emitted)
+        job = round_job(model, star, layout, 0, broadcast=True, hub_threshold_override=10)
+        assert job.plan.layer(0).broadcast
+        buckets = job.map_partition(
+            [Records(input_rows(model, star).take(np.array([0])))], TaskContext())
+        return star.out_neighbors(0), layout, buckets
+
+    def test_hub_emits_one_payload_per_bucket_plus_refs(self):
+        neighbors, layout, buckets = self.star_hub_round(edge_feature_dim=0)
+        blocks = flatten(buckets)
+        assert not plain_blocks(blocks)
+        hubs = [block for block in blocks if isinstance(block, BroadcastMessageBlock)]
+        # one block per destination bucket: the hub's payload once, an id-only
+        # reference per out-edge bound there.
+        assert [int(layout.owners(block.dst_ids)[0]) for block in hubs] == np.unique(
+            layout.owners(neighbors)).tolist()
+        assert all(block.unique_payloads.shape == (1, 8) for block in hubs)
+        assert all((block.payload_refs == 0).all() and (block.counts == 1).all()
+                   for block in hubs)
+        assert sorted(np.concatenate([b.dst_ids for b in hubs]).tolist()) == sorted(
+            neighbors.tolist())
+        assert sum(item.num_records() for bucket in buckets for item in bucket) == (
+            1 + neighbors.size + len(hubs))
 
     def test_edge_features_the_layer_ignores_do_not_block_broadcast(self):
         """One rule on every backend: ``LayerStrategy.broadcast`` decides.  A
         model without an edge projection sends identical payloads along every
-        hub out-edge even when the records carry edge features."""
+        hub out-edge even when the rows carry edge features."""
+        neighbors, _, buckets = self.star_hub_round(edge_feature_dim=3)
+        blocks = flatten(buckets)
+        assert not plain_blocks(blocks)
+        assert sum(block.num_records() for block in blocks
+                   if isinstance(block, BroadcastMessageBlock)) == neighbors.size
+
+    def test_scatter_filter_keeps_payloads_only_for_surviving_refs(self):
         star = star_graph(40, direction="out", seed=0)
         model = build_model("sage", star.feature_dim, 8, 2, num_layers=2, seed=0)
         layout = ClusterLayout.build(star.num_nodes, HashPartitioner(4))
-        plan = build_strategy_plan(model, star, 4, StrategyConfig(
-            broadcast=True, hub_threshold_override=10), has_edge_features=True)
-        assert plan.layer(0).broadcast
-        job = GNNRoundJob(model, plan, None, 0, star.num_nodes, layout)
-        neighbors = star.out_neighbors(0)
-        edge_feats = np.ones((neighbors.size, 3))
-        emitted = list(job.map_partition(
-            [(0, (star.node_features[0], neighbors, edge_feats))], TaskContext("map", 0)))
-        assert [value[0] for _, value in emitted].count("r") == neighbors.size
-        assert not any(value[0] == "m" for _, value in emitted)
-
-    def test_scatter_filter_keeps_payloads_only_for_surviving_refs(self, layout):
-        owner = layout.owner_of
         keep_dst = 5
-        other = next(g for g in range(layout.num_nodes) if owner[g] != owner[keep_dst])
-        payload = np.ones(3)
-        records = [(keep_dst, ("m", payload, 1)), (other, ("m", payload, 1)),
-                   (("bc", int(owner[keep_dst])), ("p", 9, payload)),
-                   (("bc", int(owner[other])), ("p", 9, payload)),
-                   (keep_dst, ("r", 9, 1)), (other, ("r", 9, 1))]
-        kept = _filter_scatter_records(records, {keep_dst}, layout)
-        assert [(key, value[0]) for key, value in kept] == [
-            (keep_dst, "m"), (keep_dst, "r"), (("bc", int(owner[keep_dst])), "p")]
+        targets = [np.array([keep_dst]), np.array([keep_dst])]
+        job = round_job(model, star, layout, 0, targets=targets, broadcast=True,
+                        hub_threshold_override=10)
+        rows = input_rows(model, star).take(np.array([0, keep_dst]))
+        blocks = flatten(job.map_partition([Records(rows)], TaskContext()))
+        (hub,) = [block for block in blocks if isinstance(block, BroadcastMessageBlock)]
+        assert hub.dst_ids.tolist() == [keep_dst]
+        assert hub.unique_payloads.shape[0] == 1
+        assert not plain_blocks(blocks)
 
-    def test_combiner_flag_follows_plan(self, graph, sage, gat, layout):
-        sage_plan = build_strategy_plan(sage, graph, 4, StrategyConfig(partial_gather=True), False)
-        gat_plan = build_strategy_plan(gat, graph, 4, StrategyConfig(partial_gather=True), False)
-        assert GNNRoundJob(sage, sage_plan, None, 0, graph.num_nodes, layout).has_combiner
-        assert not GNNRoundJob(gat, gat_plan, None, 0, graph.num_nodes, layout).has_combiner
+
+    def test_reducer_chunks_bound_the_working_set_not_the_scores(self, monkeypatch):
+        """``REDUCE_CHUNK_NODES`` cuts a reducer's sorted node rows into row
+        ranges: many small chunks give the same scores and counters as one,
+        with a smaller peak working set."""
+        import repro.inference.mapreduce_adaptor as adaptor
+
+        graph = labeled_community_graph(num_nodes=300, num_classes=3, feature_dim=6,
+                                        avg_degree=5.0, seed=4)
+        model = build_model("sage", graph.feature_dim, 8, 3, num_layers=2, seed=0)
+        config = InferenceConfig(backend="mapreduce", num_workers=4, executor="serial",
+                                 strategies=StrategyConfig(partial_gather=False))
+        whole = InferenceSession(model, config).infer(graph)
+        monkeypatch.setattr(adaptor, "REDUCE_CHUNK_NODES", 16)
+        chunked = InferenceSession(model, config).infer(graph)
+        np.testing.assert_allclose(chunked.scores, whole.scores, rtol=0.0, atol=1e-9)
+        for counter in ("compute_units", "bytes_out", "records_out"):
+            assert chunked.metrics.total(counter) == whole.metrics.total(counter)
+        peak = [max(m.peak_memory_bytes for m in result.metrics.instances("round_1/reduce"))
+                for result in (chunked, whole)]
+        assert peak[0] < peak[1]
 
 
 class TestPregelProgram:

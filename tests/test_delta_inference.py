@@ -458,19 +458,18 @@ class TestFallbackBackends:
                                       fresh_scores(reference, backend="khop"))
 
     def test_mapreduce_feature_delta_patches_in_place(self):
-        # mapreduce now has delta hooks: feature deltas patch the cached
-        # input records row-wise (no re-plan); full infer() serves current
-        # scores bit-identical to a fresh prepare()+infer().
+        # mapreduce has delta hooks: a feature delta lands on the graph the
+        # rounds read their input rows from (no re-plan); full infer() serves
+        # current scores bit-identical to a fresh prepare()+infer().
         rng = np.random.default_rng(42)
         graph = make_graph(seed=42, num_nodes=300)
         session = make_session(graph, backend="mapreduce")
         session.prepare(graph)
         session.infer()
-        records_before = session.plan.state["input_records"]
         delta = random_feature_delta(rng, graph)
         outcome = session.apply_delta(delta)
         assert outcome.in_place
-        assert session.plan.state["input_records"] is records_before  # no re-plan
+        assert session.num_replans == 0
         scores = session.infer().scores
         reference = make_graph(seed=42, num_nodes=300)
         reference.node_features[delta.node_ids] = delta.node_features
@@ -478,18 +477,17 @@ class TestFallbackBackends:
                                       fresh_scores(reference, backend="mapreduce"))
 
     def test_mapreduce_edge_delta_patches_in_place(self):
-        # Hub-preserving edge deltas splice into the cached input records
-        # (no re-plan); the rebuilt adjacency payloads are byte-identical to
-        # a fresh record scan, so full infer() stays bit-identical too.
+        # Hub-preserving edge deltas splice into the working graph (no
+        # re-plan); its rebuilt adjacency index is byte-identical to a fresh
+        # plan's, so full infer() stays bit-identical too.
         graph = make_graph(seed=44, num_nodes=300)
         session = make_session(graph, backend="mapreduce")
         session.prepare(graph)
         session.infer()
-        records_before = session.plan.state["input_records"]
         outcome = session.apply_delta(
             GraphDelta(added_src=np.array([2, 3]), added_dst=np.array([0, 1])))
         assert outcome.in_place
-        assert session.plan.state["input_records"] is records_before  # no re-plan
+        assert session.num_replans == 0
         after = session.infer().scores
         reference = make_graph(seed=44, num_nodes=300)
         apply_delta_to_graph(reference, GraphDelta(

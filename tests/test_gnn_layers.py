@@ -19,6 +19,8 @@ from repro.gnn.gat import GATConv
 from repro.gnn.gcn import GCNConv
 from repro.gnn.model import GNNModel, build_model, layer_class
 from repro.gnn.sage import SAGEConv
+from repro.pregel.combiners import combiner_for_aggregate_kind
+from repro.pregel.vertex import MessageBlock
 from repro.tensor.nn import Linear
 from repro.tensor.tensor import Tensor
 
@@ -113,16 +115,6 @@ class TestSAGEConv:
         partial = layer.gather(Tensor(folded), folded_dst, 2, counts).data
         np.testing.assert_allclose(partial, full, atol=1e-12)
 
-    def test_partial_reduce_sum_and_max(self):
-        messages = np.array([[1.0, 5.0], [3.0, 2.0]])
-        sum_layer = SAGEConv(2, 2, aggregator="sum")
-        payload, count = sum_layer.partial_reduce(messages)
-        np.testing.assert_allclose(payload, [4.0, 7.0])
-        assert count == 2
-        max_layer = SAGEConv(2, 2, aggregator="max")
-        payload, _ = max_layer.partial_reduce(messages)
-        np.testing.assert_allclose(payload, [3.0, 5.0])
-
     def test_edge_features_change_messages(self):
         src, dst, state, edge_state = random_subgraph(edge_dim=4, seed=7)
         layer = SAGEConv(6, 5, edge_dim=4)
@@ -174,8 +166,7 @@ class TestGATConv:
     def test_partial_gather_not_supported(self):
         layer = GATConv(4, 4)
         assert layer.supports_partial_gather is False
-        with pytest.raises(RuntimeError):
-            layer.partial_reduce(np.ones((2, 4)))
+        assert combiner_for_aggregate_kind(layer.aggregate_kind) is None
 
     def test_gather_rejects_preaggregated_counts(self):
         layer = GATConv(4, 4)
@@ -276,8 +267,9 @@ class TestModelBuilder:
        aggregator=st.sampled_from(["sum", "mean", "max"]))
 def test_partial_gather_is_exact_for_any_split(num_splits, num_messages, aggregator):
     """Property: splitting messages into arbitrary sender groups and folding each
-    group with partial_reduce gives exactly the same aggregate as one-shot gather.
-    This is the commutativity/associativity contract partial-gather relies on."""
+    group with the layer's block combiner gives exactly the same aggregate as
+    one-shot gather.  This is the commutativity/associativity contract
+    partial-gather relies on, on the blocks both backends shuffle."""
     rng = np.random.default_rng(num_splits * 100 + num_messages)
     layer = SAGEConv(4, 4, aggregator=aggregator)
     messages = rng.normal(size=(num_messages, 4))
@@ -287,14 +279,11 @@ def test_partial_gather_is_exact_for_any_split(num_splits, num_messages, aggrega
     boundaries = np.sort(rng.choice(np.arange(1, num_messages), size=min(num_splits, num_messages - 1),
                                     replace=False)) if num_messages > 1 else np.array([], dtype=int)
     groups = np.split(np.arange(num_messages), boundaries)
-    folded_rows, counts = [], []
-    for group in groups:
-        if group.size == 0:
-            continue
-        payload, count = layer.partial_reduce(messages[group])
-        folded_rows.append(payload)
-        counts.append(count)
-    partial = layer.gather(Tensor(np.stack(folded_rows)),
-                           np.zeros(len(folded_rows), dtype=np.int64), 1,
-                           np.asarray(counts)).data
+    combiner = combiner_for_aggregate_kind(layer.aggregate_kind)
+    folded = [combiner.combine_block(MessageBlock(dst[group], messages[group]))
+              for group in groups if group.size]
+    assert all(block.num_records() == 1 for block in folded)
+    partial = layer.gather(Tensor(np.concatenate([block.payload for block in folded])),
+                           np.zeros(len(folded), dtype=np.int64), 1,
+                           np.concatenate([block.counts for block in folded])).data
     np.testing.assert_allclose(partial, full, atol=1e-10)

@@ -1,12 +1,12 @@
-"""MapReduce delta hooks: in-place record patching + closure-replay inference.
+"""MapReduce delta hooks: in-place graph patching + closure-replay inference.
 
 Two contracts, property-tested on random power-law graphs with all hub
 strategies enabled:
 
-* ``apply_delta`` patches the cached ``input_records`` row-wise for feature
-  deltas (no re-plan, no per-node table rescan), and a following full
-  ``infer()`` is **bit-identical** to a fresh ``prepare()+infer()`` on the
-  mutated graph — the replay feeds the same records through the same rounds;
+* ``apply_delta`` lands feature deltas on the working graph the rounds cut
+  their input rows from (no re-plan), and a following full ``infer()`` is
+  **bit-identical** to a fresh ``prepare()+infer()`` on the mutated graph —
+  the replay feeds the same rows through the same rounds;
 * ``infer(mode="incremental")`` replays only the delta's dependency closure
   and splices into the cached score matrix; agreement with the full recompute
   is **tolerance-level** (~1e-15 — batch shapes change BLAS accumulation
@@ -156,31 +156,35 @@ class TestIncrementalReplay:
 
 
 class TestRecordPatching:
+    """There are no cached records left to patch: the first round reads its
+    input rows from the working graph, which ``apply_delta`` patched."""
+
     def test_full_infer_after_patch_bit_identical_to_fresh_plan(self):
         rng = np.random.default_rng(29)
         graph = make_graph(29)
         session = make_session()
         session.prepare(graph)
         session.infer()
-        records = session.plan.state["input_records"]
         delta = feature_delta(rng, graph.num_nodes)
         outcome = session.apply_delta(delta)
         assert outcome.in_place
-        assert session.plan.state["input_records"] is records   # no rescan
+        assert session.num_replans == 0
         reference = make_graph(29)
         reference.node_features[delta.node_ids] = delta.node_features
         np.testing.assert_array_equal(session.infer().scores,
                                       fresh_scores(reference))
 
     def test_shadow_mirror_records_refreshed(self):
+        from repro.inference.mapreduce_adaptor import input_rows
+
         rng = np.random.default_rng(31)
         graph = make_graph(31)
         session = make_session()
         session.prepare(graph)
         shadow_plan = session.plan.shadow_plan
         assert shadow_plan is not None and shadow_plan.has_mirrors
-        # Pick a mirrored hub and refresh its features: every replica record
-        # must carry the new row.
+        # Pick a mirrored hub and refresh its features: every replica's input
+        # row must carry the new values.
         group_sizes = np.diff(shadow_plan.replica_indptr)
         hub = int(np.nonzero(group_sizes > 1)[0][0])
         replicas = shadow_plan.replica_ids[
@@ -190,18 +194,7 @@ class TestRecordPatching:
                            node_features=rng.standard_normal((1, 8)))
         outcome = session.apply_delta(delta)
         assert outcome.in_place
-        records = session.plan.state["input_records"]
-        for replica in replicas.tolist():
-            np.testing.assert_array_equal(records[replica][1][0],
-                                          delta.node_features[0])
-
-    def test_patch_rejects_misindexed_records(self):
-        from repro.inference.mapreduce_adaptor import patch_input_records
-
-        graph = make_graph(33, num_nodes=300)
-        session = make_session(shadow_nodes=False)
-        session.prepare(graph)
-        records = session.plan.state["input_records"]
-        records[5], records[6] = records[6], records[5]
-        with pytest.raises(RuntimeError, match="id-indexed"):
-            patch_input_records(records, session.model, graph, np.array([5]))
+        rows = input_rows(session.model, session.plan.working_graph).take(replicas)
+        np.testing.assert_array_equal(rows.dst_ids, replicas)
+        np.testing.assert_array_equal(
+            rows.payload, np.repeat(delta.node_features, replicas.size, axis=0))
