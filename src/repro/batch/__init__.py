@@ -11,10 +11,9 @@ whatever columnar items the job emits (anything with ``num_records()`` and
 seconds).
 """
 
-from repro.batch.mapreduce import MapReduceJob, MapReduceEngine, TaskContext
+from repro.batch.mapreduce import MapReduceJob, MapReduceEngine
 
 __all__ = [
     "MapReduceJob",
     "MapReduceEngine",
-    "TaskContext",
 ]

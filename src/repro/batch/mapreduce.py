@@ -16,82 +16,50 @@ pickle (module-level classes).  The shuffle itself stays in the coordinator:
 reducer ``r`` receives mapper 0's bucket ``r``, then mapper 1's, ... — the
 order of a sequential loop, whatever the executor.
 
-Accounting follows the data.  An item's size is a closed form over its array
-shapes, taken once where the item is produced: the coordinator sizes each
-split it cuts (a mapper's ``bytes_in``); a mapper sizes every item it
-buckets, returning one byte total per bucket (their sum is its
-``bytes_out``); a reducer's ``bytes_in`` is the sum of the bucket totals
-addressed to it — sizes are integer-valued floats, so that sum is exact in
-any order — and it sizes only what it emits.  The counters land per instance
-(one :class:`~repro.cluster.metrics.InstanceMetrics` per task) in the shared
-:class:`~repro.cluster.metrics.MetricsCollector` under ``<phase>/map`` and
-``<phase>/reduce``, ``measured_seconds`` included, for the cost model to price.
+Accounting is :func:`~repro.cluster.metrics.run_instance`, the same helper
+the Pregel harness runs a superstep under: it hands the job the instance's
+:class:`~repro.cluster.metrics.InstanceMetrics` to charge compute and memory
+to, times the call, and counts ``num_records()`` / ``nbytes()`` over the items
+in and over every item bucketed.  An item's size is a closed form over its
+array shapes, so a reducer counting what the mappers already counted costs
+nothing and agrees exactly (sizes are integer-valued floats).  The engine adds
+the one thing only this backend pays — ``disk_bytes``: every round reads its
+input from, and writes its output to, external storage — and the records land
+per instance in the shared :class:`~repro.cluster.metrics.MetricsCollector`
+under ``<phase>/map`` and ``<phase>/reduce`` for the cost model to price.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Any, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster.executor import Executor
-from repro.cluster.metrics import InstanceMetrics, MetricsCollector
-
-
-class TaskContext:
-    """Accounting handle passed to map/reduce implementations."""
-
-    def __init__(self) -> None:
-        self.compute_units = 0.0
-        self.peak_memory_bytes = 0.0
-
-    def add_compute(self, units: float) -> None:
-        self.compute_units += float(units)
-
-    def observe_memory(self, bytes_used: float) -> None:
-        self.peak_memory_bytes = max(self.peak_memory_bytes, float(bytes_used))
+from repro.cluster.metrics import InstanceMetrics, MetricsCollector, run_instance
 
 
 class MapReduceJob:
     """One round's work: a whole-split mapper and a whole-reducer reduce."""
 
-    def map_partition(self, items: List[Any], context: TaskContext) -> List[List[Any]]:
+    def map_partition(self, items: List[Any], metrics: InstanceMetrics) -> List[List[Any]]:
         """Turn one input split into one item list per reducer."""
         raise NotImplementedError
 
-    def reduce_partition(self, items: List[Any], context: TaskContext) -> List[Any]:
+    def reduce_partition(self, items: List[Any], metrics: InstanceMetrics) -> List[Any]:
         """Turn the items addressed to one reducer into its output items."""
         raise NotImplementedError
 
 
-def _records(items: Sequence[Any]) -> int:
-    return sum(item.num_records() for item in items)
-
-
-def _bytes(items: Sequence[Any]) -> float:
-    return float(sum(item.nbytes() for item in items))
-
-
-def _run_task(job: MapReduceJob, reducing: bool, items: List[Any], bytes_in: float,
-              instance_id: int, phase: str,
-              ) -> Tuple[List[List[Any]], List[float], InstanceMetrics]:
-    """One mapper or reducer instance: its buckets, their byte totals, its counters.
-
-    A reducer's output is its one bucket.  ``bytes_in`` came with the data.
-    """
-    started = time.perf_counter()
-    context = TaskContext()
-    buckets = ([job.reduce_partition(items, context)] if reducing
-               else job.map_partition(items, context))
-    bucket_bytes = [_bytes(bucket) for bucket in buckets]
-    bytes_out = sum(bucket_bytes)
-    return buckets, bucket_bytes, InstanceMetrics(
-        phase, instance_id, compute_units=context.compute_units,
-        bytes_in=bytes_in, bytes_out=bytes_out,
-        records_in=_records(items), records_out=sum(map(_records, buckets)),
-        peak_memory_bytes=context.peak_memory_bytes, disk_bytes=bytes_in + bytes_out,
-        measured_seconds=time.perf_counter() - started)
+def _run_task(job: MapReduceJob, reducing: bool, items: List[Any], instance_id: int,
+              phase: str) -> Tuple[List[List[Any]], InstanceMetrics]:
+    """One mapper or reducer instance: its buckets (a reducer has one) and counters."""
+    buckets, metrics = run_instance(
+        phase, instance_id, items,
+        (lambda items, metrics: [job.reduce_partition(items, metrics)]) if reducing
+        else job.map_partition)
+    metrics.disk_bytes = metrics.bytes_in + metrics.bytes_out
+    return buckets, metrics
 
 
 class MapReduceEngine:
@@ -130,17 +98,16 @@ class MapReduceEngine:
     def run(self, job: MapReduceJob, items: Sequence[Any], phase: str) -> List[Any]:
         """Run one map → shuffle → reduce round and return the reducers' output."""
         mapped = self.executor.run_tasks(_run_task, [
-            (job, False, split, _bytes(split), mapper_id, f"{phase}/map")
+            (job, False, split, mapper_id, f"{phase}/map")
             for mapper_id, split in enumerate(self._split_rows(items))])
-        for _, _, counters in mapped:
-            self.metrics.record(**vars(counters))
+        for _, metrics in mapped:
+            self.metrics.add(metrics)
         reduced = self.executor.run_tasks(_run_task, [
-            (job, True, [item for buckets, _, _ in mapped for item in buckets[reducer_id]],
-             sum(bucket_bytes[reducer_id] for _, bucket_bytes, _ in mapped),
+            (job, True, [item for buckets, _ in mapped for item in buckets[reducer_id]],
              reducer_id, f"{phase}/reduce")
             for reducer_id in range(len(mapped[0][0]))])
         outputs: List[Any] = []
-        for (emitted,), _, counters in reduced:
-            self.metrics.record(**vars(counters))
+        for (emitted,), metrics in reduced:
+            self.metrics.add(metrics)
             outputs.extend(emitted)
         return outputs

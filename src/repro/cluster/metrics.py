@@ -8,9 +8,9 @@ experiments reproducible and the property tests meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
-
+import time
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -32,6 +32,12 @@ class InstanceMetrics:
     #: only uses it for its predicted-vs-measured validation path.
     measured_seconds: float = 0.0
 
+    def add_compute(self, units: float) -> None:
+        self.compute_units += float(units)
+
+    def observe_memory(self, bytes_used: float) -> None:
+        self.peak_memory_bytes = max(self.peak_memory_bytes, float(bytes_used))
+
     def merge(self, other: "InstanceMetrics") -> None:
         """Accumulate another metrics record into this one (same phase/instance)."""
         self.compute_units += other.compute_units
@@ -44,6 +50,30 @@ class InstanceMetrics:
         self.measured_seconds += other.measured_seconds
 
 
+def run_instance(phase: str, instance_id: int, items: Sequence[Any],
+                 work: Callable[[Sequence[Any], InstanceMetrics], List[List[Any]]],
+                 ) -> Tuple[List[List[Any]], InstanceMetrics]:
+    """Run one instance's ``work`` and account for it: ``(buckets, metrics)``.
+
+    The one timer and the one counting site of every engine.  ``work(items,
+    metrics)`` turns the instance's input items into one item list per
+    destination bucket, charging compute units and observed memory to
+    ``metrics`` as it goes; anything with ``num_records()`` and ``nbytes()``
+    is an item.  In-volumes are summed over ``items``, out-volumes over what
+    was bucketed (item sizes are integer-valued floats: exact in any order),
+    and ``measured_seconds`` spans the work and the counting.
+    """
+    metrics = InstanceMetrics(phase, int(instance_id))
+    started = time.perf_counter()
+    buckets = work(items, metrics)
+    metrics.records_in = sum(item.num_records() for item in items)
+    metrics.bytes_in = float(sum(item.nbytes() for item in items))
+    metrics.records_out = sum(item.num_records() for bucket in buckets for item in bucket)
+    metrics.bytes_out = float(sum(item.nbytes() for bucket in buckets for item in bucket))
+    metrics.measured_seconds = time.perf_counter() - started
+    return buckets, metrics
+
+
 class MetricsCollector:
     """Accumulates :class:`InstanceMetrics` keyed by (phase, instance)."""
 
@@ -52,31 +82,19 @@ class MetricsCollector:
         self.phase_order: List[str] = []
 
     # ------------------------------------------------------------------ #
-    def record(
-        self,
-        phase: str,
-        instance_id: int,
-        compute_units: float = 0.0,
-        bytes_in: float = 0.0,
-        bytes_out: float = 0.0,
-        records_in: int = 0,
-        records_out: int = 0,
-        peak_memory_bytes: float = 0.0,
-        disk_bytes: float = 0.0,
-        measured_seconds: float = 0.0,
-    ) -> None:
-        """Add counters for one instance in one phase (accumulating)."""
-        key = (phase, int(instance_id))
-        if key not in self._metrics:
-            self._metrics[key] = InstanceMetrics(phase=phase, instance_id=int(instance_id))
-            if phase not in self.phase_order:
-                self.phase_order.append(phase)
-        self._metrics[key].merge(InstanceMetrics(
-            phase=phase, instance_id=int(instance_id), compute_units=compute_units,
-            bytes_in=bytes_in, bytes_out=bytes_out, records_in=records_in,
-            records_out=records_out, peak_memory_bytes=peak_memory_bytes,
-            disk_bytes=disk_bytes, measured_seconds=measured_seconds,
-        ))
+    def add(self, metric: InstanceMetrics) -> None:
+        """Fold one instance's record in (accumulating per phase and instance)."""
+        key = (metric.phase, int(metric.instance_id))
+        if key in self._metrics:
+            self._metrics[key].merge(metric)
+            return
+        self._metrics[key] = replace(metric, instance_id=key[1])
+        if metric.phase not in self.phase_order:
+            self.phase_order.append(metric.phase)
+
+    def record(self, phase: str, instance_id: int, **counters: Any) -> None:
+        """``add`` spelt as keywords (any :class:`InstanceMetrics` counter)."""
+        self.add(InstanceMetrics(phase, int(instance_id), **counters))
 
     # ------------------------------------------------------------------ #
     def phases(self) -> List[str]:
@@ -101,17 +119,6 @@ class MetricsCollector:
         for metric in self.instances(phase):
             out[metric.instance_id] = out.get(metric.instance_id, 0.0) + float(getattr(metric, field_name))
         return out
-
-    def merge_from(self, other: "MetricsCollector") -> None:
-        """Fold another collector's records into this one."""
-        for (phase, instance_id), metric in other._metrics.items():
-            self.record(
-                phase, instance_id,
-                compute_units=metric.compute_units, bytes_in=metric.bytes_in,
-                bytes_out=metric.bytes_out, records_in=metric.records_in,
-                records_out=metric.records_out, peak_memory_bytes=metric.peak_memory_bytes,
-                disk_bytes=metric.disk_bytes, measured_seconds=metric.measured_seconds,
-            )
 
 
 # --------------------------------------------------------------------------- #

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -50,10 +50,6 @@ def run_inference(model: GNNModel, dataset: Dataset, backend: str = "pregel",
     return session.infer()
 
 
-#: backwards-compatible alias used by the pre-session experiment harnesses.
-run_inferturbo = run_inference
-
-
 def evaluate_scores(dataset: Dataset, scores: np.ndarray, nodes: np.ndarray) -> float:
     """Task-appropriate metric (accuracy or micro-F1) on the given node split."""
     from repro.tensor.losses import accuracy, micro_f1
@@ -62,12 +58,3 @@ def evaluate_scores(dataset: Dataset, scores: np.ndarray, nodes: np.ndarray) -> 
     if dataset.multilabel:
         return micro_f1(scores[nodes], labels)
     return accuracy(scores[nodes], labels)
-
-
-def tail_mean(values: Dict[int, float], tail_fraction: float = 0.1) -> float:
-    """Mean of the largest ``tail_fraction`` of the values (straggler tail)."""
-    if not values:
-        return 0.0
-    ordered = np.sort(np.fromiter(values.values(), dtype=np.float64))
-    tail = max(1, int(np.ceil(ordered.size * tail_fraction)))
-    return float(ordered[-tail:].mean())

@@ -15,7 +15,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.datasets.registry import Dataset, load_dataset
-from repro.experiments.common import run_inference, tail_mean, untrained_model
+from repro.experiments.common import run_inference, untrained_model
 from repro.experiments.reporting import format_table
 from repro.inference import StrategyConfig
 

@@ -102,15 +102,11 @@ class Graph:
 
     def in_degrees(self) -> np.ndarray:
         """In-degree of every node."""
-        degrees = np.zeros(self.num_nodes, dtype=np.int64)
-        np.add.at(degrees, self.dst, 1)
-        return degrees
+        return np.bincount(self.dst, minlength=self.num_nodes)
 
     def out_degrees(self) -> np.ndarray:
         """Out-degree of every node."""
-        degrees = np.zeros(self.num_nodes, dtype=np.int64)
-        np.add.at(degrees, self.src, 1)
-        return degrees
+        return np.bincount(self.src, minlength=self.num_nodes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Graph(num_nodes={self.num_nodes}, num_edges={self.num_edges}, "

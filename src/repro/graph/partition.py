@@ -53,10 +53,6 @@ class HashPartitioner:
                                dtype=np.int64, count=node_ids.size)
         return node_ids % self.num_partitions
 
-    def build_layout(self, num_nodes: int) -> ClusterLayout:
-        """Precompute the dense routing tables for ``num_nodes`` global ids."""
-        return ClusterLayout.build(num_nodes, self)
-
 
 @dataclass
 class Partition:

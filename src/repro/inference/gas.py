@@ -1,7 +1,8 @@
 """The GAS stages of GNN inference, each implemented exactly once.
 
 One layer per iteration: **gather** the in-messages, **apply_node**, then
-**apply_edge** + **scatter** the next layer's messages; ``encode`` opens the
+**apply_edge** + **scatter** the next layer's messages (``scatter_blocks``
+runs the two and packs the result as message blocks); ``encode`` opens the
 pipeline and ``predict`` closes it.  Every function here takes raw ndarrays
 (state rows, edge endpoints, message rows), runs under ``no_grad`` and returns
 arrays plus the compute units the stage costs.  None of them knows which
@@ -29,7 +30,7 @@ restricted run bit-identical to a fresh full one lives here and nowhere else:
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -37,7 +38,13 @@ from repro.cluster.cost_model import gnn_layer_compute_units
 from repro.gnn.gasconv import GASConv
 from repro.gnn.model import GNNModel
 from repro.inference.shadow import ShadowNodePlan
-from repro.inference.strategies import LayerStrategy, split_hub_edges
+from repro.inference.strategies import (
+    BroadcastMessageBlock,
+    LayerStrategy,
+    StrategyPlan,
+    split_hub_edges,
+)
+from repro.pregel.vertex import MessageBlock
 from repro.tensor.tensor import Tensor, no_grad
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -173,6 +180,33 @@ def scatter(strategy: LayerStrategy, hubs: np.ndarray,
     return Routed(plain_edges[plain_index], plain_dst,
                   hub_edges[first[order]], rank[inverse][hub_index],
                   hub_dst)
+
+
+def scatter_blocks(model: GNNModel, plan: StrategyPlan,
+                   shadow_plan: Optional[ShadowNodePlan], layer_index: int,
+                   state: np.ndarray, src_pos: np.ndarray, source_ids: np.ndarray,
+                   dst_ids: np.ndarray, edge_features: Optional[np.ndarray], inline: bool,
+                   rows: Optional[np.ndarray] = None) -> Tuple[List[MessageBlock], float]:
+    """``apply_edge`` + ``scatter`` as the blocks a transport ships, plus the cost.
+
+    Edge ``e`` runs from ``state`` row ``src_pos[e]`` (node ``source_ids[e]``)
+    to node ``dst_ids[e]``; ``rows`` keeps only those edges.  What comes back
+    is layer ``layer_index``'s per-edge messages as one plain
+    :class:`~repro.pregel.vertex.MessageBlock`, then the hub messages as one
+    :class:`~repro.inference.strategies.BroadcastMessageBlock` (one payload
+    row per hub, an id-only reference per edge) — whichever of the two have
+    rows.
+    """
+    messages, units = edge_messages(model.layers[layer_index], state, src_pos,
+                                    edge_features, rows)
+    if rows is not None:
+        source_ids, dst_ids = source_ids[rows], dst_ids[rows]
+    routed = scatter(plan.layer(layer_index), plan.out_degree_hubs, shadow_plan,
+                     source_ids, dst_ids, inline)
+    blocks = [MessageBlock(routed.plain_dst, messages[routed.plain_rows]),
+              BroadcastMessageBlock(routed.hub_dst, routed.hub_refs,
+                                    messages[routed.hub_rows])]
+    return [block for block in blocks if block.num_records()], units
 
 
 @no_grad()

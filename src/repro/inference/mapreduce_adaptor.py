@@ -8,7 +8,8 @@ The pipeline mirrors the paper's Section IV-C2:
 * **Reduce round r** — gather the incoming messages of the reducer's nodes,
   run layer r's ``apply_node``, and emit the updated state rows plus layer
   r+1's messages; the next round's map only folds (partial-gather) and
-  buckets them;
+  buckets them — :func:`~repro.pregel.vertex.route`, the call a Pregel
+  superstep ends with;
 * the prediction head is merged into the last Reduce round, which emits one
   output row per node.
 
@@ -26,9 +27,12 @@ transport moves the Pregel backend's own blocks:
 * :class:`StateBlock` — the message a node sends itself: its state row and
   out-adjacency.  Raw input rows and final output rows are state blocks too.
 
-Placement is ``block.split_by(layout.owners(block.dst_ids))`` for all three —
-the layout's modulo is the only partitioner.  :class:`Records` prices a block
-as the rows this backend puts on the wire; that is all the engine sees.
+Placement is ``block.split_by(layout.owners(block.dst_ids))`` for all three,
+inside ``route`` — the layout's modulo is the only partitioner.  Edge rows
+become blocks in :func:`~repro.inference.gas.scatter_blocks`; what is left
+here is the closure filter and the per-bucket cut of hub blocks.
+:class:`Records` prices a block as the rows this backend puts on the wire;
+that is all the engine sees, and all it counts.
 
 Incremental inference
 ---------------------
@@ -59,15 +63,15 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.batch.mapreduce import MapReduceJob, TaskContext
+from repro.batch.mapreduce import MapReduceJob
 from repro.cluster.layout import ClusterLayout, csr_gather, stable_group_by
-from repro.cluster.metrics import ID_BYTES, tensor_bytes
+from repro.cluster.metrics import ID_BYTES, InstanceMetrics, tensor_bytes
 from repro.gnn.model import GNNModel
 from repro.graph.graph import Graph
 from repro.inference import gas
 from repro.inference.shadow import ShadowNodePlan
-from repro.inference.strategies import BroadcastMessageBlock, StrategyPlan, concat_messages
-from repro.pregel.vertex import MessageBlock
+from repro.inference.strategies import BroadcastMessageBlock, StrategyPlan
+from repro.pregel.vertex import MessageBlock, concat_messages, route
 
 #: number of node rows processed together inside one reducer chunk; bounds
 #: the reducer's working set (the "stream from external storage" property).
@@ -192,10 +196,10 @@ class GNNRoundJob(MapReduceJob):
     Round 0's map is the paper's initialisation Map phase (encode + first
     scatter); later rounds map the identity, because the previous round's
     reducers already emitted blocks addressed to their destination nodes.
-    Either way the map then folds plain messages per destination with the
-    consuming layer's combiner (partial-gather, when the plan allows it) and
-    buckets every block by owner; the reducer runs the layer itself (and the
-    prediction head on the last round).
+    Either way the map then ``route``\\ s its blocks: plain messages fold per
+    destination with the consuming layer's combiner (partial-gather, when the
+    plan allows it) and every block is bucketed by owner; the reducer runs
+    the layer itself (and the prediction head on the last round).
 
     ``targets`` restricts the rounds to a dirty-region dependency closure
     (incremental inference); ``None`` means "everything".  ``targets[r]``
@@ -221,57 +225,49 @@ class GNNRoundJob(MapReduceJob):
 
     # ------------------------------------------------------------------ #
     def _scatter(self, layer_index: int, state: StateBlock,
-                 context: TaskContext) -> List[MessageBlock]:
+                 metrics: InstanceMetrics) -> List[MessageBlock]:
         """Layer ``layer_index`` messages along the out-edges of ``state``'s rows.
 
-        One ``edge_messages`` call over the block's edge rows and one shared
-        split/fan-out give a plain block plus, per destination bucket, one
-        broadcast block: a hub's payload once, id-only references per edge.
-        A closure replay keeps only rows bound for ``targets[layer_index]``;
-        ``take`` drops the payloads and buckets no surviving row references.
+        ``gas.scatter_blocks`` over the block's edge rows gives a plain block
+        and a broadcast block; the broadcast block is cut per destination
+        bucket here, at the sender: a hub's payload once per bucket, id-only
+        references per edge.  A closure replay keeps only rows bound for
+        ``targets[layer_index]``; ``take`` drops the payloads and buckets no
+        surviving row references.
         """
         node_pos = np.repeat(np.arange(state.num_records()), np.diff(state.indptr))
-        messages, units = gas.edge_messages(self.model.layers[layer_index], state.payload,
-                                            node_pos, state.edge_feats)
-        context.add_compute(units)
-        routed = gas.scatter(self.plan.layer(layer_index), self.plan.out_degree_hubs,
-                             self.shadow_plan, state.dst_ids[node_pos], state.nbrs,
-                             inline=True)
-        plain: MessageBlock = MessageBlock(routed.plain_dst, messages[routed.plain_rows])
-        hubs: MessageBlock = BroadcastMessageBlock(routed.hub_dst, routed.hub_refs,
-                                                   messages[routed.hub_rows])
-        if self.targets is not None:
-            plain, hubs = (block.take(np.nonzero(
-                np.isin(block.dst_ids, self.targets[layer_index]))[0]) for block in (plain, hubs))
-        blocks = [plain] if plain.num_records() else []
-        return blocks + [piece for _, piece in hubs.split_by(
-            self.layout.owners(hubs.dst_ids), self.layout.num_partitions)]
+        blocks, units = gas.scatter_blocks(
+            self.model, self.plan, self.shadow_plan, layer_index, state.payload, node_pos,
+            state.dst_ids[node_pos], state.nbrs, state.edge_feats, inline=True)
+        metrics.add_compute(units)
+        pieces: List[MessageBlock] = []
+        for block in blocks:
+            if self.targets is not None:
+                block = block.take(np.nonzero(
+                    np.isin(block.dst_ids, self.targets[layer_index]))[0])
+            if isinstance(block, BroadcastMessageBlock):
+                pieces.extend(piece for _, piece in block.split_by(
+                    self.layout.owners(block.dst_ids), self.layout.num_partitions))
+            elif block.num_records():
+                pieces.append(block)
+        return pieces
 
     # ------------------------------------------------------------------ #
-    def map_partition(self, items: List[Any], context: TaskContext) -> List[List[Any]]:
+    def map_partition(self, items: List[Any], metrics: InstanceMetrics) -> List[List[Any]]:
         blocks: List[MessageBlock] = [item.block for item in items]
         if self.layer_index == 0:
             rows, blocks = blocks, []
             for block in rows:
                 state, units = gas.encode(self.model, block.payload)
-                context.add_compute(units)
-                context.observe_memory(tensor_bytes(state.shape) + float(block.payload.nbytes))
+                metrics.add_compute(units)
+                metrics.observe_memory(tensor_bytes(state.shape) + float(block.payload.nbytes))
                 blocks.append(block.with_state(state))
-                blocks.extend(self._scatter(0, blocks[-1], context))
-        combiner = self.plan.layer(self.layer_index).combiner
-        foldable = [block for block in blocks if block.combinable]
-        if combiner is not None and foldable:
-            folded = combiner.combine_block(MessageBlock(*concat_messages(foldable)))
-            blocks = [block for block in blocks if not block.combinable] + [folded]
-        buckets: List[List[Any]] = [[] for _ in range(self.layout.num_partitions)]
-        for block in blocks:
-            for bucket, piece in block.split_by(self.layout.owners(block.dst_ids),
-                                                len(buckets)):
-                buckets[bucket].append(Records(piece))
-        return buckets
+                blocks.extend(self._scatter(0, blocks[-1], metrics))
+        routed = route(blocks, self.plan.layer(self.layer_index).combiner, self.layout)
+        return [[Records(piece) for piece in bucket] for bucket in routed]
 
     # ------------------------------------------------------------------ #
-    def reduce_partition(self, items: List[Any], context: TaskContext) -> List[Any]:
+    def reduce_partition(self, items: List[Any], metrics: InstanceMetrics) -> List[Any]:
         states = [item.block for item in items if isinstance(item.block, StateBlock)]
         dst, payload, counts = concat_messages(
             [item.block for item in items if not isinstance(item.block, StateBlock)])
@@ -299,25 +295,25 @@ class GNNRoundJob(MapReduceJob):
             picked = by_chunk[starts[chunk]:starts[chunk] + sizes[chunk]]
             outputs.extend(self._reduce_chunk(
                 state.take(order[first:first + REDUCE_CHUNK_NODES]),
-                payload[picked], rows[picked] - first, counts[picked], context))
+                payload[picked], rows[picked] - first, counts[picked], metrics))
         return [Records(block) for block in outputs]
 
     def _reduce_chunk(self, state: StateBlock, payload: np.ndarray, dst_index: np.ndarray,
-                      counts: np.ndarray, context: TaskContext) -> List[MessageBlock]:
+                      counts: np.ndarray, metrics: InstanceMetrics) -> List[MessageBlock]:
         """Layer ``layer_index`` over one bounded chunk of node rows."""
         new_state, units = gas.gather_apply(self.model.layers[self.layer_index],
                                             state.payload, payload, dst_index, counts)
-        context.add_compute(units)
-        context.observe_memory(
+        metrics.add_compute(units)
+        metrics.observe_memory(
             tensor_bytes(new_state.shape) + tensor_bytes(state.payload.shape)
             + float(payload.nbytes))
         if self.layer_index == self.model.num_layers - 1:
             logits, units = gas.predict(self.model, new_state)
-            context.add_compute(units)
+            metrics.add_compute(units)
             original = np.nonzero(state.dst_ids < self.original_num_nodes)[0]
             return [StateBlock(state.dst_ids[original], logits[original])]
         updated = state.with_state(new_state)
-        return [updated] + self._scatter(self.layer_index + 1, updated, context)
+        return [updated] + self._scatter(self.layer_index + 1, updated, metrics)
 
 
 # --------------------------------------------------------------------------- #

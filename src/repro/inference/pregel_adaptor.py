@@ -44,10 +44,15 @@ from repro.graph.graph import Graph
 from repro.inference import gas
 from repro.inference.config import InferenceConfig
 from repro.inference.shadow import ShadowNodePlan
-from repro.inference.strategies import BroadcastMessageBlock, StrategyPlan, concat_messages
+from repro.inference.strategies import StrategyPlan
 from repro.pregel.combiners import MessageCombiner
 from repro.pregel.engine import PregelEngine, PregelPartition
-from repro.pregel.vertex import BlockVertexProgram, MessageBlock, PartitionContext
+from repro.pregel.vertex import (
+    BlockVertexProgram,
+    MessageBlock,
+    PartitionContext,
+    concat_messages,
+)
 
 _EMPTY_ROWS = np.empty(0, dtype=np.int64)
 
@@ -134,36 +139,25 @@ class GNNInferenceProgram(BlockVertexProgram):
 
     def _scatter(self, context: PartitionContext, partition: PregelPartition,
                  state: np.ndarray, superstep: int) -> None:
-        """Build and send this superstep's out-edge messages.
+        """Send this superstep's out-edge messages.
 
         An incremental run restricts the scatter to the precomputed out-edge
         rows bound for next-frontier destinations.  The restriction is
         all-or-nothing per destination, so every surviving destination still
         receives its complete in-message set in the full run's order.
         """
-        if partition.num_out_edges == 0:
-            return
         rows = None
-        dst_ids, source_ids = partition.out_dst, partition.out_src
         if self.edge_rows is not None:
             rows = self.edge_rows.get((partition.partition_id, superstep), _EMPTY_ROWS)
-            if rows.size == 0:
-                return
-            dst_ids, source_ids = dst_ids[rows], source_ids[rows]
-        messages, units = gas.edge_messages(
-            self.model.layers[superstep], state, partition.block_state["out_src_local"],
-            partition.out_edge_features, rows)
-        context.add_compute(units)
-
-        routed = gas.scatter(self.plan.layer(superstep), self.plan.out_degree_hubs,
-                             self.shadow_plan, source_ids, dst_ids, inline=False)
-        if routed.plain_rows.size:
-            context.send_block(MessageBlock(dst_ids=routed.plain_dst,
-                                            payload=messages[routed.plain_rows]))
-        if routed.hub_refs.size:
-            context.send_block(BroadcastMessageBlock(
-                dst_ids=routed.hub_dst, payload_refs=routed.hub_refs,
-                unique_payloads=messages[routed.hub_rows]))
+        if partition.num_out_edges == 0 or (rows is not None and rows.size == 0):
+            return
+        blocks, units = gas.scatter_blocks(
+            self.model, self.plan, self.shadow_plan, superstep, state,
+            partition.block_state["out_src_local"], partition.out_src, partition.out_dst,
+            partition.out_edge_features, inline=False, rows=rows)
+        context.metrics.add_compute(units)
+        for block in blocks:
+            context.send_block(block)
 
     # ------------------------------------------------------------------ #
     def compute_partition(self, context: PartitionContext,
@@ -188,7 +182,7 @@ class GNNInferenceProgram(BlockVertexProgram):
                 state, units = gas.gather_apply(self.model.layers[superstep - 1],
                                                 store["h"], payload, local_dst,
                                                 counts, rows)
-            context.add_compute(units)
+            context.metrics.add_compute(units)
             if rows is not None:
                 state = gas.splice(store["h_history"][superstep], state, rows)
         store["h"] = state
@@ -199,7 +193,7 @@ class GNNInferenceProgram(BlockVertexProgram):
             self._scatter(context, partition, state, superstep)
         elif not idle:
             logits, units = gas.predict(self.model, state, rows)
-            context.add_compute(units)
+            context.metrics.add_compute(units)
             store["output"] = (logits if rows is None
                                else gas.splice(store["output"], logits, rows))
 
@@ -216,7 +210,7 @@ class GNNInferenceProgram(BlockVertexProgram):
             resident += sum(float(h.nbytes)
                             for h in store["h_history"][:superstep]
                             if h is not None)
-        context.observe_memory(resident)
+        context.metrics.observe_memory(resident)
 
 
 def build_pregel_engine(working_graph: Graph, config: InferenceConfig,

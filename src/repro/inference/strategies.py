@@ -6,14 +6,17 @@ This module holds everything the two backend adaptors share:
 * the per-layer strategy plan (is partial-gather legal? is broadcast
   applicable? which nodes are out-degree hubs?);
 * :class:`BroadcastMessageBlock`, a packed message block that stores each hub
-  payload once per destination worker plus id-only references per edge;
-* :func:`concat_messages`, the receiver-side assembly of a list of blocks.
+  payload once per destination worker plus id-only references per edge.
+
+Moving blocks (:func:`~repro.pregel.vertex.route` on the send side,
+:func:`~repro.pregel.vertex.concat_messages` on the receive side) lives with
+:class:`~repro.pregel.vertex.MessageBlock`, below both engines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -146,21 +149,6 @@ class BroadcastMessageBlock(MessageBlock):
             unique_payloads=self.unique_payloads[used],
             counts=self.counts[rows],
         )
-
-
-def concat_messages(blocks: Sequence[MessageBlock],
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(dst_ids, payload, counts)`` of ``blocks`` end to end, in block order.
-
-    Broadcast blocks are densified on the way, so the result feeds a gather
-    (or a combiner) directly; no blocks give zero rows.
-    """
-    if not blocks:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, np.zeros((0, 0)), empty
-    return (np.concatenate([block.dst_ids for block in blocks]),
-            np.concatenate([block.dense_payload() for block in blocks], axis=0),
-            np.concatenate([block.counts for block in blocks]))
 
 
 def split_hub_edges(src_ids: np.ndarray,

@@ -6,6 +6,12 @@ classic bandwidth optimisation, and the mechanism the paper reuses to
 implement the partial-gather strategy (the GNN's aggregate stage runs inside
 the combiner, which is legal exactly when that stage is commutative and
 associative).
+
+There is one fold, :meth:`MessageCombiner.combine_block`; the subclasses only
+name the :func:`~repro.tensor.ops.segment_reduce` op it runs.  It is called
+from one place on either engine, :func:`~repro.pregel.vertex.route`, once per
+worker per superstep/round, before the rows are bucketed by destination
+partition.
 """
 
 from __future__ import annotations
@@ -15,35 +21,39 @@ from typing import Optional
 import numpy as np
 
 from repro.pregel.vertex import MessageBlock
+from repro.tensor.ops import segment_reduce
 
 
 class MessageCombiner:
-    """Interface for combining per-destination messages on the sender side."""
+    """Folds a block's rows per destination with the subclass's ``op``.
+
+    The reduction itself is :func:`~repro.tensor.ops.segment_reduce` — the
+    kernel the receiver's gather runs too, so a partial computed here and
+    finished there accumulates like one reduction.
+    """
+
+    #: the ``segment_reduce`` op a subclass folds payload rows with.
+    op: str
 
     def combine_block(self, block: MessageBlock) -> MessageBlock:
-        """Fold a packed block so each destination id appears at most once."""
-        dst_ids = block.dst_ids
-        if dst_ids.size == 0:
-            return block
-        unique, inverse = np.unique(dst_ids, return_inverse=True)
-        payload = self._reduce_payload(block.payload, inverse, unique.size)
-        counts = np.zeros(unique.size, dtype=np.int64)
-        np.add.at(counts, inverse, block.counts)
-        return MessageBlock(dst_ids=unique, payload=payload, counts=counts)
+        """Fold a packed block so each destination id appears at most once.
 
-    def _reduce_payload(self, payload: np.ndarray, inverse: np.ndarray,
-                        num_groups: int) -> np.ndarray:
-        raise NotImplementedError
+        Destinations come out in ascending id order; a destination's rows fold
+        in block order; ``counts`` sum, so a mean can still be finished exactly.
+        """
+        if block.dst_ids.size == 0:
+            return block
+        unique, inverse = np.unique(block.dst_ids, return_inverse=True)
+        return MessageBlock(
+            dst_ids=unique,
+            payload=segment_reduce(block.payload, inverse, unique.size, self.op),
+            counts=segment_reduce(block.counts, inverse, unique.size, "sum"))
 
 
 class SumCombiner(MessageCombiner):
     """Sum messages per destination (also carries partial sums for mean)."""
 
-    def _reduce_payload(self, payload: np.ndarray, inverse: np.ndarray,
-                        num_groups: int) -> np.ndarray:
-        out = np.zeros((num_groups,) + payload.shape[1:], dtype=np.float64)
-        np.add.at(out, inverse, payload)
-        return out
+    op = "sum"
 
 
 class MeanCombiner(SumCombiner):
@@ -58,11 +68,7 @@ class MeanCombiner(SumCombiner):
 class MaxCombiner(MessageCombiner):
     """Element-wise maximum per destination."""
 
-    def _reduce_payload(self, payload: np.ndarray, inverse: np.ndarray,
-                        num_groups: int) -> np.ndarray:
-        out = np.full((num_groups,) + payload.shape[1:], -np.inf, dtype=np.float64)
-        np.maximum.at(out, inverse, payload)
-        return out
+    op = "max"
 
 
 def combiner_for_aggregate_kind(kind: str) -> Optional[MessageCombiner]:

@@ -1,8 +1,9 @@
 """The Pregel-like bulk-synchronous execution engine.
 
 The engine owns graph partitions (nodes + their out-edges + in-memory state),
-runs supersteps, routes messages between partitions, applies sender-side
-combiners, and records per-instance counters into a
+runs supersteps, delivers the message blocks each partition routed to the
+others, and files one :class:`~repro.cluster.metrics.InstanceMetrics` per
+partition per superstep into a
 :class:`~repro.cluster.metrics.MetricsCollector` so the cost model can derive
 wall-clock / cpu*min numbers afterwards.
 
@@ -35,21 +36,23 @@ partitioning:
   mapping every global node id to its owning partition and to its local row
   there.  Senders and receivers consult the same tables, so placement needs no
   coordination and no per-id hashing on the hot path.
-* At the end of a superstep each partition's outgoing
-  :class:`~repro.pregel.vertex.MessageBlock`\\ s are bucketed by destination
-  partition in a single vectorised pass per block: one ``owner_of`` gather
-  yields the target of every row, and
+* At the end of a superstep a partition's outgoing
+  :class:`~repro.pregel.vertex.MessageBlock`\\ s go through
+  :func:`~repro.pregel.vertex.route` — the send path this engine shares with
+  the MapReduce rounds.  **Fold, then bucket**: the superstep's sender-side
+  combiner folds the combinable rows once, over the whole send, so each
+  destination vertex appears once; then one ``owner_of`` gather yields the
+  target partition of every remaining row and
   :meth:`~repro.pregel.vertex.MessageBlock.split_by` groups the rows with one
-  stable argsort + ``bincount`` (no per-target masks).  The effective
-  sender-side combiner is applied to each combinable bucket before it is
-  "sent", so bytes/records-out reflect post-combine volume.
+  stable argsort + ``bincount`` (no per-target masks).  Only post-combine
+  rows are copied, sized and "sent", so bytes/records-out are the
+  post-combine volume — this is how partial-gather shrinks IO.
 * On the receiving side, destination global ids translate to dense local rows
   with one ``local_of`` gather (:meth:`PregelPartition.local_indices`).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -64,11 +67,10 @@ from repro.cluster.executor import (
     prune_attached_segments,
 )
 from repro.cluster.layout import ClusterLayout
-from repro.cluster.metrics import MetricsCollector
+from repro.cluster.metrics import InstanceMetrics, MetricsCollector, run_instance
 from repro.graph.graph import Graph
 from repro.graph.partition import HashPartitioner, Partition, partition_graph_with_layout
-from repro.pregel.combiners import MessageCombiner
-from repro.pregel.vertex import BlockVertexProgram, MessageBlock, PartitionContext
+from repro.pregel.vertex import BlockVertexProgram, MessageBlock, PartitionContext, route
 
 
 class PregelPartition:
@@ -151,52 +153,14 @@ class PregelResult:
 # --------------------------------------------------------------------------- #
 # per-partition superstep harness (shared by the serial and process executors)
 # --------------------------------------------------------------------------- #
-@dataclass
-class PregelStepResult:
-    """What one partition reports back to the engine after one superstep."""
-
-    compute_units: float = 0.0
-    bytes_in: float = 0.0
-    bytes_out: float = 0.0
-    records_in: int = 0
-    records_out: int = 0
-    peak_memory_bytes: float = 0.0
-    measured_seconds: float = 0.0
-
-
-def _route_outgoing(context: PartitionContext, layout: ClusterLayout,
-                    num_workers: int,
-                    combiner: Optional[MessageCombiner]) -> List[List[MessageBlock]]:
-    """Split a partition's outgoing blocks by destination partition.
-
-    Routing is columnar: one ``owner_of`` gather resolves every row's
-    destination partition and one stable argsort
-    (:meth:`~repro.pregel.vertex.MessageBlock.split_by`) buckets all rows at
-    once — no per-target masks, no per-row Python.  The superstep's combiner is
-    applied per destination partition before the messages are "sent", and the
-    sender's bytes/records-out counters reflect the post-combine volume — this
-    is how partial-gather shrinks IO, exactly as the real combiner does on
-    the wire.
-    """
-    outgoing: List[List[MessageBlock]] = [[] for _ in range(num_workers)]
-    # One owner gather + one argsort bucketing per block.
-    for block in context.outgoing_blocks:
-        if block.dst_ids.size == 0:
-            continue
-        targets = layout.owners(block.dst_ids)
-        for target, piece in block.split_by(targets, num_workers):
-            if combiner is not None and piece.combinable:
-                piece = combiner.combine_block(piece)
-            outgoing[target].append(piece)
-    return outgoing
-
-
 class PregelPartitionHarness(WorkerHarness):
     """One partition's superstep loop body, hosted by an executor slot.
 
-    The harness runs exactly the per-partition work the engine's historical
-    in-process loop performed — compute, routing, combining, accounting — and
-    reports a :class:`PregelStepResult` per superstep.  Under the serial
+    The harness runs the per-partition work of a superstep — the program's
+    compute, then :func:`~repro.pregel.vertex.route` (fold, then bucket) —
+    inside :func:`~repro.cluster.metrics.run_instance`, which times it and
+    counts what came in and what was bucketed, and reports that
+    :class:`~repro.cluster.metrics.InstanceMetrics`.  Under the serial
     executor it operates on the engine's live :class:`PregelPartition`; under
     the process executor it operates on a worker-side replica built over
     shared-memory arrays, and :meth:`finish` ships the final partition state
@@ -204,39 +168,29 @@ class PregelPartitionHarness(WorkerHarness):
     """
 
     def __init__(self, partition: PregelPartition, program: BlockVertexProgram,
-                 layout: ClusterLayout, num_workers: int,
-                 ship_final_state: bool) -> None:
+                 layout: ClusterLayout, ship_final_state: bool) -> None:
         self.partition = partition
         self.program = program
         self.layout = layout
-        self.num_workers = int(num_workers)
         self.ship_final_state = bool(ship_final_state)
         program.setup_partition(partition)
 
     # ------------------------------------------------------------------ #
     def step(self, control: Any,
-             incoming: List[MessageBlock]) -> Tuple[PregelStepResult,
+             incoming: List[MessageBlock]) -> Tuple[InstanceMetrics,
                                                     List[Tuple[int, List[MessageBlock]]]]:
         superstep, frontier_rows = control
-        started = time.perf_counter()
 
-        bytes_in = sum(m.nbytes() for m in incoming)
-        records_in = sum(m.num_records() for m in incoming)
-        context = PartitionContext(self.partition, superstep, frontier_rows)
-        self.program.compute_partition(context, incoming)
-        routed = _route_outgoing(context, self.layout, self.num_workers,
-                                 self.program.combiner_for_superstep(superstep))
+        def work(incoming: List[MessageBlock],
+                 metrics: InstanceMetrics) -> List[List[MessageBlock]]:
+            context = PartitionContext(self.partition, superstep, metrics, frontier_rows)
+            self.program.compute_partition(context, incoming)
+            return route(context.outgoing_blocks,
+                         self.program.combiner_for_superstep(superstep), self.layout)
 
-        result = PregelStepResult(
-            compute_units=context.compute_units,
-            bytes_in=bytes_in, records_in=records_in,
-            bytes_out=sum(m.nbytes() for bucket in routed for m in bucket),
-            records_out=sum(m.num_records() for bucket in routed for m in bucket),
-            peak_memory_bytes=context.peak_memory_bytes,
-            measured_seconds=time.perf_counter() - started,
-        )
-        outgoing = [(target, bucket) for target, bucket in enumerate(routed) if bucket]
-        return result, outgoing
+        routed, metrics = run_instance(f"superstep_{superstep}",
+                                       self.partition.partition_id, incoming, work)
+        return metrics, [(target, bucket) for target, bucket in enumerate(routed) if bucket]
 
     def finish(self) -> Optional[Dict[str, Any]]:
         """Ship the final partition state back (process mode only).
@@ -261,7 +215,6 @@ def _build_serial_harness(slot_id: int, payload: Dict[str, Any]) -> PregelPartit
         partition=payload["partition"],
         program=payload["program"],
         layout=payload["layout"],
-        num_workers=payload["num_workers"],
         ship_final_state=False,
     )
 
@@ -305,7 +258,6 @@ def _build_process_harness(slot_id: int, payload: Dict[str, Any]) -> PregelParti
         partition=partition,
         program=payload["program"],
         layout=layout,
-        num_workers=payload["num_workers"],
         ship_final_state=True,
     )
 
@@ -425,7 +377,6 @@ class PregelEngine:
                            for name in self._PARTITION_ARRAYS},
                 "layout": layout_payload,
                 "program": program,
-                "num_workers": self.num_workers,
                 "block_state": {key: value
                                 for key, value in partition.block_state.items()
                                 if key != "out_src_local"
@@ -469,7 +420,6 @@ class PregelEngine:
                 "partition": partition,
                 "program": program,
                 "layout": self.layout,
-                "num_workers": self.num_workers,
             } for partition in self.partitions]
         else:
             factory = _build_process_harness
@@ -479,7 +429,6 @@ class PregelEngine:
         finals: Optional[List[Any]] = None
         try:
             for superstep in range(max_supersteps):
-                phase = f"superstep_{superstep}"
                 controls = []
                 for partition in self.partitions:
                     rows = None
@@ -487,17 +436,10 @@ class PregelEngine:
                         rows = frontier[superstep].get(partition.partition_id,
                                                        np.empty(0, dtype=np.int64))
                     controls.append((superstep, rows))
-                for slot, result in enumerate(executor.step(controls)):
-                    # One record call per partition per superstep: compute, in-
-                    # and out-volumes land in a single InstanceMetrics entry.
-                    self.metrics.record(
-                        phase, slot,
-                        compute_units=result.compute_units,
-                        bytes_in=result.bytes_in, records_in=result.records_in,
-                        bytes_out=result.bytes_out, records_out=result.records_out,
-                        peak_memory_bytes=result.peak_memory_bytes,
-                        measured_seconds=result.measured_seconds,
-                    )
+                # One InstanceMetrics per partition per superstep: compute, in-
+                # and out-volumes and the measured seconds in a single entry.
+                for instance in executor.step(controls):
+                    self.metrics.add(instance)
             finals = executor.close()
         finally:
             if finals is None:

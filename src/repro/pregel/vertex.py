@@ -1,14 +1,14 @@
-"""Message blocks, the partition context and the block-program interface."""
+"""Message blocks and their routing, the partition context, the block-program interface."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.layout import stable_group_by
-from repro.cluster.metrics import ID_BYTES, RECORD_OVERHEAD_BYTES
+from repro.cluster.layout import ClusterLayout, stable_group_by
+from repro.cluster.metrics import ID_BYTES, RECORD_OVERHEAD_BYTES, InstanceMetrics
 
 if TYPE_CHECKING:
     from repro.pregel.combiners import MessageCombiner
@@ -90,35 +90,75 @@ class MessageBlock:
         return pieces
 
 
+def concat_messages(blocks: Sequence[MessageBlock],
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(dst_ids, payload, counts)`` of ``blocks`` end to end, in block order.
+
+    Broadcast blocks are densified on the way, so the result feeds a gather
+    (or a combiner) directly; no blocks give zero rows, and one block gives
+    its own arrays (no copy — every Pregel send folds exactly one).
+    """
+    if not blocks:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, np.zeros((0, 0)), empty
+    if len(blocks) == 1:
+        return blocks[0].dst_ids, blocks[0].dense_payload(), blocks[0].counts
+    return (np.concatenate([block.dst_ids for block in blocks]),
+            np.concatenate([block.dense_payload() for block in blocks], axis=0),
+            np.concatenate([block.counts for block in blocks]))
+
+
+def route(blocks: Sequence[MessageBlock], combiner: Optional[MessageCombiner],
+          layout: ClusterLayout) -> List[List[MessageBlock]]:
+    """Fold, then bucket, one worker's outgoing blocks: a block list per partition.
+
+    The send path of both engines.  Empty blocks are dropped.  With a
+    ``combiner`` (partial-gather) the combinable blocks are folded together,
+    once, and the folded block stands where the first of them stood — so what
+    is bucketed, sized and shipped is post-combine rows only.  Then every
+    block is cut by owner with one ``layout.owners`` gather and one stable
+    argsort (:meth:`MessageBlock.split_by`).  A bucket therefore holds its
+    pieces in block order, a folded piece lists destinations in ascending id
+    order, and every destination's rows were folded in the order they were
+    sent: the operand order the receivers' segment reductions see.
+    """
+    blocks = [block for block in blocks if block.num_records()]
+    foldable = [block for block in blocks if block.combinable]
+    if combiner is not None and foldable:
+        folded = combiner.combine_block(MessageBlock(*concat_messages(foldable)))
+        first = next(i for i, block in enumerate(blocks) if block.combinable)
+        blocks = blocks[:first] + [folded] + [block for block in blocks[first:]
+                                              if not block.combinable]
+    buckets: List[List[MessageBlock]] = [[] for _ in range(layout.num_partitions)]
+    for block in blocks:
+        for bucket, piece in block.split_by(layout.owners(block.dst_ids), len(buckets)):
+            buckets[bucket].append(piece)
+    return buckets
+
+
 class PartitionContext:
     """Per-partition view handed to a block program during one superstep.
 
-    It exposes the partition, the outgoing mailbox and the local rows a
-    frontier-restricted superstep may recompute, and it accumulates the
-    compute/memory accounting that the cost model consumes.
+    It exposes the partition, the outgoing mailbox, the local rows a
+    frontier-restricted superstep may recompute, and ``metrics`` — the
+    instance's accounting record, which the program charges its compute units
+    and observed memory to (``context.metrics.add_compute(units)``).
     """
 
     def __init__(self, partition: PregelPartition, superstep: int,
+                 metrics: InstanceMetrics,
                  frontier_rows: Optional[np.ndarray] = None) -> None:
         self.partition = partition
         self.superstep = superstep
+        self.metrics = metrics
         #: local row indices this superstep is restricted to, or None for a
         #: full superstep.  Set when the engine runs with a frontier schedule
         #: (incremental inference).
         self.frontier_rows = frontier_rows
         self.outgoing_blocks: List[MessageBlock] = []
-        self.compute_units: float = 0.0
-        self.peak_memory_bytes: float = 0.0
 
     def send_block(self, block: MessageBlock) -> None:
         self.outgoing_blocks.append(block)
-
-    # -- accounting -------------------------------------------------------- #
-    def add_compute(self, units: float) -> None:
-        self.compute_units += float(units)
-
-    def observe_memory(self, bytes_used: float) -> None:
-        self.peak_memory_bytes = max(self.peak_memory_bytes, float(bytes_used))
 
 
 class BlockVertexProgram:

@@ -74,6 +74,29 @@ def gather_rows(x: Tensor, index) -> Tensor:
 # --------------------------------------------------------------------------- #
 # segment reductions
 # --------------------------------------------------------------------------- #
+def segment_reduce(values: np.ndarray, ids: np.ndarray, num_segments: int,
+                   op: str) -> np.ndarray:
+    """Reduce ``values`` rows that share a segment id — the one scatter-reduce kernel.
+
+    Raw arrays in and out.  ``op`` is ``"sum"`` (empty segments are 0, the
+    dtype is ``values``') or ``"max"`` (empty segments are ``-inf``).  Rows
+    accumulate into their segment in row order (``np.ufunc.at``): every
+    bit-identity contract downstream — gathers, sender-side combiners, both
+    transports — rests on that operand order, so a faster kernel has to keep
+    it and has exactly this function to replace.
+    """
+    shape = (num_segments,) + values.shape[1:]
+    if op == "sum":
+        out = np.zeros(shape, dtype=values.dtype)
+        np.add.at(out, ids, values)
+    elif op == "max":
+        out = np.full(shape, -np.inf)
+        np.maximum.at(out, ids, values)
+    else:
+        raise ValueError(f"unknown segment reduction {op!r}")
+    return out
+
+
 def segment_sum(values: Tensor, segment_ids, num_segments: int) -> Tensor:
     """Sum ``values`` rows into ``num_segments`` buckets keyed by ``segment_ids``.
 
@@ -82,22 +105,12 @@ def segment_sum(values: Tensor, segment_ids, num_segments: int) -> Tensor:
     """
     values = values if isinstance(values, Tensor) else Tensor(values)
     ids = _as_index(segment_ids)
-    out_shape = (num_segments,) + values.shape[1:]
-    out_data = np.zeros(out_shape, dtype=np.float64)
-    np.add.at(out_data, ids, values.data)
+    out_data = segment_reduce(values.data, ids, num_segments, "sum")
 
     def backward_fn(grad: np.ndarray) -> None:
         values._accumulate(grad[ids])
 
     return Tensor._make(out_data, (values,), backward_fn)
-
-
-def segment_count(segment_ids, num_segments: int) -> np.ndarray:
-    """Return the number of rows mapped into each segment."""
-    ids = _as_index(segment_ids)
-    counts = np.zeros(num_segments, dtype=np.int64)
-    np.add.at(counts, ids, 1)
-    return counts
 
 
 def segment_mean(values: Tensor, segment_ids, num_segments: int,
@@ -119,11 +132,9 @@ def segment_max(values: Tensor, segment_ids, num_segments: int) -> Tensor:
     """Max-reduce ``values`` rows per segment (empty segments yield zeros)."""
     values = values if isinstance(values, Tensor) else Tensor(values)
     ids = _as_index(segment_ids)
-    out_shape = (num_segments,) + values.shape[1:]
-    out_data = np.full(out_shape, -np.inf, dtype=np.float64)
-    np.maximum.at(out_data, ids, values.data)
-    empty = ~np.isin(np.arange(num_segments), ids)
-    out_data[empty] = 0.0
+    out_data = segment_reduce(values.data, ids, num_segments, "max")
+    # Empty means "received no row", not "is -inf": a -inf message survives.
+    out_data[np.bincount(ids, minlength=num_segments) == 0] = 0.0
 
     def backward_fn(grad: np.ndarray) -> None:
         mask = (values.data == out_data[ids]).astype(np.float64)
@@ -136,9 +147,9 @@ def segment_softmax(values: Tensor, segment_ids, num_segments: int) -> Tensor:
     """Softmax over rows that share a segment id (GAT attention normaliser)."""
     values = values if isinstance(values, Tensor) else Tensor(values)
     ids = _as_index(segment_ids)
-    # Stable: subtract per-segment max (constant w.r.t. gradient shape).
-    seg_max = np.full((num_segments,) + values.shape[1:], -np.inf)
-    np.maximum.at(seg_max, ids, values.data)
+    # Stable: subtract per-segment max (constant w.r.t. gradient shape).  Only
+    # non-empty segments are read back; a non-finite max shifts by nothing.
+    seg_max = segment_reduce(values.data, ids, num_segments, "max")
     seg_max[~np.isfinite(seg_max)] = 0.0
     shifted = values - Tensor(seg_max[ids])
     exped = shifted.exp()

@@ -10,12 +10,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.batch.mapreduce import TaskContext
 from repro.gnn.model import build_model
 from repro.graph.generators import labeled_community_graph, star_graph
 from repro.cluster.layout import ClusterLayout
+from repro.cluster.metrics import InstanceMetrics
 from repro.graph.partition import HashPartitioner
-from repro.inference import InferenceConfig, InferenceSession, StrategyConfig
+from repro.inference import InferenceConfig, InferenceSession, StrategyConfig, gas
 from repro.inference.mapreduce_adaptor import GNNRoundJob, Records, StateBlock, input_rows
 from repro.inference.pregel_adaptor import GNNInferenceProgram
 from repro.inference.strategies import BroadcastMessageBlock, build_strategy_plan
@@ -44,6 +44,11 @@ def gat(graph):
     return build_model("gat", graph.feature_dim, 8, 3, num_layers=2, seed=0)
 
 
+def task_metrics():
+    """A fresh accounting record, as the engine hands one to every task."""
+    return InstanceMetrics("round/test", 0)
+
+
 def flatten(buckets):
     """Every bucketed block of one ``map_partition`` call, in bucket order."""
     return [item.block for bucket in buckets for item in bucket]
@@ -66,7 +71,7 @@ class TestBucketing:
         """Placement is ``layout.owners`` and nothing else — state rows,
         messages and hub references alike (hub threshold 3: most nodes)."""
         job = round_job(sage, graph, layout, 0, broadcast=True, hub_threshold_override=3)
-        buckets = job.map_partition([Records(input_rows(sage, graph))], TaskContext())
+        buckets = job.map_partition([Records(input_rows(sage, graph))], task_metrics())
         assert len(buckets) == layout.num_partitions
         kinds = set()
         for bucket, items in enumerate(buckets):
@@ -92,7 +97,7 @@ class TestCombineMessages:
 
     def test_folds_only_message_records(self, graph, sage, layout):
         job = round_job(sage, graph, layout, 1, partial_gather=True)
-        blocks = flatten(job.map_partition(self.later_round_items(8), TaskContext()))
+        blocks = flatten(job.map_partition(self.later_round_items(8), task_metrics()))
         (state,) = [block for block in blocks if isinstance(block, StateBlock)]
         np.testing.assert_array_equal(state.dst_ids, [7])
         np.testing.assert_array_equal(state.nbrs, [1])
@@ -103,21 +108,21 @@ class TestCombineMessages:
 
     def test_single_message_kept_as_is(self, graph, sage, layout):
         job = round_job(sage, graph, layout, 1, partial_gather=True)
-        blocks = flatten(job.map_partition(self.later_round_items(8), TaskContext()))
+        blocks = flatten(job.map_partition(self.later_round_items(8), task_metrics()))
         (lone,) = [block for block in plain_blocks(blocks) if block.dst_ids[0] == 2]
         np.testing.assert_allclose(lone.payload, np.ones((1, 8)) * 5)
         assert lone.counts.tolist() == [2]      # the count it arrived with
 
     def test_passthrough_when_partial_gather_disabled(self, graph, sage, layout):
         job = round_job(sage, graph, layout, 1, partial_gather=False)
-        blocks = flatten(job.map_partition(self.later_round_items(8), TaskContext()))
+        blocks = flatten(job.map_partition(self.later_round_items(8), task_metrics()))
         assert sum(block.num_records() for block in plain_blocks(blocks)) == 3
 
     def test_gat_never_combines(self, graph, gat, layout):
         job = round_job(gat, graph, layout, 1, partial_gather=True)
         assert job.plan.layer(1).combiner is None
         dim = gat.layers[1].message_dim
-        blocks = flatten(job.map_partition(self.later_round_items(dim), TaskContext()))
+        blocks = flatten(job.map_partition(self.later_round_items(dim), task_metrics()))
         assert sum(block.num_records() for block in plain_blocks(blocks)) == 3
 
 
@@ -129,9 +134,9 @@ class TestGNNRoundJob:
         rng = np.random.default_rng(0)
         dst = rng.integers(0, graph.num_nodes, size=30)
         payload = rng.normal(size=(30, 8))
-        context = TaskContext()
-        buckets = job.map_partition([Records(MessageBlock(dst, payload))], context)
-        assert context.compute_units == 0
+        metrics = task_metrics()
+        buckets = job.map_partition([Records(MessageBlock(dst, payload))], metrics)
+        assert metrics.compute_units == 0
         for bucket, items in enumerate(buckets):
             rows = np.nonzero(layout.owners(dst) == bucket)[0]
             (block,) = [item.block for item in items] or [MessageBlock(dst[:0], payload[:0])]
@@ -145,8 +150,8 @@ class TestGNNRoundJob:
         rows = input_rows(sage, graph).take(np.array([node_id]))
         assert not rows.tagged
         np.testing.assert_array_equal(rows.payload[0], graph.node_features[node_id])
-        context = TaskContext()
-        blocks = flatten(job.map_partition([Records(rows)], context))
+        metrics = task_metrics()
+        blocks = flatten(job.map_partition([Records(rows)], metrics))
         (state,) = [block for block in blocks if isinstance(block, StateBlock)]
         # the node's own encoded state + out-adjacency, addressed to itself;
         # one count-1 message per out-edge, addressed to the destination.
@@ -159,7 +164,7 @@ class TestGNNRoundJob:
         assert all((block.counts == 1).all() for block in messages)
         assert all((block.payload == state.payload[0]).all() for block in messages)
         # encode + one pass over the outgoing message elements
-        assert context.compute_units == graph.feature_dim * 8 + neighbors.size * 8
+        assert metrics.compute_units == graph.feature_dim * 8 + neighbors.size * 8
 
     @staticmethod
     def star_hub_round(edge_feature_dim):
@@ -172,7 +177,7 @@ class TestGNNRoundJob:
         job = round_job(model, star, layout, 0, broadcast=True, hub_threshold_override=10)
         assert job.plan.layer(0).broadcast
         buckets = job.map_partition(
-            [Records(input_rows(model, star).take(np.array([0])))], TaskContext())
+            [Records(input_rows(model, star).take(np.array([0])))], task_metrics())
         return star.out_neighbors(0), layout, buckets
 
     def test_hub_emits_one_payload_per_bucket_plus_refs(self):
@@ -211,7 +216,7 @@ class TestGNNRoundJob:
         job = round_job(model, star, layout, 0, targets=targets, broadcast=True,
                         hub_threshold_override=10)
         rows = input_rows(model, star).take(np.array([0, keep_dst]))
-        blocks = flatten(job.map_partition([Records(rows)], TaskContext()))
+        blocks = flatten(job.map_partition([Records(rows)], task_metrics()))
         (hub,) = [block for block in blocks if isinstance(block, BroadcastMessageBlock)]
         assert hub.dst_ids.tolist() == [keep_dst]
         assert hub.unique_payloads.shape[0] == 1
@@ -238,6 +243,46 @@ class TestGNNRoundJob:
         peak = [max(m.peak_memory_bytes for m in result.metrics.instances("round_1/reduce"))
                 for result in (chunked, whole)]
         assert peak[0] < peak[1]
+
+
+class TestScatterBlocks:
+    """``gas.scatter_blocks``: the one place edge rows become message blocks."""
+
+    @staticmethod
+    def star_blocks(rows=None, **strategies):
+        star = star_graph(12, direction="out", seed=0)
+        star.src = np.concatenate([star.src, [3]])       # one non-hub edge 3 -> 4
+        star.dst = np.concatenate([star.dst, [4]])
+        model = build_model("sage", star.feature_dim, 8, 2, num_layers=2, seed=0)
+        plan = build_strategy_plan(model, star, 4, StrategyConfig(**strategies), False)
+        state = np.arange(star.num_nodes * 8, dtype=np.float64).reshape(-1, 8)
+        blocks, units = gas.scatter_blocks(model, plan, None, 0, state, star.src, star.src,
+                                           star.dst, None, inline=False, rows=rows)
+        return star, state, blocks, units
+
+    def test_plain_block_then_broadcast_block(self):
+        star, state, blocks, units = self.star_blocks(broadcast=True,
+                                                      hub_threshold_override=5)
+        plain, hubs = blocks
+        assert type(plain) is MessageBlock and type(hubs) is BroadcastMessageBlock
+        np.testing.assert_array_equal(plain.dst_ids, [4])
+        np.testing.assert_array_equal(plain.payload, state[[3]])
+        np.testing.assert_array_equal(hubs.dst_ids, star.dst[:-1])
+        np.testing.assert_array_equal(hubs.unique_payloads, state[[0]])
+        assert (hubs.payload_refs == 0).all()
+        assert units == star.num_edges * 8
+
+    def test_a_path_without_rows_sends_no_block(self):
+        star, _, blocks, _ = self.star_blocks(broadcast=False)
+        assert [type(block) for block in blocks] == [MessageBlock]
+        assert blocks[0].num_records() == star.num_edges
+
+    def test_rows_restrict_the_edges_not_the_state(self):
+        star, state, (block,), units = self.star_blocks(rows=np.array([11, 2]),
+                                                        broadcast=False)
+        np.testing.assert_array_equal(block.dst_ids, star.dst[[11, 2]])
+        np.testing.assert_array_equal(block.payload, state[star.src[[11, 2]]])
+        assert units == 2 * 8
 
 
 class TestPregelProgram:

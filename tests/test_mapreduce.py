@@ -177,22 +177,43 @@ class TestMapReduceEngine:
 
 
 class TestAccountingFollowsTheData:
-    """Whoever emits an item sizes it once; ``bytes_in`` is summed, not re-derived."""
+    """``run_instance`` counts what a task was given and what it bucketed."""
 
     def test_reducer_bytes_in_is_the_sum_of_the_bucket_totals_sent_to_it(self, executor):
         engine = make_engine(executor, 3)
         engine.run(TokenCountJob(4), DOCUMENTS, phase="tc")
-        mapped = [_run_task(TokenCountJob(4), False, split, 0.0, mapper_id, "tc/map")
+        mapped = [_run_task(TokenCountJob(4), False, split, mapper_id, "tc/map")
                   for mapper_id, split in enumerate(engine._split_rows(DOCUMENTS))]
-        for mapper_id, (buckets, bucket_bytes, _) in enumerate(mapped):
-            assert bucket_bytes == [
-                sum(item.nbytes() for item in bucket) for bucket in buckets]
-            assert engine.metrics.get("tc/map", mapper_id).bytes_out == sum(bucket_bytes)
+        for mapper_id, (buckets, metrics) in enumerate(mapped):
+            assert metrics.bytes_out == sum(
+                item.nbytes() for bucket in buckets for item in bucket)
+            assert engine.metrics.get("tc/map", mapper_id).bytes_out == metrics.bytes_out
         for reducer_id in range(4):
             assert engine.metrics.get("tc/reduce", reducer_id).bytes_in == sum(
-                bucket_bytes[reducer_id] for _, bucket_bytes, _ in mapped)
+                item.nbytes() for buckets, _ in mapped for item in buckets[reducer_id])
         assert (engine.metrics.total("bytes_in", "tc/map")
                 == sum(item.nbytes() for item in DOCUMENTS))
+
+    def test_a_task_is_timed_and_charged_for_what_it_bucketed(self):
+        """The mapper and reducer sides of one tiny round, run by hand: the
+        record a task returns is the engine's whole accounting for it."""
+        job = TokenCountJob(3)
+        buckets, mapper = _run_task(job, False, DOCUMENTS, 5, "tc/map")
+        assert (mapper.phase, mapper.instance_id) == ("tc/map", 5)
+        assert mapper.measured_seconds > 0
+        assert mapper.records_in == TOKENS.size
+        assert mapper.bytes_in == sum(item.nbytes() for item in DOCUMENTS)
+        assert mapper.records_out == TOKENS.size
+        assert mapper.bytes_out == sum(item.nbytes() for bucket in buckets for item in bucket)
+        assert mapper.disk_bytes == mapper.bytes_in + mapper.bytes_out
+        assert mapper.compute_units == 0
+
+        (emitted,), reducer = _run_task(job, True, buckets[1], 1, "tc/reduce")
+        assert reducer.measured_seconds > 0
+        assert reducer.bytes_in == sum(item.nbytes() for item in buckets[1])
+        assert reducer.bytes_out == sum(item.nbytes() for item in emitted)
+        assert reducer.records_out == sum(item.num_records() for item in emitted)
+        assert reducer.compute_units == sum(len(item) for item in buckets[1])
 
     @pytest.mark.parametrize("executor_name", sorted(available_executors()))
     def test_full_infer_moves_every_byte_a_mapper_emits_into_a_reducer(self, executor_name):
@@ -347,15 +368,27 @@ class TestMetricsCollector:
         collector.record("a_second", 0)
         assert collector.phases() == ["z_first", "a_second"]
 
-    def test_merge_from(self):
-        a = MetricsCollector()
-        a.record("p", 0, bytes_in=5)
-        b = MetricsCollector()
-        b.record("p", 0, bytes_in=7)
-        b.record("q", 1, records_in=2)
-        a.merge_from(b)
-        assert a.get("p", 0).bytes_in == 12
-        assert a.get("q", 1).records_in == 2
+    def test_add_folds_whole_records_and_keeps_no_alias(self):
+        collector = MetricsCollector()
+        first = InstanceMetrics("p", 0, bytes_in=5, peak_memory_bytes=3)
+        collector.add(first)
+        collector.add(InstanceMetrics("p", 0, bytes_in=7, measured_seconds=0.5))
+        collector.add(InstanceMetrics("q", 1, records_in=2))
+        assert first.bytes_in == 5           # the caller's record is not the stored one
+        assert collector.get("p", 0).bytes_in == 12
+        assert collector.get("p", 0).peak_memory_bytes == 3
+        assert collector.get("p", 0).measured_seconds == 0.5
+        assert collector.get("q", 1).records_in == 2
+        assert collector.phases() == ["p", "q"]
+
+    def test_instance_accumulators(self):
+        metrics = InstanceMetrics("p", 0)
+        metrics.add_compute(3)
+        metrics.add_compute(4.5)
+        metrics.observe_memory(100)
+        metrics.observe_memory(40)
+        assert metrics.compute_units == 7.5
+        assert metrics.peak_memory_bytes == 100
 
     def test_size_estimators(self):
         assert tensor_bytes((10, 10)) == 800

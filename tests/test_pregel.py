@@ -18,7 +18,7 @@ from repro.pregel.combiners import (
     SumCombiner,
     combiner_for_aggregate_kind,
 )
-from repro.pregel.engine import PregelEngine
+from repro.pregel.engine import PregelEngine, PregelPartitionHarness
 from repro.pregel.vertex import BlockVertexProgram, MessageBlock
 
 
@@ -87,7 +87,7 @@ import gc, sys
 import numpy as np
 from tests.test_pregel import PageRankProgram
 from repro.graph.graph import Graph
-from repro.pregel.engine import PregelEngine
+from repro.pregel.engine import PregelEngine, PregelPartitionHarness
 
 src = np.arange(12)
 features = np.arange(24.0).reshape(12, 2)
@@ -134,15 +134,15 @@ class TestBlockPrograms:
         assert result.metrics.total("records_out", "superstep_2") == 0
 
     def test_single_record_call_per_partition_per_superstep(self, small_graph):
-        """compute/bytes_in and bytes_out land in ONE record() call, so
+        """compute/bytes_in and bytes_out land in ONE add() call, so
         per-phase instance counts are not inflated by a separate route-side
         record site."""
         calls = []
 
         class CountingCollector(MetricsCollector):
-            def record(self, phase, instance_id, **kwargs):
-                calls.append((phase, int(instance_id)))
-                super().record(phase, instance_id, **kwargs)
+            def add(self, metric):
+                calls.append((metric.phase, int(metric.instance_id)))
+                super().add(metric)
 
         _, result = run_pagerank(small_graph, 4, PageRankProgram(2), CountingCollector())
         assert len(calls) == 3 * 4
@@ -153,6 +153,27 @@ class TestBlockPrograms:
             assert entry is not None
             assert entry.bytes_in == 0.0          # nothing received yet
             assert entry.bytes_out > 0.0          # everyone sends rank shares
+
+    def test_a_superstep_is_timed_and_charged_for_what_it_bucketed(self, small_graph):
+        """One partition's harness, stepped by hand: the ``InstanceMetrics``
+        it reports is the engine's whole accounting for that superstep."""
+        engine = PregelEngine(small_graph, num_workers=3)
+        partition = engine.partitions[1]
+        harness = PregelPartitionHarness(partition, PageRankProgram(2, combine=True),
+                                         engine.layout, ship_final_state=False)
+        sent, outgoing = harness.step((0, None), [])
+        bucketed = [block for _, bucket in outgoing for block in bucket]
+        assert (sent.phase, sent.instance_id) == ("superstep_0", 1)
+        assert sent.measured_seconds > 0
+        assert (sent.bytes_in, sent.records_in) == (0.0, 0)
+        assert sent.bytes_out == sum(block.nbytes() for block in bucketed) > 0
+        assert sent.records_out == sum(block.num_records() for block in bucketed)
+        # post-combine volume: each destination once per bucket
+        assert sent.records_out == np.unique(partition.out_dst).size
+        mailbox = [MessageBlock(dst_ids=partition.node_ids[:2], payload=np.ones(2))]
+        received, _ = harness.step((1, None), mailbox)
+        assert received.bytes_in == mailbox[0].nbytes()
+        assert received.records_in == 2
 
     def test_program_combiner_reduces_messages(self, small_graph):
         plain_ranks, plain = run_pagerank(small_graph, 2, PageRankProgram(5))

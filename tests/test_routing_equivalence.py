@@ -1,10 +1,12 @@
 """Property tests: columnar routing is byte-identical to a naive reference.
 
-The refactored hot path (``ClusterLayout`` lookups, ``MessageBlock.split_by``
-bucketing, CSR shadow expansion) changes *how* rows move, not *what* they say.
-These tests rebuild the old per-target-mask / per-row-loop semantics as naive
-reference implementations and assert the vectorised code produces
-byte-identical per-partition mailboxes on random power-law graphs — including
+The hot path (``ClusterLayout`` lookups, ``MessageBlock.split_by`` bucketing,
+the fold-then-bucket :func:`~repro.pregel.vertex.route`, CSR shadow
+expansion) changes *how* rows move, not *what* they say.  These tests keep the
+old semantics — one mask per destination partition, the combiner applied to
+each piece after the split, per-row loops — as naive reference
+implementations and assert the vectorised code produces byte-identical
+per-partition mailboxes on random power-law graphs, including
 :class:`~repro.inference.strategies.BroadcastMessageBlock` payload-reference
 blocks and shadow-expanded destinations.
 """
@@ -20,9 +22,9 @@ from repro.graph.generators import powerlaw_graph
 from repro.graph.partition import HashPartitioner
 from repro.inference.shadow import apply_shadow_nodes
 from repro.inference.strategies import BroadcastMessageBlock
-from repro.pregel.combiners import SumCombiner
-from repro.pregel.engine import PregelEngine, _route_outgoing
-from repro.pregel.vertex import MessageBlock, PartitionContext
+from repro.pregel.combiners import MaxCombiner, MeanCombiner, SumCombiner
+from repro.pregel.engine import PregelEngine
+from repro.pregel.vertex import MessageBlock, route
 
 SEEDS = [0, 1, 2]
 NUM_WORKERS = 4
@@ -34,7 +36,8 @@ PAYLOAD_DIM = 6
 # --------------------------------------------------------------------------- #
 def naive_route_blocks(blocks: List[MessageBlock], partitioner: HashPartitioner,
                        num_workers: int, combiner=None) -> List[List[MessageBlock]]:
-    """Old ``_route``: one nonzero mask per destination partition."""
+    """Split, then fold each piece: one nonzero mask per destination
+    partition, the combiner applied to every combinable piece it cuts."""
     outgoing: List[List[MessageBlock]] = [[] for _ in range(num_workers)]
     for block in blocks:
         if block.dst_ids.size == 0:
@@ -117,35 +120,79 @@ def edge_blocks(graph, rng, chunks: int = 3) -> List[MessageBlock]:
                          counts=counts[rows]) for rows in pieces if rows.size]
 
 
-def _route_via_engine(engine: PregelEngine, blocks: List[MessageBlock],
-                      combiner=None) -> List[List[MessageBlock]]:
-    context = PartitionContext(engine.partitions[0], superstep=0)
-    for block in blocks:
-        context.send_block(block)
-    # The engine-hosted routing pass the partition harness runs per superstep
-    # (the effective combiner is resolved by the harness before this call).
-    return _route_outgoing(context, engine.layout, engine.num_workers, combiner)
+COMBINERS = {"sum": SumCombiner, "mean": MeanCombiner, "max": MaxCombiner,
+             "none": lambda: None}
 
 
 class TestRouteEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_plain_blocks_match_naive_reference(self, seed):
+        """No combiner: every sent block is cut on its own, in send order."""
         graph = random_graph(seed)
         rng = np.random.default_rng(seed + 100)
         blocks = edge_blocks(graph, rng)
         engine = PregelEngine(graph, num_workers=NUM_WORKERS)
         expected = naive_route_blocks(blocks, engine.partitioner, NUM_WORKERS)
-        assert_mailboxes_equal(_route_via_engine(engine, blocks), expected)
+        assert_mailboxes_equal(route(blocks, None, engine.layout), expected)
 
+    @pytest.mark.parametrize("kind", sorted(COMBINERS))
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_combined_blocks_match_naive_reference(self, seed):
+    def test_fold_then_bucket_matches_split_then_fold_each_piece(self, seed, kind):
+        """One worker's send: an empty block, the plain block, the broadcast
+        block.  Folding the plain block once and cutting the result equals —
+        ids, payload bits, counts, block order per bucket, ``nbytes()`` —
+        cutting first and folding each of the pieces, because a stable cut
+        keeps every destination's rows in send order and a folded block lists
+        destinations in ascending id order either way."""
         graph = random_graph(seed)
         rng = np.random.default_rng(seed + 200)
-        blocks = edge_blocks(graph, rng)
+        (plain,) = edge_blocks(graph, rng, chunks=1)
+        hub_rows = rng.choice(graph.num_edges, size=40, replace=False)
+        broadcast = BroadcastMessageBlock(
+            dst_ids=graph.dst[hub_rows], payload_refs=rng.integers(0, 3, size=40),
+            unique_payloads=rng.normal(size=(3, PAYLOAD_DIM)))
+        empty = MessageBlock(dst_ids=np.empty(0, dtype=np.int64), payload=np.zeros((0, 0)))
+        blocks = [empty, plain, broadcast]
         engine = PregelEngine(graph, num_workers=NUM_WORKERS)
-        combiner = SumCombiner()
-        expected = naive_route_blocks(blocks, engine.partitioner, NUM_WORKERS, combiner)
-        assert_mailboxes_equal(_route_via_engine(engine, blocks, combiner), expected)
+        expected = naive_route_blocks(blocks, engine.partitioner, NUM_WORKERS,
+                                      COMBINERS[kind]())
+        actual = route(blocks, COMBINERS[kind](), engine.layout)
+        assert_mailboxes_equal(actual, expected)
+        for bucket in actual:
+            assert [type(block) for block in bucket] == [MessageBlock, BroadcastMessageBlock]
+        if kind != "none":      # each destination once per bucket: really folded
+            assert all(np.unique(bucket[0].dst_ids).size == bucket[0].num_records()
+                       for bucket in actual)
+            assert sum(bucket[0].num_records() for bucket in actual) < plain.num_records()
+
+    def test_a_bucket_that_receives_nothing_stays_empty(self):
+        layout = PregelEngine(random_graph(0), num_workers=NUM_WORKERS).layout
+        dst = np.array([4, 9, 4, 1, 8])                  # owners 0 and 1 only
+        block = MessageBlock(dst_ids=dst, payload=np.arange(10.0).reshape(5, 2))
+        expected = naive_route_blocks([block], HashPartitioner(NUM_WORKERS), NUM_WORKERS,
+                                      SumCombiner())
+        actual = route([block], SumCombiner(), layout)
+        assert_mailboxes_equal(actual, expected)
+        assert [len(bucket) for bucket in actual] == [1, 1, 0, 0]
+        np.testing.assert_array_equal(actual[0][0].dst_ids, [4, 8])
+        np.testing.assert_array_equal(actual[0][0].payload, [[4.0, 6.0], [8.0, 9.0]])
+        np.testing.assert_array_equal(actual[0][0].counts, [2, 1])
+
+    def test_several_plain_blocks_fold_into_the_place_of_the_first(self):
+        """What split-then-fold never did: with a combiner, every combinable
+        block of the send folds into one, which stands where the first was."""
+        layout = PregelEngine(random_graph(0), num_workers=NUM_WORKERS).layout
+        broadcast = BroadcastMessageBlock(dst_ids=np.array([8]), payload_refs=np.array([0]),
+                                          unique_payloads=np.ones((1, 2)))
+        first = MessageBlock(dst_ids=np.array([4, 8]), payload=np.ones((2, 2)))
+        second = MessageBlock(dst_ids=np.array([8, 8]), payload=np.full((2, 2), 2.0),
+                              counts=np.array([3, 1]))
+        (bucket, *others) = route([broadcast, first, second], SumCombiner(), layout)
+        assert not any(others)
+        assert [type(block) for block in bucket] == [BroadcastMessageBlock, MessageBlock]
+        np.testing.assert_array_equal(bucket[1].dst_ids, [4, 8])
+        np.testing.assert_array_equal(bucket[1].payload, [[1.0, 1.0], [5.0, 5.0]])
+        np.testing.assert_array_equal(bucket[1].counts, [1, 5])
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_broadcast_blocks_match_naive_reference(self, seed):
@@ -163,8 +210,7 @@ class TestRouteEquivalence:
         # Broadcast blocks are not combinable; the combiner must pass through.
         expected = naive_route_blocks([block], engine.partitioner, NUM_WORKERS,
                                       SumCombiner())
-        assert_mailboxes_equal(_route_via_engine(engine, [block], SumCombiner()),
-                               expected)
+        assert_mailboxes_equal(route([block], SumCombiner(), engine.layout), expected)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_shadow_expanded_destinations_match_naive_reference(self, seed):
@@ -186,7 +232,7 @@ class TestRouteEquivalence:
         block = MessageBlock(dst_ids=actual[0], payload=actual[1], counts=actual[2])
         engine = PregelEngine(plan.graph, num_workers=NUM_WORKERS)
         reference = naive_route_blocks([block], engine.partitioner, NUM_WORKERS)
-        assert_mailboxes_equal(_route_via_engine(engine, [block]), reference)
+        assert_mailboxes_equal(route([block], None, engine.layout), reference)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_expand_rows_inline_ordering(self, seed):

@@ -267,9 +267,51 @@ class TestSegmentOps:
         for segment in np.unique(ids):
             np.testing.assert_allclose(sums[segment], np.ones(3), atol=1e-10)
 
-    def test_segment_count(self):
-        counts = ops.segment_count(np.array([0, 2, 2, 2]), 4)
-        np.testing.assert_array_equal(counts, [1, 0, 3, 0])
+    def test_segment_max_keeps_a_legitimate_minus_inf(self):
+        """Empty means "received no row": a segment whose only message is
+        -inf keeps it (and its gradient), an empty one reads 0."""
+        values = Tensor(np.array([[-np.inf, 2.0], [-np.inf, -np.inf]]), requires_grad=True)
+        out = ops.segment_max(values, np.array([2, 0]), 4)
+        np.testing.assert_array_equal(
+            out.data, [[-np.inf, -np.inf], [0.0, 0.0], [-np.inf, 2.0], [0.0, 0.0]])
+        out.backward(np.ones((4, 2)))
+        np.testing.assert_array_equal(values.grad, np.ones((2, 2)))
+
+    def test_segment_softmax_ignores_empty_and_all_masked_segments(self):
+        values = Tensor(np.array([[0.0], [-np.inf], [np.log(3.0)], [-np.inf]]))
+        probs = ops.segment_softmax(values, np.array([0, 0, 0, 2]), 4)
+        np.testing.assert_allclose(probs.data, [[0.25], [0.0], [0.75], [0.0]])
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3)],
+                             ids=["1d-ints", "2d", "3d-gat-heads"])
+    @pytest.mark.parametrize("op", ["sum", "max"])
+    def test_segment_reduce_matches_a_per_row_loop(self, op, shape):
+        """The one kernel against the definition: rows fold into their
+        segment one at a time, in row order, from the op's identity."""
+        rng = np.random.default_rng(11)
+        num_rows, num_segments = 40, 9
+        ids = rng.integers(0, num_segments - 2, size=num_rows)     # 7 and 8 stay empty
+        ids[ids == 3] = 4                                          # so does 3
+        if shape == ():
+            values = rng.integers(-5, 6, size=num_rows)
+        else:
+            values = rng.normal(size=(num_rows,) + shape)
+        if op == "sum":
+            expected = np.zeros((num_segments,) + shape, dtype=values.dtype)
+        else:
+            expected = np.full((num_segments,) + shape, -np.inf)
+        for row, segment in enumerate(ids):
+            expected[segment] = (expected[segment] + values[row] if op == "sum"
+                                 else np.maximum(expected[segment], values[row]))
+        out = ops.segment_reduce(values, ids, num_segments, op)
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        np.testing.assert_array_equal(out, expected)
+        for empty in (3, 7, 8):
+            assert (out[empty] == (0 if op == "sum" else -np.inf)).all()
+
+    def test_segment_reduce_rejects_unknown_op(self):
+        with pytest.raises(ValueError, match="unknown segment reduction"):
+            ops.segment_reduce(np.ones((2, 2)), np.array([0, 1]), 2, "mean")
 
     def test_spmm_equals_dense(self):
         rng = np.random.default_rng(6)
