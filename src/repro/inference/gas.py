@@ -21,8 +21,9 @@ restricted run bit-identical to a fresh full one lives here and nowhere else:
   ``result[rows]`` into its cache — BLAS kernels are not bit-stable across
   differing shapes, so a subset-shaped matmul would drift in the last ulp;
 * an *identity* ``apply_edge`` (GCN/SAGE without edge features — the common
-  serving case) is an exact row gather at any subset size and skips the
-  full-shape pass;
+  serving case) is an exact row gather at any subset size: ``scatter_blocks``
+  skips the per-edge message table and gathers state rows straight into the
+  blocks;
 * compute units charge ``rows`` only: what a production kernel recomputing
   just those rows would pay (the full-shape pass is an artefact of
   simulating on BLAS).
@@ -101,19 +102,15 @@ def edge_messages(layer: GASConv, state: np.ndarray, src_pos: np.ndarray,
                   rows: Optional[np.ndarray] = None) -> Tuple[np.ndarray, float]:
     """``apply_edge`` over out-edges: one message row per edge.
 
-    ``src_pos[e]`` is the ``state`` row of edge ``e``'s source.  With ``rows``
-    only those edges' messages are returned (see the module docstring for the
-    identity-gather vs full-shape-then-slice rule).  The cost is one pass
-    over every outgoing message element; per-edge projections are folded
-    into that rate.
+    ``src_pos[e]`` is the ``state`` row of edge ``e``'s source.  The layer
+    runs at full edge-table shape and ``rows`` slices the result (see the
+    module docstring).  The cost is one pass over every outgoing message
+    element; per-edge projections are folded into that rate.
     """
     edge_tensor = None if edge_features is None else Tensor(edge_features)
-    if rows is not None and layer.apply_edge_is_identity(edge_tensor is not None):
-        messages = state[src_pos[rows]]
-    else:
-        messages = layer.apply_edge(Tensor(state[src_pos]), edge_tensor).data
-        if rows is not None:
-            messages = messages[rows]
+    messages = layer.apply_edge(Tensor(state[src_pos]), edge_tensor).data
+    if rows is not None:
+        messages = messages[rows]
     return messages, messages.shape[0] * messages.shape[1]
 
 
@@ -196,16 +193,27 @@ def scatter_blocks(model: GNNModel, plan: StrategyPlan,
     :class:`~repro.inference.strategies.BroadcastMessageBlock` (one payload
     row per hub, an id-only reference per edge) — whichever of the two have
     rows.
+
+    When ``apply_edge`` is the identity a message *is* its source's state
+    row, so the edges are routed first and each block's payload is gathered
+    from ``state`` once; only a projecting layer materialises the per-edge
+    message table (:func:`edge_messages`) and slices it.  Same bytes, same
+    units either way.
     """
-    messages, units = edge_messages(model.layers[layer_index], state, src_pos,
-                                    edge_features, rows)
     if rows is not None:
         source_ids, dst_ids = source_ids[rows], dst_ids[rows]
     routed = scatter(plan.layer(layer_index), plan.out_degree_hubs, shadow_plan,
                      source_ids, dst_ids, inline)
-    blocks = [MessageBlock(routed.plain_dst, messages[routed.plain_rows]),
-              BroadcastMessageBlock(routed.hub_dst, routed.hub_refs,
-                                    messages[routed.hub_rows])]
+    layer = model.layers[layer_index]
+    if not layer.apply_edge_is_identity(edge_features is not None):
+        messages, units = edge_messages(layer, state, src_pos, edge_features, rows)
+        plain, shared = messages[routed.plain_rows], messages[routed.hub_rows]
+    else:
+        edge_src = src_pos if rows is None else src_pos[rows]
+        plain, shared = state[edge_src[routed.plain_rows]], state[edge_src[routed.hub_rows]]
+        units = edge_src.shape[0] * state.shape[1]
+    blocks = [MessageBlock(routed.plain_dst, plain),
+              BroadcastMessageBlock(routed.hub_dst, routed.hub_refs, shared)]
     return [block for block in blocks if block.num_records()], units
 
 

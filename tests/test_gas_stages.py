@@ -150,6 +150,62 @@ def test_stages_reproduce_the_reference_layer_and_its_row_subsets(arch, edge_dim
     assert (units, subset_units) == (6 * last.shape[1] * 3, 1 * last.shape[1] * 3)
 
 
+@pytest.mark.parametrize("inline", [False, True], ids=["blocks", "inline"])
+@pytest.mark.parametrize("subset", [False, True], ids=["all-edges", "row-subset"])
+@pytest.mark.parametrize("arch,edge_dim", [("gcn", 0), ("sage", 0), ("sage", 3), ("gat", 0)],
+                         ids=["gcn", "sage", "sage-edge-features", "gat"])
+def test_scatter_blocks_equals_edge_messages_then_slice(arch, edge_dim, subset, inline):
+    """``scatter_blocks`` against the composition it used to be, block by block.
+
+    An identity ``apply_edge`` (GCN / SAGE without edge features) gathers state
+    rows straight into the blocks; a projecting one still builds the message
+    table.  Either way every array of every block, and the units charged,
+    equal ``edge_messages(...)[routed.*_rows]`` — with out-degree hubs on the
+    broadcast path and their destinations fanned out to shadow mirrors.
+    """
+    graph = hub_graph(edge_dim)
+    model = build_model(arch, graph.feature_dim, HIDDEN, 3, num_layers=2,
+                        heads=2, edge_dim=edge_dim, seed=3)
+    plan = build_strategy_plan(model, graph, WORKERS, StrategyConfig(
+        broadcast=True, shadow_nodes=True, hub_threshold_override=THRESHOLD), edge_dim > 0)
+    shadow = apply_shadow_nodes(graph, plan.threshold, WORKERS)
+    merge_hub_mirrors(plan, shadow)
+    working = shadow.graph
+    layer = model.layers[0]
+    assert layer.apply_edge_is_identity(edge_dim > 0) == (arch != "gat" and edge_dim == 0)
+    state = gas.encode(model, graph.node_features)[0][shadow.origin_of]
+    # unsorted; hub sources repeat (rows 61/66/62, 60/65) and the destinations
+    # of rows 4 and 21 have mirrors, so the two fan-out orders differ
+    rows = np.array([80, 4, 61, 0, 59, 66, 60, 21, 62, 65]) if subset else None
+
+    blocks, units = gas.scatter_blocks(model, plan, shadow, 0, state, working.src,
+                                       working.src, working.dst, working.edge_features,
+                                       inline, rows)
+
+    messages, expected_units = gas.edge_messages(layer, state, working.src,
+                                                 working.edge_features, rows)
+    src, dst = (working.src, working.dst) if rows is None else (working.src[rows],
+                                                                working.dst[rows])
+    routed = gas.scatter(plan.layer(0), plan.out_degree_hubs, shadow, src, dst, inline)
+    assert units == expected_units and type(units) is type(expected_units)
+    plain = blocks[0]
+    assert type(plain) is gas.MessageBlock
+    np.testing.assert_array_equal(plain.dst_ids, routed.plain_dst)
+    np.testing.assert_array_equal(plain.payload, messages[routed.plain_rows])
+    np.testing.assert_array_equal(plain.counts, np.ones(routed.plain_dst.size, np.int64))
+    assert np.unique(routed.plain_rows).size < routed.plain_rows.size   # mirror fan-out
+    if plan.layer(0).broadcast:
+        assert 2 <= routed.hub_rows.size < routed.hub_refs.size   # shared payloads
+        shared = blocks[1]
+        assert type(shared) is gas.BroadcastMessageBlock
+        np.testing.assert_array_equal(shared.dst_ids, routed.hub_dst)
+        np.testing.assert_array_equal(shared.payload_refs, routed.hub_refs)
+        np.testing.assert_array_equal(shared.unique_payloads, messages[routed.hub_rows])
+        np.testing.assert_array_equal(shared.counts, np.ones(routed.hub_dst.size, np.int64))
+    else:
+        assert len(blocks) == 1 and routed.hub_rows.size == 0
+
+
 def test_empty_inputs_keep_their_widths():
     """A partition that owns nothing still produces correctly shaped blocks."""
     model = build_model("sage", 5, HIDDEN, 3, num_layers=2, seed=0)

@@ -231,6 +231,13 @@ class TestNoGrad:
         assert is_grad_enabled()
 
 
+def add_at_reference(values: np.ndarray, ids: np.ndarray, num_segments: int) -> np.ndarray:
+    """``np.add.at``: the kernel ``segment_reduce`` replaced, kept as its oracle."""
+    out = np.zeros((num_segments,) + values.shape[1:], dtype=values.dtype)
+    np.add.at(out, ids, values)
+    return out
+
+
 class TestSegmentOps:
     def test_segment_sum_basic(self):
         values = Tensor(np.array([[1.0], [2.0], [3.0]]))
@@ -313,6 +320,48 @@ class TestSegmentOps:
         with pytest.raises(ValueError, match="unknown segment reduction"):
             ops.segment_reduce(np.ones((2, 2)), np.array([0, 1]), 2, "mean")
 
+    @pytest.mark.parametrize("op", ["sum", "max"])
+    @pytest.mark.parametrize("ids", [[0, -1, 1], [0, 3, 1], [-4, 7]],
+                             ids=["negative", "too-large", "both"])
+    def test_segment_reduce_rejects_ids_outside_the_segments(self, op, ids):
+        """``np.add.at`` would wrap -1 into the last segment and ``np.bincount``
+        would grow its output for a 3: both are errors here, for both ops."""
+        values = np.ones((len(ids), 2))
+        with pytest.raises(IndexError, match=r"outside \[0, 3\)"):
+            ops.segment_reduce(values, np.array(ids), 3, op)
+        with pytest.raises(IndexError):
+            ops.segment_reduce(values[:, 0], np.array(ids), 3, op)
+
+    @pytest.mark.parametrize("num_segments", [0, 3])
+    @pytest.mark.parametrize("shape", [(0,), (0, 4), (0, 2, 3), (0, 0)])
+    def test_segment_reduce_takes_zero_rows(self, shape, num_segments):
+        """A partition that receives nothing: the width comes from the shape,
+        not from ``reshape(0, -1)``."""
+        ids = np.empty(0, dtype=np.int64)
+        for op, fill in (("sum", 0.0), ("max", -np.inf)):
+            out = ops.segment_reduce(np.zeros(shape), ids, num_segments, op)
+            assert out.shape == (num_segments,) + shape[1:] and out.dtype == np.float64
+            assert (out == fill).all()
+        with pytest.raises(IndexError):
+            ops.segment_reduce(np.zeros((1,) + shape[1:]), np.array([0]), 0, "sum")
+
+    def test_segment_reduce_sums_integer_counts_exactly(self):
+        counts = np.array([2 ** 40 + 1, 3, 2 ** 40 + 5, 7], dtype=np.int64)
+        out = ops.segment_reduce(counts, np.array([2, 0, 2, 0]), 4, "sum")
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, [10, 0, 2 ** 41 + 6, 0])
+
+    def test_segment_reduce_takes_non_contiguous_values(self):
+        rng = np.random.default_rng(2)
+        table = rng.normal(size=(30, 12))
+        ids = rng.integers(0, 5, size=30)
+        for view in (table[:, 3:8], table[::2], table[::-1], np.asfortranarray(table)):
+            assert not view.flags.c_contiguous
+            rows = ids[:view.shape[0]]
+            np.testing.assert_array_equal(
+                ops.segment_reduce(view, rows, 5, "sum"),
+                add_at_reference(np.ascontiguousarray(view), rows, 5))
+
     def test_spmm_equals_dense(self):
         rng = np.random.default_rng(6)
         num_nodes = 6
@@ -342,6 +391,40 @@ class TestSegmentOps:
         out = ops.dropout(x, 0.5, training=True, rng=rng)
         # Inverted dropout keeps the expectation, so the mean stays near 1.
         assert abs(out.data.mean() - 1.0) < 0.1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    num_rows=st.integers(min_value=0, max_value=60),
+    num_segments=st.integers(min_value=1, max_value=12),
+    trailing=st.sampled_from([(), (1,), (5,), (16,), (2, 3)]),
+    integers=st.booleans(),
+    hub=st.booleans(),
+    piece=st.sampled_from([1, 7, 64, 1 << 20]),
+)
+def test_segment_sum_is_np_add_at_bit_for_bit(seed, num_rows, num_segments, trailing,
+                                              integers, hub, piece):
+    """Property: the flat-bincount sum kernel returns the bytes ``np.add.at``
+    returned — any trailing shape, empty segments, a hub segment owning most
+    rows — and the column-piece size never changes one of them."""
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, num_segments, size=num_rows)
+    if hub:
+        ids[rng.random(num_rows) < 0.7] = num_segments // 2
+    if integers:
+        values = rng.integers(-10 ** 6, 10 ** 6, size=(num_rows,) + trailing)
+    else:       # magnitudes 1e-8 .. 1e8: any other operand order shows in the last bits
+        values = (rng.normal(size=(num_rows,) + trailing)
+                  * 10.0 ** rng.integers(-8, 9, size=(num_rows,) + trailing))
+    expected = add_at_reference(values, ids, num_segments)
+    one_piece = ops.segment_reduce(values, ids, num_segments, "sum")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ops, "_SUM_PIECE_ELEMENTS", piece)
+        pieces = ops.segment_reduce(values, ids, num_segments, "sum")
+    for out in (one_piece, pieces):
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
