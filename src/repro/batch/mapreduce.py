@@ -3,39 +3,42 @@
 One round runs one :class:`MapReduceJob` — the GNN round job of
 :mod:`repro.inference.mapreduce_adaptor` is the only one in ``src/``.  The
 engine knows nothing about what it moves.  An *item* is a columnar block of
-rows with ``num_records()`` and ``nbytes()``; the items a round starts from
+rows with ``num_records()`` and ``nbytes()``; the items a chain starts from
 also have ``len()`` and ``take(rows)``, which is how the engine cuts their
 rows into contiguous, near-equal splits, one per mapper.  A mapper runs
 ``map_partition`` over its split and returns one item list per reducer — the
 job buckets, the engine never looks at a key; a reducer runs
 ``reduce_partition`` once over every item addressed to it.
 
-Every mapper and reducer instance is one task of the engine's
-:class:`~repro.cluster.executor.Executor`, so the job and the items must
-pickle (module-level classes).  The shuffle itself stays in the coordinator:
-reducer ``r`` receives mapper 0's bucket ``r``, then mapper 1's, ... — the
-order of a sequential loop, whatever the executor.
+Mapper ``i`` and reducer ``i`` are slot ``i`` of the engine's
+:class:`~repro.cluster.executor.Executor`, hosted by a :class:`RoundHarness`.
+One ``open`` ships a whole chain's jobs to every worker, once (jobs and items
+must pickle: module-level classes); a round is then two ``step`` waves, and
+the shuffle between them *is* the executor's mailbox: reducer ``r`` receives
+mapper 0's bucket ``r``, then mapper 1's, ... — the order of a sequential
+loop — as blobs a coordinating process relays without unpickling.  Between
+rounds the coordinator only re-splits the reducers' output rows: "read the
+round's input from storage", which ``disk_bytes`` charges.
 
 Accounting is :func:`~repro.cluster.metrics.run_instance`, the same helper
 the Pregel harness runs a superstep under: it hands the job the instance's
 :class:`~repro.cluster.metrics.InstanceMetrics` to charge compute and memory
 to, times the call, and counts ``num_records()`` / ``nbytes()`` over the items
-in and over every item bucketed.  An item's size is a closed form over its
-array shapes, so a reducer counting what the mappers already counted costs
-nothing and agrees exactly (sizes are integer-valued floats).  The engine adds
-the one thing only this backend pays — ``disk_bytes``: every round reads its
-input from, and writes its output to, external storage — and the records land
-per instance in the shared :class:`~repro.cluster.metrics.MetricsCollector`
+in and over every item bucketed (closed forms over array shapes, so a reducer
+recounting what the mappers counted agrees exactly and costs nothing).  The
+harness adds ``disk_bytes`` — every round reads its input from, and writes its
+output to, external storage, the one charge only this backend pays — and the
+records land in the shared :class:`~repro.cluster.metrics.MetricsCollector`
 under ``<phase>/map`` and ``<phase>/reduce`` for the cost model to price.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.executor import Executor
+from repro.cluster.executor import Executor, WorkerHarness
 from repro.cluster.metrics import InstanceMetrics, MetricsCollector, run_instance
 
 
@@ -51,38 +54,54 @@ class MapReduceJob:
         raise NotImplementedError
 
 
-def _run_task(job: MapReduceJob, reducing: bool, items: List[Any], instance_id: int,
-              phase: str) -> Tuple[List[List[Any]], InstanceMetrics]:
-    """One mapper or reducer instance: its buckets (a reducer has one) and counters."""
-    buckets, metrics = run_instance(
-        phase, instance_id, items,
-        (lambda items, metrics: [job.reduce_partition(items, metrics)]) if reducing
-        else job.map_partition)
-    metrics.disk_bytes = metrics.bytes_in + metrics.bytes_out
-    return buckets, metrics
+class RoundHarness(WorkerHarness):
+    """One slot of a chain of rounds: its jobs, and no state between steps.
+
+    A step's control is ``(round, phase, split)``: given a split, the slot is
+    that round's mapper and its buckets leave as mail, one per reducer slot;
+    given ``None``, its reducer — ``incoming`` is the mail, and the emitted
+    items return next to the counters.
+    """
+
+    def __init__(self, slot_id: int, payload: Tuple[int, Sequence[MapReduceJob]]) -> None:
+        self.slot_id = slot_id
+        self.num_slots, self.jobs = payload
+
+    def step(self, control: Tuple[int, str, Optional[List[Any]]],
+             incoming: List[Any]) -> Tuple[Any, List[Tuple[int, List[Any]]]]:
+        round_index, phase, split = control
+        job = self.jobs[round_index]
+        if split is None:
+            (emitted,), metrics = run_instance(
+                phase, self.slot_id, incoming,
+                lambda items, metrics: [job.reduce_partition(items, metrics)])
+            result, outgoing = (metrics, emitted), []
+        else:
+            buckets, metrics = run_instance(phase, self.slot_id, split, job.map_partition)
+            if len(buckets) != self.num_slots:
+                raise ValueError(f"{phase}: the job bucketed for {len(buckets)} reducers, "
+                                 f"the executor has {self.num_slots} slots")
+            result, outgoing = metrics, list(enumerate(buckets))
+        metrics.disk_bytes = metrics.bytes_in + metrics.bytes_out
+        return result, outgoing
 
 
 class MapReduceEngine:
-    """Runs rounds of ``num_mappers`` map tasks and one reduce task per bucket.
+    """Runs chains of rounds: one mapper and one reducer per executor slot.
 
-    The job buckets, so the job sets the reducer count: every mapper returns
-    the same number of buckets.  The executor is borrowed: the mapreduce
-    backend keeps one per prepared plan, so a process pool is started once
-    and shared by every round.
+    The executor is borrowed: the mapreduce backend keeps one per prepared
+    plan, so a process pool is started once and shared by every chain.
     """
 
-    def __init__(self, num_mappers: int, metrics: MetricsCollector,
-                 executor: Executor) -> None:
-        if num_mappers <= 0:
-            raise ValueError("num_mappers must be positive")
-        self.num_mappers = int(num_mappers)
+    def __init__(self, metrics: MetricsCollector, executor: Executor) -> None:
         self.metrics = metrics
         self.executor = executor
 
     def _split_rows(self, items: Sequence[Any]) -> List[List[Any]]:
         """Contiguous, near-equal row ranges of the item stream, one per mapper."""
-        per_mapper = max(-(-sum(len(item) for item in items) // self.num_mappers), 1)
-        splits: List[List[Any]] = [[] for _ in range(self.num_mappers)]
+        num_mappers = self.executor.num_slots
+        per_mapper = max(-(-sum(len(item) for item in items) // num_mappers), 1)
+        splits: List[List[Any]] = [[] for _ in range(num_mappers)]
         offset = 0
         for item in items:
             end = offset + len(item)
@@ -95,19 +114,19 @@ class MapReduceEngine:
             offset = end
         return splits
 
-    def run(self, job: MapReduceJob, items: Sequence[Any], phase: str) -> List[Any]:
-        """Run one map → shuffle → reduce round and return the reducers' output."""
-        mapped = self.executor.run_tasks(_run_task, [
-            (job, False, split, mapper_id, f"{phase}/map")
-            for mapper_id, split in enumerate(self._split_rows(items))])
-        for _, metrics in mapped:
-            self.metrics.add(metrics)
-        reduced = self.executor.run_tasks(_run_task, [
-            (job, True, [item for buckets, _ in mapped for item in buckets[reducer_id]],
-             reducer_id, f"{phase}/reduce")
-            for reducer_id in range(len(mapped[0][0]))])
-        outputs: List[Any] = []
-        for (emitted,), metrics in reduced:
-            self.metrics.add(metrics)
-            outputs.extend(emitted)
-        return outputs
+    def run(self, rounds: Sequence[Tuple[str, MapReduceJob]],
+            items: Sequence[Any]) -> List[Any]:
+        """Chain ``(phase, job)`` rounds — each map → shuffle → reduce over the
+        previous one's output — in one executor session; the last output."""
+        executor, slots = self.executor, self.executor.num_slots
+        payload = (slots, [job for _, job in rounds])
+        with executor.session(RoundHarness, [payload] * slots):
+            for index, (phase, _) in enumerate(rounds):
+                for metrics in executor.step([(index, f"{phase}/map", split)
+                                              for split in self._split_rows(items)]):
+                    self.metrics.add(metrics)
+                items = []
+                for metrics, emitted in executor.step([(index, f"{phase}/reduce", None)] * slots):
+                    self.metrics.add(metrics)
+                    items.extend(emitted)
+        return list(items)

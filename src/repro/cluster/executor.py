@@ -17,19 +17,17 @@ parallelism.  This module makes the worker substrate itself pluggable:
   numpy bundles that the parent relays between workers *without unpickling*
   (opaque byte blobs, so the coordinator does memcpy, not serialisation).
 
-Engines talk to executors through two shapes of work:
-
-* :meth:`Executor.run_tasks` — stateless fan-out: ``fn(*task)`` per task,
-  results in task order.  One wave of at most ``num_slots`` outstanding tasks
-  at a time (bulk-synchronous, like the engines themselves), which also keeps
-  the pipe protocol trivially deadlock-free.
-* :meth:`Executor.open` / :meth:`Executor.step` / :meth:`Executor.close` — a
-  stateful *harness* per slot for engines whose workers keep state across
-  steps (Pregel partitions keep node state across supersteps).  A harness is
-  built worker-side by a picklable factory, receives per-step control plus
-  the messages other slots addressed to it, and returns a control result plus
-  its own outgoing ``(target_slot, messages)`` buckets; the executor owns the
-  transport between steps.
+Engines talk to executors through one shape of work, a *harness session* —
+:meth:`Executor.open` / :meth:`Executor.step` / :meth:`Executor.close`, or
+:meth:`Executor.session` for all three plus the failed-run teardown.  A
+harness per slot is built worker-side by a picklable factory from the payload
+``open`` ships once per run (a Pregel partition and its program; a chain of
+MapReduce jobs), receives per-step control plus the messages other slots
+addressed to it last step, and returns a control result plus its own outgoing
+``(target_slot, messages)`` buckets; the executor owns the transport between
+steps, and what a harness keeps between them is its own business (Pregel: node
+state; MapReduce: nothing).  A step is one bulk-synchronous wave of exactly
+``num_slots`` commands, which keeps the pipe protocol trivially deadlock-free.
 
 Determinism contract: an engine that routes its per-slot work through the
 executor interface produces **the same results under both executors** — the
@@ -52,7 +50,8 @@ from dataclasses import dataclass
 from multiprocessing import get_context, shared_memory
 from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type
 
 import numpy as np
 
@@ -260,7 +259,7 @@ def prune_attached_segments(live_names: Iterable[str]) -> None:
 # executors
 # --------------------------------------------------------------------------- #
 class Executor:
-    """Common interface; see the module docstring for the two work shapes."""
+    """Common interface; see the module docstring for the harness session."""
 
     name: str = "base"
 
@@ -269,11 +268,7 @@ class Executor:
             raise ValueError("num_slots must be positive")
         self.num_slots = int(num_slots)
 
-    # -- stateless fan-out ------------------------------------------------ #
-    def run_tasks(self, fn: Callable[..., Any], tasks: Sequence[Tuple[Any, ...]]) -> List[Any]:
-        raise NotImplementedError
-
-    # -- stateful harness sessions ---------------------------------------- #
+    # -- harness sessions -------------------------------------------------- #
     def open(self, factory: Callable[..., Any], payloads: Sequence[Any]) -> None:
         raise NotImplementedError
 
@@ -282,6 +277,39 @@ class Executor:
 
     def close(self) -> List[Any]:
         raise NotImplementedError
+
+    def _check_per_slot(self, what: str, values: Sequence[Any]) -> None:
+        if len(values) != self.num_slots:
+            raise ValueError(f"expected {self.num_slots} {what}, got {len(values)}")
+
+    def _close_quietly(self) -> None:
+        """Tear down whatever session is left, never masking the first error."""
+        try:
+            self.close()
+        except Exception:
+            # Best effort by design: this runs while another exception is
+            # propagating, and the close may fail on the same broken worker
+            # (or find the session already gone after a crash reset); the
+            # original exception is the one that matters.
+            pass
+
+    @contextmanager
+    def session(self, factory: Callable[..., Any],
+                payloads: Sequence[Any]) -> Iterator[List[Any]]:
+        """One run as a ``with`` block: ``open``, the body's steps, ``close``.
+
+        Yields the list the harnesses' ``finish()`` values land in at a clean
+        exit.  A body that raises leaves no session open — the executor can
+        serve the next run — and its exception propagates unchanged.
+        """
+        self.open(factory, payloads)
+        finals: List[Any] = []
+        try:
+            yield finals
+            finals.extend(self.close())
+        except BaseException:
+            self._close_quietly()
+            raise
 
     # -- lifecycle --------------------------------------------------------- #
     def shutdown(self) -> None:
@@ -308,14 +336,10 @@ class SerialExecutor(Executor):
         self._harnesses: Optional[List[Any]] = None
         self._mailboxes: List[List[Any]] = [[] for _ in range(self.num_slots)]
 
-    def run_tasks(self, fn: Callable[..., Any], tasks: Sequence[Tuple[Any, ...]]) -> List[Any]:
-        return [fn(*task) for task in tasks]
-
     def open(self, factory: Callable[..., Any], payloads: Sequence[Any]) -> None:
         if self._harnesses is not None:
             raise RuntimeError("executor already has an open harness session")
-        if len(payloads) != self.num_slots:
-            raise ValueError(f"expected {self.num_slots} payloads, got {len(payloads)}")
+        self._check_per_slot("payloads", payloads)
         self._harnesses = [factory(slot, payload)
                            for slot, payload in enumerate(payloads)]
         self._mailboxes = [[] for _ in range(self.num_slots)]
@@ -323,6 +347,7 @@ class SerialExecutor(Executor):
     def step(self, controls: Sequence[Any]) -> List[Any]:
         if self._harnesses is None:
             raise RuntimeError("no open harness session")
+        self._check_per_slot("controls", controls)
         results: List[Any] = []
         next_mailboxes: List[List[Any]] = [[] for _ in range(self.num_slots)]
         for slot, harness in enumerate(self._harnesses):
@@ -374,10 +399,7 @@ def _process_worker_main(conn: Connection, slot_id: int) -> None:
         message = conn.recv()
         command = message[0]
         try:
-            if command == "task":
-                fn, args = message[1], message[2]
-                conn.send(("ok", fn(*args)))
-            elif command == "open":
+            if command == "open":
                 factory, payload = message[1], message[2]
                 harness = factory(slot_id, payload)
                 conn.send(("ok", None))
@@ -449,9 +471,9 @@ def default_start_method() -> str:
 class ProcessExecutor(Executor):
     """One persistent OS process per slot; the coordinator only relays bytes.
 
-    Workers are started lazily on first use and reused across ``run_tasks``
-    waves and harness sessions alike, so engines that execute many runs (a
-    serving session's ``infer_many``) pay the process start-up cost once.
+    Workers are started lazily on first use and reused across harness
+    sessions, so engines that execute many runs (a serving session's
+    ``infer_many``) pay the process start-up cost once.
     Per-step message buckets cross the coordinator as pre-pickled opaque
     blobs — the parent never deserialises another worker's traffic.
     """
@@ -488,117 +510,67 @@ class ProcessExecutor(Executor):
 
     def _reset_after_crash(self, dead_slots: Sequence[int]) -> None:
         """Tear the pool down after a worker death; the next use respawns."""
-        if self._finalizer is not None:
-            self._finalizer()
-            self._finalizer = None
-        self._processes = []
-        self._connections = []
-        self._session_open = False
-        self._mail_blobs = [[] for _ in range(self.num_slots)]
+        self.shutdown()
         raise WorkerCrashError(
             f"worker process(es) {sorted(set(dead_slots))} died mid-run "
             "(killed / out of memory?); the executor pool was reset and will "
             "respawn workers on its next use")
 
-    def _send(self, slot: int, message: Any, dead: List[int]) -> None:
-        """Send to one worker, recording (not raising on) a dead pipe."""
-        try:
-            self._connections[slot].send(message)
-        except (BrokenPipeError, EOFError, OSError):
-            dead.append(slot)
+    def _exchange(self, messages: Sequence[Any]) -> List[Any]:
+        """One wave: a command to every worker, then every worker's response.
 
-    def _collect(self, slots: Sequence[int]) -> List[Any]:
-        """Receive one response per slot; drain everything before raising.
-
-        Draining keeps the request/response protocol in sync when a worker
-        *fails* — the remaining workers' responses are consumed, so the
+        Responses are drained before anything is raised, which keeps the
+        request/response protocol in sync when a worker *fails* — the
         session (and the next run) can proceed after the caller handles the
-        error.  A worker that *died* (closed pipe) instead resets the whole
-        pool via :class:`WorkerCrashError`.
+        error.  A worker that *died* (closed pipe, either direction) instead
+        resets the whole pool via :class:`WorkerCrashError`.
         """
-        responses: List[Any] = []
         dead: List[int] = []
-        for slot in slots:
+        for slot, message in enumerate(messages):
             try:
-                responses.append(self._connections[slot].recv())
-            except (EOFError, BrokenPipeError, OSError):
-                responses.append(("error", None, f"worker {slot} died"))
+                self._connections[slot].send(message)
+            except (BrokenPipeError, EOFError, OSError):
                 dead.append(slot)
         if dead:
             self._reset_after_crash(dead)
-        results: List[Any] = []
-        first_error: Optional[Tuple[int, Any, str]] = None
-        for slot, response in zip(slots, responses):
-            status, *rest = response
-            if status == "ok":
-                results.append(rest[0])
-            else:
-                results.append(None)
-                if first_error is None:
-                    first_error = (slot, rest[0], rest[1])
-        if first_error is not None:
-            slot, exc, text = first_error
-            if isinstance(exc, BaseException):
-                raise exc
-            raise _RemoteWorkerError(f"worker {slot} failed:\n{text}")
-        return results
-
-    # ------------------------------------------------------------------ #
-    def run_tasks(self, fn: Callable[..., Any], tasks: Sequence[Tuple[Any, ...]]) -> List[Any]:
-        self._ensure_workers()
-        results: List[Any] = [None] * len(tasks)
-        for wave_start in range(0, len(tasks), self.num_slots):
-            wave = range(wave_start, min(wave_start + self.num_slots, len(tasks)))
-            dead: List[int] = []
-            for index in wave:
-                self._send(index - wave_start, ("task", fn, tasks[index]), dead)
-            if dead:
-                self._reset_after_crash(dead)
-            wave_results = self._collect([index - wave_start for index in wave])
-            for index, value in zip(wave, wave_results):
-                results[index] = value
-        return results
+        responses: List[Any] = []
+        for slot, connection in enumerate(self._connections):
+            try:
+                responses.append(connection.recv())
+            except (EOFError, BrokenPipeError, OSError):
+                dead.append(slot)
+        if dead:
+            self._reset_after_crash(dead)
+        for slot, (status, *rest) in enumerate(responses):
+            if status != "ok":
+                exc, text = rest
+                if isinstance(exc, BaseException):
+                    raise exc
+                raise _RemoteWorkerError(f"worker {slot} failed:\n{text}")
+        return [value for _, value in responses]
 
     # ------------------------------------------------------------------ #
     def open(self, factory: Callable[..., Any], payloads: Sequence[Any]) -> None:
         if self._session_open:
             raise RuntimeError("executor already has an open harness session")
-        if len(payloads) != self.num_slots:
-            raise ValueError(f"expected {self.num_slots} payloads, got {len(payloads)}")
+        self._check_per_slot("payloads", payloads)
         self._ensure_workers()
-        dead: List[int] = []
-        for slot in range(self.num_slots):
-            self._send(slot, ("open", factory, payloads[slot]), dead)
-        if dead:
-            self._reset_after_crash(dead)
-        try:
-            self._collect(range(self.num_slots))
-        except BaseException:
-            # Some harnesses may exist worker-side; close them so the session
-            # slot is reusable (best effort — never mask the open failure).
-            try:
-                for slot in range(self.num_slots):
-                    self._connections[slot].send(("close",))
-                self._collect(range(self.num_slots))
-            except Exception:
-                # Best effort by design: the cleanup close may fail on the
-                # very worker whose open failed; the original open failure
-                # re-raised below is the error that matters.
-                pass
-            raise
         self._session_open = True
         self._mail_blobs = [[] for _ in range(self.num_slots)]
+        try:
+            self._exchange([("open", factory, payload) for payload in payloads])
+        except BaseException:
+            # Some harnesses may exist worker-side; close them so the session
+            # slot is reusable.
+            self._close_quietly()
+            raise
 
     def step(self, controls: Sequence[Any]) -> List[Any]:
         if not self._session_open:
             raise RuntimeError("no open harness session")
-        dead: List[int] = []
-        for slot in range(self.num_slots):
-            self._send(slot, ("step", controls[slot], self._mail_blobs[slot]),
-                       dead)
-        if dead:
-            self._reset_after_crash(dead)
-        stepped = self._collect(range(self.num_slots))
+        self._check_per_slot("controls", controls)
+        stepped = self._exchange([("step", control, blobs)
+                                  for control, blobs in zip(controls, self._mail_blobs)])
         results: List[Any] = []
         next_blobs: List[List[bytes]] = [[] for _ in range(self.num_slots)]
         for result, packed in stepped:
@@ -611,17 +583,11 @@ class ProcessExecutor(Executor):
     def close(self) -> List[Any]:
         if not self._session_open:
             raise RuntimeError("no open harness session")
-        dead: List[int] = []
-        for slot in range(self.num_slots):
-            self._send(slot, ("close",), dead)
         try:
-            if dead:
-                self._reset_after_crash(dead)
-            finals = self._collect(range(self.num_slots))
+            return self._exchange([("close",)] * self.num_slots)
         finally:
             self._session_open = False
             self._mail_blobs = [[] for _ in range(self.num_slots)]
-        return finals
 
     # ------------------------------------------------------------------ #
     def shutdown(self) -> None:
@@ -631,6 +597,7 @@ class ProcessExecutor(Executor):
         self._processes = []
         self._connections = []
         self._session_open = False
+        self._mail_blobs = [[] for _ in range(self.num_slots)]
 
 
 # --------------------------------------------------------------------------- #

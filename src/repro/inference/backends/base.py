@@ -39,7 +39,7 @@ from repro.inference.delta import (
     GraphDelta,
     apply_delta_to_graph,
 )
-from repro.inference.shadow import ShadowNodePlan, apply_shadow_nodes
+from repro.inference.shadow import ReplicaMap, ShadowNodePlan, apply_shadow_nodes
 from repro.inference.strategies import (
     StrategyPlan,
     build_strategy_plan,
@@ -96,6 +96,11 @@ class ExecutionPlan:
     def original_num_nodes(self) -> int:
         return (self.shadow_plan.original_num_nodes if self.shadow_plan is not None
                 else self.graph.num_nodes)
+
+    @property
+    def replicas(self) -> Optional[ReplicaMap]:
+        """The shadow rewrite's replica map — what a job or program carries."""
+        return self.shadow_plan.replicas if self.shadow_plan is not None else None
 
     def describe(self) -> str:
         """One-line human-readable summary of the plan."""

@@ -4,8 +4,9 @@ Planning resolves strategies, the shadow rewrite and the layout — nothing
 else: the backend keeps no copy of the node table.  Every execution cuts the
 first round's input rows fresh from the working graph's own arrays
 (:func:`~repro.inference.mapreduce_adaptor.input_rows`) and chains one
-:class:`~repro.inference.mapreduce_adaptor.GNNRoundJob` per layer through a
-fresh engine on the plan's executor.
+:class:`~repro.inference.mapreduce_adaptor.GNNRoundJob` per layer through one
+session of the plan's executor: the jobs ship once per worker and hold the
+replica map, never the working graph.
 
 This backend overrides the delta hooks of
 :class:`~repro.inference.backends.base.Backend`: ``apply_delta`` is
@@ -71,8 +72,7 @@ class MapReduceBackend(Backend):
 
         Built lazily at first execution (a plan that is never executed never
         spawns workers) and kept in ``plan.state`` so the ``"process"``
-        substrate pays its worker start-up once per prepared session, not
-        once per round.
+        substrate pays its worker start-up once per prepared session.
         """
         executor = plan.state.get("executor")
         if executor is None:
@@ -85,16 +85,13 @@ class MapReduceBackend(Backend):
                     targets: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
         """Chain one :class:`GNNRoundJob` per layer; write outputs into ``scores``."""
         assert plan.layout is not None      # set by plan_gas_execution
-        engine = MapReduceEngine(plan.config.num_workers, metrics,
-                                 self._plan_executor(plan))
         plan.model.eval()
-        items = [Records(rows)]
-        for layer_index in range(plan.model.num_layers):
-            job = GNNRoundJob(plan.model, plan.strategy_plan, plan.shadow_plan,
-                              layer_index, plan.original_num_nodes, plan.layout,
-                              targets=targets)
-            items = engine.run(job, items, phase=f"{phase}_{layer_index}")
-        for item in items:
+        rounds = [(f"{phase}_{layer_index}",
+                   GNNRoundJob(plan.model, plan.strategy_plan, plan.replicas, layer_index,
+                               plan.original_num_nodes, plan.layout, targets=targets))
+                  for layer_index in range(plan.model.num_layers)]
+        engine = MapReduceEngine(metrics, self._plan_executor(plan))
+        for item in engine.run(rounds, [Records(rows)]):
             scores[item.block.dst_ids] = item.block.payload
         return scores
 

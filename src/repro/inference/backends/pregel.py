@@ -66,7 +66,7 @@ class PregelBackend(Backend):
              edge_rows: Optional[EdgeRows] = None,
              frontier: Optional[FrontierSchedule] = None) -> Dict[str, np.ndarray]:
         program = GNNInferenceProgram(
-            plan.model, plan.strategy_plan, plan.shadow_plan,
+            plan.model, plan.strategy_plan, plan.replicas,
             cache_states=cache_states, edge_rows=edge_rows)
         return run_program(plan.state["engine"], program, metrics,
                            plan.original_num_nodes, frontier)

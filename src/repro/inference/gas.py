@@ -38,7 +38,7 @@ import numpy as np
 from repro.cluster.cost_model import gnn_layer_compute_units
 from repro.gnn.gasconv import GASConv
 from repro.gnn.model import GNNModel
-from repro.inference.shadow import ShadowNodePlan
+from repro.inference.shadow import ReplicaMap
 from repro.inference.strategies import (
     BroadcastMessageBlock,
     LayerStrategy,
@@ -131,20 +131,20 @@ class Routed(NamedTuple):
     hub_dst: np.ndarray
 
 
-def _fan_out(shadow_plan: Optional[ShadowNodePlan], dst_ids: np.ndarray,
+def _fan_out(replicas: Optional[ReplicaMap], dst_ids: np.ndarray,
              inline: bool) -> Tuple[np.ndarray, np.ndarray]:
     """``(row_index, expanded_dst)``: every destination plus its mirrors."""
-    if shadow_plan is not None and shadow_plan.has_mirrors and inline:
-        return shadow_plan.expand_rows(dst_ids)
+    if replicas is not None and replicas.has_mirrors and inline:
+        return replicas.expand_rows(dst_ids)
     rows = np.arange(dst_ids.shape[0], dtype=np.int64)
-    if shadow_plan is None or not shadow_plan.has_mirrors:
+    if replicas is None or not replicas.has_mirrors:
         return rows, dst_ids
-    expanded_dst, row_index, _ = shadow_plan.expand_destinations(dst_ids, rows)
+    expanded_dst, row_index, _ = replicas.expand_destinations(dst_ids, rows)
     return row_index, expanded_dst
 
 
 def scatter(strategy: LayerStrategy, hubs: np.ndarray,
-            shadow_plan: Optional[ShadowNodePlan], source_ids: np.ndarray,
+            replicas: Optional[ReplicaMap], source_ids: np.ndarray,
             dst_ids: np.ndarray, inline: bool) -> Routed:
     """Split out-edge rows into per-edge and broadcast paths; fan out mirrors.
 
@@ -163,7 +163,7 @@ def scatter(strategy: LayerStrategy, hubs: np.ndarray,
         hub_edges, plain_edges = split_hub_edges(source_ids, hubs)
     else:
         hub_edges, plain_edges = _EMPTY, np.arange(dst_ids.shape[0])
-    plain_index, plain_dst = _fan_out(shadow_plan, dst_ids[plain_edges], inline)
+    plain_index, plain_dst = _fan_out(replicas, dst_ids[plain_edges], inline)
     if hub_edges.size == 0:
         return Routed(plain_edges[plain_index], plain_dst, _EMPTY, _EMPTY, _EMPTY)
     # Every out-edge of a hub carries the same payload: keep one row per hub
@@ -173,14 +173,14 @@ def scatter(strategy: LayerStrategy, hubs: np.ndarray,
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    hub_index, hub_dst = _fan_out(shadow_plan, dst_ids[hub_edges], inline)
+    hub_index, hub_dst = _fan_out(replicas, dst_ids[hub_edges], inline)
     return Routed(plain_edges[plain_index], plain_dst,
                   hub_edges[first[order]], rank[inverse][hub_index],
                   hub_dst)
 
 
 def scatter_blocks(model: GNNModel, plan: StrategyPlan,
-                   shadow_plan: Optional[ShadowNodePlan], layer_index: int,
+                   replicas: Optional[ReplicaMap], layer_index: int,
                    state: np.ndarray, src_pos: np.ndarray, source_ids: np.ndarray,
                    dst_ids: np.ndarray, edge_features: Optional[np.ndarray], inline: bool,
                    rows: Optional[np.ndarray] = None) -> Tuple[List[MessageBlock], float]:
@@ -202,7 +202,7 @@ def scatter_blocks(model: GNNModel, plan: StrategyPlan,
     """
     if rows is not None:
         source_ids, dst_ids = source_ids[rows], dst_ids[rows]
-    routed = scatter(plan.layer(layer_index), plan.out_degree_hubs, shadow_plan,
+    routed = scatter(plan.layer(layer_index), plan.out_degree_hubs, replicas,
                      source_ids, dst_ids, inline)
     layer = model.layers[layer_index]
     if not layer.apply_edge_is_identity(edge_features is not None):

@@ -69,7 +69,7 @@ from repro.cluster.metrics import ID_BYTES, InstanceMetrics, tensor_bytes
 from repro.gnn.model import GNNModel
 from repro.graph.graph import Graph
 from repro.inference import gas
-from repro.inference.shadow import ShadowNodePlan
+from repro.inference.shadow import ReplicaMap, ShadowNodePlan
 from repro.inference.strategies import BroadcastMessageBlock, StrategyPlan
 from repro.pregel.vertex import MessageBlock, concat_messages, route
 
@@ -212,12 +212,12 @@ class GNNRoundJob(MapReduceJob):
     """
 
     def __init__(self, model: GNNModel, plan: StrategyPlan,
-                 shadow_plan: Optional[ShadowNodePlan], layer_index: int,
+                 replicas: Optional[ReplicaMap], layer_index: int,
                  original_num_nodes: int, layout: ClusterLayout,
                  targets: Optional[Sequence[np.ndarray]] = None) -> None:
         self.model = model
         self.plan = plan
-        self.shadow_plan = shadow_plan
+        self.replicas = replicas
         self.layer_index = layer_index
         self.original_num_nodes = original_num_nodes
         self.layout = layout
@@ -237,7 +237,7 @@ class GNNRoundJob(MapReduceJob):
         """
         node_pos = np.repeat(np.arange(state.num_records()), np.diff(state.indptr))
         blocks, units = gas.scatter_blocks(
-            self.model, self.plan, self.shadow_plan, layer_index, state.payload, node_pos,
+            self.model, self.plan, self.replicas, layer_index, state.payload, node_pos,
             state.dst_ids[node_pos], state.nbrs, state.edge_feats, inline=True)
         metrics.add_compute(units)
         pieces: List[MessageBlock] = []

@@ -43,7 +43,7 @@ from repro.gnn.model import GNNModel
 from repro.graph.graph import Graph
 from repro.inference import gas
 from repro.inference.config import InferenceConfig
-from repro.inference.shadow import ShadowNodePlan
+from repro.inference.shadow import ReplicaMap
 from repro.inference.strategies import StrategyPlan
 from repro.pregel.combiners import MessageCombiner
 from repro.pregel.engine import PregelEngine, PregelPartition
@@ -75,12 +75,12 @@ class GNNInferenceProgram(BlockVertexProgram):
     """
 
     def __init__(self, model: GNNModel, plan: StrategyPlan,
-                 shadow_plan: Optional[ShadowNodePlan] = None,
+                 replicas: Optional[ReplicaMap] = None,
                  cache_states: bool = False,
                  edge_rows: Optional[EdgeRows] = None) -> None:
         self.model = model
         self.plan = plan
-        self.shadow_plan = shadow_plan
+        self.replicas = replicas
         self.num_layers = model.num_layers
         self.edge_rows = edge_rows
         self.incremental = edge_rows is not None
@@ -152,7 +152,7 @@ class GNNInferenceProgram(BlockVertexProgram):
         if partition.num_out_edges == 0 or (rows is not None and rows.size == 0):
             return
         blocks, units = gas.scatter_blocks(
-            self.model, self.plan, self.shadow_plan, superstep, state,
+            self.model, self.plan, self.replicas, superstep, state,
             partition.block_state["out_src_local"], partition.out_src, partition.out_dst,
             partition.out_edge_features, inline=False, rows=rows)
         context.metrics.add_compute(units)

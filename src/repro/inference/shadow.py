@@ -11,9 +11,8 @@ out-edges equals the original out-edge set — results are unchanged.
 The transformation is applied to the graph before partitioning; the returned
 plan carries the replica map the adaptors use to fan in-messages out to the
 mirrors and to read final predictions only from original node ids.  The map
-is stored as flat CSR arrays (``replica_indptr`` / ``replica_ids``) over the
-expanded id space, so destination expansion is a pure repeat/gather pass with
-no per-row Python.
+(:class:`ReplicaMap`) is two flat CSR arrays over the expanded id space, so
+destination expansion is a pure repeat/gather pass with no per-row Python.
 
 **Position-stable slices.**  A hub's out-edges are assigned to mirror slots
 by :func:`_mirror_slot` — a pure hash of the edge's endpoints — rather than
@@ -68,22 +67,89 @@ def _group_count(degree: np.ndarray, threshold: int, cap: int) -> np.ndarray:
 
 
 @dataclass
-class ShadowNodePlan:
-    """Result of shadow-node preprocessing.
+class ReplicaMap:
+    """Who receives a node's in-messages: a CSR over the expanded id space.
 
-    ``replica_indptr``/``replica_ids`` form a CSR over the expanded graph's id
-    space: ``replica_ids[replica_indptr[g]:replica_indptr[g + 1]]`` lists
-    every node id the in-messages of ``g`` must be delivered to — ``g`` itself
-    first, then its mirrors; non-replicated nodes map to just themselves.
-    Both arrays are ``None`` when no node has mirrors.
+    ``ids[indptr[g]:indptr[g + 1]]`` lists every node id the in-messages of
+    ``g`` must be delivered to — ``g`` itself first, then its mirrors;
+    non-replicated nodes map to just themselves.  Both arrays are ``None``
+    when no node has mirrors.  This is all of a :class:`ShadowNodePlan` a
+    worker reads, so it is what jobs and programs carry — never the plan,
+    which holds the rewritten graph.
+    """
+
+    #: CSR offsets, ``int64 [expanded_num_nodes + 1]`` (None when no mirrors).
+    indptr: Optional[np.ndarray] = None
+    #: CSR targets, ``int64`` flat (None when no mirrors).
+    ids: Optional[np.ndarray] = None
+
+    @property
+    def has_mirrors(self) -> bool:
+        return self.indptr is not None
+
+    def expand_destinations(self, dst_ids: np.ndarray, payload: np.ndarray,
+                            counts: Optional[np.ndarray] = None,
+                            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Duplicate message rows whose destination has mirrors.
+
+        Returns expanded ``(dst_ids, payload, counts)`` arrays: rows whose
+        destination is not replicated come first (in their original order),
+        followed by the replica fan-out of the replicated rows — one
+        repeat/gather pass over the CSR arrays, no per-row Python.
+        """
+        dst_ids = np.asarray(dst_ids, dtype=np.int64)
+        if counts is None:
+            counts = np.ones(dst_ids.shape[0], dtype=np.int64)
+        if self.indptr is None:
+            return dst_ids, payload, counts
+        reps = self.indptr[dst_ids + 1] - self.indptr[dst_ids]
+        needs_expand = reps > 1
+        if not needs_expand.any():
+            return dst_ids, payload, counts
+
+        keep_rows = np.nonzero(~needs_expand)[0]
+        expand_rows = np.nonzero(needs_expand)[0]
+        row_index, expanded_dst = self._fan_out(dst_ids[expand_rows], reps[expand_rows])
+        source_rows = expand_rows[row_index]
+        return (np.concatenate([dst_ids[keep_rows], expanded_dst]),
+                np.concatenate([payload[keep_rows], payload[source_rows]], axis=0),
+                np.concatenate([counts[keep_rows], counts[source_rows]]))
+
+    def expand_rows(self, dst_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """In-place destination expansion for record-oriented shuffles.
+
+        Returns ``(row_index, expanded_dst)`` where every input row appears at
+        its original position, replicated rows expanding inline (row i's
+        replicas are contiguous where row i was) — the ordering the MapReduce
+        scatter emits records in.  ``row_index[j]`` names the input row that
+        produced ``expanded_dst[j]``.
+        """
+        dst_ids = np.asarray(dst_ids, dtype=np.int64)
+        if self.indptr is None or dst_ids.size == 0:
+            return np.arange(dst_ids.size, dtype=np.int64), dst_ids
+        reps = self.indptr[dst_ids + 1] - self.indptr[dst_ids]
+        if not (reps > 1).any():
+            return np.arange(dst_ids.size, dtype=np.int64), dst_ids
+        return self._fan_out(dst_ids, reps)
+
+    def _fan_out(self, dst_ids: np.ndarray,
+                 reps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Expand every ``dst_ids[i]`` to its ``reps[i]`` replica ids inline."""
+        row_index = np.repeat(np.arange(dst_ids.size, dtype=np.int64), reps)
+        return row_index, csr_gather(self.indptr, self.ids, dst_ids)
+
+
+@dataclass
+class ShadowNodePlan:
+    """Result of shadow-node preprocessing: the rewritten graph + replica map.
+
+    ``replica_indptr`` / ``replica_ids`` and the three readers below are the
+    :class:`ReplicaMap`'s, spelt on the plan for the callers that hold one.
     """
 
     graph: Graph
     original_num_nodes: int
-    #: CSR offsets, ``int64 [expanded_num_nodes + 1]`` (None when no mirrors).
-    replica_indptr: Optional[np.ndarray] = None
-    #: CSR targets, ``int64`` flat (None when no mirrors).
-    replica_ids: Optional[np.ndarray] = None
+    replicas: ReplicaMap = field(default_factory=ReplicaMap)
     #: mirror id -> original node id
     mirror_origin: Dict[int, int] = field(default_factory=dict)
     #: lazily derived dense working id -> original id table (:attr:`origin_of`).
@@ -94,8 +160,24 @@ class ShadowNodePlan:
         return len(self.mirror_origin)
 
     @property
+    def replica_indptr(self) -> Optional[np.ndarray]:
+        return self.replicas.indptr
+
+    @property
+    def replica_ids(self) -> Optional[np.ndarray]:
+        return self.replicas.ids
+
+    @property
     def has_mirrors(self) -> bool:
-        return self.replica_indptr is not None
+        return self.replicas.has_mirrors
+
+    def expand_destinations(self, dst_ids: np.ndarray, payload: np.ndarray,
+                            counts: Optional[np.ndarray] = None,
+                            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.replicas.expand_destinations(dst_ids, payload, counts)
+
+    def expand_rows(self, dst_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        return self.replicas.expand_rows(dst_ids)
 
     @property
     def origin_of(self) -> np.ndarray:
@@ -215,58 +297,6 @@ class ShadowNodePlan:
         self.graph.edge_features = base_graph.edge_features
         self.graph.invalidate_adjacency()
 
-    # ------------------------------------------------------------------ #
-    def expand_destinations(self, dst_ids: np.ndarray, payload: np.ndarray,
-                            counts: Optional[np.ndarray] = None,
-                            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Duplicate message rows whose destination has mirrors.
-
-        Returns expanded ``(dst_ids, payload, counts)`` arrays: rows whose
-        destination is not replicated come first (in their original order),
-        followed by the replica fan-out of the replicated rows — one
-        repeat/gather pass over the CSR arrays, no per-row Python.
-        """
-        dst_ids = np.asarray(dst_ids, dtype=np.int64)
-        if counts is None:
-            counts = np.ones(dst_ids.shape[0], dtype=np.int64)
-        if self.replica_indptr is None:
-            return dst_ids, payload, counts
-        reps = self.replica_indptr[dst_ids + 1] - self.replica_indptr[dst_ids]
-        needs_expand = reps > 1
-        if not needs_expand.any():
-            return dst_ids, payload, counts
-
-        keep_rows = np.nonzero(~needs_expand)[0]
-        expand_rows = np.nonzero(needs_expand)[0]
-        row_index, expanded_dst = self._fan_out(dst_ids[expand_rows], reps[expand_rows])
-        source_rows = expand_rows[row_index]
-        return (np.concatenate([dst_ids[keep_rows], expanded_dst]),
-                np.concatenate([payload[keep_rows], payload[source_rows]], axis=0),
-                np.concatenate([counts[keep_rows], counts[source_rows]]))
-
-    def expand_rows(self, dst_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """In-place destination expansion for record-oriented shuffles.
-
-        Returns ``(row_index, expanded_dst)`` where every input row appears at
-        its original position, replicated rows expanding inline (row i's
-        replicas are contiguous where row i was) — the ordering the MapReduce
-        scatter emits records in.  ``row_index[j]`` names the input row that
-        produced ``expanded_dst[j]``.
-        """
-        dst_ids = np.asarray(dst_ids, dtype=np.int64)
-        if self.replica_indptr is None or dst_ids.size == 0:
-            return np.arange(dst_ids.size, dtype=np.int64), dst_ids
-        reps = self.replica_indptr[dst_ids + 1] - self.replica_indptr[dst_ids]
-        if not (reps > 1).any():
-            return np.arange(dst_ids.size, dtype=np.int64), dst_ids
-        return self._fan_out(dst_ids, reps)
-
-    def _fan_out(self, dst_ids: np.ndarray,
-                 reps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Expand every ``dst_ids[i]`` to its ``reps[i]`` replica ids inline."""
-        row_index = np.repeat(np.arange(dst_ids.size, dtype=np.int64), reps)
-        return row_index, csr_gather(self.replica_indptr, self.replica_ids, dst_ids)
-
 
 def _build_replica_csr(num_nodes: int,
                        replica_lists: Dict[int, np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
@@ -356,11 +386,9 @@ def apply_shadow_nodes(graph: Graph, threshold: int,
         labels=labels,
         num_nodes=next_id,
     )
-    replica_indptr, replica_ids = _build_replica_csr(next_id, replica_lists)
     return ShadowNodePlan(
         graph=expanded,
         original_num_nodes=graph.num_nodes,
-        replica_indptr=replica_indptr,
-        replica_ids=replica_ids,
+        replicas=ReplicaMap(*_build_replica_csr(next_id, replica_lists)),
         mirror_origin=mirror_origin,
     )

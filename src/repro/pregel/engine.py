@@ -425,9 +425,7 @@ class PregelEngine:
             factory = _build_process_harness
             payloads = self._process_payloads(program)
 
-        executor.open(factory, payloads)
-        finals: Optional[List[Any]] = None
-        try:
+        with executor.session(factory, payloads) as finals:
             for superstep in range(max_supersteps):
                 controls = []
                 for partition in self.partitions:
@@ -440,20 +438,6 @@ class PregelEngine:
                 # and out-volumes and the measured seconds in a single entry.
                 for instance in executor.step(controls):
                     self.metrics.add(instance)
-            finals = executor.close()
-        finally:
-            if finals is None:
-                # The run failed mid-flight; tear the harness session down so
-                # the executor can serve the next run, without masking the
-                # original exception.
-                try:
-                    executor.close()
-                except Exception:
-                    # Best effort by design: the close may fail on the same
-                    # broken worker that failed the run; the original
-                    # exception propagating out of the try is the one that
-                    # matters.
-                    pass
         self._apply_final_states(finals)
         return PregelResult(num_supersteps=max_supersteps, partitions=self.partitions,
                             metrics=self.metrics, engine=self)

@@ -2,10 +2,10 @@
 
 The engines' conformance is covered in ``test_backend_conformance.py``; here
 the executor contracts are tested in isolation: registry resolution, the
-stateless task wave, the stateful harness session with cross-slot message
-delivery, shared-memory array shipping (including the in-place-write
-visibility the delta path relies on), worker error propagation, and the cost
-model's predicted-vs-measured validation path.
+harness session (per-slot results, cross-slot message delivery, worker error
+propagation, the failed-run teardown), crash recovery, shared-memory array
+shipping (including the in-place-write visibility the delta path relies on),
+and the cost model's predicted-vs-measured validation path.
 """
 
 from __future__ import annotations
@@ -47,12 +47,38 @@ def _fail(value):
     raise ValueError(f"task exploded on {value}")
 
 
-def _read_shared(spec, row):
-    return float(attach_shared_array(spec)[row, 0])
-
-
 def _getpid():
     return os.getpid()
+
+
+class _CallHarness(WorkerHarness):
+    """Runs the ``(fn, *args)`` its step control names: no state, no mail."""
+
+    def __init__(self, slot_id, payload):
+        self.slot_id = slot_id
+
+    def step(self, control, incoming):
+        fn, *args = control
+        return fn(*args), []
+
+    def finish(self):
+        return self.slot_id
+
+
+def _open_fails_on_slot_one(slot_id, payload):
+    if slot_id == 1:
+        raise ValueError("open exploded")
+    return _CallHarness(slot_id, payload)
+
+
+class _SharedRowReader(WorkerHarness):
+    """Attaches the shared array its open payload describes; reads rows."""
+
+    def __init__(self, slot_id, spec):
+        self.array = attach_shared_array(spec)
+
+    def step(self, row, incoming):
+        return float(self.array[row, 0]), []
 
 
 class _EchoHarness(WorkerHarness):
@@ -101,23 +127,86 @@ class TestRegistry:
 
 
 @pytest.mark.parametrize("name", EXECUTOR_NAMES)
-class TestRunTasks:
-    def test_results_in_task_order(self, name):
+class TestStepResults:
+    def test_results_in_slot_order(self, name):
         executor = build_executor(name, 3)
         try:
-            # More tasks than slots: waves must preserve task order.
-            assert executor.run_tasks(_square, [(i,) for i in range(8)]) == \
-                [i * i for i in range(8)]
+            executor.open(_CallHarness, [None] * 3)
+            # Several waves in one session: each preserves slot order.
+            for wave in (range(0, 3), range(3, 6), range(6, 9)):
+                assert executor.step([(_square, i) for i in wave]) == \
+                    [i * i for i in wave]
+            assert executor.close() == [0, 1, 2]
         finally:
             executor.shutdown()
 
-    def test_task_errors_propagate(self, name):
+    def test_step_errors_propagate(self, name):
         executor = build_executor(name, 2)
         try:
+            executor.open(_CallHarness, [None] * 2)
             with pytest.raises(ValueError, match="task exploded on 7"):
-                executor.run_tasks(_fail, [(7,)])
-            # The executor stays usable after a failed wave.
-            assert executor.run_tasks(_square, [(3,)]) == [9]
+                executor.step([(_square, 1), (_fail, 7)])
+            # The same session stays usable after a failed step.
+            assert executor.step([(_square, 3), (_square, 4)]) == [9, 16]
+            executor.close()
+        finally:
+            executor.shutdown()
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_control_count_mismatch(self, name, count):
+        executor = build_executor(name, 2)
+        try:
+            executor.open(_CallHarness, [None] * 2)
+            with pytest.raises(ValueError, match="expected 2 controls"):
+                executor.step([(_square, 2)] * count)
+            # Nothing was sent: the session is still in step.
+            assert executor.step([(_square, 2)] * 2) == [4, 4]
+            executor.close()
+        finally:
+            executor.shutdown()
+
+
+@pytest.mark.parametrize("name", EXECUTOR_NAMES)
+class TestSessionContext:
+    """``Executor.session``: the one failed-run teardown both engines use."""
+
+    def test_clean_exit_closes_and_delivers_the_finals(self, name):
+        executor = build_executor(name, 2)
+        try:
+            with executor.session(_CallHarness, [None] * 2) as finals:
+                assert executor.step([(_square, 2), (_square, 3)]) == [4, 9]
+                assert finals == []
+            assert finals == [0, 1]
+            with pytest.raises(RuntimeError, match="no open harness session"):
+                executor.close()
+        finally:
+            executor.shutdown()
+
+    def test_failed_open_leaves_no_session(self, name):
+        executor = build_executor(name, 2)
+        try:
+            with pytest.raises(ValueError, match="open exploded"):
+                executor.open(_open_fails_on_slot_one, [None] * 2)
+            # Slot 0's harness was torn down with the failed open.
+            executor.open(_CallHarness, [None] * 2)
+            assert executor.step([(_square, 2), (_square, 3)]) == [4, 9]
+            executor.close()
+        finally:
+            executor.shutdown()
+
+    def test_failing_body_leaves_no_session_and_its_error_propagates(self, name):
+        executor = build_executor(name, 2)
+        try:
+            with pytest.raises(ValueError, match="task exploded on 5"):
+                with executor.session(_CallHarness, [None] * 2):
+                    executor.step([(_fail, 5), (_square, 1)])
+            with pytest.raises(KeyError, match="coordinator"):
+                with executor.session(_CallHarness, [None] * 2):
+                    raise KeyError("coordinator")
+            # No session was left open: the next run opens without complaint.
+            with executor.session(_CallHarness, [None] * 2) as finals:
+                assert executor.step([(_square, 5), (_square, 6)]) == [25, 36]
+            assert finals == [0, 1]
         finally:
             executor.shutdown()
 
@@ -169,16 +258,20 @@ class TestCrashRecovery:
     def test_dead_worker_resets_pool_and_next_use_respawns(self):
         executor = ProcessExecutor(2)
         try:
-            pids = executor.run_tasks(_getpid, [(), ()])
+            executor.open(_CallHarness, [None] * 2)
+            pids = executor.step([(_getpid,), (_getpid,)])
             os.kill(pids[0], signal.SIGKILL)
             time.sleep(0.2)     # let the kill land before the next wave
             with pytest.raises(WorkerCrashError, match="respawn"):
-                executor.run_tasks(_square, [(1,), (2,)])
-            # The crash must not poison the executor: the next use respawns a
-            # fresh pool transparently (this is what keeps a SessionPool entry
-            # serviceable after one OOM-killed worker).
-            assert executor.run_tasks(_square, [(2,), (3,)]) == [4, 9]
-            assert set(executor.run_tasks(_getpid, [(), ()])) != set(pids)
+                executor.step([(_square, 1), (_square, 2)])
+            # The crash must not poison the executor: the session is gone with
+            # the pool, and the next open respawns a fresh one transparently
+            # (this is what keeps a SessionPool entry serviceable after one
+            # OOM-killed worker).
+            executor.open(_CallHarness, [None] * 2)
+            assert executor.step([(_square, 2), (_square, 3)]) == [4, 9]
+            assert set(executor.step([(_getpid,), (_getpid,)])) != set(pids)
+            executor.close()
         finally:
             executor.shutdown()
 
@@ -194,11 +287,13 @@ class TestSharedArrays:
 
             executor = ProcessExecutor(1)
             try:
-                assert executor.run_tasks(_read_shared, [(spec, 1)]) == [3.0]
+                executor.open(_SharedRowReader, [spec])
+                assert executor.step([1]) == [3.0]
                 # Parent-side in-place write is visible to workers without
                 # re-sharing — the property feature-delta scatters rely on.
                 view[1, 0] = 42.0
-                assert executor.run_tasks(_read_shared, [(spec, 1)]) == [42.0]
+                assert executor.step([1]) == [42.0]
+                executor.close()
             finally:
                 executor.shutdown()
 

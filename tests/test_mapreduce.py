@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import signal
+
 import numpy as np
 import pytest
 
-from repro.batch.mapreduce import MapReduceEngine, MapReduceJob, _run_task
+from repro.batch.mapreduce import MapReduceEngine, MapReduceJob, RoundHarness
 from repro.cluster.cost_model import CostModel, gnn_layer_compute_units
-from repro.cluster.executor import available_executors, build_executor
+from repro.cluster.executor import WorkerCrashError, available_executors, build_executor
 from repro.cluster.metrics import (
     RECORD_OVERHEAD_BYTES,
     InstanceMetrics,
@@ -19,13 +22,14 @@ from repro.cluster.resources import ClusterSpec, OutOfMemoryError, WorkerSpec
 from repro.gnn.model import build_model
 from repro.graph.generators import powerlaw_graph
 from repro.inference import InferenceConfig, InferenceSession, StrategyConfig
-from repro.inference.mapreduce_adaptor import Records, StateBlock, input_rows
+from repro.inference.backends import mapreduce as mapreduce_backend
+from repro.inference.mapreduce_adaptor import GNNRoundJob, Records, StateBlock, input_rows
 from repro.inference.strategies import BroadcastMessageBlock
 from repro.pregel.vertex import MessageBlock
 
 
-# Items and jobs are module-level: every task ships to the process executor's
-# workers by pickle.
+# Items and jobs are module-level: jobs ship to the process executor's workers
+# at ``open`` and items as step controls and mail, all by pickle.
 class Tokens:
     """The smallest item the engine moves: token ids, one count each."""
 
@@ -89,6 +93,29 @@ class AllToZeroJob(TokenCountJob):
         return np.zeros_like(tokens)
 
 
+class ExplodingReduceJob(TokenCountJob):
+    def reduce_partition(self, items, context):
+        raise ArithmeticError("reducer exploded")
+
+
+class ExplodingRoundJob(GNNRoundJob):
+    """A GNN round whose second layer's reduce stage raises."""
+
+    def reduce_partition(self, items, metrics):
+        if self.layer_index == 1:
+            raise ArithmeticError("layer 1 reduce exploded")
+        return super().reduce_partition(items, metrics)
+
+
+class SuicidalRoundJob(GNNRoundJob):
+    """A GNN round whose second layer's reducers SIGKILL their own worker."""
+
+    def reduce_partition(self, items, metrics):
+        if self.layer_index == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super().reduce_partition(items, metrics)
+
+
 TOKENS = np.random.default_rng(0).integers(0, 12, size=60)
 #: the input arrives as several items; splits cut across their boundaries
 DOCUMENTS = [Tokens(TOKENS[:7]), Tokens(TOKENS[7:7]), Tokens(TOKENS[7:40]), Tokens(TOKENS[40:])]
@@ -101,29 +128,37 @@ def counts_of(items):
 
 @pytest.fixture(params=sorted(available_executors()))
 def executor(request):
-    built = build_executor(request.param, 4)
-    yield built
-    built.shutdown()
+    """``executor(n)`` builds an ``n``-slot executor of the parametrised kind."""
+    built = []
+
+    def build(num_slots):
+        built.append(build_executor(request.param, num_slots))
+        return built[-1]
+
+    yield build
+    for each in built:
+        each.shutdown()
 
 
-def make_engine(executor, num_mappers=2):
-    return MapReduceEngine(num_mappers, MetricsCollector(), executor)
+def make_engine(executor, num_slots=2):
+    """An engine of ``num_slots`` mappers and as many reducers."""
+    return MapReduceEngine(MetricsCollector(), executor(num_slots))
 
 
 class TestMapReduceEngine:
     def test_wordcount_correct(self, executor):
         engine = make_engine(executor)
-        counts = counts_of(engine.run(TokenCountJob(2), DOCUMENTS, phase="tc"))
+        counts = counts_of(engine.run([("tc", TokenCountJob(2))], DOCUMENTS))
         assert counts == {token: int(n) for token, n in enumerate(np.bincount(TOKENS)) if n}
         assert engine.metrics.total("records_out", "tc/map") == TOKENS.size
 
     def test_results_independent_of_worker_count(self, executor):
-        small = counts_of(make_engine(executor, 1).run(TokenCountJob(1), DOCUMENTS, "tc"))
-        large = counts_of(make_engine(executor, 4).run(TokenCountJob(7), DOCUMENTS, "tc"))
+        small = counts_of(make_engine(executor, 1).run([("tc", TokenCountJob(1))], DOCUMENTS))
+        large = counts_of(make_engine(executor, 4).run([("tc", TokenCountJob(4))], DOCUMENTS))
         assert small == large
 
     def test_rows_are_split_contiguously_and_evenly(self, executor):
-        engine = make_engine(executor, num_mappers=4)
+        engine = make_engine(executor, 4)
         splits = engine._split_rows(DOCUMENTS)
         assert [sum(len(item) for item in split) for split in splits] == [15, 15, 15, 15]
         np.testing.assert_array_equal(
@@ -133,57 +168,80 @@ class TestMapReduceEngine:
 
     def test_combiner_reduces_shuffle_records_but_not_results(self, executor):
         plain_engine = make_engine(executor)
-        plain = plain_engine.run(TokenCountJob(2), DOCUMENTS, "tc")
+        plain = plain_engine.run([("tc", TokenCountJob(2))], DOCUMENTS)
         folding_engine = make_engine(executor)
-        folded = folding_engine.run(FoldingTokenCountJob(2), DOCUMENTS, "tc")
+        folded = folding_engine.run([("tc", FoldingTokenCountJob(2))], DOCUMENTS)
         assert counts_of(plain) == counts_of(folded)
         assert (folding_engine.metrics.total("records_out", "tc/map")
                 < plain_engine.metrics.total("records_out", "tc/map"))
 
     def test_partition_reduce(self, executor):
         engine = make_engine(executor, 3)
-        engine.run(TokenCountJob(3), DOCUMENTS, "sum")
+        engine.run([("sum", TokenCountJob(3))], DOCUMENTS)
         assert engine.metrics.total("compute_units", "sum/reduce") == TOKENS.size
 
     def test_metrics_recorded_for_both_phases(self, executor):
-        engine = make_engine(executor, 2)
-        engine.run(TokenCountJob(3), DOCUMENTS, phase="job")
+        engine = make_engine(executor, 3)
+        engine.run([("job", TokenCountJob(3))], DOCUMENTS)
         metrics = engine.metrics
         assert metrics.phases() == ["job/map", "job/reduce"]
         assert metrics.total("records_in", "job/map") == TOKENS.size
         assert metrics.total("records_out", "job/map") == TOKENS.size
         assert metrics.total("records_in", "job/reduce") == TOKENS.size
-        # one reducer per bucket the job returns
+        # one reducer per executor slot, which is what the job buckets for
         assert len(metrics.instances("job/reduce")) == 3
         for instance in metrics.instances():
             assert instance.disk_bytes == instance.bytes_in + instance.bytes_out
             assert instance.measured_seconds > 0
 
     def test_the_job_places_every_row(self, executor):
-        engine = make_engine(executor, 1)
-        engine.run(AllToZeroJob(4), DOCUMENTS, phase="p")
+        engine = make_engine(executor, 4)
+        engine.run([("p", AllToZeroJob(4))], DOCUMENTS)
         # Everything lands on reducer 0.
         busy = [m for m in engine.metrics.instances("p/reduce") if m.records_in > 0]
         assert len(busy) == 1 and busy[0].instance_id == 0
 
     def test_empty_input(self, executor):
         engine = make_engine(executor)
-        assert engine.run(TokenCountJob(2), [], "tc") == []
+        assert engine.run([("tc", TokenCountJob(2))], []) == []
         assert engine.metrics.total("records_out", "tc/map") == 0
 
     def test_invalid_worker_counts(self, executor):
         with pytest.raises(ValueError):
             make_engine(executor, 0)
 
+    def test_a_job_must_bucket_for_the_executors_slots(self, executor):
+        engine = make_engine(executor, 2)
+        with pytest.raises(ValueError, match="3 reducers.*2 slots"):
+            engine.run([("tc", TokenCountJob(3))], DOCUMENTS)
+        assert counts_of(engine.run([("tc", TokenCountJob(2))], DOCUMENTS)) == \
+            counts_of([Tokens(TOKENS).fold()])
+
+    def test_chained_rounds_feed_the_next_map_in_one_session(self, executor):
+        engine = make_engine(executor, 3)
+        chained = engine.run([("a", TokenCountJob(3)), ("b", FoldingTokenCountJob(3))],
+                             DOCUMENTS)
+        assert counts_of(chained) == counts_of([Tokens(TOKENS).fold()])
+        metrics = engine.metrics
+        assert metrics.phases() == ["a/map", "a/reduce", "b/map", "b/reduce"]
+        # round b reads exactly what round a wrote
+        assert (metrics.total("records_in", "b/map")
+                == metrics.total("records_out", "a/reduce") == len(counts_of(chained)))
+        assert metrics.total("bytes_in", "b/map") == metrics.total("bytes_out", "a/reduce")
+
 
 class TestAccountingFollowsTheData:
     """``run_instance`` counts what a task was given and what it bucketed."""
 
     def test_reducer_bytes_in_is_the_sum_of_the_bucket_totals_sent_to_it(self, executor):
-        engine = make_engine(executor, 3)
-        engine.run(TokenCountJob(4), DOCUMENTS, phase="tc")
-        mapped = [_run_task(TokenCountJob(4), False, split, mapper_id, "tc/map")
-                  for mapper_id, split in enumerate(engine._split_rows(DOCUMENTS))]
+        engine = make_engine(executor, 4)
+        engine.run([("tc", TokenCountJob(4))], DOCUMENTS)
+        mapped = []
+        for mapper_id, split in enumerate(engine._split_rows(DOCUMENTS)):
+            metrics, outgoing = RoundHarness(mapper_id, (4, [TokenCountJob(4)])).step(
+                (0, "tc/map", split), [])
+            assert [reducer_id for reducer_id, _ in outgoing] == [0, 1, 2, 3]
+            mapped.append(([bucket for _, bucket in outgoing], metrics))
         for mapper_id, (buckets, metrics) in enumerate(mapped):
             assert metrics.bytes_out == sum(
                 item.nbytes() for bucket in buckets for item in bucket)
@@ -195,10 +253,12 @@ class TestAccountingFollowsTheData:
                 == sum(item.nbytes() for item in DOCUMENTS))
 
     def test_a_task_is_timed_and_charged_for_what_it_bucketed(self):
-        """The mapper and reducer sides of one tiny round, run by hand: the
-        record a task returns is the engine's whole accounting for it."""
+        """The mapper and reducer sides of one tiny round, stepped by hand (a
+        harness is a plain object): the record a step returns is the engine's
+        whole accounting for it."""
         job = TokenCountJob(3)
-        buckets, mapper = _run_task(job, False, DOCUMENTS, 5, "tc/map")
+        mapper, outgoing = RoundHarness(5, (3, [job])).step((0, "tc/map", DOCUMENTS), [])
+        buckets = [bucket for _, bucket in outgoing]
         assert (mapper.phase, mapper.instance_id) == ("tc/map", 5)
         assert mapper.measured_seconds > 0
         assert mapper.records_in == TOKENS.size
@@ -208,7 +268,9 @@ class TestAccountingFollowsTheData:
         assert mapper.disk_bytes == mapper.bytes_in + mapper.bytes_out
         assert mapper.compute_units == 0
 
-        (emitted,), reducer = _run_task(job, True, buckets[1], 1, "tc/reduce")
+        (reducer, emitted), mail = RoundHarness(1, (3, [job])).step(
+            (0, "tc/reduce", None), buckets[1])
+        assert mail == [] and (reducer.phase, reducer.instance_id) == ("tc/reduce", 1)
         assert reducer.measured_seconds > 0
         assert reducer.bytes_in == sum(item.nbytes() for item in buckets[1])
         assert reducer.bytes_out == sum(item.nbytes() for item in emitted)
@@ -242,6 +304,61 @@ class TestAccountingFollowsTheData:
         # split is read twice: records and bytes may only grow, by a hair)
         written = metrics.total("bytes_out", "round_0/reduce")
         assert written <= metrics.total("bytes_in", "round_1/map") <= 1.01 * written
+
+
+class TestFailureAtomicity:
+    """A chain that fails leaves the executor, and the session, serviceable."""
+
+    def test_a_raising_reducer_reaches_the_caller_and_closes_the_session(self, executor):
+        engine = make_engine(executor, 2)
+        with pytest.raises(ArithmeticError, match="reducer exploded"):
+            engine.run([("r0", TokenCountJob(2)), ("r1", ExplodingReduceJob(2))], DOCUMENTS)
+        # round 0 ran whole, round 1's mappers too; no reducer of round 1 reported
+        assert engine.metrics.phases() == ["r0/map", "r0/reduce", "r1/map"]
+        with pytest.raises(RuntimeError, match="no open harness session"):
+            engine.executor.close()
+        again = engine.run([("r0", TokenCountJob(2)), ("r1", TokenCountJob(2))], DOCUMENTS)
+        assert counts_of(again) == counts_of([Tokens(TOKENS).fold()])
+
+    @staticmethod
+    def hub_session(executor_name):
+        graph = powerlaw_graph(300, avg_degree=4.0, skew="both", feature_dim=6,
+                               num_classes=3, seed=1)
+        model = build_model("gcn", graph.feature_dim, 8, 3, num_layers=2, seed=0)
+        config = InferenceConfig(
+            backend="mapreduce", num_workers=4, executor=executor_name,
+            strategies=StrategyConfig(partial_gather=True, broadcast=True,
+                                      shadow_nodes=True))
+        return InferenceSession(model, config), graph
+
+    @pytest.mark.parametrize("executor_name", sorted(available_executors()))
+    def test_a_stage_that_raises_once_leaves_the_session_usable(self, executor_name,
+                                                                  monkeypatch):
+        session, graph = self.hub_session(executor_name)
+        try:
+            before = session.infer(graph).scores
+            # The backend builds its jobs from this name; the subclass pickles.
+            monkeypatch.setattr(mapreduce_backend, "GNNRoundJob", ExplodingRoundJob)
+            with pytest.raises(ArithmeticError, match="layer 1 reduce exploded"):
+                session.infer(graph)
+            monkeypatch.undo()
+            np.testing.assert_array_equal(session.infer(graph).scores, before)
+        finally:
+            session.close()
+
+    @pytest.mark.skipif("process" not in available_executors(),
+                        reason="process executor unavailable")
+    def test_a_worker_killed_mid_chain_is_a_crash_error_then_a_clean_infer(self, monkeypatch):
+        session, graph = self.hub_session("process")
+        try:
+            before = session.infer(graph).scores
+            monkeypatch.setattr(mapreduce_backend, "GNNRoundJob", SuicidalRoundJob)
+            with pytest.raises(WorkerCrashError):
+                session.infer(graph)
+            monkeypatch.undo()
+            np.testing.assert_array_equal(session.infer(graph).scores, before)
+        finally:
+            session.close()
 
 
 def estimate_payload_bytes(payload):

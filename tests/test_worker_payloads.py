@@ -1,0 +1,107 @@
+"""What a worker is shipped: the replica map, never the working graph.
+
+Jobs and programs travel to process workers inside the ``open`` payload, once
+per worker per run.  They read two CSR arrays of the shadow rewrite
+(:class:`~repro.inference.shadow.ReplicaMap`); the rewritten graph stays with
+the plan in the coordinator (Pregel workers attach their partition's arrays
+through shared memory, MapReduce workers are sent their rows).
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import numpy as np
+import pytest
+
+from repro.cluster.executor import ProcessExecutor
+from repro.gnn.model import build_model
+from repro.graph.generators import powerlaw_graph
+from repro.graph.graph import Graph
+from repro.inference import InferenceConfig, InferenceSession, StrategyConfig
+from repro.inference.shadow import ReplicaMap
+
+
+def hub_graph():
+    return powerlaw_graph(1500, avg_degree=4.0, skew="both", feature_dim=32,
+                          num_classes=3, seed=1)
+
+
+def hub_session(backend, executor):
+    graph = hub_graph()
+    model = build_model("gcn", graph.feature_dim, 8, 3, num_layers=2, seed=0)
+    config = InferenceConfig(
+        backend=backend, num_workers=4, executor=executor,
+        strategies=StrategyConfig(partial_gather=True, broadcast=True, shadow_nodes=True))
+    return InferenceSession(model, config), graph
+
+
+def reachable(root):
+    """Every object reachable from ``root`` through attributes and containers."""
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (np.ndarray, str, bytes, int, float)):
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        else:
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            stack.extend(getattr(obj, slot) for slot in getattr(obj, "__slots__", ())
+                         if hasattr(obj, slot))
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("backend", ["mapreduce", "pregel"])
+def test_an_open_payload_is_smaller_than_the_features_and_holds_no_graph(backend,
+                                                                         monkeypatch):
+    opened = []
+    real_open = ProcessExecutor.open
+
+    def spy(self, factory, payloads):
+        opened.append(list(payloads))
+        real_open(self, factory, payloads)
+
+    monkeypatch.setattr(ProcessExecutor, "open", spy)
+    session, graph = hub_session(backend, "process")
+    try:
+        session.infer(graph)
+        plan = session.plan
+        assert plan.shadow_plan.has_mirrors
+        feature_bytes = plan.working_graph.node_features.nbytes
+    finally:
+        session.close()
+
+    (payloads,) = opened                     # one session per run
+    assert len(payloads) == 4
+    for payload in payloads:
+        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(blob) < feature_bytes
+        shipped = reachable(pickle.loads(blob))
+        assert not [obj for obj in shipped if isinstance(obj, Graph)]
+        # ... and the replica map did travel: the scatter reads it worker-side
+        maps = [obj for obj in shipped if isinstance(obj, ReplicaMap)]
+        assert maps and all(each.has_mirrors for each in maps)
+
+
+def test_a_shadow_plan_still_pickles_whole_graph_included():
+    session, graph = hub_session("mapreduce", "serial")
+    try:
+        session.prepare(graph)
+        shadow = session.plan.shadow_plan
+        clone = pickle.loads(pickle.dumps(shadow))
+    finally:
+        session.close()
+    assert clone.has_mirrors and clone.num_mirrors == shadow.num_mirrors
+    assert clone.original_num_nodes == shadow.original_num_nodes
+    assert clone.mirror_origin == shadow.mirror_origin
+    np.testing.assert_array_equal(clone.replica_indptr, shadow.replica_indptr)
+    np.testing.assert_array_equal(clone.replica_ids, shadow.replica_ids)
+    for name in ("src", "dst", "node_features", "labels"):
+        np.testing.assert_array_equal(getattr(clone.graph, name), getattr(shadow.graph, name))
+    assert clone.graph.num_nodes == shadow.graph.num_nodes > graph.num_nodes
+    np.testing.assert_array_equal(clone.replicas_of(np.arange(5)), shadow.replicas_of(np.arange(5)))
