@@ -145,13 +145,16 @@ def _fan_out(replicas: Optional[ReplicaMap], dst_ids: np.ndarray,
 
 def scatter(strategy: LayerStrategy, hubs: np.ndarray,
             replicas: Optional[ReplicaMap], source_ids: np.ndarray,
-            dst_ids: np.ndarray, inline: bool) -> Routed:
+            dst_ids: np.ndarray, inline: bool,
+            rows: Optional[np.ndarray] = None) -> Routed:
     """Split out-edge rows into per-edge and broadcast paths; fan out mirrors.
 
-    An edge takes the broadcast path iff the layer's strategy enables it and
-    its source is an out-degree hub — ``LayerStrategy.broadcast`` already
-    excludes layers whose messages depend on edge features, so this is the
-    whole rule, on every backend.
+    The index-only half of :func:`scatter_blocks`: it reads topology, plan and
+    ``rows`` (which keeps only those edges), never a state value.  An edge
+    takes the broadcast path iff the layer's strategy enables it and its
+    source is an out-degree hub — ``LayerStrategy.broadcast`` already excludes
+    layers whose messages depend on edge features, so this is the whole rule,
+    on every backend.
 
     ``inline`` picks the order of the mirror fan-out, not a backend: replicas
     where the row was (``True`` — a record stream keeps per-source order) or
@@ -159,6 +162,8 @@ def scatter(strategy: LayerStrategy, hubs: np.ndarray,
     path).  Both orders are frozen by the bit-identity contracts, because
     they fix the operand order of the receivers' segment reductions.
     """
+    if rows is not None:
+        source_ids, dst_ids = source_ids[rows], dst_ids[rows]
     if strategy.broadcast and hubs.size:
         hub_edges, plain_edges = split_hub_edges(source_ids, hubs)
     else:
@@ -183,7 +188,8 @@ def scatter_blocks(model: GNNModel, plan: StrategyPlan,
                    replicas: Optional[ReplicaMap], layer_index: int,
                    state: np.ndarray, src_pos: np.ndarray, source_ids: np.ndarray,
                    dst_ids: np.ndarray, edge_features: Optional[np.ndarray], inline: bool,
-                   rows: Optional[np.ndarray] = None) -> Tuple[List[MessageBlock], float]:
+                   rows: Optional[np.ndarray] = None, routed: Optional[Routed] = None,
+                   ) -> Tuple[List[MessageBlock], float]:
     """``apply_edge`` + ``scatter`` as the blocks a transport ships, plus the cost.
 
     Edge ``e`` runs from ``state`` row ``src_pos[e]`` (node ``source_ids[e]``)
@@ -194,16 +200,16 @@ def scatter_blocks(model: GNNModel, plan: StrategyPlan,
     row per hub, an id-only reference per edge) — whichever of the two have
     rows.
 
+    :func:`scatter` is the index-only half (pass the ``routed`` it returned
+    for these edges and ``rows`` to skip it); the rest only gathers values.
     When ``apply_edge`` is the identity a message *is* its source's state
-    row, so the edges are routed first and each block's payload is gathered
-    from ``state`` once; only a projecting layer materialises the per-edge
-    message table (:func:`edge_messages`) and slices it.  Same bytes, same
-    units either way.
+    row, so each block's payload is gathered from ``state`` once; only a
+    projecting layer materialises the per-edge message table
+    (:func:`edge_messages`) and slices it.  Same bytes, same units either way.
     """
-    if rows is not None:
-        source_ids, dst_ids = source_ids[rows], dst_ids[rows]
-    routed = scatter(plan.layer(layer_index), plan.out_degree_hubs, replicas,
-                     source_ids, dst_ids, inline)
+    if routed is None:
+        routed = scatter(plan.layer(layer_index), plan.out_degree_hubs, replicas,
+                         source_ids, dst_ids, inline, rows)
     layer = model.layers[layer_index]
     if not layer.apply_edge_is_identity(edge_features is not None):
         messages, units = edge_messages(layer, state, src_pos, edge_features, rows)

@@ -27,10 +27,10 @@ transport moves the Pregel backend's own blocks:
 * :class:`StateBlock` — the message a node sends itself: its state row and
   out-adjacency.  Raw input rows and final output rows are state blocks too.
 
-Placement is ``block.split_by(layout.owners(block.dst_ids))`` for all three,
-inside ``route`` — the layout's modulo is the only partitioner.  Edge rows
-become blocks in :func:`~repro.inference.gas.scatter_blocks`; what is left
-here is the closure filter and the per-bucket cut of hub blocks.
+Placement is ``layout.owners(block.dst_ids)`` for all three, inside ``route``
+— the layout's modulo is the only partitioner.  Edge rows become blocks in
+:func:`~repro.inference.gas.scatter_blocks`; what is left here is the
+closure filter and the per-bucket cut of hub blocks.
 :class:`Records` prices a block as the rows this backend puts on the wire;
 that is all the engine sees, and all it counts.
 

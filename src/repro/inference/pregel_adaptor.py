@@ -52,6 +52,7 @@ from repro.pregel.vertex import (
     MessageBlock,
     PartitionContext,
     concat_messages,
+    route_schedule,
 )
 
 _EMPTY_ROWS = np.empty(0, dtype=np.int64)
@@ -108,8 +109,8 @@ class GNNInferenceProgram(BlockVertexProgram):
     def setup_partition(self, partition: PregelPartition) -> None:
         """Reset per-run state; reuse the layout-derived out-edge index.
 
-        ``out_src_local`` depends only on the partition layout, so an engine
-        prepared once (see :func:`build_pregel_engine`) keeps it across runs;
+        ``out_src_local`` depends only on the partition layout, so the engine
+        keeps it across runs (beside the send schedules ``_scatter`` keeps);
         an in-place edge delta drops it and it is recomputed here.  An
         incremental run keeps the cached ``h_history``/``output`` (that cache
         *is* its input); a full run resets them.
@@ -151,10 +152,23 @@ class GNNInferenceProgram(BlockVertexProgram):
             rows = self.edge_rows.get((partition.partition_id, superstep), _EMPTY_ROWS)
         if partition.num_out_edges == 0 or (rows is not None and rows.size == 0):
             return
+        # Which edge feeds which block row, fold slot and owner bucket depends
+        # on topology, layout and ``key`` alone: a full superstep keeps that
+        # pair resident, a restricted one computes it for its rows and drops it.
+        strategy = self.plan.layer(superstep)
+        key = (strategy.broadcast, strategy.combiner is not None)
+        kept = partition.block_state.setdefault("send_schedule", {}) if rows is None else {}
+        routed, schedule = kept.get(key) or (gas.scatter(
+            strategy, self.plan.out_degree_hubs, self.replicas, partition.out_src,
+            partition.out_dst, False, rows), None)
         blocks, units = gas.scatter_blocks(
             self.model, self.plan, self.replicas, superstep, state,
             partition.block_state["out_src_local"], partition.out_src, partition.out_dst,
-            partition.out_edge_features, inline=False, rows=rows)
+            partition.out_edge_features, inline=False, rows=rows, routed=routed)
+        if schedule is None:
+            schedule = route_schedule(blocks, key[1], partition.layout)
+            kept[key] = routed, schedule
+        context.schedule = schedule
         context.metrics.add_compute(units)
         for block in blocks:
             context.send_block(block)
@@ -220,15 +234,12 @@ def build_pregel_engine(working_graph: Graph, config: InferenceConfig,
     Partitioning is the expensive part of Pregel preparation; a session builds
     the engine once at ``prepare()`` time and swaps in a fresh metrics
     collector per execution.  The plan's
-    :class:`~repro.cluster.layout.ClusterLayout` is reused instead of rebuilt,
-    and the layout-derived local index of every partition's out-edge sources
-    is precomputed here too, so executions reuse both.
+    :class:`~repro.cluster.layout.ClusterLayout` is reused instead of rebuilt;
+    what a partition derives from it (``LAYOUT_DERIVED_KEYS``) is built by the
+    first run, where the run happens — in the worker under a process executor.
     """
-    engine = PregelEngine(working_graph, num_workers=config.num_workers,
-                          layout=layout, executor=config.executor)
-    for partition in engine.partitions:
-        partition.block_state["out_src_local"] = partition.local_indices(partition.out_src)
-    return engine
+    return PregelEngine(working_graph, num_workers=config.num_workers,
+                        layout=layout, executor=config.executor)
 
 
 def has_cached_run(partition: PregelPartition, num_layers: int) -> bool:
@@ -248,8 +259,8 @@ def frontier_schedule(engine: PregelEngine, frontiers: Sequence[np.ndarray],
     (one grouped pass each); the edge rows name what each partition must still
     scatter at superstep ``s``: every out-edge bound for a superstep-``s+1``
     frontier destination.  Frontiers are replica-closed, so testing the
-    pre-expansion destination id suffices; they are also sorted unique, so
-    membership is one searchsorted pass.
+    pre-expansion destination id suffices; membership is one boolean table per
+    superstep, looked up by every partition.
     """
     layout = engine.layout
     schedule: FrontierSchedule = []
@@ -263,14 +274,13 @@ def frontier_schedule(engine: PregelEngine, frontiers: Sequence[np.ndarray],
         schedule.append(per_partition)
 
     edge_rows: EdgeRows = {}
-    for partition in engine.partitions:
-        for superstep, nxt in enumerate(frontiers[1:]):
-            rows = _EMPTY_ROWS
-            if nxt.size and partition.out_dst.size:
-                pos = np.minimum(np.searchsorted(nxt, partition.out_dst),
-                                 nxt.size - 1)
-                rows = np.nonzero(nxt[pos] == partition.out_dst)[0]
-            edge_rows[(partition.partition_id, superstep)] = rows
+    member = np.zeros(layout.num_nodes, dtype=bool)
+    for superstep, nxt in enumerate(frontiers[1:]):
+        member[nxt] = True
+        for partition in engine.partitions:
+            edge_rows[(partition.partition_id, superstep)] = np.nonzero(
+                member[partition.out_dst])[0]
+        member[nxt] = False
     return schedule, edge_rows
 
 

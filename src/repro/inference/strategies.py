@@ -141,11 +141,13 @@ class BroadcastMessageBlock(MessageBlock):
         return float(self.dst_ids.shape[0]) * per_edge + float(self.unique_payloads.nbytes)
 
     def take(self, rows: np.ndarray) -> "BroadcastMessageBlock":
+        # referenced payloads, renumbered by rank: one table pass, no sort
         refs = self.payload_refs[rows]
-        used, remapped = np.unique(refs, return_inverse=True)
+        used = np.zeros(self.unique_payloads.shape[0], dtype=bool)
+        used[refs] = True
         return BroadcastMessageBlock(
             dst_ids=self.dst_ids[rows],
-            payload_refs=remapped,
+            payload_refs=(np.cumsum(used) - 1)[refs],
             unique_payloads=self.unique_payloads[used],
             counts=self.counts[rows],
         )

@@ -10,13 +10,13 @@ associative).
 There is one fold, :meth:`MessageCombiner.combine_block`; the subclasses only
 name the :func:`~repro.tensor.ops.segment_reduce` op it runs.  It is called
 from one place on either engine, :func:`~repro.pregel.vertex.route`, once per
-worker per superstep/round, before the rows are bucketed by destination
-partition.
+worker per superstep/round, with the slots that land the folded rows in
+destination-partition order.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -35,19 +35,22 @@ class MessageCombiner:
     #: the ``segment_reduce`` op a subclass folds payload rows with.
     op: str
 
-    def combine_block(self, block: MessageBlock) -> MessageBlock:
+    def combine_block(self, block: MessageBlock,
+                      fold: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+                      ) -> MessageBlock:
         """Fold a packed block so each destination id appears at most once.
 
-        Destinations come out in ascending id order; a destination's rows fold
-        in block order; ``counts`` sum, so a mean can still be finished exactly.
+        ``fold = (dst_ids, slot, counts)`` is the index-only half — ``route``
+        passes the one that lands in bucket order; by default destinations
+        come out in ascending id order.  A destination's rows fold in block
+        order; ``counts`` sum, so a mean can still be finished exactly.
         """
-        if block.dst_ids.size == 0:
-            return block
-        unique, inverse = np.unique(block.dst_ids, return_inverse=True)
+        if fold is None:
+            dst_ids, slot = np.unique(block.dst_ids, return_inverse=True)
+            fold = dst_ids, slot, segment_reduce(block.counts, slot, dst_ids.size, "sum")
+        dst_ids, slot, counts = fold
         return MessageBlock(
-            dst_ids=unique,
-            payload=segment_reduce(block.payload, inverse, unique.size, self.op),
-            counts=segment_reduce(block.counts, inverse, unique.size, "sum"))
+            dst_ids, segment_reduce(block.payload, slot, dst_ids.size, self.op), counts)
 
 
 class SumCombiner(MessageCombiner):

@@ -39,14 +39,14 @@ partitioning:
 * At the end of a superstep a partition's outgoing
   :class:`~repro.pregel.vertex.MessageBlock`\\ s go through
   :func:`~repro.pregel.vertex.route` — the send path this engine shares with
-  the MapReduce rounds.  **Fold, then bucket**: the superstep's sender-side
-  combiner folds the combinable rows once, over the whole send, so each
-  destination vertex appears once; then one ``owner_of`` gather yields the
-  target partition of every remaining row and
-  :meth:`~repro.pregel.vertex.MessageBlock.split_by` groups the rows with one
-  stable argsort + ``bincount`` (no per-target masks).  Only post-combine
-  rows are copied, sized and "sent", so bytes/records-out are the
-  post-combine volume — this is how partial-gather shrinks IO.
+  the MapReduce rounds.  **Fold in bucket order**: the superstep's
+  sender-side combiner folds the combinable rows once, over the whole send,
+  straight into ``(owner, destination)`` order, so each destination vertex
+  appears once and a target partition's piece is a view of the folded array;
+  a block that does not fold is grouped by one ``owner_of`` gather and one
+  stable argsort.  Only post-combine rows are sized and "sent" — this is how
+  partial-gather shrinks IO.  Which row goes where depends on topology and
+  layout alone, so a program may keep that half (``context.schedule``).
 * On the receiving side, destination global ids translate to dense local rows
   with one ``local_of`` gather (:meth:`PregelPartition.local_indices`).
 """
@@ -71,6 +71,11 @@ from repro.cluster.metrics import InstanceMetrics, MetricsCollector, run_instanc
 from repro.graph.graph import Graph
 from repro.graph.partition import HashPartitioner, Partition, partition_graph_with_layout
 from repro.pregel.vertex import BlockVertexProgram, MessageBlock, PartitionContext, route
+
+#: ``block_state`` entries that depend on a partition's out-edges and the
+#: layout alone.  Each side derives its own: they are never shipped to a
+#: worker or back, and ``replace_out_edges`` is the one place they are dropped.
+LAYOUT_DERIVED_KEYS = ("out_src_local", "send_schedule")
 
 
 class PregelPartition:
@@ -125,14 +130,14 @@ class PregelPartition:
                           out_edge_features: Optional[np.ndarray] = None) -> None:
         """Swap this partition's out-edge arrays after an in-place edge delta.
 
-        Drops the layout-derived ``out_src_local`` scratch entry so block
-        programs recompute it from the new arrays on their next
-        ``setup_partition``.
+        Drops the :data:`LAYOUT_DERIVED_KEYS` entries; block programs
+        recompute them from the new arrays on their next run.
         """
         self.out_src = np.asarray(out_src, dtype=np.int64)
         self.out_dst = np.asarray(out_dst, dtype=np.int64)
         self.out_edge_features = out_edge_features
-        self.block_state.pop("out_src_local", None)
+        for key in LAYOUT_DERIVED_KEYS:
+            self.block_state.pop(key, None)
 
 
 @dataclass
@@ -157,7 +162,7 @@ class PregelPartitionHarness(WorkerHarness):
     """One partition's superstep loop body, hosted by an executor slot.
 
     The harness runs the per-partition work of a superstep — the program's
-    compute, then :func:`~repro.pregel.vertex.route` (fold, then bucket) —
+    compute, then :func:`~repro.pregel.vertex.route` (fold in bucket order) —
     inside :func:`~repro.cluster.metrics.run_instance`, which times it and
     counts what came in and what was bucketed, and reports that
     :class:`~repro.cluster.metrics.InstanceMetrics`.  Under the serial
@@ -186,7 +191,8 @@ class PregelPartitionHarness(WorkerHarness):
             context = PartitionContext(self.partition, superstep, metrics, frontier_rows)
             self.program.compute_partition(context, incoming)
             return route(context.outgoing_blocks,
-                         self.program.combiner_for_superstep(superstep), self.layout)
+                         self.program.combiner_for_superstep(superstep), self.layout,
+                         context.schedule)
 
         routed, metrics = run_instance(f"superstep_{superstep}",
                                        self.partition.partition_id, incoming, work)
@@ -195,8 +201,8 @@ class PregelPartitionHarness(WorkerHarness):
     def finish(self) -> Optional[Dict[str, Any]]:
         """Ship the final partition state back (process mode only).
 
-        ``out_src_local`` is layout-derived and already known to the parent;
-        everything else the program declared live (see
+        :data:`LAYOUT_DERIVED_KEYS` entries stay here (the parent derives its
+        own); everything else the program declared live (see
         :attr:`BlockVertexProgram.block_state_return_keys`) — e.g. the
         outputs, plus the per-superstep state cache incremental inference
         splices into — travels back so the engine's partitions end the run
@@ -206,7 +212,7 @@ class PregelPartitionHarness(WorkerHarness):
             return None
         keys = self.program.block_state_return_keys
         return {key: value for key, value in self.partition.block_state.items()
-                if key != "out_src_local" and (keys is None or key in keys)}
+                if key not in LAYOUT_DERIVED_KEYS and (keys is None or key in keys)}
 
 
 def _build_serial_harness(slot_id: int, payload: Dict[str, Any]) -> PregelPartitionHarness:
@@ -379,7 +385,7 @@ class PregelEngine:
                 "program": program,
                 "block_state": {key: value
                                 for key, value in partition.block_state.items()
-                                if key != "out_src_local"
+                                if key not in LAYOUT_DERIVED_KEYS
                                 and (ship_keys is None or key in ship_keys)},
             })
         return payloads
@@ -389,10 +395,9 @@ class PregelEngine:
         for partition, final in zip(self.partitions, finals):
             if final is None:
                 continue
-            preserved = partition.block_state.get("out_src_local")
-            partition.block_state = dict(final)
-            if preserved is not None:
-                partition.block_state["out_src_local"] = preserved
+            kept = {key: partition.block_state[key] for key in LAYOUT_DERIVED_KEYS
+                    if key in partition.block_state}
+            partition.block_state = {**final, **kept}
 
     # ------------------------------------------------------------------ #
     def run(self, program: BlockVertexProgram,

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster.layout import ClusterLayout, stable_group_by
 from repro.cluster.metrics import ID_BYTES, RECORD_OVERHEAD_BYTES, InstanceMetrics
+from repro.tensor.ops import segment_reduce
 
 if TYPE_CHECKING:
     from repro.pregel.combiners import MessageCombiner
@@ -63,31 +64,33 @@ class MessageBlock:
 
     def split_by(self, targets: np.ndarray,
                  num_buckets: int) -> List[Tuple[int, "MessageBlock"]]:
-        """Columnar bucketing: split rows by an integer target per row.
+        """Columnar bucketing: one :meth:`take` slice per :func:`bucket_rows` group.
 
-        ``targets[i]`` names the bucket (destination partition) of row ``i``.
-        One stable argsort groups all rows at once — there is no per-bucket
-        mask pass — and each non-empty bucket becomes one :meth:`take` slice,
-        so subclasses (e.g. broadcast blocks) keep their concrete type.
-        Returns ``(bucket, block)`` pairs in ascending bucket order; rows
-        within a bucket keep their original relative order, matching what a
-        per-bucket ``nonzero`` scan would produce.
+        ``targets[i]`` names the bucket (destination partition) of row ``i``;
+        subclasses (e.g. broadcast blocks) keep their concrete type.  Returns
+        ``(bucket, block)`` pairs in ascending bucket order.
         """
-        targets = np.asarray(targets, dtype=np.int64)
-        if targets.shape[0] != self.dst_ids.shape[0]:
+        if np.shape(targets)[0] != self.dst_ids.shape[0]:
             raise ValueError("targets must assign one bucket per block row")
-        if targets.size == 0:
-            return []
-        if int(targets.min()) < 0 or int(targets.max()) >= int(num_buckets):
-            raise ValueError(
-                f"targets must lie in [0, {int(num_buckets)}); "
-                f"got range [{int(targets.min())}, {int(targets.max())}]")
-        order, counts, starts = stable_group_by(targets, int(num_buckets))
-        pieces: List[Tuple[int, MessageBlock]] = []
-        for bucket in np.nonzero(counts)[0]:
-            rows = order[starts[bucket]:starts[bucket] + counts[bucket]]
-            pieces.append((int(bucket), self.take(rows)))
-        return pieces
+        return [(bucket, self.take(rows)) for bucket, rows in bucket_rows(targets, num_buckets)]
+
+
+def bucket_rows(targets: np.ndarray, num_buckets: int) -> List[Tuple[int, np.ndarray]]:
+    """``(bucket, rows)`` of every non-empty bucket, ascending.
+
+    One stable argsort groups all rows at once (no per-bucket mask pass); rows
+    within a bucket keep their relative order, as a ``nonzero`` scan would.
+    """
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.size == 0:
+        return []
+    if int(targets.min()) < 0 or int(targets.max()) >= int(num_buckets):
+        raise ValueError(
+            f"targets must lie in [0, {int(num_buckets)}); "
+            f"got range [{int(targets.min())}, {int(targets.max())}]")
+    order, counts, starts = stable_group_by(targets, int(num_buckets))
+    return [(int(bucket), order[starts[bucket]:starts[bucket] + counts[bucket]])
+            for bucket in np.nonzero(counts)[0]]
 
 
 def concat_messages(blocks: Sequence[MessageBlock],
@@ -108,31 +111,72 @@ def concat_messages(blocks: Sequence[MessageBlock],
             np.concatenate([block.counts for block in blocks]))
 
 
-def route(blocks: Sequence[MessageBlock], combiner: Optional[MessageCombiner],
-          layout: ClusterLayout) -> List[List[MessageBlock]]:
-    """Fold, then bucket, one worker's outgoing blocks: a block list per partition.
+class Schedule(NamedTuple):
+    """The index-only half of :func:`route`: a function of block ids and layout.
 
-    The send path of both engines.  Empty blocks are dropped.  With a
-    ``combiner`` (partial-gather) the combinable blocks are folded together,
-    once, and the folded block stands where the first of them stood — so what
-    is bucketed, sized and shipped is post-combine rows only.  Then every
-    block is cut by owner with one ``layout.owners`` gather and one stable
-    argsort (:meth:`MessageBlock.split_by`).  A bucket therefore holds its
+    The blocks at ``folds`` fold together — row ``i`` into row ``slot[i]`` of a
+    block with ``fold = (dst_ids, slot, counts)`` — and the result stands at
+    ``folds[0]``; ``cuts[i]`` lists the ``(bucket, rows)`` of the block then
+    standing at ``i`` (slices of the folded block, nothing for later ``folds``).
+    """
+
+    folds: List[int]
+    fold: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+    cuts: List[List[Tuple[int, Any]]]
+
+
+def route_schedule(blocks: Sequence[MessageBlock], fold: bool,
+                   layout: ClusterLayout) -> Schedule:
+    """Where every row of the (non-empty) ``blocks`` goes; reads no payload."""
+    folds = [i for i, block in enumerate(blocks) if fold and block.combinable]
+    cuts = [[] if i in folds else
+            bucket_rows(layout.owners(block.dst_ids), layout.num_partitions)
+            for i, block in enumerate(blocks)]
+    if not folds:
+        return Schedule(folds, None, cuts)
+    # slot = rank of (owner, destination), so the fold lands in bucket order
+    unique, slot = np.unique(np.concatenate([blocks[i].dst_ids for i in folds]),
+                             return_inverse=True)
+    order, sizes, starts = stable_group_by(layout.owners(unique), layout.num_partitions)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    slot = rank[slot]
+    counts = segment_reduce(np.concatenate([blocks[i].counts for i in folds]),
+                            slot, order.size, "sum")
+    cuts[folds[0]] = [(int(bucket), slice(starts[bucket], starts[bucket] + sizes[bucket]))
+                      for bucket in np.nonzero(sizes)[0]]
+    return Schedule(folds, (unique[order], slot, counts), cuts)
+
+
+def route(blocks: Sequence[MessageBlock], combiner: Optional[MessageCombiner],
+          layout: ClusterLayout, schedule: Optional[Schedule] = None,
+          ) -> List[List[MessageBlock]]:
+    """Fold in bucket order, then cut, one worker's outgoing blocks: a block list per partition.
+
+    The send path of both engines.  :func:`route_schedule` is its index-only
+    half — a caller whose send has the same ids every time keeps the
+    :class:`Schedule` and passes it back; the rest only moves values.  Empty
+    blocks are dropped.  With a ``combiner`` (partial-gather) the combinable
+    blocks are folded together, once, and the folded block stands where the
+    first of them stood — so what is sized and shipped is post-combine rows
+    only, each bucket's piece a view of the one folded array.  Every other
+    block is cut by owner (:func:`bucket_rows`).  A bucket therefore holds its
     pieces in block order, a folded piece lists destinations in ascending id
     order, and every destination's rows were folded in the order they were
     sent: the operand order the receivers' segment reductions see.
     """
     blocks = [block for block in blocks if block.num_records()]
-    foldable = [block for block in blocks if block.combinable]
-    if combiner is not None and foldable:
-        folded = combiner.combine_block(MessageBlock(*concat_messages(foldable)))
-        first = next(i for i, block in enumerate(blocks) if block.combinable)
-        blocks = blocks[:first] + [folded] + [block for block in blocks[first:]
-                                              if not block.combinable]
+    if schedule is None:
+        schedule = route_schedule(blocks, combiner is not None, layout)
+    if len(schedule.cuts) != len(blocks):
+        raise ValueError("schedule was computed for a different send")
+    if schedule.folds:
+        blocks[schedule.folds[0]] = combiner.combine_block(MessageBlock(*concat_messages(
+            [blocks[i] for i in schedule.folds])), schedule.fold)
     buckets: List[List[MessageBlock]] = [[] for _ in range(layout.num_partitions)]
-    for block in blocks:
-        for bucket, piece in block.split_by(layout.owners(block.dst_ids), len(buckets)):
-            buckets[bucket].append(piece)
+    for block, cuts in zip(blocks, schedule.cuts):
+        for bucket, rows in cuts:
+            buckets[bucket].append(block.take(rows))
     return buckets
 
 
@@ -156,6 +200,8 @@ class PartitionContext:
         #: (incremental inference).
         self.frontier_rows = frontier_rows
         self.outgoing_blocks: List[MessageBlock] = []
+        #: the program's kept :class:`Schedule` of ``outgoing_blocks``, if any.
+        self.schedule: Optional[Schedule] = None
 
     def send_block(self, block: MessageBlock) -> None:
         self.outgoing_blocks.append(block)

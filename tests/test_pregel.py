@@ -243,3 +243,112 @@ class TestCombiners:
     def test_empty_block_passthrough(self):
         block = MessageBlock(dst_ids=np.array([], dtype=np.int64), payload=np.zeros((0, 4)))
         assert SumCombiner().combine_block(block).num_records() == 0
+
+
+# --------------------------------------------------------------------------- #
+# the resident send schedule (kept in block_state by GNNInferenceProgram)
+# --------------------------------------------------------------------------- #
+class TestResidentSendSchedule:
+    """A full superstep derives its routing once per partition and topology."""
+
+    @staticmethod
+    def hub_session(kind: str = "gcn", partial_gather: bool = True, seed: int = 35):
+        from repro.gnn.model import build_model
+        from repro.graph.generators import powerlaw_graph
+        from repro.inference import InferenceConfig, InferenceSession, StrategyConfig
+
+        graph = powerlaw_graph(num_nodes=700, avg_degree=6.0, skew="out", feature_dim=8,
+                               num_classes=4, seed=seed)
+        model = build_model(kind, graph.feature_dim, 16, 4, num_layers=2, seed=0)
+        config = InferenceConfig(           # serial: the spies below count in this process
+            backend="pregel", num_workers=4, executor="serial",
+            strategies=StrategyConfig(partial_gather=partial_gather, broadcast=True,
+                                      shadow_nodes=True, hub_threshold_override=20))
+        return InferenceSession(model, config), graph
+
+    @staticmethod
+    def schedules(session):
+        return [partition.block_state.get("send_schedule")
+                for partition in session.plan.state["engine"].partitions]
+
+    @pytest.mark.parametrize("kind,partial_gather", [("gcn", True), ("gcn", False),
+                                                     ("gat", True)])
+    def test_second_full_infer_derives_no_routing(self, kind, partial_gather, monkeypatch):
+        """Counted, not timed: the first infer computes each partition's
+        schedule (one per distinct ``(broadcast, folds)`` pair — GCN's two
+        layers share one); the second makes **zero** calls to ``gas.scatter``,
+        ``np.unique`` and ``stable_group_by`` and returns the same bits."""
+        from repro.inference import gas
+        from repro.pregel import vertex
+
+        session, graph = self.hub_session(kind, partial_gather)
+        calls = {"scatter": 0, "unique": 0, "stable_group_by": 0}
+
+        def counting(name, fn):
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(gas, "scatter", counting("scatter", gas.scatter))
+        monkeypatch.setattr(np, "unique", counting("unique", np.unique))
+        monkeypatch.setattr(vertex, "stable_group_by",
+                            counting("stable_group_by", vertex.stable_group_by))
+        try:
+            session.prepare(graph)
+            assert session.plan.shadow_plan.has_mirrors
+            assert session.plan.strategy_plan.out_degree_hubs.size
+            calls.update(scatter=0, unique=0, stable_group_by=0)
+            first = session.infer().scores
+            assert all(len(kept) == 1 for kept in self.schedules(session))
+            derived = dict(calls)
+            calls.update(scatter=0, unique=0, stable_group_by=0)
+            second = session.infer().scores
+        finally:
+            session.close()
+        assert derived["scatter"] == 4 and derived["stable_group_by"] >= 4
+        assert calls == {"scatter": 0, "unique": 0, "stable_group_by": 0}
+        np.testing.assert_array_equal(second, first)
+
+    def test_feature_delta_keeps_the_schedule_and_an_edge_delta_drops_it(self):
+        from repro.inference import GraphDelta
+        from repro.inference.delta import apply_delta_to_graph
+
+        rng = np.random.default_rng(35)
+        session, graph = self.hub_session()
+        fresh, reference = self.hub_session()
+        try:
+            session.prepare(graph)
+            session.infer()
+            kept = self.schedules(session)
+            assert all(kept)
+
+            rows = rng.choice(graph.num_nodes, size=20, replace=False)
+            feature_delta = GraphDelta(node_ids=rows,
+                                       node_features=rng.normal(size=(20, graph.feature_dim)))
+            assert session.apply_delta(feature_delta).in_place
+            session.infer()
+            assert all(now is before for now, before in zip(self.schedules(session), kept))
+            assert all(now[key][1] is before[key][1] for now, before
+                       in zip(self.schedules(session), kept) for key in before)
+
+            threshold = session.plan.strategy_plan.threshold
+            degrees = graph.out_degrees()
+            edge_delta = GraphDelta(
+                added_src=rng.choice(np.nonzero(degrees < threshold - 3)[0], size=40,
+                                     replace=False),
+                added_dst=rng.integers(0, graph.num_nodes, size=40),
+                removed_edge_ids=rng.choice(
+                    np.nonzero(degrees[graph.src] < threshold - 3)[0], size=20, replace=False))
+            assert session.apply_delta(edge_delta).in_place
+            assert self.schedules(session) == [None] * 4
+            scores = session.infer().scores
+            assert all(self.schedules(session))
+
+            apply_delta_to_graph(reference, feature_delta)
+            apply_delta_to_graph(reference, edge_delta)
+            fresh.prepare(reference)
+            np.testing.assert_array_equal(scores, fresh.infer().scores)
+        finally:
+            session.close()
+            fresh.close()

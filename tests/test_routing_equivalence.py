@@ -1,8 +1,9 @@
 """Property tests: columnar routing is byte-identical to a naive reference.
 
 The hot path (``ClusterLayout`` lookups, ``MessageBlock.split_by`` bucketing,
-the fold-then-bucket :func:`~repro.pregel.vertex.route`, CSR shadow
-expansion) changes *how* rows move, not *what* they say.  These tests keep the
+:func:`~repro.pregel.vertex.route` folding in bucket order — from a schedule
+it computes or one the caller kept — CSR shadow expansion) changes *how* rows
+move, not *what* they say.  These tests keep the
 old semantics — one mask per destination partition, the combiner applied to
 each piece after the split, per-row loops — as naive reference
 implementations and assert the vectorised code produces byte-identical
@@ -24,7 +25,7 @@ from repro.inference.shadow import apply_shadow_nodes
 from repro.inference.strategies import BroadcastMessageBlock
 from repro.pregel.combiners import MaxCombiner, MeanCombiner, SumCombiner
 from repro.pregel.engine import PregelEngine
-from repro.pregel.vertex import MessageBlock, route
+from repro.pregel.vertex import MessageBlock, route, route_schedule
 
 SEEDS = [0, 1, 2]
 NUM_WORKERS = 4
@@ -251,6 +252,113 @@ class TestRouteEquivalence:
             naive_dst.extend(replicas.tolist())
         np.testing.assert_array_equal(row_index, naive_rows)
         np.testing.assert_array_equal(expanded, naive_dst)
+
+
+# --------------------------------------------------------------------------- #
+# the resident send schedule: index-only half kept, value-only half re-run
+# --------------------------------------------------------------------------- #
+def mask_and_fold(blocks: List[MessageBlock], layout, op: Optional[str]) -> List[List[MessageBlock]]:
+    """``route`` with no index tricks at all: one mask per owner, one mask per
+    destination, rows accumulated one at a time from the op's identity in the
+    order they were sent.  With ``op`` the combinable blocks fold together and
+    the result stands where the first of them stood."""
+    blocks = [block for block in blocks if block.num_records()]
+    if op is not None and any(block.combinable for block in blocks):
+        foldable = [block for block in blocks if block.combinable]
+        first = next(i for i, block in enumerate(blocks) if block.combinable)
+        joined = MessageBlock(np.concatenate([b.dst_ids for b in foldable]),
+                              np.concatenate([b.payload for b in foldable]),
+                              np.concatenate([b.counts for b in foldable]))
+        blocks = blocks[:first] + [joined] + [b for b in blocks[first:] if not b.combinable]
+    else:
+        first = -1
+    mailboxes: List[List[MessageBlock]] = [[] for _ in range(layout.num_partitions)]
+    for position, block in enumerate(blocks):
+        owners = layout.owner_of[block.dst_ids]
+        for owner in range(layout.num_partitions):
+            rows = np.nonzero(owners == owner)[0]
+            if rows.size == 0:
+                continue
+            piece = block.take(rows)
+            if position == first:
+                ids = sorted(set(piece.dst_ids.tolist()))
+                payload, counts = [], []
+                for node in ids:
+                    acc = np.full(piece.payload.shape[1], 0.0 if op == "sum" else -np.inf)
+                    for row in np.nonzero(piece.dst_ids == node)[0]:
+                        acc = acc + piece.payload[row] if op == "sum" else np.maximum(
+                            acc, piece.payload[row])
+                    payload.append(acc)
+                    counts.append(int(piece.counts[piece.dst_ids == node].sum()))
+                piece = MessageBlock(np.array(ids), np.array(payload), np.array(counts))
+            mailboxes[owner].append(piece)
+    return mailboxes
+
+
+OPS = {"sum": "sum", "mean": "sum", "max": "max", "none": None}
+
+
+class TestResidentSchedule:
+    @staticmethod
+    def send(case: str, seed: int):
+        """``(layout, destination ids)`` of one worker's send."""
+        graph = random_graph(seed)
+        if case == "shadow":                 # destinations fanned out to mirrors
+            plan = apply_shadow_nodes(graph, threshold=8, num_workers=NUM_WORKERS)
+            assert plan.has_mirrors
+            dst = plan.expand_destinations(graph.dst, np.zeros((graph.num_edges, 0)))[0]
+            assert dst.size > graph.num_edges
+            return PregelEngine(plan.graph, num_workers=NUM_WORKERS).layout, dst
+        layout = PregelEngine(graph, num_workers=NUM_WORKERS).layout
+        owners = layout.owner_of[graph.dst]
+        keep = owners == 1 if case == "one_owner" else owners != 2   # "skips_a_bucket"
+        return layout, graph.dst[keep]
+
+    @staticmethod
+    def blocks(dst: np.ndarray, broadcast: bool, rng) -> List[MessageBlock]:
+        """Same ids every call, fresh values: an empty block, the plain block
+        and (``broadcast``) a payload-reference block over every fifth row."""
+        empty = MessageBlock(dst_ids=np.empty(0, dtype=np.int64), payload=np.zeros((0, 0)))
+        plain = MessageBlock(dst, rng.normal(size=(dst.size, PAYLOAD_DIM)),
+                             counts=(np.arange(dst.size) % 3 + 1))
+        if not broadcast:
+            return [empty, plain]
+        hub_dst = dst[::5]
+        return [empty, plain, BroadcastMessageBlock(
+            hub_dst, np.arange(hub_dst.size) % 4, rng.normal(size=(4, PAYLOAD_DIM)))]
+
+    @pytest.mark.parametrize("case", ["shadow", "one_owner", "skips_a_bucket"])
+    @pytest.mark.parametrize("broadcast", [False, True], ids=["plain", "broadcast"])
+    @pytest.mark.parametrize("kind", sorted(COMBINERS))
+    def test_kept_schedule_equals_recomputed_equals_mask_and_fold(self, kind, broadcast, case):
+        """A schedule computed from one send's ids routes every later send of
+        the same ids — byte for byte what recomputing it gives, and what the
+        naive reference gives — because it never read a payload."""
+        layout, dst = self.send(case, seed=1)
+        rng = np.random.default_rng(500)
+        combiner = COMBINERS[kind]()
+        first = [b for b in self.blocks(dst, broadcast, rng) if b.num_records()]
+        schedule = route_schedule(first, combiner is not None, layout)
+        for _ in range(2):
+            blocks = self.blocks(dst, broadcast, rng)            # new values, same ids
+            kept = route(blocks, combiner, layout, schedule)
+            assert_mailboxes_equal(kept, route(blocks, combiner, layout))
+            assert_mailboxes_equal(kept, mask_and_fold(blocks, layout, OPS[kind]))
+        if case == "one_owner":
+            assert [bool(bucket) for bucket in kept] == [False, True, False, False]
+        if case == "skips_a_bucket":
+            assert kept[2] == [] and all(kept[b] for b in (0, 1, 3))
+        if combiner is not None:     # bucket pieces are views of the one folded array
+            bases = [bucket[0].payload.base for bucket in kept if bucket]
+            assert all(base is not None and base is bases[0] for base in bases)
+
+    def test_a_schedule_for_a_different_send_is_refused(self):
+        layout, dst = self.send("skips_a_bucket", seed=0)
+        rng = np.random.default_rng(501)
+        blocks = self.blocks(dst, True, rng)
+        schedule = route_schedule([b for b in blocks if b.num_records()], True, layout)
+        with pytest.raises(ValueError, match="different send"):
+            route(blocks[:2], SumCombiner(), layout, schedule)
 
 
 class TestSplitBy:

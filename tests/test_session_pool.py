@@ -810,3 +810,54 @@ class TestCrashIsolation:
             np.testing.assert_array_equal(recovered_a, baseline_a)
         finally:
             pool.clear()
+
+
+def test_fingerprint_passes_per_tick(monkeypatch):
+    """A ratchet, not a timing: one serving tick — four deferred deltas, then
+    an incremental ``infer`` — makes 16 full-array ``graph_fingerprint`` passes
+    today (3 per ``pool.apply_delta``: ``_lookup``, ``_buffer_delta``'s
+    current-plan check, the mirrored re-key; 4 per ``pool.infer``: ``_lookup``,
+    the flush pre-check, the post-flush refresh, ``infer``'s own re-check).
+    Seven hash the pool's private copy, which no caller can reach — six of
+    those re-check content nothing changed (the four current-plan checks, the
+    flush pre-check, ``infer``'s re-check).  The PR that makes the fingerprint
+    versioned claims against this exact count."""
+    from repro.inference import pool as pool_module
+    from repro.inference import session as session_module
+
+    passes = []
+
+    def counting(graph):
+        passes.append(graph)
+        return graph_fingerprint(graph)
+
+    monkeypatch.setattr(pool_module, "graph_fingerprint", counting)
+    monkeypatch.setattr(session_module, "graph_fingerprint", counting)
+    rng = np.random.default_rng(3)
+    graph = make_graph(seed=3)
+    pool = SessionPool(make_model(), make_config(), capacity=2)
+    try:
+        pool.infer(graph)
+        # prime the state cache so the counted tick is a real incremental one
+        pool.apply_delta(graph, GraphDelta(node_ids=np.array([1]),
+                                           node_features=np.ones((1, 8))), defer=True)
+        pool.infer(graph, mode="incremental")
+        quiet = np.nonzero(graph.out_degrees() < 10)[0]
+        passes.clear()
+        for step in range(4):               # the benchmark's tick: features, edges, ...
+            if step % 2 == 0:
+                delta = GraphDelta(node_ids=rng.choice(graph.num_nodes, 4, replace=False),
+                                   node_features=rng.normal(size=(4, 8)))
+            else:
+                delta = GraphDelta(added_src=rng.choice(quiet, 2, replace=False),
+                                   added_dst=rng.integers(0, graph.num_nodes, 2))
+            pool.apply_delta(graph, delta, defer=True)
+        assert len(passes) == 12
+        result = pool.infer(graph, mode="incremental")
+    finally:
+        pool.clear()
+    private = sum(each is not graph for each in passes)
+    print(f"graph_fingerprint passes per 4-delta tick: {len(passes)} ({private} on the "
+          f"pool's private copy)")
+    assert len(passes) <= 16 and private <= 7
+    assert result.scores.shape == (graph.num_nodes, 4)

@@ -56,17 +56,22 @@ def reachable(root):
     return list(seen.values())
 
 
-@pytest.mark.parametrize("backend", ["mapreduce", "pregel"])
-def test_an_open_payload_is_smaller_than_the_features_and_holds_no_graph(backend,
-                                                                         monkeypatch):
-    opened = []
+@pytest.fixture()
+def opened(monkeypatch):
+    """The payload list of every ``ProcessExecutor.open`` the test causes."""
+    seen = []
     real_open = ProcessExecutor.open
 
     def spy(self, factory, payloads):
-        opened.append(list(payloads))
+        seen.append(list(payloads))
         real_open(self, factory, payloads)
 
     monkeypatch.setattr(ProcessExecutor, "open", spy)
+    return seen
+
+
+@pytest.mark.parametrize("backend", ["mapreduce", "pregel"])
+def test_an_open_payload_is_smaller_than_the_features_and_holds_no_graph(backend, opened):
     session, graph = hub_session(backend, "process")
     try:
         session.infer(graph)
@@ -105,3 +110,43 @@ def test_a_shadow_plan_still_pickles_whole_graph_included():
         np.testing.assert_array_equal(getattr(clone.graph, name), getattr(shadow.graph, name))
     assert clone.graph.num_nodes == shadow.graph.num_nodes > graph.num_nodes
     np.testing.assert_array_equal(clone.replicas_of(np.arange(5)), shadow.replicas_of(np.arange(5)))
+
+
+def test_the_send_schedule_is_rebuilt_worker_side_and_never_shipped(opened):
+    """Hubs, mirrors and partial-gather, two infers under the process executor:
+    every worker derives its own send schedule (as it derives
+    ``out_src_local``), no ``open`` payload carries one even when the parent
+    holds one, nothing brings one back, and the scores are the serial ones."""
+    from repro.inference.gas import Routed
+    from repro.pregel.engine import LAYOUT_DERIVED_KEYS
+    from repro.pregel.vertex import Schedule
+
+    serial, graph = hub_session("pregel", "serial")
+    process, _ = hub_session("pregel", "process")
+    try:
+        serial.infer(graph)
+        expected = serial.infer(graph).scores
+        assert all(p.block_state["send_schedule"]
+                   for p in serial.plan.state["engine"].partitions)
+
+        process.prepare(graph)
+        partitions = process.plan.state["engine"].partitions
+        assert process.plan.shadow_plan.has_mirrors
+        assert process.plan.strategy_plan.out_degree_hubs.size
+        # a schedule the parent happens to hold (it ran serially before, say)
+        held = serial.plan.state["engine"].partitions[0].block_state["send_schedule"]
+        partitions[0].block_state["send_schedule"] = held
+        process.infer()
+        scores = process.infer().scores
+        assert partitions[0].block_state["send_schedule"] is held     # parent's own, kept
+        assert all("send_schedule" not in p.block_state for p in partitions[1:])
+    finally:
+        serial.close()
+        process.close()
+
+    np.testing.assert_array_equal(scores, expected)
+    assert len(opened) == 2
+    for payload in (p for payloads in opened for p in payloads):
+        assert not set(payload["block_state"]) & set(LAYOUT_DERIVED_KEYS)
+        shipped = reachable(pickle.loads(pickle.dumps(payload)))
+        assert not [obj for obj in shipped if isinstance(obj, (Schedule, Routed))]
