@@ -85,13 +85,12 @@ class GASConv(Module):
     def apply_edge_is_identity(self, has_edge_features: bool) -> bool:
         """Whether ``apply_edge`` returns its input rows unchanged.
 
-        When True, a per-edge message is literally the source node's state
-        row, so incremental inference may materialise any *subset* of edge
-        messages by a plain row gather — exactly the bytes a full run would
-        produce.  Layers that transform messages (projections, attention
-        logits) must return False; the incremental scatter then computes
-        ``apply_edge`` at full edge-table shape before slicing, because BLAS
-        kernels are not bit-stable across differing matrix shapes.
+        A fast path only: when True, a per-edge message is literally the
+        source node's state row, so the scatter gathers state rows straight
+        into its blocks and skips the per-edge message table.  Layers that
+        transform messages (projections, attention logits) return False and
+        the scatter runs ``apply_edge`` over the edges it sends — the same
+        bits either way.
         """
         return False
 

@@ -286,8 +286,7 @@ def check_edge_delta_stability(plan: ExecutionPlan) -> Tuple[bool, str, int]:
     return True, "", new_threshold
 
 
-def land_gas_delta(plan: ExecutionPlan, delta: GraphDelta,
-                   edge_blocker: str = "") -> DeltaOutcome:
+def land_gas_delta(plan: ExecutionPlan, delta: GraphDelta) -> DeltaOutcome:
     """The delta steps every GAS backend shares, before it patches its own state.
 
     Lands ``delta`` on the base graph (validation happens first — a rejected
@@ -295,17 +294,13 @@ def land_gas_delta(plan: ExecutionPlan, delta: GraphDelta,
     changes (:func:`check_edge_delta_stability`), splices them into the
     shadow-expanded working graph with the position-stable mirror assignment
     (:meth:`~repro.inference.shadow.ShadowNodePlan.patch_edge_delta`), and
-    refreshes shadow-mirror feature copies.  ``edge_blocker`` is a backend's
-    own reason an edge delta cannot be patched in place (checked before the
-    hub contract).  The outcome's ``feature_dirty`` is the replica closure of
-    the changed feature rows.
+    refreshes shadow-mirror feature copies.  The outcome's ``feature_dirty``
+    is the replica closure of the changed feature rows.
     """
     graph, shadow = plan.graph, plan.shadow_plan
     topo_dirty = apply_delta_to_graph(graph, delta)
 
     if delta.has_edge_changes:
-        if edge_blocker:
-            return DeltaOutcome(in_place=False, reason=edge_blocker)
         stable, reason, threshold = check_edge_delta_stability(plan)
         if not stable:
             return DeltaOutcome(in_place=False, reason=reason)

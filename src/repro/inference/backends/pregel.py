@@ -107,21 +107,14 @@ class PregelBackend(Backend):
         shadow-expanded working graph (originals *and* mirror copies, via the
         replica CSR) and every engine partition's feature slice are updated
         through one :class:`~repro.cluster.layout.ClusterLayout` translate +
-        grouped scatter.  Edge deltas are applied in place only when that is
-        provably bit-stable: the hub contract must survive
-        (:func:`~repro.inference.backends.base.land_gas_delta`), and every
-        layer's ``apply_edge`` must be the identity (a projecting apply_edge
-        runs at edge-table shape, which the delta changes).  Anything else
-        returns ``in_place=False`` after landing the delta on the base graph,
-        and the session re-plans from it.
+        grouped scatter.  Edge deltas are applied in place whenever the hub
+        contract survives (:func:`~repro.inference.backends.base.land_gas_delta`),
+        for every layer kind: each stage computes a row from that row's inputs
+        alone, so no row's bits depend on how many edges the table holds.
+        Otherwise this returns ``in_place=False`` after landing the delta on
+        the base graph, and the session re-plans from it.
         """
-        blocker = ""
-        if delta.has_edge_changes and any(
-                not layer.apply_edge_is_identity(plan.graph.edge_features is not None)
-                for layer in plan.model.layers):
-            blocker = ("edge-count changes are not bit-stable "
-                       "for projecting apply_edge layers")
-        outcome = land_gas_delta(plan, delta, blocker)
+        outcome = land_gas_delta(plan, delta)
         if not outcome.in_place:
             return outcome
 

@@ -10,23 +10,10 @@ backend called: the Pregel adaptor feeds them a mailbox and keeps state in
 ``block_state``, the MapReduce adaptor feeds them shuffled records and emits
 state as records — packaging is all the adaptors own.
 
-Row subsets (incremental inference)
------------------------------------
-
-Every stage takes an optional ``rows`` set.  The rule that keeps a
-restricted run bit-identical to a fresh full one lives here and nowhere else:
-
-* matmul stages (``encode``, ``gather_apply``, ``predict``, a *projecting*
-  ``apply_edge``) always run at **full matrix shape** and the caller splices
-  ``result[rows]`` into its cache — BLAS kernels are not bit-stable across
-  differing shapes, so a subset-shaped matmul would drift in the last ulp;
-* an *identity* ``apply_edge`` (GCN/SAGE without edge features — the common
-  serving case) is an exact row gather at any subset size: ``scatter_blocks``
-  skips the per-edge message table and gathers state rows straight into the
-  blocks;
-* compute units charge ``rows`` only: what a production kernel recomputing
-  just those rows would pay (the full-shape pass is an artefact of
-  simulating on BLAS).
+Every stage takes an optional ``rows`` set (incremental inference) and
+computes and charges exactly those rows, bit-equal to ``stage(...)[rows]``
+because every op in a layer is exact per row at any shape — the matmul
+included (:data:`~repro.tensor.tensor.ROW_BLOCK`).
 """
 
 from __future__ import annotations
@@ -51,15 +38,10 @@ from repro.tensor.tensor import Tensor, no_grad
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
-def _charged(rows: Optional[np.ndarray], full: int) -> int:
-    """How many rows a stage is charged for (``rows=None`` means all)."""
-    return full if rows is None else int(rows.size)
-
-
-def splice(cached: np.ndarray, full: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """A copy of ``cached`` with ``rows`` taken from the full-shape result."""
+def splice(cached: np.ndarray, part: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A copy of ``cached`` with ``rows`` replaced by the rows-shaped ``part``."""
     out = cached.copy()
-    out[rows] = full[rows]
+    out[rows] = part
     return out
 
 
@@ -68,10 +50,11 @@ def encode(model: GNNModel, features: np.ndarray,
            rows: Optional[np.ndarray] = None) -> Tuple[np.ndarray, float]:
     """Raw feature rows → layer-0 input state."""
     encoder = model.encoder
+    if rows is not None:
+        features = features[rows]
     state = (model.encode(Tensor(features)).data if features.shape[0]
              else np.zeros((0, encoder.out_features)))
-    return state, (_charged(rows, features.shape[0])
-                   * encoder.in_features * encoder.out_features)
+    return state, features.shape[0] * encoder.in_features * encoder.out_features
 
 
 @no_grad()
@@ -83,8 +66,13 @@ def gather_apply(layer: GASConv, state: np.ndarray, payload: np.ndarray,
     ``payload[i]`` is a message (standing for ``counts[i]`` raw ones after
     partial-gather) for ``state`` row ``dst_index[i]``.  Message order per
     destination is the caller's: segment reductions are order-sensitive, so
-    the transport decides the bits, never this function.
+    the transport decides the bits, never this function.  With ``rows`` every
+    message must be for one of them (else ``IndexError``).
     """
+    if rows is not None:
+        position = np.full(state.shape[0], -1, dtype=np.int64)
+        position[rows] = np.arange(rows.size)
+        state, dst_index = state[rows], position[dst_index]
     num_nodes = state.shape[0]
     if payload.shape[0] == 0:
         payload = np.zeros((0, layer.message_dim))
@@ -92,8 +80,7 @@ def gather_apply(layer: GASConv, state: np.ndarray, payload: np.ndarray,
     new_state = layer.apply_node(Tensor(state), aggr).data
     return new_state, gnn_layer_compute_units(
         num_messages=payload.shape[0], message_dim=layer.message_dim,
-        num_nodes=_charged(rows, num_nodes), in_dim=layer.in_dim,
-        out_dim=layer.output_dim)
+        num_nodes=num_nodes, in_dim=layer.in_dim, out_dim=layer.output_dim)
 
 
 @no_grad()
@@ -102,15 +89,15 @@ def edge_messages(layer: GASConv, state: np.ndarray, src_pos: np.ndarray,
                   rows: Optional[np.ndarray] = None) -> Tuple[np.ndarray, float]:
     """``apply_edge`` over out-edges: one message row per edge.
 
-    ``src_pos[e]`` is the ``state`` row of edge ``e``'s source.  The layer
-    runs at full edge-table shape and ``rows`` slices the result (see the
-    module docstring).  The cost is one pass over every outgoing message
+    ``src_pos[e]`` is the ``state`` row of edge ``e``'s source; ``rows`` keeps
+    only those edges.  The cost is one pass over every outgoing message
     element; per-edge projections are folded into that rate.
     """
+    if rows is not None:
+        src_pos = src_pos[rows]
+        edge_features = None if edge_features is None else edge_features[rows]
     edge_tensor = None if edge_features is None else Tensor(edge_features)
     messages = layer.apply_edge(Tensor(state[src_pos]), edge_tensor).data
-    if rows is not None:
-        messages = messages[rows]
     return messages, messages.shape[0] * messages.shape[1]
 
 
@@ -204,8 +191,8 @@ def scatter_blocks(model: GNNModel, plan: StrategyPlan,
     for these edges and ``rows`` to skip it); the rest only gathers values.
     When ``apply_edge`` is the identity a message *is* its source's state
     row, so each block's payload is gathered from ``state`` once; only a
-    projecting layer materialises the per-edge message table
-    (:func:`edge_messages`) and slices it.  Same bytes, same units either way.
+    projecting layer materialises the message table of the kept edges
+    (:func:`edge_messages`).  Same bytes, same units either way.
     """
     if routed is None:
         routed = scatter(plan.layer(layer_index), plan.out_degree_hubs, replicas,
@@ -227,7 +214,8 @@ def scatter_blocks(model: GNNModel, plan: StrategyPlan,
 def predict(model: GNNModel, state: np.ndarray,
             rows: Optional[np.ndarray] = None) -> Tuple[np.ndarray, float]:
     """Last layer's state → logits (the prediction head)."""
+    if rows is not None:
+        state = state[rows]
     logits = (model.predict(Tensor(state)).data if state.shape[0]
               else np.zeros((0, model.output_dim)))
-    return logits, (_charged(rows, state.shape[0]) * state.shape[1]
-                    * max(logits.shape[1], 1))
+    return logits, state.shape[0] * state.shape[1] * max(logits.shape[1], 1)

@@ -50,11 +50,12 @@ rows, and the final output rows are spliced into the score matrix cached by
 the last full run.
 
 Unlike the Pregel path this is **tolerance-identical, not bit-identical**, to
-a full recompute: the restricted run batches fewer rows per mapper split /
-reducer chunk, and BLAS accumulation order varies with matrix shape, so
-recomputed rows can drift in the last ulp (observed ~1e-15, asserted well
-inside the repo's 1e-9 equivalence tolerance).  Rows outside the closure
-keep their cached bits, which a fresh full run reproduces exactly.
+a full recompute: the restricted run cuts different mapper splits, so a
+destination's in-messages are folded and delivered in a different grouping
+and order, and recomputed rows can drift in the last ulp (observed ~1e-15,
+asserted well inside the repo's 1e-9 equivalence tolerance).  Rows outside
+the closure keep their cached bits, which a fresh full run reproduces
+exactly.
 """
 
 from __future__ import annotations

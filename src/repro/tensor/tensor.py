@@ -71,6 +71,29 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+#: Rows per BLAS call of a 2-D float64 matmul.  BLAS picks its kernel and
+#: blocking by matrix shape, so ``(a @ w)[rows]`` and ``a[rows] @ w`` can differ
+#: in the last ulp; computing every row inside a fixed-shape block (the tail
+#: zero-padded) makes a row's bits a function of that row and ``w`` alone.
+ROW_BLOCK = 128
+
+
+def _row_stable_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``a @ w``, with each output row independent of the other rows of ``a``."""
+    if not (a.ndim == w.ndim == 2 and a.dtype == w.dtype == np.float64):
+        return a @ w
+    n, k = a.shape
+    whole = n - n % ROW_BLOCK                  # rows that fill whole blocks
+    out = np.empty((-(-n // ROW_BLOCK), ROW_BLOCK, w.shape[1]))
+    if whole:
+        np.matmul(a[:whole].reshape(-1, ROW_BLOCK, k), w, out=out[:whole // ROW_BLOCK])
+    if whole < n:
+        tail = np.zeros((1, ROW_BLOCK, k))
+        tail[0, :n - whole] = a[whole:]
+        np.matmul(tail, w, out=out[-1:])
+    return out.reshape(-1, w.shape[1])[:n]
+
+
 class Tensor:
     """A dense ndarray with reverse-mode automatic differentiation.
 
@@ -300,7 +323,7 @@ class Tensor:
 
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other))
-        out_data = self.data @ other_t.data
+        out_data = _row_stable_matmul(self.data, other_t.data)
 
         def backward_fn(grad: np.ndarray) -> None:
             self._accumulate(_unbroadcast(grad @ other_t.data.T, self.shape))

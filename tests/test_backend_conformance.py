@@ -61,8 +61,8 @@ SEEDS = [0, 1, 2]
 
 #: backends whose scores are bit-exact vs the k-hop reference and across
 #: executors; everything else gets the repo-wide 1e-9 equivalence tolerance
-#: (mapreduce batches several nodes per matmul, which shifts BLAS
-#: accumulation order by ~1e-15).
+#: (mapreduce folds and delivers a destination's in-messages in another
+#: grouping and order than pregel, which moves sums by ~1e-15).
 EXACT_BACKENDS = {"pregel", "khop"}
 
 
@@ -127,7 +127,7 @@ class TestBackendConformance:
         session.prepare(graph)
         try:
             # Cross-backend agreement is tolerance-level by design: different
-            # substrates batch different shapes through BLAS (~1e-15 drift).
+            # substrates sum in-messages in different orders (~1e-15 drift).
             # Bit-exactness is asserted where it is promised — same backend
             # across runs/executors (the other tests in this suite).
             np.testing.assert_allclose(session.infer().scores, expected,

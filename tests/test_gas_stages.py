@@ -1,9 +1,10 @@
 """The GAS stage module, driven directly — no backend, no engine, no records.
 
 One tiny hub graph, shadow mirrors on, the whole working graph treated as a
-single partition.  ``edge_messages → scatter → gather_apply`` must reproduce
+single partition, odd widths throughout (hidden 17, 3 heads, 3 classes).
+``edge_messages → scatter → gather_apply`` must reproduce
 ``layer.forward(..., mode=PREDICT)`` over the *original* graph bit for bit,
-and every stage's row-subset path must return exactly the corresponding rows
+and every stage's row-subset path must compute exactly the corresponding rows
 of its full path — the two facts both adaptors (full and incremental) build on.
 """
 
@@ -27,7 +28,8 @@ NUM_NODES = 40
 HUBS = (0, 1)
 THRESHOLD = 6
 WORKERS = 4
-HIDDEN = 8
+HIDDEN = 17
+HEADS = 3
 
 
 def hub_graph(edge_dim: int) -> Graph:
@@ -50,46 +52,48 @@ def hub_graph(edge_dim: int) -> Graph:
                  edge_features=edge_features, num_nodes=NUM_NODES)
 
 
-def one_partition_layer(layer, strategy, hubs, shadow, state, rows=None):
+def one_partition_layer(layer, strategy, hubs, shadow, state):
     """Run one layer through the stages over the whole working graph."""
     working = shadow.graph
     messages, edge_units = gas.edge_messages(layer, state, working.src,
-                                             working.edge_features, rows)
-    src, dst = working.src, working.dst
-    if rows is not None:
-        src, dst = src[rows], dst[rows]
-    routed = gas.scatter(strategy, hubs, shadow, src, dst, inline=False)
+                                             working.edge_features)
+    routed = gas.scatter(strategy, hubs, shadow, working.src, working.dst, inline=False)
     payload = np.concatenate([messages[routed.plain_rows],
                               messages[routed.hub_rows][routed.hub_refs]])
     dst_index = np.concatenate([routed.plain_dst, routed.hub_dst])
     new_state, node_units = gas.gather_apply(
         layer, state, payload, dst_index, np.ones(dst_index.size, dtype=np.int64))
-    return new_state, messages, routed, edge_units, node_units
+    return new_state, messages, routed, payload, dst_index, edge_units, node_units
 
 
-@pytest.mark.parametrize("edge_dim", [0, 3], ids=["identity", "projecting"])
-@pytest.mark.parametrize("arch", ["gcn", "sage", "gat"])
-def test_stages_reproduce_the_reference_layer_and_its_row_subsets(arch, edge_dim):
+def hub_model_and_plan(arch, edge_dim):
     graph = hub_graph(edge_dim)
     model = build_model(arch, graph.feature_dim, HIDDEN, 3, num_layers=2,
-                        heads=2, edge_dim=edge_dim, seed=3)
+                        heads=HEADS, edge_dim=edge_dim, seed=3)
     config = StrategyConfig(partial_gather=False, broadcast=True, shadow_nodes=True,
                             hub_threshold_override=THRESHOLD)
     plan = build_strategy_plan(model, graph, WORKERS, config, edge_dim > 0)
     shadow = apply_shadow_nodes(graph, plan.threshold, WORKERS)
     merge_hub_mirrors(plan, shadow)
+    return graph, model, plan, shadow
+
+
+@pytest.mark.parametrize("edge_dim", [0, 3], ids=["identity", "projecting"])
+@pytest.mark.parametrize("arch", ["gcn", "sage", "gat"])
+def test_stages_reproduce_the_reference_layer_and_its_row_subsets(arch, edge_dim):
+    graph, model, plan, shadow = hub_model_and_plan(arch, edge_dim)
     assert shadow.num_mirrors >= 2 and set(HUBS) <= set(plan.out_degree_hubs.tolist())
     layer, strategy = model.layers[0], plan.layer(0)
     identity = layer.apply_edge_is_identity(edge_dim > 0)
     assert identity == (arch != "gat" and edge_dim == 0)
     assert strategy.broadcast == (edge_dim == 0)
 
-    # ---- encode: full shape either way; units charge the row subset.
+    # ---- encode, full and over a row subset.
     encoded, units = gas.encode(model, graph.node_features)
     assert units == NUM_NODES * graph.feature_dim * HIDDEN
-    some_nodes = np.array([1, 7, 8])
+    some_nodes = np.array([8, 1, 7])
     again, subset_units = gas.encode(model, graph.node_features, some_nodes)
-    np.testing.assert_array_equal(again, encoded)
+    assert again.tobytes() == encoded[some_nodes].tobytes()
     assert subset_units == some_nodes.size * graph.feature_dim * HIDDEN
     with no_grad():
         np.testing.assert_array_equal(
@@ -97,8 +101,8 @@ def test_stages_reproduce_the_reference_layer_and_its_row_subsets(arch, edge_dim
 
     # ---- one full layer over the single partition == the reference forward.
     state = encoded[shadow.origin_of]          # mirrors carry their origin's state
-    new_state, messages, routed, edge_units, node_units = one_partition_layer(
-        layer, strategy, plan.out_degree_hubs, shadow, state)
+    new_state, messages, routed, payload, dst_index, edge_units, node_units = (
+        one_partition_layer(layer, strategy, plan.out_degree_hubs, shadow, state))
     with no_grad():
         edge_state = None if edge_dim == 0 else Tensor(graph.edge_features)
         expected = layer.forward(Tensor(encoded), graph.src, graph.dst,
@@ -120,34 +124,52 @@ def test_stages_reproduce_the_reference_layer_and_its_row_subsets(arch, edge_dim
         num_nodes=shadow.graph.num_nodes, in_dim=layer.in_dim,
         out_dim=layer.output_dim)
 
-    # ---- row subsets: exactly the corresponding rows of the full path.
-    edge_rows = np.array([0, 3, 4, 59, 60, 61, 80, graph.num_edges - 1])
+    # ---- row subsets compute exactly the corresponding rows of the full path.
+    edge_rows = np.array([80, 3, 0, 61, 59, 4, 60, graph.num_edges - 1])   # unsorted
     subset, subset_units = gas.edge_messages(layer, state, shadow.graph.src,
                                              shadow.graph.edge_features, edge_rows)
-    np.testing.assert_array_equal(subset, messages[edge_rows])
+    assert subset.tobytes() == messages[edge_rows].tobytes()
     assert subset_units == edge_rows.size * layer.message_dim
-    frontier = np.array([2, 5, 9, 30])
-    payload = messages[routed.plain_rows]
-    counts = np.ones(routed.plain_dst.size, dtype=np.int64)
-    full, full_units = gas.gather_apply(layer, state, payload, routed.plain_dst, counts)
-    part, part_units = gas.gather_apply(layer, state, payload, routed.plain_dst,
+    # a hub, a mirror and plain nodes, unsorted; every message bound for them
+    frontier = np.array([30, 2, NUM_NODES, 9, 0, 5])
+    keep = np.isin(dst_index, frontier)
+    counts = np.ones(int(keep.sum()), dtype=np.int64)
+    part, part_units = gas.gather_apply(layer, state, payload[keep], dst_index[keep],
                                         counts, frontier)
-    np.testing.assert_array_equal(part, full)
-    assert full_units - part_units == (
-        (state.shape[0] - frontier.size) * layer.in_dim * layer.output_dim)
-    cached = np.zeros_like(full)
+    assert part.tobytes() == new_state[frontier].tobytes()
+    assert part_units == gnn_layer_compute_units(
+        num_messages=counts.size, message_dim=layer.message_dim,
+        num_nodes=frontier.size, in_dim=layer.in_dim, out_dim=layer.output_dim)
+    cached = np.zeros_like(new_state)
     spliced = gas.splice(cached, part, frontier)
-    np.testing.assert_array_equal(spliced[frontier], full[frontier])
-    assert not spliced[np.setdiff1d(np.arange(full.shape[0]), frontier)].any()
+    np.testing.assert_array_equal(spliced[frontier], new_state[frontier])
+    assert not spliced[np.setdiff1d(np.arange(new_state.shape[0]), frontier)].any()
     assert not cached.any()                    # splice copies, never writes through
 
     # ---- predict closes the pipeline the same way.
     last = np.random.default_rng(5).normal(size=(6, model.layers[-1].output_dim))
     logits, units = gas.predict(model, last)
-    _, subset_units = gas.predict(model, last, np.array([4]))
+    tail, subset_units = gas.predict(model, last, np.array([4, 1]))
     with no_grad():
         np.testing.assert_array_equal(logits, model.predict(Tensor(last)).data)
-    assert (units, subset_units) == (6 * last.shape[1] * 3, 1 * last.shape[1] * 3)
+    assert tail.tobytes() == logits[[4, 1]].tobytes()
+    assert (units, subset_units) == (6 * last.shape[1] * 3, 2 * last.shape[1] * 3)
+
+
+@pytest.mark.parametrize("arch", ["gcn", "sage", "gat"])
+def test_gather_apply_rejects_a_message_outside_its_rows(arch):
+    """A message for a row the caller did not name is a transport bug: it
+    raises instead of being dropped (or summed into some other row)."""
+    graph, model, plan, shadow = hub_model_and_plan(arch, 0)
+    state = gas.encode(model, graph.node_features)[0][shadow.origin_of]
+    *_, payload, dst_index, _, _ = one_partition_layer(
+        model.layers[0], plan.layer(0), plan.out_degree_hubs, shadow, state)
+    frontier = np.array([9, 2])
+    stray = np.isin(dst_index, frontier) | (dst_index == 5)
+    assert (dst_index[stray] == 5).any()
+    with pytest.raises(IndexError):
+        gas.gather_apply(model.layers[0], state, payload[stray], dst_index[stray],
+                         np.ones(int(stray.sum()), dtype=np.int64), frontier)
 
 
 @pytest.mark.parametrize("inline", [False, True], ids=["blocks", "inline"])
@@ -165,7 +187,7 @@ def test_scatter_blocks_equals_edge_messages_then_slice(arch, edge_dim, subset, 
     """
     graph = hub_graph(edge_dim)
     model = build_model(arch, graph.feature_dim, HIDDEN, 3, num_layers=2,
-                        heads=2, edge_dim=edge_dim, seed=3)
+                        heads=HEADS, edge_dim=edge_dim, seed=3)
     plan = build_strategy_plan(model, graph, WORKERS, StrategyConfig(
         broadcast=True, shadow_nodes=True, hub_threshold_override=THRESHOLD), edge_dim > 0)
     shadow = apply_shadow_nodes(graph, plan.threshold, WORKERS)

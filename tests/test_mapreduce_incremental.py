@@ -9,8 +9,9 @@ strategies enabled:
   the replay feeds the same rows through the same rounds;
 * ``infer(mode="incremental")`` replays only the delta's dependency closure
   and splices into the cached score matrix; agreement with the full recompute
-  is **tolerance-level** (~1e-15 — batch shapes change BLAS accumulation
-  order), asserted far inside the repo's 1e-9 equivalence tolerance, and
+  is **tolerance-level** (~1e-15 — the replay's mapper splits change the
+  segment sums' operand order), asserted far inside the repo's 1e-9
+  equivalence tolerance, and
   untouched rows keep their cached bits exactly.
 """
 

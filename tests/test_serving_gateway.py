@@ -5,7 +5,8 @@ The contracts under test, each against the layers below rather than mocks:
 * **Sequential equivalence** — an interleaved delta/infer sequence issued
   through the gateway (awaited in order) returns results bit-identical to
   the same sequence issued directly against a bare ``SessionPool`` (pregel;
-  1e-9 on mapreduce, whose batch shapes change BLAS accumulation order).
+  1e-9 on mapreduce, whose mapper splits change the segment sums' operand
+  order).
   The suite runs under whatever executor ``$REPRO_EXECUTOR`` selects, so the
   CI matrix covers both ``serial`` and ``process``.
 * **Batching** — N concurrent same-mode requests for one tenant are served

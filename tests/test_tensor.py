@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.tensor import ops
-from repro.tensor.tensor import Tensor, concatenate, no_grad, stack, zeros, ones
+from repro.tensor.tensor import ROW_BLOCK, Tensor, concatenate, no_grad, stack, zeros, ones
 
 
 def numerical_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -425,6 +425,28 @@ def test_segment_sum_is_np_add_at_bit_for_bit(seed, num_rows, num_segments, trai
     for out in (one_piece, pieces):
         assert out.dtype == expected.dtype and out.shape == expected.shape
         assert out.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("num_rows", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3174])
+def test_matmul_rows_are_bit_stable_under_subsets(num_rows):
+    """Property: ``(a @ w)[rows]`` is bit-equal to ``a[rows] @ w`` — any inner
+    and output width (odd ones are where an unblocked BLAS call differs), any
+    unsorted subset, a single row included.  Every incremental stage rests on
+    it; a BLAS that breaks it fails here."""
+    rng = np.random.default_rng(num_rows)
+    widths = (1, 3, 17, 33, 64, 65)
+    for inner in widths:
+        a = Tensor(rng.normal(size=(num_rows, inner)))
+        for out in widths:
+            w = Tensor(rng.normal(size=(inner, out)))
+            full = (a @ w).data
+            np.testing.assert_allclose(full, a.data @ w.data, rtol=1e-12, atol=1e-12)
+            for size in (1, 2, ROW_BLOCK + 3):
+                if size > num_rows:
+                    continue
+                rows = rng.permutation(num_rows)[:size]
+                part = (Tensor(a.data[rows]) @ w).data
+                assert part.tobytes() == full[rows].tobytes(), (num_rows, inner, out, size)
 
 
 @settings(max_examples=40, deadline=None)
