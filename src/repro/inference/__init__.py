@@ -49,11 +49,11 @@ that safe: mutate a prepared graph out of band and ``infer()`` raises
 :class:`~repro.inference.delta.StalePlanError`; describe the change as a
 :class:`~repro.inference.delta.GraphDelta` through
 ``session.apply_delta(delta)`` and ``infer(mode="incremental")`` recomputes
-just the dirty k-hop region — bit-identical to a fresh full run (pregel;
-mapreduce agrees to ~1e-15 via its dependency-closure replay).  Many small
-deltas between ticks coalesce: ``apply_delta(delta, defer=True)`` buffers
-them and the next ``infer()`` applies one merged patch, bit-identical to
-eager application.
+just the dirty k-hop region on pregel — bit-identical to a fresh full run
+(mapreduce, like the paper's batch path, runs in full; so does khop).  Many
+small deltas between ticks coalesce: ``apply_delta(delta, defer=True)``
+buffers them and the next ``infer()`` applies one merged patch,
+bit-identical to eager application.
 
 For multi-tenant serving — one deployed model scoring many prepared
 graphs — :class:`~repro.inference.pool.SessionPool` keeps one session per

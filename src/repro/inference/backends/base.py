@@ -80,10 +80,10 @@ class ExecutionPlan:
     #: mutation instead of serving stale scores.
     fingerprint: Optional[Tuple[int, int, int]] = None
     #: set by the session the first time a delta lands on (or is deferred
-    #: against) this plan.  Backends gate their incremental state caches on
-    #: it, so sessions that never see a delta keep pre-delta peak memory
-    #: (~(layers+1)x the node-state memory on pregel); the price is that
-    #: the first post-delta incremental request falls back to one full run,
+    #: against) this plan.  The pregel backend gates its per-superstep state
+    #: cache on it, so sessions that never see a delta keep pre-delta peak
+    #: memory (~(layers+1)x the node-state memory); the price is that the
+    #: first post-delta incremental request falls back to one full run,
     #: which primes the cache.
     delta_seen: bool = False
 
@@ -129,11 +129,11 @@ class Backend(abc.ABC):
 
     ``pregel`` overrides all three (bit-identical incremental runs over a
     warm partition cache, feature *and* hub-preserving edge deltas — under
-    shadow nodes included, via the position-stable mirror assignment);
-    ``mapreduce`` does too — landing a delta is the whole patch, because its
-    rounds read their input rows from the working graph, and incremental runs
-    replay only the dirty region's dependency closure, splicing into cached
-    scores (tolerance-identical, see :mod:`repro.inference.mapreduce_adaptor`).
+    shadow nodes included, via the position-stable mirror assignment).
+    ``mapreduce`` overrides ``apply_delta`` and ``release``: landing a delta
+    is the whole patch, because its rounds read their input rows from the
+    working graph, and an incremental request runs the full ``execute``
+    (bit-identical to a fresh ``prepare()+infer()``).
     """
 
     #: registry key, set by :func:`register_backend`.

@@ -30,37 +30,26 @@ transport moves the Pregel backend's own blocks:
 Placement is ``layout.owners(block.dst_ids)`` for all three, inside ``route``
 — the layout's modulo is the only partitioner.  Edge rows become blocks in
 :func:`~repro.inference.gas.scatter_blocks`; what is left here is the
-closure filter and the per-bucket cut of hub blocks.
+per-bucket cut of hub blocks.
 :class:`Records` prices a block as the rows this backend puts on the wire;
 that is all the engine sees, and all it counts.
 
 Incremental inference
 ---------------------
 
-The backend keeps no worker-resident state, so it cannot splice recomputed
-rows into cached per-superstep matrices the way the Pregel backend does.
-What it *can* do after an in-place delta is replay only the delta's
-**dependency closure**: walking backwards from the nodes whose final score
-can change (the delta's k-hop out-reach), each round ``r`` must recompute
-states for ``T[r] = T[r+1] ∪ in-neighbours(T[r+1])`` (replica-closed under
-shadow nodes), and the whole pipeline restarts from the working graph's rows
-of ``T[0] ∪ in-neighbours(T[0])``.  Per-round destination filters keep the
-scatter inside the closure, per-round row filters drop carrier-only state
-rows, and the final output rows are spliced into the score matrix cached by
-the last full run.
-
-Unlike the Pregel path this is **tolerance-identical, not bit-identical**, to
-a full recompute: the restricted run cuts different mapper splits, so a
-destination's in-messages are folded and delivered in a different grouping
-and order, and recomputed rows can drift in the last ulp (observed ~1e-15,
-asserted well inside the repo's 1e-9 equivalence tolerance).  Rows outside
-the closure keep their cached bits, which a fresh full run reproduces
-exactly.
+There is none, as in the paper: every round reads its input from storage and
+recomputes, and nothing survives a run to splice into.  An
+``infer(mode="incremental")`` request runs the full rounds
+(:class:`~repro.inference.backends.base.Backend`'s fallback).  Landing a delta
+patches the working graph the first round cuts its rows from, and an
+in-place-patched working graph is byte-identical to a fresh plan's, so the
+mapper splits, the fold order and therefore the scores are bit-identical to
+a fresh ``prepare()+infer()``.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
@@ -70,7 +59,7 @@ from repro.cluster.metrics import ID_BYTES, InstanceMetrics, tensor_bytes
 from repro.gnn.model import GNNModel
 from repro.graph.graph import Graph
 from repro.inference import gas
-from repro.inference.shadow import ReplicaMap, ShadowNodePlan
+from repro.inference.shadow import ReplicaMap
 from repro.inference.strategies import BroadcastMessageBlock, StrategyPlan
 from repro.pregel.vertex import MessageBlock, concat_messages, route
 
@@ -120,6 +109,15 @@ class StateBlock(MessageBlock):
             np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(degrees)]),
             self.nbrs[edges],
             None if self.edge_feats is None else self.edge_feats[edges], self.tagged)
+
+    def slice(self, start: int, stop: int) -> "StateBlock":
+        """Rows ``start:stop`` as views; the adjacency is re-based on its first edge."""
+        indptr = self.indptr[start:stop + 1]
+        lo, hi = indptr[0], indptr[-1]
+        return StateBlock(
+            self.dst_ids[start:stop], self.payload[start:stop], indptr - lo,
+            self.nbrs[lo:hi], None if self.edge_feats is None else self.edge_feats[lo:hi],
+            self.tagged)
 
     @staticmethod
     def concat(blocks: Sequence["StateBlock"]) -> "StateBlock":
@@ -201,28 +199,17 @@ class GNNRoundJob(MapReduceJob):
     destination with the consuming layer's combiner (partial-gather, when the
     plan allows it) and every block is bucketed by owner; the reducer runs
     the layer itself (and the prediction head on the last round).
-
-    ``targets`` restricts the rounds to a dirty-region dependency closure
-    (incremental inference); ``None`` means "everything".  ``targets[r]``
-    lists the nodes whose states round ``r`` must recompute (``T[r]``): state
-    rows of carrier-only nodes are dropped before the reduce, so a node
-    outside the closure can never propagate a state built from an incomplete
-    message set, and the layer-``r`` scatter is bounded to ``targets[r]`` —
-    the filter runs after shadow-replica expansion, so mirror-bound copies
-    survive exactly when the (replica-closed) closure contains the mirror.
     """
 
     def __init__(self, model: GNNModel, plan: StrategyPlan,
                  replicas: Optional[ReplicaMap], layer_index: int,
-                 original_num_nodes: int, layout: ClusterLayout,
-                 targets: Optional[Sequence[np.ndarray]] = None) -> None:
+                 original_num_nodes: int, layout: ClusterLayout) -> None:
         self.model = model
         self.plan = plan
         self.replicas = replicas
         self.layer_index = layer_index
         self.original_num_nodes = original_num_nodes
         self.layout = layout
-        self.targets = targets
 
     # ------------------------------------------------------------------ #
     def _scatter(self, layer_index: int, state: StateBlock,
@@ -232,9 +219,7 @@ class GNNRoundJob(MapReduceJob):
         ``gas.scatter_blocks`` over the block's edge rows gives a plain block
         and a broadcast block; the broadcast block is cut per destination
         bucket here, at the sender: a hub's payload once per bucket, id-only
-        references per edge.  A closure replay keeps only rows bound for
-        ``targets[layer_index]``; ``take`` drops the payloads and buckets no
-        surviving row references.
+        references per edge.
         """
         node_pos = np.repeat(np.arange(state.num_records()), np.diff(state.indptr))
         blocks, units = gas.scatter_blocks(
@@ -243,9 +228,6 @@ class GNNRoundJob(MapReduceJob):
         metrics.add_compute(units)
         pieces: List[MessageBlock] = []
         for block in blocks:
-            if self.targets is not None:
-                block = block.take(np.nonzero(
-                    np.isin(block.dst_ids, self.targets[layer_index]))[0])
             if isinstance(block, BroadcastMessageBlock):
                 pieces.extend(piece for _, piece in block.split_by(
                     self.layout.owners(block.dst_ids), self.layout.num_partitions))
@@ -274,14 +256,14 @@ class GNNRoundJob(MapReduceJob):
             [item.block for item in items if not isinstance(item.block, StateBlock)])
         if not states:      # no node rows here: any message below is an orphan
             states = [StateBlock(np.empty(0, dtype=np.int64), np.zeros((0, 0)))]
-        state = StateBlock.concat(states)
-        # One node order whatever the mappers sent: ascending id.  Messages
-        # keep their arrival order per destination (the segment reductions in
-        # ``gather_apply`` accumulate in row order).
-        order = np.argsort(state.dst_ids)
-        if self.targets is not None:
-            order = order[np.isin(state.dst_ids[order], self.targets[self.layer_index])]
-        node_ids = state.dst_ids[order]
+        state = states[0] if len(states) == 1 else StateBlock.concat(states)
+        # Node rows arrive in ascending id order: round 0's splits are ascending
+        # row ranges, ``route``'s buckets are stable and reducers emit their
+        # chunks in order.  Messages keep their arrival order per destination
+        # (the segment reductions in ``gather_apply`` accumulate in row order).
+        node_ids = state.dst_ids
+        if np.any(node_ids[1:] <= node_ids[:-1]):
+            raise RuntimeError("state rows arrived out of ascending id order")
         rows = np.searchsorted(node_ids, dst)
         known = rows < node_ids.size
         known[known] = node_ids[rows[known]] == dst[known]
@@ -295,7 +277,7 @@ class GNNRoundJob(MapReduceJob):
             first = chunk * REDUCE_CHUNK_NODES
             picked = by_chunk[starts[chunk]:starts[chunk] + sizes[chunk]]
             outputs.extend(self._reduce_chunk(
-                state.take(order[first:first + REDUCE_CHUNK_NODES]),
+                state.slice(first, first + REDUCE_CHUNK_NODES),
                 payload[picked], rows[picked] - first, counts[picked], metrics))
         return [Records(block) for block in outputs]
 
@@ -315,30 +297,3 @@ class GNNRoundJob(MapReduceJob):
             return [StateBlock(state.dst_ids[original], logits[original])]
         updated = state.with_state(new_state)
         return [updated] + self._scatter(self.layer_index + 1, updated, metrics)
-
-
-# --------------------------------------------------------------------------- #
-# incremental inference: dependency-closure replay from the graph's own rows
-# --------------------------------------------------------------------------- #
-def dependency_closure(working_graph: Graph, frontiers: Sequence[np.ndarray],
-                       shadow_plan: Optional[ShadowNodePlan],
-                       ) -> Tuple[List[np.ndarray], np.ndarray]:
-    """Per-round recompute targets and the input rows a replay starts from.
-
-    ``frontiers`` are the delta's per-superstep dirty frontiers
-    (:func:`~repro.inference.delta.expand_frontier`, one more than there are
-    layers).  Walking backwards from the changed final states, round ``r``
-    must recompute ``T[r] = T[r+1] ∪ in-neighbours(T[r+1])`` (replica-closed);
-    the input closure adds ``T[0]``'s message sources.
-    """
-    def with_sources(ids: np.ndarray) -> np.ndarray:
-        # ``dst`` only ever carries original ids (mirror fan-out happens at
-        # scatter time) and a replica-closed ``ids`` contains the origin of
-        # each of its mirrors, so one isin pass finds every message source.
-        closure = np.union1d(ids, working_graph.src[np.isin(working_graph.dst, ids)])
-        return closure if shadow_plan is None else shadow_plan.replicas_of(closure)
-
-    targets = [frontiers[-1]]
-    for _ in range(len(frontiers) - 2):
-        targets.insert(0, with_sources(targets[0]))
-    return targets, with_sources(targets[0])

@@ -19,9 +19,8 @@ for the steady state:
   and emits a structured :class:`SoakReport` (``BENCH_streaming_soak.json``).
 
 The standing contract (docs/ARCHITECTURE.md, contract #10): a faulted stream
-serves scores identical to its un-faulted oracle — bit-identical on ``pregel``,
-within 1e-9 on ``mapreduce`` — at every tick, including the tick that
-recovers from an injected worker crash.
+serves scores bit-identical to its un-faulted oracle on every backend at
+every tick, including the tick that recovers from an injected worker crash.
 """
 
 from repro.streaming.faults import (

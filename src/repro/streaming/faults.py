@@ -7,8 +7,8 @@ hook** (:func:`register_fault`); the built-ins cover the failure modes the
 serving tier promises to survive:
 
 * ``kill_worker`` — SIGKILL one live ``ProcessExecutor`` worker of the
-  tenant's pooled session, mid-stream.  The next execution on that session
-  observes the corpse, raises
+  tenant's pooled session (pregel or mapreduce), mid-stream.  The next
+  execution on that session observes the corpse, raises
   :class:`~repro.cluster.executor.WorkerCrashError`, resets the worker pool,
   and the retry respawns — the end-to-end recovery path under load.  On the
   serial substrate (no worker processes) the hook degrades to a recorded
@@ -116,9 +116,9 @@ def _kill_worker(ctx: FaultContext) -> str:
     if ctx.graph not in ctx.pool:
         return "no-op: tenant has no live pooled session"
     session = ctx.pool.session_for(ctx.graph)
-    plan = session.plan
-    engine = None if plan is None else plan.state.get("engine")
-    executor = getattr(engine, "_executor", None)
+    state = {} if session.plan is None else session.plan.state
+    # pregel's engine owns its executor; mapreduce keeps it in the plan.
+    executor = getattr(state.get("engine"), "_executor", state.get("executor"))
     processes = list(getattr(executor, "_processes", []) or [])
     live = [proc for proc in processes if proc.is_alive()]
     if not live:

@@ -9,14 +9,12 @@ against **two** stacks at once:
 * the *oracle* side — a bare pool fed the identical logical stream, no
   faults, on the serial substrate.
 
-Every inference tick's scores are compared across the two sides on the spot:
-bit-identical for exact backends (``pregel``, ``khop``), within
-``tolerance`` (1e-9) for ``mapreduce`` — the repo's standing equivalence
-contract, now holding *through* injected worker kills, forced evictions and
-delta-arrival bursts (docs/ARCHITECTURE.md contract #10).  A
-:class:`~repro.cluster.executor.WorkerCrashError` surfacing from the faulted
-side is caught, counted, and the tick retried — the respawned execution must
-still match the oracle.
+Every inference tick's scores are compared across the two sides on the spot
+with ``np.array_equal``: bit-identical on every backend, *through* injected
+worker kills, forced evictions and delta-arrival bursts (docs/ARCHITECTURE.md
+contract #10).  A :class:`~repro.cluster.executor.WorkerCrashError` surfacing
+from the faulted side is caught, counted, and the tick retried — the
+respawned execution must still match the oracle.
 
 The run finishes with a structured :class:`SoakReport`.  Its
 :meth:`~SoakReport.deterministic_summary` — trace digest, fault schedule,
@@ -75,9 +73,6 @@ ARTIFACT_NAME = "BENCH_streaming_soak.json"
 SOAK_SECONDS_ENV = "REPRO_SOAK_SECONDS"
 SOAK_SEED_ENV = "REPRO_SOAK_SEED"
 
-#: backends whose faulted-vs-oracle comparison is bit-exact by contract.
-EXACT_BACKENDS = {"pregel", "khop"}
-
 
 def _int_from_env(name: str, default: int) -> int:
     raw = os.environ.get(name)
@@ -132,9 +127,6 @@ class SoakConfig:
     avg_degree: float = 4.0
     feature_dim: int = 8
     num_classes: int = 4
-    #: Score-comparison tolerance vs the oracle; ``None`` picks 0.0 for the
-    #: exact backends and 1e-9 otherwise (the repo's standing contract).
-    tolerance: Optional[float] = None
     #: Pinned high by default so edge churn cannot flip the hub set and force
     #: a mid-soak re-plan — the regime where in-place edge patching (and the
     #: shm-segment ceiling it guarantees) is the contract under test.
@@ -143,11 +135,6 @@ class SoakConfig:
     #: Edge churn must stay in place under shadow too (position-stable mirror
     #: assignment), so soaks gate ``SoakReport.replans`` at zero either way.
     shadow_nodes: bool = False
-
-    def resolved_tolerance(self) -> float:
-        if self.tolerance is not None:
-            return self.tolerance
-        return 0.0 if self.backend in EXACT_BACKENDS else 1e-9
 
     def resolved_executor(self) -> str:
         return self.executor or default_executor_name()
@@ -384,7 +371,6 @@ async def _replay(cfg: SoakConfig, trace: WorkloadTrace, pool: SessionPool,
                   oracle_graphs: Sequence[Graph], submit: SubmitFn,
                   infer: InferFn, state: _SoakState,
                   injector: Optional[FaultInjector]) -> None:
-    tolerance = cfg.resolved_tolerance()
     schedule = DeltaSchedule()
     carryover: Dict[int, List[GraphDelta]] = {}
 
@@ -436,14 +422,7 @@ async def _replay(cfg: SoakConfig, trace: WorkloadTrace, pool: SessionPool,
             oracle_result = oracle_pool.infer(oracle_graphs[event.tenant],
                                               mode=event.mode)
             state.oracle_checks += 1
-            if tolerance == 0.0:
-                matched = bool(np.array_equal(result.scores,
-                                              oracle_result.scores))
-            else:
-                matched = bool(np.allclose(result.scores,
-                                           oracle_result.scores,
-                                           atol=tolerance, rtol=0.0))
-            if not matched:
+            if not np.array_equal(result.scores, oracle_result.scores):
                 state.mismatches += 1
                 if state.first_mismatch_tick < 0:
                     state.first_mismatch_tick = tick

@@ -58,12 +58,10 @@ def plain_blocks(blocks):
     return [block for block in blocks if type(block) is MessageBlock]
 
 
-def round_job(model, graph, layout, layer_index, shadow_plan=None, targets=None,
-              **strategies):
+def round_job(model, graph, layout, layer_index, shadow_plan=None, **strategies):
     plan = build_strategy_plan(model, graph, 4, StrategyConfig(**strategies),
                                graph.edge_features is not None)
-    return GNNRoundJob(model, plan, shadow_plan, layer_index, graph.num_nodes, layout,
-                       targets=targets)
+    return GNNRoundJob(model, plan, shadow_plan, layer_index, graph.num_nodes, layout)
 
 
 class TestBucketing:
@@ -207,25 +205,25 @@ class TestGNNRoundJob:
         assert sum(block.num_records() for block in blocks
                    if isinstance(block, BroadcastMessageBlock)) == neighbors.size
 
-    def test_scatter_filter_keeps_payloads_only_for_surviving_refs(self):
-        star = star_graph(40, direction="out", seed=0)
-        model = build_model("sage", star.feature_dim, 8, 2, num_layers=2, seed=0)
-        layout = ClusterLayout.build(star.num_nodes, HashPartitioner(4))
-        keep_dst = 5
-        targets = [np.array([keep_dst]), np.array([keep_dst])]
-        job = round_job(model, star, layout, 0, targets=targets, broadcast=True,
-                        hub_threshold_override=10)
-        rows = input_rows(model, star).take(np.array([0, keep_dst]))
-        blocks = flatten(job.map_partition([Records(rows)], task_metrics()))
-        (hub,) = [block for block in blocks if isinstance(block, BroadcastMessageBlock)]
-        assert hub.dst_ids.tolist() == [keep_dst]
-        assert hub.unique_payloads.shape[0] == 1
-        assert not plain_blocks(blocks)
+    def test_state_slice_is_a_contiguous_take(self, graph, sage):
+        rows = input_rows(sage, graph)
+        part, whole = rows.slice(10, 25), rows.take(np.arange(10, 25))
+        for name in ("dst_ids", "payload", "indptr", "nbrs"):
+            np.testing.assert_array_equal(getattr(part, name), getattr(whole, name))
+        assert np.shares_memory(part.payload, rows.payload)
 
+    def test_reducer_refuses_state_rows_out_of_id_order(self, graph, sage, layout):
+        """The reducer slices its node rows in arrival order, so it checks
+        that they arrive ascending instead of sorting them."""
+        job = round_job(sage, graph, layout, 1, partial_gather=False)
+        first = StateBlock(np.array([8]), np.zeros((1, 8)), np.array([0, 1]), np.array([1]))
+        second = StateBlock(np.array([4]), np.zeros((1, 8)), np.array([0, 1]), np.array([2]))
+        with pytest.raises(RuntimeError, match="ascending"):
+            job.reduce_partition([Records(first), Records(second)], task_metrics())
 
     def test_reducer_chunks_bound_the_working_set_not_the_scores(self, monkeypatch):
-        """``REDUCE_CHUNK_NODES`` cuts a reducer's sorted node rows into row
-        ranges: many small chunks give the same scores and counters as one,
+        """``REDUCE_CHUNK_NODES`` cuts a reducer's ascending node rows into row
+        ranges: many small chunks give the same score bits and counters as one,
         with a smaller peak working set."""
         import repro.inference.mapreduce_adaptor as adaptor
 
@@ -237,7 +235,7 @@ class TestGNNRoundJob:
         whole = InferenceSession(model, config).infer(graph)
         monkeypatch.setattr(adaptor, "REDUCE_CHUNK_NODES", 16)
         chunked = InferenceSession(model, config).infer(graph)
-        np.testing.assert_allclose(chunked.scores, whole.scores, rtol=0.0, atol=1e-9)
+        np.testing.assert_array_equal(chunked.scores, whole.scores)
         for counter in ("compute_units", "bytes_out", "records_out"):
             assert chunked.metrics.total(counter) == whole.metrics.total(counter)
         peak = [max(m.peak_memory_bytes for m in result.metrics.instances("round_1/reduce"))

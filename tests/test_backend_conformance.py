@@ -7,20 +7,18 @@ assumes, under **every** executor substrate
 (:func:`repro.cluster.executor.available_executors`):
 
 1. **Score equivalence** — a session's scores match the traditional k-hop
-   reference pipeline (bit-identical for the exact backends, within the 1e-9
-   equivalence tolerance otherwise), on random power-law graphs with shadow
-   nodes and broadcast enabled.
+   reference pipeline within the 1e-9 equivalence tolerance, on random
+   power-law graphs with shadow nodes and broadcast enabled.
 2. **Executor equivalence** — the process executor produces the same scores
-   as the serial executor: bit-identical on ``pregel`` and ``khop``, within
-   1e-9 on ``mapreduce`` (in practice bit-identical there too — executors
-   never change batch shapes).
+   as the serial executor, bit for bit on every backend (executors never
+   change batch shapes).
 3. **Staleness contract** — an out-of-band in-place mutation after
    ``prepare()`` raises :class:`StalePlanError` instead of serving stale
    scores.
 4. **Delta fallback** — ``apply_delta`` keeps serving *current* scores
    whether the backend patches the plan in place (optional hook) or takes the
    full-recompute default, and ``infer(mode="incremental")`` agrees with a
-   fresh prepare+infer even where no incremental hook exists.
+   fresh prepare+infer bit for bit, even where no incremental hook exists.
 5. **Plan reuse** — ``infer_many`` never re-plans (backend spy) and repeated
    runs are bit-identical to each other.
 6. **Simulated counters** — ``compute_units`` / ``records_out`` /
@@ -59,13 +57,6 @@ EXECUTORS = sorted(available_executors())
 NUM_WORKERS = 4
 SEEDS = [0, 1, 2]
 
-#: backends whose scores are bit-exact vs the k-hop reference and across
-#: executors; everything else gets the repo-wide 1e-9 equivalence tolerance
-#: (mapreduce folds and delivers a destination's in-messages in another
-#: grouping and order than pregel, which moves sums by ~1e-15).
-EXACT_BACKENDS = {"pregel", "khop"}
-
-
 def make_graph(seed: int, num_nodes: int = 400):
     """Power-law (out-skewed) graph — the hub-strategy regime."""
     return powerlaw_graph(num_nodes=num_nodes, avg_degree=6.0, skew="out",
@@ -90,14 +81,6 @@ def khop_reference(model, graph) -> np.ndarray:
         num_workers=NUM_WORKERS)).run(graph, compute_scores=True,
                                       compute_cost=False)
     return outcome.scores
-
-
-def assert_scores_match(backend: str, actual: np.ndarray,
-                        expected: np.ndarray) -> None:
-    if backend in EXACT_BACKENDS:
-        np.testing.assert_array_equal(actual, expected)
-    else:
-        np.testing.assert_allclose(actual, expected, atol=1e-9)
 
 
 class _PlanSpy:
@@ -173,8 +156,8 @@ class TestBackendConformance:
             fresh.prepare(graph)        # graph already carries the delta
             expected = fresh.infer().scores
             fresh.close()
-            assert_scores_match(backend, after, expected)
-            assert_scores_match(backend, incremental, expected)
+            np.testing.assert_array_equal(after, expected)
+            np.testing.assert_array_equal(incremental, expected)
         finally:
             session.close()
 
@@ -203,8 +186,8 @@ class TestEdgeDeltaContract:
     whose source stays a deep non-hub) under shadow nodes must return
     ``DeltaOutcome(in_place=True)`` on the backends with delta hooks, and the
     following full *and* incremental inferences must match a fresh
-    ``prepare()+infer()`` on the post-delta graph — bit-identical for the
-    exact backends, within 1e-9 on mapreduce — on both executors.
+    ``prepare()+infer()`` on the post-delta graph bit for bit, on both
+    executors.
     """
 
     def test_in_place_edge_delta_matches_fresh_replan(self, backend, executor):
@@ -237,8 +220,8 @@ class TestEdgeDeltaContract:
             fresh.prepare(graph)        # graph already carries the delta
             expected = fresh.infer().scores
             fresh.close()
-            assert_scores_match(backend, after, expected)
-            assert_scores_match(backend, incremental, expected)
+            np.testing.assert_array_equal(after, expected)
+            np.testing.assert_array_equal(incremental, expected)
         finally:
             session.close()
 
@@ -266,7 +249,7 @@ class TestExecutorEquivalence:
             actual = process.infer().scores
         finally:
             process.close()
-        assert_scores_match(backend, actual, expected)
+        np.testing.assert_array_equal(actual, expected)
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)
@@ -278,9 +261,8 @@ class TestStreamingDeltaConformance:
     through twin sessions over identical graph copies: session A applies each
     delta eagerly (``defer=False``), session B lets them coalesce in its
     :class:`DeltaBuffer` (``defer=True``) and flushes at each inference
-    checkpoint.  Every 10 deltas both sides infer — scores must agree to the
-    backend's conformance bar (bit-exact for the exact backends, 1e-9
-    otherwise) at every checkpoint, not just at the end.
+    checkpoint.  Every 10 deltas both sides infer — scores must agree bit for
+    bit at every checkpoint, not just at the end.
     """
 
     def test_coalesced_stream_matches_eager_application(self, backend,
@@ -328,7 +310,7 @@ class TestStreamingDeltaConformance:
                     mode = "incremental" if (index + 1) % 20 == 0 else "full"
                     expected = eager.infer(mode=mode).scores
                     actual = coalesced.infer(mode=mode).scores
-                    assert_scores_match(backend, actual, expected)
+                    np.testing.assert_array_equal(actual, expected)
                     checkpoints += 1
         finally:
             eager.close()
@@ -358,8 +340,8 @@ class TestDegenerateShapes:
             scores = session.infer().scores
             np.testing.assert_allclose(scores, reference_scores(model, graph),
                                        rtol=0.0, atol=1e-9)
-            # Twice: the first incremental request after a delta primes the
-            # lazy cache with a full run, the second replays the closure.
+            # Twice: on pregel the first incremental request after a delta
+            # primes the lazy cache with a full run, the second splices.
             for _ in range(2 if delta is not None else 0):
                 assert session.apply_delta(delta).in_place
                 np.testing.assert_array_equal(

@@ -427,10 +427,7 @@ class TestOneDeltaPath:
                     outcome.in_place, session.num_replans)
 
         eager, two_step = run(False), run(True)
-        if backend == "pregel":
-            np.testing.assert_array_equal(eager[0], two_step[0])
-        else:
-            np.testing.assert_allclose(eager[0], two_step[0], atol=1e-9, rtol=0)
+        np.testing.assert_array_equal(eager[0], two_step[0])
         assert eager[1:] == two_step[1:]
         # The shapes exercise what they claim: in-place patches where the
         # backend has hooks and the hub set holds, exactly one re-plan where not.
@@ -470,7 +467,4 @@ class TestOneDeltaPath:
         assert merged.plan.fingerprint == sequential.plan.fingerprint
         a = merged.infer(mode="incremental").scores
         b = sequential.infer(mode="incremental").scores
-        if backend == "pregel":
-            np.testing.assert_array_equal(a, b)
-        else:
-            np.testing.assert_allclose(a, b, atol=1e-9, rtol=0)
+        np.testing.assert_array_equal(a, b)

@@ -568,15 +568,13 @@ class TestFallbackBackends:
                                       fresh_scores(reference, backend="mapreduce"))
 
     def test_mapreduce_incremental_after_edge_delta(self):
-        # After an in-place edge delta, incremental inference seeds its
-        # closure from topo_dirty and agrees with a fresh full run to the
-        # repo's 1e-9 equivalence tolerance.
+        # After an in-place edge delta, an incremental request runs the full
+        # rounds and is bit-identical to a fresh full run.
         rng = np.random.default_rng(46)
         graph = make_graph(seed=46, num_nodes=300)
         session = make_session(graph, backend="mapreduce")
         session.prepare(graph)
         session.infer()
-        # Prime the lazy score cache with a post-delta full-shaped run.
         session.apply_delta(random_feature_delta(rng, graph, fraction=0.01))
         session.infer(mode="incremental")
         threshold = session.plan.strategy_plan.threshold
@@ -598,9 +596,8 @@ class TestFallbackBackends:
         outcome = session.apply_delta(delta)
         assert outcome.in_place
         incremental = session.infer(mode="incremental").scores
-        np.testing.assert_allclose(
-            incremental, fresh_scores(reference, backend="mapreduce"),
-            atol=1e-9, rtol=0)
+        np.testing.assert_array_equal(
+            incremental, fresh_scores(reference, backend="mapreduce"))
 
 
 # --------------------------------------------------------------------------- #

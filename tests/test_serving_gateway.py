@@ -4,9 +4,8 @@ The contracts under test, each against the layers below rather than mocks:
 
 * **Sequential equivalence** — an interleaved delta/infer sequence issued
   through the gateway (awaited in order) returns results bit-identical to
-  the same sequence issued directly against a bare ``SessionPool`` (pregel;
-  1e-9 on mapreduce, whose mapper splits change the segment sums' operand
-  order).
+  the same sequence issued directly against a bare ``SessionPool``, on
+  pregel and on mapreduce.
   The suite runs under whatever executor ``$REPRO_EXECUTOR`` selects, so the
   CI matrix covers both ``serial`` and ``process``.
 * **Batching** — N concurrent same-mode requests for one tenant are served
@@ -112,9 +111,8 @@ def replay_through_pool(pool, graph, ops):
 
 
 class TestSequentialEquivalence:
-    @pytest.mark.parametrize("backend,tolerance", [("pregel", 0.0),
-                                                   ("mapreduce", 1e-9)])
-    def test_gateway_matches_bare_pool(self, backend, tolerance):
+    @pytest.mark.parametrize("backend", ["pregel", "mapreduce"])
+    def test_gateway_matches_bare_pool(self, backend):
         # Property test: the same interleaved per-tenant stream through the
         # gateway and through a bare pool must agree result for result.
         model = make_model()
@@ -137,14 +135,9 @@ class TestSequentialEquivalence:
             assert len(gateway_results) == len(pool_results)
             for index, (via_gateway, via_pool) in enumerate(
                     zip(gateway_results, pool_results)):
-                if tolerance == 0.0:
-                    np.testing.assert_array_equal(
-                        via_gateway.scores, via_pool.scores,
-                        err_msg=f"seed {seed}, infer #{index}")
-                else:
-                    np.testing.assert_allclose(
-                        via_gateway.scores, via_pool.scores, atol=tolerance,
-                        err_msg=f"seed {seed}, infer #{index}")
+                np.testing.assert_array_equal(
+                    via_gateway.scores, via_pool.scores,
+                    err_msg=f"seed {seed}, infer #{index}")
 
     def test_multi_tenant_streams_stay_isolated(self):
         # Two tenants with different streams through ONE gateway/pool equal

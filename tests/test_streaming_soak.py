@@ -111,6 +111,22 @@ class TestFaultedSoaks:
         assert len(report.fault_notes) == 4
         assert report.fault_schedule == plan.schedule()
 
+    def test_mapreduce_soak_matches_the_oracle_bit_for_bit(self):
+        # MapReduce runs every tick in full over an in-place-patched graph,
+        # so a faulted stream equals its oracle exactly, shadow rewrite on.
+        # executor=None follows $REPRO_EXECUTOR: the kills are live on the
+        # process leg and recorded no-ops on the serial one.
+        plan = FaultPlan(seed=0, ticks=SHORT.ticks, events=(
+            FaultEvent(tick=1, kind="kill_worker", tenant=0),
+            FaultEvent(tick=2, kind="evict_tenant", tenant=1),
+            FaultEvent(tick=3, kind="delay_deltas", tenant=0),
+            FaultEvent(tick=4, kind="kill_worker", tenant=1, slot=1)))
+        report = run_soak(small_soak(backend="mapreduce", shadow_nodes=True,
+                                     faults=plan))
+        assert report.mismatches == 0 and report.oracle_checks > 0
+        assert report.recoveries == report.crashes and report.unrecovered == 0
+        assert report.clean
+
 
 class TestResourceCeilings:
     @pytest.mark.skipif(not PROCESS_AVAILABLE,
