@@ -84,20 +84,6 @@ def nodes_under_lock(tree: ast.Module, lock_attrs: Set[str]) -> Set[int]:
     return covered
 
 
-def edit_distance(a: str, b: str) -> int:
-    """Plain Levenshtein distance (small strings only)."""
-    if a == b:
-        return 0
-    previous = list(range(len(b) + 1))
-    for i, char_a in enumerate(a, start=1):
-        current = [i]
-        for j, char_b in enumerate(b, start=1):
-            current.append(min(previous[j] + 1, current[j - 1] + 1,
-                               previous[j - 1] + (char_a != char_b)))
-        previous = current
-    return previous[-1]
-
-
 # --------------------------------------------------------------------------- #
 # lock-discipline: no slow work under the pool lock        (incident: fcf99ca)
 # --------------------------------------------------------------------------- #
@@ -374,59 +360,3 @@ class BroadExceptRule:
         candidates = range(handler.lineno - 1, first_body_line + 1)
         return any(_comment_text(module.line_text(lineno))
                    for lineno in candidates)
-
-
-# --------------------------------------------------------------------------- #
-# backend-protocol: near-miss hook names
-# --------------------------------------------------------------------------- #
-
-
-@register_rule("backend-protocol")
-class BackendProtocolRule:
-    """A registered backend's hook overrides must be spelled exactly.
-
-    ``Backend`` is an abstract base class: a missing ``plan`` / ``execute`` /
-    ``default_cluster`` fails at ``register_backend`` time, and ``mypy
-    --strict`` checks every override's signature.  What neither catches is a
-    *near-miss name*: a subclass defining ``apply_deltas`` or
-    ``execute_incremenal`` overrides nothing, silently inherits the
-    full-recompute default, and degrades every delta to a re-plan — the worst
-    kind of performance bug: invisible until someone profiles.  This rule
-    flags public methods of ``@register_backend`` classes within edit
-    distance 2 of an overridable hook.
-    """
-
-    name = "backend-protocol"
-    HOOKS = ("apply_delta", "execute_incremental", "release")
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ClassDef) and self._is_backend(node):
-                yield from self._check_backend(module, node)
-
-    @staticmethod
-    def _is_backend(node: ast.ClassDef) -> bool:
-        for decorator in node.decorator_list:
-            if isinstance(decorator, ast.Call):
-                func = decorator.func
-                name = (func.id if isinstance(func, ast.Name)
-                        else func.attr if isinstance(func, ast.Attribute)
-                        else "")
-                if name == "register_backend":
-                    return True
-        return False
-
-    def _check_backend(self, module: ModuleSource,
-                       node: ast.ClassDef) -> Iterator[Finding]:
-        for method in node.body:
-            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if method.name.startswith("_") or method.name in self.HOOKS:
-                continue
-            for hook in self.HOOKS:
-                if edit_distance(method.name, hook) <= 2:
-                    yield module.finding(
-                        method, self.name,
-                        f"method {method.name}() looks like a misspelling of "
-                        f"the hook {hook}(); it overrides nothing, so the "
-                        f"backend silently keeps the base-class default")

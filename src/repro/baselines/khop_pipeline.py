@@ -21,8 +21,8 @@ Two execution modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from repro.baselines.graph_store import DistributedGraphStore
 from repro.cluster.cost_model import CostModel, CostSummary, gnn_layer_compute_units
 from repro.cluster.metrics import MetricsCollector, tensor_bytes
 from repro.cluster.resources import ClusterSpec
-from repro.gnn.gasconv import LayerMode
 from repro.gnn.model import GNNModel
 from repro.graph.graph import Graph
 from repro.graph.khop import KHopSubgraph
@@ -157,7 +156,7 @@ class TraditionalPipeline:
                         Tensor(subgraph.node_features), subgraph.src, subgraph.dst,
                         edge_features=None if subgraph.edge_features is None
                         else Tensor(subgraph.edge_features),
-                        num_nodes=subgraph.num_nodes, mode=LayerMode.PREDICT)
+                        num_nodes=subgraph.num_nodes)
                 scores[seeds] = logits.data[subgraph.target_positions]
 
         cost = (CostModel(config.cluster).summarize(metrics)

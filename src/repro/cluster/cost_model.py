@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.cluster.metrics import InstanceMetrics, MetricsCollector
 from repro.cluster.resources import ClusterSpec, OutOfMemoryError
 

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.datasets.registry import Dataset, load_dataset
+from repro.datasets.registry import Dataset
 from repro.gnn.model import GNNModel, build_model
 from repro.inference import InferenceConfig, InferenceSession, StrategyConfig
 from repro.inference.session import InferenceResult

@@ -11,7 +11,7 @@ GraphSAGE because its messages are identical across out-edges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 

@@ -10,7 +10,7 @@ and fits the log–log slope, which should be ≈ 1 for linear scalability.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 

@@ -12,7 +12,7 @@ partial-gather), for the base and partial-gather runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple
 
 from repro.experiments import (
     fig7_consistency,

@@ -13,9 +13,7 @@ any gap is floating-point noise).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import List, Optional, Sequence
 
 from repro.baselines.khop_pipeline import TraditionalConfig, TraditionalPipeline
 from repro.datasets.registry import load_dataset

@@ -15,7 +15,7 @@ frameworks use (which is also roughly why the paper's two columns differ).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.baselines.khop_pipeline import TraditionalConfig, TraditionalPipeline
 from repro.datasets.registry import Dataset, load_dataset

@@ -17,13 +17,13 @@ paper's run did.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.baselines.khop_pipeline import TraditionalConfig, TraditionalPipeline
 from repro.cluster.resources import ClusterSpec, WorkerSpec
-from repro.datasets.registry import Dataset, load_dataset
+from repro.datasets.registry import Dataset
 from repro.experiments.common import run_inference
 from repro.experiments.reporting import format_table
 from repro.gnn.model import build_model

@@ -27,7 +27,7 @@ from repro.gnn.annotations import (
     stage_annotation,
     StageAnnotation,
 )
-from repro.gnn.gasconv import GASConv, LayerMode
+from repro.gnn.gasconv import GASConv
 from repro.gnn.sage import SAGEConv
 from repro.gnn.gat import GATConv
 from repro.gnn.gcn import GCNConv
@@ -41,7 +41,6 @@ __all__ = [
     "stage_annotation",
     "StageAnnotation",
     "GASConv",
-    "LayerMode",
     "SAGEConv",
     "GATConv",
     "GCNConv",

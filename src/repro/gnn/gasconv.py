@@ -2,7 +2,7 @@
 
 A layer describes its computation flow through three overridable methods
 (``gather``, ``apply_node``, ``apply_edge``) plus the built-in, final
-``scatter``.  The same object is used in two modes:
+``scatter``.  The same object is used in two ways:
 
 * **training** — :meth:`forward` runs the whole layer over a local (k-hop)
   subgraph held in tensors, exactly as the paper's Fig. 3 pseudo-code;
@@ -20,7 +20,6 @@ aggregated payloads are merged.
 
 from __future__ import annotations
 
-import enum
 from typing import Any, Dict, Optional
 
 import numpy as np
@@ -29,13 +28,6 @@ from repro.gnn.annotations import collect_annotations, stage_annotation
 from repro.tensor import ops
 from repro.tensor.nn import Linear, Module
 from repro.tensor.tensor import Tensor
-
-
-class LayerMode(enum.Enum):
-    """Execution mode passed to :meth:`GASConv.forward`."""
-
-    TRAIN = "train"
-    PREDICT = "predict"
 
 
 class GASConv(Module):
@@ -147,30 +139,15 @@ class GASConv(Module):
         dst_index: np.ndarray,
         edge_state: Optional[Tensor] = None,
         num_nodes: Optional[int] = None,
-        mode: LayerMode = LayerMode.TRAIN,
     ) -> Tensor:
         """Run the full layer over a local subgraph held in tensors.
 
-        This is the path used by mini-batch training and by the traditional
-        inference baseline.  ``mode=PREDICT`` forces the un-fused default
-        scatter→apply_edge→gather→apply_node path (matching the paper's
-        pseudo-code, where the fused ``scatter_and_gather`` shortcut is a
-        training-only optimisation).
+        scatter → apply_edge → gather → apply_node, as in the paper's Fig. 3
+        pseudo-code: the one path mini-batch training and the traditional
+        inference baseline share, and the stages the inference adaptors call
+        one by one.
         """
         if num_nodes is None:
             num_nodes = node_state.shape[0]
-
-        def default_scatter_and_gather() -> Any:
-            message = self.scatter(node_state, src_index)
-            message = self.apply_edge(message, edge_state)
-            return self.gather(message, dst_index, num_nodes)
-
-        if mode is LayerMode.PREDICT:
-            aggr_state = default_scatter_and_gather()
-        else:
-            fused = getattr(self, "scatter_and_gather", None)
-            if fused is not None and edge_state is None:
-                aggr_state = fused(node_state, src_index, dst_index, num_nodes)
-            else:
-                aggr_state = default_scatter_and_gather()
-        return self.apply_node(node_state, aggr_state)
+        message = self.apply_edge(self.scatter(node_state, src_index), edge_state)
+        return self.apply_node(node_state, self.gather(message, dst_index, num_nodes))

@@ -19,8 +19,7 @@ import numpy as np
 from repro.gnn.annotations import apply_edge_stage, apply_node_stage, gather_stage
 from repro.gnn.gasconv import GASConv
 from repro.tensor import ops
-from repro.tensor.nn import Linear, Parameter
-from repro.tensor.nn import xavier_uniform
+from repro.tensor.nn import Linear, Parameter, xavier_uniform
 from repro.tensor.tensor import Tensor, concatenate
 
 
@@ -48,9 +47,9 @@ class GATConv(GASConv):
         self.activation = activation
         # One shared projection producing all heads at once: [in, heads*out].
         self.linear = Linear(in_dim, self.heads * out_dim, bias=False, rng=rng)
-        self.attn_src = Parameter(xavier_uniform((self.heads, out_dim), rng), name="attn_src")
-        self.attn_dst = Parameter(xavier_uniform((self.heads, out_dim), rng), name="attn_dst")
-        self.bias = Parameter(np.zeros(self.heads * out_dim if concat else out_dim), name="bias")
+        self.attn_src = Parameter(xavier_uniform((self.heads, out_dim), rng))
+        self.attn_dst = Parameter(xavier_uniform((self.heads, out_dim), rng))
+        self.bias = Parameter(np.zeros(self.heads * out_dim if concat else out_dim))
         self.edge_linear = Linear(edge_dim, self.heads * out_dim, rng=rng) if edge_dim > 0 else None
 
     # ------------------------------------------------------------------ #

@@ -9,11 +9,11 @@ last ``apply_node``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.gnn.gasconv import GASConv, LayerMode
+from repro.gnn.gasconv import GASConv
 from repro.gnn.gat import GATConv
 from repro.gnn.gcn import GCNConv
 from repro.gnn.sage import SAGEConv
@@ -86,7 +86,6 @@ class GNNModel(Module):
         dst_index: np.ndarray,
         edge_features: Optional[Tensor] = None,
         num_nodes: Optional[int] = None,
-        mode: LayerMode = LayerMode.TRAIN,
     ) -> Tensor:
         """Full local forward pass over a subgraph (training / baseline path)."""
         state = self.encode(features)
@@ -94,7 +93,7 @@ class GNNModel(Module):
             num_nodes = state.shape[0]
         for layer in self.layers:
             state = layer.forward(state, src_index, dst_index,
-                                  edge_state=edge_features, num_nodes=num_nodes, mode=mode)
+                                  edge_state=edge_features, num_nodes=num_nodes)
         return self.predict(state)
 
 

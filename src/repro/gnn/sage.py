@@ -3,14 +3,12 @@
 The aggregate stage is a pooling function (mean by default, sum/max available)
 and therefore commutative and associative — the layer is annotated with
 ``@gather_stage(partial=True)`` and is the canonical beneficiary of the
-partial-gather strategy.  A fused ``scatter_and_gather`` implementation based
-on a generalised sparse-dense matmul is provided for the training path, as in
-the paper's Fig. 3.
+partial-gather strategy.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -111,17 +109,3 @@ class SAGEConv(GASConv):
             return message
         edge_state = edge_state if isinstance(edge_state, Tensor) else Tensor(edge_state)
         return message + self.edge_linear(edge_state)
-
-    # ------------------------------------------------------------------ #
-    # fused training shortcut (paper Fig. 3)
-    # ------------------------------------------------------------------ #
-    def scatter_and_gather(self, node_state: Tensor, src_index: np.ndarray,
-                           dst_index: np.ndarray, num_nodes: int) -> Tensor:
-        """Fused scatter→apply_edge→gather (training only, no edge features).
-
-        Sum pooling is one sparse matmul; mean and max pool the scattered rows
-        through :meth:`gather`, which is the same reduction.
-        """
-        if self.aggregator == "sum":
-            return ops.spmm(dst_index, src_index, None, node_state, num_nodes)
-        return self.gather(self.scatter(node_state, src_index), dst_index, num_nodes)

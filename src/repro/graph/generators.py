@@ -14,7 +14,7 @@ All generators are seeded and deterministic.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 

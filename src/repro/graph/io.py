@@ -9,7 +9,7 @@ cache generated graphs).
 from __future__ import annotations
 
 import os
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -8,7 +8,7 @@ out-edge state, so that one superstep per GNN layer suffices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np

@@ -9,8 +9,6 @@ never samples — its full-graph path corresponds to :class:`FullNeighborSampler
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 

@@ -6,11 +6,11 @@ actually need:
 
 * :class:`~repro.tensor.tensor.Tensor` — a dense array with reverse-mode
   automatic differentiation.
-* :mod:`~repro.tensor.ops` — dense math (matmul, elementwise, reductions) and
-  the *segment* operations (``segment_sum`` / ``segment_mean`` / ``segment_max``
+* :mod:`~repro.tensor.ops` — matmul, ``log_softmax``, ``gather_rows`` and the
+  *segment* operations (``segment_sum`` / ``segment_mean`` / ``segment_max``
   and ``segment_softmax``) that message-passing GNNs are built from.
-* :mod:`~repro.tensor.nn` — ``Module`` / ``Parameter`` / ``Linear`` and friends.
-* :mod:`~repro.tensor.optim` — SGD and Adam.
+* :mod:`~repro.tensor.nn` — ``Parameter`` / ``Module`` / ``Linear``.
+* :mod:`~repro.tensor.optim` — Adam.
 * :mod:`~repro.tensor.losses` — cross-entropy and binary cross-entropy.
 """
 

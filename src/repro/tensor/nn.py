@@ -1,4 +1,4 @@
-"""Neural-network module system: parameters, modules, linear layers.
+"""Neural-network module system: ``Parameter``, ``Module`` and ``Linear``.
 
 A deliberately small imitation of ``torch.nn`` — just what the GAS GNN layers
 need: parameter registration, recursive parameter collection, train/eval mode,
@@ -13,14 +13,13 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.tensor.tensor import Tensor
-from repro.tensor import ops
 
 
 class Parameter(Tensor):
     """A tensor that is registered as a trainable parameter of a module."""
 
-    def __init__(self, data, name: Optional[str] = None) -> None:
-        super().__init__(data, requires_grad=True, name=name)
+    def __init__(self, data) -> None:
+        super().__init__(data, requires_grad=True)
 
 
 class Module:
@@ -69,7 +68,7 @@ class Module:
             yield from child.modules()
 
     # ------------------------------------------------------------------ #
-    # train / eval, grads
+    # train / eval
     # ------------------------------------------------------------------ #
     def train(self, mode: bool = True) -> "Module":
         for module in self.modules():
@@ -78,10 +77,6 @@ class Module:
 
     def eval(self) -> "Module":
         return self.train(False)
-
-    def zero_grad(self) -> None:
-        for param in self.parameters():
-            param.zero_grad()
 
     # ------------------------------------------------------------------ #
     # serialisation
@@ -132,50 +127,11 @@ class Linear(Module):
         rng = rng or np.random.default_rng(0)
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = Parameter(xavier_uniform((in_features, out_features), rng), name="weight")
-        self.bias = Parameter(np.zeros(out_features), name="bias") if bias else None
+        self.weight = Parameter(xavier_uniform((in_features, out_features), rng))
+        self.bias = Parameter(np.zeros(out_features)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
         out = x @ self.weight
         if self.bias is not None:
             out = out + self.bias
         return out
-
-
-class Dropout(Module):
-    """Inverted dropout layer (identity in eval mode)."""
-
-    def __init__(self, rate: float = 0.5, seed: int = 0) -> None:
-        super().__init__()
-        self.rate = rate
-        self._rng = np.random.default_rng(seed)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.dropout(x, self.rate, self.training, self._rng)
-
-
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
-
-class LeakyReLU(Module):
-    def __init__(self, negative_slope: float = 0.2) -> None:
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.leaky_relu(self.negative_slope)
-
-
-class Sequential(Module):
-    """Apply modules in order."""
-
-    def __init__(self, *layers: Module) -> None:
-        super().__init__()
-        self.layers = list(layers)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x

@@ -14,11 +14,11 @@ scatter-reduce kernel, which the sender-side combiners call directly.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from repro.tensor.tensor import Tensor, concatenate, stack  # noqa: F401 (re-export)
+from repro.tensor.tensor import Tensor
 
 
 def _as_index(index) -> np.ndarray:
@@ -30,37 +30,6 @@ def _as_index(index) -> np.ndarray:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix multiply two tensors."""
     return a @ b
-
-
-def relu(x: Tensor) -> Tensor:
-    return x.relu()
-
-
-def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
-    return x.leaky_relu(negative_slope)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return x.sigmoid()
-
-
-def tanh(x: Tensor) -> Tensor:
-    return x.tanh()
-
-
-def exp(x: Tensor) -> Tensor:
-    return x.exp()
-
-
-def log(x: Tensor) -> Tensor:
-    return x.log()
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``."""
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    exped = shifted.exp()
-    return exped / exped.sum(axis=axis, keepdims=True)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -184,39 +153,3 @@ def segment_softmax(values: Tensor, segment_ids, num_segments: int) -> Tensor:
     denom = segment_sum(exped, ids, num_segments)
     denom_safe = denom + Tensor(np.where(denom.data == 0.0, 1.0, 0.0))
     return exped / denom_safe[ids]
-
-
-def spmm(dst_index, src_index, values: Optional[np.ndarray], node_state: Tensor,
-         num_nodes: int) -> Tensor:
-    """Generalised sparse-dense matmul: ``A @ node_state``.
-
-    ``A`` is the sparse adjacency defined by COO ``(dst_index, src_index)`` with
-    optional per-edge ``values`` (defaults to 1.0).  This is the fused
-    ``scatter_and_gather`` used by GraphSAGE in the paper's Fig. 3.
-    """
-    dst = _as_index(dst_index)
-    src = _as_index(src_index)
-    messages = gather_rows(node_state, src)
-    if values is not None:
-        weights = values.reshape(-1, *([1] * (messages.ndim - 1)))
-        messages = messages * Tensor(weights)
-    return segment_sum(messages, dst, num_nodes)
-
-
-def dropout(x: Tensor, rate: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout; identity when not training or rate == 0.
-
-    Training-mode calls must hand in an explicitly seeded generator: the
-    compute layers promise replayable runs, so an entropy-seeded fallback
-    here would make training silently non-reproducible (the ``nn.Dropout``
-    module owns a seeded generator and always passes it).
-    """
-    if not training or rate <= 0.0:
-        return x
-    if rng is None:
-        raise ValueError(
-            "dropout in training mode requires an explicitly seeded "
-            "np.random.Generator; use nn.Dropout (which owns one) or pass "
-            "rng=np.random.default_rng(seed)")
-    mask = (rng.random(x.shape) >= rate).astype(np.float64) / (1.0 - rate)
-    return x * Tensor(mask)

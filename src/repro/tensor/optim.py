@@ -1,8 +1,8 @@
-"""Gradient-descent optimisers (SGD with momentum, Adam).
+"""The Adam optimiser.
 
 The paper trains GNNs with standard stochastic optimisation in mini-batch
-mode; these two optimisers cover the configurations used by the OGB examples
-the paper follows.
+mode; Adam covers the configurations used by the OGB examples the paper
+follows.
 """
 
 from __future__ import annotations
@@ -14,56 +14,15 @@ import numpy as np
 from repro.tensor.nn import Parameter
 
 
-class Optimizer:
-    """Base optimiser holding a parameter list."""
-
-    def __init__(self, parameters: Iterable[Parameter]) -> None:
-        self.parameters: List[Parameter] = list(parameters)
-        if not self.parameters:
-            raise ValueError("optimizer received an empty parameter list")
-
-    def zero_grad(self) -> None:
-        for param in self.parameters:
-            param.zero_grad()
-
-    def step(self) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(self, parameters: Iterable[Parameter], lr: float = 0.01,
-                 momentum: float = 0.0, weight_decay: float = 0.0) -> None:
-        super().__init__(parameters)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                update = velocity
-            else:
-                update = grad
-            param.data = param.data - self.lr * update
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam optimiser (Kingma & Ba, 2015)."""
 
     def __init__(self, parameters: Iterable[Parameter], lr: float = 0.001,
                  betas: tuple = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.0) -> None:
-        super().__init__(parameters)
+        self.parameters: List[Parameter] = list(parameters)
+        if not self.parameters:
+            raise ValueError("optimizer received an empty parameter list")
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
@@ -71,6 +30,10 @@ class Adam(Optimizer):
         self._step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
+
+    def zero_grad(self) -> None:
+        for param in self.parameters:
+            param.zero_grad()
 
     def step(self) -> None:
         self._step_count += 1

@@ -46,15 +46,10 @@ def no_grad():
         _grad_state.enabled = previous
 
 
-def is_grad_enabled() -> bool:
-    """Return whether gradient recording is active on this thread."""
-    return _grad_enabled()
-
-
-def _as_array(value: ArrayLike, dtype=np.float64) -> np.ndarray:
+def _as_array(value: ArrayLike) -> np.ndarray:
     if isinstance(value, Tensor):
         return value.data
-    return np.asarray(value, dtype=dtype)
+    return np.asarray(value, dtype=np.float64)
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -100,29 +95,19 @@ class Tensor:
     Parameters
     ----------
     data:
-        Array-like payload; converted to ``float64`` unless an integer dtype
-        is passed explicitly through ``dtype``.
+        Array-like payload; converted to ``float64``.
     requires_grad:
         Whether gradients should be accumulated for this tensor.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
-    def __init__(
-        self,
-        data: ArrayLike,
-        requires_grad: bool = False,
-        dtype=np.float64,
-        name: Optional[str] = None,
-    ) -> None:
-        if isinstance(data, Tensor):
-            data = data.data
-        self.data: np.ndarray = np.asarray(data, dtype=dtype)
+    def __init__(self, data: ArrayLike, requires_grad: bool = False) -> None:
+        self.data: np.ndarray = _as_array(data)
         self.requires_grad: bool = bool(requires_grad) and _grad_enabled()
         self.grad: Optional[np.ndarray] = None
         self._parents: Tuple[Tensor, ...] = ()
         self._backward_fn: Optional[Callable[[np.ndarray], None]] = None
-        self.name = name
 
     # ------------------------------------------------------------------ #
     # basic introspection
@@ -135,34 +120,9 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def numpy(self) -> np.ndarray:
-        """Return the underlying numpy array (no copy)."""
-        return self.data
-
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
-
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but detached from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{grad_flag})"
-
-    def __len__(self) -> int:
-        return len(self.data)
 
     # ------------------------------------------------------------------ #
     # pickling (process-executor shipping)
@@ -175,13 +135,12 @@ class Tensor:
         the weights, and inference never builds a graph anyway (``no_grad``).
         """
         return {"data": self.data, "grad": self.grad,
-                "requires_grad": self.requires_grad, "name": self.name}
+                "requires_grad": self.requires_grad}
 
     def __setstate__(self, state) -> None:
         self.data = state["data"]
         self.grad = state.get("grad")
         self.requires_grad = bool(state.get("requires_grad", False))
-        self.name = state.get("name")
         self._parents = ()
         self._backward_fn = None
 
@@ -263,8 +222,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self, other_t), backward_fn)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Tensor":
         out_data = -self.data
 
@@ -283,9 +240,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self, other_t), backward_fn)
 
-    def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(_as_array(other)) - self
-
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other))
         out_data = self.data * other_t.data
@@ -295,8 +249,6 @@ class Tensor:
             other_t._accumulate(_unbroadcast(grad * self.data, other_t.shape))
 
         return Tensor._make(out_data, (self, other_t), backward_fn)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other))
@@ -309,17 +261,6 @@ class Tensor:
             )
 
         return Tensor._make(out_data, (self, other_t), backward_fn)
-
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(_as_array(other)) / self
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        out_data = self.data ** exponent
-
-        def backward_fn(grad: np.ndarray) -> None:
-            self._accumulate(grad * exponent * self.data ** (exponent - 1))
-
-        return Tensor._make(out_data, (self,), backward_fn)
 
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other))
@@ -345,18 +286,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward_fn)
 
-    def transpose(self) -> "Tensor":
-        out_data = self.data.T
-
-        def backward_fn(grad: np.ndarray) -> None:
-            self._accumulate(grad.T)
-
-        return Tensor._make(out_data, (self,), backward_fn)
-
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
-
     def __getitem__(self, index) -> "Tensor":
         if isinstance(index, Tensor):
             index = index.data
@@ -371,10 +300,6 @@ class Tensor:
             self._accumulate(full)
 
         return Tensor._make(out_data, (self,), backward_fn)
-
-    def concat(self, other: "Tensor", axis: int = -1) -> "Tensor":
-        """Concatenate ``self`` and ``other`` along ``axis``."""
-        return concatenate([self, other], axis=axis)
 
     # ------------------------------------------------------------------ #
     # reductions & elementwise functions
@@ -403,26 +328,6 @@ class Tensor:
         else:
             count = self.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-        shape = self.shape
-
-        def backward_fn(grad: np.ndarray) -> None:
-            grad_arr = np.asarray(grad)
-            if axis is None:
-                mask = (self.data == self.data.max()).astype(np.float64)
-                mask /= mask.sum()
-                self._accumulate(mask * grad_arr)
-            else:
-                expanded_max = self.data.max(axis=axis, keepdims=True)
-                mask = (self.data == expanded_max).astype(np.float64)
-                mask /= mask.sum(axis=axis, keepdims=True)
-                if not keepdims:
-                    grad_arr = np.expand_dims(grad_arr, axis=axis)
-                self._accumulate(mask * np.broadcast_to(grad_arr, shape))
-
-        return Tensor._make(out_data, (self,), backward_fn)
 
     def exp(self) -> "Tensor":
         out_data = np.exp(self.data)
@@ -464,14 +369,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward_fn)
 
-    def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def backward_fn(grad: np.ndarray) -> None:
-            self._accumulate(grad * (1.0 - out_data ** 2))
-
-        return Tensor._make(out_data, (self,), backward_fn)
-
 
 def concatenate(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient support."""
@@ -487,24 +384,3 @@ def concatenate(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
             tensor._accumulate(grad[tuple(slicer)])
 
     return Tensor._make(out_data, tensors, backward_fn)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis with gradient support."""
-    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward_fn(grad: np.ndarray) -> None:
-        split = np.moveaxis(grad, axis, 0)
-        for tensor, piece in zip(tensors, split):
-            tensor._accumulate(piece)
-
-    return Tensor._make(out_data, tensors, backward_fn)
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-
-def ones(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=requires_grad)

@@ -8,6 +8,5 @@ subgraph.  The resulting well-trained model is exported through
 """
 
 from repro.training.trainer import Trainer, TrainConfig
-from repro.training.metrics import evaluate_single_label, evaluate_multi_label
 
-__all__ = ["Trainer", "TrainConfig", "evaluate_single_label", "evaluate_multi_label"]
+__all__ = ["Trainer", "TrainConfig"]

@@ -40,7 +40,6 @@ class TrainConfig:
     fanout: Optional[int] = 10          # neighbours sampled per hop; None = full
     multilabel: bool = False
     seed: int = 0
-    log_every: int = 0                  # 0 disables progress records
 
 
 @dataclass

@@ -32,7 +32,7 @@ from repro.analysis.lint import iter_python_files
 FIXTURES = Path(__file__).parent / "analysis_fixtures"
 
 EXPECTED_RULES = {"lock-discipline", "fingerprint-under-lock", "determinism",
-                  "broad-except", "backend-protocol"}
+                  "broad-except"}
 
 
 def findings_in(case: str):
@@ -104,19 +104,6 @@ def test_broad_except_flags_unjustified_handlers():
 
 def test_broad_except_accepts_reraise_justification_and_narrow():
     assert findings_in("broad_except/good") == []
-
-
-def test_backend_protocol_flags_every_defect():
-    assert findings_in("backend_protocol/bad") == [
-        ("backend-protocol", "backends.py", 19),  # apply_deltas
-        ("backend-protocol", "backends.py", 22),  # execute_incremenal
-        ("backend-protocol", "backends.py", 25),  # relase
-    ]
-
-
-def test_backend_protocol_accepts_complete_backend():
-    """Exact overrides, private helpers and unregistered classes are fine."""
-    assert findings_in("backend_protocol/good") == []
 
 
 def test_real_serving_layer_lints_clean():

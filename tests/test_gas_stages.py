@@ -3,7 +3,7 @@
 One tiny hub graph, shadow mirrors on, the whole working graph treated as a
 single partition, odd widths throughout (hidden 17, 3 heads, 3 classes).
 ``edge_messages → scatter → gather_apply`` must reproduce
-``layer.forward(..., mode=PREDICT)`` over the *original* graph bit for bit,
+``layer.forward(...)`` over the *original* graph bit for bit,
 and every stage's row-subset path must compute exactly the corresponding rows
 of its full path — the two facts both adaptors (full and incremental) build on.
 """
@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.cluster.cost_model import gnn_layer_compute_units
-from repro.gnn.gasconv import LayerMode
 from repro.gnn.model import build_model
 from repro.graph.graph import Graph
 from repro.inference import gas
@@ -106,7 +105,7 @@ def test_stages_reproduce_the_reference_layer_and_its_row_subsets(arch, edge_dim
     with no_grad():
         edge_state = None if edge_dim == 0 else Tensor(graph.edge_features)
         expected = layer.forward(Tensor(encoded), graph.src, graph.dst,
-                                 edge_state=edge_state, mode=LayerMode.PREDICT).data
+                                 edge_state=edge_state).data
     np.testing.assert_array_equal(new_state[:NUM_NODES], expected)
     np.testing.assert_array_equal(new_state, new_state[shadow.origin_of])
     # hub edges took the broadcast path iff the layer may broadcast, one shared

@@ -8,8 +8,8 @@ import pytest
 from repro.gnn.model import build_model
 from repro.gnn.signature import ModelSignature, export_signature, load_signature
 from repro.graph.generators import labeled_community_graph
+from repro.tensor.losses import accuracy, micro_f1
 from repro.tensor.tensor import Tensor, no_grad
-from repro.training.metrics import evaluate_multi_label, evaluate_single_label, prediction_labels
 from repro.training.trainer import TrainConfig, Trainer
 
 
@@ -138,19 +138,36 @@ class TestTrainer:
         assert [entry["epoch"] for entry in result.history] == [0, 1, 2]
 
 
+def full_graph_logits(model, graph) -> np.ndarray:
+    """Logits of every node, one forward over the whole graph."""
+    with no_grad():
+        return model.forward(Tensor(graph.node_features), graph.src, graph.dst,
+                             num_nodes=graph.num_nodes).data
+
+
 class TestMetrics:
+    """``Trainer.evaluate`` reports its task's metric over every eval node."""
+
     def test_single_label_metrics(self):
-        logits = np.array([[0.1, 0.9], [0.8, 0.2]])
-        labels = np.array([1, 0])
-        assert evaluate_single_label(logits, labels)["accuracy"] == 1.0
+        graph = labeled_community_graph(num_nodes=120, num_classes=3, feature_dim=5, seed=4)
+        model = build_model("sage", 5, 8, 3, seed=1)
+        nodes = np.arange(30, 90)
+        expected = accuracy(full_graph_logits(model, graph)[nodes], graph.labels[nodes])
+        metrics = Trainer(model, graph, TrainConfig(batch_size=16)).evaluate(nodes)
+        assert metrics == {"accuracy": expected}
 
     def test_multi_label_metrics(self):
-        logits = np.array([[1.0, -1.0], [1.0, 1.0]])
-        targets = np.array([[1, 0], [1, 1]])
-        assert evaluate_multi_label(logits, targets)["micro_f1"] == 1.0
+        graph = labeled_community_graph(num_nodes=120, num_classes=6, feature_dim=5,
+                                        multilabel=True, seed=4)
+        model = build_model("sage", 5, 8, 6, seed=1)
+        nodes = np.arange(30, 90)
+        expected = micro_f1(full_graph_logits(model, graph)[nodes], graph.labels[nodes])
+        metrics = Trainer(model, graph, TrainConfig(batch_size=16, multilabel=True)).evaluate(nodes)
+        assert metrics == {"micro_f1": expected}
 
     def test_prediction_labels(self):
+        """Hard predictions: argmax for one label, a threshold at 0 for many."""
         logits = np.array([[0.2, 0.7], [-0.5, -0.1]])
-        np.testing.assert_array_equal(prediction_labels(logits), [1, 1])
-        np.testing.assert_array_equal(prediction_labels(logits, multilabel=True),
-                                      [[1, 1], [0, 0]])
+        assert accuracy(logits, [1, 1]) == 1.0
+        assert micro_f1(logits, [[1, 1], [0, 0]]) == 1.0
+        assert micro_f1(logits, [[1, 0], [0, 0]]) == pytest.approx(2 / 3)
