@@ -12,10 +12,10 @@ detection.  Absolute values are not meaningful; relative shape (who wins, by
 what factor, where the OOM cliff is) is what the experiments reproduce.
 """
 
-from repro.cluster.resources import WorkerSpec, ClusterSpec, OutOfMemoryError
+from repro.cluster.resources import WorkerSpec, ClusterSpec
 from repro.cluster.layout import ClusterLayout
 from repro.cluster.metrics import InstanceMetrics, MetricsCollector
-from repro.cluster.cost_model import CostModel, CostSummary, CostValidation, PhaseValidation
+from repro.cluster.cost_model import CostModel, CostSummary
 from repro.cluster.executor import (
     Executor,
     ProcessExecutor,
@@ -33,13 +33,10 @@ __all__ = [
     "WorkerSpec",
     "ClusterSpec",
     "ClusterLayout",
-    "OutOfMemoryError",
     "InstanceMetrics",
     "MetricsCollector",
     "CostModel",
     "CostSummary",
-    "CostValidation",
-    "PhaseValidation",
     "Executor",
     "SerialExecutor",
     "ProcessExecutor",

@@ -28,8 +28,8 @@ class InstanceMetrics:
     disk_bytes: float = 0.0
     #: real (host) wall-clock seconds this instance's work took, as measured
     #: by the executor harness running it — 0 when nothing was measured.
-    #: Unlike every other counter this is *not* deterministic; the cost model
-    #: only uses it for its predicted-vs-measured validation path.
+    #: Unlike every other counter this is *not* deterministic, so the cost
+    #: model never reads it.
     measured_seconds: float = 0.0
 
     def add_compute(self, units: float) -> None:

@@ -15,19 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-class OutOfMemoryError(RuntimeError):
-    """Raised when a simulated instance exceeds its memory budget."""
-
-    def __init__(self, instance: str, needed_bytes: float, budget_bytes: float) -> None:
-        super().__init__(
-            f"instance {instance} needs {needed_bytes / 1e9:.2f} GB "
-            f"but only {budget_bytes / 1e9:.2f} GB are available"
-        )
-        self.instance = instance
-        self.needed_bytes = float(needed_bytes)
-        self.budget_bytes = float(budget_bytes)
-
-
 @dataclass(frozen=True)
 class WorkerSpec:
     """Resources of a single worker instance."""

@@ -218,11 +218,6 @@ class SessionPool:
             # half-mutated feature rows.
             return graph_fingerprint(graph) in self._entries
 
-    def fingerprints(self) -> List[Fingerprint]:
-        """Cached fingerprints, least- to most-recently used."""
-        with self._lock:
-            return list(self._entries)
-
     def sessions(self) -> Iterator[InferenceSession]:
         """The live sessions, least- to most-recently used."""
         with self._lock:
@@ -401,10 +396,6 @@ class SessionPool:
         session (and may evict the lowest-scored one).
         """
         return self._lookup(graph)[1]
-
-    def prepare(self, graph: Graph) -> InferenceSession:
-        """Warm the cache for ``graph`` without running inference."""
-        return self.session_for(graph)
 
     def infer(self, graph: Graph, mode: str = "full") -> InferenceResult:
         """One inference over ``graph`` through its cached (or fresh) plan.

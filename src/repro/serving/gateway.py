@@ -22,8 +22,7 @@ and infer requests — and turns it into the pool's efficient shape:
 * **metrics** — per-tenant :class:`~repro.serving.metrics.TenantStats`
   (p50/p99 tick latency sampled from the session's own
   ``InferenceResult.elapsed_seconds``) and a gateway-level
-  :class:`~repro.serving.metrics.GatewaySnapshot` ready to dump as a
-  ``BENCH_*.json`` artifact.
+  :class:`~repro.serving.metrics.GatewaySnapshot`.
 
 Consistency model: requests and deltas of one tenant are processed in
 arrival order; a tick's execution reflects every delta folded before its
@@ -232,7 +231,7 @@ class ServingGateway:
         state = self._state(tenant_id)
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(self._threads(),
-                                   self.pool.prepare, state.graph)
+                                   self.pool.session_for, state.graph)
 
     async def infer(self, tenant_id: str, mode: str = "full") -> InferenceResult:
         """One inference for ``tenant_id``, batched into its next tick.

@@ -5,16 +5,12 @@ The latency samples flowing in here are
 *inside* ``InferenceSession.infer()`` (deferred-delta flush included), so the
 gateway's percentiles and the pool's ``total_infer_seconds`` describe the
 same clock.  The gateway never wraps its own timer around a tick.
-
-:class:`GatewaySnapshot` is the dump format for the serving benchmark's
-``BENCH_serving_gateway.json`` artifact: everything in it is a plain float /
-int / string, so ``json.dumps(snapshot.to_dict())`` always works.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Deque, Dict, List
 
 import numpy as np
@@ -91,7 +87,7 @@ class TenantStats:
 
 @dataclass
 class GatewaySnapshot:
-    """Whole-gateway state at one instant — the ``BENCH_*.json`` surface."""
+    """Whole-gateway state at one instant."""
 
     tenants: List[TenantStats]
     requests: int
@@ -102,19 +98,6 @@ class GatewaySnapshot:
     p99_tick_seconds: float
     #: Straight copy of :class:`~repro.inference.pool.PoolStats` fields.
     pool: Dict[str, float] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, object]:
-        """A JSON-serialisable dict (artifact format for ``BENCH_*.json``)."""
-        return {
-            "requests": self.requests,
-            "deltas": self.deltas,
-            "ticks": self.ticks,
-            "rejections": self.rejections,
-            "p50_tick_seconds": self.p50_tick_seconds,
-            "p99_tick_seconds": self.p99_tick_seconds,
-            "pool": dict(self.pool),
-            "tenants": [asdict(tenant) for tenant in self.tenants],
-        }
 
     def describe(self) -> str:
         lines = [

@@ -16,7 +16,7 @@ for the steady state:
 * :mod:`repro.streaming.soak` — the driver: runs N simulated seconds of the
   trace against a :class:`~repro.serving.ServingGateway` (or a bare pool),
   checks **every** tick's scores against a paired un-faulted oracle session,
-  and emits a structured :class:`SoakReport` (``BENCH_streaming_soak.json``).
+  and emits a structured :class:`SoakReport`.
 
 The standing contract (docs/ARCHITECTURE.md, contract #10): a faulted stream
 serves scores bit-identical to its un-faulted oracle on every backend at
@@ -34,12 +34,10 @@ from repro.streaming.faults import (
     register_fault,
 )
 from repro.streaming.soak import (
-    ARTIFACT_NAME,
     SOAK_SECONDS_ENV,
     SOAK_SEED_ENV,
     SoakConfig,
     SoakReport,
-    dump_report,
     run_soak,
     soak_seconds_from_env,
     soak_seed_from_env,
@@ -52,7 +50,6 @@ from repro.streaming.workload import (
 )
 
 __all__ = [
-    "ARTIFACT_NAME",
     "SOAK_SECONDS_ENV",
     "SOAK_SEED_ENV",
     "DeltaSchedule",
@@ -67,7 +64,6 @@ __all__ = [
     "WorkloadEvent",
     "WorkloadTrace",
     "available_faults",
-    "dump_report",
     "generate_trace",
     "register_fault",
     "run_soak",

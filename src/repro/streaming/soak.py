@@ -21,11 +21,8 @@ The run finishes with a structured :class:`SoakReport`.  Its
 event/crash/mismatch counters, temporal snapshot digests, shm segment
 census — is identical across two runs of one seed; measured wall-clock
 fields (p50/p99 tick latency, RSS) sit outside that contract.
-:func:`dump_report` writes the whole report as ``BENCH_streaming_soak.json``
-(honouring ``$REPRO_BENCH_ARTIFACT_DIR``), the serving tier's perf-trajectory
-artifact.
 
-Environment knobs (read by the pytest/benchmark wrappers, not by
+Environment knobs (read by ``tests/test_streaming_soak.py``, not by
 :func:`run_soak` itself): ``$REPRO_SOAK_SECONDS`` scales how many simulated
 seconds the soak runs (one tick = one simulated second) and
 ``$REPRO_SOAK_SEED`` reseeds the whole stream + fault schedule.
@@ -34,12 +31,10 @@ seconds the soak runs (one tick = one simulated second) and
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import time
 import zlib
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,9 +64,16 @@ from repro.streaming.workload import (
     generate_trace,
 )
 
-ARTIFACT_NAME = "BENCH_streaming_soak.json"
 SOAK_SECONDS_ENV = "REPRO_SOAK_SECONDS"
 SOAK_SEED_ENV = "REPRO_SOAK_SEED"
+#: The oracle always runs un-faulted on this substrate (scores are
+#: contract-identical across executors, so serial keeps the soak cheap).
+ORACLE_EXECUTOR = "serial"
+#: Capacity of the faulted and the oracle pool.
+POOL_CAPACITY = 8
+#: A tick that keeps crashing is retried at most this many times before the
+#: soak gives up and re-raises — recovery must be prompt, not eventual.
+MAX_RECOVERY_ATTEMPTS = 3
 
 
 def _int_from_env(name: str, default: int) -> int:
@@ -112,17 +114,10 @@ class SoakConfig:
     backend: str = "pregel"
     #: Substrate of the faulted side; ``None`` follows ``$REPRO_EXECUTOR``.
     executor: Optional[str] = None
-    #: The oracle always runs un-faulted on this substrate (scores are
-    #: contract-identical across executors, so serial keeps the soak cheap).
-    oracle_executor: str = "serial"
     num_workers: int = 4
     #: Drive the faulted side through the async gateway (the production
     #: front-end) or call the pool directly.
     use_gateway: bool = True
-    pool_capacity: int = 8
-    #: A tick that keeps crashing is retried at most this many times before
-    #: the soak gives up and re-raises — recovery must be prompt, not eventual.
-    max_recovery_attempts: int = 3
     graph_nodes: int = 300
     avg_degree: float = 4.0
     feature_dim: int = 8
@@ -142,7 +137,7 @@ class SoakConfig:
 
 @dataclass
 class SoakReport:
-    """Everything one soak run measured, JSON-ready.
+    """Everything one soak run measured.
 
     :meth:`deterministic_summary` is the replayability contract: identical
     across two runs of one :class:`SoakConfig` on one machine.  The measured
@@ -152,7 +147,6 @@ class SoakReport:
 
     backend: str
     executor: str
-    oracle_executor: str
     use_gateway: bool
     seed: int
     ticks: int
@@ -225,21 +219,6 @@ class SoakReport:
             "replans": self.replans,
         }
 
-    def to_dict(self) -> Dict[str, object]:
-        """The full report (deterministic summary + measured fields)."""
-        payload = self.deterministic_summary()
-        payload.update({
-            "oracle_executor": self.oracle_executor,
-            "fault_notes": list(self.fault_notes),
-            "max_worker_processes": self.max_worker_processes,
-            "p50_tick_seconds": self.p50_tick_seconds,
-            "p99_tick_seconds": self.p99_tick_seconds,
-            "mean_tick_seconds": self.mean_tick_seconds,
-            "wall_seconds": self.wall_seconds,
-            "max_rss_bytes": self.max_rss_bytes,
-        })
-        return payload
-
     def describe(self) -> str:
         front = "gateway" if self.use_gateway else "bare pool"
         return (f"soak[{self.backend}/{self.executor}, {front}]: "
@@ -252,20 +231,6 @@ class SoakReport:
                 f"final, p50 {self.p50_tick_seconds * 1e3:.1f} ms / "
                 f"p99 {self.p99_tick_seconds * 1e3:.1f} ms, "
                 f"{self.wall_seconds:.2f}s wall")
-
-
-def dump_report(report: SoakReport,
-                directory: Optional[str] = None) -> Path:
-    """Write ``BENCH_streaming_soak.json``; returns the written path.
-
-    ``directory`` overrides ``$REPRO_BENCH_ARTIFACT_DIR`` (default: CWD) —
-    the same artifact convention every other benchmark uses.
-    """
-    target = Path(directory or os.environ.get("REPRO_BENCH_ARTIFACT_DIR", "."))
-    target.mkdir(parents=True, exist_ok=True)
-    path = target / ARTIFACT_NAME
-    path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    return path
 
 
 # --------------------------------------------------------------------------- #
@@ -411,7 +376,7 @@ async def _replay(cfg: SoakConfig, trace: WorkloadTrace, pool: SessionPool,
                 except WorkerCrashError:
                     state.crashes += 1
                     attempts += 1
-                    if attempts > cfg.max_recovery_attempts:
+                    if attempts > MAX_RECOVERY_ATTEMPTS:
                         state.unrecovered += 1
                         raise
             if attempts:
@@ -444,9 +409,9 @@ async def _drive(cfg: SoakConfig) -> SoakReport:
     model = _make_model(cfg)
     executor = cfg.resolved_executor()
     pool = SessionPool(model, _make_config(cfg, executor),
-                       capacity=cfg.pool_capacity)
-    oracle_pool = SessionPool(model, _make_config(cfg, cfg.oracle_executor),
-                              capacity=cfg.pool_capacity)
+                       capacity=POOL_CAPACITY)
+    oracle_pool = SessionPool(model, _make_config(cfg, ORACLE_EXECUTOR),
+                              capacity=POOL_CAPACITY)
     state = _SoakState()
     injector = FaultInjector(cfg.faults) if cfg.faults is not None else None
     started = time.perf_counter()
@@ -483,7 +448,6 @@ async def _drive(cfg: SoakConfig) -> SoakReport:
     return SoakReport(
         backend=cfg.backend,
         executor=executor,
-        oracle_executor=cfg.oracle_executor,
         use_gateway=cfg.use_gateway,
         seed=cfg.workload.seed,
         ticks=trace.num_ticks,

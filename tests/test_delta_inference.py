@@ -387,6 +387,33 @@ class TestEdgeDelta:
         np.testing.assert_array_equal(session.infer().scores,
                                       fresh_scores(reference))
 
+    @pytest.mark.parametrize("backend", ["pregel", "mapreduce"])
+    def test_edge_churn_rounds_stay_in_place_under_shadow_nodes(self, backend):
+        # Rounds of balanced churn among non-hubs, as a streaming graph
+        # rewires: every round lands in place, is served incrementally
+        # bit-identical to a fresh plan, and nothing ever re-plans.
+        rng = np.random.default_rng(41)
+        graph = make_graph(seed=41)
+        reference = make_graph(seed=41)
+        session = make_session(graph, backend=backend)   # shadow_nodes=True
+        session.prepare(graph)
+        session.infer()
+        assert session.plan.shadow_plan.has_mirrors
+        threshold = session.plan.strategy_plan.threshold
+        for _ in range(3):
+            degrees = reference.out_degrees()
+            safe_sources = np.nonzero(degrees < threshold - 3)[0]
+            removable = np.nonzero(degrees[reference.src] < threshold - 3)[0]
+            delta = GraphDelta(
+                added_src=rng.choice(safe_sources, size=20, replace=False),
+                added_dst=rng.choice(safe_sources, size=20),
+                removed_edge_ids=rng.choice(removable, size=20, replace=False))
+            apply_delta_to_graph(reference, delta)
+            assert session.apply_delta(delta).in_place
+            np.testing.assert_array_equal(session.infer(mode="incremental").scores,
+                                          fresh_scores(reference, backend=backend))
+        assert session.num_replans == 0
+
     def test_edge_delta_onto_hub_out_edges_in_place(self):
         # Adding/removing a *hub's* out-edges stays in place as long as the
         # hub's mirror-group count survives; the new edges must land on the

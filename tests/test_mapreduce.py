@@ -18,7 +18,7 @@ from repro.cluster.metrics import (
     message_bytes,
     tensor_bytes,
 )
-from repro.cluster.resources import ClusterSpec, OutOfMemoryError, WorkerSpec
+from repro.cluster.resources import ClusterSpec, WorkerSpec
 from repro.gnn.model import build_model
 from repro.graph.generators import powerlaw_graph
 from repro.inference import InferenceConfig, InferenceSession, StrategyConfig
@@ -549,12 +549,24 @@ class TestCostModel:
         assert summary.oom
         assert summary.oom_instances
 
-    def test_oom_raises_when_checked(self):
+    def test_oom_names_only_the_instances_over_budget(self):
         collector = MetricsCollector()
+        collector.record("s0", 0, peak_memory_bytes=100e9)
         collector.record("s0", 3, peak_memory_bytes=100e9)
-        model = CostModel(ClusterSpec(4, WorkerSpec(memory_bytes=1e9)))
-        with pytest.raises(OutOfMemoryError):
-            model.summarize(collector, check_memory=True)
+        collector.record("s0", 1, peak_memory_bytes=0.5e9)
+        summary = CostModel(ClusterSpec(4, WorkerSpec(memory_bytes=1e9))).summarize(collector)
+        assert summary.oom
+        assert summary.oom_instances == ["s0/instance0", "s0/instance3"]
+        assert summary.phases[0].oom_instances == [0, 3]
+
+    def test_no_oom_within_budget(self):
+        collector = MetricsCollector()
+        collector.record("s0", 0, peak_memory_bytes=0.5e9)
+        collector.record("s1", 1, peak_memory_bytes=1e9)
+        summary = CostModel(ClusterSpec(2, WorkerSpec(memory_bytes=1e9))).summarize(collector)
+        assert not summary.oom
+        assert summary.oom_instances == []
+        assert all(phase.oom_instances == [] for phase in summary.phases)
 
     def test_instance_times_helper(self):
         collector = MetricsCollector()

@@ -19,7 +19,6 @@ The contracts under test, each against the layers below rather than mocks:
 from __future__ import annotations
 
 import asyncio
-import json
 import threading
 
 import numpy as np
@@ -318,14 +317,15 @@ class TestAdmission:
                 await asyncio.get_running_loop().run_in_executor(
                     None, gate.entered.wait, 30)
                 stats_before = pool.stats
-                sessions_before = pool.fingerprints()
+                sessions_before = list(pool.sessions())
 
                 with pytest.raises(Overloaded) as excinfo:
                     await gateway.infer("tenant")
 
                 # The rejected request touched no pool state.
                 stats_after = pool.stats
-                assert pool.fingerprints() == sessions_before
+                assert list(pool.sessions()) == sessions_before
+                assert graph in pool
                 assert (stats_after.hits, stats_after.misses,
                         stats_after.evictions) == (stats_before.hits,
                                                    stats_before.misses,
@@ -394,7 +394,27 @@ class TestLifecycleAndMetrics:
 
         assert asyncio.run(run()).scores.shape[0] == graph.num_nodes
 
-    def test_snapshot_is_json_serialisable_and_consistent(self):
+    def test_warm_plans_once_and_requests_hit_its_plan(self):
+        model = make_model()
+        graph = make_graph(64)
+
+        async def run():
+            pool = SessionPool(model, make_config(), capacity=2)
+            async with ServingGateway(pool) as gateway:
+                gateway.register("tenant", graph)
+                await gateway.warm("tenant")
+                warmed = pool.stats
+                session = pool.session_for(graph)
+                await gateway.warm("tenant")          # already planned: a hit
+                await gateway.infer("tenant")
+                return warmed, pool.stats, session, pool.session_for(graph)
+
+        warmed, final, session, serving = asyncio.run(run())
+        assert (warmed.hits, warmed.misses) == (0, 1)
+        assert final.misses == 1 and final.hits >= 3
+        assert serving is session and session.num_replans == 0
+
+    def test_snapshot_is_consistent(self):
         model = make_model()
 
         async def run():
@@ -410,15 +430,14 @@ class TestLifecycleAndMetrics:
                 return gateway.snapshot()
 
         snapshot = asyncio.run(run())
-        payload = json.loads(json.dumps(snapshot.to_dict()))
-        assert payload["requests"] == 3 and payload["deltas"] == 1
-        assert payload["ticks"] >= 2
-        assert payload["pool"]["hits"] + payload["pool"]["misses"] > 0
-        assert 0.0 <= payload["p50_tick_seconds"] <= payload["p99_tick_seconds"]
-        tenant_a = next(t for t in payload["tenants"] if t["tenant_id"] == "a")
-        assert tenant_a["requests"] == 2 and tenant_a["deltas"] == 1
+        assert snapshot.requests == 3 and snapshot.deltas == 1
+        assert snapshot.ticks >= 2
+        assert snapshot.pool["hits"] + snapshot.pool["misses"] > 0
+        assert 0.0 <= snapshot.p50_tick_seconds <= snapshot.p99_tick_seconds
+        tenant_a = next(t for t in snapshot.tenants if t.tenant_id == "a")
+        assert tenant_a.requests == 2 and tenant_a.deltas == 1
         # Percentiles come from the session's own measured latency samples.
-        assert tenant_a["p50_tick_seconds"] > 0
+        assert tenant_a.p50_tick_seconds > 0
         assert snapshot.describe().startswith("gateway:")
 
 

@@ -161,7 +161,7 @@ class TestDeltaRouting:
         assert outcome.in_place
         # The delta mutated the graph; the entry must follow the content.
         assert graph_fingerprint(graph) != old_fingerprint
-        assert graph in pool and old_fingerprint not in pool.fingerprints()
+        assert graph in pool and len(pool) == 1
         pool.infer(graph, mode="incremental")
         assert pool.stats.misses == 1              # never re-prepared
 
@@ -445,7 +445,7 @@ class TestThreadSafety:
         # once, ever.
         pool = SessionPool(make_model(), make_config(), capacity=4)
         graph = make_graph(55, num_nodes=200)
-        pool.prepare(graph)
+        pool.session_for(graph)
         rng = np.random.default_rng(7)
         deltas = [GraphDelta(node_ids=rng.choice(200, size=5, replace=False),
                              node_features=rng.standard_normal((5, 8)))
@@ -493,7 +493,6 @@ class TestThreadSafety:
         # ever, and scores equal to a fresh plan over the final content.
         pool = SessionPool(make_model(), make_config(), capacity=4)
         graph = make_graph(58, num_nodes=200)
-        pool.prepare(graph)
         session = pool.session_for(graph)
         rng = np.random.default_rng(8)
         # Overlapping ids on purpose: the final rows depend on the order the
@@ -585,7 +584,7 @@ class TestThreadSafety:
             config.backend = "gated-pregel-test"
             pool = SessionPool(make_model(), config, capacity=4)
             tenant_a, tenant_b = make_graph(56, 200), make_graph(57, 200)
-            thread_a = threading.Thread(target=pool.prepare, args=(tenant_a,))
+            thread_a = threading.Thread(target=pool.session_for, args=(tenant_a,))
             thread_a.start()
             assert first_plan_entered.wait(timeout=30)
             # Failsafe so a regression fails the assertion below instead of
@@ -613,7 +612,6 @@ class TestThreadSafety:
         # run (session exec lock), so A still receives correct scores.
         pool = SessionPool(make_model(), make_config(), capacity=1)
         tenant_a, tenant_b = make_graph(28, 200), make_graph(29, 200)
-        pool.prepare(tenant_a)
         session_a = pool.session_for(tenant_a)
         gate = _BlockingBackend(session_a.backend)
         session_a.backend = gate
@@ -716,7 +714,7 @@ class TestNonFiniteDeltasRejected:
         baseline = pool.infer(graph).scores
         session = pool.session_for(graph)
         before = self._snapshot(graph, session)
-        keys = pool.fingerprints()
+        sessions = list(pool.sessions())
 
         async def through_gateway():
             async with ServingGateway(pool) as gateway:
@@ -729,7 +727,7 @@ class TestNonFiniteDeltasRejected:
             else:
                 asyncio.run(through_gateway())
         assert self._snapshot(graph, session) == before
-        assert pool.fingerprints() == keys and graph in pool
+        assert list(pool.sessions()) == sessions and graph in pool
         hits = pool.stats.hits
         np.testing.assert_array_equal(pool.infer(graph).scores, baseline)
         assert pool.stats.hits == hits + 1 and pool.stats.misses == 1
