@@ -4,8 +4,8 @@ The paper offers two full-graph backends with an explicit trade-off: the
 graph-processing (Pregel) backend is faster but holds node/edge state in
 memory for the whole job, while the batch-processing (MapReduce) backend
 re-shuffles state every round through external storage, trading time for a
-much smaller and more elastic memory footprint.  With the backend registry the
-traditional k-hop pipeline is a third interchangeable backend, so one loop
+much smaller and more elastic memory footprint.  The traditional k-hop
+pipeline is a third interchangeable backend, so one loop
 over ``InferenceConfig(backend=...)`` quantifies all three sides on a
 MAG240M-like graph, using a trained GAT exported to a signature file and
 loaded back — the same deployment flow a production run would use.

@@ -51,7 +51,7 @@ def main() -> None:
           f"partial-gather legal = {[l.supports_partial_gather for l in signature.layers]}")
 
     # 4. Open a session: plan once, infer many --------------------------- #
-    print(f"registered backends: {sorted(available_backends())}")
+    print(f"backends: {sorted(available_backends())}")
     config = InferenceConfig(backend="pregel", num_workers=8,
                              strategies=StrategyConfig(partial_gather=True))
     session = InferenceSession(signature, config)

@@ -10,10 +10,10 @@ Public API overview
 * :mod:`repro.batch`      — MapReduce-like batch processing backend
 * :mod:`repro.pregel`     — Pregel-like graph processing backend
 * :mod:`repro.cluster`    — cluster resource / cost model
-* :mod:`repro.inference`  — InferenceSession (plan once, infer many) over a
-  pluggable backend registry, plus the hub-node optimisation strategies
+* :mod:`repro.inference`  — InferenceSession (plan once, infer many) over
+  three interchangeable backends, plus the hub-node optimisation strategies
 * :mod:`repro.baselines`  — traditional (k-hop sampling) inference pipeline,
-  also exposed as the registered ``"khop"`` inference backend
+  also exposed as the ``"khop"`` inference backend
 * :mod:`repro.datasets`   — synthetic stand-ins for the paper's datasets
 * :mod:`repro.experiments` — harnesses regenerating every paper table/figure
 """

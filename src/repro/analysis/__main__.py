@@ -1,89 +1,35 @@
 """CLI entry point: ``python -m repro.analysis [paths...]``.
 
-Exit status: 0 when every finding is grandfathered (or none exist), 1 when
-new findings are present, 2 on usage errors.  The ``static-analysis`` CI job
-runs ``python -m repro.analysis src`` and treats the output as the job
-summary.
+Prints each finding and one summary line.  Exit status: 0 when there are no
+findings, 1 when there are any, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import List, Optional
 
-from repro.analysis.baseline import (
-    load_baseline,
-    partition_findings,
-    write_baseline,
-)
-from repro.analysis.lint import available_rules, run_analysis
-
-DEFAULT_BASELINE = "analysis-baseline.txt"
+from repro.analysis.lint import run_analysis
+from repro.analysis.rules import RULES
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="Repo-specific static analysis (concurrency, determinism "
-                    "and plugin-protocol contracts).")
+                    "and exception-hygiene contracts).")
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to analyse (default: src)")
-    parser.add_argument("--baseline", default=DEFAULT_BASELINE,
-                        help=f"grandfathered-findings file "
-                             f"(default: {DEFAULT_BASELINE}; missing = empty)")
-    parser.add_argument("--rule", action="append", dest="rules", default=None,
-                        metavar="NAME",
-                        help="run only this rule (repeatable; default: all)")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="print the registered rule names and exit")
-    parser.add_argument("--format", choices=["text", "json"], default="text",
-                        help="findings output format (default: text)")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline file to grandfather every "
-                             "current finding, then exit 0")
     args = parser.parse_args(argv)
 
-    if args.list_rules:
-        for name in sorted(available_rules()):
-            print(name)
-        return 0
-
-    paths = args.paths or ["src"]
-    findings = run_analysis(paths, rules=args.rules)
-
-    if args.update_baseline:
-        write_baseline(args.baseline, findings)
-        print(f"baseline updated: {len(findings)} finding(s) grandfathered "
-              f"in {args.baseline}")
-        return 0
-
-    baseline = load_baseline(args.baseline)
-    new, grandfathered, stale = partition_findings(findings, baseline)
-
-    if args.format == "json":
-        print(json.dumps({
-            "new": [f.describe() for f in new],
-            "grandfathered": [f.describe() for f in grandfathered],
-            "stale_baseline_entries": sorted(stale),
-        }, indent=2))
-    else:
-        for finding in new:
-            print(finding.describe())
-        if grandfathered:
-            print(f"-- {len(grandfathered)} grandfathered finding(s) "
-                  f"suppressed by {args.baseline}")
-        for key in sorted(stale):
-            print(f"-- stale baseline entry (fixed or moved -- delete it): "
-                  f"{key}")
-        verdict = "FAIL" if new else "OK"
-        print(f"{verdict}: {len(new)} new finding(s), "
-              f"{len(grandfathered)} grandfathered, "
-              f"{len(stale)} stale baseline entr(y/ies) "
-              f"[{len(sorted(available_rules()))} rule(s) over "
-              f"{', '.join(paths)}]")
-    return 1 if new else 0
+    findings = run_analysis(args.paths)
+    for finding in findings:
+        print(finding.describe())
+    verdict = "FAIL" if findings else "OK"
+    print(f"{verdict}: {len(findings)} finding(s) "
+          f"[{len(RULES)} rule(s) over {', '.join(args.paths)}]")
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry point

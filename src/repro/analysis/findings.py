@@ -9,28 +9,18 @@ from dataclasses import dataclass
 class Finding:
     """One rule violation at one source location.
 
-    Findings sort by location (path, line, rule) so reports and baselines are
-    stable across runs regardless of rule execution order.
+    Findings sort by location (path, line, rule) so reports are stable
+    across runs regardless of rule execution order.
     """
 
     #: Repo-relative posix path of the offending file.
     path: str
     #: 1-based line of the offending node.
     line: int
-    #: Registry name of the rule that fired.
+    #: Name of the rule that fired.
     rule: str
     #: Human-readable description of the violated contract.
     message: str
-
-    @property
-    def baseline_key(self) -> str:
-        """The grandfathering key: rule + location, message excluded.
-
-        Messages may be reworded without un-grandfathering a finding; moving
-        the offending code (or fixing it) invalidates the entry, which is the
-        ratchet working as intended.
-        """
-        return f"{self.rule}:{self.path}:{self.line}"
 
     def describe(self) -> str:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"

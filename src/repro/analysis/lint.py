@@ -1,10 +1,8 @@
-"""The AST lint framework: rule registry, file walker, analysis driver.
+"""The AST lint framework: rule protocol, file walker, `run_analysis`.
 
-Rules are plugins, registered exactly the way inference backends are
-(:func:`repro.inference.backends.register_backend`): a class decorated with
-:func:`register_rule` is instantiated once and becomes reachable by name.
-Each rule sees one :class:`ModuleSource` at a time — the parsed AST plus the
-raw source lines (comments matter to some contracts) — and yields structured
+The rules are one tuple, :data:`repro.analysis.rules.RULES`.  Each rule sees
+one :class:`ModuleSource` at a time — the parsed AST plus the raw source
+lines (comments matter to some contracts) — and yields structured
 :class:`~repro.analysis.findings.Finding` objects.
 
 The framework is dependency-light on purpose: no numpy, no inference imports,
@@ -17,19 +15,7 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Set,
-    Type,
-)
+from typing import Iterable, Iterator, List, Optional, Protocol, Sequence
 
 from repro.analysis.findings import Finding
 
@@ -66,13 +52,13 @@ class ModuleSource:
 
 
 class LintRule(Protocol):
-    """The protocol every registered rule implements.
+    """The protocol every rule in :data:`repro.analysis.rules.RULES` implements.
 
-    ``name`` is the registry key (and the prefix of baseline entries);
-    ``check`` yields findings for one module.  Rules decide themselves which
-    paths they apply to — the framework hands every walked file to every
-    rule, so a rule guarding one layer returns early on everything else
-    (see the ``applies_to`` methods in :mod:`repro.analysis.rules`).
+    ``name`` tags its findings; ``check`` yields findings for one module.
+    Rules decide themselves which paths they apply to — the framework hands
+    every walked file to every rule, so a rule guarding one layer returns
+    early on everything else (see the ``applies_to`` methods in
+    :mod:`repro.analysis.rules`).
     """
 
     name: str
@@ -81,59 +67,11 @@ class LintRule(Protocol):
         ...
 
 
-class UnknownRuleError(ValueError):
-    """Raised when a rule name is not in the registry."""
-
-
-_REGISTRY: Dict[str, LintRule] = {}
-
-
-def register_rule(name: str) -> Callable[[Type[Any]], Type[Any]]:
-    """Class decorator registering a :class:`LintRule` implementation.
-
-    Mirrors ``register_backend``: the class is instantiated once (rules are
-    stateless) and double registration is an error so a plugin cannot
-    silently replace a built-in contract.
-    """
-
-    def decorator(cls: Type[Any]) -> Type[Any]:
-        if name in _REGISTRY:
-            raise ValueError(
-                f"lint rule {name!r} is already registered "
-                f"(by {type(_REGISTRY[name]).__name__}); pick a different "
-                f"name or unregister_rule({name!r}) first")
-        cls.name = name
-        _REGISTRY[name] = cls()
-        return cls
-
-    return decorator
-
-
-def unregister_rule(name: str) -> None:
-    """Remove a rule from the registry (mainly for tests and plugins)."""
-    _REGISTRY.pop(name, None)
-
-
-def get_rule(name: str) -> LintRule:
-    """Look up a registered rule by name, with a helpful error."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(repr(n) for n in sorted(_REGISTRY)) or "<none>"
-        raise UnknownRuleError(
-            f"unknown lint rule {name!r}; registered rules: {known}") from None
-
-
-def available_rules() -> Set[str]:
-    """The names of all currently registered rules."""
-    return set(_REGISTRY)
-
-
 def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
     """Every ``.py`` file under ``paths`` (files pass through), sorted.
 
     Hidden directories and ``__pycache__`` are skipped; the walk order is
-    sorted so findings (and therefore baselines) are stable across machines.
+    sorted so findings are stable across machines.
     """
     for root in paths:
         if os.path.isfile(root):
@@ -148,16 +86,16 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
                     yield os.path.join(dirpath, filename)
 
 
-def run_analysis(paths: Sequence[str],
-                 rules: Optional[Iterable[str]] = None) -> List[Finding]:
-    """Run ``rules`` (default: all registered) over every file under ``paths``.
+def run_analysis(paths: Sequence[str]) -> List[Finding]:
+    """Run every rule over every file under ``paths``.
 
     A file that fails to parse produces a single ``parse-error`` finding
     instead of aborting the run — CI should report the broken file, not
     crash the linter.
     """
-    selected = ([get_rule(name) for name in rules] if rules is not None
-                else [_REGISTRY[name] for name in sorted(_REGISTRY)])
+    # Imported lazily: the rules module itself imports this module.
+    from repro.analysis.rules import RULES
+
     findings: List[Finding] = []
     for filepath in iter_python_files(paths):
         try:
@@ -167,6 +105,6 @@ def run_analysis(paths: Sequence[str],
                                     line=error.lineno or 0, rule="parse-error",
                                     message=f"file does not parse: {error.msg}"))
             continue
-        for rule in selected:
+        for rule in RULES:
             findings.extend(rule.check(module))
     return sorted(findings)

@@ -13,7 +13,7 @@ import ast
 from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 from repro.analysis.findings import Finding
-from repro.analysis.lint import ModuleSource, register_rule
+from repro.analysis.lint import LintRule, ModuleSource
 
 # --------------------------------------------------------------------------- #
 # shared helpers
@@ -89,7 +89,6 @@ def nodes_under_lock(tree: ast.Module, lock_attrs: Set[str]) -> Set[int]:
 # --------------------------------------------------------------------------- #
 
 
-@register_rule("lock-discipline")
 class LockDisciplineRule:
     """No known-slow call lexically inside a ``with self._lock:`` block.
 
@@ -132,7 +131,6 @@ class LockDisciplineRule:
 # --------------------------------------------------------------------------- #
 
 
-@register_rule("fingerprint-under-lock")
 class FingerprintUnderLockRule:
     """``graph_fingerprint(...)`` in the pool only inside pool-lock scopes.
 
@@ -171,7 +169,6 @@ class FingerprintUnderLockRule:
 # --------------------------------------------------------------------------- #
 
 
-@register_rule("determinism")
 class DeterminismRule:
     """No wall-clock, global RNG, or hash-ordered iteration in compute paths.
 
@@ -318,7 +315,6 @@ def _comment_text(line: str) -> str:
     return " ".join(words)
 
 
-@register_rule("broad-except")
 class BroadExceptRule:
     """Every ``except Exception`` must re-raise or justify itself.
 
@@ -360,3 +356,12 @@ class BroadExceptRule:
         candidates = range(handler.lineno - 1, first_body_line + 1)
         return any(_comment_text(module.line_text(lineno))
                    for lineno in candidates)
+
+
+#: every rule :func:`~repro.analysis.lint.run_analysis` runs (rules are stateless).
+RULES: Tuple[LintRule, ...] = (
+    LockDisciplineRule(),
+    FingerprintUnderLockRule(),
+    DeterminismRule(),
+    BroadExceptRule(),
+)

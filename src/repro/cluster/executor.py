@@ -37,7 +37,7 @@ deterministic for identical shapes and inputs on one machine).  Message
 buckets are delivered in sending-slot order, matching the serial loop's
 mailbox extension order, so order-sensitive reductions see identical operand
 sequences.  The conformance suite (``tests/test_backend_conformance.py``)
-asserts this for every registered backend.
+asserts this for every backend.
 """
 
 from __future__ import annotations

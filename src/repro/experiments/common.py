@@ -36,10 +36,10 @@ def untrained_model(dataset: Dataset, arch: str, hidden_dim: int = 64, num_layer
 def run_inference(model: GNNModel, dataset: Dataset, backend: str = "pregel",
                   num_workers: int = 8,
                   strategies: Optional[StrategyConfig] = None) -> InferenceResult:
-    """One-shot inference through any registered backend via a session.
+    """One-shot inference through any backend via a session.
 
-    ``backend`` accepts every registered name (``"pregel"``, ``"mapreduce"``,
-    ``"khop"``, ...), so an experiment can sweep all substrates through this
+    ``backend`` accepts every backend name (``"pregel"``, ``"mapreduce"``,
+    ``"khop"``), so an experiment can sweep all substrates through this
     single entry point.
     """
     config = InferenceConfig(backend=backend, num_workers=num_workers,

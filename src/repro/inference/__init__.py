@@ -1,10 +1,10 @@
-"""Full-graph GNN inference over pluggable, interchangeable backends.
+"""Full-graph GNN inference over interchangeable backends.
 
 The public entry point is :class:`~repro.inference.session.InferenceSession`:
-load a trained model (or its exported signature), pick a registered backend by
-name, ``prepare(graph)`` once, then ``infer()`` as many times as traffic
-demands — every execution reuses the cached plan (strategy resolution,
-shadow-node rewrite, partition layout, Pregel partitions) and returns per-node
+load a trained model (or its exported signature), pick a backend by name,
+``prepare(graph)`` once, then ``infer()`` as many times as traffic demands —
+every execution reuses the cached plan (strategy resolution, shadow-node
+rewrite, partition layout, Pregel partitions) and returns per-node
 predictions with a simulated cluster cost breakdown::
 
     from repro.inference import InferenceSession, InferenceConfig, StrategyConfig
@@ -16,16 +16,14 @@ predictions with a simulated cluster cost breakdown::
     nightly = session.infer_many(7)
     print(plan.describe(), result.cost.wall_clock_seconds)
 
-Backends live in a plugin registry (:mod:`repro.inference.backends`):
+The backends are one table, ``BACKENDS`` in :mod:`repro.inference.backends`:
 
 * ``"pregel"``    — memory-resident graph processing, one superstep per layer;
 * ``"mapreduce"`` — storage-resident batch processing, one round per layer;
 * ``"khop"``      — the traditional mini-batch k-hop baseline, wrapped as a
   first-class backend so comparison tables run all three through one API.
 
-``available_backends()`` lists the registered names and
-``register_backend(name)`` adds new ones — the seam future backends (async,
-sharded serving) plug into.
+``available_backends()`` lists their names.
 
 Hub-node optimisation strategies (paper Section IV-D):
 
@@ -73,8 +71,6 @@ from repro.inference.backends import (
     UnknownBackendError,
     available_backends,
     get_backend,
-    register_backend,
-    unregister_backend,
 )
 from repro.inference.config import GatewayConfig, InferenceConfig, StrategyConfig
 from repro.inference.delta import (
@@ -107,8 +103,6 @@ __all__ = [
     "UnknownBackendError",
     "available_backends",
     "get_backend",
-    "register_backend",
-    "unregister_backend",
     "hub_threshold",
     "StrategyPlan",
     "build_strategy_plan",

@@ -1,34 +1,56 @@
-"""Pluggable inference backends.
-
-Importing this package registers the three built-in backends:
+"""The three inference backends, in one table.
 
 * ``"pregel"``    — memory-resident graph processing (fastest);
 * ``"mapreduce"`` — storage-resident batch processing (smallest footprint);
 * ``"khop"``      — the traditional mini-batch k-hop baseline (for
   comparison tables, full neighbourhoods so results match exactly).
 
-Third-party backends register through the same :func:`register_backend`
-decorator — see :mod:`repro.inference.backends.base` for the protocol.
+The set is closed: :data:`BACKENDS` maps each name to its one (stateless)
+instance — all per-run state lives in the
+:class:`~repro.inference.backends.base.ExecutionPlan` — and
+:func:`get_backend` is the only lookup.
 """
+
+from typing import Dict, Set
 
 from repro.inference.backends.base import (
     Backend,
     ExecutionPlan,
-    UnknownBackendError,
-    available_backends,
-    get_backend,
     merge_hub_mirrors,
     plan_gas_execution,
-    register_backend,
-    unregister_backend,
 )
-
-# Importing the modules registers the built-in backends.
 from repro.inference.backends.pregel import PregelBackend
 from repro.inference.backends.mapreduce import MapReduceBackend
 from repro.inference.backends.khop import KHopBackend
 
+BACKENDS: Dict[str, Backend] = {
+    backend.name: backend
+    for backend in (PregelBackend(), MapReduceBackend(), KHopBackend())
+}
+
+
+class UnknownBackendError(ValueError):
+    """Raised when a backend name is not in :data:`BACKENDS`."""
+
+
+def get_backend(name: str) -> Backend:
+    """Look up a backend by name, with a helpful error."""
+    try:
+        return BACKENDS[name]
+    except KeyError:
+        known = ", ".join(repr(n) for n in sorted(BACKENDS))
+        raise UnknownBackendError(
+            f"unknown inference backend {name!r}; known backends: {known}"
+        ) from None
+
+
+def available_backends() -> Set[str]:
+    """The backend names."""
+    return set(BACKENDS)
+
+
 __all__ = [
+    "BACKENDS",
     "Backend",
     "ExecutionPlan",
     "UnknownBackendError",
@@ -36,8 +58,6 @@ __all__ = [
     "get_backend",
     "merge_hub_mirrors",
     "plan_gas_execution",
-    "register_backend",
-    "unregister_backend",
     "PregelBackend",
     "MapReduceBackend",
     "KHopBackend",

@@ -1,10 +1,10 @@
-"""Backend plugin registry and the execution-plan abstraction.
+"""The backend base class and the execution-plan abstraction.
 
 A *backend* is an interchangeable execution substrate for full-graph GNN
 inference under the shared GAS programming model.  Each backend subclasses
 :class:`Backend`:
 
-* ``name`` — the registry key users put in :class:`InferenceConfig.backend`;
+* ``name`` — the key users put in :class:`InferenceConfig.backend`;
 * ``plan(model, graph, config)`` — one-time preparation: strategy resolution,
   shadow-node graph rewrite, partition layout, engine build — anything
   that can be computed once and reused across repeated executions;
@@ -13,17 +13,16 @@ inference under the shared GAS programming model.  Each backend subclasses
 * optionally ``apply_delta`` / ``execute_incremental`` / ``release`` — the
   base-class defaults are the full-recompute fallback.
 
-Backends self-register through the :func:`register_backend` decorator; the
-rest of the system looks them up by name via :func:`get_backend` and never
-hard-codes a backend list.  Third-party code can register additional backends
-the same way (the decorator is the whole plugin API).
+The set is closed — pregel, mapreduce and the k-hop baseline — and lives in
+one table, ``BACKENDS`` in :mod:`repro.inference.backends`; the rest of the
+system looks a backend up by name via ``get_backend``.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Set, Tuple, Type
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -118,11 +117,11 @@ class ExecutionPlan:
 
 
 class Backend(abc.ABC):
-    """Base class of every registered backend.
+    """Base class of the three backends.
 
-    ``plan`` / ``execute`` / ``default_cluster`` are abstract —
-    :func:`register_backend` instantiates the class, so an incomplete backend
-    fails at registration.  The three delta/lifecycle methods have defaults
+    ``plan`` / ``execute`` / ``default_cluster`` are abstract — the
+    ``BACKENDS`` table instantiates every backend at import, so an incomplete
+    one fails there.  The three delta/lifecycle methods have defaults
     that *are* the full-recompute fallback: a backend that overrides nothing
     (``khop``) re-plans on every delta and serves incremental requests with
     full executions.
@@ -136,7 +135,7 @@ class Backend(abc.ABC):
     (bit-identical to a fresh ``prepare()+infer()``).
     """
 
-    #: registry key, set by :func:`register_backend`.
+    #: the key users put in :class:`InferenceConfig.backend`.
     name: str
 
     @abc.abstractmethod
@@ -174,62 +173,6 @@ class Backend(abc.ABC):
     def release(self, plan: ExecutionPlan) -> None:
         """Shut down OS resources ``plan`` owns (worker processes, shared
         memory).  The plan stays usable and lazily respawns them."""
-
-
-class UnknownBackendError(ValueError):
-    """Raised when a backend name is not in the registry."""
-
-
-_REGISTRY: Dict[str, Backend] = {}
-
-
-def register_backend(name: str) -> Callable[[Type[Any]], Type[Any]]:
-    """Class decorator registering a :class:`Backend` subclass.
-
-    The decorated class is instantiated once (backends are stateless — all
-    per-run state lives in the :class:`ExecutionPlan`) and becomes reachable
-    through :func:`get_backend`; a class that is not a :class:`Backend` or
-    leaves an abstract method undefined raises ``TypeError`` here.
-    Registering a name twice is an error so a plugin cannot silently replace
-    a built-in.
-    """
-
-    def decorator(cls: Type[Any]) -> Type[Any]:
-        if not (isinstance(cls, type) and issubclass(cls, Backend)):
-            raise TypeError(
-                f"backend {name!r}: {cls!r} must subclass "
-                "repro.inference.backends.Backend")
-        if name in _REGISTRY:
-            raise ValueError(
-                f"backend {name!r} is already registered "
-                f"(by {type(_REGISTRY[name]).__name__}); "
-                f"pick a different name or unregister_backend({name!r}) first")
-        cls.name = name
-        _REGISTRY[name] = cls()
-        return cls
-
-    return decorator
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a backend from the registry (mainly for tests and plugins)."""
-    _REGISTRY.pop(name, None)
-
-
-def get_backend(name: str) -> Backend:
-    """Look up a registered backend by name, with a helpful error."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(repr(n) for n in sorted(_REGISTRY)) or "<none>"
-        raise UnknownBackendError(
-            f"unknown inference backend {name!r}; registered backends: {known}"
-        ) from None
-
-
-def available_backends() -> Set[str]:
-    """The names of all currently registered backends."""
-    return set(_REGISTRY)
 
 
 # --------------------------------------------------------------------------- #

@@ -1,7 +1,7 @@
 """The traditional k-hop mini-batch pipeline as a first-class backend.
 
-Wrapping :class:`~repro.baselines.khop_pipeline.TraditionalPipeline` in the
-registry lets every experiment and table compare all three execution
+Wrapping :class:`~repro.baselines.khop_pipeline.TraditionalPipeline` as a
+backend lets every experiment and table compare all three execution
 substrates through one entry point (``InferenceConfig(backend="khop")``)
 instead of a separate baseline code path.
 
@@ -31,13 +31,14 @@ from repro.cluster.resources import ClusterSpec
 from repro.gnn.model import GNNModel
 from repro.graph.graph import Graph
 from repro.inference.config import InferenceConfig
-from repro.inference.backends.base import Backend, ExecutionPlan, register_backend
+from repro.inference.backends.base import Backend, ExecutionPlan
 from repro.inference.strategies import build_strategy_plan
 
 
-@register_backend("khop")
 class KHopBackend(Backend):
     """Mini-batch k-hop neighbourhood inference (the PyG/DGL-style baseline)."""
+
+    name = "khop"
 
     def default_cluster(self, num_workers: int) -> ClusterSpec:
         return ClusterSpec.traditional_default(num_workers)

@@ -1,4 +1,4 @@
-"""The MapReduce batch-processing backend as a registry plugin.
+"""The MapReduce batch-processing backend.
 
 Planning resolves strategies, the shadow rewrite and the layout — nothing
 else: the backend keeps no copy of the node table.  Every execution cuts the
@@ -38,14 +38,14 @@ from repro.inference.backends.base import (
     ExecutionPlan,
     land_gas_delta,
     plan_gas_execution,
-    register_backend,
 )
 from repro.inference.mapreduce_adaptor import GNNRoundJob, Records, input_rows
 
 
-@register_backend("mapreduce")
 class MapReduceBackend(Backend):
     """Storage-resident batch backend (one map/reduce round per layer)."""
+
+    name = "mapreduce"
 
     def default_cluster(self, num_workers: int) -> ClusterSpec:
         return ClusterSpec.mapreduce_default(num_workers)

@@ -1,4 +1,4 @@
-"""The Pregel-like graph-processing backend as a registry plugin.
+"""The Pregel-like graph-processing backend.
 
 Planning partitions the (possibly shadow-expanded) graph once into a
 :class:`~repro.pregel.engine.PregelEngine`; every execution reuses the cached
@@ -30,7 +30,6 @@ from repro.inference.backends.base import (
     ExecutionPlan,
     land_gas_delta,
     plan_gas_execution,
-    register_backend,
 )
 from repro.inference.pregel_adaptor import (
     EdgeRows,
@@ -43,9 +42,10 @@ from repro.inference.pregel_adaptor import (
 )
 
 
-@register_backend("pregel")
 class PregelBackend(Backend):
     """Memory-resident graph-processing backend (one superstep per layer)."""
+
+    name = "pregel"
 
     def default_cluster(self, num_workers: int) -> ClusterSpec:
         return ClusterSpec.pregel_default(num_workers)

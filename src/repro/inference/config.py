@@ -88,10 +88,9 @@ class InferenceConfig:
     Parameters
     ----------
     backend:
-        Name of a registered inference backend — ``"pregel"`` (graph
-        processing system), ``"mapreduce"`` (batch processing system),
-        ``"khop"`` (traditional mini-batch baseline), or any name added via
-        :func:`repro.inference.backends.register_backend`.
+        Name of an inference backend — ``"pregel"`` (graph processing
+        system), ``"mapreduce"`` (batch processing system) or ``"khop"``
+        (traditional mini-batch baseline).
     num_workers:
         Number of simulated instances (Pregel partitions, or MapReduce
         mappers/reducers per round).
@@ -123,7 +122,7 @@ class InferenceConfig:
         # Imported lazily: the backend modules themselves import this module.
         from repro.inference.backends import get_backend
 
-        backend = get_backend(self.backend)  # raises with the registered names
+        backend = get_backend(self.backend)  # raises with the known names
         if self.executor not in available_executors():
             known = ", ".join(repr(name) for name in sorted(available_executors()))
             raise ValueError(

@@ -91,8 +91,7 @@ class InferenceSession:
         the deployment artefact the paper's pipeline ships to the cluster.
     config:
         Backend name, worker count, cluster spec and strategy switches; the
-        backend is resolved through the plugin registry, so any registered
-        name works.
+        backend is looked up by name in ``BACKENDS``.
 
     Graphs are in-memory :class:`~repro.graph.graph.Graph` objects; a caller
     holding a ``(NodeTable, EdgeTable)`` pair converts it once with

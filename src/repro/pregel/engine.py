@@ -54,7 +54,7 @@ partitioning:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -271,10 +271,9 @@ def _build_process_harness(slot_id: int, payload: Dict[str, Any]) -> PregelParti
 class PregelEngine:
     """Bulk-synchronous superstep executor over hash-partitioned graphs.
 
-    ``executor`` selects the worker substrate: an
-    :class:`~repro.cluster.executor.Executor` instance, a registry name
-    (``"serial"`` / ``"process"``), or ``None`` for the environment default
-    (``$REPRO_EXECUTOR``, falling back to serial).  The executor and the
+    ``executor`` names the worker substrate (``"serial"`` / ``"process"``),
+    or ``None`` for the environment default (``$REPRO_EXECUTOR``, falling
+    back to serial).  The executor and the
     shared-memory segments backing process workers are created lazily on the
     first ``run()`` and reused across runs; :meth:`shutdown` releases both.
     """
@@ -285,7 +284,7 @@ class PregelEngine:
         num_workers: int,
         metrics: Optional[MetricsCollector] = None,
         layout: Optional[ClusterLayout] = None,
-        executor: Union[Executor, str, None] = None,
+        executor: Optional[str] = None,
     ) -> None:
         self.graph = graph
         self.num_workers = int(num_workers)
@@ -294,12 +293,8 @@ class PregelEngine:
             graph, self.partitioner, layout)
         self.partitions = [PregelPartition(p, self.layout) for p in partitions]
         self.metrics = metrics or MetricsCollector()
-        if isinstance(executor, Executor):
-            self._executor: Optional[Executor] = executor
-            self.executor_name: Optional[str] = executor.name
-        else:
-            self._executor = None
-            self.executor_name = executor
+        self._executor: Optional[Executor] = None
+        self.executor_name = executor
         self._shm_pack: Optional[SharedArrayPack] = None
 
     # ------------------------------------------------------------------ #

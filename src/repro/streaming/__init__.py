@@ -10,8 +10,8 @@ for the steady state:
 * :mod:`repro.streaming.workload` — seeded, fully reproducible delta/request
   traces (churn rate, feature/edge mix, tenant skew, temporal snapshots,
   sliding-window neighbourhoods);
-* :mod:`repro.streaming.faults` — a seeded, replayable :class:`FaultPlan` of
-  pluggable fault hooks: kill a ``ProcessExecutor`` worker mid-stream, delay a
+* :mod:`repro.streaming.faults` — a seeded, replayable :class:`FaultPlan` over
+  three fault kinds: kill a ``ProcessExecutor`` worker mid-stream, delay a
   tick's deltas into the next tick's burst, force a pool eviction;
 * :mod:`repro.streaming.soak` — the driver: runs N simulated seconds of the
   trace against a :class:`~repro.serving.ServingGateway` (or a bare pool),
@@ -31,7 +31,6 @@ from repro.streaming.faults import (
     FaultPlan,
     FaultRecord,
     available_faults,
-    register_fault,
 )
 from repro.streaming.soak import (
     SOAK_SECONDS_ENV,
@@ -65,7 +64,6 @@ __all__ = [
     "WorkloadTrace",
     "available_faults",
     "generate_trace",
-    "register_fault",
     "run_soak",
     "soak_seconds_from_env",
     "soak_seed_from_env",

@@ -2,9 +2,9 @@
 
 A :class:`FaultPlan` is a pre-decided schedule of :class:`FaultEvent`\\ s —
 like the workload trace, it is fully determined by its seed, so a soak run
-can be replayed fault-for-fault.  Each event names a registered **fault
-hook** (:func:`register_fault`); the built-ins cover the failure modes the
-serving tier promises to survive:
+can be replayed fault-for-fault.  Each event names one of three fault
+kinds, whose hooks the :data:`FAULTS` table maps them to — the failure modes
+the serving tier promises to survive:
 
 * ``kill_worker`` — SIGKILL one live ``ProcessExecutor`` worker of the
   tenant's pooled session (pregel or mapreduce), mid-stream.  The next
@@ -20,9 +20,7 @@ serving tier promises to survive:
   as a burst merged into the next tick (arrival jitter; the burst lands as
   one bigger coalesced flush).
 
-Hooks are pluggable: anything callable as ``hook(ctx: FaultContext) -> str``
-can be registered under a new kind and scheduled through a plan.  The
-returned string is a human-readable outcome note; notes may contain
+A hook returns a human-readable outcome note; notes may contain
 non-deterministic detail (pids), so the soak report keeps them separate from
 the deterministic fault *schedule*.
 """
@@ -88,29 +86,6 @@ class FaultContext:
     schedule: DeltaSchedule
 
 
-FaultHook = Callable[[FaultContext], str]
-
-_HOOKS: Dict[str, FaultHook] = {}
-
-
-def register_fault(kind: str) -> Callable[[FaultHook], FaultHook]:
-    """Register ``hook`` under ``kind`` (decorator); kinds are unique."""
-
-    def decorator(hook: FaultHook) -> FaultHook:
-        if kind in _HOOKS:
-            raise ValueError(f"fault kind {kind!r} is already registered")
-        _HOOKS[kind] = hook
-        return hook
-
-    return decorator
-
-
-def available_faults() -> Set[str]:
-    """Registered fault kinds (built-ins plus plugins)."""
-    return set(_HOOKS)
-
-
-@register_fault("kill_worker")
 def _kill_worker(ctx: FaultContext) -> str:
     """SIGKILL one live worker process of the tenant's pooled session."""
     if ctx.graph not in ctx.pool:
@@ -132,7 +107,6 @@ def _kill_worker(ctx: FaultContext) -> str:
     return f"killed worker pid {pid} ({len(live)} live before the kill)"
 
 
-@register_fault("evict_tenant")
 def _evict_tenant(ctx: FaultContext) -> str:
     """Force the tenant's session out of the pool (close + re-prepare later)."""
     if ctx.pool.evict(ctx.graph):
@@ -140,11 +114,23 @@ def _evict_tenant(ctx: FaultContext) -> str:
     return "no-op: tenant not cached"
 
 
-@register_fault("delay_deltas")
 def _delay_deltas(ctx: FaultContext) -> str:
     """Shift this tick's deltas into the next tick's burst."""
     ctx.schedule.delay(ctx.event.tenant, ctx.event.tick)
     return "delayed this tick's deltas into the next tick's burst"
+
+
+#: every fault kind a plan may schedule, and the hook that fires it.
+FAULTS: Dict[str, Callable[[FaultContext], str]] = {
+    "kill_worker": _kill_worker,
+    "evict_tenant": _evict_tenant,
+    "delay_deltas": _delay_deltas,
+}
+
+
+def available_faults() -> Set[str]:
+    """The fault kinds."""
+    return set(FAULTS)
 
 
 @dataclass(frozen=True)
@@ -166,14 +152,14 @@ class FaultPlan:
                  rate: float = 0.1) -> "FaultPlan":
         """One fault per tick with probability ``rate``, kinds round-drawn.
 
-        Every named kind must already be registered — an unknown kind fails
-        here, at plan time, not ticks into a soak.
+        Every named kind must be a key of :data:`FAULTS` — an unknown kind
+        fails here, at plan time, not ticks into a soak.
         """
         if not kinds:
             raise ValueError("kinds must name at least one fault hook")
         unknown = sorted(set(kinds) - available_faults())
         if unknown:
-            raise ValueError(f"unregistered fault kind(s): {unknown}; "
+            raise ValueError(f"unknown fault kind(s): {unknown}; "
                              f"known: {sorted(available_faults())}")
         if not 0.0 <= rate <= 1.0:
             raise ValueError("rate must lie in [0, 1]")
@@ -232,15 +218,14 @@ class FaultInjector:
         unknown = sorted({event.kind for event in plan.events}
                          - available_faults())
         if unknown:
-            raise ValueError(f"plan schedules unregistered fault kind(s): "
+            raise ValueError(f"plan schedules unknown fault kind(s): "
                              f"{unknown}")
         self.plan = plan
         self.records: List[FaultRecord] = []
 
     def fire(self, ctx: FaultContext) -> FaultRecord:
         """Run the hook for ``ctx.event`` and append the outcome record."""
-        hook = _HOOKS[ctx.event.kind]
-        note = hook(ctx)
+        note = FAULTS[ctx.event.kind](ctx)
         record = FaultRecord(tick=ctx.event.tick, kind=ctx.event.kind,
                              tenant=ctx.event.tenant, note=note)
         self.records.append(record)

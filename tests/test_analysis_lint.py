@@ -9,27 +9,19 @@ lock-held-across-prepare shape as a permanent regression test.
 
 from __future__ import annotations
 
-import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    Finding,
-    UnknownRuleError,
-    available_rules,
-    get_rule,
-    load_baseline,
-    partition_findings,
-    register_rule,
-    run_analysis,
-    unregister_rule,
-    write_baseline,
-)
+from repro.analysis import RULES, Finding, run_analysis
 from repro.analysis.__main__ import main as lint_main
 from repro.analysis.lint import iter_python_files
 
-FIXTURES = Path(__file__).parent / "analysis_fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "tests" / "analysis_fixtures"
 
 EXPECTED_RULES = {"lock-discipline", "fingerprint-under-lock", "determinism",
                   "broad-except"}
@@ -52,7 +44,27 @@ def findings_in(case: str):
 
 
 def test_all_expected_rules_registered():
-    assert EXPECTED_RULES <= available_rules()
+    assert {rule.name for rule in RULES} == EXPECTED_RULES
+
+
+def test_rules_table_is_a_tuple_of_distinct_names():
+    assert isinstance(RULES, tuple)
+    assert len({rule.name for rule in RULES}) == len(RULES)
+
+
+#: each rule's fixture case (``<case>/bad`` and ``<case>/good``).
+RULE_CASES = {"lock-discipline": "lock_discipline",
+              "fingerprint-under-lock": "fingerprint",
+              "determinism": "determinism",
+              "broad-except": "broad_except"}
+
+
+@pytest.mark.parametrize("rule", sorted(RULE_CASES))
+def test_bad_fixture_trips_only_its_own_rule(rule):
+    """Every rule runs over every file, so the other three must stay quiet."""
+    found = findings_in(f"{RULE_CASES[rule]}/bad")
+    assert found
+    assert {finding_rule for finding_rule, _, _ in found} == {rule}
 
 
 def test_lock_discipline_flags_fcf99ca_shape():
@@ -106,46 +118,14 @@ def test_broad_except_accepts_reraise_justification_and_narrow():
     assert findings_in("broad_except/good") == []
 
 
-def test_real_serving_layer_lints_clean():
-    """The production pool/session/gateway must satisfy their own contracts."""
-    root = Path(__file__).parent.parent / "src" / "repro"
-    findings = run_analysis([str(root / "inference" / "pool.py"),
-                             str(root / "inference" / "session.py"),
-                             str(root / "serving" / "gateway.py")])
-    assert findings == []
+def test_src_lints_clean():
+    """The whole of ``src`` satisfies its own contracts: zero findings."""
+    assert run_analysis([str(Path(__file__).parent.parent / "src")]) == []
 
 
 # --------------------------------------------------------------------------- #
-# framework: registry, walker, parse errors
+# framework: walker, parse errors
 # --------------------------------------------------------------------------- #
-
-
-def test_register_rule_rejects_duplicates():
-    @register_rule("test-dummy-rule")
-    class DummyRule:
-        def check(self, module):
-            return []
-
-    try:
-        with pytest.raises(ValueError, match="already registered"):
-            @register_rule("test-dummy-rule")
-            class SecondRule:
-                def check(self, module):
-                    return []
-    finally:
-        unregister_rule("test-dummy-rule")
-    assert "test-dummy-rule" not in available_rules()
-
-
-def test_get_rule_unknown_name():
-    with pytest.raises(UnknownRuleError, match="no-such-rule"):
-        get_rule("no-such-rule")
-
-
-def test_rule_selection_restricts_findings():
-    results = run_analysis([str(FIXTURES / "determinism" / "bad")],
-                           rules=["broad-except"])
-    assert results == []
 
 
 def test_parse_error_becomes_finding(tmp_path):
@@ -168,39 +148,9 @@ def test_iter_python_files_skips_hidden_and_pycache(tmp_path):
     assert found == ["keep.py"]
 
 
-def test_finding_describe_and_baseline_key():
+def test_finding_describe():
     finding = Finding(path="src/x.py", line=7, rule="determinism", message="m")
     assert finding.describe() == "src/x.py:7: [determinism] m"
-    assert finding.baseline_key == "determinism:src/x.py:7"
-
-
-# --------------------------------------------------------------------------- #
-# baseline ratchet
-# --------------------------------------------------------------------------- #
-
-
-def test_missing_baseline_is_empty(tmp_path):
-    assert load_baseline(str(tmp_path / "nope.txt")) == set()
-
-
-def test_baseline_roundtrip_and_partition(tmp_path):
-    old = Finding(path="a.py", line=1, rule="broad-except", message="old")
-    new = Finding(path="b.py", line=2, rule="determinism", message="new")
-    path = tmp_path / "baseline.txt"
-    write_baseline(str(path), [old])
-    baseline = load_baseline(str(path))
-    assert baseline == {"broad-except:a.py:1"}
-
-    fresh, grandfathered, stale = partition_findings([old, new], baseline)
-    assert fresh == [new]
-    assert grandfathered == [old]
-    assert stale == set()
-
-    # The grandfathered finding gets fixed: its entry becomes stale.
-    fresh, grandfathered, stale = partition_findings([new], baseline)
-    assert fresh == [new]
-    assert grandfathered == []
-    assert stale == {"broad-except:a.py:1"}
 
 
 # --------------------------------------------------------------------------- #
@@ -208,76 +158,55 @@ def test_baseline_roundtrip_and_partition(tmp_path):
 # --------------------------------------------------------------------------- #
 
 
-def test_cli_fails_on_new_findings(tmp_path, capsys):
-    code = lint_main([str(FIXTURES / "broad_except" / "bad"),
-                      "--baseline", str(tmp_path / "empty.txt")])
+def test_cli_fails_on_new_findings(capsys):
+    code = lint_main([str(FIXTURES / "broad_except" / "bad")])
     out = capsys.readouterr().out
     assert code == 1
-    assert "FAIL: 3 new finding(s)" in out
+    assert "FAIL: 3 finding(s)" in out
     assert "[broad-except]" in out
 
 
-def test_cli_passes_on_clean_tree(tmp_path, capsys):
-    code = lint_main([str(FIXTURES / "broad_except" / "good"),
-                      "--baseline", str(tmp_path / "empty.txt")])
+def test_cli_passes_on_clean_tree(capsys):
+    code = lint_main([str(FIXTURES / "broad_except" / "good")])
     out = capsys.readouterr().out
     assert code == 0
-    assert "OK: 0 new finding(s)" in out
+    assert "OK: 0 finding(s)" in out
 
 
-def test_cli_update_baseline_then_green(tmp_path, capsys):
-    baseline = tmp_path / "baseline.txt"
-    target = str(FIXTURES / "determinism" / "bad")
-    assert lint_main([target, "--baseline", str(baseline),
-                      "--update-baseline"]) == 0
-    capsys.readouterr()
-    # Grandfathered now: same findings, exit 0, suppression reported.
-    code = lint_main([target, "--baseline", str(baseline)])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "8 grandfathered finding(s) suppressed" in out
+def test_cli_summary_names_rule_count_and_paths(capsys):
+    target = str(FIXTURES / "fingerprint" / "bad")
+    assert lint_main([target]) == 1
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == f"FAIL: 1 finding(s) [{len(RULES)} rule(s) over {target}]"
 
 
-def test_cli_reports_stale_entries_without_failing(tmp_path, capsys):
-    baseline = tmp_path / "baseline.txt"
-    baseline.write_text("determinism:gone.py:1  # fixed long ago\n")
-    code = lint_main([str(FIXTURES / "broad_except" / "good"),
-                      "--baseline", str(baseline)])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "stale baseline entry" in out
-    assert "determinism:gone.py:1" in out
+def test_cli_defaults_to_src(monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    assert lint_main([]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("over src]")
 
 
-def test_cli_json_format(tmp_path, capsys):
-    code = lint_main([str(FIXTURES / "fingerprint" / "bad"),
-                      "--baseline", str(tmp_path / "empty.txt"),
-                      "--format", "json"])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert len(payload["new"]) == 1
-    assert "[fingerprint-under-lock]" in payload["new"][0]
-    assert payload["grandfathered"] == []
-    assert payload["stale_baseline_entries"] == []
+@pytest.mark.parametrize("argv", [
+    ["--baseline", "analysis-baseline.txt"],
+    ["--update-baseline"],
+    ["--format", "json"],
+    ["--rule", "broad-except"],
+    ["--list-rules"],
+], ids=lambda argv: argv[0].lstrip("-"))
+def test_cli_usage_error_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        lint_main([str(FIXTURES / "broad_except" / "good"), *argv])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_cli_list_rules(capsys):
-    assert lint_main(["--list-rules"]) == 0
-    listed = set(capsys.readouterr().out.split())
-    assert EXPECTED_RULES <= listed
-
-
-def test_cli_rule_filter(tmp_path, capsys):
-    code = lint_main([str(FIXTURES / "determinism" / "bad"),
-                      "--baseline", str(tmp_path / "empty.txt"),
-                      "--rule", "broad-except"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "OK: 0 new finding(s)" in out
-
-
-def test_repo_baseline_is_empty():
-    """The checked-in baseline must stay empty: the tree lints clean."""
-    baseline = Path(__file__).parent.parent / "analysis-baseline.txt"
-    assert baseline.exists()
-    assert load_baseline(str(baseline)) == set()
+@pytest.mark.parametrize("case, code", [("bad", 1), ("good", 0)])
+def test_module_entry_point_exit_status(case, code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro.analysis",
+         str(FIXTURES / "broad_except" / case)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert completed.returncode == code, completed.stderr[-2000:]

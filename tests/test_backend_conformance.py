@@ -1,7 +1,6 @@
 """Cross-backend × cross-executor conformance suite.
 
-Every backend reachable through :func:`repro.inference.backends.available_backends`
-— the built-ins and anything a plugin adds via ``register_backend`` — is
+Every backend in :data:`repro.inference.backends.BACKENDS` is
 contract-checked here against the serving guarantees the rest of the system
 assumes, under **every** executor substrate
 (:func:`repro.cluster.executor.available_executors`):
@@ -28,8 +27,8 @@ assumes, under **every** executor substrate
 7. **Degenerate shapes** — no edges, more workers than nodes, every node a
    hub, a zero-row delta: the GAS backends still match ``model.forward``.
 
-A backend registered by third-party code inherits this suite for free: the
-parametrisation is over the live registry, not a hard-coded list.
+The parametrisation is over ``available_backends()``, so a backend added to
+the table inherits this suite.
 """
 
 from __future__ import annotations

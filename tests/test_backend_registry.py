@@ -1,4 +1,4 @@
-"""The backend plugin registry: lookup, registration rules, and the k-hop
+"""The backend table: lookup, the base class's fallback hooks, and the k-hop
 backend's parity with the full-graph backends."""
 
 from __future__ import annotations
@@ -11,17 +11,20 @@ from repro.gnn.model import build_model
 from repro.graph.generators import labeled_community_graph
 from repro.graph.graph import Graph
 from repro.inference import (
-    Backend,
     GraphDelta,
     InferenceConfig,
     InferenceSession,
     UnknownBackendError,
     available_backends,
     get_backend,
-    register_backend,
-    unregister_backend,
 )
-from repro.inference.backends import KHopBackend, MapReduceBackend, PregelBackend
+from repro.inference.backends import (
+    BACKENDS,
+    Backend,
+    KHopBackend,
+    MapReduceBackend,
+    PregelBackend,
+)
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +36,7 @@ def community():
 class TestRegistry:
     def test_builtin_backends_registered(self):
         assert available_backends() == {"pregel", "mapreduce", "khop"}
+        assert all(get_backend(name).name == name for name in available_backends())
 
     def test_get_backend_returns_singletons(self):
         assert isinstance(get_backend("pregel"), PregelBackend)
@@ -52,45 +56,32 @@ class TestRegistry:
         with pytest.raises(ValueError):
             get_backend("nope")
 
-    def test_duplicate_registration_rejected(self):
-        @register_backend("test-dummy")
-        class DummyBackend(Backend):
+    def test_available_backends_is_a_copy(self):
+        names = available_backends()
+        names.add("spark-on-mars")
+        assert "spark-on-mars" not in BACKENDS
+        assert available_backends() == {"pregel", "mapreduce", "khop"}
+
+    def test_incomplete_backend_cannot_be_instantiated(self):
+        """abc enforces the required surface when a backend is instantiated."""
+        class NoExecute(Backend):
+            name = "test-incomplete"
+
             def default_cluster(self, num_workers):
                 return ClusterSpec.pregel_default(num_workers)
 
             def plan(self, model, graph, config):
                 raise NotImplementedError
 
-            def execute(self, plan, metrics):
-                raise NotImplementedError
-
-        try:
-            assert "test-dummy" in available_backends()
-            with pytest.raises(ValueError, match="already registered"):
-                register_backend("test-dummy")(DummyBackend)
-        finally:
-            unregister_backend("test-dummy")
-        assert "test-dummy" not in available_backends()
-
-    def test_incomplete_backend_fails_at_registration(self):
-        """abc enforces the required surface when the registry instantiates."""
         with pytest.raises(TypeError, match="abstract"):
-            @register_backend("test-incomplete")
-            class NoExecute(Backend):
-                def default_cluster(self, num_workers):
-                    return ClusterSpec.pregel_default(num_workers)
+            NoExecute()
 
-                def plan(self, model, graph, config):
-                    raise NotImplementedError
-        assert "test-incomplete" not in available_backends()
-
-    def test_non_backend_class_rejected(self):
-        with pytest.raises(TypeError, match="must subclass"):
-            @register_backend("test-duck")
-            class Duck:
-                def plan(self, model, graph, config):
-                    raise NotImplementedError
-        assert "test-duck" not in available_backends()
+    def test_table_entry_is_seen_by_lookup_and_config(self, monkeypatch):
+        monkeypatch.setitem(BACKENDS, "pregel-alias", get_backend("pregel"))
+        assert "pregel-alias" in available_backends()
+        assert get_backend("pregel-alias") is get_backend("pregel")
+        config = InferenceConfig(backend="pregel-alias", num_workers=3)
+        assert config.cluster.num_workers == 3
 
     def test_default_hooks_are_the_full_recompute_fallback(self, community):
         """A backend overriding nothing lands the delta and asks for a re-plan."""
@@ -107,9 +98,6 @@ class TestRegistry:
         np.testing.assert_array_equal(graph.node_features[3], row[0])
         assert khop.execute_incremental(plan, None, np.array([3]), np.empty(0)) is None
         khop.release(plan)     # no-op, must not raise
-
-    def test_decorator_stamps_name(self):
-        assert get_backend("khop").name == "khop"
 
     def test_config_accepts_any_registered_backend(self):
         config = InferenceConfig(backend="khop", num_workers=4)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.cluster.executor import UnknownExecutorError, available_executors
 from repro.cluster.metrics import MetricsCollector
 from repro.graph.graph import Graph
 from repro.pregel.combiners import (
@@ -115,6 +116,35 @@ def test_result_partitions_readable_after_the_engine_is_gone(release):
         [sys.executable, "-c", _READ_PARTITIONS_AFTER_ENGINE, release],
         cwd=root, env=env, capture_output=True, text=True, timeout=120)
     assert completed.returncode == 0, completed.stderr[-2000:]
+
+
+@pytest.mark.parametrize("executor_name", sorted(available_executors()))
+def test_engine_runs_on_the_named_executor(executor_name):
+    """``executor`` names the substrate; every substrate yields the same bits."""
+    graph = ring_graph(9)
+    engine = PregelEngine(graph, num_workers=3, executor=executor_name)
+    try:
+        result = engine.run(PageRankProgram(3))
+        assert engine.executor.name == executor_name
+        ranks = np.empty(graph.num_nodes)
+        for partition in result.partitions:
+            ranks[partition.node_ids] = partition.block_state["rank"]
+    finally:
+        engine.shutdown()
+    serial = PregelEngine(graph, num_workers=3, executor="serial")
+    try:
+        expected = np.empty(graph.num_nodes)
+        for partition in serial.run(PageRankProgram(3)).partitions:
+            expected[partition.node_ids] = partition.block_state["rank"]
+    finally:
+        serial.shutdown()
+    np.testing.assert_array_equal(ranks, expected)
+
+
+def test_engine_rejects_an_unknown_executor_name():
+    engine = PregelEngine(ring_graph(4), num_workers=2, executor="spark")
+    with pytest.raises(UnknownExecutorError, match="spark"):
+        engine.run(PageRankProgram(1))
 
 
 class TestBlockPrograms:

@@ -535,13 +535,11 @@ class TestThreadSafety:
         solo.prepare(graph)
         np.testing.assert_array_equal(scores, solo.infer().scores)
 
-    def test_slow_prepare_does_not_block_other_tenants(self):
+    def test_slow_prepare_does_not_block_other_tenants(self, monkeypatch):
         # Regression: a cache miss's prepare() runs outside the pool lock
         # (per-fingerprint once-guard), so one tenant's slow planning must
         # not stall another tenant's lookup.
-        from repro.inference.backends import (Backend, get_backend,
-                                              register_backend,
-                                              unregister_backend)
+        from repro.inference.backends import BACKENDS, Backend, get_backend
 
         inner = get_backend("pregel")
         first_plan_entered = threading.Event()
@@ -578,7 +576,7 @@ class TestThreadSafety:
             def release(self, plan):
                 return inner.release(plan)
 
-        register_backend("gated-pregel-test")(GatedPlanBackend)
+        monkeypatch.setitem(BACKENDS, GatedPlanBackend.name, GatedPlanBackend())
         try:
             config = make_config()
             config.backend = "gated-pregel-test"
@@ -604,7 +602,6 @@ class TestThreadSafety:
             np.testing.assert_array_equal(scores_b, solo.infer().scores)
         finally:
             release_first_plan.set()
-            unregister_backend("gated-pregel-test")
 
     def test_eviction_during_in_flight_infer_is_safe(self):
         # Capacity 1: tenant B's arrival evicts tenant A's entry while A's

@@ -1,4 +1,4 @@
-"""Fault-plan contracts: replayability, hook registry, built-in hooks.
+"""Fault-plan contracts: replayability, the fault table, built-in hooks.
 
 The hooks are exercised here in isolation (against a real pool) so failures
 localise; end-to-end fault soaks live in ``test_streaming_soak.py``.
@@ -14,13 +14,13 @@ from repro.graph.generators import powerlaw_graph
 from repro.inference.config import InferenceConfig, StrategyConfig
 from repro.inference.pool import SessionPool
 from repro.streaming.faults import (
+    FAULTS,
     DeltaSchedule,
     FaultContext,
     FaultEvent,
     FaultInjector,
     FaultPlan,
     available_faults,
-    register_fault,
 )
 
 FEATURE_DIM = 6
@@ -59,13 +59,21 @@ class TestFaultPlan:
         assert other.digest != first.digest
 
     def test_generate_validates_inputs(self):
-        with pytest.raises(ValueError, match="unregistered"):
+        with pytest.raises(ValueError, match="unknown fault kind"):
             FaultPlan.generate(seed=0, ticks=5, tenants=1,
                                kinds=("meteor_strike",))
         with pytest.raises(ValueError, match="rate"):
             FaultPlan.generate(seed=0, ticks=5, tenants=1, rate=1.5)
         with pytest.raises(ValueError, match="kinds"):
             FaultPlan.generate(seed=0, ticks=5, tenants=1, kinds=())
+
+    @pytest.mark.parametrize("kind", sorted(FAULTS))
+    def test_generate_draws_only_the_requested_kind(self, kind):
+        plan = FaultPlan.generate(seed=3, ticks=40, tenants=2, kinds=(kind,),
+                                  rate=0.5)
+        assert plan.events
+        assert {event.kind for event in plan.events} == {kind}
+        FaultInjector(plan)     # every table kind passes the injector's check
 
     def test_schedule_rows_and_events_at(self):
         plan = FaultPlan(seed=1, ticks=10, events=(
@@ -82,37 +90,29 @@ class TestFaultPlan:
 
 class TestRegistry:
     def test_builtins_are_registered(self):
-        assert {"kill_worker", "evict_tenant", "delay_deltas"} <= \
-            available_faults()
+        assert available_faults() == {"kill_worker", "evict_tenant",
+                                      "delay_deltas"}
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_fault("kill_worker")(lambda ctx: "nope")
-
-    def test_custom_hook_fires_through_injector(self):
+    def test_custom_hook_fires_through_injector(self, monkeypatch):
         kind = "test_only_noop_hook"
         fired = []
 
-        @register_fault(kind)
         def _hook(ctx: FaultContext) -> str:
             fired.append(ctx.event.tick)
             return "custom hook ran"
 
-        try:
-            plan = FaultPlan(seed=0, ticks=3, events=(
-                FaultEvent(tick=1, kind=kind, tenant=0),))
-            injector = FaultInjector(plan)
-            pool = make_pool()
-            graph = make_graph()
-            record = injector.fire(FaultContext(
-                event=plan.events[0], pool=pool, graph=graph,
-                schedule=DeltaSchedule()))
-            assert fired == [1]
-            assert record.note == "custom hook ran"
-            assert injector.records == [record]
-        finally:
-            from repro.streaming import faults as faults_module
-            faults_module._HOOKS.pop(kind, None)
+        monkeypatch.setitem(FAULTS, kind, _hook)
+        plan = FaultPlan(seed=0, ticks=3, events=(
+            FaultEvent(tick=1, kind=kind, tenant=0),))
+        injector = FaultInjector(plan)
+        pool = make_pool()
+        graph = make_graph()
+        record = injector.fire(FaultContext(
+            event=plan.events[0], pool=pool, graph=graph,
+            schedule=DeltaSchedule()))
+        assert fired == [1]
+        assert record.note == "custom hook ran"
+        assert injector.records == [record]
 
     def test_injector_rejects_unregistered_plan(self):
         plan = FaultPlan(seed=0, ticks=1, events=(
