@@ -47,7 +47,7 @@ def main() -> None:
     sampled = TraditionalPipeline(model, TraditionalConfig(num_workers=4, fanout=5))
     runs = []
     for seed in range(3):
-        outcome = sampled.run(graph, targets=audit_nodes, compute_scores=True, seed=seed)
+        outcome = sampled.run(graph, targets=audit_nodes, seed=seed)
         runs.append(outcome.scores[audit_nodes].argmax(axis=-1))
     flips = np.mean([(runs[0] != runs[i]).mean() for i in (1, 2)])
     print(f"sampling-based inference: {100 * flips:.1f}% of audited accounts change "

@@ -11,9 +11,9 @@ Public API overview
 * :mod:`repro.pregel`     — Pregel-like graph processing backend
 * :mod:`repro.cluster`    — cluster resource / cost model
 * :mod:`repro.inference`  — InferenceSession (plan once, infer many) over
-  three interchangeable backends, plus the hub-node optimisation strategies
+  the two interchangeable backends, plus the hub-node optimisation strategies
 * :mod:`repro.baselines`  — traditional (k-hop sampling) inference pipeline,
-  also exposed as the ``"khop"`` inference backend
+  the baseline the experiments measure InferTurbo against
 * :mod:`repro.datasets`   — synthetic stand-ins for the paper's datasets
 * :mod:`repro.experiments` — harnesses regenerating every paper table/figure
 """

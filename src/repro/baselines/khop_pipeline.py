@@ -62,8 +62,8 @@ class TraditionalConfig:
 class TraditionalResult:
     """Outcome of a traditional-pipeline inference run."""
 
-    scores: Optional[np.ndarray]
-    cost: Optional[CostSummary]
+    scores: Optional[np.ndarray]          # None from estimate_costs
+    cost: CostSummary
     metrics: MetricsCollector
     num_batches: int
     total_subgraph_nodes: int = 0
@@ -105,16 +105,11 @@ class TraditionalPipeline:
 
     # ------------------------------------------------------------------ #
     def run(self, graph: Graph, targets: Optional[Sequence[int]] = None,
-            compute_scores: bool = True, seed: Optional[int] = None,
-            metrics: Optional[MetricsCollector] = None,
-            compute_cost: bool = True) -> TraditionalResult:
+            seed: Optional[int] = None) -> TraditionalResult:
         """Run batched k-hop inference over ``targets`` (default: every node).
 
-        ``metrics`` lets a caller (the ``"khop"`` inference backend) supply its
-        own collector so the run's counters land in the session's report;
-        such callers price the metrics themselves and pass
-        ``compute_cost=False`` to skip the internal roll-up (``result.cost``
-        is then None).
+        Scores are filled in for ``targets`` only; the cost-only path, which
+        materialises a sample of batches, is :meth:`estimate_costs`.
         """
         config = self.config
         rng = np.random.default_rng(config.seed if seed is None else seed)
@@ -124,10 +119,9 @@ class TraditionalPipeline:
         else:
             targets = np.asarray(list(targets), dtype=np.int64)
 
-        if metrics is None:
-            metrics = MetricsCollector()
+        metrics = MetricsCollector()
         store = DistributedGraphStore(graph, config.num_store_workers, metrics)
-        scores = np.zeros((graph.num_nodes, self.model.output_dim)) if compute_scores else None
+        scores = np.zeros((graph.num_nodes, self.model.output_dim))
 
         self.model.eval()
         total_nodes = 0
@@ -150,19 +144,17 @@ class TraditionalPipeline:
             total_edges += subgraph.num_edges
             num_batches += 1
 
-            if compute_scores:
-                with no_grad():
-                    logits = self.model.forward(
-                        Tensor(subgraph.node_features), subgraph.src, subgraph.dst,
-                        edge_features=None if subgraph.edge_features is None
-                        else Tensor(subgraph.edge_features),
-                        num_nodes=subgraph.num_nodes)
-                scores[seeds] = logits.data[subgraph.target_positions]
+            with no_grad():
+                logits = self.model.forward(
+                    Tensor(subgraph.node_features), subgraph.src, subgraph.dst,
+                    edge_features=None if subgraph.edge_features is None
+                    else Tensor(subgraph.edge_features),
+                    num_nodes=subgraph.num_nodes)
+            scores[seeds] = logits.data[subgraph.target_positions]
 
-        cost = (CostModel(config.cluster).summarize(metrics)
-                if compute_cost else None)
         return TraditionalResult(
-            scores=scores, cost=cost, metrics=metrics, num_batches=num_batches,
+            scores=scores, cost=CostModel(config.cluster).summarize(metrics),
+            metrics=metrics, num_batches=num_batches,
             total_subgraph_nodes=total_nodes, total_subgraph_edges=total_edges,
         )
 

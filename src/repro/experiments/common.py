@@ -36,11 +36,10 @@ def untrained_model(dataset: Dataset, arch: str, hidden_dim: int = 64, num_layer
 def run_inference(model: GNNModel, dataset: Dataset, backend: str = "pregel",
                   num_workers: int = 8,
                   strategies: Optional[StrategyConfig] = None) -> InferenceResult:
-    """One-shot inference through any backend via a session.
+    """One-shot inference through a session on ``"pregel"`` or ``"mapreduce"``.
 
-    ``backend`` accepts every backend name (``"pregel"``, ``"mapreduce"``,
-    ``"khop"``), so an experiment can sweep all substrates through this
-    single entry point.
+    The k-hop baseline is not a backend: experiments run it through
+    :class:`~repro.baselines.khop_pipeline.TraditionalPipeline`.
     """
     config = InferenceConfig(backend=backend, num_workers=num_workers,
                              strategies=strategies or StrategyConfig())

@@ -78,8 +78,7 @@ def run(dataset: Optional[Dataset] = None, fanouts: Sequence[int] = (2, 5, 10, 2
             config = TraditionalConfig(num_workers=num_workers, fanout=int(fanout),
                                        seed=seed + run_index)
             pipeline = TraditionalPipeline(model, config)
-            outcome = pipeline.run(dataset.graph, targets=targets, compute_scores=True,
-                                   seed=seed + run_index)
+            outcome = pipeline.run(dataset.graph, targets=targets, seed=seed + run_index)
             predictions[run_index] = outcome.scores[targets].argmax(axis=-1)
         result.histograms[int(fanout)] = _distinct_class_histogram(predictions)
 

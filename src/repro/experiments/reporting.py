@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Union
+from typing import List, Sequence, Union
 
 Number = Union[int, float]
 
@@ -29,17 +29,4 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[Union[str, Numb
     lines.append("  ".join("-" * width for width in widths))
     for row in text_rows:
         lines.append("  ".join(cell.ljust(width) for cell, width in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def format_series(series: Dict[str, Dict[int, float]], x_label: str, y_label: str,
-                  title: str = "") -> str:
-    """Render per-instance series (figures) as aligned text columns."""
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    for name, points in series.items():
-        lines.append(f"[{name}]  ({x_label} -> {y_label})")
-        for x_value in sorted(points):
-            lines.append(f"  {x_value:>12} -> {points[x_value]:.6g}")
     return "\n".join(lines)

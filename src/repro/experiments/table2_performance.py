@@ -60,7 +60,7 @@ def run(datasets: Optional[Sequence[str]] = None, archs: Optional[Sequence[str]]
 
             pipeline = TraditionalPipeline(model, TraditionalConfig(num_workers=num_workers,
                                                                     fanout=None, seed=seed))
-            traditional = pipeline.run(dataset.graph, targets=eval_nodes, compute_scores=True)
+            traditional = pipeline.run(dataset.graph, targets=eval_nodes)
             traditional_metric = evaluate_scores(dataset, traditional.scores, eval_nodes)
 
             pregel = run_inference(model, dataset, backend="pregel", num_workers=num_workers)

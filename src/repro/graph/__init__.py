@@ -7,8 +7,9 @@ This package owns the representation of the input graph at three granularities:
   backend's partition loader.
 * :class:`~repro.graph.tables.NodeTable` / :class:`~repro.graph.tables.EdgeTable`
   — the "data warehouse" table format (node id, features, out-neighbour ids /
-  src, dst, edge features) consumed by the MapReduce backend, mirroring the
-  paper's Section IV-C2 input format.
+  src, dst, edge features) of the paper's Section IV-C2 input; sessions and
+  pools take a ``Graph``, so tables are converted once with
+  :func:`~repro.graph.tables.tables_to_graph`.
 * partitioning, k-hop neighbourhood extraction and neighbour sampling — the
   machinery behind both the mini-batch training phase and the traditional
   (PyG/DGL-style) inference baseline.
@@ -25,7 +26,6 @@ from repro.graph.partition import (
 from repro.graph.khop import khop_neighborhood, KHopSubgraph
 from repro.graph.sampling import UniformNeighborSampler, FullNeighborSampler
 from repro.graph import generators
-from repro.graph import io
 
 __all__ = [
     "Graph",
@@ -42,5 +42,4 @@ __all__ = [
     "UniformNeighborSampler",
     "FullNeighborSampler",
     "generators",
-    "io",
 ]

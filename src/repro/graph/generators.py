@@ -153,20 +153,6 @@ def powerlaw_graph(
     return Graph(src, dst, node_features=features, labels=labels, num_nodes=num_nodes)
 
 
-def erdos_renyi_graph(num_nodes: int, avg_degree: float = 4.0, feature_dim: int = 4,
-                      num_classes: int = 2, seed: int = 0) -> Graph:
-    """Uniform-random directed graph (no skew) — a control case in tests."""
-    rng = np.random.default_rng(seed)
-    num_edges = int(num_nodes * avg_degree)
-    src = rng.integers(0, num_nodes, size=num_edges)
-    dst = rng.integers(0, num_nodes, size=num_edges)
-    keep = src != dst
-    src, dst = src[keep], dst[keep]
-    labels = rng.integers(0, num_classes, size=num_nodes)
-    features = _community_features(labels, feature_dim, num_classes, 1.0, rng)
-    return Graph(src, dst, node_features=features, labels=labels, num_nodes=num_nodes)
-
-
 def star_graph(num_leaves: int, direction: str = "in", feature_dim: int = 4,
                seed: int = 0) -> Graph:
     """A hub node connected to ``num_leaves`` leaves — the extreme skew case.

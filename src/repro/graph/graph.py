@@ -224,20 +224,6 @@ class Graph:
             num_nodes=self.num_nodes,
         )
 
-    def add_self_loops(self) -> "Graph":
-        """Return a graph with a self-loop added to every node.
-
-        Self-loop edge features are zero vectors when edge features exist.
-        """
-        loop_ids = np.arange(self.num_nodes, dtype=np.int64)
-        src = np.concatenate([self.src, loop_ids])
-        dst = np.concatenate([self.dst, loop_ids])
-        edge_features = None
-        if self.edge_features is not None:
-            loops = np.zeros((self.num_nodes, self.edge_features.shape[1]))
-            edge_features = np.concatenate([self.edge_features, loops], axis=0)
-        return Graph(src, dst, self.node_features, edge_features, self.labels, self.num_nodes)
-
     # ------------------------------------------------------------------ #
     # statistics used by the dataset-summary experiment (Table I)
     # ------------------------------------------------------------------ #

@@ -130,17 +130,3 @@ def khop_neighborhood(
         else graph.edge_features[edge_ids_arr],
         labels=None if graph.labels is None else graph.labels[node_ids],
     )
-
-
-def receptive_field_sizes(graph: Graph, targets: Sequence[int], num_hops: int) -> np.ndarray:
-    """Number of nodes in the full k-hop neighbourhood of each target.
-
-    Used by the redundancy analysis (Table IV): the sum over targets of these
-    sizes, divided by the number of distinct nodes touched, is the redundant
-    computation factor of the traditional pipeline.
-    """
-    sizes = np.zeros(len(targets), dtype=np.int64)
-    for position, target in enumerate(targets):
-        subgraph = khop_neighborhood(graph, [int(target)], num_hops)
-        sizes[position] = subgraph.num_nodes
-    return sizes

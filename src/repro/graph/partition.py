@@ -9,7 +9,7 @@ out-edge state, so that one superstep per GNN layer suffices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -128,19 +128,3 @@ def partition_graph_with_layout(
             labels=None if graph.labels is None else graph.labels[node_ids],
         ))
     return partitions, layout
-
-
-def partition_balance(partitions: List[Partition]) -> Dict[str, float]:
-    """Load-balance statistics over a partitioning (used in skew analysis)."""
-    node_counts = np.array([p.num_nodes for p in partitions], dtype=np.float64)
-    edge_counts = np.array([p.num_out_edges for p in partitions], dtype=np.float64)
-    def _stats(values: np.ndarray) -> Dict[str, float]:
-        if values.size == 0:
-            return {"mean": 0.0, "max": 0.0, "std": 0.0}
-        return {"mean": float(values.mean()), "max": float(values.max()),
-                "std": float(values.std())}
-    return {
-        "nodes_" + key: value for key, value in _stats(node_counts).items()
-    } | {
-        "edges_" + key: value for key, value in _stats(edge_counts).items()
-    }

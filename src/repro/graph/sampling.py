@@ -18,21 +18,12 @@ class NeighborSampler:
     def sample(self, edge_ids: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
-    @property
-    def is_stochastic(self) -> bool:
-        """Whether repeated runs may return different edge subsets."""
-        raise NotImplementedError
-
 
 class FullNeighborSampler(NeighborSampler):
     """Keep every in-edge (no sampling) — deterministic."""
 
     def sample(self, edge_ids: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return edge_ids
-
-    @property
-    def is_stochastic(self) -> bool:
-        return False
 
 
 class UniformNeighborSampler(NeighborSampler):
@@ -51,30 +42,3 @@ class UniformNeighborSampler(NeighborSampler):
         if edge_ids.size <= self.fanout:
             return edge_ids
         return rng.choice(edge_ids, size=self.fanout, replace=False)
-
-    @property
-    def is_stochastic(self) -> bool:
-        return True
-
-
-class TopKNeighborSampler(NeighborSampler):
-    """Keep the ``fanout`` in-edges with the smallest edge id — deterministic.
-
-    A deterministic truncation baseline used in ablations: it removes the
-    randomness of uniform sampling but still drops information, so it trades
-    the consistency problem for a bias problem.
-    """
-
-    def __init__(self, fanout: int) -> None:
-        if fanout <= 0:
-            raise ValueError("fanout must be positive")
-        self.fanout = int(fanout)
-
-    def sample(self, edge_ids: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        if edge_ids.size <= self.fanout:
-            return edge_ids
-        return np.sort(edge_ids)[: self.fanout]
-
-    @property
-    def is_stochastic(self) -> bool:
-        return False

@@ -16,12 +16,11 @@ predictions with a simulated cluster cost breakdown::
     nightly = session.infer_many(7)
     print(plan.describe(), result.cost.wall_clock_seconds)
 
-The backends are one table, ``BACKENDS`` in :mod:`repro.inference.backends`:
+The paper's two backends are one table, ``BACKENDS`` in
+:mod:`repro.inference.backends`:
 
 * ``"pregel"``    — memory-resident graph processing, one superstep per layer;
-* ``"mapreduce"`` — storage-resident batch processing, one round per layer;
-* ``"khop"``      — the traditional mini-batch k-hop baseline, wrapped as a
-  first-class backend so comparison tables run all three through one API.
+* ``"mapreduce"`` — storage-resident batch processing, one round per layer.
 
 ``available_backends()`` lists their names.
 
@@ -48,7 +47,7 @@ that safe: mutate a prepared graph out of band and ``infer()`` raises
 :class:`~repro.inference.delta.GraphDelta` through
 ``session.apply_delta(delta)`` and ``infer(mode="incremental")`` recomputes
 just the dirty k-hop region on pregel — bit-identical to a fresh full run
-(mapreduce, like the paper's batch path, runs in full; so does khop).  Many
+(mapreduce, like the paper's batch path, runs in full).  Many
 small deltas between ticks coalesce: ``apply_delta(delta, defer=True)``
 buffers them and the next ``infer()`` applies one merged patch,
 bit-identical to eager application.

@@ -1,14 +1,14 @@
-"""The three inference backends, in one table.
+"""The paper's two inference backends, in one table.
 
 * ``"pregel"``    — memory-resident graph processing (fastest);
-* ``"mapreduce"`` — storage-resident batch processing (smallest footprint);
-* ``"khop"``      — the traditional mini-batch k-hop baseline (for
-  comparison tables, full neighbourhoods so results match exactly).
+* ``"mapreduce"`` — storage-resident batch processing (smallest footprint).
 
 The set is closed: :data:`BACKENDS` maps each name to its one (stateless)
 instance — all per-run state lives in the
 :class:`~repro.inference.backends.base.ExecutionPlan` — and
-:func:`get_backend` is the only lookup.
+:func:`get_backend` is the only lookup.  The traditional k-hop pipeline the
+paper measures them against is not a backend: the experiments call
+:class:`~repro.baselines.khop_pipeline.TraditionalPipeline` directly.
 """
 
 from typing import Dict, Set
@@ -21,11 +21,9 @@ from repro.inference.backends.base import (
 )
 from repro.inference.backends.pregel import PregelBackend
 from repro.inference.backends.mapreduce import MapReduceBackend
-from repro.inference.backends.khop import KHopBackend
 
 BACKENDS: Dict[str, Backend] = {
-    backend.name: backend
-    for backend in (PregelBackend(), MapReduceBackend(), KHopBackend())
+    backend.name: backend for backend in (PregelBackend(), MapReduceBackend())
 }
 
 
@@ -60,5 +58,4 @@ __all__ = [
     "plan_gas_execution",
     "PregelBackend",
     "MapReduceBackend",
-    "KHopBackend",
 ]

@@ -10,11 +10,13 @@ inference under the shared GAS programming model.  Each backend subclasses
   that can be computed once and reused across repeated executions;
 * ``execute(plan, metrics)`` — one inference run over a previously built
   :class:`ExecutionPlan`, recording per-instance counters into ``metrics``;
-* optionally ``apply_delta`` / ``execute_incremental`` / ``release`` — the
-  base-class defaults are the full-recompute fallback.
+* ``apply_delta`` — land a delta on the plan's graphs (shared by both
+  backends; pregel extends it to patch its partitions);
+* optionally ``execute_incremental`` / ``release`` — by default an
+  incremental request runs in full and there is nothing to release.
 
-The set is closed — pregel, mapreduce and the k-hop baseline — and lives in
-one table, ``BACKENDS`` in :mod:`repro.inference.backends`; the rest of the
+The set is closed — the paper's pregel and mapreduce — and lives in one
+table, ``BACKENDS`` in :mod:`repro.inference.backends`; the rest of the
 system looks a backend up by name via ``get_backend``.
 """
 
@@ -54,7 +56,7 @@ class ExecutionPlan:
     The plan is the cacheable half of an inference run: the resolved strategy
     switches, the (optional) shadow-node rewritten graph, and any
     backend-private artefacts in ``state`` (a partitioned Pregel engine, the
-    MapReduce executor, a k-hop pipeline).  One plan supports
+    MapReduce executor).  One plan supports
     arbitrarily many ``execute`` calls: execution never changes what a plan
     *means*, though it may refresh backend-private caches inside ``state``
     (e.g. the per-superstep node states incremental inference splices into),
@@ -117,22 +119,19 @@ class ExecutionPlan:
 
 
 class Backend(abc.ABC):
-    """Base class of the three backends.
+    """Base class of the two backends.
 
     ``plan`` / ``execute`` / ``default_cluster`` are abstract — the
     ``BACKENDS`` table instantiates every backend at import, so an incomplete
-    one fails there.  The three delta/lifecycle methods have defaults
-    that *are* the full-recompute fallback: a backend that overrides nothing
-    (``khop``) re-plans on every delta and serves incremental requests with
-    full executions.
-
-    ``pregel`` overrides all three (bit-identical incremental runs over a
-    warm partition cache, feature *and* hub-preserving edge deltas — under
-    shadow nodes included, via the position-stable mirror assignment).
-    ``mapreduce`` overrides ``apply_delta`` and ``release``: landing a delta
-    is the whole patch, because its rounds read their input rows from the
-    working graph, and an incremental request runs the full ``execute``
+    one fails there.  ``apply_delta`` lands a delta on the plan's graphs,
+    which is the whole patch for ``mapreduce``: its rounds read their input
+    rows from the working graph, and an incremental request takes the
+    default ``execute_incremental`` and runs the full ``execute``
     (bit-identical to a fresh ``prepare()+infer()``).
+
+    ``pregel`` overrides all three hooks (bit-identical incremental runs over
+    a warm partition cache, feature *and* hub-preserving edge deltas — under
+    shadow nodes included, via the position-stable mirror assignment).
     """
 
     #: the key users put in :class:`InferenceConfig.backend`.
@@ -155,13 +154,36 @@ class Backend(abc.ABC):
     def apply_delta(self, plan: ExecutionPlan, delta: GraphDelta) -> DeltaOutcome:
         """Fold ``delta`` into ``plan``; ``in_place=False`` makes the session re-plan.
 
-        Whatever the outcome, the delta must have landed on ``plan.graph``
-        when this returns, so the session can re-prepare from the updated
-        state.  The default does only that.
+        Lands ``delta`` on the base graph (validation happens first — a
+        rejected delta leaves everything untouched), re-checks the hub
+        contract for edge changes (:func:`check_edge_delta_stability`),
+        splices them into the shadow-expanded working graph with the
+        position-stable mirror assignment
+        (:meth:`~repro.inference.shadow.ShadowNodePlan.patch_edge_delta`), and
+        refreshes shadow-mirror feature copies.  The outcome's
+        ``feature_dirty`` is the replica closure of the changed feature rows.
+        Whatever the outcome, the delta has landed on ``plan.graph``, so the
+        session can re-prepare from the updated state.
         """
-        apply_delta_to_graph(plan.graph, delta)
-        return DeltaOutcome(in_place=False,
-                            reason=f"backend {self.name!r} re-plans on every delta")
+        graph, shadow = plan.graph, plan.shadow_plan
+        topo_dirty = apply_delta_to_graph(graph, delta)
+
+        if delta.has_edge_changes:
+            stable, reason, threshold = check_edge_delta_stability(plan)
+            if not stable:
+                return DeltaOutcome(in_place=False, reason=reason)
+            plan.strategy_plan.threshold = threshold
+            if shadow is not None:
+                shadow.patch_edge_delta(graph, delta)
+
+        feature_dirty = np.empty(0, dtype=np.int64)
+        if delta.has_feature_changes:
+            if shadow is not None and shadow.has_mirrors:
+                feature_dirty = shadow.refresh_mirror_features(graph, delta.node_ids)
+            else:
+                feature_dirty = np.unique(delta.node_ids)
+        return DeltaOutcome(in_place=True, feature_dirty=feature_dirty,
+                            topo_dirty=topo_dirty)
 
     def execute_incremental(self, plan: ExecutionPlan, metrics: MetricsCollector,
                             feature_dirty: np.ndarray,
@@ -176,7 +198,7 @@ class Backend(abc.ABC):
 
 
 # --------------------------------------------------------------------------- #
-# Shared GAS planning used by the full-graph backends.
+# GAS planning shared by both backends.
 # --------------------------------------------------------------------------- #
 def merge_hub_mirrors(strategy_plan: StrategyPlan,
                       shadow_plan: Optional[ShadowNodePlan]) -> None:
@@ -229,41 +251,9 @@ def check_edge_delta_stability(plan: ExecutionPlan) -> Tuple[bool, str, int]:
     return True, "", new_threshold
 
 
-def land_gas_delta(plan: ExecutionPlan, delta: GraphDelta) -> DeltaOutcome:
-    """The delta steps every GAS backend shares, before it patches its own state.
-
-    Lands ``delta`` on the base graph (validation happens first — a rejected
-    delta leaves everything untouched), re-checks the hub contract for edge
-    changes (:func:`check_edge_delta_stability`), splices them into the
-    shadow-expanded working graph with the position-stable mirror assignment
-    (:meth:`~repro.inference.shadow.ShadowNodePlan.patch_edge_delta`), and
-    refreshes shadow-mirror feature copies.  The outcome's ``feature_dirty``
-    is the replica closure of the changed feature rows.
-    """
-    graph, shadow = plan.graph, plan.shadow_plan
-    topo_dirty = apply_delta_to_graph(graph, delta)
-
-    if delta.has_edge_changes:
-        stable, reason, threshold = check_edge_delta_stability(plan)
-        if not stable:
-            return DeltaOutcome(in_place=False, reason=reason)
-        plan.strategy_plan.threshold = threshold
-        if shadow is not None:
-            shadow.patch_edge_delta(graph, delta)
-
-    feature_dirty = np.empty(0, dtype=np.int64)
-    if delta.has_feature_changes:
-        if shadow is not None and shadow.has_mirrors:
-            feature_dirty = shadow.refresh_mirror_features(graph, delta.node_ids)
-        else:
-            feature_dirty = np.unique(delta.node_ids)
-    return DeltaOutcome(in_place=True, feature_dirty=feature_dirty,
-                        topo_dirty=topo_dirty)
-
-
 def plan_gas_execution(backend_name: str, model: GNNModel, graph: Graph,
                        config: InferenceConfig) -> ExecutionPlan:
-    """The planning steps shared by every full-graph (GAS) backend.
+    """The planning steps both (GAS) backends share.
 
     Resolves the per-layer strategy plan, applies the shadow-node graph
     rewrite when enabled, merges hub mirrors into the hub set, and builds the

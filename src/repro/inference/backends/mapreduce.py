@@ -8,13 +8,13 @@ first round's input rows fresh from the working graph's own arrays
 session of the plan's executor: the jobs ship once per worker and hold the
 replica map, never the working graph.
 
-This backend overrides one delta hook of
-:class:`~repro.inference.backends.base.Backend`: ``apply_delta`` is
-:func:`~repro.inference.backends.base.land_gas_delta` alone (the graph *is*
-the input, so landing the delta patches it).  Edge deltas re-plan only when
-the hub set or a hub's mirror-group count changes.  Like the paper's batch
-path it keeps no results between runs: an incremental request takes the
-base class's fallback and runs the full ``execute``, whose working graph is
+This backend overrides no delta hook of
+:class:`~repro.inference.backends.base.Backend`: the base ``apply_delta``
+lands the delta on the base and working graphs, and the graph *is* the
+input, so that is the whole patch.  Edge deltas re-plan only when the hub
+set or a hub's mirror-group count changes.  Like the paper's batch path it
+keeps no results between runs: an incremental request takes the base
+class's default and runs the full ``execute``, whose working graph is
 byte-identical to a fresh plan's — so it is bit-identical to a fresh
 ``prepare()+infer()``.
 """
@@ -32,11 +32,9 @@ from repro.cluster.resources import ClusterSpec
 from repro.gnn.model import GNNModel
 from repro.graph.graph import Graph
 from repro.inference.config import InferenceConfig
-from repro.inference.delta import DeltaOutcome, GraphDelta
 from repro.inference.backends.base import (
     Backend,
     ExecutionPlan,
-    land_gas_delta,
     plan_gas_execution,
 )
 from repro.inference.mapreduce_adaptor import GNNRoundJob, Records, input_rows
@@ -88,16 +86,3 @@ class MapReduceBackend(Backend):
         for item in engine.run(rounds, [Records(input_rows(plan.model, plan.working_graph))]):
             scores[item.block.dst_ids] = item.block.payload
         return {"scores": scores}
-
-    def apply_delta(self, plan: ExecutionPlan, delta: GraphDelta) -> DeltaOutcome:
-        """Land the delta; there is nothing else to patch.
-
-        Feature rows land on the base graph and propagate into shadow-mirror
-        copies through the replica CSR; edge deltas splice into the working
-        graph with the position-stable mirror assignment.  The next execution
-        reads its input rows from those arrays.  Only a hub-set or
-        mirror-group-count change
-        (:func:`~repro.inference.backends.base.land_gas_delta`) makes the
-        session re-plan from the landed delta.
-        """
-        return land_gas_delta(plan, delta)

@@ -6,9 +6,10 @@ partitions and only swaps in a fresh metrics collector, so repeated
 ``infer()`` calls skip the hash-partitioning pass entirely.
 
 This backend overrides the delta hooks of
-:class:`~repro.inference.backends.base.Backend`: ``apply_delta``
-patches the cached plan in place for feature refreshes (including shadow
-mirror copies) and hub-preserving edge deltas, and ``execute_incremental``
+:class:`~repro.inference.backends.base.Backend`: ``apply_delta`` lands the
+delta through the base class and then patches the cached partitions in
+place for feature refreshes (including shadow mirror copies) and
+hub-preserving edge deltas, and ``execute_incremental``
 reruns only the dirty k-hop region against the warm engine — the serving
 path for graphs that change between recurring inference jobs.
 """
@@ -28,7 +29,6 @@ from repro.inference.delta import DeltaOutcome, GraphDelta, expand_frontier
 from repro.inference.backends.base import (
     Backend,
     ExecutionPlan,
-    land_gas_delta,
     plan_gas_execution,
 )
 from repro.inference.pregel_adaptor import (
@@ -108,13 +108,13 @@ class PregelBackend(Backend):
         replica CSR) and every engine partition's feature slice are updated
         through one :class:`~repro.cluster.layout.ClusterLayout` translate +
         grouped scatter.  Edge deltas are applied in place whenever the hub
-        contract survives (:func:`~repro.inference.backends.base.land_gas_delta`),
+        contract survives (:meth:`~repro.inference.backends.base.Backend.apply_delta`),
         for every layer kind: each stage computes a row from that row's inputs
         alone, so no row's bits depend on how many edges the table holds.
         Otherwise this returns ``in_place=False`` after landing the delta on
         the base graph, and the session re-plans from it.
         """
-        outcome = land_gas_delta(plan, delta)
+        outcome = super().apply_delta(plan, delta)
         if not outcome.in_place:
             return outcome
 

@@ -89,8 +89,7 @@ class InferenceConfig:
     ----------
     backend:
         Name of an inference backend — ``"pregel"`` (graph processing
-        system), ``"mapreduce"`` (batch processing system) or ``"khop"``
-        (traditional mini-batch baseline).
+        system) or ``"mapreduce"`` (batch processing system).
     num_workers:
         Number of simulated instances (Pregel partitions, or MapReduce
         mappers/reducers per round).
@@ -103,8 +102,6 @@ class InferenceConfig:
         pickled numpy bundles).  Scores are identical under both — serial vs
         process is a *speed* choice, property-checked by the backend
         conformance suite.  The default follows ``$REPRO_EXECUTOR`` when set.
-        The ``khop`` baseline has no partitioned compute to shard and accepts
-        the knob without behaviour change.
     cluster:
         Worker resource spec used by the cost model; defaults to the paper's
         per-backend flavour scaled down.

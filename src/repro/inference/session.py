@@ -207,8 +207,8 @@ class InferenceSession:
 
         Runs strategy planning, the shadow-node rewrite, the
         :class:`~repro.cluster.layout.ClusterLayout` routing-table build and
-        the backend's own preparation (Pregel partitioning / k-hop pipeline
-        setup; MapReduce needs none).  Subsequent :meth:`infer` /
+        the backend's own preparation (Pregel partitioning; MapReduce needs
+        none).  Subsequent :meth:`infer` /
         :meth:`infer_many` calls reuse the returned plan — including the
         cached layout, which is never recomputed per run.
 
@@ -268,15 +268,14 @@ class InferenceSession:
         :class:`~repro.inference.delta.DeltaBuffer`; a rejected delta raises
         ``ValueError`` with the graph, the plan, the buffer and the backend
         caches all untouched.  By default the buffer is then flushed at once
-        (:meth:`flush_deltas`) and the flush's outcome returned: backends
-        overriding ``apply_delta`` (pregel, mapreduce) patch the cached plan
-        in place — feature rows are scattered into the partitions through the
-        cluster layout (mapreduce reads them from the graph), shadow mirror
-        copies refreshed, hub thresholds re-checked — and the dirty region
-        accumulates until the next :meth:`infer`.  When the delta invalidates
-        the plan (hub set changed, mirror-group counts moved) or the backend
-        keeps the base-class default (khop), the delta still lands on the
-        graph and the session transparently re-plans.  Either way the
+        (:meth:`flush_deltas`) and the flush's outcome returned: the backend
+        patches the cached plan in place — feature rows land on the graph
+        (pregel also scatters them into its partitions through the cluster
+        layout), shadow mirror copies are refreshed, hub thresholds
+        re-checked — and the dirty region accumulates until the next
+        :meth:`infer`.  When the delta invalidates the plan (hub set changed,
+        mirror-group counts moved), the delta still lands on the graph and
+        the session transparently re-plans.  Either way the
         fingerprint is refreshed, so a following :meth:`infer` serves
         *current* scores.
 
@@ -355,7 +354,7 @@ class InferenceSession:
                 self._topo_dirty = np.union1d(self._topo_dirty, outcome.topo_dirty)
                 plan.fingerprint = graph_fingerprint(plan.graph)
                 return outcome
-            # Full-recompute default: the delta is already on the graph;
+            # The hub contract broke: the delta is already on the graph;
             # rebuild the plan over it.
             self._num_replans += 1
             self.prepare(plan.graph).delta_seen = True   # still a drifting graph

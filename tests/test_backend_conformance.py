@@ -14,10 +14,10 @@ assumes, under **every** executor substrate
 3. **Staleness contract** — an out-of-band in-place mutation after
    ``prepare()`` raises :class:`StalePlanError` instead of serving stale
    scores.
-4. **Delta fallback** — ``apply_delta`` keeps serving *current* scores
-   whether the backend patches the plan in place (optional hook) or takes the
-   full-recompute default, and ``infer(mode="incremental")`` agrees with a
-   fresh prepare+infer bit for bit, even where no incremental hook exists.
+4. **Deltas keep scores current** — after ``apply_delta`` (patched in place,
+   or re-planned when the hub set moves) both ``infer()`` and
+   ``infer(mode="incremental")`` agree with a fresh prepare+infer bit for
+   bit, including on mapreduce, which has no incremental hook.
 5. **Plan reuse** — ``infer_many`` never re-plans (backend spy) and repeated
    runs are bit-identical to each other.
 6. **Simulated counters** — ``compute_units`` / ``records_out`` /
@@ -48,7 +48,7 @@ from repro.inference import (
     StalePlanError,
     StrategyConfig,
 )
-from repro.inference.backends import Backend, available_backends
+from repro.inference.backends import available_backends
 from tests.test_inference_equivalence import reference_scores
 
 BACKENDS = sorted(available_backends())
@@ -76,10 +76,8 @@ def make_config(backend: str, executor: str) -> InferenceConfig:
 
 def khop_reference(model, graph) -> np.ndarray:
     """The traditional full-neighbourhood pipeline (deterministic baseline)."""
-    outcome = TraditionalPipeline(model, TraditionalConfig(
-        num_workers=NUM_WORKERS)).run(graph, compute_scores=True,
-                                      compute_cost=False)
-    return outcome.scores
+    return TraditionalPipeline(model, TraditionalConfig(
+        num_workers=NUM_WORKERS)).run(graph).scores
 
 
 class _PlanSpy:
@@ -131,8 +129,8 @@ class TestBackendConformance:
             session.close()
 
     def test_delta_keeps_scores_current(self, backend, executor):
-        """Feature + edge deltas: in-place hook or full-recompute fallback,
-        the next infer() — full and incremental — serves post-delta scores."""
+        """Feature + edge deltas, patched in place or re-planned: the next
+        infer() — full and incremental — serves post-delta scores."""
         rng = np.random.default_rng(23)
         graph = make_graph(seed=13)
         model = make_model()
@@ -183,21 +181,18 @@ class TestEdgeDeltaContract:
 
     A hub-preserving edge delta (adds from deep non-hub sources, removals
     whose source stays a deep non-hub) under shadow nodes must return
-    ``DeltaOutcome(in_place=True)`` on the backends with delta hooks, and the
+    ``DeltaOutcome(in_place=True)``, and the
     following full *and* incremental inferences must match a fresh
     ``prepare()+infer()`` on the post-delta graph bit for bit, on both
     executors.
     """
 
     def test_in_place_edge_delta_matches_fresh_replan(self, backend, executor):
-        from repro.inference.backends import get_backend
-
         rng = np.random.default_rng(29)
         graph = make_graph(seed=19)
         model = make_model()
         session = InferenceSession(model, make_config(backend, executor))
         session.prepare(graph)
-        has_hook = type(get_backend(backend)).apply_delta is not Backend.apply_delta
         try:
             session.infer()
             threshold = session.plan.strategy_plan.threshold
@@ -210,8 +205,7 @@ class TestEdgeDeltaContract:
                 removed_edge_ids=rng.choice(removable, size=10, replace=False),
             )
             outcome = session.apply_delta(delta)
-            if has_hook:
-                assert outcome.in_place, outcome.reason
+            assert outcome.in_place, outcome.reason
             after = session.infer().scores
             incremental = session.infer(mode="incremental").scores
 
@@ -254,7 +248,7 @@ class TestExecutorEquivalence:
 @pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestStreamingDeltaConformance:
-    """Backends advertising ``apply_delta`` must survive a sustained stream.
+    """Every backend's ``apply_delta`` must survive a sustained stream.
 
     50 seeded interleaved deltas (feature refreshes + edge churn) are pushed
     through twin sessions over identical graph copies: session A applies each
@@ -266,10 +260,6 @@ class TestStreamingDeltaConformance:
 
     def test_coalesced_stream_matches_eager_application(self, backend,
                                                         executor):
-        from repro.inference.backends import get_backend
-        if type(get_backend(backend)).apply_delta is Backend.apply_delta:
-            pytest.skip(f"backend {backend!r} keeps the re-plan default")
-
         rng = np.random.default_rng(41)
         graph_eager = make_graph(seed=17)
         graph_coalesced = make_graph(seed=17)

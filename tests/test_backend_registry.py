@@ -1,19 +1,22 @@
-"""The backend table: lookup, the base class's fallback hooks, and the k-hop
-backend's parity with the full-graph backends."""
+"""The backend table: lookup, the cluster flavour each backend defaults to,
+and the base class's ``apply_delta`` that both of the paper's backends land
+deltas through."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.cluster.executor import available_executors
 from repro.cluster.resources import ClusterSpec
 from repro.gnn.model import build_model
-from repro.graph.generators import labeled_community_graph
+from repro.graph.generators import powerlaw_graph
 from repro.graph.graph import Graph
 from repro.inference import (
     GraphDelta,
     InferenceConfig,
     InferenceSession,
+    StrategyConfig,
     UnknownBackendError,
     available_backends,
     get_backend,
@@ -21,27 +24,20 @@ from repro.inference import (
 from repro.inference.backends import (
     BACKENDS,
     Backend,
-    KHopBackend,
     MapReduceBackend,
     PregelBackend,
 )
-
-
-@pytest.fixture(scope="module")
-def community():
-    return labeled_community_graph(num_nodes=120, num_classes=3, feature_dim=8,
-                                   avg_degree=5.0, seed=2)
+from repro.inference.delta import apply_delta_to_graph
 
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert available_backends() == {"pregel", "mapreduce", "khop"}
+        assert available_backends() == {"pregel", "mapreduce"}
         assert all(get_backend(name).name == name for name in available_backends())
 
     def test_get_backend_returns_singletons(self):
         assert isinstance(get_backend("pregel"), PregelBackend)
         assert isinstance(get_backend("mapreduce"), MapReduceBackend)
-        assert isinstance(get_backend("khop"), KHopBackend)
         assert get_backend("pregel") is get_backend("pregel")
 
     def test_unknown_backend_lists_registered_names(self):
@@ -49,7 +45,7 @@ class TestRegistry:
             get_backend("spark-on-mars")
         message = str(excinfo.value)
         assert "spark-on-mars" in message
-        for name in ("pregel", "mapreduce", "khop"):
+        for name in ("pregel", "mapreduce"):
             assert name in message
 
     def test_unknown_backend_is_a_value_error(self):
@@ -60,7 +56,7 @@ class TestRegistry:
         names = available_backends()
         names.add("spark-on-mars")
         assert "spark-on-mars" not in BACKENDS
-        assert available_backends() == {"pregel", "mapreduce", "khop"}
+        assert available_backends() == {"pregel", "mapreduce"}
 
     def test_incomplete_backend_cannot_be_instantiated(self):
         """abc enforces the required surface when a backend is instantiated."""
@@ -83,56 +79,78 @@ class TestRegistry:
         config = InferenceConfig(backend="pregel-alias", num_workers=3)
         assert config.cluster.num_workers == 3
 
-    def test_default_hooks_are_the_full_recompute_fallback(self, community):
-        """A backend overriding nothing lands the delta and asks for a re-plan."""
-        khop = get_backend("khop")
-        model = build_model("sage", community.feature_dim, 8, 3, num_layers=2, seed=1)
-        graph = Graph(community.src.copy(), community.dst.copy(),
-                      node_features=community.node_features.copy(),
-                      num_nodes=community.num_nodes)
-        plan = khop.plan(model, graph, InferenceConfig(backend="khop", num_workers=2))
-        row = np.full((1, graph.feature_dim), 7.0)
-        outcome = khop.apply_delta(plan, GraphDelta(node_ids=np.array([3]),
-                                                    node_features=row))
-        assert not outcome.in_place and "re-plans" in outcome.reason
-        np.testing.assert_array_equal(graph.node_features[3], row[0])
-        assert khop.execute_incremental(plan, None, np.array([3]), np.empty(0)) is None
-        khop.release(plan)     # no-op, must not raise
-
-    def test_config_accepts_any_registered_backend(self):
-        config = InferenceConfig(backend="khop", num_workers=4)
-        assert config.cluster.num_workers == 4
-        # khop simulates the traditional deployment's beefier workers.
-        assert config.cluster.worker.cpu_cores == ClusterSpec.traditional_default(4).worker.cpu_cores
+    @pytest.mark.parametrize("backend,flavour", [
+        ("pregel", ClusterSpec.pregel_default),
+        ("mapreduce", ClusterSpec.mapreduce_default),
+    ])
+    def test_config_accepts_any_registered_backend(self, backend, flavour):
+        config = InferenceConfig(backend=backend, num_workers=4)
+        assert config.cluster == flavour(4)
 
     def test_config_rejects_unregistered_backend_with_names(self):
         with pytest.raises(ValueError) as excinfo:
             InferenceConfig(backend="flink")
         assert "pregel" in str(excinfo.value)
 
+    def test_khop_is_not_a_backend(self):
+        # The k-hop pipeline is the baseline the backends are measured
+        # against (TraditionalPipeline), not a third way to serve.
+        with pytest.raises(UnknownBackendError) as excinfo:
+            InferenceConfig(backend="khop")
+        assert str(excinfo.value).endswith("known backends: 'mapreduce', 'pregel'")
 
-class TestKHopBackend:
-    def test_khop_matches_pregel_shape_dtype_and_values(self, community):
-        model = build_model("sage", community.feature_dim, 16, 3, num_layers=2, seed=1)
-        pregel = InferenceSession(model, InferenceConfig(backend="pregel", num_workers=4))
-        khop = InferenceSession(model, InferenceConfig(backend="khop", num_workers=4))
-        p = pregel.infer(community)
-        k = khop.infer(community)
-        assert k.scores.shape == p.scores.shape
-        assert k.scores.dtype == p.scores.dtype
-        # Full neighbourhoods -> deterministic and numerically equal.
-        np.testing.assert_allclose(k.scores, p.scores, atol=1e-9)
 
-    def test_khop_repeated_runs_identical(self, community):
-        model = build_model("gcn", community.feature_dim, 12, 3, num_layers=2, seed=3)
-        session = InferenceSession(model, InferenceConfig(backend="khop", num_workers=2))
-        session.prepare(community)
-        first, second = session.infer_many(2)
-        np.testing.assert_array_equal(first.scores, second.scores)
+def shaped_delta(kind: str, graph: Graph, rng: np.random.Generator) -> GraphDelta:
+    """A feature, hub-preserving edge, or hub-moving delta (threshold 20)."""
+    low = np.nonzero(graph.out_degrees() < 5)[0]
+    if kind == "feature":
+        ids = rng.choice(graph.num_nodes, size=9, replace=False)
+        return GraphDelta(node_ids=ids,
+                          node_features=rng.standard_normal((9, graph.feature_dim)))
+    if kind == "stable-edge":
+        return GraphDelta(
+            added_src=low[:4], added_dst=rng.integers(0, graph.num_nodes, size=4),
+            removed_edge_ids=np.nonzero(np.isin(graph.src, low[4:40]))[0][:3])
+    return GraphDelta(added_src=np.full(30, low[0]),
+                      added_dst=rng.choice(graph.num_nodes, size=30, replace=False))
 
-    def test_khop_records_metrics_and_cost(self, community):
-        model = build_model("sage", community.feature_dim, 8, 3, num_layers=2, seed=4)
-        session = InferenceSession(model, InferenceConfig(backend="khop", num_workers=2))
-        result = session.infer(community)
-        assert result.cost.cpu_minutes > 0
-        assert result.metrics.instances(), "khop execution should record per-instance metrics"
+
+REASONS = {"feature": "", "stable-edge": "",
+           "hub-moving": "the out-degree hub set changed"}
+
+
+@pytest.mark.parametrize("executor", sorted(available_executors()))
+@pytest.mark.parametrize("kind", sorted(REASONS))
+@pytest.mark.parametrize("backend", ["mapreduce", "pregel"])
+def test_base_apply_delta_lands_then_patches_or_replans(backend, kind, executor):
+    """``Backend.apply_delta`` lands every delta on ``plan.graph``; it reports
+    in place unless the hub set moved, and only then does the session re-plan."""
+    graph = powerlaw_graph(num_nodes=300, avg_degree=5.0, skew="out",
+                           feature_dim=8, num_classes=3, seed=71)
+    reference = Graph(graph.src.copy(), graph.dst.copy(),
+                      node_features=graph.node_features.copy(),
+                      num_nodes=graph.num_nodes)
+    session = InferenceSession(
+        build_model("sage", 8, 16, 3, num_layers=2, seed=1),
+        InferenceConfig(backend=backend, num_workers=4, executor=executor,
+                        strategies=StrategyConfig(partial_gather=True, broadcast=True,
+                                                  shadow_nodes=True,
+                                                  hub_threshold_override=20)))
+    plan = session.prepare(graph)
+    try:
+        session.infer()
+        delta = shaped_delta(kind, graph, np.random.default_rng(71))
+        apply_delta_to_graph(reference, delta)
+        outcome = session.apply_delta(delta)
+
+        replans = kind == "hub-moving"
+        assert outcome.in_place is not replans
+        assert outcome.reason == REASONS[kind]
+        for name in ("src", "dst", "node_features"):
+            np.testing.assert_array_equal(getattr(plan.graph, name),
+                                          getattr(reference, name))
+        assert session.num_replans == int(replans)
+        assert (session.plan is plan) is not replans
+        assert session.plan.graph is graph
+    finally:
+        session.close()

@@ -48,7 +48,7 @@ class TestTraditionalPipeline:
         """Without sampling, the traditional pipeline and InferTurbo agree exactly."""
         targets = np.arange(60)
         pipeline = TraditionalPipeline(model, TraditionalConfig(num_workers=4, fanout=None))
-        traditional = pipeline.run(graph, targets=targets, compute_scores=True)
+        traditional = pipeline.run(graph, targets=targets)
         inferturbo = InferenceSession(model, InferenceConfig(num_workers=4)).infer(graph)
         np.testing.assert_allclose(traditional.scores[targets], inferturbo.scores[targets],
                                    atol=1e-9)
@@ -56,47 +56,47 @@ class TestTraditionalPipeline:
     def test_sampling_changes_predictions_between_seeds(self, graph, model):
         targets = np.arange(80)
         pipeline = TraditionalPipeline(model, TraditionalConfig(num_workers=4, fanout=2))
-        first = pipeline.run(graph, targets=targets, compute_scores=True, seed=1)
-        second = pipeline.run(graph, targets=targets, compute_scores=True, seed=2)
+        first = pipeline.run(graph, targets=targets, seed=1)
+        second = pipeline.run(graph, targets=targets, seed=2)
         assert not np.allclose(first.scores[targets], second.scores[targets])
 
     def test_full_neighborhood_is_deterministic(self, graph, model):
         targets = np.arange(40)
         pipeline = TraditionalPipeline(model, TraditionalConfig(num_workers=4, fanout=None))
-        first = pipeline.run(graph, targets=targets, compute_scores=True, seed=1)
-        second = pipeline.run(graph, targets=targets, compute_scores=True, seed=2)
+        first = pipeline.run(graph, targets=targets, seed=1)
+        second = pipeline.run(graph, targets=targets, seed=2)
         np.testing.assert_array_equal(first.scores[targets], second.scores[targets])
 
     def test_redundancy_factor_exceeds_one(self, graph, model):
         """Overlapping k-hop neighbourhoods recompute nodes many times over."""
         pipeline = TraditionalPipeline(model, TraditionalConfig(num_workers=4, fanout=None,
                                                                 batch_size=16))
-        result = pipeline.run(graph, compute_scores=False)
+        result = pipeline.run(graph)
         assert result.redundancy_factor(graph) > 2.0
 
-    def test_cost_only_run_skips_scores(self, graph, model):
-        pipeline = TraditionalPipeline(model, TraditionalConfig(num_workers=4))
-        result = pipeline.run(graph, targets=np.arange(32), compute_scores=False)
-        assert result.scores is None
-        assert result.cost.wall_clock_seconds > 0
+    def test_run_records_metrics_and_cost(self, graph, model):
+        pipeline = TraditionalPipeline(model, TraditionalConfig(num_workers=2))
+        result = pipeline.run(graph, targets=np.arange(32))
+        assert result.cost.cpu_minutes > 0
+        assert result.metrics.instances(), "a run records per-instance metrics"
 
     def test_batches_spread_over_workers(self, graph, model):
         pipeline = TraditionalPipeline(model, TraditionalConfig(num_workers=3, batch_size=16))
-        result = pipeline.run(graph, targets=np.arange(96), compute_scores=False)
+        result = pipeline.run(graph, targets=np.arange(96))
         busy_workers = {m.instance_id for m in result.metrics.instances("inference")}
         assert busy_workers == {0, 1, 2}
 
     def test_oom_detected_with_tiny_memory(self, graph, model):
         cluster = ClusterSpec(num_workers=2, worker=WorkerSpec(cpu_cores=2, memory_bytes=1e4))
         pipeline = TraditionalPipeline(model, TraditionalConfig(num_workers=2, cluster=cluster))
-        result = pipeline.run(graph, targets=np.arange(32), compute_scores=False)
+        result = pipeline.run(graph, targets=np.arange(32))
         assert result.cost.oom
 
     def test_estimate_costs_close_to_actual(self, graph, model):
         """Extrapolated costs should be within a factor ~2 of the measured run."""
         config = TraditionalConfig(num_workers=4, fanout=None, batch_size=32)
         pipeline = TraditionalPipeline(model, config)
-        actual = pipeline.run(graph, compute_scores=False)
+        actual = pipeline.run(graph)
         estimated = pipeline.estimate_costs(graph, sample_size=64)
         ratio = estimated.cost.cpu_minutes / max(actual.cost.cpu_minutes, 1e-12)
         assert 0.4 < ratio < 2.5

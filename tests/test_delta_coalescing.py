@@ -392,7 +392,7 @@ def graph_bytes(graph):
 class TestOneDeltaPath:
     @pytest.mark.parametrize("front", ["session", "pool"])
     @pytest.mark.parametrize("kind", ["feature", "edge", "mixed", "hub_moving"])
-    @pytest.mark.parametrize("backend", ["pregel", "mapreduce", "khop"])
+    @pytest.mark.parametrize("backend", ["pregel", "mapreduce"])
     def test_eager_equals_defer_then_flush(self, backend, kind, front):
         from repro.inference import SessionPool
 
@@ -430,9 +430,9 @@ class TestOneDeltaPath:
         np.testing.assert_array_equal(eager[0], two_step[0])
         assert eager[1:] == two_step[1:]
         # The shapes exercise what they claim: in-place patches where the
-        # backend has hooks and the hub set holds, exactly one re-plan where not.
+        # hub set holds, exactly one re-plan where not.
         in_place, replans = eager[3], eager[4]
-        assert in_place == (backend != "khop" and kind != "hub_moving")
+        assert in_place == (kind != "hub_moving")
         assert replans == (0 if in_place else 1)
 
     @pytest.mark.parametrize("backend", ["pregel", "mapreduce"])

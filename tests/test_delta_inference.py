@@ -5,8 +5,8 @@ out of band must raise :class:`StalePlanError` (never silently serve stale
 scores), and an in-band :class:`GraphDelta` followed by
 ``infer(mode="incremental")`` must be *bit-identical* to a fresh full
 ``prepare()+infer()`` on the mutated graph — shadow nodes and broadcast
-enabled, on every backend (non-pregel backends take the full-recompute
-default path).
+enabled, on both backends (mapreduce answers an incremental request with a
+full run).
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def random_feature_delta(rng: np.random.Generator, graph: Graph,
 # staleness detection
 # --------------------------------------------------------------------------- #
 class TestStaleness:
-    @pytest.mark.parametrize("backend", ["pregel", "mapreduce", "khop"])
+    @pytest.mark.parametrize("backend", ["pregel", "mapreduce"])
     def test_out_of_band_mutation_raises(self, backend):
         graph = make_graph(seed=1)
         session = make_session(graph, backend=backend)
@@ -515,46 +515,34 @@ class TestEdgeDelta:
 
 
 # --------------------------------------------------------------------------- #
-# full-recompute default on backends without delta hooks
+# the re-plan path, and mapreduce's full runs over the patched graph
 # --------------------------------------------------------------------------- #
 class TestFallbackBackends:
-    def test_tables_source_survives_the_replan_path(self):
+    @pytest.mark.parametrize("backend", ["pregel", "mapreduce"])
+    def test_tables_source_survives_the_replan_path(self, backend):
         # A session prepared from a converted (NodeTable, EdgeTable) pair
-        # whose delta takes the full-recompute path must keep serving
-        # post-delta scores when called as infer(source) — the re-plan runs
-        # over the same (patched) Graph object, so the source stays current.
+        # whose delta moves the hub set must keep serving post-delta scores
+        # when called as infer(source) — the re-plan runs over the same
+        # (patched) Graph object, so the source stays current.
         from repro.graph.tables import graph_to_tables, tables_to_graph
 
         graph = make_graph(seed=43, num_nodes=300)
         source = tables_to_graph(*graph_to_tables(graph))
-        session = make_session(graph, backend="khop")
+        session = make_session(graph, backend=backend)
         plan = session.prepare(source)
         session.infer()
-        delta = GraphDelta(added_src=np.array([2, 3]), added_dst=np.array([0, 1]))
+        low = np.nonzero(source.out_degrees() < 5)[0][0]
+        delta = GraphDelta(added_src=np.full(30, low),      # a new hub
+                           added_dst=np.arange(30))
         outcome = session.apply_delta(delta)
-        assert not outcome.in_place                      # khop: no delta hooks
+        assert not outcome.in_place, "a hub-moving delta must re-plan"
         assert session.plan is not plan and session.num_replans == 1
         replanned = session.plan
         after = session.infer().scores
         again = session.infer(source).scores             # must not re-plan
         assert session.plan is replanned
         np.testing.assert_array_equal(again, after)
-
-    def test_khop_apply_delta_replans_and_serves_current(self):
-        # khop has no delta hooks at all: always the full-recompute default.
-        rng = np.random.default_rng(41)
-        graph = make_graph(seed=41, num_nodes=300)
-        session = make_session(graph, backend="khop")
-        session.prepare(graph)
-        session.infer()
-        delta = random_feature_delta(rng, graph)
-        outcome = session.apply_delta(delta)
-        assert not outcome.in_place
-        scores = session.infer(mode="incremental").scores   # falls back to full
-        reference = make_graph(seed=41, num_nodes=300)
-        reference.node_features[delta.node_ids] = delta.node_features
-        np.testing.assert_array_equal(scores,
-                                      fresh_scores(reference, backend="khop"))
+        np.testing.assert_array_equal(after, fresh_scores(source, backend=backend))
 
     def test_mapreduce_feature_delta_patches_in_place(self):
         # mapreduce has delta hooks: a feature delta lands on the graph the

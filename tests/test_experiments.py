@@ -35,11 +35,6 @@ class TestReporting:
         assert "a" in lines[1] and "bb" in lines[1]
         assert len(lines) == 5
 
-    def test_format_series(self):
-        text = reporting.format_series({"s": {0: 1.0, 1: 2.0}}, "x", "y", title="S")
-        assert "[s]" in text
-        assert "->" in text
-
 
 class TestTable1:
     def test_rows_cover_all_datasets(self):

@@ -6,18 +6,13 @@ import numpy as np
 import pytest
 
 from repro.graph.generators import (
-    erdos_renyi_graph,
     labeled_community_graph,
     powerlaw_graph,
     star_graph,
 )
 from repro.graph.graph import Graph
-from repro.graph.khop import khop_neighborhood, receptive_field_sizes
-from repro.graph.sampling import (
-    FullNeighborSampler,
-    TopKNeighborSampler,
-    UniformNeighborSampler,
-)
+from repro.graph.khop import khop_neighborhood
+from repro.graph.sampling import FullNeighborSampler, UniformNeighborSampler
 
 
 class TestKHop:
@@ -67,9 +62,10 @@ class TestKHop:
         assert counts.max(initial=0) <= 2
 
     def test_full_sampler_matches_receptive_field_growth(self, small_graph):
-        sizes_1 = receptive_field_sizes(small_graph, [0, 1, 2], 1)
-        sizes_2 = receptive_field_sizes(small_graph, [0, 1, 2], 2)
-        assert np.all(sizes_2 >= sizes_1)
+        for target in (0, 1, 2):
+            one_hop = khop_neighborhood(small_graph, [target], num_hops=1)
+            two_hop = khop_neighborhood(small_graph, [target], num_hops=2)
+            assert two_hop.num_nodes >= one_hop.num_nodes
 
     def test_deterministic_with_full_sampler(self, small_graph):
         a = khop_neighborhood(small_graph, [4, 9], num_hops=2)
@@ -83,13 +79,11 @@ class TestSamplers:
         edges = np.arange(17)
         out = FullNeighborSampler().sample(edges, np.random.default_rng(0))
         np.testing.assert_array_equal(out, edges)
-        assert not FullNeighborSampler().is_stochastic
 
     def test_uniform_sampler_caps_count(self):
         sampler = UniformNeighborSampler(5)
         out = sampler.sample(np.arange(100), np.random.default_rng(0))
         assert out.size == 5
-        assert sampler.is_stochastic
 
     def test_uniform_sampler_returns_all_when_small(self):
         sampler = UniformNeighborSampler(10)
@@ -103,18 +97,9 @@ class TestSamplers:
         second = sampler.sample(edges, np.random.default_rng(2))
         assert not np.array_equal(np.sort(first), np.sort(second))
 
-    def test_topk_sampler_is_deterministic(self):
-        sampler = TopKNeighborSampler(3)
-        edges = np.array([9, 4, 1, 7, 2])
-        out = sampler.sample(edges, np.random.default_rng(0))
-        np.testing.assert_array_equal(out, [1, 2, 4])
-        assert not sampler.is_stochastic
-
     def test_invalid_fanout_rejected(self):
         with pytest.raises(ValueError):
             UniformNeighborSampler(0)
-        with pytest.raises(ValueError):
-            TopKNeighborSampler(-1)
 
 
 class TestGenerators:
@@ -166,11 +151,6 @@ class TestGenerators:
     def test_powerlaw_no_self_loops(self):
         graph = powerlaw_graph(300, avg_degree=5, skew="out", seed=2)
         assert np.all(graph.src != graph.dst)
-
-    def test_erdos_renyi(self):
-        graph = erdos_renyi_graph(200, avg_degree=4, seed=0)
-        assert graph.num_nodes == 200
-        assert abs(graph.num_edges / 200 - 4) < 1.5
 
     def test_star_graph_degrees(self):
         star_in = star_graph(30, direction="in")
