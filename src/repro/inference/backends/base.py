@@ -76,10 +76,15 @@ class ExecutionPlan:
     #: backend-private precomputed artefacts (engines, executors, pipelines).
     state: Dict[str, Any] = field(default_factory=dict)
     #: content fingerprint of ``graph`` at plan (or last delta) time — see
-    #: :func:`repro.inference.delta.graph_fingerprint`.  The session checks it
-    #: on every ``infer()`` and raises ``StalePlanError`` on out-of-band
-    #: mutation instead of serving stale scores.
+    #: :func:`repro.inference.delta.graph_fingerprint`.  The session re-hashes
+    #: a caller's graph against it at every public entry and raises
+    #: ``StalePlanError`` on out-of-band mutation instead of serving stale
+    #: scores; a pool-private copy only while ``fingerprint_current`` is unset.
     fingerprint: Optional[Tuple[int, int, int]] = None
+    #: whether ``fingerprint`` describes ``graph``: a flush clears it before
+    #: the backend patches the plan and sets it once the fingerprint is
+    #: refreshed, so it stays clear only after a flush that raised part-way.
+    fingerprint_current: bool = True
     #: set by the session the first time a delta lands on (or is deferred
     #: against) this plan.  The pregel backend gates its per-superstep state
     #: cache on it, so sessions that never see a delta keep pre-delta peak

@@ -7,9 +7,11 @@ traffic arrives) silently served *yesterday's* scores — the classic stale-plan
 bug of plan-once/infer-many systems.  The contract is now explicit:
 
 * every prepared plan carries a :func:`graph_fingerprint` of the source
-  graph's feature buffers and edge arrays; ``infer()`` re-checks it and raises
-  :class:`StalePlanError` on any out-of-band mutation — a loud error instead
-  of a silent wrong answer;
+  graph's feature buffers and edge arrays; the session re-checks it at every
+  public entry and raises :class:`StalePlanError` on any out-of-band
+  mutation — a loud error instead of a silent wrong answer (a pool-private
+  copy, read-only outside its session's flush, is trusted while its plan's
+  fingerprint is current);
 * in-band changes travel as a :class:`GraphDelta` through
   ``session.apply_delta(delta)``, which updates the cached plan (and its
   fingerprint) in place where possible and transparently re-plans where not;

@@ -14,7 +14,12 @@ out of band simply misses the cache and is planned afresh (its stale entry
 ages out through eviction), so the pool can never serve yesterday's plan for
 today's bytes.  Each pooled session is prepared over a **private copy** of
 the tenant's arrays, so the pool never mutates one tenant's buffers on
-another tenant's behalf.  In-band changes go through
+another tenant's behalf.  The copy's arrays are read-only outside the
+session's own flush, so the session trusts the copy while its plan's
+fingerprint is current rather than re-hashing it (a flush that raised
+part-way sends the next check to a full re-hash).  The tenant's handle,
+which its caller can write, is hashed in full at every lookup and after
+every mirrored delta.  In-band changes go through
 :meth:`SessionPool.apply_delta`, which routes the delta to the owning
 session *and* mirrors it onto the caller's graph — the tenant's handle and
 the cache key always move together to the post-delta fingerprint.
@@ -115,9 +120,10 @@ class PoolEntry:
 
     fingerprint: Fingerprint
     session: InferenceSession
-    #: Eviction weight: a deterministic proxy for how expensive the plan was
-    #: to build (preparation is O(edges)), stable across runs — timing noise
-    #: cannot reorder equal-content twins.
+    #: Eviction weight: the byte size of the graph the entry now covers (set
+    #: at prepare, refreshed by every mirrored delta) — a deterministic proxy
+    #: for how expensive the plan is to rebuild (preparation is O(edges)),
+    #: stable across runs, so timing noise cannot reorder equal-content twins.
     graph_bytes: int
     #: Pool-operation sequence number of the last use (the eviction clock).
     last_used_seq: int
@@ -321,7 +327,10 @@ class SessionPool:
             session = InferenceSession(self.model, self.config)
             started = time.perf_counter()
             try:
-                session.prepare(private)
+                # Owned: the session makes the copy read-only outside its
+                # own flush, so it trusts the copy while its plan's
+                # fingerprint is current instead of re-hashing it.
+                session._prepare(private, owned=True)
             except BaseException:
                 # Release the claim so a waiter can retry (and surface its
                 # own error if the content is truly unpreparable).
@@ -366,13 +375,20 @@ class SessionPool:
 
     def _rekey_locked(self, fingerprint: Fingerprint,
                       new_fingerprint: Optional[Fingerprint],
-                      session: InferenceSession) -> List[InferenceSession]:
-        """:meth:`_rekey` body (lock held); returns sessions to close."""
+                      session: InferenceSession,
+                      handle: Optional[Graph] = None) -> List[InferenceSession]:
+        """:meth:`_rekey` body (lock held); returns sessions to close.
+
+        ``handle`` is the tenant graph a delta was just mirrored onto: the
+        entry's eviction weight follows its new byte size.
+        """
         if new_fingerprint is None:
             return []
         entry = self._entries.get(fingerprint)
         if entry is None or entry.session is not session:
             return []
+        if handle is not None:
+            entry.graph_bytes = _graph_bytes(handle)
         if new_fingerprint == fingerprint:
             return []
         self._entries.pop(fingerprint, None)
@@ -393,7 +409,9 @@ class SessionPool:
 
         A cache hit returns the existing session without re-planning — the
         plan-reuse guarantee the pool exists for; a miss prepares a new
-        session (and may evict the lowest-scored one).
+        session (and may evict the lowest-scored one).  The session's
+        ``plan.graph`` is the pool's private copy: its arrays are read-only,
+        and only the session's own flush writes them.
         """
         return self._lookup(graph)[1]
 
@@ -466,7 +484,7 @@ class SessionPool:
                 # fingerprint) — entries are few, the scan is cheap.
                 current = next((key for key, entry in self._entries.items()
                                 if entry.session is session), fingerprint)
-                victims = self._rekey_locked(current, mirrored, session)
+                victims = self._rekey_locked(current, mirrored, session, graph)
         for victim in victims:
             victim.close()
         if not defer:

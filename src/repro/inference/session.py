@@ -15,9 +15,14 @@ to a fresh one-shot run — the session only removes the repeated planning work.
 
 Serving graphs change between runs, so the session enforces a **staleness
 contract**: the plan fingerprints the graph at :meth:`~InferenceSession.prepare`
-time, every :meth:`~InferenceSession.infer` re-checks it, and an out-of-band
-in-place mutation raises :class:`~repro.inference.delta.StalePlanError`
-instead of silently serving yesterday's scores.  In-band changes travel as a
+time, every public entry (:meth:`~InferenceSession.infer`, a deferred
+:meth:`~InferenceSession.apply_delta`, a flush) re-checks it, and an
+out-of-band in-place mutation raises
+:class:`~repro.inference.delta.StalePlanError` instead of silently serving
+yesterday's scores.  A :class:`~repro.inference.pool.SessionPool` session
+runs over a private copy whose arrays are read-only outside its own flush;
+it is trusted while the plan's fingerprint is current, and re-hashed only
+after a flush that raised part-way.  In-band changes travel as a
 :class:`~repro.inference.delta.GraphDelta` through
 :meth:`~InferenceSession.apply_delta`; afterwards
 ``infer(mode="incremental")`` recomputes only the delta's k-hop reach on
@@ -34,8 +39,9 @@ patch.  ``apply_delta(delta)`` is "buffer, then flush"; ``defer=True`` is
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -57,6 +63,27 @@ from repro.inference.delta import (
 from repro.inference.strategies import StrategyPlan
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
+
+
+def _set_writeable(graph: Graph, writeable: bool) -> None:
+    for array in (graph.src, graph.dst, graph.node_features, graph.edge_features):
+        if array is not None:
+            array.flags.writeable = writeable
+
+
+@contextmanager
+def _writes_allowed(graph: Graph, owned: bool) -> Iterator[None]:
+    """Lift an owned graph's read-only flags for the block (a flush's patch);
+    a caller's graph was never locked."""
+    if not owned:
+        yield
+        return
+    _set_writeable(graph, True)
+    try:
+        yield
+    finally:
+        # Edge deltas rebind src/dst/edge_features to new arrays: lock those.
+        _set_writeable(graph, False)
 
 
 @dataclass
@@ -128,6 +155,8 @@ class InferenceSession:
         self.config = config or InferenceConfig()
         self.backend: Backend = get_backend(self.config.backend)
         self._plan: Optional[ExecutionPlan] = None
+        # Whether only this session can write the plan's graph (see _prepare).
+        self._owns_graph = False
         # Working-graph ids dirtied by flushed deltas since the last
         # execution; they seed the next incremental run's frontier.
         self._feature_dirty: np.ndarray = _EMPTY_IDS
@@ -216,6 +245,14 @@ class InferenceSession:
         them, so it raises; call :meth:`flush_deltas` (to apply them) or
         :meth:`discard_pending_deltas` first.
         """
+        return self._prepare(graph, owned=False)
+
+    def _prepare(self, graph: Graph, owned: bool) -> ExecutionPlan:
+        """:meth:`prepare`.  ``owned`` hands ``graph`` to this session:
+        :class:`~repro.inference.pool.SessionPool` passes it for the private
+        copy it made under its lock, and a re-plan inside
+        :meth:`flush_deltas` keeps it.  An owned graph's arrays are made
+        read-only, so nothing but this session's flush can write them."""
         note_slow_call("prepare")
         if not isinstance(graph, Graph):
             raise TypeError(
@@ -232,14 +269,17 @@ class InferenceSession:
             # for garbage collection.
             if self._plan is not None:
                 self.backend.release(self._plan)
+            if owned:
+                _set_writeable(graph, False)
             self._plan = self.backend.plan(self.model, graph, self.config)
             self._plan.fingerprint = graph_fingerprint(self._plan.graph)
+            self._owns_graph = owned
             self._feature_dirty = _EMPTY_IDS
             self._topo_dirty = _EMPTY_IDS
             return self._plan
 
     def _require_current_plan(self) -> ExecutionPlan:
-        """The cached plan, after re-checking its graph fingerprint.
+        """The cached plan, once its graph is known to match its fingerprint.
 
         The fingerprint covers edge arrays and feature buffers; it is updated
         by :meth:`prepare` and :meth:`flush_deltas`, so any mismatch means an
@@ -247,12 +287,19 @@ class InferenceSession:
         :class:`StalePlanError` before an execution would serve stale scores
         or a delta would launder the foreign mutation into a fresh
         fingerprint.
+
+        A graph the caller handed to :meth:`prepare` is re-hashed in full on
+        every call.  An owned graph (a pool-private copy) is read-only outside
+        this session's flush, so it is re-hashed only while the plan's
+        ``fingerprint_current`` is unset: a flush raised out of
+        ``backend.apply_delta``, possibly with the copy half-patched.
         """
         plan = self._plan
         if plan is None:
             raise RuntimeError("session is not prepared; call prepare(graph) first "
                                "(or pass a graph to infer())")
-        if graph_fingerprint(plan.graph) != plan.fingerprint:
+        trusted = self._owns_graph and plan.fingerprint_current
+        if not trusted and graph_fingerprint(plan.graph) != plan.fingerprint:
             raise StalePlanError(
                 "the graph was mutated in place after prepare(); the cached plan "
                 "would serve stale scores.  Describe the change as a GraphDelta "
@@ -347,17 +394,23 @@ class InferenceSession:
                 return DeltaOutcome(in_place=True,
                                     reason="pending deltas cancelled out")
             plan.delta_seen = True
-            outcome = self.backend.apply_delta(plan, merged)
+            # Until the refresh below the fingerprint describes the previous
+            # graph, so a raise out of the backend sends the next check to a
+            # full re-hash of the (possibly half-patched) graph.
+            plan.fingerprint_current = False
+            with _writes_allowed(plan.graph, self._owns_graph):
+                outcome = self.backend.apply_delta(plan, merged)
             if outcome.in_place:
                 self._feature_dirty = np.union1d(self._feature_dirty,
                                                  outcome.feature_dirty)
                 self._topo_dirty = np.union1d(self._topo_dirty, outcome.topo_dirty)
                 plan.fingerprint = graph_fingerprint(plan.graph)
+                plan.fingerprint_current = True
                 return outcome
             # The hub contract broke: the delta is already on the graph;
             # rebuild the plan over it.
             self._num_replans += 1
-            self.prepare(plan.graph).delta_seen = True   # still a drifting graph
+            self._prepare(plan.graph, owned=self._owns_graph).delta_seen = True
             return outcome
 
     def discard_pending_deltas(self) -> int:

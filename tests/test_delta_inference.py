@@ -114,6 +114,19 @@ class TestStaleness:
         with pytest.raises(StalePlanError):
             session.apply_delta(delta)
 
+    def test_mutation_right_after_an_eager_flush_raises(self):
+        # The flush checked and refreshed the fingerprint; a mutation made
+        # after it returned must still be caught by the next infer()'s check.
+        graph = make_graph(seed=8)
+        session = make_session(graph)
+        session.prepare(graph)
+        session.infer()
+        session.apply_delta(GraphDelta(node_ids=np.array([3]),
+                                       node_features=np.ones((1, graph.feature_dim))))
+        graph.node_features[7] += 5.0     # out of band
+        with pytest.raises(StalePlanError):
+            session.infer(mode="incremental")
+
     def test_fingerprint_tracks_content(self):
         graph = make_graph(seed=5)
         before = graph_fingerprint(graph)

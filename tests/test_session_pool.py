@@ -18,15 +18,18 @@ from repro.cluster.executor import WorkerCrashError, available_executors
 from repro.gnn import export_signature
 from repro.gnn.model import build_model
 from repro.graph.generators import powerlaw_graph
+from repro.graph.graph import Graph
 from repro.graph.tables import graph_to_tables, tables_to_graph
 from repro.inference import (
     GraphDelta,
     InferenceConfig,
     InferenceSession,
     SessionPool,
+    StalePlanError,
     StrategyConfig,
     graph_fingerprint,
 )
+from repro.inference.delta import apply_delta_to_graph
 
 
 def make_graph(seed: int, num_nodes: int = 400):
@@ -367,6 +370,65 @@ class TestDeltaRouting:
         assert pool.stats.misses == 2 and len(pool) == 2
         assert not np.array_equal(before, after)
 
+    def test_flush_raising_mid_patch_never_serves_the_private_copy(self):
+        # The backend patches the private copy, then raises: the flush never
+        # refreshed the fingerprint, so the plan's versions disagree.  The
+        # session must re-hash the copy and refuse, and the tenant's handle
+        # (which carries the delta) must miss instead of hitting that plan.
+        class PatchThenRaise(_PlanCounter):
+            def apply_delta(self, plan, delta):
+                apply_delta_to_graph(plan.graph, delta)
+                raise RuntimeError("backend failed mid-patch")
+
+        pool = SessionPool(make_model(), make_config(), capacity=4)
+        graph = make_graph(24)
+        pool.infer(graph)
+        session = pool.session_for(graph)
+        session.backend = PatchThenRaise(session.backend)
+        rng = np.random.default_rng(24)
+        delta = GraphDelta(node_ids=np.array([4, 9]),
+                           node_features=rng.standard_normal((2, 8)))
+        with pytest.raises(RuntimeError, match="mid-patch"):
+            pool.apply_delta(graph, delta)
+        session.backend = session.backend._inner
+        with pytest.raises(StalePlanError):
+            session.infer()
+        misses = pool.stats.misses
+        scores = pool.infer(graph).scores
+        assert pool.stats.misses == misses + 1
+        solo = InferenceSession(make_model(), make_config())
+        solo.prepare(make_graph(24))
+        solo.apply_delta(delta)
+        np.testing.assert_array_equal(scores, solo.infer().scores)
+
+    def test_private_copy_is_read_only_outside_the_flush(self):
+        # The session trusts its private copy without re-hashing it, so
+        # nothing reachable through the public API may write it — not even
+        # after an edge delta rebinds the edge arrays.  The caller's handle
+        # stays writeable.
+        def assert_read_only(private):
+            for array in (private.src, private.dst, private.node_features):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+
+        pool = SessionPool(make_model(), make_config(), capacity=2)
+        graph = make_graph(25)
+        pool.infer(graph)
+        session = pool.session_for(graph)
+        assert_read_only(session.plan.graph)
+        pool.apply_delta(graph, GraphDelta(
+            node_ids=np.array([2]), node_features=np.ones((1, 8)),
+            added_src=np.array([0]), added_dst=np.array([1])))
+        pool.infer(graph)
+        private = session.plan.graph
+        assert private is not graph and private.num_edges == graph.num_edges
+        assert_read_only(private)
+        assert all(array.flags.writeable
+                   for array in (graph.src, graph.dst, graph.node_features))
+        np.testing.assert_array_equal(pool.infer(graph).scores,
+                                      InferenceSession(make_model(), make_config())
+                                      .infer(graph).scores)
+
 
 class _BlockingBackend:
     """Delegating spy whose execute() blocks until released (thread tests)."""
@@ -666,6 +728,38 @@ class TestWeightedEviction:
         pool.session_for(make_graph(36, num_nodes=150))
         assert heavy not in pool and light in pool
 
+    def test_weight_follows_the_graph_through_edge_deltas(self):
+        # Appends make tenant A heavier than its equal-sized twin B.  At the
+        # eviction A is the older entry (age 3 against 2), so its weight at
+        # prepare time would evict it; its current weight (+75 % of bytes)
+        # outscores B, and B goes.
+        config = InferenceConfig(
+            backend="pregel", num_workers=4,
+            strategies=StrategyConfig(partial_gather=True, broadcast=False,
+                                      shadow_nodes=False,
+                                      hub_threshold_override=1_000_000))
+        pool = SessionPool(make_model(), config, capacity=2)
+        base = make_graph(37)
+
+        def twin(offset):
+            return Graph(src=base.src.copy(), dst=base.dst.copy(),
+                         node_features=base.node_features + offset,
+                         num_nodes=base.num_nodes)
+
+        tenant_a, tenant_b, newcomer = twin(0.0), twin(1.0), twin(2.0)
+        pool.infer(tenant_a)
+        pool.infer(tenant_b)
+        rng = np.random.default_rng(37)
+        # appended edges (16 B each) worth 75 % of the twin's bytes
+        grow = 3 * (2 * base.src.nbytes + base.node_features.nbytes) // (4 * 16)
+        pool.apply_delta(tenant_a, GraphDelta(
+            added_src=rng.integers(0, base.num_nodes, grow),
+            added_dst=rng.integers(0, base.num_nodes, grow)))
+        pool.infer(tenant_b)               # B is now the most recent
+        pool.infer(newcomer)               # over capacity: someone must go
+        assert tenant_a in pool and newcomer in pool
+        assert tenant_b not in pool
+
 
 class TestNonFiniteDeltasRejected:
     """One NaN row would poison a k-hop region and every cached superstep
@@ -807,16 +901,21 @@ class TestCrashIsolation:
             pool.clear()
 
 
-def test_fingerprint_passes_per_tick(monkeypatch):
-    """A ratchet, not a timing: one serving tick — four deferred deltas, then
-    an incremental ``infer`` — makes 16 full-array ``graph_fingerprint`` passes
-    today (3 per ``pool.apply_delta``: ``_lookup``, ``_buffer_delta``'s
-    current-plan check, the mirrored re-key; 4 per ``pool.infer``: ``_lookup``,
-    the flush pre-check, the post-flush refresh, ``infer``'s own re-check).
-    Seven hash the pool's private copy, which no caller can reach — six of
-    those re-check content nothing changed (the four current-plan checks, the
-    flush pre-check, ``infer``'s re-check).  The PR that makes the fingerprint
-    versioned claims against this exact count."""
+def _tick_deltas(rng, graph):
+    """The benchmark's tick: four deltas, feature rows and edge appends in turn."""
+    quiet = np.nonzero(graph.out_degrees() < 10)[0]
+    for step in range(4):
+        if step % 2 == 0:
+            yield GraphDelta(node_ids=rng.choice(graph.num_nodes, 4, replace=False),
+                             node_features=rng.normal(size=(4, 8)))
+        else:
+            yield GraphDelta(added_src=rng.choice(quiet, 2, replace=False),
+                             added_dst=rng.integers(0, graph.num_nodes, 2))
+
+
+def _count_fingerprint_passes(monkeypatch):
+    """Record the graph of every full ``graph_fingerprint`` pass the pool and
+    the session make."""
     from repro.inference import pool as pool_module
     from repro.inference import session as session_module
 
@@ -828,6 +927,18 @@ def test_fingerprint_passes_per_tick(monkeypatch):
 
     monkeypatch.setattr(pool_module, "graph_fingerprint", counting)
     monkeypatch.setattr(session_module, "graph_fingerprint", counting)
+    return passes
+
+
+def test_fingerprint_passes_per_tick(monkeypatch):
+    """A ratchet, not a timing: one pooled serving tick — four deferred
+    deltas, then an incremental ``infer`` — hashes the caller's handle in full
+    exactly 9 times (per ``pool.apply_delta``: the lookup and the mirrored
+    re-key; then ``pool.infer``'s lookup).  Those passes are the staleness
+    contract and the pool's content key.  The pool's private copy is hashed
+    once, by the post-flush refresh: it is read-only outside its session's
+    flush, so every other check trusts it while the plan's fingerprint is
+    current."""
     rng = np.random.default_rng(3)
     graph = make_graph(seed=3)
     pool = SessionPool(make_model(), make_config(), capacity=2)
@@ -837,22 +948,38 @@ def test_fingerprint_passes_per_tick(monkeypatch):
         pool.apply_delta(graph, GraphDelta(node_ids=np.array([1]),
                                            node_features=np.ones((1, 8))), defer=True)
         pool.infer(graph, mode="incremental")
-        quiet = np.nonzero(graph.out_degrees() < 10)[0]
-        passes.clear()
-        for step in range(4):               # the benchmark's tick: features, edges, ...
-            if step % 2 == 0:
-                delta = GraphDelta(node_ids=rng.choice(graph.num_nodes, 4, replace=False),
-                                   node_features=rng.normal(size=(4, 8)))
-            else:
-                delta = GraphDelta(added_src=rng.choice(quiet, 2, replace=False),
-                                   added_dst=rng.integers(0, graph.num_nodes, 2))
+        private = pool.session_for(graph).plan.graph
+        passes = _count_fingerprint_passes(monkeypatch)
+        for delta in _tick_deltas(rng, graph):
             pool.apply_delta(graph, delta, defer=True)
-        assert len(passes) == 12
         result = pool.infer(graph, mode="incremental")
     finally:
         pool.clear()
-    private = sum(each is not graph for each in passes)
-    print(f"graph_fingerprint passes per 4-delta tick: {len(passes)} ({private} on the "
-          f"pool's private copy)")
-    assert len(passes) <= 16 and private <= 7
+    caller = sum(each is graph for each in passes)
+    on_private = sum(each is private for each in passes)
+    print(f"graph_fingerprint passes per 4-delta tick: {caller} on the caller's "
+          f"handle, {on_private} on the pool's private copy")
+    assert (caller, on_private, len(passes)) == (9, 1, 10)
     assert result.scores.shape == (graph.num_nodes, 4)
+
+
+def test_fingerprint_passes_per_standalone_tick(monkeypatch):
+    """The same tick on a standalone session, whose plan runs over the
+    caller's own graph: it is hashed in full at each public entry — each of
+    the four deferred ``apply_delta`` calls, the flush's pre-check and
+    ``infer``'s own check — plus the post-flush refresh, 7 passes."""
+    rng = np.random.default_rng(3)
+    graph = make_graph(seed=3)
+    session = InferenceSession(make_model(), make_config())
+    session.prepare(graph)
+    session.apply_delta(GraphDelta(node_ids=np.array([1]),
+                                   node_features=np.ones((1, 8))))
+    session.infer(mode="incremental")
+    passes = _count_fingerprint_passes(monkeypatch)
+    for delta in _tick_deltas(rng, graph):
+        session.apply_delta(delta, defer=True)
+    session.infer(mode="incremental")
+    assert len(passes) == 7 and all(each is graph for each in passes)
+    passes.clear()
+    session.infer()                   # nothing to flush: one check, one pass
+    assert passes == [graph]
