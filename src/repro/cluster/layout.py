@@ -53,23 +53,33 @@ def stable_group_by(keys: np.ndarray,
     return order, counts, starts
 
 
+def csr_slots(indptr: np.ndarray,
+              ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(slots, counts, ends)`` of the ranges ``indptr[i]:indptr[i+1]``, ``i`` in ``ids``.
+
+    ``slots`` lists every range's positions, ranges in ``ids`` order, each
+    ascending — one repeat/arange pass with no per-id Python; ``counts[k]``
+    is range ``k``'s length and ``ends[k]`` how many slots precede it (one
+    more element: the total).
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    start = indptr[ids]
+    counts = indptr[ids + 1] - start
+    ends = np.zeros(ids.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=ends[1:])
+    slots = np.arange(int(ends[-1]), dtype=np.int64) + np.repeat(start - ends[:-1], counts)
+    return slots, counts, ends
+
+
 def csr_gather(indptr: np.ndarray, values: np.ndarray,
                ids: np.ndarray) -> np.ndarray:
     """Concatenate ``values[indptr[i]:indptr[i+1]]`` for every ``i`` in ``ids``.
 
-    The ranged multi-gather behind every CSR walk in the system — shadow
-    replica fan-out, batched out-neighbour expansion — in one
-    repeat/arange pass with no per-id Python.  Ranges appear in ``ids`` order,
-    each range in its stored order.
+    The ranged multi-gather behind every CSR walk in the system (shadow
+    replica fan-out, a reducer's edge rows): ranges appear in ``ids`` order,
+    each range in its stored order (:func:`csr_slots`).
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    counts = indptr[ids + 1] - indptr[ids]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=values.dtype)
-    run_starts = np.cumsum(counts) - counts
-    within = np.arange(total, dtype=np.int64) - np.repeat(run_starts, counts)
-    return values[np.repeat(indptr[ids], counts) + within]
+    return values[csr_slots(indptr, ids)[0]]
 
 
 class ClusterLayout:

@@ -15,8 +15,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.cluster.layout import csr_gather
-
 
 @dataclass
 class _AdjacencyIndex:
@@ -157,19 +155,6 @@ class Graph:
         """Edge ids (positions in src/dst) of the node's out-edges."""
         index = self._out()
         return index.edge_ids[index.indptr[node]:index.indptr[node + 1]]
-
-    def out_neighbors_many(self, nodes: np.ndarray) -> np.ndarray:
-        """Concatenated out-neighbour ids of every node in ``nodes``.
-
-        One repeat/gather pass over the cached CSR index — the batched walk
-        the incremental-inference frontier expansion runs once per hop.
-        Duplicates are preserved (callers ``np.unique`` when they need a set).
-        """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        if nodes.size == 0:
-            return np.empty(0, dtype=np.int64)
-        index = self._out()
-        return csr_gather(index.indptr, index.neighbor_ids, nodes)
 
     def invalidate_adjacency(self) -> None:
         """Drop the cached CSR/CSC indices after an in-place edge mutation.

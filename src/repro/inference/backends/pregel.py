@@ -16,7 +16,7 @@ path for graphs that change between recurring inference jobs.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from repro.inference.backends.base import (
     plan_gas_execution,
 )
 from repro.inference.pregel_adaptor import (
-    EdgeRows,
+    Destinations,
     FrontierSchedule,
     GNNInferenceProgram,
     build_pregel_engine,
@@ -63,11 +63,11 @@ class PregelBackend(Backend):
 
     @staticmethod
     def _run(plan: ExecutionPlan, metrics: MetricsCollector, cache_states: bool,
-             edge_rows: Optional[EdgeRows] = None,
+             targets: Optional[Sequence[Destinations]] = None,
              frontier: Optional[FrontierSchedule] = None) -> Dict[str, np.ndarray]:
         program = GNNInferenceProgram(
             plan.model, plan.strategy_plan, plan.replicas,
-            cache_states=cache_states, edge_rows=edge_rows)
+            cache_states=cache_states, targets=targets)
         return run_program(plan.state["engine"], program, metrics,
                            plan.original_num_nodes, frontier)
 
@@ -96,8 +96,8 @@ class PregelBackend(Backend):
             return None
         frontiers = expand_frontier(plan.working_graph, feature_dirty, topo_dirty,
                                     plan.num_supersteps, plan.shadow_plan)
-        schedule, edge_rows = frontier_schedule(engine, frontiers)
-        return self._run(plan, metrics, cache_states=True, edge_rows=edge_rows,
+        schedule, targets = frontier_schedule(engine, frontiers)
+        return self._run(plan, metrics, cache_states=True, targets=targets,
                          frontier=schedule)
 
     def apply_delta(self, plan: ExecutionPlan, delta: GraphDelta) -> DeltaOutcome:
@@ -112,8 +112,11 @@ class PregelBackend(Backend):
         for every layer kind: each stage computes a row from that row's inputs
         alone, so no row's bits depend on how many edges the table holds.
         Otherwise this returns ``in_place=False`` after landing the delta on
-        the base graph, and the session re-plans from it.
+        the base graph, and the session re-plans from it.  An in-place edge
+        delta tells each partition which of its out-edges survive, so it
+        patches its resident send schedules instead of rebuilding them.
         """
+        old_src = plan.working_graph.src
         outcome = super().apply_delta(plan, delta)
         if not outcome.in_place:
             return outcome
@@ -128,12 +131,27 @@ class PregelBackend(Backend):
                 if sel.size:
                     engine.partitions[pid].node_features[local[sel]] = rows[sel]
         if delta.has_edge_changes:
-            # Regroup the updated working edge list per owning partition (one
+            # The working edge list is now the surviving old edges, in order,
+            # then the appended ones.  Regroup it per owning partition (one
             # stable argsort — the same slicing a fresh partitioning would
-            # produce; partitions that lost their last edge get empty arrays).
+            # produce; partitions that lost their last edge get empty arrays),
+            # so each partition's new out-edges are its surviving old ones,
+            # then its appended ones.
+            removed = (np.empty(0, dtype=np.int64) if delta.removed_edge_ids is None
+                       else delta.removed_edge_ids)
+            kept = np.ones(old_src.size, dtype=bool)
+            kept[removed] = False
+            old_id = np.flatnonzero(kept)       # of the surviving edge with new id i
+            removed_owner = layout.owners(old_src[removed])
             efeat = working.edge_features
             for pid, ids in layout.group_by_owner(working.src):
+                # the partition's old out-edges, ascending: its survivors and
+                # its removed edges; removed edge k had k removed ones before it
+                survivors = old_id[ids[:np.searchsorted(ids, old_id.size)]]
+                gone = removed[removed_owner == pid]
+                partition_kept = np.ones(survivors.size + gone.size, dtype=bool)
+                partition_kept[np.searchsorted(survivors, gone) + np.arange(gone.size)] = False
                 engine.partitions[pid].replace_out_edges(
                     working.src[ids], working.dst[ids],
-                    None if efeat is None else efeat[ids])
+                    None if efeat is None else efeat[ids], partition_kept)
         return outcome

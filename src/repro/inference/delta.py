@@ -443,23 +443,29 @@ def expand_frontier(working_graph: Graph, feature_dirty: np.ndarray,
     test plain (pre-expansion) destination ids against the next frontier.
     """
 
+    num_nodes = working_graph.num_nodes
+    src, dst = working_graph.src, working_graph.dst
+
     def close(ids: np.ndarray) -> np.ndarray:
-        ids = np.unique(np.asarray(ids, dtype=np.int64))
+        ids = np.asarray(ids, dtype=np.int64)
         if shadow_plan is None or not shadow_plan.has_mirrors:
             return ids
         return shadow_plan.replicas_of(ids)
 
-    frontiers = [close(feature_dirty)]
+    # Frontiers are membership tables over node ids.  They are monotone, so
+    # each hop only walks the out-edges of the nodes added *last* hop —
+    # everyone else's reach is already included — and only the newly reached
+    # ids need closing (a union of closed sets is closed).
+    member = np.zeros(num_nodes, dtype=bool)
+    member[close(feature_dirty)] = True
     topo_closed = close(topo_dirty)
-    # Frontiers are monotone, so each hop only needs the out-neighbourhood of
-    # the nodes added *last* hop — everyone else's reach is already included —
-    # and only the newly reached ids need closing (a union of closed sets is
-    # closed).
-    newly_added = frontiers[0]
+    frontiers = [np.flatnonzero(member)]
+    newly_added = member.copy()
     for _ in range(1, num_supersteps):
-        current = frontiers[-1]
-        reached = close(working_graph.out_neighbors_many(newly_added))
-        nxt = np.union1d(current, np.union1d(reached, topo_closed))
-        newly_added = np.setdiff1d(nxt, current, assume_unique=True)
-        frontiers.append(nxt)
+        grown = np.zeros(num_nodes, dtype=bool)
+        grown[close(dst[newly_added[src]])] = True
+        grown[topo_closed] = True
+        newly_added = grown & ~member
+        member |= grown
+        frontiers.append(np.flatnonzero(member))
     return frontiers

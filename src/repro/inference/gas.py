@@ -10,10 +10,13 @@ backend called: the Pregel adaptor feeds them a mailbox and keeps state in
 ``block_state``, the MapReduce adaptor feeds them shuffled records and emits
 state as records — packaging is all the adaptors own.
 
-Every stage takes an optional ``rows`` set (incremental inference) and
-computes and charges exactly those rows, bit-equal to ``stage(...)[rows]``
-because every op in a layer is exact per row at any shape — the matmul
-included (:data:`~repro.tensor.tensor.ROW_BLOCK`).
+Every node-row stage takes an optional ``rows`` set (incremental inference)
+and computes and charges exactly those rows, bit-equal to
+``stage(...)[rows]`` because every op in a layer is exact per row at any
+shape — the matmul included (:data:`~repro.tensor.tensor.ROW_BLOCK`).  The
+edge stages take the edge arrays they are given: a caller that sends only
+some edges passes those edges' arrays and a :class:`Routed` over them (the
+Pregel adaptor selects both from its resident send schedule).
 """
 
 from __future__ import annotations
@@ -39,10 +42,9 @@ _EMPTY = np.empty(0, dtype=np.int64)
 
 
 def splice(cached: np.ndarray, part: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """A copy of ``cached`` with ``rows`` replaced by the rows-shaped ``part``."""
-    out = cached.copy()
-    out[rows] = part
-    return out
+    """Write the rows-shaped ``part`` into ``rows`` of ``cached``; return ``cached``."""
+    cached[rows] = part
+    return cached
 
 
 @no_grad()
@@ -85,17 +87,13 @@ def gather_apply(layer: GASConv, state: np.ndarray, payload: np.ndarray,
 
 @no_grad()
 def edge_messages(layer: GASConv, state: np.ndarray, src_pos: np.ndarray,
-                  edge_features: Optional[np.ndarray],
-                  rows: Optional[np.ndarray] = None) -> Tuple[np.ndarray, float]:
+                  edge_features: Optional[np.ndarray]) -> Tuple[np.ndarray, float]:
     """``apply_edge`` over out-edges: one message row per edge.
 
-    ``src_pos[e]`` is the ``state`` row of edge ``e``'s source; ``rows`` keeps
-    only those edges.  The cost is one pass over every outgoing message
-    element; per-edge projections are folded into that rate.
+    ``src_pos[e]`` is the ``state`` row of edge ``e``'s source.  The cost is
+    one pass over every outgoing message element; per-edge projections are
+    folded into that rate.
     """
-    if rows is not None:
-        src_pos = src_pos[rows]
-        edge_features = None if edge_features is None else edge_features[rows]
     edge_tensor = None if edge_features is None else Tensor(edge_features)
     messages = layer.apply_edge(Tensor(state[src_pos]), edge_tensor).data
     return messages, messages.shape[0] * messages.shape[1]
@@ -106,8 +104,9 @@ class Routed(NamedTuple):
 
     Per-edge path: output message ``i`` carries ``messages[plain_rows[i]]`` to
     ``plain_dst[i]``.  Broadcast path: hub ``k``'s one shared payload is
-    ``messages[hub_rows[k]]`` (hubs in first-appearance order) and reference
-    ``j`` delivers hub ``hub_refs[j]``'s payload to ``hub_dst[j]``.
+    ``messages[hub_rows[k]]`` (hubs in first-appearance order; any edge of
+    the hub gives the same payload) and reference ``j``, standing for edge
+    ``ref_rows[j]``, delivers hub ``hub_refs[j]``'s payload to ``hub_dst[j]``.
     Destinations already include the shadow-mirror fan-out.
     """
 
@@ -116,6 +115,7 @@ class Routed(NamedTuple):
     hub_rows: np.ndarray
     hub_refs: np.ndarray
     hub_dst: np.ndarray
+    ref_rows: np.ndarray
 
 
 def _fan_out(replicas: Optional[ReplicaMap], dst_ids: np.ndarray,
@@ -132,16 +132,14 @@ def _fan_out(replicas: Optional[ReplicaMap], dst_ids: np.ndarray,
 
 def scatter(strategy: LayerStrategy, hubs: np.ndarray,
             replicas: Optional[ReplicaMap], source_ids: np.ndarray,
-            dst_ids: np.ndarray, inline: bool,
-            rows: Optional[np.ndarray] = None) -> Routed:
+            dst_ids: np.ndarray, inline: bool) -> Routed:
     """Split out-edge rows into per-edge and broadcast paths; fan out mirrors.
 
-    The index-only half of :func:`scatter_blocks`: it reads topology, plan and
-    ``rows`` (which keeps only those edges), never a state value.  An edge
-    takes the broadcast path iff the layer's strategy enables it and its
-    source is an out-degree hub — ``LayerStrategy.broadcast`` already excludes
-    layers whose messages depend on edge features, so this is the whole rule,
-    on every backend.
+    The index-only half of :func:`scatter_blocks`: it reads topology and
+    plan, never a state value.  An edge takes the broadcast path iff the
+    layer's strategy enables it and its source is an out-degree hub —
+    ``LayerStrategy.broadcast`` already excludes layers whose messages depend
+    on edge features, so this is the whole rule, on every backend.
 
     ``inline`` picks the order of the mirror fan-out, not a backend: replicas
     where the row was (``True`` — a record stream keeps per-source order) or
@@ -149,15 +147,13 @@ def scatter(strategy: LayerStrategy, hubs: np.ndarray,
     path).  Both orders are frozen by the bit-identity contracts, because
     they fix the operand order of the receivers' segment reductions.
     """
-    if rows is not None:
-        source_ids, dst_ids = source_ids[rows], dst_ids[rows]
     if strategy.broadcast and hubs.size:
         hub_edges, plain_edges = split_hub_edges(source_ids, hubs)
     else:
         hub_edges, plain_edges = _EMPTY, np.arange(dst_ids.shape[0])
     plain_index, plain_dst = _fan_out(replicas, dst_ids[plain_edges], inline)
     if hub_edges.size == 0:
-        return Routed(plain_edges[plain_index], plain_dst, _EMPTY, _EMPTY, _EMPTY)
+        return Routed(plain_edges[plain_index], plain_dst, _EMPTY, _EMPTY, _EMPTY, _EMPTY)
     # Every out-edge of a hub carries the same payload: keep one row per hub
     # (its first edge) and an integer reference per edge.
     _, first, inverse = np.unique(source_ids[hub_edges], return_index=True,
@@ -168,43 +164,41 @@ def scatter(strategy: LayerStrategy, hubs: np.ndarray,
     hub_index, hub_dst = _fan_out(replicas, dst_ids[hub_edges], inline)
     return Routed(plain_edges[plain_index], plain_dst,
                   hub_edges[first[order]], rank[inverse][hub_index],
-                  hub_dst)
+                  hub_dst, hub_edges[hub_index])
 
 
 def scatter_blocks(model: GNNModel, plan: StrategyPlan,
                    replicas: Optional[ReplicaMap], layer_index: int,
                    state: np.ndarray, src_pos: np.ndarray, source_ids: np.ndarray,
                    dst_ids: np.ndarray, edge_features: Optional[np.ndarray], inline: bool,
-                   rows: Optional[np.ndarray] = None, routed: Optional[Routed] = None,
-                   ) -> Tuple[List[MessageBlock], float]:
+                   routed: Optional[Routed] = None) -> Tuple[List[MessageBlock], float]:
     """``apply_edge`` + ``scatter`` as the blocks a transport ships, plus the cost.
 
     Edge ``e`` runs from ``state`` row ``src_pos[e]`` (node ``source_ids[e]``)
-    to node ``dst_ids[e]``; ``rows`` keeps only those edges.  What comes back
-    is layer ``layer_index``'s per-edge messages as one plain
+    to node ``dst_ids[e]``; every edge given is computed and charged.  What
+    comes back is layer ``layer_index``'s per-edge messages as one plain
     :class:`~repro.pregel.vertex.MessageBlock`, then the hub messages as one
     :class:`~repro.inference.strategies.BroadcastMessageBlock` (one payload
     row per hub, an id-only reference per edge) — whichever of the two have
     rows.
 
-    :func:`scatter` is the index-only half (pass the ``routed`` it returned
-    for these edges and ``rows`` to skip it); the rest only gathers values.
-    When ``apply_edge`` is the identity a message *is* its source's state
-    row, so each block's payload is gathered from ``state`` once; only a
-    projecting layer materialises the message table of the kept edges
-    (:func:`edge_messages`).  Same bytes, same units either way.
+    :func:`scatter` is the index-only half (pass a ``routed`` over these
+    edges to skip it); the rest only gathers values.  When ``apply_edge`` is
+    the identity a message *is* its source's state row, so each block's
+    payload is gathered from ``state`` once; only a projecting layer
+    materialises the message table of the edges (:func:`edge_messages`).
+    Same bytes, same units either way.
     """
     if routed is None:
         routed = scatter(plan.layer(layer_index), plan.out_degree_hubs, replicas,
-                         source_ids, dst_ids, inline, rows)
+                         source_ids, dst_ids, inline)
     layer = model.layers[layer_index]
     if not layer.apply_edge_is_identity(edge_features is not None):
-        messages, units = edge_messages(layer, state, src_pos, edge_features, rows)
+        messages, units = edge_messages(layer, state, src_pos, edge_features)
         plain, shared = messages[routed.plain_rows], messages[routed.hub_rows]
     else:
-        edge_src = src_pos if rows is None else src_pos[rows]
-        plain, shared = state[edge_src[routed.plain_rows]], state[edge_src[routed.hub_rows]]
-        units = edge_src.shape[0] * state.shape[1]
+        plain, shared = state[src_pos[routed.plain_rows]], state[src_pos[routed.hub_rows]]
+        units = src_pos.shape[0] * state.shape[1]
     blocks = [MessageBlock(routed.plain_dst, plain),
               BroadcastMessageBlock(routed.hub_dst, routed.hub_refs, shared)]
     return [block for block in blocks if block.num_records()], units

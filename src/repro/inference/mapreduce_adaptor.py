@@ -54,7 +54,7 @@ from typing import Any, List, Optional, Sequence
 import numpy as np
 
 from repro.batch.mapreduce import MapReduceJob
-from repro.cluster.layout import ClusterLayout, csr_gather, stable_group_by
+from repro.cluster.layout import ClusterLayout, csr_slots, stable_group_by
 from repro.cluster.metrics import ID_BYTES, InstanceMetrics, tensor_bytes
 from repro.gnn.model import GNNModel
 from repro.graph.graph import Graph
@@ -102,12 +102,9 @@ class StateBlock(MessageBlock):
         return StateBlock(self.dst_ids, state, self.indptr, self.nbrs, self.edge_feats)
 
     def take(self, rows: np.ndarray) -> "StateBlock":
-        degrees = np.diff(self.indptr)[rows]
-        edges = csr_gather(self.indptr, np.arange(self.nbrs.shape[0]), rows)
+        edges, _, indptr = csr_slots(self.indptr, rows)
         return StateBlock(
-            self.dst_ids[rows], self.payload[rows],
-            np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(degrees)]),
-            self.nbrs[edges],
+            self.dst_ids[rows], self.payload[rows], indptr, self.nbrs[edges],
             None if self.edge_feats is None else self.edge_feats[edges], self.tagged)
 
     def slice(self, start: int, stop: int) -> "StateBlock":

@@ -24,43 +24,266 @@ can rerun just the delta's reach: full runs cache every superstep's state
 per partition (``h_history``); an incremental run walks a per-superstep dirty
 frontier (:func:`~repro.inference.delta.expand_frontier`), sends only messages
 bound for next-frontier destinations, recomputes only frontier rows, and
-splices them into the cached states.  Bit-identity with a fresh full run
-rests on the stage module's row-subset rule plus one transport rule kept
-here: per-destination message *sets and order* are unchanged — filtering
-keeps all of a frontier destination's rows and drops whole destinations, so
-the order-sensitive segment reductions accumulate identical bits.
+writes them into the cached states.  What it sends it selects from the
+partition's resident :class:`SendSchedule`, destination by destination.
+Bit-identity with a fresh full run rests on the stage module's row-subset
+rule plus one transport rule kept here: per-destination message *sets and
+order* are unchanged — a selection keeps all of a frontier destination's
+rows, in full-run order, and drops whole destinations, so the
+order-sensitive segment reductions accumulate identical bits.  An in-place
+edge delta patches the schedule rather than dropping it: appended edges'
+rows follow each destination's surviving rows, where a fresh build puts
+them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.cluster.layout import ClusterLayout
+from repro.cluster.layout import ClusterLayout, csr_slots, stable_group_by
 from repro.cluster.metrics import MetricsCollector, tensor_bytes
 from repro.gnn.model import GNNModel
 from repro.graph.graph import Graph
 from repro.inference import gas
 from repro.inference.config import InferenceConfig
 from repro.inference.shadow import ReplicaMap
-from repro.inference.strategies import StrategyPlan
+from repro.inference.strategies import LayerStrategy, StrategyPlan
 from repro.pregel.combiners import MessageCombiner
 from repro.pregel.engine import PregelEngine, PregelPartition
 from repro.pregel.vertex import (
     BlockVertexProgram,
     MessageBlock,
     PartitionContext,
+    Schedule,
+    bucket_slices,
     concat_messages,
     route_schedule,
 )
 
-_EMPTY_ROWS = np.empty(0, dtype=np.int64)
+_EMPTY = np.empty(0, dtype=np.int64)
 
 #: per-superstep, per-partition local frontier rows (the engine's schedule).
 FrontierSchedule = List[Dict[int, np.ndarray]]
-#: ``(partition_id, superstep)`` → out-edge rows an incremental run scatters.
-EdgeRows = Dict[Tuple[int, int], np.ndarray]
+
+
+class Destinations(NamedTuple):
+    """The next frontier, as a superstep's incremental send reads it.
+
+    ``ids`` are the frontier's node ids in bucket order — grouped by owner,
+    ascending within an owner — and owner ``b``'s run is
+    ``ids[bounds[b]:bounds[b + 1]]``.  Frontiers are replica-closed, so this
+    names every expanded destination (mirrors included) a kept message has.
+    """
+
+    ids: np.ndarray
+    bounds: np.ndarray
+
+
+class _ByDestination(NamedTuple):
+    """One path of a :class:`~repro.inference.gas.Routed`, per destination.
+
+    A CSR over node ids: destination ``d``'s entries fill slots
+    ``indptr[d]:indptr[d + 1]`` in full-run order.  Per slot: the entry's
+    edge row, whether it delivers that edge to the edge's own destination
+    (every kept edge has exactly one such entry; the rest are its mirror
+    fan-out) and, on the broadcast path, its hub reference.
+    """
+
+    indptr: np.ndarray
+    edge: np.ndarray
+    own: np.ndarray
+    ref: np.ndarray
+
+    @classmethod
+    def empty(cls, num_nodes: int) -> "_ByDestination":
+        return cls(np.zeros(num_nodes + 1, dtype=np.int64), _EMPTY,
+                   np.zeros(0, dtype=bool), _EMPTY)
+
+    def patched(self, kept: np.ndarray, renumber: np.ndarray, rerank: np.ndarray,
+                rows: np.ndarray, dst: np.ndarray, refs: np.ndarray,
+                out_dst: np.ndarray) -> "_ByDestination":
+        """The index after an edge patch, in time linear in its size.
+
+        Entries of the edges ``kept`` drops go, the survivors' edge rows map
+        through ``renumber`` and their hub references through ``rerank``;
+        appended entries (edge ``rows[i]`` to ``dst[i]``, reference
+        ``refs[i]``) go after each destination's survivors, in their order.
+        """
+        keep = kept[self.edge]
+        if not (dst.size or self.edge.size):
+            return self
+        before = np.zeros(keep.size + 1, dtype=np.int64)
+        np.cumsum(keep, out=before[1:])
+        indptr = before[self.indptr]
+        order = np.argsort(dst, kind="stable")
+        # appended entry i lands after its destination's survivors and the
+        # appended entries before it
+        at = indptr[dst[order] + 1] + np.arange(order.size)
+        survives = np.ones(int(before[-1]) + order.size, dtype=bool)
+        survives[at] = False
+        appended = np.zeros_like(indptr)
+        np.cumsum(np.bincount(dst, minlength=indptr.size - 1), out=appended[1:])
+
+        def merge(survivors: np.ndarray, added: np.ndarray) -> np.ndarray:
+            merged = np.empty(survives.size, dtype=added.dtype)
+            merged[survives], merged[at] = survivors, added
+            return merged
+
+        edge = rows[order]
+        return _ByDestination(
+            indptr + appended,
+            merge(renumber[self.edge[keep]], edge),
+            merge(self.own[keep], out_dst[edge] == dst[order]),
+            merge(rerank[self.ref[keep]], refs[order]) if self.ref.size or refs.size
+            else _EMPTY)
+
+
+def _used_hubs(refs: np.ndarray, rows: np.ndarray,
+               num_hubs: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The hubs ``refs`` uses, in table order: ``(payload rows, rerank)``.
+
+    Reference ``i`` stands for edge ``rows[i]``; each used hub gets one of
+    its edges as its payload row (every edge of a hub carries the same
+    payload), and ``rerank`` maps an old reference to its new one.
+    """
+    used = np.zeros(num_hubs, dtype=bool)
+    used[refs] = True
+    payload_row = np.empty(num_hubs, dtype=np.int64)
+    payload_row[refs] = rows
+    return payload_row[used], np.cumsum(used) - 1
+
+
+class SendSchedule:
+    """A partition's resident routing of its out-edges for one layer kind.
+
+    ``routed`` is the :class:`~repro.inference.gas.Routed` of every out-edge
+    (hub split, mirror fan-out) and ``schedule`` the
+    :class:`~repro.pregel.vertex.Schedule` of the blocks a full superstep
+    sends from it, kept by the first full superstep that routes them.  Both
+    depend on the out-edges, the layout and the hub split alone, so a full
+    superstep only moves values.  An incremental superstep picks its rows
+    out of ``routed`` (:meth:`select`); an in-place edge delta patches it
+    (:meth:`patch`), and building one is patching the empty schedule with
+    every edge appended.
+    """
+
+    def __init__(self, strategy: LayerStrategy, hubs: np.ndarray,
+                 replicas: Optional[ReplicaMap], partition: PregelPartition) -> None:
+        self.strategy, self.hubs, self.replicas = strategy, hubs, replicas
+        self.routed = gas.Routed(_EMPTY, _EMPTY, _EMPTY, _EMPTY, _EMPTY, _EMPTY)
+        self.schedule: Optional[Schedule] = None
+        #: per-destination index of ``routed`` (plain path, broadcast path),
+        #: built by the first :meth:`select` that needs it, then patched
+        self._by_dst: Optional[Tuple[_ByDestination, _ByDestination]] = None
+        self.patch(partition, np.zeros(0, dtype=bool))
+
+    def patch(self, partition: PregelPartition, kept: np.ndarray) -> None:
+        """Follow the partition's out-edges: the old ones ``kept`` marks, then appends.
+
+        Removed edges' entries are dropped and the survivors' edge rows
+        renumbered; only the appended edges are routed (``gas.scatter``), and
+        their entries go after every surviving entry — where a fresh build
+        puts them, so each destination's rows keep a fresh build's order.
+        Hubs keep their rank while a surviving reference uses them; appended
+        hubs rank after them.  The hub set itself never changes in place (a
+        hub move re-plans), so the survivors' path split stays valid.
+        """
+        old, start = self.routed, int(np.count_nonzero(kept))
+        renumber = np.cumsum(kept) - 1
+        plain, refs = kept[old.plain_rows], kept[old.ref_rows]
+        hub_refs, ref_rows = old.hub_refs[refs], renumber[old.ref_rows[refs]]
+        hub_rows, rerank = _used_hubs(hub_refs, ref_rows, old.hub_rows.size)
+
+        new = gas.scatter(self.strategy, self.hubs, self.replicas,
+                          partition.out_src[start:], partition.out_dst[start:], False)
+        rank = np.full(partition.layout.num_nodes, -1, dtype=np.int64)
+        rank[partition.out_src[hub_rows]] = np.arange(hub_rows.size)
+        new_hubs = partition.out_src[start + new.hub_rows]
+        unseen = rank[new_hubs] < 0
+        rank[new_hubs[unseen]] = hub_rows.size + np.arange(int(np.count_nonzero(unseen)))
+        appended = (start + new.plain_rows, start + new.ref_rows,
+                    rank[new_hubs][new.hub_refs])
+        self.routed = gas.Routed(
+            np.concatenate([renumber[old.plain_rows[plain]], appended[0]]),
+            np.concatenate([old.plain_dst[plain], new.plain_dst]),
+            np.concatenate([hub_rows, start + new.hub_rows[unseen]]),
+            np.concatenate([rerank[hub_refs], appended[2]]),
+            np.concatenate([old.hub_dst[refs], new.hub_dst]),
+            np.concatenate([ref_rows, appended[1]]))
+        self.schedule = None
+        if self._by_dst is not None:
+            by_plain, by_hub = self._by_dst
+            self._by_dst = (
+                by_plain.patched(kept, renumber, _EMPTY, appended[0], new.plain_dst,
+                                 _EMPTY, partition.out_dst),
+                by_hub.patched(kept, renumber, rerank, appended[1], new.hub_dst,
+                               appended[2], partition.out_dst))
+
+    def by_destination(self, partition: PregelPartition,
+                       ) -> Tuple[_ByDestination, _ByDestination]:
+        """The per-destination index of ``routed``: plain path, broadcast path.
+
+        Built on first use — appending every entry to an empty index, the
+        same step :meth:`patch` takes for appended edges — so batch runs never
+        pay for it; patched in place from then on.
+        """
+        if self._by_dst is None:
+            full, empty = self.routed, _ByDestination.empty(partition.layout.num_nodes)
+            nothing = np.zeros(0, dtype=bool)
+            self._by_dst = (
+                empty.patched(nothing, _EMPTY, _EMPTY, full.plain_rows, full.plain_dst,
+                              _EMPTY, partition.out_dst),
+                empty.patched(nothing, _EMPTY, _EMPTY, full.ref_rows, full.hub_dst,
+                              full.hub_refs, partition.out_dst))
+        return self._by_dst
+
+    def select(self, partition: PregelPartition, targets: Destinations, fold: bool,
+               ) -> Optional[Tuple[np.ndarray, gas.Routed, Schedule]]:
+        """The part of a full send bound for ``targets``: ``(edges, routed, schedule)``.
+
+        ``edges`` are the out-edge rows to compute, ``routed`` is over those
+        rows and ``schedule`` routes the blocks they become; None when
+        nothing is bound for ``targets``.  Rows are taken destination by
+        destination in bucket order, each destination's in full-run order,
+        so every cut is a slice and a fold's slot is the rank of its
+        destination.  The work is proportional to the rows taken.
+        """
+        plain, hub = self.by_destination(partition)
+        ids, bounds = targets
+        plain_slots, plain_count, plain_ends = csr_slots(plain.indptr, ids)
+        plain_edge = plain.edge[plain_slots]
+        edges = plain_edge[plain.own[plain_slots]]
+        cuts: List[List[Tuple[int, Any]]] = []
+        folds: List[int] = []
+        folded: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        if plain_slots.size and fold:
+            sent = np.nonzero(plain_count)[0]
+            rank = np.zeros(ids.size + 1, dtype=np.int64)
+            np.cumsum(plain_count > 0, out=rank[1:])
+            folds = [0]
+            folded = ids[sent], np.repeat(rank[:-1], plain_count), plain_count[sent]
+            cuts.append(bucket_slices(rank[bounds]))
+        elif plain_slots.size:
+            cuts.append(bucket_slices(plain_ends[bounds]))
+        hub_refs, hub_dst, hub_edge = _EMPTY, _EMPTY, _EMPTY
+        if hub.edge.size:
+            hub_slots, hub_count, hub_ends = csr_slots(hub.indptr, ids)
+            hub_edge, hub_refs = hub.edge[hub_slots], hub.ref[hub_slots]
+            hub_dst = np.repeat(ids, hub_count)
+            edges = np.concatenate([edges, hub_edge[hub.own[hub_slots]]])
+            if hub_slots.size:
+                cuts.append(bucket_slices(hub_ends[bounds]))
+        if not edges.size:
+            return None
+        where = np.empty(partition.num_out_edges, dtype=np.int64)
+        where[edges] = np.arange(edges.size)
+        # the broadcast block carries only the hubs its references use
+        hub_rows, rerank = _used_hubs(hub_refs, where[hub_edge], self.routed.hub_rows.size)
+        routed = gas.Routed(where[plain_edge], np.repeat(ids, plain_count), hub_rows,
+                            rerank[hub_refs], hub_dst, where[hub_edge])
+        return edges, routed, Schedule(folds, folded, cuts)
 
 
 class GNNInferenceProgram(BlockVertexProgram):
@@ -68,26 +291,25 @@ class GNNInferenceProgram(BlockVertexProgram):
 
     ``cache_states=True`` makes a full run record every superstep's state (and
     the final logits) in partition ``block_state`` — the warm cache
-    incremental runs splice into.  Passing ``edge_rows`` makes the run
+    incremental runs write into.  Passing ``targets`` makes the run
     incremental against that cache: ``context.frontier_rows`` names the local
-    rows to recompute and ``edge_rows[(partition_id, superstep)]`` the
-    out-edge rows whose messages must still be sent (everything bound for a
-    next-frontier destination).
+    rows to recompute and ``targets[superstep]`` the next frontier, whose
+    messages must still be sent.
     """
 
     def __init__(self, model: GNNModel, plan: StrategyPlan,
                  replicas: Optional[ReplicaMap] = None,
                  cache_states: bool = False,
-                 edge_rows: Optional[EdgeRows] = None) -> None:
+                 targets: Optional[Sequence[Destinations]] = None) -> None:
         self.model = model
         self.plan = plan
         self.replicas = replicas
         self.num_layers = model.num_layers
-        self.edge_rows = edge_rows
-        self.incremental = edge_rows is not None
+        self.targets = targets
+        self.incremental = targets is not None
         self.cache_states = bool(cache_states) or self.incremental
         # Process-executor shipping manifest.  Incremental runs read (and
-        # splice into) the cached superstep states of the last full run; full
+        # write into) the cached superstep states of the last full run; full
         # runs reset every per-run entry in setup_partition, so nothing
         # travels to the workers.  Coming back: ``output`` feeds score
         # collection, ``h`` and ``h_history`` the warm cache a later
@@ -140,34 +362,38 @@ class GNNInferenceProgram(BlockVertexProgram):
 
     def _scatter(self, context: PartitionContext, partition: PregelPartition,
                  state: np.ndarray, superstep: int) -> None:
-        """Send this superstep's out-edge messages.
+        """Send this superstep's out-edge messages from the resident schedule.
 
-        An incremental run restricts the scatter to the precomputed out-edge
-        rows bound for next-frontier destinations.  The restriction is
-        all-or-nothing per destination, so every surviving destination still
-        receives its complete in-message set in the full run's order.
+        A full superstep sends every edge; an incremental one the selection
+        bound for the next frontier — every row of each such destination, in
+        full-run order, so it still receives its complete in-message set.
         """
-        rows = None
-        if self.edge_rows is not None:
-            rows = self.edge_rows.get((partition.partition_id, superstep), _EMPTY_ROWS)
-        if partition.num_out_edges == 0 or (rows is not None and rows.size == 0):
+        if partition.num_out_edges == 0:
             return
         # Which edge feeds which block row, fold slot and owner bucket depends
-        # on topology, layout and ``key`` alone: a full superstep keeps that
-        # pair resident, a restricted one computes it for its rows and drops it.
+        # on topology, layout and ``key`` alone: the partition keeps it.
         strategy = self.plan.layer(superstep)
         key = (strategy.broadcast, strategy.combiner is not None)
-        kept = partition.block_state.setdefault("send_schedule", {}) if rows is None else {}
-        routed, schedule = kept.get(key) or (gas.scatter(
-            strategy, self.plan.out_degree_hubs, self.replicas, partition.out_src,
-            partition.out_dst, False, rows), None)
+        kept = partition.block_state.setdefault("send_schedule", {})
+        resident = kept.get(key)
+        if resident is None:
+            resident = kept[key] = SendSchedule(strategy, self.plan.out_degree_hubs,
+                                                self.replicas, partition)
+        src_pos, features = partition.block_state["out_src_local"], partition.out_edge_features
+        edges: Union[slice, np.ndarray]
+        if self.targets is None:
+            edges, routed, schedule = slice(None), resident.routed, resident.schedule
+        else:
+            picked = resident.select(partition, self.targets[superstep], key[1])
+            if picked is None:
+                return
+            edges, routed, schedule = picked
         blocks, units = gas.scatter_blocks(
-            self.model, self.plan, self.replicas, superstep, state,
-            partition.block_state["out_src_local"], partition.out_src, partition.out_dst,
-            partition.out_edge_features, inline=False, rows=rows, routed=routed)
+            self.model, self.plan, self.replicas, superstep, state, src_pos[edges],
+            partition.out_src[edges], partition.out_dst[edges],
+            None if features is None else features[edges], inline=False, routed=routed)
         if schedule is None:
-            schedule = route_schedule(blocks, key[1], partition.layout)
-            kept[key] = routed, schedule
+            schedule = resident.schedule = route_schedule(blocks, key[1], partition.layout)
         context.schedule = schedule
         context.metrics.add_compute(units)
         for block in blocks:
@@ -180,9 +406,9 @@ class GNNInferenceProgram(BlockVertexProgram):
         superstep = context.superstep
         store = partition.block_state
         # ``rows`` is the row set this superstep recomputes: None = every row
-        # (a full run); an incremental run's frontier rows are spliced into
-        # the cached state, everything else keeps the cached bits — which a
-        # fresh run would reproduce exactly.
+        # (a full run); an incremental run writes its frontier rows into the
+        # cached state, everything else keeps the cached bits — which a fresh
+        # run would reproduce exactly.
         rows = context.frontier_rows if self.incremental else None
         idle = rows is not None and (rows.size == 0 or not partition.num_nodes)
 
@@ -208,8 +434,11 @@ class GNNInferenceProgram(BlockVertexProgram):
         elif not idle:
             logits, units = gas.predict(self.model, state, rows)
             context.metrics.add_compute(units)
-            store["output"] = (logits if rows is None
-                               else gas.splice(store["output"], logits, rows))
+            if rows is None:
+                store["output"] = logits
+            elif store["output"] is not state:
+                # without a head the output *is* the last state, spliced above
+                gas.splice(store["output"], logits, rows)
 
         # Peak memory: resident state + features + incoming messages (+ the
         # cached superstep states an incremental-capable session keeps warm).
@@ -252,36 +481,24 @@ def has_cached_run(partition: PregelPartition, num_layers: int) -> bool:
 
 
 def frontier_schedule(engine: PregelEngine, frontiers: Sequence[np.ndarray],
-                      ) -> Tuple[FrontierSchedule, EdgeRows]:
+                      ) -> Tuple[FrontierSchedule, List[Destinations]]:
     """Turn per-superstep dirty frontiers into what an incremental run needs.
 
-    The schedule gives each partition its local frontier rows per superstep
-    (one grouped pass each); the edge rows name what each partition must still
-    scatter at superstep ``s``: every out-edge bound for a superstep-``s+1``
-    frontier destination.  Frontiers are replica-closed, so testing the
-    pre-expansion destination id suffices; membership is one boolean table per
-    superstep, looked up by every partition.
+    The schedule gives each partition its local frontier rows per superstep;
+    ``targets[s]`` is the superstep-``s+1`` frontier in bucket order, which
+    every partition's superstep-``s`` send selects its rows for.  One
+    grouped pass per frontier yields both.
     """
     layout = engine.layout
     schedule: FrontierSchedule = []
+    targets: List[Destinations] = []
     for frontier in frontiers:
-        per_partition: Dict[int, np.ndarray] = {}
-        if frontier.size:
-            local = layout.local_indices(frontier)
-            per_partition = {pid: local[rows]
-                             for pid, rows in layout.group_by_owner(frontier)
-                             if rows.size}
-        schedule.append(per_partition)
-
-    edge_rows: EdgeRows = {}
-    member = np.zeros(layout.num_nodes, dtype=bool)
-    for superstep, nxt in enumerate(frontiers[1:]):
-        member[nxt] = True
-        for partition in engine.partitions:
-            edge_rows[(partition.partition_id, superstep)] = np.nonzero(
-                member[partition.out_dst])[0]
-        member[nxt] = False
-    return schedule, edge_rows
+        order, sizes, starts = stable_group_by(layout.owners(frontier), layout.num_partitions)
+        local = layout.local_of[frontier]
+        schedule.append({int(pid): local[order[starts[pid]:starts[pid] + sizes[pid]]]
+                         for pid in np.nonzero(sizes)[0]})
+        targets.append(Destinations(frontier[order], np.append(starts, frontier.size)))
+    return schedule, targets[1:]
 
 
 def run_program(engine: PregelEngine, program: GNNInferenceProgram,

@@ -199,10 +199,13 @@ class ShadowNodePlan:
         maintain.  Returns sorted unique working-graph ids.
         """
         node_ids = np.asarray(node_ids, dtype=np.int64)
+        member = np.zeros(self.graph.num_nodes, dtype=bool)
         if self.replica_indptr is None or node_ids.size == 0:
-            return np.unique(node_ids)
-        origins = np.unique(self.origin_of[node_ids])
-        return np.unique(csr_gather(self.replica_indptr, self.replica_ids, origins))
+            member[node_ids] = True
+            return np.flatnonzero(member)
+        member[self.origin_of[node_ids]] = True
+        member[csr_gather(self.replica_indptr, self.replica_ids, np.flatnonzero(member))] = True
+        return np.flatnonzero(member)
 
     def refresh_mirror_features(self, base_graph: Graph,
                                 changed_ids: np.ndarray) -> np.ndarray:

@@ -74,7 +74,10 @@ from repro.pregel.vertex import BlockVertexProgram, MessageBlock, PartitionConte
 
 #: ``block_state`` entries that depend on a partition's out-edges and the
 #: layout alone.  Each side derives its own: they are never shipped to a
-#: worker or back, and ``replace_out_edges`` is the one place they are dropped.
+#: worker or back.  ``replace_out_edges`` is the one place they follow an
+#: edge delta: ``out_src_local`` is dropped, and every value of the
+#: ``send_schedule`` dict (a program's resident routing) is patched through
+#: its ``patch(partition, kept)``.
 LAYOUT_DERIVED_KEYS = ("out_src_local", "send_schedule")
 
 
@@ -127,17 +130,21 @@ class PregelPartition:
         return self._local_of[vertex_ids]
 
     def replace_out_edges(self, out_src: np.ndarray, out_dst: np.ndarray,
-                          out_edge_features: Optional[np.ndarray] = None) -> None:
-        """Swap this partition's out-edge arrays after an in-place edge delta.
+                          out_edge_features: Optional[np.ndarray],
+                          kept: np.ndarray) -> None:
+        """Swap in the out-edges an in-place edge delta left this partition.
 
-        Drops the :data:`LAYOUT_DERIVED_KEYS` entries; block programs
-        recompute them from the new arrays on their next run.
+        The new arrays are the old out-edges ``kept`` marks, in order,
+        followed by the appended ones.  ``out_src_local`` is dropped (block
+        programs recompute it on their next run); each resident send
+        schedule patches itself to the new arrays.
         """
         self.out_src = np.asarray(out_src, dtype=np.int64)
         self.out_dst = np.asarray(out_dst, dtype=np.int64)
         self.out_edge_features = out_edge_features
-        for key in LAYOUT_DERIVED_KEYS:
-            self.block_state.pop(key, None)
+        self.block_state.pop("out_src_local", None)
+        for schedule in self.block_state.get("send_schedule", {}).values():
+            schedule.patch(self, kept)
 
 
 @dataclass

@@ -125,6 +125,17 @@ class Schedule(NamedTuple):
     cuts: List[List[Tuple[int, Any]]]
 
 
+def bucket_slices(bounds: np.ndarray) -> List[Tuple[int, slice]]:
+    """``(bucket, rows)`` of every non-empty bucket of rows already in bucket order.
+
+    Bucket ``b`` is rows ``bounds[b]:bounds[b + 1]``: the cuts of a folded
+    block, or of any block whose rows were selected bucket by bucket.
+    """
+    edges = bounds.tolist()
+    return [(bucket, slice(start, stop))
+            for bucket, (start, stop) in enumerate(zip(edges, edges[1:])) if stop > start]
+
+
 def route_schedule(blocks: Sequence[MessageBlock], fold: bool,
                    layout: ClusterLayout) -> Schedule:
     """Where every row of the (non-empty) ``blocks`` goes; reads no payload."""
@@ -134,18 +145,18 @@ def route_schedule(blocks: Sequence[MessageBlock], fold: bool,
             for i, block in enumerate(blocks)]
     if not folds:
         return Schedule(folds, None, cuts)
-    # slot = rank of (owner, destination), so the fold lands in bucket order
-    unique, slot = np.unique(np.concatenate([blocks[i].dst_ids for i in folds]),
-                             return_inverse=True)
-    order, sizes, starts = stable_group_by(layout.owners(unique), layout.num_partitions)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    slot = rank[slot]
+    # slot = rank of (owner, destination), so the fold lands in bucket order:
+    # a membership table and a rank table over node ids, no sort of the rows
+    dst_ids = np.concatenate([blocks[i].dst_ids for i in folds])
+    present = np.flatnonzero(np.bincount(dst_ids, minlength=layout.num_nodes))
+    order, sizes, starts = stable_group_by(layout.owners(present), layout.num_partitions)
+    rank = np.empty(layout.num_nodes, dtype=np.int64)
+    rank[present[order]] = np.arange(order.size)
+    slot = rank[dst_ids]
     counts = segment_reduce(np.concatenate([blocks[i].counts for i in folds]),
                             slot, order.size, "sum")
-    cuts[folds[0]] = [(int(bucket), slice(starts[bucket], starts[bucket] + sizes[bucket]))
-                      for bucket in np.nonzero(sizes)[0]]
-    return Schedule(folds, (unique[order], slot, counts), cuts)
+    cuts[folds[0]] = bucket_slices(np.append(starts, order.size))
+    return Schedule(folds, (present[order], slot, counts), cuts)
 
 
 def route(blocks: Sequence[MessageBlock], combiner: Optional[MessageCombiner],

@@ -254,8 +254,10 @@ class TestScatterBlocks:
         model = build_model("sage", star.feature_dim, 8, 2, num_layers=2, seed=0)
         plan = build_strategy_plan(model, star, 4, StrategyConfig(**strategies), False)
         state = np.arange(star.num_nodes * 8, dtype=np.float64).reshape(-1, 8)
-        blocks, units = gas.scatter_blocks(model, plan, None, 0, state, star.src, star.src,
-                                           star.dst, None, inline=False, rows=rows)
+        edges = slice(None) if rows is None else rows
+        src, dst = star.src[edges], star.dst[edges]
+        blocks, units = gas.scatter_blocks(model, plan, None, 0, state, src, src, dst,
+                                           None, inline=False)
         return star, state, blocks, units
 
     def test_plain_block_then_broadcast_block(self):

@@ -308,6 +308,67 @@ class TestIncrementalFeatureDelta:
         assert computed == {"encode": sizes[0], 0: sizes[1], 1: sizes[2],
                             "predict": sizes[2]}
 
+    @pytest.mark.parametrize("kind", ["gcn", "gat"])
+    def test_a_tick_that_raises_mid_run_is_retried_bit_exactly(self, kind, monkeypatch):
+        # A tick writes its frontier rows into the cached states as it goes.
+        # When a superstep-2 stage raises part-way (two partitions done), the
+        # session keeps its dirty sets and no row outside a frontier has been
+        # written, so the retry recomputes every frontier row and equals a
+        # fresh prepare()+infer() bit for bit.
+        from repro.inference import gas
+        from repro.inference.backends import pregel as pregel_backend
+
+        graph = make_graph(seed=61)
+        model = build_model(kind, graph.feature_dim, 16, 4, num_layers=2, seed=0)
+        config = InferenceConfig(backend="pregel", num_workers=4, executor="serial",
+                                 strategies=StrategyConfig(**ALL_ON))
+        session = InferenceSession(model, config)
+        session.prepare(graph)
+        session.infer()
+        rng = np.random.default_rng(61)
+        session.apply_delta(random_feature_delta(rng, graph))
+        session.infer(mode="incremental")             # arms the state cache
+        session.apply_delta(random_feature_delta(rng, graph))
+        engine = session.plan.state["engine"]
+        cached = [[h.copy() for h in p.block_state["h_history"]] for p in engine.partitions]
+
+        frontiers = []
+        expand = pregel_backend.expand_frontier
+
+        def recorded_expand(*args, **kwargs):
+            frontiers[:] = expand(*args, **kwargs)
+            return frontiers
+
+        predicted = []
+        predict = gas.predict
+
+        def failing_predict(*args, **kwargs):
+            predicted.append(True)
+            if len(predicted) == 3:
+                raise RuntimeError("stage failed")
+            return predict(*args, **kwargs)
+
+        monkeypatch.setattr(pregel_backend, "expand_frontier", recorded_expand)
+        monkeypatch.setattr(gas, "predict", failing_predict)
+        with pytest.raises(RuntimeError, match="stage failed"):
+            session.infer(mode="incremental")
+        monkeypatch.undo()
+        layout = engine.layout
+        for partition, before in zip(engine.partitions, cached):
+            for superstep, (now, then) in enumerate(zip(partition.block_state["h_history"],
+                                                        before)):
+                frontier = frontiers[superstep]
+                rows = layout.local_indices(frontier[layout.owners(frontier)
+                                                     == partition.partition_id])
+                outside = np.ones(then.shape[0], dtype=bool)
+                outside[rows] = False
+                np.testing.assert_array_equal(now[outside], then[outside])
+        assert not np.array_equal(engine.partitions[0].block_state["h_history"][1],
+                                  cached[0][1])       # the failed tick did write
+
+        scores = session.infer(mode="incremental").scores
+        np.testing.assert_array_equal(scores, fresh_scores(graph, kind))
+
     def test_invalid_mode_rejected(self):
         graph = make_graph(seed=27)
         session = make_session(graph)

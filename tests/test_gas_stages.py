@@ -125,8 +125,10 @@ def test_stages_reproduce_the_reference_layer_and_its_row_subsets(arch, edge_dim
 
     # ---- row subsets compute exactly the corresponding rows of the full path.
     edge_rows = np.array([80, 3, 0, 61, 59, 4, 60, graph.num_edges - 1])   # unsorted
-    subset, subset_units = gas.edge_messages(layer, state, shadow.graph.src,
-                                             shadow.graph.edge_features, edge_rows)
+    edge_features = shadow.graph.edge_features
+    subset, subset_units = gas.edge_messages(
+        layer, state, shadow.graph.src[edge_rows],
+        None if edge_features is None else edge_features[edge_rows])
     assert subset.tobytes() == messages[edge_rows].tobytes()
     assert subset_units == edge_rows.size * layer.message_dim
     # a hub, a mirror and plain nodes, unsorted; every message bound for them
@@ -143,7 +145,7 @@ def test_stages_reproduce_the_reference_layer_and_its_row_subsets(arch, edge_dim
     spliced = gas.splice(cached, part, frontier)
     np.testing.assert_array_equal(spliced[frontier], new_state[frontier])
     assert not spliced[np.setdiff1d(np.arange(new_state.shape[0]), frontier)].any()
-    assert not cached.any()                    # splice copies, never writes through
+    assert spliced is cached                   # splice writes into the cache, no copy
 
     # ---- predict closes the pipeline the same way.
     last = np.random.default_rng(5).normal(size=(6, model.layers[-1].output_dim))
@@ -199,14 +201,14 @@ def test_scatter_blocks_equals_edge_messages_then_slice(arch, edge_dim, subset, 
     # of rows 4 and 21 have mirrors, so the two fan-out orders differ
     rows = np.array([80, 4, 61, 0, 59, 66, 60, 21, 62, 65]) if subset else None
 
-    blocks, units = gas.scatter_blocks(model, plan, shadow, 0, state, working.src,
-                                       working.src, working.dst, working.edge_features,
-                                       inline, rows)
+    src, dst, edge_features = working.src, working.dst, working.edge_features
+    if rows is not None:                        # an edge subset is its arrays' rows
+        src, dst = src[rows], dst[rows]
+        edge_features = None if edge_features is None else edge_features[rows]
+    blocks, units = gas.scatter_blocks(model, plan, shadow, 0, state, src, src, dst,
+                                       edge_features, inline)
 
-    messages, expected_units = gas.edge_messages(layer, state, working.src,
-                                                 working.edge_features, rows)
-    src, dst = (working.src, working.dst) if rows is None else (working.src[rows],
-                                                                working.dst[rows])
+    messages, expected_units = gas.edge_messages(layer, state, src, edge_features)
     routed = gas.scatter(plan.layer(0), plan.out_degree_hubs, shadow, src, dst, inline)
     assert units == expected_units and type(units) is type(expected_units)
     plain = blocks[0]

@@ -6,9 +6,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.executor import UnknownExecutorError, available_executors
 from repro.cluster.metrics import MetricsCollector
@@ -282,7 +284,10 @@ class TestResidentSendSchedule:
     """A full superstep derives its routing once per partition and topology."""
 
     @staticmethod
-    def hub_session(kind: str = "gcn", partial_gather: bool = True, seed: int = 35):
+    def hub_session(kind: str = "gcn", partial_gather: bool = True, seed: int = 35,
+                    executor: Optional[str] = "serial"):
+        """A session on a graph with hubs and mirrors; ``executor=None`` takes
+        the environment's default executor."""
         from repro.gnn.model import build_model
         from repro.graph.generators import powerlaw_graph
         from repro.inference import InferenceConfig, InferenceSession, StrategyConfig
@@ -291,15 +296,77 @@ class TestResidentSendSchedule:
                                num_classes=4, seed=seed)
         model = build_model(kind, graph.feature_dim, 16, 4, num_layers=2, seed=0)
         config = InferenceConfig(           # serial: the spies below count in this process
-            backend="pregel", num_workers=4, executor="serial",
+            backend="pregel", num_workers=4,
             strategies=StrategyConfig(partial_gather=partial_gather, broadcast=True,
-                                      shadow_nodes=True, hub_threshold_override=20))
+                                      shadow_nodes=True, hub_threshold_override=20),
+            **({} if executor is None else {"executor": executor}))
         return InferenceSession(model, config), graph
 
     @staticmethod
     def schedules(session):
         return [partition.block_state.get("send_schedule")
                 for partition in session.plan.state["engine"].partitions]
+
+    @staticmethod
+    def feature_delta(rng, graph, size=20):
+        from repro.inference import GraphDelta
+
+        rows = rng.choice(graph.num_nodes, size=size, replace=False)
+        return GraphDelta(node_ids=rows, node_features=rng.normal(size=(size, graph.feature_dim)))
+
+    @staticmethod
+    def edge_delta(rng, session, graph, added=40, removed=20, features=0):
+        """Hub-preserving churn: every touched edge's source is well below the
+        hub threshold, so the delta lands in place."""
+        from repro.inference import GraphDelta
+
+        threshold = session.plan.strategy_plan.threshold
+        degrees = graph.out_degrees()
+        rows = rng.choice(graph.num_nodes, size=features, replace=False)
+        return GraphDelta(
+            node_ids=rows if features else None,
+            node_features=rng.normal(size=(features, graph.feature_dim)) if features else None,
+            added_src=rng.choice(np.nonzero(degrees < threshold - 3)[0], size=added,
+                                 replace=False),
+            added_dst=rng.integers(0, graph.num_nodes, size=added),
+            removed_edge_ids=rng.choice(np.nonzero(degrees[graph.src] < threshold - 3)[0],
+                                        size=removed, replace=False))
+
+    @staticmethod
+    def per_destination(resident, partition):
+        """Each path's entries grouped by destination, in send order: the
+        destinations, the edge rows and the hub node each entry carries."""
+        routed = resident.routed
+        hubs = partition.out_src[routed.hub_rows[routed.hub_refs]]
+        assert (hubs == partition.out_src[routed.ref_rows]).all()   # a hub's own edges
+        paths = []
+        for dst, rows, hub in ((routed.plain_dst, routed.plain_rows, routed.plain_dst[:0]),
+                               (routed.hub_dst, routed.ref_rows, hubs)):
+            order = np.argsort(dst, kind="stable")
+            paths.extend([dst[order], rows[order], hub[order] if hub.size else hub])
+        return paths
+
+    @classmethod
+    def assert_matches_a_fresh_build(cls, session):
+        """Every partition's schedule equals, per destination, one built from
+        its current out-edges — and so does its per-destination index."""
+        from repro.inference.pregel_adaptor import SendSchedule
+
+        for partition in session.plan.state["engine"].partitions:
+            for resident in partition.block_state.get("send_schedule", {}).values():
+                fresh = SendSchedule(resident.strategy, resident.hubs, resident.replicas,
+                                     partition)
+                for patched, built in zip(cls.per_destination(resident, partition),
+                                          cls.per_destination(fresh, partition)):
+                    np.testing.assert_array_equal(patched, built)
+                for index, built in zip(resident.by_destination(partition),
+                                        fresh.by_destination(partition)):
+                    np.testing.assert_array_equal(index.indptr, built.indptr)
+                    np.testing.assert_array_equal(index.edge, built.edge)
+                    np.testing.assert_array_equal(index.own, built.own)
+                    np.testing.assert_array_equal(     # the same hub, by node id
+                        partition.out_src[resident.routed.hub_rows[index.ref]],
+                        partition.out_src[fresh.routed.hub_rows[built.ref]])
 
     @pytest.mark.parametrize("kind,partial_gather", [("gcn", True), ("gcn", False),
                                                      ("gat", True)])
@@ -340,8 +407,56 @@ class TestResidentSendSchedule:
         assert calls == {"scatter": 0, "unique": 0, "stable_group_by": 0}
         np.testing.assert_array_equal(second, first)
 
-    def test_feature_delta_keeps_the_schedule_and_an_edge_delta_drops_it(self):
-        from repro.inference import GraphDelta
+    @pytest.mark.parametrize("kind,partial_gather", [("gcn", True), ("gcn", False),
+                                                     ("gat", True)])
+    def test_an_incremental_infer_derives_no_routing(self, kind, partial_gather,
+                                                     monkeypatch):
+        """(a) Counted, not timed: after a feature delta, an incremental infer
+        selects its sends from the resident schedule — **zero** calls to
+        ``gas.scatter``, ``np.unique`` and ``stable_group_by`` — and equals a
+        fresh session bit for bit."""
+        from repro.inference import gas
+        from repro.pregel import vertex
+
+        rng = np.random.default_rng(3)
+        session, graph = self.hub_session(kind, partial_gather)
+        fresh, _ = self.hub_session(kind, partial_gather)
+        calls = {"scatter": 0, "unique": 0, "stable_group_by": 0}
+
+        def counting(name, fn):
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return spy
+
+        try:
+            session.prepare(graph)
+            full = session.infer()
+            session.apply_delta(self.feature_delta(rng, graph))
+            session.infer(mode="incremental")           # primes the state cache
+            assert session.apply_delta(self.feature_delta(rng, graph)).in_place
+            monkeypatch.setattr(gas, "scatter", counting("scatter", gas.scatter))
+            monkeypatch.setattr(np, "unique", counting("unique", np.unique))
+            monkeypatch.setattr(vertex, "stable_group_by",
+                                counting("stable_group_by", vertex.stable_group_by))
+            tick = session.infer(mode="incremental")
+            monkeypatch.undo()
+            fresh.prepare(graph)
+            expected = fresh.infer().scores
+        finally:
+            session.close()
+            fresh.close()
+        assert calls == {"scatter": 0, "unique": 0, "stable_group_by": 0}
+        assert (tick.metrics.total("compute_units")
+                < full.metrics.total("compute_units"))          # it did run incrementally
+        np.testing.assert_array_equal(tick.scores, expected)
+
+    def test_feature_delta_keeps_the_schedule_and_an_edge_delta_patches_it(self, monkeypatch):
+        """(b) An in-place edge delta patches each partition's schedule
+        objects: only the appended edges are routed (``gas.scatter``), and per
+        destination the result equals a schedule built from the new
+        out-edges; incremental and full runs equal a fresh session."""
+        from repro.inference import gas
         from repro.inference.delta import apply_delta_to_graph
 
         rng = np.random.default_rng(35)
@@ -353,32 +468,140 @@ class TestResidentSendSchedule:
             kept = self.schedules(session)
             assert all(kept)
 
-            rows = rng.choice(graph.num_nodes, size=20, replace=False)
-            feature_delta = GraphDelta(node_ids=rows,
-                                       node_features=rng.normal(size=(20, graph.feature_dim)))
+            feature_delta = self.feature_delta(rng, graph)
             assert session.apply_delta(feature_delta).in_place
             session.infer()
             assert all(now is before for now, before in zip(self.schedules(session), kept))
-            assert all(now[key][1] is before[key][1] for now, before
-                       in zip(self.schedules(session), kept) for key in before)
+            residents = [dict(schedules) for schedules in kept]
+            full_schedules = [{key: resident.schedule for key, resident in schedules.items()}
+                              for schedules in residents]
+            assert all(full_schedules[0].values())
 
-            threshold = session.plan.strategy_plan.threshold
-            degrees = graph.out_degrees()
-            edge_delta = GraphDelta(
-                added_src=rng.choice(np.nonzero(degrees < threshold - 3)[0], size=40,
-                                     replace=False),
-                added_dst=rng.integers(0, graph.num_nodes, size=40),
-                removed_edge_ids=rng.choice(
-                    np.nonzero(degrees[graph.src] < threshold - 3)[0], size=20, replace=False))
+            scattered = []
+            real_scatter = gas.scatter
+
+            def spy(strategy, hubs, replicas, source_ids, dst_ids, inline):
+                scattered.append(source_ids.size)
+                return real_scatter(strategy, hubs, replicas, source_ids, dst_ids, inline)
+
+            monkeypatch.setattr(gas, "scatter", spy)
+            edge_delta = self.edge_delta(rng, session, graph)
             assert session.apply_delta(edge_delta).in_place
-            assert self.schedules(session) == [None] * 4
-            scores = session.infer().scores
-            assert all(self.schedules(session))
+            monkeypatch.undo()
+            assert [dict(schedules) for schedules in self.schedules(session)] == residents
+            assert all(now[key] is resident for now, schedules
+                       in zip(self.schedules(session), residents)
+                       for key, resident in schedules.items())
+            assert len(scattered) == 4 and sum(scattered) == edge_delta.added_src.size
+            self.assert_matches_a_fresh_build(session)
 
             apply_delta_to_graph(reference, feature_delta)
             apply_delta_to_graph(reference, edge_delta)
             fresh.prepare(reference)
-            np.testing.assert_array_equal(scores, fresh.infer().scores)
+            expected = fresh.infer().scores
+            np.testing.assert_array_equal(session.infer(mode="incremental").scores, expected)
+            np.testing.assert_array_equal(session.infer().scores, expected)
+        finally:
+            session.close()
+            fresh.close()
+
+    @staticmethod
+    def tick_counters(kind: str, executor: Optional[str] = "serial"):
+        """Per-instance counters of one feature, one edge and one mixed tick.
+
+        After a full run and one priming update, each tick is an in-place
+        delta then ``infer(mode="incremental")``; for every tick it returns
+        ``crc32`` of the sorted ``(phase, partition, compute_units,
+        records_in, records_out, bytes_in, bytes_out)`` rows, and their
+        compute, records-out and bytes-out totals.
+        """
+        import zlib
+
+        rng = np.random.default_rng(11)
+        session, graph = TestResidentSendSchedule.hub_session(kind, executor=executor)
+        try:
+            session.prepare(graph)
+            session.infer()
+            session.apply_delta(TestResidentSendSchedule.feature_delta(rng, graph))
+            session.infer(mode="incremental")
+            counters = {}
+            for tick in ("feature", "edge", "mixed"):
+                delta = (TestResidentSendSchedule.feature_delta(rng, graph) if tick == "feature"
+                         else TestResidentSendSchedule.edge_delta(
+                             rng, session, graph, features=20 if tick == "mixed" else 0))
+                assert session.apply_delta(delta).in_place
+                metrics = session.infer(mode="incremental").metrics.instances()
+                rows = sorted((m.phase, m.instance_id, int(m.compute_units), m.records_in,
+                               m.records_out, int(m.bytes_in), int(m.bytes_out))
+                              for m in metrics)
+                assert all(m.compute_units == int(m.compute_units) for m in metrics)
+                counters[tick] = (zlib.crc32(repr(rows).encode()),
+                                  sum(row[2] for row in rows), sum(row[4] for row in rows),
+                                  sum(row[6] for row in rows))
+        finally:
+            session.close()
+        return counters
+
+    #: ``tick_counters(kind)`` recorded at commit d67ef53, whose incremental
+    #: superstep still re-derived routing for its edge rows.  Recipe: put
+    #: that checkout's ``src`` on ``PYTHONPATH``, import this class from this
+    #: file and print ``{k: tick_counters(k) for k in ("gcn", "sage", "gat")}``.
+    #: GCN and SAGE coincide: same widths, and the cost model charges a layer
+    #: by its shapes.
+    GOLDEN_TICK_COUNTERS = {
+        "gcn": {"feature": (3199251714, 118624, 1169, 159584),
+                "edge": (4550223, 191120, 1982, 231056),
+                "mixed": (4042367196, 276960, 2812, 327304)},
+        "sage": {"feature": (3199251714, 118624, 1169, 159584),
+                 "edge": (4550223, 191120, 1982, 231056),
+                 "mixed": (4042367196, 276960, 2812, 327304)},
+        "gat": {"feature": (2929656786, 92524, 1498, 251896),
+                "edge": (1121655177, 135780, 2410, 353520),
+                "mixed": (3764772896, 208156, 3465, 509536)},
+    }
+
+    @pytest.mark.parametrize("kind", ["gcn", "sage", "gat"])
+    def test_tick_counters_are_golden(self, kind):
+        """(c) Selecting from the resident schedule sends exactly what
+        re-deriving routing for the frontier's edges sent: every incremental
+        instance's compute units, records and bytes are unchanged — under
+        whichever executor the environment picks."""
+        assert self.tick_counters(kind, executor=None) == self.GOLDEN_TICK_COUNTERS[kind]
+
+    @settings(max_examples=12, deadline=None)
+    @given(kind=st.sampled_from(["gcn", "sage", "gat"]), partial_gather=st.booleans(),
+           steps=st.lists(st.sampled_from(["feature", "edge", "mixed"]),
+                          min_size=1, max_size=4),
+           seed=st.integers(0, 2**16))
+    def test_interleaved_deltas_stay_bit_identical(self, kind, partial_gather, steps, seed):
+        """Any interleaving of feature and hub-preserving edge deltas: every
+        incremental infer equals a fresh ``prepare()+infer()`` bit for bit,
+        nothing re-plans, and every patched schedule equals a fresh build per
+        destination."""
+        from repro.inference.delta import apply_delta_to_graph
+
+        rng = np.random.default_rng(seed)
+        session, graph = self.hub_session(kind, partial_gather, seed=seed % 7 + 30)
+        fresh, reference = self.hub_session(kind, partial_gather, seed=seed % 7 + 30)
+        try:
+            session.prepare(graph)
+            assert session.plan.shadow_plan.has_mirrors
+            session.infer()
+            first = self.feature_delta(rng, graph)
+            session.apply_delta(first)
+            apply_delta_to_graph(reference, first)
+            session.infer(mode="incremental")           # primes the state cache
+            for step in steps:
+                delta = (self.feature_delta(rng, graph, size=8) if step == "feature"
+                         else self.edge_delta(rng, session, graph, added=6, removed=4,
+                                              features=4 if step == "mixed" else 0))
+                assert session.apply_delta(delta).in_place
+                apply_delta_to_graph(reference, delta)
+                scores = session.infer(mode="incremental").scores
+                self.assert_matches_a_fresh_build(session)
+                fresh.prepare(reference)
+                np.testing.assert_array_equal(scores, fresh.infer().scores)
+            assert session.num_replans == 0
         finally:
             session.close()
             fresh.close()
