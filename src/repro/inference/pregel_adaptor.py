@@ -34,6 +34,19 @@ order-sensitive segment reductions accumulate identical bits.  An in-place
 edge delta patches the schedule rather than dropping it: appended edges'
 rows follow each destination's surviving rows, where a fresh build puts
 them.
+
+With partial-gather on, a destination's rows from one partition leave as one
+folded partial, and most of a tick's partials fold rows that did not change.
+So the schedule also keeps, per superstep, a memo of the partials its
+incremental sends folded (keyed by destination, two rows or more).  A
+selected destination none of whose rows comes from a frontier row copies its
+partial from the memo; only the others are gathered and folded.  The folded
+block ``route`` receives has the same rows, order and bits as a fresh fold,
+so the wire, the receivers and every record and byte counter are unchanged;
+only the compute charged for the rows not gathered goes.  A full run drops
+the memo, and an edge patch invalidates every destination whose rows it
+changes.  Like the schedule, the memo never leaves the process that built it:
+a process worker starts every run with an empty one.
 """
 
 from __future__ import annotations
@@ -140,6 +153,74 @@ class _ByDestination(NamedTuple):
             else _EMPTY)
 
 
+class _PartialMemo:
+    """One superstep's folded partials, kept from a partition's incremental sends.
+
+    Destination ``d``'s partial — the combiner's fold of every row this
+    partition sends it, in send order — is ``partials[row_of[d]]`` while
+    ``valid[d]``.  Only partials of two or more rows are kept (a one-row
+    partial is the message itself).  A row, once given to a destination, is
+    reused for it, so the store grows with the destinations ever kept, not
+    with the writes, and by a quarter at a time.
+    """
+
+    def __init__(self, num_nodes: int) -> None:
+        self.row_of = np.full(num_nodes, -1, dtype=np.int32)
+        self.valid = np.zeros(num_nodes, dtype=bool)
+        self.partials = np.empty((0, 0))
+        self.size = 0
+
+    def read(self, dst_ids: np.ndarray) -> np.ndarray:
+        return self.partials[self.row_of[dst_ids]]
+
+    def write(self, dst_ids: np.ndarray, partials: np.ndarray) -> None:
+        if not dst_ids.size:
+            return
+        new = dst_ids[self.row_of[dst_ids] < 0]
+        if new.size:
+            end = self.size + new.size
+            if end > self.partials.shape[0]:
+                grown = np.empty((max(self.partials.shape[0] * 5 // 4, end),
+                                  partials.shape[1]))
+                if self.size:
+                    grown[:self.size] = self.partials[:self.size]
+                self.partials = grown
+            self.row_of[new] = np.arange(self.size, end)
+            self.size = end
+        self.partials[self.row_of[dst_ids]] = partials
+        self.valid[dst_ids] = True
+
+
+class _Refold(NamedTuple):
+    """How an incremental send folds its plain block, reusing a memo.
+
+    ``fold = (dst_ids, slot, counts)`` is the whole send's fold — its
+    destinations in bucket order — with ``slot`` over the rows the plain
+    block holds.  The destinations ``reused`` marks have no rows there: they
+    copy their partial from ``memo``.
+    """
+
+    combiner: MessageCombiner
+    memo: _PartialMemo
+    fold: Tuple[np.ndarray, np.ndarray, np.ndarray]
+    reused: np.ndarray
+
+    def apply(self, blocks: List[MessageBlock]) -> List[MessageBlock]:
+        """``blocks`` with the folded block in place of the plain one.
+
+        Every partial folded here from two rows or more is written to the memo.
+        """
+        dst_ids, slot, counts = self.fold
+        if not slot.size:               # every partial is reused: no plain block
+            return [MessageBlock(dst_ids, self.memo.read(dst_ids), counts)] + blocks
+        folded = self.combiner.combine_block(blocks[0], self.fold)
+        kept = ~self.reused & (counts > 1)
+        self.memo.write(dst_ids[kept], folded.payload[kept])
+        if self.reused.any():           # their rows hold the op's identity until now
+            folded.payload[self.reused] = self.memo.read(dst_ids[self.reused])
+        return [folded] + blocks[1:]
+
+
 def _used_hubs(refs: np.ndarray, rows: np.ndarray,
                num_hubs: int) -> Tuple[np.ndarray, np.ndarray]:
     """The hubs ``refs`` uses, in table order: ``(payload rows, rerank)``.
@@ -167,6 +248,12 @@ class SendSchedule:
     out of ``routed`` (:meth:`select`); an in-place edge delta patches it
     (:meth:`patch`), and building one is patching the empty schedule with
     every edge appended.
+
+    ``memos`` keeps, per superstep, the partials a folding incremental send
+    folded (:class:`_PartialMemo`), so a later one copies every partial none
+    of whose rows changed instead of gathering and folding it again.  Only
+    incremental sends write it, a full run drops it, and an edge patch
+    invalidates every destination whose plain rows it changes.
     """
 
     def __init__(self, strategy: LayerStrategy, hubs: np.ndarray,
@@ -177,6 +264,7 @@ class SendSchedule:
         #: per-destination index of ``routed`` (plain path, broadcast path),
         #: built by the first :meth:`select` that needs it, then patched
         self._by_dst: Optional[Tuple[_ByDestination, _ByDestination]] = None
+        self.memos: Dict[int, _PartialMemo] = {}
         self.patch(partition, np.zeros(0, dtype=bool))
 
     def patch(self, partition: PregelPartition, kept: np.ndarray) -> None:
@@ -188,7 +276,9 @@ class SendSchedule:
         puts them, so each destination's rows keep a fresh build's order.
         Hubs keep their rank while a surviving reference uses them; appended
         hubs rank after them.  The hub set itself never changes in place (a
-        hub move re-plans), so the survivors' path split stays valid.
+        hub move re-plans), so the survivors' path split stays valid.  Every
+        memo forgets the destinations of removed and appended plain entries,
+        mirror fan-out included: their partials fold other rows now.
         """
         old, start = self.routed, int(np.count_nonzero(kept))
         renumber = np.cumsum(kept) - 1
@@ -198,6 +288,9 @@ class SendSchedule:
 
         new = gas.scatter(self.strategy, self.hubs, self.replicas,
                           partition.out_src[start:], partition.out_dst[start:], False)
+        for memo in self.memos.values():
+            memo.valid[old.plain_dst[~plain]] = False
+            memo.valid[new.plain_dst] = False
         rank = np.full(partition.layout.num_nodes, -1, dtype=np.int64)
         rank[partition.out_src[hub_rows]] = np.arange(hub_rows.size)
         new_hubs = partition.out_src[start + new.hub_rows]
@@ -239,9 +332,10 @@ class SendSchedule:
                               full.hub_refs, partition.out_dst))
         return self._by_dst
 
-    def select(self, partition: PregelPartition, targets: Destinations, fold: bool,
-               ) -> Optional[Tuple[np.ndarray, gas.Routed, Schedule]]:
-        """The part of a full send bound for ``targets``: ``(edges, routed, schedule)``.
+    def select(self, partition: PregelPartition, targets: Destinations,
+               combiner: Optional[MessageCombiner], superstep: int, stale: np.ndarray,
+               ) -> Optional[Tuple[np.ndarray, gas.Routed, Schedule, Optional[_Refold]]]:
+        """The part of a full send bound for ``targets``: ``(edges, routed, schedule, refold)``.
 
         ``edges`` are the out-edge rows to compute, ``routed`` is over those
         rows and ``schedule`` routes the blocks they become; None when
@@ -249,24 +343,40 @@ class SendSchedule:
         destination in bucket order, each destination's in full-run order,
         so every cut is a slice and a fold's slot is the rank of its
         destination.  The work is proportional to the rows taken.
+
+        A send with a ``combiner`` folds itself (``refold``; ``route`` only cuts):
+        a destination whose ``superstep`` memo entry is valid and none of
+        whose rows is ``stale`` (a bool per out-edge: its message may have
+        changed since that entry was written) copies the entry, and its rows
+        are neither selected nor computed.  A destination and its mirrors
+        share their rows, so they are copied or folded together.
         """
         plain, hub = self.by_destination(partition)
         ids, bounds = targets
         plain_slots, plain_count, plain_ends = csr_slots(plain.indptr, ids)
-        plain_edge = plain.edge[plain_slots]
-        edges = plain_edge[plain.own[plain_slots]]
+        plain_edge, own = plain.edge[plain_slots], plain.own[plain_slots]
         cuts: List[List[Tuple[int, Any]]] = []
-        folds: List[int] = []
-        folded: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        if plain_slots.size and fold:
+        refold: Optional[_Refold] = None
+        if plain_slots.size and combiner is not None:
             sent = np.nonzero(plain_count)[0]
             rank = np.zeros(ids.size + 1, dtype=np.int64)
             np.cumsum(plain_count > 0, out=rank[1:])
-            folds = [0]
-            folded = ids[sent], np.repeat(rank[:-1], plain_count), plain_count[sent]
             cuts.append(bucket_slices(rank[bounds]))
-        elif plain_slots.size:
-            cuts.append(bucket_slices(plain_ends[bounds]))
+            slot, dst_ids = np.repeat(rank[:-1], plain_count), ids[sent]
+            memo = self.memos.get(superstep)
+            if memo is None:
+                memo = self.memos[superstep] = _PartialMemo(partition.layout.num_nodes)
+            reused = memo.valid[dst_ids]
+            reused[slot[stale[plain_edge]]] = False
+            fresh = ~reused[slot]
+            plain_edge, own, slot = plain_edge[fresh], own[fresh], slot[fresh]
+            plain_dst = dst_ids[slot]
+            refold = _Refold(combiner, memo, (dst_ids, slot, plain_count[sent]), reused)
+        else:
+            plain_dst = np.repeat(ids, plain_count)
+            if plain_slots.size:
+                cuts.append(bucket_slices(plain_ends[bounds]))
+        edges = plain_edge[own]
         hub_refs, hub_dst, hub_edge = _EMPTY, _EMPTY, _EMPTY
         if hub.edge.size:
             hub_slots, hub_count, hub_ends = csr_slots(hub.indptr, ids)
@@ -275,15 +385,15 @@ class SendSchedule:
             edges = np.concatenate([edges, hub_edge[hub.own[hub_slots]]])
             if hub_slots.size:
                 cuts.append(bucket_slices(hub_ends[bounds]))
-        if not edges.size:
+        if not edges.size and refold is None:
             return None
         where = np.empty(partition.num_out_edges, dtype=np.int64)
         where[edges] = np.arange(edges.size)
         # the broadcast block carries only the hubs its references use
         hub_rows, rerank = _used_hubs(hub_refs, where[hub_edge], self.routed.hub_rows.size)
-        routed = gas.Routed(where[plain_edge], np.repeat(ids, plain_count), hub_rows,
+        routed = gas.Routed(where[plain_edge], plain_dst, hub_rows,
                             rerank[hub_refs], hub_dst, where[hub_edge])
-        return edges, routed, Schedule(folds, folded, cuts)
+        return edges, routed, Schedule([], None, cuts), refold
 
 
 class GNNInferenceProgram(BlockVertexProgram):
@@ -335,7 +445,8 @@ class GNNInferenceProgram(BlockVertexProgram):
         keeps it across runs (beside the send schedules ``_scatter`` keeps);
         an in-place edge delta drops it and it is recomputed here.  An
         incremental run keeps the cached ``h_history``/``output`` (that cache
-        *is* its input); a full run resets them.
+        *is* its input); a full run resets them and drops the schedules'
+        memos, whose partials it may not reproduce.
         """
         if "out_src_local" not in partition.block_state:
             partition.block_state["out_src_local"] = partition.local_indices(partition.out_src)
@@ -347,6 +458,8 @@ class GNNInferenceProgram(BlockVertexProgram):
                     "from a previous full run on this plan")
             return
         partition.block_state["output"] = None
+        for resident in partition.block_state.get("send_schedule", {}).values():
+            resident.memos.clear()
         if self.cache_states:
             partition.block_state["h_history"] = [None] * (self.num_layers + 1)
         else:
@@ -366,7 +479,8 @@ class GNNInferenceProgram(BlockVertexProgram):
 
         A full superstep sends every edge; an incremental one the selection
         bound for the next frontier — every row of each such destination, in
-        full-run order, so it still receives its complete in-message set.
+        full-run order, so it still receives its complete in-message set —
+        folding itself, with each unchanged partial copied from the memo.
         """
         if partition.num_out_edges == 0:
             return
@@ -381,17 +495,25 @@ class GNNInferenceProgram(BlockVertexProgram):
                                                 self.replicas, partition)
         src_pos, features = partition.block_state["out_src_local"], partition.out_edge_features
         edges: Union[slice, np.ndarray]
+        refold: Optional[_Refold] = None
         if self.targets is None:
             edges, routed, schedule = slice(None), resident.routed, resident.schedule
         else:
-            picked = resident.select(partition, self.targets[superstep], key[1])
+            # an out-edge's message may have changed iff its source is a
+            # frontier row: every other state row keeps its cached bits
+            changed = np.zeros(partition.num_nodes, dtype=bool)
+            changed[context.frontier_rows] = True
+            picked = resident.select(partition, self.targets[superstep], strategy.combiner,
+                                     superstep, changed[src_pos])
             if picked is None:
                 return
-            edges, routed, schedule = picked
+            edges, routed, schedule, refold = picked
         blocks, units = gas.scatter_blocks(
             self.model, self.plan, self.replicas, superstep, state, src_pos[edges],
             partition.out_src[edges], partition.out_dst[edges],
             None if features is None else features[edges], inline=False, routed=routed)
+        if refold is not None:
+            blocks = refold.apply(blocks)
         if schedule is None:
             schedule = resident.schedule = route_schedule(blocks, key[1], partition.layout)
         context.schedule = schedule

@@ -9,9 +9,11 @@ associative).
 
 There is one fold, :meth:`MessageCombiner.combine_block`; the subclasses only
 name the :func:`~repro.tensor.ops.segment_reduce` op it runs.  It is called
-from one place on either engine, :func:`~repro.pregel.vertex.route`, once per
-worker per superstep/round, with the slots that land the folded rows in
-destination-partition order.
+from :func:`~repro.pregel.vertex.route`, once per worker per superstep/round
+on either engine, with the slots that land the folded rows in
+destination-partition order — except in an incremental Pregel send, which
+folds its changed destinations itself with the same slots (copying the other
+partials from its memo) and hands ``route`` the folded block.
 """
 
 from __future__ import annotations

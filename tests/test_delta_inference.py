@@ -308,15 +308,22 @@ class TestIncrementalFeatureDelta:
         assert computed == {"encode": sizes[0], 0: sizes[1], 1: sizes[2],
                             "predict": sizes[2]}
 
-    @pytest.mark.parametrize("kind", ["gcn", "gat"])
-    def test_a_tick_that_raises_mid_run_is_retried_bit_exactly(self, kind, monkeypatch):
-        # A tick writes its frontier rows into the cached states as it goes.
-        # When a superstep-2 stage raises part-way (two partitions done), the
-        # session keeps its dirty sets and no row outside a frontier has been
-        # written, so the retry recomputes every frontier row and equals a
-        # fresh prepare()+infer() bit for bit.
+    @pytest.mark.parametrize("kind,fails_in", [("gcn", "predict"), ("gat", "predict"),
+                                               ("gcn", "route"), ("gat", "route")],
+                             ids=["gcn", "gat", "gcn-route", "gat-route"])
+    def test_a_tick_that_raises_mid_run_is_retried_bit_exactly(self, kind, fails_in,
+                                                               monkeypatch):
+        # A tick writes its frontier rows into the cached states as it goes,
+        # and the partials it re-folds into the senders' memos.  When a stage
+        # raises part-way — superstep 2's predict with two partitions done, or
+        # superstep 1's route in the third partition, after that partition's
+        # send rewrote memo rows — the session keeps its dirty sets and no row
+        # outside a frontier has been written, so the retry recomputes every
+        # frontier row and re-folds every pair holding one: it, and the tick
+        # after it, equal a fresh prepare()+infer() bit for bit.
         from repro.inference import gas
         from repro.inference.backends import pregel as pregel_backend
+        from repro.pregel import engine as pregel_engine
 
         graph = make_graph(seed=61)
         model = build_model(kind, graph.feature_dim, 16, 4, num_layers=2, seed=0)
@@ -329,8 +336,15 @@ class TestIncrementalFeatureDelta:
         session.apply_delta(random_feature_delta(rng, graph))
         session.infer(mode="incremental")             # arms the state cache
         session.apply_delta(random_feature_delta(rng, graph))
+        session.infer(mode="incremental")             # fills the memos (gcn)
+        session.apply_delta(random_feature_delta(rng, graph))
         engine = session.plan.state["engine"]
         cached = [[h.copy() for h in p.block_state["h_history"]] for p in engine.partitions]
+        memos = [memo for p in engine.partitions
+                 for resident in p.block_state["send_schedule"].values()
+                 for superstep, memo in resident.memos.items() if superstep == 1]
+        memo_rows = [memo.partials.copy() for memo in memos]
+        assert bool(memos) == (kind == "gcn")
 
         frontiers = []
         expand = pregel_backend.expand_frontier
@@ -339,20 +353,25 @@ class TestIncrementalFeatureDelta:
             frontiers[:] = expand(*args, **kwargs)
             return frontiers
 
-        predicted = []
-        predict = gas.predict
+        owner, name, fail_at = ((gas, "predict", 3) if fails_in == "predict"
+                                else (pregel_engine, "route", 7))    # 4 routes a superstep
+        calls = []
+        stage = getattr(owner, name)
 
-        def failing_predict(*args, **kwargs):
-            predicted.append(True)
-            if len(predicted) == 3:
+        def failing(*args, **kwargs):
+            calls.append(True)
+            if len(calls) == fail_at:
                 raise RuntimeError("stage failed")
-            return predict(*args, **kwargs)
+            return stage(*args, **kwargs)
 
         monkeypatch.setattr(pregel_backend, "expand_frontier", recorded_expand)
-        monkeypatch.setattr(gas, "predict", failing_predict)
+        monkeypatch.setattr(owner, name, failing)
         with pytest.raises(RuntimeError, match="stage failed"):
             session.infer(mode="incremental")
         monkeypatch.undo()
+        assert (kind == "gat"
+                or not all(np.array_equal(memo.partials, old)
+                           for memo, old in zip(memos, memo_rows)))   # memo rows rewritten
         layout = engine.layout
         for partition, before in zip(engine.partitions, cached):
             for superstep, (now, then) in enumerate(zip(partition.block_state["h_history"],
@@ -368,6 +387,9 @@ class TestIncrementalFeatureDelta:
 
         scores = session.infer(mode="incremental").scores
         np.testing.assert_array_equal(scores, fresh_scores(graph, kind))
+        session.apply_delta(random_feature_delta(rng, graph))
+        np.testing.assert_array_equal(session.infer(mode="incremental").scores,
+                                      fresh_scores(graph, kind))
 
     def test_invalid_mode_rejected(self):
         graph = make_graph(seed=27)

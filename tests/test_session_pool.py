@@ -9,6 +9,7 @@ keep hitting.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -961,6 +962,57 @@ def test_fingerprint_passes_per_tick(monkeypatch):
           f"handle, {on_private} on the pool's private copy")
     assert (caller, on_private, len(passes)) == (9, 1, 10)
     assert result.scores.shape == (graph.num_nodes, 4)
+
+
+def _rows_folded_in_a_warm_tick(monkeypatch, forget_memos: bool) -> int:
+    """Payload rows that reach ``MessageCombiner.combine_block`` in one pooled
+    incremental tick after a warm one (serial: the spy counts in this
+    process); ``forget_memos`` empties every partition's memo first."""
+    from repro.pregel.combiners import MessageCombiner
+
+    rng = np.random.default_rng(3)
+    graph = make_graph(seed=3)
+    pool = SessionPool(make_model(), dataclasses.replace(make_config(), executor="serial"),
+                       capacity=2)
+    folded = []
+    combine = MessageCombiner.combine_block
+
+    def counting(self, block, fold=None):
+        folded.append(block.payload.shape[0])
+        return combine(self, block, fold)
+
+    try:
+        pool.infer(graph)
+        pool.apply_delta(graph, GraphDelta(node_ids=np.array([1]),
+                                           node_features=np.ones((1, 8))), defer=True)
+        pool.infer(graph, mode="incremental")       # primes the state cache
+        for delta in _tick_deltas(rng, graph):
+            pool.apply_delta(graph, delta, defer=True)
+        pool.infer(graph, mode="incremental")       # the warm tick fills the memos
+        if forget_memos:
+            for partition in pool.session_for(graph).plan.state["engine"].partitions:
+                for resident in partition.block_state["send_schedule"].values():
+                    resident.memos.clear()
+        for delta in _tick_deltas(rng, graph):
+            pool.apply_delta(graph, delta, defer=True)
+        monkeypatch.setattr(MessageCombiner, "combine_block", counting)
+        pool.infer(graph, mode="incremental")
+        monkeypatch.undo()
+    finally:
+        pool.clear()
+    return sum(folded)
+
+
+def test_rows_folded_per_tick(monkeypatch):
+    """A ratchet, not a timing: the rows one pooled serving tick folds on the
+    sending side.  A frontier destination still receives its complete
+    in-message set, but a sender re-folds only the pairs whose rows changed
+    (or that it holds no partial for); every other partial comes from its
+    memo.  Without the memos the same tick folds every row it sends."""
+    with_memos = _rows_folded_in_a_warm_tick(monkeypatch, forget_memos=False)
+    without = _rows_folded_in_a_warm_tick(monkeypatch, forget_memos=True)
+    print(f"rows folded per 4-delta tick: {with_memos} (memos forgotten: {without})")
+    assert (with_memos, without) == (230, 262)
 
 
 def test_fingerprint_passes_per_standalone_tick(monkeypatch):
