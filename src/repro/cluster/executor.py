@@ -1,10 +1,7 @@
 """Pluggable per-partition executors: in-process loop or one OS process each.
 
-Every sharded engine in the system — the Pregel superstep loop, the MapReduce
-round driver — used to *simulate* its workers with a sequential in-process
-loop.  That preserves the data-flow shape (message volumes, per-worker skew,
-superstep structure) but validates the cost model only against simulated
-parallelism.  This module makes the worker substrate itself pluggable:
+Both sharded engines — the Pregel superstep loop, the MapReduce round driver
+— hand their per-slot work to a pluggable worker substrate:
 
 * :class:`SerialExecutor` — the historical behaviour, bit for bit: per-slot
   work runs in the calling process, in slot order, against the engine's live
@@ -22,12 +19,13 @@ Engines talk to executors through one shape of work, a *harness session* —
 :meth:`Executor.session` for all three plus the failed-run teardown.  A
 harness per slot is built worker-side by a picklable factory from the payload
 ``open`` ships once per run (a Pregel partition and its program; a chain of
-MapReduce jobs), receives per-step control plus the messages other slots
-addressed to it last step, and returns a control result plus its own outgoing
-``(target_slot, messages)`` buckets; the executor owns the transport between
-steps, and what a harness keeps between them is its own business (Pregel: node
-state; MapReduce: nothing).  A step is one bulk-synchronous wave of exactly
-``num_slots`` commands, which keeps the pipe protocol trivially deadlock-free.
+MapReduce jobs and the slot's rows), receives per-step control plus the
+messages other slots addressed to it last step, and returns a control result
+plus its own outgoing ``(target_slot, messages)`` buckets; the executor owns
+the transport between steps, and what a harness keeps between them is its own
+business (Pregel: node state; MapReduce: the rows it maps next).  A step is
+one bulk-synchronous wave of exactly ``num_slots`` commands, which keeps the
+pipe protocol trivially deadlock-free.
 
 Determinism contract: an engine that routes its per-slot work through the
 executor interface produces **the same results under both executors** — the
@@ -181,6 +179,10 @@ class SharedArrayPack:
         self._specs[key] = spec
         return spec
 
+    def __len__(self) -> int:
+        """Live segments (empty arrays take none)."""
+        return len(self._segments)
+
     def array_for(self, key: str) -> np.ndarray:
         """The parent-side (shm-backed) view registered under ``key``."""
         return self._arrays[key]
@@ -314,6 +316,10 @@ class Executor:
     # -- lifecycle --------------------------------------------------------- #
     def shutdown(self) -> None:
         """Release every resource (worker processes, transport buffers)."""
+
+    def live_processes(self) -> List[BaseProcess]:
+        """The worker processes currently alive (none for in-process slots)."""
+        return []
 
     @property
     def is_in_process(self) -> bool:
@@ -590,6 +596,9 @@ class ProcessExecutor(Executor):
             self._mail_blobs = [[] for _ in range(self.num_slots)]
 
     # ------------------------------------------------------------------ #
+    def live_processes(self) -> List[BaseProcess]:
+        return [process for process in self._processes if process.is_alive()]
+
     def shutdown(self) -> None:
         if self._finalizer is not None:
             self._finalizer()

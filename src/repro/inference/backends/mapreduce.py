@@ -3,10 +3,11 @@
 Planning resolves strategies, the shadow rewrite and the layout — nothing
 else: the backend keeps no copy of the node table.  Every execution cuts the
 first round's input rows fresh from the working graph's own arrays
-(:func:`~repro.inference.mapreduce_adaptor.input_rows`) and chains one
+(:func:`~repro.inference.mapreduce_adaptor.input_rows`) — slot ``i`` reads
+``layout.nodes_of(i)``, the rows Pregel partition ``i`` owns — and chains one
 :class:`~repro.inference.mapreduce_adaptor.GNNRoundJob` per layer through one
-session of the plan's executor: the jobs ship once per worker and hold the
-replica map, never the working graph.
+session of the plan's executor: the jobs ship once per worker with the
+slot's rows and hold the replica map, never the working graph.
 
 This backend overrides no delta hook of
 :class:`~repro.inference.backends.base.Backend`: the base ``apply_delta``
@@ -74,7 +75,7 @@ class MapReduceBackend(Backend):
 
     def execute(self, plan: ExecutionPlan,
                 metrics: MetricsCollector) -> Dict[str, np.ndarray]:
-        """Chain one :class:`GNNRoundJob` per layer over the graph's input rows."""
+        """Chain one :class:`GNNRoundJob` per layer over each partition's input rows."""
         assert plan.layout is not None      # set by plan_gas_execution
         plan.model.eval()
         rounds = [(f"round_{layer_index}",
@@ -82,7 +83,10 @@ class MapReduceBackend(Backend):
                                plan.original_num_nodes, plan.layout))
                   for layer_index in range(plan.model.num_layers)]
         engine = MapReduceEngine(metrics, self._plan_executor(plan))
+        rows = input_rows(plan.model, plan.working_graph)
+        splits = [[Records(rows.take(plan.layout.nodes_of(slot)))]
+                  for slot in range(plan.layout.num_partitions)]
         scores = np.zeros((plan.original_num_nodes, plan.model.output_dim))
-        for item in engine.run(rounds, [Records(input_rows(plan.model, plan.working_graph))]):
+        for item in engine.run(rounds, splits):
             scores[item.block.dst_ids] = item.block.payload
         return {"scores": scores}

@@ -13,10 +13,12 @@ The pipeline mirrors the paper's Section IV-C2:
 * the prediction head is merged into the last Reduce round, which emits one
   output row per node.
 
-Unlike the Pregel backend nothing persists in worker memory between rounds —
-state is itself shuffled — so peak memory stays bounded (rows stream through
-bounded chunks) at the price of more bytes moved, which is exactly the
-trade-off Table III measures.  The stages themselves live in
+Slot ``i`` maps the rows Pregel partition ``i`` owns (round 0 reads
+``layout.nodes_of(i)``; a reducer's output stays on its slot), so its
+combiner folds what a Pregel worker folds.  Unlike Pregel, a round's output
+is priced as written to storage and state is itself shuffled, so peak memory
+stays bounded (rows stream through bounded chunks) at the price of more bytes
+moved, which is exactly the trade-off Table III measures.  The stages themselves live in
 :mod:`repro.inference.gas`; what this module owns is the transport, and the
 transport moves the Pregel backend's own blocks:
 
@@ -42,9 +44,9 @@ recomputes, and nothing survives a run to splice into.  An
 ``infer(mode="incremental")`` request runs the full rounds
 (:class:`~repro.inference.backends.base.Backend`'s fallback).  Landing a delta
 patches the working graph the first round cuts its rows from, and an
-in-place-patched working graph is byte-identical to a fresh plan's, so the
-mapper splits, the fold order and therefore the scores are bit-identical to
-a fresh ``prepare()+infer()``.
+in-place-patched working graph is byte-identical to a fresh plan's, so each
+slot's rows, the fold order and therefore the scores are bit-identical to a
+fresh ``prepare()+infer()``.
 """
 
 from __future__ import annotations
@@ -159,13 +161,6 @@ class Records:
     def __init__(self, block: MessageBlock) -> None:
         self.block = block
 
-    def __len__(self) -> int:
-        """Rows a mapper split can be cut at."""
-        return self.block.num_records()
-
-    def take(self, rows: np.ndarray) -> "Records":
-        return Records(self.block.take(rows))
-
     def num_records(self) -> int:
         block = self.block
         if isinstance(block, BroadcastMessageBlock):
@@ -254,10 +249,11 @@ class GNNRoundJob(MapReduceJob):
         if not states:      # no node rows here: any message below is an orphan
             states = [StateBlock(np.empty(0, dtype=np.int64), np.zeros((0, 0)))]
         state = states[0] if len(states) == 1 else StateBlock.concat(states)
-        # Node rows arrive in ascending id order: round 0's splits are ascending
-        # row ranges, ``route``'s buckets are stable and reducers emit their
-        # chunks in order.  Messages keep their arrival order per destination
-        # (the segment reductions in ``gather_apply`` accumulate in row order).
+        # Node rows arrive in ascending id order: only this slot's mapper sends
+        # them, round 0's split is ``layout.nodes_of`` (ascending), ``route``'s
+        # buckets are stable and reducers emit their chunks in order.  Messages
+        # keep their arrival order per destination (the segment reductions in
+        # ``gather_apply`` accumulate in row order).
         node_ids = state.dst_ids
         if np.any(node_ids[1:] <= node_ids[:-1]):
             raise RuntimeError("state rows arrived out of ascending id order")

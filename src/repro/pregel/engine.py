@@ -313,6 +313,16 @@ class PregelEngine:
             self.executor_name = self._executor.name
         return self._executor
 
+    @property
+    def started_executor(self) -> Optional[Executor]:
+        """The executor once a run has built it, else ``None`` (builds none)."""
+        return self._executor
+
+    @property
+    def num_shared_segments(self) -> int:
+        """Shared-memory segments this engine holds for its workers."""
+        return 0 if self._shm_pack is None else len(self._shm_pack)
+
     def shutdown(self) -> None:
         """Release worker processes and shared-memory segments (if any).
 

@@ -31,11 +31,13 @@ import os
 import signal
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.cluster.executor import Executor
 from repro.graph.graph import Graph
+from repro.inference.backends.base import ExecutionPlan
 from repro.inference.pool import SessionPool
 
 
@@ -86,16 +88,21 @@ class FaultContext:
     schedule: DeltaSchedule
 
 
+def plan_executor(plan: Optional[ExecutionPlan]) -> Optional[Executor]:
+    """A plan's started executor: the Pregel engine's own, or the MapReduce
+    backend's in ``plan.state``.  Never builds one (it would spawn workers)."""
+    if plan is None:
+        return None
+    engine = plan.state.get("engine")
+    return plan.state.get("executor") if engine is None else engine.started_executor
+
+
 def _kill_worker(ctx: FaultContext) -> str:
     """SIGKILL one live worker process of the tenant's pooled session."""
     if ctx.graph not in ctx.pool:
         return "no-op: tenant has no live pooled session"
-    session = ctx.pool.session_for(ctx.graph)
-    state = {} if session.plan is None else session.plan.state
-    # pregel's engine owns its executor; mapreduce keeps it in the plan.
-    executor = getattr(state.get("engine"), "_executor", state.get("executor"))
-    processes = list(getattr(executor, "_processes", []) or [])
-    live = [proc for proc in processes if proc.is_alive()]
+    executor = plan_executor(ctx.pool.session_for(ctx.graph).plan)
+    live = [] if executor is None else executor.live_processes()
     if not live:
         return "no-op: no live worker processes (serial substrate)"
     victim = live[ctx.event.slot % len(live)]

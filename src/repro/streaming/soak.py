@@ -34,7 +34,7 @@ import asyncio
 import os
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,6 +54,7 @@ from repro.streaming.faults import (
     FaultContext,
     FaultInjector,
     FaultPlan,
+    plan_executor,
 )
 from repro.streaming.workload import (
     DELTA,
@@ -135,6 +136,12 @@ class SoakConfig:
         return self.executor or default_executor_name()
 
 
+#: the report fields that vary run to run, outside the replayability contract
+MEASURED_FIELDS = ("fault_notes", "max_worker_processes", "p50_tick_seconds",
+                   "p99_tick_seconds", "mean_tick_seconds", "wall_seconds",
+                   "max_rss_bytes")
+
+
 @dataclass
 class SoakReport:
     """Everything one soak run measured.
@@ -190,34 +197,8 @@ class SoakReport:
 
     def deterministic_summary(self) -> Dict[str, object]:
         """The seed-reproducible slice of the report (no wall-clock fields)."""
-        return {
-            "backend": self.backend,
-            "executor": self.executor,
-            "use_gateway": self.use_gateway,
-            "seed": self.seed,
-            "ticks": self.ticks,
-            "tenants": self.tenants,
-            "trace_digest": self.trace_digest,
-            "fault_digest": self.fault_digest,
-            "trace_deltas": self.trace_deltas,
-            "trace_infers": self.trace_infers,
-            "trace_snapshots": self.trace_snapshots,
-            "deltas_delivered": self.deltas_delivered,
-            "infers_served": self.infers_served,
-            "oracle_checks": self.oracle_checks,
-            "mismatches": self.mismatches,
-            "first_mismatch_tick": self.first_mismatch_tick,
-            "crashes": self.crashes,
-            "recoveries": self.recoveries,
-            "unrecovered": self.unrecovered,
-            "recovery_attempts": list(self.recovery_attempts),
-            "fault_schedule": [dict(row) for row in self.fault_schedule],
-            "snapshot_digests": {tenant: list(digests) for tenant, digests
-                                 in self.snapshot_digests.items()},
-            "max_shm_segments": self.max_shm_segments,
-            "final_shm_segments": self.final_shm_segments,
-            "replans": self.replans,
-        }
+        return {name: value for name, value in asdict(self).items()
+                if name not in MEASURED_FIELDS}
 
     def describe(self) -> str:
         front = "gateway" if self.use_gateway else "bare pool"
@@ -269,25 +250,18 @@ def _pool_resource_census(pool: SessionPool) -> Tuple[int, int]:
     """(shared-memory segments, live worker processes) across pooled plans.
 
     Counts the parent-side :class:`~repro.cluster.executor.SharedArrayPack`
-    segments of every pooled session's engine — the number the PR-5
-    segment-leak fix bounds: wholesale array swaps (edge-delta churn)
-    *replace* a segment under its key instead of accreting new ones, so the
-    census must plateau over arbitrarily many edge-delta ticks.
+    segments of every pooled Pregel engine — the number the segment-leak fix
+    bounds: wholesale array swaps (edge-delta churn) *replace* a segment
+    under its key instead of accreting new ones, so the census must plateau
+    over arbitrarily many edge-delta ticks — and the live worker processes of
+    every pooled plan's executor, on either backend.
     """
-    segments = 0
-    processes = 0
+    segments = processes = 0
     for session in pool.sessions():
-        plan = session.plan
-        if plan is None:
-            continue
-        engine = plan.state.get("engine")
-        pack = getattr(engine, "_shm_pack", None)
-        if pack is not None:
-            segments += len(getattr(pack, "_segments", {}))
-        executor = getattr(engine, "_executor", None)
-        for proc in list(getattr(executor, "_processes", []) or []):
-            if proc.is_alive():
-                processes += 1
+        engine = None if session.plan is None else session.plan.state.get("engine")
+        segments += 0 if engine is None else engine.num_shared_segments
+        executor = plan_executor(session.plan)
+        processes += 0 if executor is None else len(executor.live_processes())
     return segments, processes
 
 

@@ -363,23 +363,23 @@ class TestDegenerateShapes:
 
 #: (compute_units, bytes_out, records_out) of one full ``infer()`` on
 #: ``make_graph(seed=0)`` / ``make_model()`` / 4 workers / hub threshold 15,
-#: recorded before the GAS stages were unified (PR 13's parent commit).  A
-#: stage refactor must reproduce them exactly; a change that means to move
-#: simulated cost updates them and says why.  The ("mapreduce", "PG+BC+SN")
-#: row was re-recorded once when the rounds started shuffling blocks (bytes
-#: +147, records +1, was 911427 / 9457): one hub's references to one bucket
-#: straddle a round-1 mapper split, and a broadcast block cut there carries
-#: its payload row (19 + 8*16 bytes) in both halves where the tuple stream
-#: sent the payload record with the first half only.
+#: recorded before the GAS stages were unified.  A stage refactor must
+#: reproduce them exactly; a change that means to move simulated cost updates
+#: them and says why.  The three mapreduce partial-gather rows were
+#: re-recorded when MapReduce slot ``i`` began mapping the rows Pregel
+#: partition ``i`` owns (its combiner now folds the same message subsets, so
+#: compute equals pregel's; was PG 382592 / 887665 / 6137, PG+BC 405296 /
+#: 745660 / 7916, PG+BC+SN 449120 / 911574 / 9458).  Recipe: the body of
+#: ``test_simulated_counters_match_golden`` for that row, printing ``counters``.
 GOLDEN_COUNTERS = {
     ("pregel", "base"): (414400, 661200, 4350),
     ("pregel", "PG"): (382688, 359936, 2368),
     ("pregel", "PG+BC"): (405248, 337856, 3778),
     ("pregel", "PG+BC+SN"): (449312, 428112, 4296),
     ("mapreduce", "base"): (414400, 1175925, 8125),
-    ("mapreduce", "PG"): (382592, 887665, 6137),
-    ("mapreduce", "PG+BC"): (405296, 745660, 7916),
-    ("mapreduce", "PG+BC+SN"): (449120, 911574, 9458),
+    ("mapreduce", "PG"): (382688, 888535, 6143),
+    ("mapreduce", "PG+BC"): (405248, 745225, 7913),
+    ("mapreduce", "PG+BC+SN"): (449312, 913167, 9469),
 }
 STRATEGY_SETS = {
     "base": dict(partial_gather=False, broadcast=False, shadow_nodes=False),
@@ -404,3 +404,11 @@ def test_simulated_counters_match_golden(backend, strategies, executor):
     counters = tuple(int(metrics.total(name))
                      for name in ("compute_units", "bytes_out", "records_out"))
     assert counters == GOLDEN_COUNTERS[backend, strategies]
+
+
+@pytest.mark.parametrize("strategies", sorted(STRATEGY_SETS))
+def test_backends_spend_the_same_compute_units(strategies):
+    """A mapreduce slot maps the rows its Pregel partition owns, so the two
+    backends fold the same message subsets and charge the same compute."""
+    assert (GOLDEN_COUNTERS["mapreduce", strategies][0]
+            == GOLDEN_COUNTERS["pregel", strategies][0])

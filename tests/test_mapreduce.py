@@ -38,12 +38,6 @@ class Tokens:
         self.counts = (np.ones(self.tokens.size, dtype=np.int64) if counts is None
                        else np.asarray(counts, dtype=np.int64))
 
-    def __len__(self):
-        return self.tokens.size
-
-    def take(self, rows):
-        return Tokens(self.tokens[rows], self.counts[rows])
-
     def num_records(self):
         return self.tokens.size
 
@@ -70,13 +64,14 @@ class TokenCountJob(MapReduceJob):
         for item in items:
             target = self.bucket_of(item.tokens)
             for bucket in np.unique(target).tolist():
-                buckets[bucket].append(item.take(np.nonzero(target == bucket)[0]))
+                rows = target == bucket
+                buckets[bucket].append(Tokens(item.tokens[rows], item.counts[rows]))
         return buckets
 
     def reduce_partition(self, items, context):
         if not items:
             return []
-        context.add_compute(sum(len(item) for item in items))
+        context.add_compute(sum(item.num_records() for item in items))
         return [Tokens(np.concatenate([item.tokens for item in items]),
                        np.concatenate([item.counts for item in items])).fold()]
 
@@ -117,8 +112,13 @@ class SuicidalRoundJob(GNNRoundJob):
 
 
 TOKENS = np.random.default_rng(0).integers(0, 12, size=60)
-#: the input arrives as several items; splits cut across their boundaries
+#: the input arrives as several items (one of them empty)
 DOCUMENTS = [Tokens(TOKENS[:7]), Tokens(TOKENS[7:7]), Tokens(TOKENS[7:40]), Tokens(TOKENS[40:])]
+
+
+def splits(num_slots, items=DOCUMENTS):
+    """One split per slot: the items dealt out round-robin."""
+    return [list(items[slot::num_slots]) for slot in range(num_slots)]
 
 
 def counts_of(items):
@@ -148,41 +148,45 @@ def make_engine(executor, num_slots=2):
 class TestMapReduceEngine:
     def test_wordcount_correct(self, executor):
         engine = make_engine(executor)
-        counts = counts_of(engine.run([("tc", TokenCountJob(2))], DOCUMENTS))
+        counts = counts_of(engine.run([("tc", TokenCountJob(2))], splits(2)))
         assert counts == {token: int(n) for token, n in enumerate(np.bincount(TOKENS)) if n}
         assert engine.metrics.total("records_out", "tc/map") == TOKENS.size
 
     def test_results_independent_of_worker_count(self, executor):
-        small = counts_of(make_engine(executor, 1).run([("tc", TokenCountJob(1))], DOCUMENTS))
-        large = counts_of(make_engine(executor, 4).run([("tc", TokenCountJob(4))], DOCUMENTS))
+        small = counts_of(make_engine(executor, 1).run([("tc", TokenCountJob(1))], splits(1)))
+        large = counts_of(make_engine(executor, 4).run([("tc", TokenCountJob(4))], splits(4)))
         assert small == large
 
-    def test_rows_are_split_contiguously_and_evenly(self, executor):
+    def test_a_mapper_reads_its_own_split(self, executor):
         engine = make_engine(executor, 4)
-        splits = engine._split_rows(DOCUMENTS)
-        assert [sum(len(item) for item in split) for split in splits] == [15, 15, 15, 15]
-        np.testing.assert_array_equal(
-            np.concatenate([item.tokens for split in splits for item in split]), TOKENS)
-        # an item that fits one split whole is handed over, not copied
-        assert splits[0][0] is DOCUMENTS[0]
+        engine.run([("tc", TokenCountJob(4))], splits(4))
+        for slot, split in enumerate(splits(4)):
+            mapper = engine.metrics.get("tc/map", slot)
+            assert mapper.records_in == sum(item.num_records() for item in split)
+            assert mapper.bytes_in == sum(item.nbytes() for item in split)
+
+    def test_one_split_per_slot(self, executor):
+        engine = make_engine(executor, 2)
+        with pytest.raises(ValueError, match="expected 2 payloads, got 4"):
+            engine.run([("tc", TokenCountJob(2))], splits(4))
 
     def test_combiner_reduces_shuffle_records_but_not_results(self, executor):
         plain_engine = make_engine(executor)
-        plain = plain_engine.run([("tc", TokenCountJob(2))], DOCUMENTS)
+        plain = plain_engine.run([("tc", TokenCountJob(2))], splits(2))
         folding_engine = make_engine(executor)
-        folded = folding_engine.run([("tc", FoldingTokenCountJob(2))], DOCUMENTS)
+        folded = folding_engine.run([("tc", FoldingTokenCountJob(2))], splits(2))
         assert counts_of(plain) == counts_of(folded)
         assert (folding_engine.metrics.total("records_out", "tc/map")
                 < plain_engine.metrics.total("records_out", "tc/map"))
 
     def test_partition_reduce(self, executor):
         engine = make_engine(executor, 3)
-        engine.run([("sum", TokenCountJob(3))], DOCUMENTS)
+        engine.run([("sum", TokenCountJob(3))], splits(3))
         assert engine.metrics.total("compute_units", "sum/reduce") == TOKENS.size
 
     def test_metrics_recorded_for_both_phases(self, executor):
         engine = make_engine(executor, 3)
-        engine.run([("job", TokenCountJob(3))], DOCUMENTS)
+        engine.run([("job", TokenCountJob(3))], splits(3))
         metrics = engine.metrics
         assert metrics.phases() == ["job/map", "job/reduce"]
         assert metrics.total("records_in", "job/map") == TOKENS.size
@@ -196,14 +200,14 @@ class TestMapReduceEngine:
 
     def test_the_job_places_every_row(self, executor):
         engine = make_engine(executor, 4)
-        engine.run([("p", AllToZeroJob(4))], DOCUMENTS)
+        engine.run([("p", AllToZeroJob(4))], splits(4))
         # Everything lands on reducer 0.
         busy = [m for m in engine.metrics.instances("p/reduce") if m.records_in > 0]
         assert len(busy) == 1 and busy[0].instance_id == 0
 
     def test_empty_input(self, executor):
         engine = make_engine(executor)
-        assert engine.run([("tc", TokenCountJob(2))], []) == []
+        assert engine.run([("tc", TokenCountJob(2))], [[], []]) == []
         assert engine.metrics.total("records_out", "tc/map") == 0
 
     def test_invalid_worker_counts(self, executor):
@@ -213,21 +217,46 @@ class TestMapReduceEngine:
     def test_a_job_must_bucket_for_the_executors_slots(self, executor):
         engine = make_engine(executor, 2)
         with pytest.raises(ValueError, match="3 reducers.*2 slots"):
-            engine.run([("tc", TokenCountJob(3))], DOCUMENTS)
-        assert counts_of(engine.run([("tc", TokenCountJob(2))], DOCUMENTS)) == \
+            engine.run([("tc", TokenCountJob(3))], splits(2))
+        assert counts_of(engine.run([("tc", TokenCountJob(2))], splits(2))) == \
             counts_of([Tokens(TOKENS).fold()])
 
     def test_chained_rounds_feed_the_next_map_in_one_session(self, executor):
         engine = make_engine(executor, 3)
         chained = engine.run([("a", TokenCountJob(3)), ("b", FoldingTokenCountJob(3))],
-                             DOCUMENTS)
+                             splits(3))
         assert counts_of(chained) == counts_of([Tokens(TOKENS).fold()])
         metrics = engine.metrics
         assert metrics.phases() == ["a/map", "a/reduce", "b/map", "b/reduce"]
-        # round b reads exactly what round a wrote
-        assert (metrics.total("records_in", "b/map")
-                == metrics.total("records_out", "a/reduce") == len(counts_of(chained)))
-        assert metrics.total("bytes_in", "b/map") == metrics.total("bytes_out", "a/reduce")
+        # slot i's round-b mapper reads exactly what its round-a reducer wrote
+        for slot in range(3):
+            written, read = metrics.get("a/reduce", slot), metrics.get("b/map", slot)
+            assert (read.records_in, read.bytes_in) == (written.records_out, written.bytes_out)
+        assert metrics.total("records_in", "b/map") == len(counts_of(chained))
+
+    def test_between_rounds_a_step_returns_only_its_metrics(self, executor):
+        """The coordinator relays the shuffle and sees nothing but each step's
+        record; the chain's output comes back once, through ``finish()``."""
+        engine = make_engine(executor, 3)
+        results, finals = [], []
+        real_step, real_close = engine.executor.step, engine.executor.close
+
+        def step(controls):
+            results.extend(real_step(controls))
+            return results[-len(controls):]
+
+        def close():
+            finals.extend(real_close())
+            return finals[-engine.executor.num_slots:]
+
+        engine.executor.step, engine.executor.close = step, close
+        chained = engine.run([("a", TokenCountJob(3)), ("b", TokenCountJob(3))], splits(3))
+        assert len(results) == 2 * 2 * 3
+        assert all(type(result) is InstanceMetrics for result in results)
+        assert len(finals) == 3
+        assert [item.tokens.tolist() for items in finals for item in items] == \
+            [item.tokens.tolist() for item in chained]
+        assert counts_of(chained) == counts_of([Tokens(TOKENS).fold()])
 
 
 class TestAccountingFollowsTheData:
@@ -235,11 +264,11 @@ class TestAccountingFollowsTheData:
 
     def test_reducer_bytes_in_is_the_sum_of_the_bucket_totals_sent_to_it(self, executor):
         engine = make_engine(executor, 4)
-        engine.run([("tc", TokenCountJob(4))], DOCUMENTS)
+        engine.run([("tc", TokenCountJob(4))], splits(4))
         mapped = []
-        for mapper_id, split in enumerate(engine._split_rows(DOCUMENTS)):
-            metrics, outgoing = RoundHarness(mapper_id, (4, [TokenCountJob(4)])).step(
-                (0, "tc/map", split), [])
+        for mapper_id, split in enumerate(splits(4)):
+            harness = RoundHarness(mapper_id, (4, [("tc", TokenCountJob(4))], split))
+            metrics, outgoing = harness.step((0, "map"), [])
             assert [reducer_id for reducer_id, _ in outgoing] == [0, 1, 2, 3]
             mapped.append(([bucket for _, bucket in outgoing], metrics))
         for mapper_id, (buckets, metrics) in enumerate(mapped):
@@ -256,8 +285,9 @@ class TestAccountingFollowsTheData:
         """The mapper and reducer sides of one tiny round, stepped by hand (a
         harness is a plain object): the record a step returns is the engine's
         whole accounting for it."""
-        job = TokenCountJob(3)
-        mapper, outgoing = RoundHarness(5, (3, [job])).step((0, "tc/map", DOCUMENTS), [])
+        rounds = [("tc", TokenCountJob(3))]
+        mapper_slot = RoundHarness(5, (3, rounds, DOCUMENTS))
+        mapper, outgoing = mapper_slot.step((0, "map"), [])
         buckets = [bucket for _, bucket in outgoing]
         assert (mapper.phase, mapper.instance_id) == ("tc/map", 5)
         assert mapper.measured_seconds > 0
@@ -267,15 +297,17 @@ class TestAccountingFollowsTheData:
         assert mapper.bytes_out == sum(item.nbytes() for bucket in buckets for item in bucket)
         assert mapper.disk_bytes == mapper.bytes_in + mapper.bytes_out
         assert mapper.compute_units == 0
+        assert mapper_slot.finish() == []          # mapped rows do not stay
 
-        (reducer, emitted), mail = RoundHarness(1, (3, [job])).step(
-            (0, "tc/reduce", None), buckets[1])
+        reducer_slot = RoundHarness(1, (3, rounds, []))
+        reducer, mail = reducer_slot.step((0, "reduce"), buckets[1])
+        emitted = reducer_slot.finish()
         assert mail == [] and (reducer.phase, reducer.instance_id) == ("tc/reduce", 1)
         assert reducer.measured_seconds > 0
         assert reducer.bytes_in == sum(item.nbytes() for item in buckets[1])
         assert reducer.bytes_out == sum(item.nbytes() for item in emitted)
         assert reducer.records_out == sum(item.num_records() for item in emitted)
-        assert reducer.compute_units == sum(len(item) for item in buckets[1])
+        assert reducer.compute_units == sum(item.num_records() for item in buckets[1])
 
     @pytest.mark.parametrize("executor_name", sorted(available_executors()))
     def test_full_infer_moves_every_byte_a_mapper_emits_into_a_reducer(self, executor_name):
@@ -300,10 +332,10 @@ class TestAccountingFollowsTheData:
                     == metrics.total("bytes_in", reduce_phase) > 0)
             assert (metrics.total("records_out", map_phase)
                     == metrics.total("records_in", reduce_phase))
-        # round 1 reads what round 0 wrote (a hub payload row cut by a mapper
-        # split is read twice: records and bytes may only grow, by a hair)
-        written = metrics.total("bytes_out", "round_0/reduce")
-        assert written <= metrics.total("bytes_in", "round_1/map") <= 1.01 * written
+        # round 1 reads exactly what round 0 wrote: the rows stay on their slot
+        for name in ("records", "bytes"):
+            assert (metrics.total(f"{name}_in", "round_1/map")
+                    == metrics.total(f"{name}_out", "round_0/reduce"))
 
 
 class TestFailureAtomicity:
@@ -312,12 +344,12 @@ class TestFailureAtomicity:
     def test_a_raising_reducer_reaches_the_caller_and_closes_the_session(self, executor):
         engine = make_engine(executor, 2)
         with pytest.raises(ArithmeticError, match="reducer exploded"):
-            engine.run([("r0", TokenCountJob(2)), ("r1", ExplodingReduceJob(2))], DOCUMENTS)
+            engine.run([("r0", TokenCountJob(2)), ("r1", ExplodingReduceJob(2))], splits(2))
         # round 0 ran whole, round 1's mappers too; no reducer of round 1 reported
         assert engine.metrics.phases() == ["r0/map", "r0/reduce", "r1/map"]
         with pytest.raises(RuntimeError, match="no open harness session"):
             engine.executor.close()
-        again = engine.run([("r0", TokenCountJob(2)), ("r1", TokenCountJob(2))], DOCUMENTS)
+        again = engine.run([("r0", TokenCountJob(2)), ("r1", TokenCountJob(2))], splits(2))
         assert counts_of(again) == counts_of([Tokens(TOKENS).fold()])
 
     @staticmethod

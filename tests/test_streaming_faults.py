@@ -21,17 +21,19 @@ from repro.streaming.faults import (
     FaultInjector,
     FaultPlan,
     available_faults,
+    plan_executor,
 )
 
 FEATURE_DIM = 6
 NUM_CLASSES = 3
 
 
-def make_pool(executor: str = "serial", num_workers: int = 2) -> SessionPool:
+def make_pool(executor: str = "serial", num_workers: int = 2,
+              backend: str = "pregel") -> SessionPool:
     model = build_model("gcn", FEATURE_DIM, 8, NUM_CLASSES, num_layers=2,
                         seed=0)
     config = InferenceConfig(
-        backend="pregel", num_workers=num_workers, executor=executor,
+        backend=backend, num_workers=num_workers, executor=executor,
         strategies=StrategyConfig(partial_gather=True, broadcast=False,
                                   shadow_nodes=False,
                                   hub_threshold_override=1_000_000))
@@ -148,8 +150,9 @@ class TestBuiltinHooks:
         finally:
             pool.clear()
 
-    def test_kill_worker_crashes_then_recovers_on_process_executor(self):
-        pool = make_pool("process", num_workers=2)
+    @pytest.mark.parametrize("backend", ["pregel", "mapreduce"])
+    def test_kill_worker_crashes_then_recovers_on_process_executor(self, backend):
+        pool = make_pool("process", num_workers=2, backend=backend)
         graph = make_graph()
         try:
             before = pool.infer(graph)
@@ -164,6 +167,21 @@ class TestBuiltinHooks:
             assert (after.scores == before.scores).all()
         finally:
             pool.clear()
+
+    @pytest.mark.parametrize("backend", ["pregel", "mapreduce"])
+    def test_plan_executor_finds_the_started_executor_and_starts_none(self, backend):
+        pool = make_pool("process", num_workers=2, backend=backend)
+        graph = make_graph()
+        try:
+            plan = pool.session_for(graph).plan
+            assert plan_executor(plan) is None          # nothing run, nothing spawned
+            pool.infer(graph)
+            executor = plan_executor(plan)
+            assert executor is not None and len(executor.live_processes()) == 2
+        finally:
+            pool.clear()
+        assert executor.live_processes() == []
+        assert plan_executor(None) is None
 
     def test_evict_tenant_drops_the_pool_entry(self):
         pool = make_pool()

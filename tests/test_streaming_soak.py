@@ -150,6 +150,17 @@ class TestResourceCeilings:
         assert long.final_shm_segments == short.final_shm_segments
         assert long.max_shm_segments == short.max_shm_segments
 
+    @pytest.mark.skipif(not PROCESS_AVAILABLE,
+                        reason="process executor unavailable")
+    @pytest.mark.parametrize("backend", ["pregel", "mapreduce"])
+    def test_the_census_counts_worker_processes_on_either_backend(self, backend):
+        # Pregel's engine owns its executor, the mapreduce backend keeps one
+        # in the plan: the census finds both.
+        report = run_soak(small_soak(backend=backend, executor="process",
+                                     use_gateway=False))
+        assert report.clean
+        assert report.max_worker_processes > 0
+
     @pytest.mark.parametrize("shadow_nodes", [False, True])
     def test_stable_hub_edge_churn_never_replans(self, shadow_nodes):
         # The stable-hub SLO: with the hub threshold pinned high, pure
