@@ -7,8 +7,8 @@ Public API overview
 * :mod:`repro.graph`      — attributed graphs, tables, partitioning, sampling
 * :mod:`repro.gnn`        — GAS-abstraction GNN layers and model signatures
 * :mod:`repro.training`   — mini-batch k-hop training
-* :mod:`repro.batch`      — MapReduce-like batch processing backend
-* :mod:`repro.pregel`     — Pregel-like graph processing backend
+* :mod:`repro.pregel`     — Pregel-like graph processing engine (both backends
+  drive its partitions: supersteps, or MapReduce rounds)
 * :mod:`repro.cluster`    — cluster resource / cost model
 * :mod:`repro.inference`  — InferenceSession (plan once, infer many) over
   the two interchangeable backends, plus the hub-node optimisation strategies
@@ -25,7 +25,6 @@ __all__ = [
     "graph",
     "gnn",
     "training",
-    "batch",
     "pregel",
     "cluster",
     "inference",

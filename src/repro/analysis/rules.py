@@ -181,7 +181,7 @@ class DeterminismRule:
     """
 
     name = "determinism"
-    COMPUTE_DIRS = {"pregel", "batch", "tensor", "gnn"}
+    COMPUTE_DIRS = {"pregel", "tensor", "gnn"}
     #: np.random functions that produce *seeded* generators when given args.
     SEEDABLE = {"default_rng", "Generator", "SeedSequence", "RandomState"}
 

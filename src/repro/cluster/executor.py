@@ -1,7 +1,8 @@
 """Pluggable per-partition executors: in-process loop or one OS process each.
 
-Both sharded engines — the Pregel superstep loop, the MapReduce round driver
-— hand their per-slot work to a pluggable worker substrate:
+Both drivers of the partition engine — the Pregel superstep loop, the
+MapReduce round driver — hand their per-slot work to a pluggable worker
+substrate:
 
 * :class:`SerialExecutor` — the historical behaviour, bit for bit: per-slot
   work runs in the calling process, in slot order, against the engine's live
@@ -18,12 +19,12 @@ Engines talk to executors through one shape of work, a *harness session* —
 :meth:`Executor.open` / :meth:`Executor.step` / :meth:`Executor.close`, or
 :meth:`Executor.session` for all three plus the failed-run teardown.  A
 harness per slot is built worker-side by a picklable factory from the payload
-``open`` ships once per run (a Pregel partition and its program; a chain of
-MapReduce jobs and the slot's rows), receives per-step control plus the
-messages other slots addressed to it last step, and returns a control result
-plus its own outgoing ``(target_slot, messages)`` buckets; the executor owns
-the transport between steps, and what a harness keeps between them is its own
-business (Pregel: node state; MapReduce: the rows it maps next).  A step is
+``open`` ships once per run (a partition, its program and the harness
+class), receives per-step control plus the messages other slots addressed
+to it last step, and returns a control result plus its own outgoing
+``(target_slot, messages)`` buckets; the executor owns the transport
+between steps, and what a harness keeps between them is its own business
+(node state; a MapReduce slot also its unrouted sends).  A step is
 one bulk-synchronous wave of exactly ``num_slots`` commands, which keeps the
 pipe protocol trivially deadlock-free.
 

@@ -9,8 +9,8 @@ shuffle in the system asks about a global node id:
   matrices).
 
 Both tables are plain dense ``int64`` arrays computed **once** per
-partitioning, so every layer that moves rows — the Pregel superstep router,
-the MapReduce scatter, shadow-node destination expansion — translates whole
+partitioning, so every layer that moves rows — the message router both
+backends share, delta scatters, shadow-node destination expansion — translates whole
 message batches with two fancy-indexing gathers instead of per-element Python
 dict lookups.  The layout is immutable after construction and safe to share
 across partitions, executions and sessions.

@@ -132,15 +132,6 @@ class Graph:
             self._in_index = self._build_index(self.dst, self.src, self.num_nodes)
         return self._in_index
 
-    def out_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(indptr, neighbor_ids, edge_ids)`` of the cached out-edge index.
-
-        Node ``v``'s out-edges are slots ``indptr[v]:indptr[v + 1]`` of the two
-        flat arrays, in stable edge order; shared with the graph, read-only.
-        """
-        index = self._out()
-        return index.indptr, index.neighbor_ids, index.edge_ids
-
     def out_neighbors(self, node: int) -> np.ndarray:
         """Destination ids of the node's out-edges."""
         index = self._out()

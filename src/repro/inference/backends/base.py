@@ -55,8 +55,8 @@ class ExecutionPlan:
 
     The plan is the cacheable half of an inference run: the resolved strategy
     switches, the (optional) shadow-node rewritten graph, and any
-    backend-private artefacts in ``state`` (a partitioned Pregel engine, the
-    MapReduce executor).  One plan supports
+    backend-private artefacts in ``state`` (the partitioned Pregel engine
+    both backends drive).  One plan supports
     arbitrarily many ``execute`` calls: execution never changes what a plan
     *means*, though it may refresh backend-private caches inside ``state``
     (e.g. the per-superstep node states incremental inference splices into),
@@ -105,7 +105,7 @@ class ExecutionPlan:
 
     @property
     def replicas(self) -> Optional[ReplicaMap]:
-        """The shadow rewrite's replica map — what a job or program carries."""
+        """The shadow rewrite's replica map — what a program carries."""
         return self.shadow_plan.replicas if self.shadow_plan is not None else None
 
     def describe(self) -> str:
@@ -128,15 +128,13 @@ class Backend(abc.ABC):
 
     ``plan`` / ``execute`` / ``default_cluster`` are abstract — the
     ``BACKENDS`` table instantiates every backend at import, so an incomplete
-    one fails there.  ``apply_delta`` lands a delta on the plan's graphs,
-    which is the whole patch for ``mapreduce``: its rounds read their input
-    rows from the working graph, and an incremental request takes the
-    default ``execute_incremental`` and runs the full ``execute``
-    (bit-identical to a fresh ``prepare()+infer()``).
+    one fails there.  ``apply_delta`` lands a delta on the plan's graphs.
 
     ``pregel`` overrides all three hooks (bit-identical incremental runs over
     a warm partition cache, feature *and* hub-preserving edge deltas — under
-    shadow nodes included, via the position-stable mirror assignment).
+    shadow nodes included, via the position-stable mirror assignment);
+    ``mapreduce`` inherits pregel's patch and release and runs every
+    request in full (bit-identical to a fresh ``prepare()+infer()``).
     """
 
     #: the key users put in :class:`InferenceConfig.backend`.

@@ -66,10 +66,9 @@ class PregelBackend(Backend):
              targets: Optional[Sequence[Destinations]] = None,
              frontier: Optional[FrontierSchedule] = None) -> Dict[str, np.ndarray]:
         program = GNNInferenceProgram(
-            plan.model, plan.strategy_plan, plan.replicas,
-            cache_states=cache_states, targets=targets)
-        return run_program(plan.state["engine"], program, metrics,
-                           plan.original_num_nodes, frontier)
+            plan.model, plan.strategy_plan, plan.replicas, cache_states=cache_states,
+            targets=targets, num_outputs=plan.original_num_nodes)
+        return run_program(plan.state["engine"], program, metrics, frontier)
 
     def execute(self, plan: ExecutionPlan,
                 metrics: MetricsCollector) -> Dict[str, np.ndarray]:

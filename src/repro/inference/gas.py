@@ -6,9 +6,9 @@ runs the two and packs the result as message blocks); ``encode`` opens the
 pipeline and ``predict`` closes it.  Every function here takes raw ndarrays
 (state rows, edge endpoints, message rows), runs under ``no_grad`` and returns
 arrays plus the compute units the stage costs.  None of them knows which
-backend called: the Pregel adaptor feeds them a mailbox and keeps state in
-``block_state``, the MapReduce adaptor feeds them shuffled records and emits
-state as records — packaging is all the adaptors own.
+backend called: both run them through one partition program (the Pregel
+adaptor's), which feeds them a mailbox and keeps state in ``block_state``;
+the MapReduce round driver only prices that data flow as shuffled records.
 
 Every node-row stage takes an optional ``rows`` set (incremental inference)
 and computes and charges exactly those rows, bit-equal to
@@ -118,11 +118,13 @@ class Routed(NamedTuple):
     ref_rows: np.ndarray
 
 
-def _fan_out(replicas: Optional[ReplicaMap], dst_ids: np.ndarray,
-             inline: bool) -> Tuple[np.ndarray, np.ndarray]:
-    """``(row_index, expanded_dst)``: every destination plus its mirrors."""
-    if replicas is not None and replicas.has_mirrors and inline:
-        return replicas.expand_rows(dst_ids)
+def _fan_out(replicas: Optional[ReplicaMap],
+             dst_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(row_index, expanded_dst)``: every destination plus its mirrors.
+
+    Untouched rows first, then the replicas — the operand order the
+    receivers' segment reductions see, frozen by the bit-identity contracts.
+    """
     rows = np.arange(dst_ids.shape[0], dtype=np.int64)
     if replicas is None or not replicas.has_mirrors:
         return rows, dst_ids
@@ -132,7 +134,7 @@ def _fan_out(replicas: Optional[ReplicaMap], dst_ids: np.ndarray,
 
 def scatter(strategy: LayerStrategy, hubs: np.ndarray,
             replicas: Optional[ReplicaMap], source_ids: np.ndarray,
-            dst_ids: np.ndarray, inline: bool) -> Routed:
+            dst_ids: np.ndarray) -> Routed:
     """Split out-edge rows into per-edge and broadcast paths; fan out mirrors.
 
     The index-only half of :func:`scatter_blocks`: it reads topology and
@@ -140,18 +142,12 @@ def scatter(strategy: LayerStrategy, hubs: np.ndarray,
     layer's strategy enables it and its source is an out-degree hub —
     ``LayerStrategy.broadcast`` already excludes layers whose messages depend
     on edge features, so this is the whole rule, on every backend.
-
-    ``inline`` picks the order of the mirror fan-out, not a backend: replicas
-    where the row was (``True`` — a record stream keeps per-source order) or
-    untouched rows first, then the replicas (``False`` — one block per
-    path).  Both orders are frozen by the bit-identity contracts, because
-    they fix the operand order of the receivers' segment reductions.
     """
     if strategy.broadcast and hubs.size:
         hub_edges, plain_edges = split_hub_edges(source_ids, hubs)
     else:
         hub_edges, plain_edges = _EMPTY, np.arange(dst_ids.shape[0])
-    plain_index, plain_dst = _fan_out(replicas, dst_ids[plain_edges], inline)
+    plain_index, plain_dst = _fan_out(replicas, dst_ids[plain_edges])
     if hub_edges.size == 0:
         return Routed(plain_edges[plain_index], plain_dst, _EMPTY, _EMPTY, _EMPTY, _EMPTY)
     # Every out-edge of a hub carries the same payload: keep one row per hub
@@ -161,7 +157,7 @@ def scatter(strategy: LayerStrategy, hubs: np.ndarray,
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    hub_index, hub_dst = _fan_out(replicas, dst_ids[hub_edges], inline)
+    hub_index, hub_dst = _fan_out(replicas, dst_ids[hub_edges])
     return Routed(plain_edges[plain_index], plain_dst,
                   hub_edges[first[order]], rank[inverse][hub_index],
                   hub_dst, hub_edges[hub_index])
@@ -170,7 +166,7 @@ def scatter(strategy: LayerStrategy, hubs: np.ndarray,
 def scatter_blocks(model: GNNModel, plan: StrategyPlan,
                    replicas: Optional[ReplicaMap], layer_index: int,
                    state: np.ndarray, src_pos: np.ndarray, source_ids: np.ndarray,
-                   dst_ids: np.ndarray, edge_features: Optional[np.ndarray], inline: bool,
+                   dst_ids: np.ndarray, edge_features: Optional[np.ndarray],
                    routed: Optional[Routed] = None) -> Tuple[List[MessageBlock], float]:
     """``apply_edge`` + ``scatter`` as the blocks a transport ships, plus the cost.
 
@@ -191,7 +187,7 @@ def scatter_blocks(model: GNNModel, plan: StrategyPlan,
     """
     if routed is None:
         routed = scatter(plan.layer(layer_index), plan.out_degree_hubs, replicas,
-                         source_ids, dst_ids, inline)
+                         source_ids, dst_ids)
     layer = model.layers[layer_index]
     if not layer.apply_edge_is_identity(edge_features is not None):
         messages, units = edge_messages(layer, state, src_pos, edge_features)

@@ -287,7 +287,7 @@ class SendSchedule:
         hub_rows, rerank = _used_hubs(hub_refs, ref_rows, old.hub_rows.size)
 
         new = gas.scatter(self.strategy, self.hubs, self.replicas,
-                          partition.out_src[start:], partition.out_dst[start:], False)
+                          partition.out_src[start:], partition.out_dst[start:])
         for memo in self.memos.values():
             memo.valid[old.plain_dst[~plain]] = False
             memo.valid[new.plain_dst] = False
@@ -404,16 +404,20 @@ class GNNInferenceProgram(BlockVertexProgram):
     incremental runs write into.  Passing ``targets`` makes the run
     incremental against that cache: ``context.frontier_rows`` names the local
     rows to recompute and ``targets[superstep]`` the next frontier, whose
-    messages must still be sent.
+    messages must still be sent.  Nodes below ``num_outputs`` are the
+    graph's own, whose logits are the scores; the shadow rewrite's mirrors
+    sit above them.
     """
 
     def __init__(self, model: GNNModel, plan: StrategyPlan,
                  replicas: Optional[ReplicaMap] = None,
                  cache_states: bool = False,
-                 targets: Optional[Sequence[Destinations]] = None) -> None:
+                 targets: Optional[Sequence[Destinations]] = None, *,
+                 num_outputs: int) -> None:
         self.model = model
         self.plan = plan
         self.replicas = replicas
+        self.num_outputs = num_outputs
         self.num_layers = model.num_layers
         self.targets = targets
         self.incremental = targets is not None
@@ -511,7 +515,7 @@ class GNNInferenceProgram(BlockVertexProgram):
         blocks, units = gas.scatter_blocks(
             self.model, self.plan, self.replicas, superstep, state, src_pos[edges],
             partition.out_src[edges], partition.out_dst[edges],
-            None if features is None else features[edges], inline=False, routed=routed)
+            None if features is None else features[edges], routed=routed)
         if refold is not None:
             blocks = refold.apply(blocks)
         if schedule is None:
@@ -562,20 +566,26 @@ class GNNInferenceProgram(BlockVertexProgram):
                 # without a head the output *is* the last state, spliced above
                 gas.splice(store["output"], logits, rows)
 
-        # Peak memory: resident state + features + incoming messages (+ the
-        # cached superstep states an incremental-capable session keeps warm).
-        resident = tensor_bytes(state.shape)
-        if partition.node_features is not None:
-            resident += float(partition.node_features.nbytes)
-        resident += sum(block.nbytes() for block in incoming)
-        resident += float(partition.out_src.nbytes + partition.out_dst.nbytes)
+    def state_bytes(self, partition: PregelPartition, superstep: int) -> float:
+        """The superstep's state (+ the earlier cached superstep states an
+        incremental-capable session keeps warm)."""
+        store = partition.block_state
+        resident = tensor_bytes(store["h"].shape)
         if self.cache_states:
-            # Earlier supersteps' cached states; the current one is already
-            # counted as the resident state above.
-            resident += sum(float(h.nbytes)
-                            for h in store["h_history"][:superstep]
+            resident += sum(float(h.nbytes) for h in store["h_history"][:superstep]
                             if h is not None)
-        context.metrics.observe_memory(resident)
+        return resident
+
+    def scores(self, partitions: Sequence[PregelPartition]) -> np.ndarray:
+        """The dense ``[num_outputs, C]`` scores the partitions' outputs hold."""
+        scores = np.zeros((self.num_outputs, self.model.output_dim))
+        for partition in partitions:
+            output = partition.block_state.get("output")
+            if output is None:
+                continue
+            keep = partition.node_ids < self.num_outputs
+            scores[partition.node_ids[keep]] = output[keep]
+        return scores
 
 
 def build_pregel_engine(working_graph: Graph, config: InferenceConfig,
@@ -624,24 +634,13 @@ def frontier_schedule(engine: PregelEngine, frontiers: Sequence[np.ndarray],
 
 
 def run_program(engine: PregelEngine, program: GNNInferenceProgram,
-                metrics: MetricsCollector, original_num_nodes: int,
+                metrics: MetricsCollector,
                 frontier: Optional[FrontierSchedule] = None) -> Dict[str, np.ndarray]:
     """Run one program over the warm engine and assemble the dense scores.
 
-    Returns ``scores`` [N, C] (original nodes only).  ``setup_partition``
-    resets all per-run block state, so engine reuse is safe and repeated runs
-    stay bit-identical.
+    ``setup_partition`` resets all per-run block state, so engine reuse is
+    safe and repeated runs stay bit-identical.
     """
-    model = program.model
     engine.metrics = metrics
-    model.eval()
-    partitions = engine.run(program, frontier=frontier).partitions
-
-    scores = np.zeros((original_num_nodes, model.output_dim))
-    for partition in partitions:
-        output = partition.block_state.get("output")
-        if output is None:
-            continue
-        keep = partition.node_ids < original_num_nodes
-        scores[partition.node_ids[keep]] = output[keep]
-    return {"scores": scores}
+    program.model.eval()
+    return {"scores": program.scores(engine.run(program, frontier=frontier).partitions)}

@@ -236,8 +236,8 @@ class InferenceSession:
 
         Runs strategy planning, the shadow-node rewrite, the
         :class:`~repro.cluster.layout.ClusterLayout` routing-table build and
-        the backend's own preparation (Pregel partitioning; MapReduce needs
-        none).  Subsequent :meth:`infer` /
+        the backend's own preparation (partitioning, on both backends).
+        Subsequent :meth:`infer` /
         :meth:`infer_many` calls reuse the returned plan — including the
         cached layout, which is never recomputed per run.
 

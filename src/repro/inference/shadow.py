@@ -74,7 +74,7 @@ class ReplicaMap:
     ``g`` must be delivered to — ``g`` itself first, then its mirrors;
     non-replicated nodes map to just themselves.  Both arrays are ``None``
     when no node has mirrors.  This is all of a :class:`ShadowNodePlan` a
-    worker reads, so it is what jobs and programs carry — never the plan,
+    worker reads, so it is what programs carry — never the plan,
     which holds the rewritten graph.
     """
 
@@ -116,13 +116,14 @@ class ReplicaMap:
                 np.concatenate([counts[keep_rows], counts[source_rows]]))
 
     def expand_rows(self, dst_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """In-place destination expansion for record-oriented shuffles.
+        """In-place destination expansion.
 
         Returns ``(row_index, expanded_dst)`` where every input row appears at
         its original position, replicated rows expanding inline (row i's
-        replicas are contiguous where row i was) — the ordering the MapReduce
-        scatter emits records in.  ``row_index[j]`` names the input row that
-        produced ``expanded_dst[j]``.
+        replicas are contiguous where row i was).  ``row_index[j]`` names the
+        input row that produced ``expanded_dst[j]``.  No transport sends in
+        this order (the one fan-out order is :meth:`expand_destinations`');
+        only the benchmark probe that times it calls it.
         """
         dst_ids = np.asarray(dst_ids, dtype=np.int64)
         if self.indptr is None or dst_ids.size == 0:

@@ -38,8 +38,8 @@ partitioning:
   coordination and no per-id hashing on the hot path.
 * At the end of a superstep a partition's outgoing
   :class:`~repro.pregel.vertex.MessageBlock`\\ s go through
-  :func:`~repro.pregel.vertex.route` — the send path this engine shares with
-  the MapReduce rounds.  **Fold in bucket order**: the superstep's
+  :func:`~repro.pregel.vertex.route` — the send path of the superstep loop
+  and the MapReduce rounds alike.  **Fold in bucket order**: the superstep's
   sender-side combiner folds the combinable rows once, over the whole send,
   straight into ``(owner, destination)`` order, so each destination vertex
   appears once and a target partition's piece is a view of the folded array;
@@ -54,7 +54,7 @@ partitioning:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -168,15 +168,14 @@ class PregelResult:
 class PregelPartitionHarness(WorkerHarness):
     """One partition's superstep loop body, hosted by an executor slot.
 
-    The harness runs the per-partition work of a superstep — the program's
-    compute, then :func:`~repro.pregel.vertex.route` (fold in bucket order) —
-    inside :func:`~repro.cluster.metrics.run_instance`, which times it and
-    counts what came in and what was bucketed, and reports that
-    :class:`~repro.cluster.metrics.InstanceMetrics`.  Under the serial
-    executor it operates on the engine's live :class:`PregelPartition`; under
-    the process executor it operates on a worker-side replica built over
-    shared-memory arrays, and :meth:`finish` ships the final partition state
-    back to the parent.
+    A superstep comes in two halves: :meth:`compute` (the program's gather
+    → apply → scatter, sends left unrouted) and :meth:`route` (fold in
+    bucket order, then cut).  :meth:`step` runs both under
+    :func:`~repro.cluster.metrics.run_instance` and prices the superstep's
+    peak memory; the MapReduce round driver steps them in different waves.
+    The harness operates on the engine's live :class:`PregelPartition`
+    (serial executor) or on a worker-side replica over shared-memory arrays
+    whose final state :meth:`finish` ships back (process executor).
     """
 
     def __init__(self, partition: PregelPartition, program: BlockVertexProgram,
@@ -188,21 +187,40 @@ class PregelPartitionHarness(WorkerHarness):
         program.setup_partition(partition)
 
     # ------------------------------------------------------------------ #
+    def compute(self, superstep: int, frontier_rows: Optional[np.ndarray],
+                incoming: List[MessageBlock], metrics: InstanceMetrics) -> PartitionContext:
+        """Gather → apply → scatter: the program over ``incoming``; the sends stay unrouted."""
+        context = PartitionContext(self.partition, superstep, metrics, frontier_rows)
+        self.program.compute_partition(context, incoming)
+        return context
+
+    def route(self, context: PartitionContext) -> List[List[MessageBlock]]:
+        """Fold → cut: ``context``'s sends as one block list per partition."""
+        return route(context.outgoing_blocks,
+                     self.program.combiner_for_superstep(context.superstep), self.layout,
+                     context.schedule)
+
     def step(self, control: Any,
              incoming: List[MessageBlock]) -> Tuple[InstanceMetrics,
                                                     List[Tuple[int, List[MessageBlock]]]]:
         superstep, frontier_rows = control
+        partition = self.partition
 
         def work(incoming: List[MessageBlock],
                  metrics: InstanceMetrics) -> List[List[MessageBlock]]:
-            context = PartitionContext(self.partition, superstep, metrics, frontier_rows)
-            self.program.compute_partition(context, incoming)
-            return route(context.outgoing_blocks,
-                         self.program.combiner_for_superstep(superstep), self.layout,
-                         context.schedule)
+            context = self.compute(superstep, frontier_rows, incoming, metrics)
+            # Peak memory: the program's resident state, the features, the
+            # mailbox and the out-edges.
+            resident = self.program.state_bytes(partition, superstep)
+            if partition.node_features is not None:
+                resident += float(partition.node_features.nbytes)
+            resident += sum(block.nbytes() for block in incoming)
+            resident += float(partition.out_src.nbytes + partition.out_dst.nbytes)
+            metrics.observe_memory(resident)
+            return self.route(context)
 
         routed, metrics = run_instance(f"superstep_{superstep}",
-                                       self.partition.partition_id, incoming, work)
+                                       partition.partition_id, incoming, work)
         return metrics, [(target, bucket) for target, bucket in enumerate(routed) if bucket]
 
     def finish(self) -> Optional[Dict[str, Any]]:
@@ -224,12 +242,8 @@ class PregelPartitionHarness(WorkerHarness):
 
 def _build_serial_harness(slot_id: int, payload: Dict[str, Any]) -> PregelPartitionHarness:
     """Serial-executor factory: wrap the engine's live partition (no copies)."""
-    return PregelPartitionHarness(
-        partition=payload["partition"],
-        program=payload["program"],
-        layout=payload["layout"],
-        ship_final_state=False,
-    )
+    return payload["harness"](payload["partition"], payload["program"], payload["layout"],
+                              ship_final_state=False)
 
 
 def _build_process_harness(slot_id: int, payload: Dict[str, Any]) -> PregelPartitionHarness:
@@ -267,12 +281,7 @@ def _build_process_harness(slot_id: int, payload: Dict[str, Any]) -> PregelParti
     )
     partition = PregelPartition(base, layout)
     partition.block_state.update(payload["block_state"])
-    return PregelPartitionHarness(
-        partition=partition,
-        program=payload["program"],
-        layout=layout,
-        ship_final_state=True,
-    )
+    return payload["harness"](partition, payload["program"], layout, ship_final_state=True)
 
 
 class PregelEngine:
@@ -371,7 +380,8 @@ class PregelEngine:
             setattr(owner, attr, pack.array_for(key))
         return pack.spec_for(key)
 
-    def _process_payloads(self, program: BlockVertexProgram) -> List[Dict[str, Any]]:
+    def _process_payloads(self, program: BlockVertexProgram,
+                          harness: Type[PregelPartitionHarness]) -> List[Dict[str, Any]]:
         # Programs declare which block_state keys a run actually *reads*;
         # None means "everything".  GNNInferenceProgram ships nothing into
         # full runs and only the warm caches into incremental ones — the
@@ -395,6 +405,7 @@ class PregelEngine:
                            for name in self._PARTITION_ARRAYS},
                 "layout": layout_payload,
                 "program": program,
+                "harness": harness,
                 "block_state": {key: value
                                 for key, value in partition.block_state.items()
                                 if key not in LAYOUT_DERIVED_KEYS
@@ -412,6 +423,36 @@ class PregelEngine:
             partition.block_state = {**final, **kept}
 
     # ------------------------------------------------------------------ #
+    def drive(self, program: BlockVertexProgram, harness: Type[PregelPartitionHarness],
+              waves: Iterable[Sequence[Any]]) -> None:
+        """One executor session of ``program``: the session runner of both
+        drivers, the superstep loop (:meth:`run`) and the MapReduce rounds.
+
+        Every slot hosts a ``harness`` over its partition (the class ships in
+        the payload); each wave is one control per partition, stepped as one
+        barrier, and every record a step reports is filed with
+        :attr:`metrics`.  Closing folds the workers' final partition state
+        back into the live partitions.
+        """
+        executor = self.executor
+        if executor.is_in_process:
+            factory = _build_serial_harness
+            payloads = [{
+                "partition": partition,
+                "program": program,
+                "layout": self.layout,
+                "harness": harness,
+            } for partition in self.partitions]
+        else:
+            factory = _build_process_harness
+            payloads = self._process_payloads(program, harness)
+
+        with executor.session(factory, payloads) as finals:
+            for controls in waves:
+                for instance in executor.step(controls):
+                    self.metrics.add(instance)
+        self._apply_final_states(finals)
+
     def run(self, program: BlockVertexProgram,
             frontier: Optional[Sequence[Dict[int, np.ndarray]]] = None) -> PregelResult:
         """Execute ``program`` for its ``max_supersteps()`` supersteps.
@@ -424,37 +465,15 @@ class PregelEngine:
         — this is how incremental inference reruns just the k-hop region a
         :class:`~repro.inference.delta.GraphDelta` can reach.
 
-        All per-partition compute — the program itself, message routing,
-        combining, accounting — runs through the engine's executor; the loop
-        here only owns the bulk-synchronous structure (superstep barriers)
-        and the metrics roll-up.
+        All per-partition work runs through :meth:`drive`; the waves here
+        only own the bulk-synchronous structure: one superstep each.
         """
         max_supersteps = program.max_supersteps()
-        executor = self.executor
-        if executor.is_in_process:
-            factory = _build_serial_harness
-            payloads = [{
-                "partition": partition,
-                "program": program,
-                "layout": self.layout,
-            } for partition in self.partitions]
-        else:
-            factory = _build_process_harness
-            payloads = self._process_payloads(program)
-
-        with executor.session(factory, payloads) as finals:
-            for superstep in range(max_supersteps):
-                controls = []
-                for partition in self.partitions:
-                    rows = None
-                    if frontier is not None and superstep < len(frontier):
-                        rows = frontier[superstep].get(partition.partition_id,
-                                                       np.empty(0, dtype=np.int64))
-                    controls.append((superstep, rows))
-                # One InstanceMetrics per partition per superstep: compute, in-
-                # and out-volumes and the measured seconds in a single entry.
-                for instance in executor.step(controls):
-                    self.metrics.add(instance)
-        self._apply_final_states(finals)
+        empty = np.empty(0, dtype=np.int64)
+        self.drive(program, PregelPartitionHarness, (
+            [(superstep, None if frontier is None or superstep >= len(frontier)
+              else frontier[superstep].get(partition.partition_id, empty))
+             for partition in self.partitions]
+            for superstep in range(max_supersteps)))
         return PregelResult(num_supersteps=max_supersteps, partitions=self.partitions,
                             metrics=self.metrics, engine=self)

@@ -197,7 +197,7 @@ class PartitionContext:
     It exposes the partition, the outgoing mailbox, the local rows a
     frontier-restricted superstep may recompute, and ``metrics`` — the
     instance's accounting record, which the program charges its compute units
-    and observed memory to (``context.metrics.add_compute(units)``).
+    to (``context.metrics.add_compute(units)``).
     """
 
     def __init__(self, partition: PregelPartition, superstep: int,
@@ -248,3 +248,9 @@ class BlockVertexProgram:
     def combiner_for_superstep(self, superstep: int) -> Optional[MessageCombiner]:
         """Sender-side combiner applied to this superstep's outgoing blocks."""
         return None
+
+    def state_bytes(self, partition: PregelPartition, superstep: int) -> float:
+        """Bytes of vertex state the program holds in ``partition`` after
+        ``superstep``: its share of the peak memory the Pregel harness prices
+        (a program charges only compute itself)."""
+        return 0.0

@@ -39,6 +39,7 @@ from repro.cluster.executor import Executor
 from repro.graph.graph import Graph
 from repro.inference.backends.base import ExecutionPlan
 from repro.inference.pool import SessionPool
+from repro.pregel.engine import PregelEngine
 
 
 @dataclass(frozen=True)
@@ -89,12 +90,12 @@ class FaultContext:
 
 
 def plan_executor(plan: Optional[ExecutionPlan]) -> Optional[Executor]:
-    """A plan's started executor: the Pregel engine's own, or the MapReduce
-    backend's in ``plan.state``.  Never builds one (it would spawn workers)."""
+    """A plan's started executor — its engine's, on either backend.  Never
+    builds one (it would spawn workers)."""
     if plan is None:
         return None
-    engine = plan.state.get("engine")
-    return plan.state.get("executor") if engine is None else engine.started_executor
+    engine: PregelEngine = plan.state["engine"]
+    return engine.started_executor
 
 
 def _kill_worker(ctx: FaultContext) -> str:

@@ -250,16 +250,17 @@ def _pool_resource_census(pool: SessionPool) -> Tuple[int, int]:
     """(shared-memory segments, live worker processes) across pooled plans.
 
     Counts the parent-side :class:`~repro.cluster.executor.SharedArrayPack`
-    segments of every pooled Pregel engine — the number the segment-leak fix
-    bounds: wholesale array swaps (edge-delta churn) *replace* a segment
-    under its key instead of accreting new ones, so the census must plateau
-    over arbitrarily many edge-delta ticks — and the live worker processes of
-    every pooled plan's executor, on either backend.
+    segments of every pooled plan's engine, on either backend — the number
+    the segment-leak fix bounds: wholesale array swaps (edge-delta churn)
+    *replace* a segment under its key instead of accreting new ones, so the
+    census must plateau over arbitrarily many edge-delta ticks — and the
+    live worker processes of every pooled plan's executor.
     """
     segments = processes = 0
     for session in pool.sessions():
-        engine = None if session.plan is None else session.plan.state.get("engine")
-        segments += 0 if engine is None else engine.num_shared_segments
+        if session.plan is None:
+            continue
+        segments += session.plan.state["engine"].num_shared_segments
         executor = plan_executor(session.plan)
         processes += 0 if executor is None else len(executor.live_processes())
     return segments, processes

@@ -106,10 +106,11 @@ class TestBackendConformance:
         session = InferenceSession(model, make_config(backend, executor))
         session.prepare(graph)
         try:
-            # Cross-backend agreement is tolerance-level by design: different
-            # substrates sum in-messages in different orders (~1e-15 drift).
-            # Bit-exactness is asserted where it is promised — same backend
-            # across runs/executors (the other tests in this suite).
+            # Agreement with the k-hop reference is tolerance-level by design:
+            # it sums in-messages in another order (~1e-15 drift).  Bit-
+            # exactness is asserted where it is promised — across runs and
+            # executors (the other tests in this suite) and between the two
+            # backends (test_inference_equivalence.py).
             np.testing.assert_allclose(session.infer().scores, expected,
                                        atol=1e-9)
         finally:

@@ -56,7 +56,7 @@ def one_partition_layer(layer, strategy, hubs, shadow, state):
     working = shadow.graph
     messages, edge_units = gas.edge_messages(layer, state, working.src,
                                              working.edge_features)
-    routed = gas.scatter(strategy, hubs, shadow, working.src, working.dst, inline=False)
+    routed = gas.scatter(strategy, hubs, shadow, working.src, working.dst)
     payload = np.concatenate([messages[routed.plain_rows],
                               messages[routed.hub_rows][routed.hub_refs]])
     dst_index = np.concatenate([routed.plain_dst, routed.hub_dst])
@@ -173,11 +173,10 @@ def test_gather_apply_rejects_a_message_outside_its_rows(arch):
                          np.ones(int(stray.sum()), dtype=np.int64), frontier)
 
 
-@pytest.mark.parametrize("inline", [False, True], ids=["blocks", "inline"])
 @pytest.mark.parametrize("subset", [False, True], ids=["all-edges", "row-subset"])
 @pytest.mark.parametrize("arch,edge_dim", [("gcn", 0), ("sage", 0), ("sage", 3), ("gat", 0)],
                          ids=["gcn", "sage", "sage-edge-features", "gat"])
-def test_scatter_blocks_equals_edge_messages_then_slice(arch, edge_dim, subset, inline):
+def test_scatter_blocks_equals_edge_messages_then_slice(arch, edge_dim, subset):
     """``scatter_blocks`` against the composition it used to be, block by block.
 
     An identity ``apply_edge`` (GCN / SAGE without edge features) gathers state
@@ -198,7 +197,7 @@ def test_scatter_blocks_equals_edge_messages_then_slice(arch, edge_dim, subset, 
     assert layer.apply_edge_is_identity(edge_dim > 0) == (arch != "gat" and edge_dim == 0)
     state = gas.encode(model, graph.node_features)[0][shadow.origin_of]
     # unsorted; hub sources repeat (rows 61/66/62, 60/65) and the destinations
-    # of rows 4 and 21 have mirrors, so the two fan-out orders differ
+    # of rows 4 and 21 have mirrors
     rows = np.array([80, 4, 61, 0, 59, 66, 60, 21, 62, 65]) if subset else None
 
     src, dst, edge_features = working.src, working.dst, working.edge_features
@@ -206,10 +205,10 @@ def test_scatter_blocks_equals_edge_messages_then_slice(arch, edge_dim, subset, 
         src, dst = src[rows], dst[rows]
         edge_features = None if edge_features is None else edge_features[rows]
     blocks, units = gas.scatter_blocks(model, plan, shadow, 0, state, src, src, dst,
-                                       edge_features, inline)
+                                       edge_features)
 
     messages, expected_units = gas.edge_messages(layer, state, src, edge_features)
-    routed = gas.scatter(plan.layer(0), plan.out_degree_hubs, shadow, src, dst, inline)
+    routed = gas.scatter(plan.layer(0), plan.out_degree_hubs, shadow, src, dst)
     assert units == expected_units and type(units) is type(expected_units)
     plain = blocks[0]
     assert type(plain) is gas.MessageBlock
@@ -242,30 +241,3 @@ def test_empty_inputs_keep_their_widths():
     assert units == 3 * layer.in_dim * layer.output_dim      # no messages gathered
     logits, units = gas.predict(model, np.zeros((0, HIDDEN)))
     assert logits.shape == (0, 3) and units == 0
-
-
-def test_inline_fan_out_keeps_rows_in_place():
-    """The record-stream order: replicas where the row was; on edges grouped
-    by source (what a record batch holds) hubs come in first-appearance order
-    with contiguous reference slices."""
-    graph = hub_graph(0)
-    model = build_model("sage", graph.feature_dim, HIDDEN, 3, num_layers=1, seed=0)
-    plan = build_strategy_plan(model, graph, WORKERS, StrategyConfig(
-        broadcast=True, shadow_nodes=True, hub_threshold_override=THRESHOLD), False)
-    shadow = apply_shadow_nodes(graph, plan.threshold, WORKERS)
-    merge_hub_mirrors(plan, shadow)
-    grouped = np.argsort(shadow.graph.src, kind="stable")[::-1]   # hub mirrors first
-    src, dst = shadow.graph.src[grouped], shadow.graph.dst[grouped]
-    routed = gas.scatter(plan.layer(0), plan.out_degree_hubs, shadow, src, dst,
-                         inline=True)
-    plain_edges = np.nonzero(~np.isin(src, plan.out_degree_hubs))[0]
-    row_index, expanded = shadow.expand_rows(dst[plain_edges])
-    np.testing.assert_array_equal(routed.plain_rows, plain_edges[row_index])
-    np.testing.assert_array_equal(routed.plain_dst, expanded)
-    assert (np.diff(routed.hub_refs) >= 0).all()
-    assert (np.diff(routed.hub_rows) > 0).all()
-    bounds = np.searchsorted(routed.hub_refs, np.arange(routed.hub_rows.size + 1))
-    for hub, row in enumerate(routed.hub_rows):
-        _, expected = shadow.expand_rows(dst[src == src[row]])
-        np.testing.assert_array_equal(
-            routed.hub_dst[bounds[hub]:bounds[hub + 1]], expected)

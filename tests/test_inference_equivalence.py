@@ -36,12 +36,13 @@ ALL_STRATEGIES = {
                           hub_threshold_override=15),
 }
 
-#: the hub-strategy sets under which pregel and mapreduce agree bit for bit
+#: the hub-strategy sets pregel and mapreduce are compared under, bit for bit
 CROSS_BACKEND_STRATEGIES = {
     "base": ALL_STRATEGIES["base"],
     "PG": StrategyConfig(partial_gather=True, broadcast=False, shadow_nodes=False),
     "PG+BC": StrategyConfig(partial_gather=True, broadcast=True, shadow_nodes=False,
                             hub_threshold_override=15),
+    "PG+BC+SN": ALL_STRATEGIES["all"],
 }
 
 
@@ -55,6 +56,14 @@ def community():
 def skewed():
     return powerlaw_graph(num_nodes=400, avg_degree=6.0, skew="out", feature_dim=8,
                           num_classes=3, seed=9)
+
+
+def shuffled_edges(graph: Graph, seed: int) -> Graph:
+    """``graph`` with its edge list in a random order (no longer by source)."""
+    order = np.random.default_rng(seed).permutation(graph.num_edges)
+    return Graph(src=graph.src[order], dst=graph.dst[order],
+                 node_features=graph.node_features, labels=graph.labels,
+                 num_nodes=graph.num_nodes)
 
 
 class TestEquivalence:
@@ -195,34 +204,29 @@ class TestConsistency:
 
     @pytest.mark.parametrize("executor", sorted(available_executors()))
     @pytest.mark.parametrize("strategies", list(CROSS_BACKEND_STRATEGIES))
+    @pytest.mark.parametrize("edge_order", ["by-source", "shuffled"])
     @pytest.mark.parametrize("arch", ["gcn", "sage", "gat"])
-    def test_pregel_and_mapreduce_give_the_same_bits(self, skewed, arch, strategies,
-                                                     executor):
-        """MapReduce slot ``i`` maps the rows Pregel partition ``i`` owns, so
-        both fold the same messages in the same order: the scores are equal
-        bit for bit, hubs partial-gathered and broadcast included.
-
-        Two causes of difference remain, so this holds on a graph whose edge
-        list is sorted by source and without the shadow rewrite:
-
-        * message order inside one partition — Pregel sends in edge-id order,
-          a MapReduce slot in node-major (CSR) order; the two agree only when
-          the partition's edges are sorted by source, and the shadow rewrite
-          appends mirror edges (shadow cases stay ≈ 1e-15 apart);
-        * the two mirror fan-out orders of ``gas.scatter(inline=)``.
-        """
-        assert np.all(np.diff(skewed.src) >= 0)
-        model = build_model(arch, skewed.feature_dim, 16, 3, num_layers=2, seed=4)
+    def test_pregel_and_mapreduce_give_the_same_bits(self, skewed, arch, edge_order,
+                                                     strategies, executor):
+        """Both backends run one partition program over the same partitions —
+        MapReduce only steps a superstep's compute and route in different
+        waves — so they send, fold and gather the same messages in the same
+        order: the scores are equal bit for bit, for every hub-strategy set
+        (shadow mirrors included) and any edge order."""
+        graph = skewed if edge_order == "by-source" else shuffled_edges(skewed, seed=2)
+        model = build_model(arch, graph.feature_dim, 16, 3, num_layers=2, seed=4)
         scores = {}
         for backend in ("pregel", "mapreduce"):
             config = InferenceConfig(backend=backend, num_workers=4, executor=executor,
                                      strategies=CROSS_BACKEND_STRATEGIES[strategies])
             session = InferenceSession(model, config)
             try:
-                scores[backend] = session.infer(skewed).scores
+                scores[backend] = session.infer(graph).scores
             finally:
                 session.close()
         assert np.array_equal(scores["pregel"], scores["mapreduce"])
+        np.testing.assert_allclose(scores["pregel"], reference_scores(model, graph),
+                                   atol=1e-9)
 
 
 class TestConfigValidation:

@@ -1,4 +1,9 @@
-"""Tests for the MapReduce engine, its byte accounting and the cluster cost model."""
+"""Tests for the MapReduce round driver, its byte accounting and the cluster cost model.
+
+A MapReduce slot is a Pregel partition hosted by a
+:class:`~repro.inference.mapreduce_adaptor.RoundHarness`; the tests below step
+those harnesses by hand or drive them through a session.
+"""
 
 from __future__ import annotations
 
@@ -8,9 +13,8 @@ import signal
 import numpy as np
 import pytest
 
-from repro.batch.mapreduce import MapReduceEngine, MapReduceJob, RoundHarness
 from repro.cluster.cost_model import CostModel, gnn_layer_compute_units
-from repro.cluster.executor import WorkerCrashError, available_executors, build_executor
+from repro.cluster.executor import WorkerCrashError, available_executors
 from repro.cluster.metrics import (
     RECORD_OVERHEAD_BYTES,
     InstanceMetrics,
@@ -23,309 +27,210 @@ from repro.gnn.model import build_model
 from repro.graph.generators import powerlaw_graph
 from repro.inference import InferenceConfig, InferenceSession, StrategyConfig
 from repro.inference.backends import mapreduce as mapreduce_backend
-from repro.inference.mapreduce_adaptor import GNNRoundJob, Records, StateBlock, input_rows
-from repro.inference.strategies import BroadcastMessageBlock
+from repro.inference.mapreduce_adaptor import Records, RoundHarness, StateRows
+from repro.inference.pregel_adaptor import GNNInferenceProgram
+from repro.inference.strategies import BroadcastMessageBlock, build_strategy_plan
+from repro.pregel.engine import PregelEngine
 from repro.pregel.vertex import MessageBlock
 
 
-# Items and jobs are module-level: jobs ship to the process executor's workers
-# at ``open`` and items as step controls and mail, all by pickle.
-class Tokens:
-    """The smallest item the engine moves: token ids, one count each."""
+# Programs are module-level: they ship to the process executor's workers at
+# ``open``, by pickle.
+class ExplodingProgram(GNNInferenceProgram):
+    """A program whose superstep 2 — round 1's reduce — raises."""
 
-    def __init__(self, tokens, counts=None):
-        self.tokens = np.asarray(tokens, dtype=np.int64)
-        self.counts = (np.ones(self.tokens.size, dtype=np.int64) if counts is None
-                       else np.asarray(counts, dtype=np.int64))
-
-    def num_records(self):
-        return self.tokens.size
-
-    def nbytes(self):
-        return float(self.tokens.nbytes + self.counts.nbytes)
-
-    def fold(self):
-        tokens, inverse = np.unique(self.tokens, return_inverse=True)
-        return Tokens(tokens, np.bincount(inverse, weights=self.counts,
-                                          minlength=tokens.size))
+    def compute_partition(self, context, incoming):
+        if context.superstep == 2:
+            raise ArithmeticError("round 1 reduce exploded")
+        super().compute_partition(context, incoming)
 
 
-class TokenCountJob(MapReduceJob):
-    """Count tokens: the job buckets (token id modulo the reducer count)."""
+class SuicidalProgram(GNNInferenceProgram):
+    """A program whose superstep 2 SIGKILLs its own worker."""
 
-    def __init__(self, num_reducers):
-        self.num_reducers = num_reducers
-
-    def bucket_of(self, tokens):
-        return tokens % self.num_reducers
-
-    def map_partition(self, items, context):
-        buckets = [[] for _ in range(self.num_reducers)]
-        for item in items:
-            target = self.bucket_of(item.tokens)
-            for bucket in np.unique(target).tolist():
-                rows = target == bucket
-                buckets[bucket].append(Tokens(item.tokens[rows], item.counts[rows]))
-        return buckets
-
-    def reduce_partition(self, items, context):
-        if not items:
-            return []
-        context.add_compute(sum(item.num_records() for item in items))
-        return [Tokens(np.concatenate([item.tokens for item in items]),
-                       np.concatenate([item.counts for item in items])).fold()]
-
-
-class FoldingTokenCountJob(TokenCountJob):
-    """Folds each split per token before bucketing (a map-side combiner)."""
-
-    def map_partition(self, items, context):
-        return super().map_partition([item.fold() for item in items], context)
-
-
-class AllToZeroJob(TokenCountJob):
-    def bucket_of(self, tokens):
-        return np.zeros_like(tokens)
-
-
-class ExplodingReduceJob(TokenCountJob):
-    def reduce_partition(self, items, context):
-        raise ArithmeticError("reducer exploded")
-
-
-class ExplodingRoundJob(GNNRoundJob):
-    """A GNN round whose second layer's reduce stage raises."""
-
-    def reduce_partition(self, items, metrics):
-        if self.layer_index == 1:
-            raise ArithmeticError("layer 1 reduce exploded")
-        return super().reduce_partition(items, metrics)
-
-
-class SuicidalRoundJob(GNNRoundJob):
-    """A GNN round whose second layer's reducers SIGKILL their own worker."""
-
-    def reduce_partition(self, items, metrics):
-        if self.layer_index == 1:
+    def compute_partition(self, context, incoming):
+        if context.superstep == 2:
             os.kill(os.getpid(), signal.SIGKILL)
-        return super().reduce_partition(items, metrics)
+        super().compute_partition(context, incoming)
 
 
-TOKENS = np.random.default_rng(0).integers(0, 12, size=60)
-#: the input arrives as several items (one of them empty)
-DOCUMENTS = [Tokens(TOKENS[:7]), Tokens(TOKENS[7:7]), Tokens(TOKENS[7:40]), Tokens(TOKENS[40:])]
+def round_slots(model, graph, num_workers=4, **strategies):
+    """``(engine, harnesses)``: one round-driver slot per partition, unstarted."""
+    plan = build_strategy_plan(model, graph, num_workers, StrategyConfig(**strategies),
+                               graph.edge_features is not None)
+    engine = PregelEngine(graph, num_workers=num_workers)
+    program = GNNInferenceProgram(model, plan, num_outputs=graph.num_nodes)
+    return engine, [RoundHarness(partition, program, engine.layout, ship_final_state=False)
+                    for partition in engine.partitions]
 
 
-def splits(num_slots, items=DOCUMENTS):
-    """One split per slot: the items dealt out round-robin."""
-    return [list(items[slot::num_slots]) for slot in range(num_slots)]
+def step_all(harnesses, round_index, stage, mail=None):
+    """One wave by hand: ``(records, mail)``, mail delivered in sender order."""
+    records, delivered = [], [[] for _ in harnesses]
+    for slot, harness in enumerate(harnesses):
+        metrics, outgoing = harness.step((round_index, stage),
+                                         [] if mail is None else mail[slot])
+        records.append(metrics)
+        for target, items in outgoing:
+            delivered[target].extend(items)
+    return records, delivered
 
 
-def counts_of(items):
-    return {int(token): int(count) for item in items
-            for token, count in zip(item.tokens, item.counts)}
+def hub_graph():
+    return powerlaw_graph(300, avg_degree=4.0, skew="both", feature_dim=6,
+                          num_classes=3, seed=1)
 
 
-@pytest.fixture(params=sorted(available_executors()))
-def executor(request):
-    """``executor(n)`` builds an ``n``-slot executor of the parametrised kind."""
-    built = []
-
-    def build(num_slots):
-        built.append(build_executor(request.param, num_slots))
-        return built[-1]
-
-    yield build
-    for each in built:
-        each.shutdown()
+def hub_session(executor_name):
+    graph = hub_graph()
+    model = build_model("gcn", graph.feature_dim, 8, 3, num_layers=2, seed=0)
+    config = InferenceConfig(
+        backend="mapreduce", num_workers=4, executor=executor_name,
+        strategies=StrategyConfig(partial_gather=True, broadcast=True, shadow_nodes=True))
+    return InferenceSession(model, config), graph
 
 
-def make_engine(executor, num_slots=2):
-    """An engine of ``num_slots`` mappers and as many reducers."""
-    return MapReduceEngine(MetricsCollector(), executor(num_slots))
-
-
-class TestMapReduceEngine:
-    def test_wordcount_correct(self, executor):
-        engine = make_engine(executor)
-        counts = counts_of(engine.run([("tc", TokenCountJob(2))], splits(2)))
-        assert counts == {token: int(n) for token, n in enumerate(np.bincount(TOKENS)) if n}
-        assert engine.metrics.total("records_out", "tc/map") == TOKENS.size
-
-    def test_results_independent_of_worker_count(self, executor):
-        small = counts_of(make_engine(executor, 1).run([("tc", TokenCountJob(1))], splits(1)))
-        large = counts_of(make_engine(executor, 4).run([("tc", TokenCountJob(4))], splits(4)))
-        assert small == large
-
-    def test_a_mapper_reads_its_own_split(self, executor):
-        engine = make_engine(executor, 4)
-        engine.run([("tc", TokenCountJob(4))], splits(4))
-        for slot, split in enumerate(splits(4)):
-            mapper = engine.metrics.get("tc/map", slot)
-            assert mapper.records_in == sum(item.num_records() for item in split)
-            assert mapper.bytes_in == sum(item.nbytes() for item in split)
-
-    def test_one_split_per_slot(self, executor):
-        engine = make_engine(executor, 2)
-        with pytest.raises(ValueError, match="expected 2 payloads, got 4"):
-            engine.run([("tc", TokenCountJob(2))], splits(4))
-
-    def test_combiner_reduces_shuffle_records_but_not_results(self, executor):
-        plain_engine = make_engine(executor)
-        plain = plain_engine.run([("tc", TokenCountJob(2))], splits(2))
-        folding_engine = make_engine(executor)
-        folded = folding_engine.run([("tc", FoldingTokenCountJob(2))], splits(2))
-        assert counts_of(plain) == counts_of(folded)
-        assert (folding_engine.metrics.total("records_out", "tc/map")
-                < plain_engine.metrics.total("records_out", "tc/map"))
-
-    def test_partition_reduce(self, executor):
-        engine = make_engine(executor, 3)
-        engine.run([("sum", TokenCountJob(3))], splits(3))
-        assert engine.metrics.total("compute_units", "sum/reduce") == TOKENS.size
-
-    def test_metrics_recorded_for_both_phases(self, executor):
-        engine = make_engine(executor, 3)
-        engine.run([("job", TokenCountJob(3))], splits(3))
-        metrics = engine.metrics
-        assert metrics.phases() == ["job/map", "job/reduce"]
-        assert metrics.total("records_in", "job/map") == TOKENS.size
-        assert metrics.total("records_out", "job/map") == TOKENS.size
-        assert metrics.total("records_in", "job/reduce") == TOKENS.size
-        # one reducer per executor slot, which is what the job buckets for
-        assert len(metrics.instances("job/reduce")) == 3
-        for instance in metrics.instances():
-            assert instance.disk_bytes == instance.bytes_in + instance.bytes_out
-            assert instance.measured_seconds > 0
-
-    def test_the_job_places_every_row(self, executor):
-        engine = make_engine(executor, 4)
-        engine.run([("p", AllToZeroJob(4))], splits(4))
-        # Everything lands on reducer 0.
-        busy = [m for m in engine.metrics.instances("p/reduce") if m.records_in > 0]
-        assert len(busy) == 1 and busy[0].instance_id == 0
-
-    def test_empty_input(self, executor):
-        engine = make_engine(executor)
-        assert engine.run([("tc", TokenCountJob(2))], [[], []]) == []
-        assert engine.metrics.total("records_out", "tc/map") == 0
-
-    def test_invalid_worker_counts(self, executor):
-        with pytest.raises(ValueError):
-            make_engine(executor, 0)
-
-    def test_a_job_must_bucket_for_the_executors_slots(self, executor):
-        engine = make_engine(executor, 2)
-        with pytest.raises(ValueError, match="3 reducers.*2 slots"):
-            engine.run([("tc", TokenCountJob(3))], splits(2))
-        assert counts_of(engine.run([("tc", TokenCountJob(2))], splits(2))) == \
-            counts_of([Tokens(TOKENS).fold()])
-
-    def test_chained_rounds_feed_the_next_map_in_one_session(self, executor):
-        engine = make_engine(executor, 3)
-        chained = engine.run([("a", TokenCountJob(3)), ("b", FoldingTokenCountJob(3))],
-                             splits(3))
-        assert counts_of(chained) == counts_of([Tokens(TOKENS).fold()])
-        metrics = engine.metrics
-        assert metrics.phases() == ["a/map", "a/reduce", "b/map", "b/reduce"]
-        # slot i's round-b mapper reads exactly what its round-a reducer wrote
-        for slot in range(3):
-            written, read = metrics.get("a/reduce", slot), metrics.get("b/map", slot)
-            assert (read.records_in, read.bytes_in) == (written.records_out, written.bytes_out)
-        assert metrics.total("records_in", "b/map") == len(counts_of(chained))
-
-    def test_between_rounds_a_step_returns_only_its_metrics(self, executor):
+class TestRoundDriver:
+    @pytest.mark.parametrize("executor_name", sorted(available_executors()))
+    def test_between_rounds_a_step_returns_only_its_metrics(self, executor_name):
         """The coordinator relays the shuffle and sees nothing but each step's
-        record; the chain's output comes back once, through ``finish()``."""
-        engine = make_engine(executor, 3)
-        results, finals = [], []
-        real_step, real_close = engine.executor.step, engine.executor.close
+        record; the scores come back once, through ``finish()``."""
+        session, graph = hub_session(executor_name)
+        try:
+            session.prepare(graph)
+            executor = session.plan.state["engine"].executor
+            results, finals = [], []
+            real_step, real_close = executor.step, executor.close
 
-        def step(controls):
-            results.extend(real_step(controls))
-            return results[-len(controls):]
+            def step(controls):
+                results.extend(real_step(controls))
+                return results[-len(controls):]
 
-        def close():
-            finals.extend(real_close())
-            return finals[-engine.executor.num_slots:]
+            def close():
+                finals.extend(real_close())
+                return finals[-executor.num_slots:]
 
-        engine.executor.step, engine.executor.close = step, close
-        chained = engine.run([("a", TokenCountJob(3)), ("b", TokenCountJob(3))], splits(3))
-        assert len(results) == 2 * 2 * 3
+            executor.step, executor.close = step, close
+            scores = session.infer().scores
+        finally:
+            session.close()
+        assert len(results) == 2 * 2 * 4
         assert all(type(result) is InstanceMetrics for result in results)
-        assert len(finals) == 3
-        assert [item.tokens.tolist() for items in finals for item in items] == \
-            [item.tokens.tolist() for item in chained]
-        assert counts_of(chained) == counts_of([Tokens(TOKENS).fold()])
+        assert [result.phase for result in results[::4]] == [
+            "round_0/map", "round_0/reduce", "round_1/map", "round_1/reduce"]
+        assert len(finals) == 4
+        if executor_name == "process":      # only the outputs ship back
+            assert all(set(final) == {"output"} for final in finals)
+            assert sum(final["output"].shape[0] for final in finals) >= graph.num_nodes
+        assert scores.shape == (graph.num_nodes, 3)
+
+    def test_a_reduce_keeps_its_sends_until_the_next_map_routes_them(self):
+        graph = hub_graph()
+        model = build_model("sage", graph.feature_dim, 8, 3, num_layers=2, seed=0)
+        _, slots = round_slots(model, graph, partial_gather=True)
+        _, mail = step_all(slots, 0, "map")
+        assert all(slot.sends is None for slot in slots)
+        step_all(slots, 0, "reduce", mail)
+        assert all(slot.sends is not None for slot in slots)
+        step_all(slots, 1, "map")
+        assert all(slot.sends is None for slot in slots)     # released once routed
+
+    def test_results_independent_of_worker_count(self):
+        graph = hub_graph()
+        model = build_model("gcn", graph.feature_dim, 8, 3, num_layers=2, seed=0)
+        scores = [InferenceSession(model, InferenceConfig(
+            backend="mapreduce", num_workers=workers)).infer(graph).scores
+            for workers in (1, 4)]
+        np.testing.assert_allclose(scores[0], scores[1], atol=1e-12)
+
+    def test_partial_gather_folds_in_the_map_not_the_results(self):
+        graph = hub_graph()
+        model = build_model("gcn", graph.feature_dim, 8, 3, num_layers=2, seed=0)
+        results = {flag: InferenceSession(model, InferenceConfig(
+            backend="mapreduce", num_workers=4,
+            strategies=StrategyConfig(partial_gather=flag))).infer(graph)
+            for flag in (False, True)}
+        np.testing.assert_allclose(results[True].scores, results[False].scores, atol=1e-12)
+        for phase in ("round_0/map", "round_1/map"):
+            assert (results[True].metrics.total("records_out", phase)
+                    < results[False].metrics.total("records_out", phase))
+        assert results[True].metrics.total("compute_units", "round_1/map") == 0
 
 
 class TestAccountingFollowsTheData:
     """``run_instance`` counts what a task was given and what it bucketed."""
 
-    def test_reducer_bytes_in_is_the_sum_of_the_bucket_totals_sent_to_it(self, executor):
-        engine = make_engine(executor, 4)
-        engine.run([("tc", TokenCountJob(4))], splits(4))
+    def test_reducer_bytes_in_is_the_sum_of_the_bucket_totals_sent_to_it(self):
+        graph = hub_graph()
+        model = build_model("gcn", graph.feature_dim, 8, 3, num_layers=2, seed=0)
+        strategies = dict(partial_gather=True, broadcast=True, hub_threshold_override=8)
+        _, slots = round_slots(model, graph, **strategies)
         mapped = []
-        for mapper_id, split in enumerate(splits(4)):
-            harness = RoundHarness(mapper_id, (4, [("tc", TokenCountJob(4))], split))
+        for harness in slots:
             metrics, outgoing = harness.step((0, "map"), [])
-            assert [reducer_id for reducer_id, _ in outgoing] == [0, 1, 2, 3]
-            mapped.append(([bucket for _, bucket in outgoing], metrics))
-        for mapper_id, (buckets, metrics) in enumerate(mapped):
             assert metrics.bytes_out == sum(
-                item.nbytes() for bucket in buckets for item in bucket)
-            assert engine.metrics.get("tc/map", mapper_id).bytes_out == metrics.bytes_out
-        for reducer_id in range(4):
-            assert engine.metrics.get("tc/reduce", reducer_id).bytes_in == sum(
-                item.nbytes() for buckets, _ in mapped for item in buckets[reducer_id])
-        assert (engine.metrics.total("bytes_in", "tc/map")
-                == sum(item.nbytes() for item in DOCUMENTS))
+                item.nbytes() for _, bucket in outgoing for item in bucket)
+            mapped.append(dict(outgoing))
+        for reducer_id, harness in enumerate(slots):
+            incoming = [item for buckets in mapped for item in buckets.get(reducer_id, [])]
+            reducer, mail = harness.step((0, "reduce"), incoming)
+            assert mail == []
+            assert reducer.bytes_in == sum(item.nbytes() for item in incoming) > 0
+            assert reducer.records_in == sum(item.num_records() for item in incoming)
+        # the same counts the engine files for a session run
+        session = InferenceSession(model, InferenceConfig(
+            backend="mapreduce", num_workers=4, strategies=StrategyConfig(**strategies)))
+        metrics = session.infer(graph).metrics
+        for mapper_id, buckets in enumerate(mapped):
+            assert metrics.get("round_0/map", mapper_id).bytes_out == sum(
+                item.nbytes() for bucket in buckets.values() for item in bucket)
 
     def test_a_task_is_timed_and_charged_for_what_it_bucketed(self):
-        """The mapper and reducer sides of one tiny round, stepped by hand (a
+        """The mapper and reducer sides of one round, stepped by hand (a
         harness is a plain object): the record a step returns is the engine's
         whole accounting for it."""
-        rounds = [("tc", TokenCountJob(3))]
-        mapper_slot = RoundHarness(5, (3, rounds, DOCUMENTS))
-        mapper, outgoing = mapper_slot.step((0, "map"), [])
-        buckets = [bucket for _, bucket in outgoing]
-        assert (mapper.phase, mapper.instance_id) == ("tc/map", 5)
+        graph = hub_graph()
+        model = build_model("gcn", graph.feature_dim, 8, 3, num_layers=2, seed=0)
+        _, slots = round_slots(model, graph, partial_gather=False)
+        harness = slots[1]
+        partition = harness.partition
+        mapper, outgoing = harness.step((0, "map"), [])
+        bucketed = [item for _, bucket in outgoing for item in bucket]
+        assert (mapper.phase, mapper.instance_id) == ("round_0/map", 1)
         assert mapper.measured_seconds > 0
-        assert mapper.records_in == TOKENS.size
-        assert mapper.bytes_in == sum(item.nbytes() for item in DOCUMENTS)
-        assert mapper.records_out == TOKENS.size
-        assert mapper.bytes_out == sum(item.nbytes() for bucket in buckets for item in bucket)
+        assert mapper.records_in == partition.num_nodes          # raw node-table rows
+        assert mapper.records_out == sum(item.num_records() for item in bucketed)
+        assert mapper.bytes_out == sum(item.nbytes() for item in bucketed)
         assert mapper.disk_bytes == mapper.bytes_in + mapper.bytes_out
-        assert mapper.compute_units == 0
-        assert mapper_slot.finish() == []          # mapped rows do not stay
+        # encode + one pass over the outgoing message elements
+        assert mapper.compute_units == (partition.num_nodes * graph.feature_dim * 8
+                                        + partition.num_out_edges * 8)
+        # without a combiner every out-edge leaves as one message row
+        assert sum(item.num_records() for item in bucketed
+                   if isinstance(item, Records)) == partition.num_out_edges
+        (own,) = [item for item in dict(outgoing)[1] if isinstance(item, StateRows)]
+        assert own == harness._state_rows(tensor_bytes((partition.num_nodes, 8)))
 
-        reducer_slot = RoundHarness(1, (3, rounds, []))
-        reducer, mail = reducer_slot.step((0, "reduce"), buckets[1])
-        emitted = reducer_slot.finish()
-        assert mail == [] and (reducer.phase, reducer.instance_id) == ("tc/reduce", 1)
+        _, mail = step_all(slots, 0, "map")
+        reducer, sent = harness.step((0, "reduce"), mail[1])
+        written = harness._written()
+        assert sent == [] and (reducer.phase, reducer.instance_id) == ("round_0/reduce", 1)
         assert reducer.measured_seconds > 0
-        assert reducer.bytes_in == sum(item.nbytes() for item in buckets[1])
-        assert reducer.bytes_out == sum(item.nbytes() for item in emitted)
-        assert reducer.records_out == sum(item.num_records() for item in emitted)
-        assert reducer.compute_units == sum(item.num_records() for item in buckets[1])
+        assert reducer.bytes_in == sum(item.nbytes() for item in mail[1])
+        assert reducer.bytes_out == sum(item.nbytes() for item in written)
+        assert reducer.records_out == sum(item.num_records() for item in written)
+        assert reducer.disk_bytes == reducer.bytes_in + reducer.bytes_out
 
     @pytest.mark.parametrize("executor_name", sorted(available_executors()))
     def test_full_infer_moves_every_byte_a_mapper_emits_into_a_reducer(self, executor_name):
-        graph = powerlaw_graph(300, avg_degree=4.0, skew="both", feature_dim=6,
-                               num_classes=3, seed=1)
-        model = build_model("gcn", graph.feature_dim, 8, 3, num_layers=2, seed=0)
-        config = InferenceConfig(
-            backend="mapreduce", num_workers=4, executor=executor_name,
-            strategies=StrategyConfig(partial_gather=True, broadcast=True,
-                                      shadow_nodes=True))
-        session = InferenceSession(model, config)
+        session, graph = hub_session(executor_name)
         try:
             metrics = session.infer(graph).metrics
         finally:
             session.close()
 
         map_phases = [phase for phase in metrics.phases() if phase.endswith("/map")]
-        assert len(map_phases) == model.num_layers
+        assert len(map_phases) == 2
         for map_phase in map_phases:
             reduce_phase = map_phase[:-len("map")] + "reduce"
             assert (metrics.total("bytes_out", map_phase)
@@ -339,41 +244,21 @@ class TestAccountingFollowsTheData:
 
 
 class TestFailureAtomicity:
-    """A chain that fails leaves the executor, and the session, serviceable."""
-
-    def test_a_raising_reducer_reaches_the_caller_and_closes_the_session(self, executor):
-        engine = make_engine(executor, 2)
-        with pytest.raises(ArithmeticError, match="reducer exploded"):
-            engine.run([("r0", TokenCountJob(2)), ("r1", ExplodingReduceJob(2))], splits(2))
-        # round 0 ran whole, round 1's mappers too; no reducer of round 1 reported
-        assert engine.metrics.phases() == ["r0/map", "r0/reduce", "r1/map"]
-        with pytest.raises(RuntimeError, match="no open harness session"):
-            engine.executor.close()
-        again = engine.run([("r0", TokenCountJob(2)), ("r1", TokenCountJob(2))], splits(2))
-        assert counts_of(again) == counts_of([Tokens(TOKENS).fold()])
-
-    @staticmethod
-    def hub_session(executor_name):
-        graph = powerlaw_graph(300, avg_degree=4.0, skew="both", feature_dim=6,
-                               num_classes=3, seed=1)
-        model = build_model("gcn", graph.feature_dim, 8, 3, num_layers=2, seed=0)
-        config = InferenceConfig(
-            backend="mapreduce", num_workers=4, executor=executor_name,
-            strategies=StrategyConfig(partial_gather=True, broadcast=True,
-                                      shadow_nodes=True))
-        return InferenceSession(model, config), graph
+    """A run that fails leaves the executor, and the session, serviceable."""
 
     @pytest.mark.parametrize("executor_name", sorted(available_executors()))
     def test_a_stage_that_raises_once_leaves_the_session_usable(self, executor_name,
                                                                   monkeypatch):
-        session, graph = self.hub_session(executor_name)
+        session, graph = hub_session(executor_name)
         try:
             before = session.infer(graph).scores
-            # The backend builds its jobs from this name; the subclass pickles.
-            monkeypatch.setattr(mapreduce_backend, "GNNRoundJob", ExplodingRoundJob)
-            with pytest.raises(ArithmeticError, match="layer 1 reduce exploded"):
+            # The backend builds its program from this name; the subclass pickles.
+            monkeypatch.setattr(mapreduce_backend, "GNNInferenceProgram", ExplodingProgram)
+            with pytest.raises(ArithmeticError, match="round 1 reduce exploded"):
                 session.infer(graph)
             monkeypatch.undo()
+            with pytest.raises(RuntimeError, match="no open harness session"):
+                session.plan.state["engine"].executor.close()
             np.testing.assert_array_equal(session.infer(graph).scores, before)
         finally:
             session.close()
@@ -381,10 +266,10 @@ class TestFailureAtomicity:
     @pytest.mark.skipif("process" not in available_executors(),
                         reason="process executor unavailable")
     def test_a_worker_killed_mid_chain_is_a_crash_error_then_a_clean_infer(self, monkeypatch):
-        session, graph = self.hub_session("process")
+        session, graph = hub_session("process")
         try:
             before = session.infer(graph).scores
-            monkeypatch.setattr(mapreduce_backend, "GNNRoundJob", SuicidalRoundJob)
+            monkeypatch.setattr(mapreduce_backend, "GNNInferenceProgram", SuicidalProgram)
             with pytest.raises(WorkerCrashError):
                 session.infer(graph)
             monkeypatch.undo()
@@ -395,7 +280,7 @@ class TestFailureAtomicity:
 
 def estimate_payload_bytes(payload):
     """The recursive per-record estimator the tuple transport was sized with —
-    kept here as the reference the blocks' closed forms must reproduce."""
+    kept here as the reference the closed forms must reproduce."""
     if payload is None:
         return 0.0
     if isinstance(payload, np.ndarray):
@@ -413,30 +298,28 @@ def estimate_payload_bytes(payload):
 
 
 class TestSizingOracle:
-    """``Records(block)`` == the tagged tuple records the block replaced."""
+    """``Records`` and ``StateRows`` == the tagged tuple records they price."""
 
     @staticmethod
-    def check(block, records):
-        item = Records(block)
+    def check(item, records):
         assert item.num_records() == len(records)
         assert item.nbytes() == sum(estimate_payload_bytes(record) for record in records)
 
     @staticmethod
-    def state_block(edge_dim, tagged=True):
+    def state_rows(edge_dim):
         rng = np.random.default_rng(3)
         nbrs = [np.array([4, 9, 2]), np.array([], dtype=np.int64), np.array([7])]
         feats = ([rng.normal(size=(n.size, edge_dim)) for n in nbrs] if edge_dim
                  else [None] * 3)
-        block = StateBlock(
-            np.array([11, 5, 8]), rng.normal(size=(3, 6)), np.array([0, 3, 3, 4]),
-            np.concatenate(nbrs), np.concatenate(feats) if edge_dim else None, tagged)
-        return block, nbrs, feats
+        state = rng.normal(size=(3, 6))
+        adjacency = sum(n.nbytes for n in nbrs) + sum(f.nbytes for f in feats if f is not None)
+        return state, nbrs, feats, adjacency
 
     def test_message_rows(self):
         rng = np.random.default_rng(0)
         block = MessageBlock(np.array([3, 9, 3]), rng.normal(size=(3, 5)), np.array([1, 4, 1]))
-        self.check(block, [(int(dst), ("m", block.payload[row], int(block.counts[row])))
-                           for row, dst in enumerate(block.dst_ids)])
+        self.check(Records(block), [(int(dst), ("m", block.payload[row], int(block.counts[row])))
+                                    for row, dst in enumerate(block.dst_ids)])
         assert Records(block).nbytes() == 3 * (17 + 8 * 5)
 
     def test_broadcast_references_and_one_buckets_payload_rows(self):
@@ -448,43 +331,57 @@ class TestSizingOracle:
                    for ref, hub in enumerate(hub_ids)]
         records += [(int(dst), ("r", hub_ids[ref], 1))
                     for dst, ref in zip(block.dst_ids, block.payload_refs)]
-        self.check(block, records)
+        self.check(Records(block), records)
         assert Records(block).nbytes() == 4 * 25 + 2 * (19 + 8 * 5)
+
+    def test_an_uncut_broadcast_block_is_priced_as_its_bucket_pieces(self):
+        """What a reducer writes is what the next map cuts it into."""
+        graph = hub_graph()
+        engine = PregelEngine(graph, num_workers=4)
+        rng = np.random.default_rng(2)
+        block = BroadcastMessageBlock(rng.integers(0, graph.num_nodes, size=40),
+                                      rng.integers(0, 3, size=40), rng.normal(size=(3, 5)))
+        pieces = [Records(piece)
+                  for _, piece in block.split_by(engine.layout.owners(block.dst_ids), 4)]
+        assert len(pieces) > 1
+        uncut = Records(block, engine.layout)
+        assert uncut.num_records() == sum(piece.num_records() for piece in pieces)
+        assert uncut.nbytes() == sum(piece.nbytes() for piece in pieces)
 
     @pytest.mark.parametrize("edge_dim", [0, 2])
     def test_state_rows(self, edge_dim):
-        block, nbrs, feats = self.state_block(edge_dim)
-        self.check(block, [(int(node), ("s", block.payload[row], nbrs[row], feats[row]))
-                           for row, node in enumerate(block.dst_ids)])
+        state, nbrs, feats, adjacency = self.state_rows(edge_dim)
+        self.check(StateRows(3, float(state.nbytes), float(adjacency)),
+                   [(11 + row, ("s", state[row], nbrs[row], feats[row])) for row in range(3)])
 
     @pytest.mark.parametrize("edge_dim", [0, 2])
     def test_input_rows(self, edge_dim):
-        block, nbrs, feats = self.state_block(edge_dim, tagged=False)
-        self.check(block, [(int(node), (block.payload[row], nbrs[row], feats[row]))
-                           for row, node in enumerate(block.dst_ids)])
+        state, nbrs, feats, adjacency = self.state_rows(edge_dim)
+        self.check(StateRows(3, float(state.nbytes), float(adjacency), tagged=False),
+                   [(11 + row, (state[row], nbrs[row], feats[row])) for row in range(3)])
 
     def test_output_rows(self):
         logits = np.random.default_rng(2).normal(size=(4, 3))
-        block = StateBlock(np.array([0, 5, 6, 9]), logits)
-        self.check(block, [(int(node), ("o", logits[row]))
-                           for row, node in enumerate(block.dst_ids)])
-        assert Records(block).nbytes() == 4 * (9 + 8 * 3)
+        self.check(StateRows(4, float(logits.nbytes)),
+                   [(node, ("o", logits[row])) for row, node in enumerate([0, 5, 6, 9])])
+        assert StateRows(4, float(logits.nbytes)).nbytes() == 4 * (9 + 8 * 3)
 
-    def test_a_graphs_input_rows_and_any_slice_of_them(self):
+    def test_a_slots_input_rows_are_its_partitions_node_table_rows(self):
         graph = powerlaw_graph(50, avg_degree=3.0, skew="out", feature_dim=4,
                                num_classes=2, seed=5)
         graph.edge_features = np.random.default_rng(5).normal(size=(graph.num_edges, 2))
         model = build_model("sage", 4, 8, 2, num_layers=1, seed=0, edge_dim=2)
-        rows = input_rows(model, graph)
-        for block in (rows, rows.take(np.array([17, 3, 40, 3]))):
-            self.check(block, [
+        _, slots = round_slots(model, graph, num_workers=3)
+        for harness in slots:
+            partition = harness.partition
+            metrics, _ = harness.step((0, "map"), [])
+            self.check(harness._state_rows(float(partition.node_features.nbytes),
+                                           tagged=False), [
                 (int(node), (graph.node_features[node], graph.out_neighbors(node),
                              graph.edge_features[graph.out_edge_ids(node)]))
-                for node in block.dst_ids])
-            for row, node in enumerate(block.dst_ids):
-                np.testing.assert_array_equal(
-                    block.nbrs[block.indptr[row]:block.indptr[row + 1]],
-                    graph.out_neighbors(node))
+                for node in partition.node_ids])
+            assert metrics.bytes_in == harness._state_rows(
+                float(partition.node_features.nbytes), tagged=False).nbytes()
 
 
 class TestMetricsCollector:

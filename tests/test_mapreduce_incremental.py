@@ -1,13 +1,13 @@
 """MapReduce after a delta: in-place graph patching, then full rounds.
 
 Property-tested on random power-law graphs with all hub strategies enabled:
-``apply_delta`` lands feature deltas on the working graph the rounds cut
-their input rows from (no re-plan), and the MapReduce backend has no
+``apply_delta`` lands feature deltas on the engine partitions the rounds
+read (no re-plan, as on Pregel), and the MapReduce backend has no
 incremental path of its own — ``infer(mode="incremental")`` runs the full
-rounds over that patched graph, which is byte-identical to a fresh plan's.
-So every run, full or "incremental", is **bit-identical** to a fresh
-``prepare()+infer()`` on the mutated graph, and nothing is cached in
-``plan.state`` between runs.
+rounds over those patched partitions, which are byte-identical to a fresh
+plan's.  So every run, full or "incremental", is **bit-identical** to a
+fresh ``prepare()+infer()`` on the mutated graph, and no result survives a
+run.
 """
 
 from __future__ import annotations
@@ -101,6 +101,9 @@ class TestIncrementalReplay:
             incremental = session.infer(mode="incremental").scores
         np.testing.assert_array_equal(incremental, fresh_scores(reference))
         assert "scores" not in session.plan.state
+        # the partitions give their state and outputs up once scores are read
+        for partition in session.plan.state["engine"].partitions:
+            assert not {"h", "output"} & set(partition.block_state)
 
     def test_incremental_request_runs_the_full_rounds(self):
         """An incremental request after a delta costs exactly what a full
@@ -119,7 +122,7 @@ class TestIncrementalReplay:
 
 class TestRecordPatching:
     """There are no cached records left to patch: the first round reads its
-    input rows from the working graph, which ``apply_delta`` patched."""
+    input rows from the partitions, which ``apply_delta`` patched."""
 
     def test_full_infer_after_patch_bit_identical_to_fresh_plan(self):
         rng = np.random.default_rng(29)
@@ -137,8 +140,6 @@ class TestRecordPatching:
                                       fresh_scores(reference))
 
     def test_shadow_mirror_records_refreshed(self):
-        from repro.inference.mapreduce_adaptor import input_rows
-
         rng = np.random.default_rng(31)
         graph = make_graph(31)
         session = make_session()
@@ -156,7 +157,10 @@ class TestRecordPatching:
                            node_features=rng.standard_normal((1, 8)))
         outcome = session.apply_delta(delta)
         assert outcome.in_place
-        rows = input_rows(session.model, session.plan.working_graph).take(replicas)
-        np.testing.assert_array_equal(rows.dst_ids, replicas)
-        np.testing.assert_array_equal(
-            rows.payload, np.repeat(delta.node_features, replicas.size, axis=0))
+        # Every replica's partition feature row — what round 0's map encodes.
+        engine, layout = session.plan.state["engine"], session.plan.layout
+        for replica in replicas:
+            partition = engine.partitions[layout.owners(np.array([replica]))[0]]
+            row = partition.local_indices(np.array([replica]))[0]
+            np.testing.assert_array_equal(partition.node_features[row],
+                                          delta.node_features[0])

@@ -399,8 +399,7 @@ class TestResidentSendSchedule:
                     blocks, _ = gas.scatter_blocks(
                         plan.model, plan.strategy_plan, plan.replicas, superstep, state,
                         src_pos[edges], partition.out_src[edges], partition.out_dst[edges],
-                        None if features is None else features[edges], inline=False,
-                        routed=routed)
+                        None if features is None else features[edges], routed=routed)
                     combiner = plan.strategy_plan.layer(superstep).combiner
                     fresh = combiner.combine_block(blocks[0])
                     np.testing.assert_array_equal(fresh.dst_ids, kept)
@@ -582,9 +581,9 @@ class TestResidentSendSchedule:
             scattered = []
             real_scatter = gas.scatter
 
-            def spy(strategy, hubs, replicas, source_ids, dst_ids, inline):
+            def spy(strategy, hubs, replicas, source_ids, dst_ids):
                 scattered.append(source_ids.size)
-                return real_scatter(strategy, hubs, replicas, source_ids, dst_ids, inline)
+                return real_scatter(strategy, hubs, replicas, source_ids, dst_ids)
 
             monkeypatch.setattr(gas, "scatter", spy)
             edge_delta = self.edge_delta(rng, session, graph)

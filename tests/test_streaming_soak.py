@@ -130,13 +130,16 @@ class TestFaultedSoaks:
 class TestResourceCeilings:
     @pytest.mark.skipif(not PROCESS_AVAILABLE,
                         reason="process executor unavailable")
-    def test_shm_segments_plateau_under_edge_churn(self):
+    @pytest.mark.parametrize("backend", ["pregel", "mapreduce"])
+    def test_shm_segments_plateau_under_edge_churn(self, backend):
         # Pure edge-delta churn forces a wholesale src/dst array swap every
         # tick; the PR-5 segment-leak fix means the parent-side shm census
         # must plateau — a 200-tick run ends with exactly as many segments
-        # as a 20-tick run of the same stream.
+        # as a 20-tick run of the same stream.  Both backends ship their
+        # partitions through the same engine's segments.
         def churn(ticks: int) -> SoakConfig:
             return small_soak(
+                backend=backend,
                 workload=WorkloadConfig(seed=13, ticks=ticks, tenants=1,
                                         deltas_per_tick=1,
                                         feature_fraction=0.0,
@@ -154,8 +157,8 @@ class TestResourceCeilings:
                         reason="process executor unavailable")
     @pytest.mark.parametrize("backend", ["pregel", "mapreduce"])
     def test_the_census_counts_worker_processes_on_either_backend(self, backend):
-        # Pregel's engine owns its executor, the mapreduce backend keeps one
-        # in the plan: the census finds both.
+        # Either backend's plan holds an engine that owns its executor: the
+        # census finds both.
         report = run_soak(small_soak(backend=backend, executor="process",
                                      use_gateway=False))
         assert report.clean

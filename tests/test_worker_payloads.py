@@ -1,10 +1,10 @@
 """What a worker is shipped: the replica map, never the working graph.
 
-Jobs and programs travel to process workers inside the ``open`` payload, once
-per worker per run.  They read two CSR arrays of the shadow rewrite
-(:class:`~repro.inference.shadow.ReplicaMap`); the rewritten graph stays with
-the plan in the coordinator (Pregel workers attach their partition's arrays
-through shared memory, MapReduce workers are sent their rows).
+Programs travel to process workers inside the ``open`` payload, once per
+worker per run, on both backends.  They read two CSR arrays of the shadow
+rewrite (:class:`~repro.inference.shadow.ReplicaMap`); the rewritten graph
+stays with the plan in the coordinator, and a worker attaches its
+partition's arrays through shared memory.
 """
 
 from __future__ import annotations
