@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cluster.metrics import tensor_bytes
 from repro.gnn.model import build_model
 from repro.graph.generators import labeled_community_graph, star_graph
 from repro.inference import InferenceConfig, InferenceSession, StrategyConfig, gas
@@ -18,7 +19,7 @@ from repro.inference.pregel_adaptor import GNNInferenceProgram
 from repro.inference.strategies import BroadcastMessageBlock, build_strategy_plan
 from repro.pregel.engine import PregelEngine
 from repro.pregel.vertex import MessageBlock
-from tests.test_mapreduce import round_slots
+from tests.test_mapreduce import round_slots, step_all
 
 
 @pytest.fixture()
@@ -63,7 +64,158 @@ class TestBucketing:
         assert state_rows == graph.num_nodes
 
 
+def round_1_maps(model, graph, **strategies):
+    """Every slot's round-1 map, stepped by hand after round 0: per slot the
+    sends its reduce left unrouted, the map's record and its buckets."""
+    _, slots = round_slots(model, graph, **strategies)
+    _, mail = step_all(slots, 0, "map")
+    step_all(slots, 0, "reduce", mail)
+    maps = []
+    for harness in slots:
+        raw = list(harness.sends.outgoing_blocks)
+        metrics, outgoing = harness.step((1, "map"), [])
+        maps.append((raw, metrics, outgoing))
+    return slots, maps
+
+
+def routed_blocks(outgoing):
+    """``(bucket, block)`` for every message block a map bucketed."""
+    return [(bucket, item.block) for bucket, items in outgoing for item in items
+            if isinstance(item, Records)]
+
+
+def per_destination(blocks, num_nodes):
+    """Payload sums, count sums and row counts per destination id."""
+    width = blocks[0].payload.shape[1]
+    payload = np.zeros((num_nodes, width))
+    counts = np.zeros(num_nodes, dtype=np.int64)
+    rows = np.zeros(num_nodes, dtype=np.int64)
+    for block in blocks:
+        np.add.at(payload, block.dst_ids, block.payload)
+        np.add.at(counts, block.dst_ids, block.counts)
+        np.add.at(rows, block.dst_ids, 1)
+    return payload, counts, rows
+
+
+class TestCombineMessages:
+    """Partial-gather on the map side is the plan's ``MessageCombiner``: a
+    later round's map folds the sends its reduce wrote, per destination."""
+
+    def test_folds_only_message_records(self, graph, sage):
+        slots, maps = round_1_maps(sage, graph, partial_gather=True)
+        raw_rows = routed_rows = 0
+        for harness, (raw, _, outgoing) in zip(slots, maps):
+            partition = harness.partition
+            (state,) = [(bucket, item) for bucket, items in outgoing for item in items
+                        if isinstance(item, StateRows)]
+            assert state == (partition.partition_id, harness._state_rows())
+            assert state[1].rows == partition.num_nodes and state[1].tagged
+            routed = routed_blocks(outgoing)
+            blocks = [block for _, block in routed]
+            assert plain_blocks(blocks) == blocks
+            for bucket, block in routed:
+                assert (harness.layout.owners(block.dst_ids) == bucket).all()
+            dst_ids = np.concatenate([block.dst_ids for block in blocks])
+            assert np.unique(dst_ids).size == dst_ids.size     # one row per destination
+            expected, folded = (per_destination(blocks_, graph.num_nodes)
+                                for blocks_ in (raw, blocks))
+            np.testing.assert_allclose(folded[0], expected[0], rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(folded[1], expected[1])
+            raw_rows += sum(block.num_records() for block in raw)
+            routed_rows += dst_ids.size
+        assert routed_rows < raw_rows
+
+    def test_single_message_kept_as_is(self, graph, sage):
+        _, maps = round_1_maps(sage, graph, partial_gather=True)
+        singles = 0
+        for raw, _, outgoing in maps:
+            _, _, rows = per_destination(raw, graph.num_nodes)
+            routed = {int(dst): (block.payload[row], int(block.counts[row]))
+                      for _, block in routed_blocks(outgoing)
+                      for row, dst in enumerate(block.dst_ids)}
+            for block in raw:
+                for row, dst in enumerate(block.dst_ids):
+                    if rows[dst] == 1:
+                        payload, count = routed[int(dst)]
+                        np.testing.assert_array_equal(payload, block.payload[row])
+                        assert count == block.counts[row]   # the count it arrived with
+                        singles += 1
+        assert singles > 0
+
+    def test_passthrough_when_partial_gather_disabled(self, graph, sage):
+        slots, maps = round_1_maps(sage, graph, partial_gather=False)
+        assert slots[0].program.combiner_for_superstep(1) is None
+        for raw, _, outgoing in maps:
+            blocks = [block for _, block in routed_blocks(outgoing)]
+            assert sum(block.num_records() for block in blocks) == sum(
+                block.num_records() for block in raw)
+            assert all((block.counts == 1).all() for block in blocks)
+            np.testing.assert_array_equal(
+                np.sort(np.concatenate([block.dst_ids for block in blocks])),
+                np.sort(np.concatenate([block.dst_ids for block in raw])))
+
+    def test_gat_never_combines(self, graph, gat):
+        slots, maps = round_1_maps(gat, graph, partial_gather=True)
+        assert slots[0].program.plan.layer(1).combiner is None
+        assert slots[0].program.combiner_for_superstep(1) is None
+        for raw, _, outgoing in maps:
+            blocks = [block for _, block in routed_blocks(outgoing)]
+            assert sum(block.num_records() for block in blocks) == sum(
+                block.num_records() for block in raw)
+
+
 class TestRoundHarness:
+    def test_identity_map_for_later_rounds(self, graph, sage):
+        """Without a combiner a later round's map only buckets: the same rows
+        come out, each in its owner's bucket, in arrival order."""
+        slots, maps = round_1_maps(sage, graph, partial_gather=False)
+        for harness, (raw, metrics, outgoing) in zip(slots, maps):
+            assert metrics.compute_units == 0
+            routed = routed_blocks(outgoing)
+            for bucket in range(len(slots)):
+                mine = [block for target, block in routed if target == bucket]
+                rows = [harness.layout.owners(block.dst_ids) == bucket for block in raw]
+                expected_dst = np.concatenate(
+                    [block.dst_ids[keep] for block, keep in zip(raw, rows)])
+                if not mine:
+                    assert expected_dst.size == 0
+                    continue
+                np.testing.assert_array_equal(
+                    np.concatenate([block.dst_ids for block in mine]), expected_dst)
+                np.testing.assert_array_equal(
+                    np.concatenate([block.payload for block in mine]),
+                    np.concatenate([block.payload[keep] for block, keep in zip(raw, rows)]))
+
+    def test_init_round_emits_state_and_messages(self, graph, sage):
+        """Round 0's map: the slot's encoded state rows and out-adjacency,
+        addressed to its own reducer, and one count-1 message per out-edge
+        carrying the source's encoded state."""
+        engine, slots = round_slots(sage, graph, partial_gather=False)
+        for harness in slots:
+            partition = harness.partition
+            metrics, outgoing = harness.step((0, "map"), [])
+            state = partition.block_state["h"]
+            assert state.shape == (partition.num_nodes, 8)
+            (own,) = [(bucket, item) for bucket, items in outgoing for item in items
+                      if isinstance(item, StateRows)]
+            assert own == (partition.partition_id, StateRows(
+                partition.num_nodes, tensor_bytes(state.shape),
+                float(partition.out_dst.nbytes)))
+            blocks = [block for _, block in routed_blocks(outgoing)]
+            assert plain_blocks(blocks) == blocks
+            np.testing.assert_array_equal(
+                np.sort(np.concatenate([block.dst_ids for block in blocks])),
+                np.sort(partition.out_dst))
+            assert all((block.counts == 1).all() for block in blocks)
+            sent, _, _ = per_destination(blocks, graph.num_nodes)
+            expected = np.zeros_like(sent)
+            np.add.at(expected, partition.out_dst,
+                      state[engine.layout.local_of[partition.out_src]])
+            np.testing.assert_allclose(sent, expected, rtol=1e-12, atol=1e-12)
+            # encode + one pass over the outgoing message elements
+            assert metrics.compute_units == (partition.num_nodes * graph.feature_dim * 8
+                                             + partition.num_out_edges * 8)
+
     @staticmethod
     def star_hub_map(edge_feature_dim):
         """Round 0's map of the slot holding an out-star's hub, broadcast on."""

@@ -25,6 +25,7 @@ from repro.cluster.metrics import (
 from repro.cluster.resources import ClusterSpec, WorkerSpec
 from repro.gnn.model import build_model
 from repro.graph.generators import powerlaw_graph
+from repro.graph.graph import Graph
 from repro.inference import InferenceConfig, InferenceSession, StrategyConfig
 from repro.inference.backends import mapreduce as mapreduce_backend
 from repro.inference.mapreduce_adaptor import Records, RoundHarness, StateRows
@@ -42,6 +43,15 @@ class ExplodingProgram(GNNInferenceProgram):
     def compute_partition(self, context, incoming):
         if context.superstep == 2:
             raise ArithmeticError("round 1 reduce exploded")
+        super().compute_partition(context, incoming)
+
+
+class ExplodingMapProgram(GNNInferenceProgram):
+    """A program whose superstep 0 — round 0's map — raises."""
+
+    def compute_partition(self, context, incoming):
+        if context.superstep == 0:
+            raise ArithmeticError("round 0 map exploded")
         super().compute_partition(context, incoming)
 
 
@@ -135,12 +145,18 @@ class TestRoundDriver:
         step_all(slots, 1, "map")
         assert all(slot.sends is None for slot in slots)     # released once routed
 
-    def test_results_independent_of_worker_count(self):
+    @pytest.mark.parametrize("executor_name", sorted(available_executors()))
+    def test_results_independent_of_worker_count(self, executor_name):
         graph = hub_graph()
         model = build_model("gcn", graph.feature_dim, 8, 3, num_layers=2, seed=0)
-        scores = [InferenceSession(model, InferenceConfig(
-            backend="mapreduce", num_workers=workers)).infer(graph).scores
-            for workers in (1, 4)]
+        scores = []
+        for workers in (1, 4):
+            session = InferenceSession(model, InferenceConfig(
+                backend="mapreduce", num_workers=workers, executor=executor_name))
+            try:
+                scores.append(session.infer(graph).scores)
+            finally:
+                session.close()
         np.testing.assert_allclose(scores[0], scores[1], atol=1e-12)
 
     def test_partial_gather_folds_in_the_map_not_the_results(self):
@@ -156,11 +172,35 @@ class TestRoundDriver:
                     < results[False].metrics.total("records_out", phase))
         assert results[True].metrics.total("compute_units", "round_1/map") == 0
 
+    @pytest.mark.parametrize("executor_name", sorted(available_executors()))
+    def test_a_graph_without_edges_shuffles_only_state_rows(self, executor_name):
+        """No out-edge, no message: each map moves just its slot's node rows,
+        and the scores are the Pregel backend's bits."""
+        graph = Graph(np.zeros(0, np.int64), np.zeros(0, np.int64),
+                      node_features=np.random.default_rng(0).normal(size=(20, 4)))
+        model = build_model("sage", 4, 8, 3, num_layers=2, seed=0)
+        strategies = StrategyConfig(partial_gather=True, broadcast=True)
+        results = {}
+        for backend in ("pregel", "mapreduce"):
+            session = InferenceSession(model, InferenceConfig(
+                backend=backend, num_workers=4, executor=executor_name,
+                strategies=strategies))
+            try:
+                results[backend] = session.infer(graph)
+            finally:
+                session.close()
+        np.testing.assert_array_equal(results["mapreduce"].scores, results["pregel"].scores)
+        metrics = results["mapreduce"].metrics
+        for phase in ("round_0/map", "round_1/map"):
+            assert metrics.total("records_out", phase) == graph.num_nodes
+        assert metrics.total("records_in", "round_1/reduce") == graph.num_nodes
+
 
 class TestAccountingFollowsTheData:
     """``run_instance`` counts what a task was given and what it bucketed."""
 
-    def test_reducer_bytes_in_is_the_sum_of_the_bucket_totals_sent_to_it(self):
+    @pytest.mark.parametrize("executor_name", sorted(available_executors()))
+    def test_reducer_bytes_in_is_the_sum_of_the_bucket_totals_sent_to_it(self, executor_name):
         graph = hub_graph()
         model = build_model("gcn", graph.feature_dim, 8, 3, num_layers=2, seed=0)
         strategies = dict(partial_gather=True, broadcast=True, hub_threshold_override=8)
@@ -177,10 +217,14 @@ class TestAccountingFollowsTheData:
             assert mail == []
             assert reducer.bytes_in == sum(item.nbytes() for item in incoming) > 0
             assert reducer.records_in == sum(item.num_records() for item in incoming)
-        # the same counts the engine files for a session run
+        # the same counts the engine files for a session run, on either executor
         session = InferenceSession(model, InferenceConfig(
-            backend="mapreduce", num_workers=4, strategies=StrategyConfig(**strategies)))
-        metrics = session.infer(graph).metrics
+            backend="mapreduce", num_workers=4, executor=executor_name,
+            strategies=StrategyConfig(**strategies)))
+        try:
+            metrics = session.infer(graph).metrics
+        finally:
+            session.close()
         for mapper_id, buckets in enumerate(mapped):
             assert metrics.get("round_0/map", mapper_id).bytes_out == sum(
                 item.nbytes() for bucket in buckets.values() for item in bucket)
@@ -262,6 +306,26 @@ class TestFailureAtomicity:
             np.testing.assert_array_equal(session.infer(graph).scores, before)
         finally:
             session.close()
+
+    @pytest.mark.parametrize("executor_name", sorted(available_executors()))
+    def test_a_raising_map_reaches_the_caller_and_closes_the_session(self, executor_name,
+                                                                     monkeypatch):
+        """A failure in the first wave — before any reduce ran — surfaces as
+        itself and leaves no half-open session behind."""
+        session, graph = hub_session(executor_name)
+        try:
+            monkeypatch.setattr(mapreduce_backend, "GNNInferenceProgram", ExplodingMapProgram)
+            with pytest.raises(ArithmeticError, match="round 0 map exploded"):
+                session.infer(graph)
+            monkeypatch.undo()
+            with pytest.raises(RuntimeError, match="no open harness session"):
+                session.plan.state["engine"].executor.close()
+            result = session.infer(graph)
+        finally:
+            session.close()
+        assert result.metrics.phases() == [
+            "round_0/map", "round_0/reduce", "round_1/map", "round_1/reduce"]
+        assert result.scores.shape == (graph.num_nodes, 3)
 
     @pytest.mark.skipif("process" not in available_executors(),
                         reason="process executor unavailable")
