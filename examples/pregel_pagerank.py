@@ -64,6 +64,10 @@ class PageRank(BlockVertexProgram):
             context.send_block(MessageBlock(dst_ids=partition.out_dst,
                                             payload=share[state["src_local"]]))
 
+    def result(self, partition: PregelPartition) -> np.ndarray:
+        """The ranks: what a worker hands back when the run closes."""
+        return partition.block_state["rank"]
+
 
 def main() -> None:
     dataset = load_dataset("powerlaw", num_nodes=scaled(3_000, minimum=300),
@@ -73,8 +77,8 @@ def main() -> None:
     result = engine.run(PageRank(num_iterations=20))
 
     ranks = np.empty(graph.num_nodes)
-    for partition in result.partitions:
-        ranks[partition.node_ids] = partition.block_state["rank"]
+    for partition, rank in zip(result.partitions, result.results):
+        ranks[partition.node_ids] = rank
     top = np.argsort(ranks)[::-1][:5]
     print(f"PageRank over {graph.num_nodes} nodes finished in {result.num_supersteps} supersteps")
     print("top-5 nodes by rank:")

@@ -22,9 +22,10 @@ harness per slot is built worker-side by a picklable factory from the payload
 ``open`` ships once per run (a partition, its program and the harness
 class), receives per-step control plus the messages other slots addressed
 to it last step, and returns a control result plus its own outgoing
-``(target_slot, messages)`` buckets; the executor owns the transport
-between steps, and what a harness keeps between them is its own business
-(node state; a MapReduce slot also its unrouted sends).  A step is
+``(target_slot, messages)`` buckets; ``close`` returns each ``finish()``.
+The executor owns the transport; what a slot keeps, between steps and
+sessions alike, is the factory's business (the partition engine keeps a
+partition's state where it runs, so only results come back).  A step is
 one bulk-synchronous wave of exactly ``num_slots`` commands, which keeps the
 pipe protocol trivially deadlock-free.
 
@@ -86,7 +87,7 @@ class WorkerHarness:
         raise NotImplementedError
 
     def finish(self) -> Any:
-        """Tear down and return the final state the engine should keep."""
+        """Tear down and return the slot's result for this session."""
         return None
 
 

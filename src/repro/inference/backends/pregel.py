@@ -37,7 +37,6 @@ from repro.inference.pregel_adaptor import (
     GNNInferenceProgram,
     build_pregel_engine,
     frontier_schedule,
-    has_cached_run,
     run_program,
 )
 
@@ -86,12 +85,12 @@ class PregelBackend(Backend):
 
         ``feature_dirty``/``topo_dirty`` are working-graph node ids (replica-
         closed) from the session's accumulated deltas.  Returns None when the
-        engine has no complete cached run to splice into (the session then
-        falls back to a full execution), otherwise the same outputs as
-        :meth:`execute` — bit-identical to a fresh full run.
+        engine's cache is not warm (no caching run yet, or the last run failed
+        or was released; the session then runs in full), otherwise the same
+        outputs as :meth:`execute` — bit-identical to a fresh full run.
         """
         engine = plan.state["engine"]
-        if not all(has_cached_run(p, plan.model.num_layers) for p in engine.partitions):
+        if not engine.cache_warm:
             return None
         frontiers = expand_frontier(plan.working_graph, feature_dirty, topo_dirty,
                                     plan.num_supersteps, plan.shadow_plan)
@@ -112,8 +111,8 @@ class PregelBackend(Backend):
         alone, so no row's bits depend on how many edges the table holds.
         Otherwise this returns ``in_place=False`` after landing the delta on
         the base graph, and the session re-plans from it.  An in-place edge
-        delta tells each partition which of its out-edges survive, so it
-        patches its resident send schedules instead of rebuilding them.
+        delta tells each partition which of its out-edges survive, so the next
+        run patches its resident send schedules instead of rebuilding them.
         """
         old_src = plan.working_graph.src
         outcome = super().apply_delta(plan, delta)

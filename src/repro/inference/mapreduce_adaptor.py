@@ -130,7 +130,8 @@ class RoundHarness(PregelPartitionHarness):
     computes them first) and mails the buckets, its state rows to its own
     reducer; a reduce computes the next superstep over its mail and keeps
     the unrouted sends — what it wrote to storage — until the next map
-    routes and releases them.  Either step returns only its metrics.
+    routes and releases them.  A step returns only its metrics, ``finish``
+    the outputs.
     """
 
     program: GNNInferenceProgram
@@ -152,6 +153,11 @@ class RoundHarness(PregelPartitionHarness):
             buckets = []
         metrics.disk_bytes = metrics.bytes_in + metrics.bytes_out
         return metrics, [(target, bucket) for target, bucket in enumerate(buckets) if bucket]
+
+    def finish(self) -> Any:
+        """The slot's outputs, which it keeps no more than its state."""
+        self.partition.block_state.pop("h", None)
+        return self.partition.block_state.pop("output", None)
 
     # ------------------------------------------------------------------ #
     def _feature_bytes(self) -> float:
@@ -223,21 +229,12 @@ class RoundHarness(PregelPartitionHarness):
 
 def run_rounds(engine: PregelEngine, program: GNNInferenceProgram,
                metrics: MetricsCollector) -> Dict[str, np.ndarray]:
-    """Drive ``program`` as one map/reduce round per layer; the dense scores.
-
-    The partitions keep no result between runs: their state and outputs go
-    once the scores are read.
-    """
+    """Drive ``program`` as one map/reduce round per layer; the dense scores."""
     engine.metrics = metrics
     program.model.eval()
     slots = len(engine.partitions)
-    try:
-        engine.drive(program, RoundHarness,
-                     ([(round_index, stage)] * slots
-                      for round_index in range(program.num_layers)
-                      for stage in ("map", "reduce")))
-        return {"scores": program.scores(engine.partitions)}
-    finally:
-        for partition in engine.partitions:
-            partition.block_state.pop("h", None)
-            partition.block_state.pop("output", None)
+    outputs = engine.drive(program, RoundHarness,
+                           ([(round_index, stage)] * slots
+                            for round_index in range(program.num_layers)
+                            for stage in ("map", "reduce")))
+    return {"scores": program.scores(engine.partitions, outputs)}

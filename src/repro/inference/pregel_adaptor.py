@@ -45,8 +45,8 @@ block ``route`` receives has the same rows, order and bits as a fresh fold,
 so the wire, the receivers and every record and byte counter are unchanged;
 only the compute charged for the rows not gathered goes.  A full run drops
 the memo, and an edge patch invalidates every destination whose rows it
-changes.  Like the schedule, the memo never leaves the process that built it:
-a process worker starts every run with an empty one.
+changes.  Like the schedule, the memo lives where the partition runs: a
+process worker keeps both between runs, and a respawned one runs in full.
 """
 
 from __future__ import annotations
@@ -422,15 +422,6 @@ class GNNInferenceProgram(BlockVertexProgram):
         self.targets = targets
         self.incremental = targets is not None
         self.cache_states = bool(cache_states) or self.incremental
-        # Process-executor shipping manifest.  Incremental runs read (and
-        # write into) the cached superstep states of the last full run; full
-        # runs reset every per-run entry in setup_partition, so nothing
-        # travels to the workers.  Coming back: ``output`` feeds score
-        # collection, ``h`` and ``h_history`` the warm cache a later
-        # incremental run needs (only when this run maintains it).
-        self.block_state_ship_keys = ("h_history", "output") if self.incremental else ()
-        self.block_state_return_keys = (
-            ("output",) + (("h", "h_history") if self.cache_states else ()))
 
     # ------------------------------------------------------------------ #
     def max_supersteps(self) -> int:
@@ -445,9 +436,9 @@ class GNNInferenceProgram(BlockVertexProgram):
     def setup_partition(self, partition: PregelPartition) -> None:
         """Reset per-run state; reuse the layout-derived out-edge index.
 
-        ``out_src_local`` depends only on the partition layout, so the engine
-        keeps it across runs (beside the send schedules ``_scatter`` keeps);
-        an in-place edge delta drops it and it is recomputed here.  An
+        ``out_src_local`` depends only on the partition layout, so the
+        partition keeps it across runs (beside the send schedules ``_scatter``
+        keeps); an in-place edge delta drops it and it is recomputed here.  An
         incremental run keeps the cached ``h_history``/``output`` (that cache
         *is* its input); a full run resets them and drops the schedules'
         memos, whose partials it may not reproduce.
@@ -576,13 +567,15 @@ class GNNInferenceProgram(BlockVertexProgram):
                             if h is not None)
         return resident
 
-    def scores(self, partitions: Sequence[PregelPartition]) -> np.ndarray:
-        """The dense ``[num_outputs, C]`` scores the partitions' outputs hold."""
+    def result(self, partition: PregelPartition) -> Any:
+        """The partition's logits, one row per node it owns."""
+        return partition.block_state["output"]
+
+    def scores(self, partitions: Sequence[PregelPartition],
+               outputs: Sequence[np.ndarray]) -> np.ndarray:
+        """The dense ``[num_outputs, C]`` scores the partitions' results hold."""
         scores = np.zeros((self.num_outputs, self.model.output_dim))
-        for partition in partitions:
-            output = partition.block_state.get("output")
-            if output is None:
-                continue
+        for partition, output in zip(partitions, outputs):
             keep = partition.node_ids < self.num_outputs
             scores[partition.node_ids[keep]] = output[keep]
         return scores
@@ -596,15 +589,16 @@ def build_pregel_engine(working_graph: Graph, config: InferenceConfig,
     the engine once at ``prepare()`` time and swaps in a fresh metrics
     collector per execution.  The plan's
     :class:`~repro.cluster.layout.ClusterLayout` is reused instead of rebuilt;
-    what a partition derives from it (``LAYOUT_DERIVED_KEYS``) is built by the
-    first run, where the run happens — in the worker under a process executor.
+    what a partition derives from it is built by the first run, where the run
+    happens — in the worker under a process executor — and kept there.
     """
     return PregelEngine(working_graph, num_workers=config.num_workers,
                         layout=layout, executor=config.executor)
 
 
 def has_cached_run(partition: PregelPartition, num_layers: int) -> bool:
-    """Whether a partition carries a complete state cache from a full run."""
+    """Whether a partition carries a complete state cache from a full run
+    (asked where the state lives; the parent reads ``engine.cache_warm``)."""
     history = partition.block_state.get("h_history")
     return (history is not None
             and len(history) == num_layers + 1
@@ -643,4 +637,5 @@ def run_program(engine: PregelEngine, program: GNNInferenceProgram,
     """
     engine.metrics = metrics
     program.model.eval()
-    return {"scores": program.scores(engine.run(program, frontier=frontier).partitions)}
+    result = engine.run(program, frontier=frontier)
+    return {"scores": program.scores(result.partitions, result.results)}

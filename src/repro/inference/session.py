@@ -219,9 +219,10 @@ class InferenceSession:
     def close(self) -> None:
         """Release worker processes / shared memory held by the cached plan.
 
-        Only meaningful when the session runs on the ``"process"`` executor
-        (serial plans hold no OS resources); safe to call repeatedly, and the
-        session remains usable — the next execution respawns its workers.
+        It also drops the partitions' resident state, on either executor, so
+        the next incremental request runs in full.  Safe to call repeatedly,
+        and the session remains usable — the next execution respawns its
+        workers.
         :class:`~repro.inference.pool.SessionPool` calls this on eviction.
         An ``infer()`` in flight on another thread finishes first — workers
         are never torn down under a running execution.

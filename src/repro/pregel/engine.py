@@ -18,8 +18,9 @@ A "worker" is a partition processed through the engine's
   per partition: partition arrays and the
   :class:`~repro.cluster.layout.ClusterLayout` tables ship once through
   ``multiprocessing.shared_memory``, per-superstep message blocks travel as
-  pickled numpy bundles, and the per-partition compute (gather, apply_node,
-  scatter, combine) runs genuinely in parallel.  Results are bit-identical to
+  pickled numpy bundles, a worker keeps its partition's state between runs,
+  and the per-partition compute (gather, apply_node, scatter, combine) runs
+  genuinely in parallel.  Results are bit-identical to
   the serial executor: both run the same
   :class:`PregelPartitionHarness` code on arrays with identical contents, and
   message buckets are delivered in sending-partition order, so every
@@ -72,15 +73,6 @@ from repro.graph.graph import Graph
 from repro.graph.partition import HashPartitioner, Partition, partition_graph_with_layout
 from repro.pregel.vertex import BlockVertexProgram, MessageBlock, PartitionContext, route
 
-#: ``block_state`` entries that depend on a partition's out-edges and the
-#: layout alone.  Each side derives its own: they are never shipped to a
-#: worker or back.  ``replace_out_edges`` is the one place they follow an
-#: edge delta: ``out_src_local`` is dropped, and every value of the
-#: ``send_schedule`` dict (a program's resident routing) is patched through
-#: its ``patch(partition, kept)``.
-LAYOUT_DERIVED_KEYS = ("out_src_local", "send_schedule")
-
-
 class PregelPartition:
     """A worker's share of the graph plus its in-memory block state.
 
@@ -102,6 +94,8 @@ class PregelPartition:
         self._local_of = layout.local_of
         # Engine-agnostic scratch space used by block programs.
         self.block_state: Dict[str, Any] = {}
+        #: the edge patches since the resident state last ran, composed
+        self.pending_kept: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
     @property
@@ -135,16 +129,20 @@ class PregelPartition:
         """Swap in the out-edges an in-place edge delta left this partition.
 
         The new arrays are the old out-edges ``kept`` marks, in order,
-        followed by the appended ones.  ``out_src_local`` is dropped (block
-        programs recompute it on their next run); each resident send
-        schedule patches itself to the new arrays.
+        followed by the appended ones.  ``kept`` composes into
+        :attr:`pending_kept`, over the out-edges the resident state last ran
+        on (their survivors keep their order, every later edge counts as
+        appended), which the next run's ``open`` applies to that state.
         """
         self.out_src = np.asarray(out_src, dtype=np.int64)
         self.out_dst = np.asarray(out_dst, dtype=np.int64)
         self.out_edge_features = out_edge_features
-        self.block_state.pop("out_src_local", None)
-        for schedule in self.block_state.get("send_schedule", {}).values():
-            schedule.patch(self, kept)
+        pending = self.pending_kept
+        if pending is None:
+            self.pending_kept = np.array(kept, dtype=bool)
+        else:
+            survivors = np.flatnonzero(pending)
+            pending[survivors] &= kept[:survivors.size]
 
 
 @dataclass
@@ -153,11 +151,13 @@ class PregelResult:
 
     ``partitions`` are the engine's live partitions, whose arrays may be views
     into its shared-memory segments; holding ``engine`` keeps those segments
-    mapped for as long as the result is reachable.
+    mapped for as long as the result is reachable.  ``results[i]`` is the
+    program's ``result()`` of partition ``i``.
     """
 
     num_supersteps: int
     partitions: List[PregelPartition] = field(default_factory=list)
+    results: List[Any] = field(default_factory=list)
     metrics: MetricsCollector = field(default_factory=MetricsCollector)
     engine: Optional["PregelEngine"] = field(default=None, repr=False)
 
@@ -174,16 +174,15 @@ class PregelPartitionHarness(WorkerHarness):
     :func:`~repro.cluster.metrics.run_instance` and prices the superstep's
     peak memory; the MapReduce round driver steps them in different waves.
     The harness operates on the engine's live :class:`PregelPartition`
-    (serial executor) or on a worker-side replica over shared-memory arrays
-    whose final state :meth:`finish` ships back (process executor).
+    (serial executor) or on a worker-side one over shared-memory arrays
+    (process executor); either way ``block_state`` stays where the slot
+    runs, and only the program's result leaves, at :meth:`finish`.
     """
 
-    def __init__(self, partition: PregelPartition, program: BlockVertexProgram,
-                 layout: ClusterLayout, ship_final_state: bool) -> None:
+    def __init__(self, partition: PregelPartition, program: BlockVertexProgram) -> None:
         self.partition = partition
         self.program = program
-        self.layout = layout
-        self.ship_final_state = bool(ship_final_state)
+        self.layout = partition.layout
         program.setup_partition(partition)
 
     # ------------------------------------------------------------------ #
@@ -223,27 +222,33 @@ class PregelPartitionHarness(WorkerHarness):
                                        partition.partition_id, incoming, work)
         return metrics, [(target, bucket) for target, bucket in enumerate(routed) if bucket]
 
-    def finish(self) -> Optional[Dict[str, Any]]:
-        """Ship the final partition state back (process mode only).
+    def finish(self) -> Any:
+        """The program's result for this partition: all that leaves the slot."""
+        return self.program.result(self.partition)
 
-        :data:`LAYOUT_DERIVED_KEYS` entries stay here (the parent derives its
-        own); everything else the program declared live (see
-        :attr:`BlockVertexProgram.block_state_return_keys`) — e.g. the
-        outputs, plus the per-superstep state cache incremental inference
-        splices into — travels back so the engine's partitions end the run
-        holding every state a later run (or output collection) will read.
-        """
-        if not self.ship_final_state:
-            return None
-        keys = self.program.block_state_return_keys
-        return {key: value for key, value in self.partition.block_state.items()
-                if key not in LAYOUT_DERIVED_KEYS and (keys is None or key in keys)}
+
+def _host(partition: PregelPartition, kept: Optional[np.ndarray],
+          payload: Dict[str, Any]) -> PregelPartitionHarness:
+    """Both factories' tail: patch the resident state by the pending ``kept``
+    mask — drop ``out_src_local``, patch each send schedule — and host the
+    harness."""
+    if kept is not None:
+        partition.block_state.pop("out_src_local", None)
+        for schedule in partition.block_state.get("send_schedule", {}).values():
+            schedule.patch(partition, kept)
+    return payload["harness"](partition, payload["program"])
 
 
 def _build_serial_harness(slot_id: int, payload: Dict[str, Any]) -> PregelPartitionHarness:
     """Serial-executor factory: wrap the engine's live partition (no copies)."""
-    return payload["harness"](payload["partition"], payload["program"], payload["layout"],
-                              ship_final_state=False)
+    partition = payload["partition"]
+    kept, partition.pending_kept = partition.pending_kept, None
+    return _host(partition, kept, payload)
+
+
+#: worker-side: each partition's ``block_state``, kept between runs (as
+#: mappings are); a fresh or respawned worker starts with none.
+_RESIDENT_BLOCK_STATES: Dict[int, Dict[str, Any]] = {}
 
 
 def _build_process_harness(slot_id: int, payload: Dict[str, Any]) -> PregelPartitionHarness:
@@ -252,9 +257,8 @@ def _build_process_harness(slot_id: int, payload: Dict[str, Any]) -> PregelParti
     Array payloads arrive as :class:`~repro.cluster.executor.SharedArraySpec`
     descriptors; attaching is zero-copy, so the worker reads the same bytes
     the parent wrote (including later in-place feature-delta scatters).  The
-    seeded ``block_state`` carries whatever the parent-side partition held
-    before the run (e.g. the cached superstep states an incremental run
-    splices into).
+    partition adopts the ``block_state`` this worker kept from its last run,
+    patched by the payload's ``kept`` mask.
     """
     layout_payload = payload["layout"]
     # The payload names every segment this run reads; anything else cached in
@@ -280,8 +284,12 @@ def _build_process_harness(slot_id: int, payload: Dict[str, Any]) -> PregelParti
         labels=arrays["labels"],
     )
     partition = PregelPartition(base, layout)
-    partition.block_state.update(payload["block_state"])
-    return payload["harness"](partition, payload["program"], layout, ship_final_state=True)
+    # out of the table until hosted: a factory that raises leaves this worker
+    # with no state, never with a stale one
+    partition.block_state = _RESIDENT_BLOCK_STATES.pop(partition.partition_id, {})
+    harness = _host(partition, payload["kept"], payload)
+    _RESIDENT_BLOCK_STATES[partition.partition_id] = partition.block_state
+    return harness
 
 
 class PregelEngine:
@@ -292,6 +300,10 @@ class PregelEngine:
     back to serial).  The executor and the
     shared-memory segments backing process workers are created lazily on the
     first ``run()`` and reused across runs; :meth:`shutdown` releases both.
+
+    :attr:`cache_warm` is set when a :meth:`drive` of a ``cache_states``
+    program closes cleanly and cleared when a drive starts and by
+    :meth:`shutdown`: a failed run or a dead worker leaves it clear.
     """
 
     def __init__(
@@ -312,6 +324,7 @@ class PregelEngine:
         self._executor: Optional[Executor] = None
         self.executor_name = executor
         self._shm_pack: Optional[SharedArrayPack] = None
+        self.cache_warm = False
 
     # ------------------------------------------------------------------ #
     @property
@@ -335,10 +348,14 @@ class PregelEngine:
     def shutdown(self) -> None:
         """Release worker processes and shared-memory segments (if any).
 
-        The live partitions and the layout outlive the engine (results alias
-        them, a plan keeps the layout), so every attribute still pointing into
-        a segment gets a private copy before the segment is unmapped.
+        Resident state goes too, on both executors alike.  The live
+        partitions and the layout outlive the engine (results alias them, a
+        plan keeps the layout), so every attribute still pointing into a
+        segment gets a private copy before the segment is unmapped.
         """
+        self.cache_warm = False
+        for partition in self.partitions:
+            partition.block_state = {}
         if self._executor is not None:
             self._executor.shutdown()
             self._executor = None
@@ -382,11 +399,8 @@ class PregelEngine:
 
     def _process_payloads(self, program: BlockVertexProgram,
                           harness: Type[PregelPartitionHarness]) -> List[Dict[str, Any]]:
-        # Programs declare which block_state keys a run actually *reads*;
-        # None means "everything".  GNNInferenceProgram ships nothing into
-        # full runs and only the warm caches into incremental ones — the
-        # difference is tens of megabytes per serving tick at benchmark scale.
-        ship_keys = program.block_state_ship_keys
+        """What ``open`` ships: shared-memory specs, the program, the harness
+        class and at most one ``kept`` mask per partition — no state."""
         if self._shm_pack is None:
             self._shm_pack = SharedArrayPack()
         specs = {key: self._shared_spec(key, owner, attr)
@@ -406,52 +420,39 @@ class PregelEngine:
                 "layout": layout_payload,
                 "program": program,
                 "harness": harness,
-                "block_state": {key: value
-                                for key, value in partition.block_state.items()
-                                if key not in LAYOUT_DERIVED_KEYS
-                                and (ship_keys is None or key in ship_keys)},
+                "kept": partition.pending_kept,
             })
+            partition.pending_kept = None
         return payloads
-
-    def _apply_final_states(self, finals: Sequence[Optional[Dict[str, Any]]]) -> None:
-        """Fold worker-side final partition state back into the live partitions."""
-        for partition, final in zip(self.partitions, finals):
-            if final is None:
-                continue
-            kept = {key: partition.block_state[key] for key in LAYOUT_DERIVED_KEYS
-                    if key in partition.block_state}
-            partition.block_state = {**final, **kept}
 
     # ------------------------------------------------------------------ #
     def drive(self, program: BlockVertexProgram, harness: Type[PregelPartitionHarness],
-              waves: Iterable[Sequence[Any]]) -> None:
+              waves: Iterable[Sequence[Any]]) -> List[Any]:
         """One executor session of ``program``: the session runner of both
         drivers, the superstep loop (:meth:`run`) and the MapReduce rounds.
 
         Every slot hosts a ``harness`` over its partition (the class ships in
         the payload); each wave is one control per partition, stepped as one
         barrier, and every record a step reports is filed with
-        :attr:`metrics`.  Closing folds the workers' final partition state
-        back into the live partitions.
+        :attr:`metrics`.  Returns each partition's result, as the harnesses'
+        ``finish()`` hands it back at close.
         """
+        self.cache_warm = False
         executor = self.executor
         if executor.is_in_process:
             factory = _build_serial_harness
-            payloads = [{
-                "partition": partition,
-                "program": program,
-                "layout": self.layout,
-                "harness": harness,
-            } for partition in self.partitions]
+            payloads = [{"partition": partition, "program": program, "harness": harness}
+                        for partition in self.partitions]
         else:
             factory = _build_process_harness
             payloads = self._process_payloads(program, harness)
 
-        with executor.session(factory, payloads) as finals:
+        with executor.session(factory, payloads) as results:
             for controls in waves:
                 for instance in executor.step(controls):
                     self.metrics.add(instance)
-        self._apply_final_states(finals)
+        self.cache_warm = program.cache_states
+        return results
 
     def run(self, program: BlockVertexProgram,
             frontier: Optional[Sequence[Dict[int, np.ndarray]]] = None) -> PregelResult:
@@ -470,10 +471,10 @@ class PregelEngine:
         """
         max_supersteps = program.max_supersteps()
         empty = np.empty(0, dtype=np.int64)
-        self.drive(program, PregelPartitionHarness, (
+        results = self.drive(program, PregelPartitionHarness, (
             [(superstep, None if frontier is None or superstep >= len(frontier)
               else frontier[superstep].get(partition.partition_id, empty))
              for partition in self.partitions]
             for superstep in range(max_supersteps)))
         return PregelResult(num_supersteps=max_supersteps, partitions=self.partitions,
-                            metrics=self.metrics, engine=self)
+                            results=results, metrics=self.metrics, engine=self)

@@ -226,14 +226,8 @@ class BlockVertexProgram:
     vectorisation and for sending outgoing blocks through the context.
     """
 
-    #: ``partition.block_state`` keys a run *reads* from previous runs (the
-    #: process executor ships them to the worker at open time) and the keys
-    #: it leaves behind for later runs or output collection (shipped back at
-    #: close time).  ``None`` means "everything", which is always safe;
-    #: declaring them precisely avoids round-tripping large state matrices
-    #: the program would reset anyway.
-    block_state_ship_keys: Optional[Tuple[str, ...]] = None
-    block_state_return_keys: Optional[Tuple[str, ...]] = None
+    #: whether a run leaves a cache in ``block_state`` that a later run reads
+    cache_states = False
 
     def compute_partition(self, context: PartitionContext,
                           incoming: List[MessageBlock]) -> None:
@@ -254,3 +248,8 @@ class BlockVertexProgram:
         ``superstep``: its share of the peak memory the Pregel harness prices
         (a program charges only compute itself)."""
         return 0.0
+
+    def result(self, partition: PregelPartition) -> Any:
+        """What a run hands back from ``partition`` at close: all that leaves
+        the slot (``block_state`` stays where the partition runs)."""
+        return None

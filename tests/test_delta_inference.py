@@ -237,20 +237,16 @@ class TestIncrementalFeatureDelta:
         # A session that never sees a delta must not pay the per-superstep
         # state cache (the pre-delta peak-memory behaviour); the cache arms on
         # the first apply_delta and fills on the next full-shaped run.
-        from repro.inference.pregel_adaptor import has_cached_run
-
         rng = np.random.default_rng(29)
         graph = make_graph(seed=29)
         session = make_session(graph)
         session.prepare(graph)
         no_delta_run = session.infer()
         engine = session.plan.state["engine"]
-        assert not any(has_cached_run(p, session.model.num_layers)
-                       for p in engine.partitions)
+        assert not engine.cache_warm
         session.apply_delta(random_feature_delta(rng, graph, fraction=0.01))
         delta_run = session.infer()            # full run, now caching
-        assert all(has_cached_run(p, session.model.num_layers)
-                   for p in engine.partitions)
+        assert engine.cache_warm
         # Modeled worker memory reflects the cache: armed runs are heavier.
         peak = lambda result: max(m.peak_memory_bytes
                                   for m in result.metrics.instances())
@@ -317,10 +313,10 @@ class TestIncrementalFeatureDelta:
         # and the partials it re-folds into the senders' memos.  When a stage
         # raises part-way — superstep 2's predict with two partitions done, or
         # superstep 1's route in the third partition, after that partition's
-        # send rewrote memo rows — the session keeps its dirty sets and no row
-        # outside a frontier has been written, so the retry recomputes every
-        # frontier row and re-folds every pair holding one: it, and the tick
-        # after it, equal a fresh prepare()+infer() bit for bit.
+        # send rewrote memo rows — the session keeps its dirty sets, no row
+        # outside a frontier has been written, and the engine no longer counts
+        # its cache warm, so the retry runs in full: it, and the incremental
+        # tick after it, equal a fresh prepare()+infer() bit for bit.
         from repro.inference import gas
         from repro.inference.backends import pregel as pregel_backend
         from repro.pregel import engine as pregel_engine

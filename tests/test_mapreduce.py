@@ -70,7 +70,7 @@ def round_slots(model, graph, num_workers=4, **strategies):
                                graph.edge_features is not None)
     engine = PregelEngine(graph, num_workers=num_workers)
     program = GNNInferenceProgram(model, plan, num_outputs=graph.num_nodes)
-    return engine, [RoundHarness(partition, program, engine.layout, ship_final_state=False)
+    return engine, [RoundHarness(partition, program)
                     for partition in engine.partitions]
 
 
@@ -128,10 +128,9 @@ class TestRoundDriver:
         assert all(type(result) is InstanceMetrics for result in results)
         assert [result.phase for result in results[::4]] == [
             "round_0/map", "round_0/reduce", "round_1/map", "round_1/reduce"]
-        assert len(finals) == 4
-        if executor_name == "process":      # only the outputs ship back
-            assert all(set(final) == {"output"} for final in finals)
-            assert sum(final["output"].shape[0] for final in finals) >= graph.num_nodes
+        assert len(finals) == 4             # only the outputs come back
+        assert all(type(final) is np.ndarray for final in finals)
+        assert sum(final.shape[0] for final in finals) >= graph.num_nodes
         assert scores.shape == (graph.num_nodes, 3)
 
     def test_a_reduce_keeps_its_sends_until_the_next_map_routes_them(self):

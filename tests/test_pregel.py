@@ -67,6 +67,17 @@ class PageRankProgram(BlockVertexProgram):
             context.send_block(MessageBlock(dst_ids=partition.out_dst,
                                             payload=share[state["src_local"]]))
 
+    def result(self, partition):
+        return partition.block_state["rank"]
+
+
+def gather_ranks(result, num_nodes: int) -> np.ndarray:
+    """The ranks each partition's ``result`` handed back, by node id."""
+    ranks = np.empty(num_nodes)
+    for partition, rank in zip(result.partitions, result.results):
+        ranks[partition.node_ids] = rank
+    return ranks
+
 
 def run_pagerank(graph: Graph, num_workers: int, program: PageRankProgram,
                  metrics: MetricsCollector = None):
@@ -74,10 +85,7 @@ def run_pagerank(graph: Graph, num_workers: int, program: PageRankProgram,
     engine = PregelEngine(graph, num_workers=num_workers, metrics=metrics)
     try:
         result = engine.run(program)
-        ranks = np.empty(graph.num_nodes)
-        for partition in result.partitions:
-            ranks[partition.node_ids] = partition.block_state["rank"]
-        return ranks, result
+        return gather_ranks(result, graph.num_nodes), result
     finally:
         engine.shutdown()
 
@@ -126,18 +134,13 @@ def test_engine_runs_on_the_named_executor(executor_name):
     graph = ring_graph(9)
     engine = PregelEngine(graph, num_workers=3, executor=executor_name)
     try:
-        result = engine.run(PageRankProgram(3))
+        ranks = gather_ranks(engine.run(PageRankProgram(3)), graph.num_nodes)
         assert engine.executor.name == executor_name
-        ranks = np.empty(graph.num_nodes)
-        for partition in result.partitions:
-            ranks[partition.node_ids] = partition.block_state["rank"]
     finally:
         engine.shutdown()
     serial = PregelEngine(graph, num_workers=3, executor="serial")
     try:
-        expected = np.empty(graph.num_nodes)
-        for partition in serial.run(PageRankProgram(3)).partitions:
-            expected[partition.node_ids] = partition.block_state["rank"]
+        expected = gather_ranks(serial.run(PageRankProgram(3)), graph.num_nodes)
     finally:
         serial.shutdown()
     np.testing.assert_array_equal(ranks, expected)
@@ -191,8 +194,7 @@ class TestBlockPrograms:
         it reports is the engine's whole accounting for that superstep."""
         engine = PregelEngine(small_graph, num_workers=3)
         partition = engine.partitions[1]
-        harness = PregelPartitionHarness(partition, PageRankProgram(2, combine=True),
-                                         engine.layout, ship_final_state=False)
+        harness = PregelPartitionHarness(partition, PageRankProgram(2, combine=True))
         sent, outgoing = harness.step((0, None), [])
         bucketed = [block for _, bucket in outgoing for block in bucket]
         assert (sent.phase, sent.instance_id) == ("superstep_0", 1)
@@ -457,7 +459,7 @@ class TestResidentSendSchedule:
                 delta = GraphDelta(removed_edge_ids=into[:1], added_src=graph.src[into[:1]],
                                    added_dst=np.array([target]))
             assert session.apply_delta(delta).in_place
-            assert not resident.memos[0].valid[target]
+            assert engine.partitions[owner].pending_kept is not None   # patched at open
             scores = session.infer(mode="incremental").scores
             for each in (prime, arm, delta):
                 apply_delta_to_graph(reference, each)
@@ -554,9 +556,10 @@ class TestResidentSendSchedule:
 
     def test_feature_delta_keeps_the_schedule_and_an_edge_delta_patches_it(self, monkeypatch):
         """(b) An in-place edge delta patches each partition's schedule
-        objects: only the appended edges are routed (``gas.scatter``), and per
-        destination the result equals a schedule built from the new
-        out-edges; incremental and full runs equal a fresh session."""
+        objects when the next run opens: only the appended edges are routed
+        (``gas.scatter``), and per destination the result equals a schedule
+        built from the new out-edges; incremental and full runs equal a fresh
+        session."""
         from repro.inference import gas
         from repro.inference.delta import apply_delta_to_graph
 
@@ -588,6 +591,8 @@ class TestResidentSendSchedule:
             monkeypatch.setattr(gas, "scatter", spy)
             edge_delta = self.edge_delta(rng, session, graph)
             assert session.apply_delta(edge_delta).in_place
+            assert not scattered                        # patched at the next open
+            incremental = session.infer(mode="incremental").scores
             monkeypatch.undo()
             assert [dict(schedules) for schedules in self.schedules(session)] == residents
             assert all(now[key] is resident for now, schedules
@@ -600,7 +605,7 @@ class TestResidentSendSchedule:
             apply_delta_to_graph(reference, edge_delta)
             fresh.prepare(reference)
             expected = fresh.infer().scores
-            np.testing.assert_array_equal(session.infer(mode="incremental").scores, expected)
+            np.testing.assert_array_equal(incremental, expected)
             np.testing.assert_array_equal(session.infer().scores, expected)
         finally:
             session.close()
@@ -643,7 +648,7 @@ class TestResidentSendSchedule:
             session.close()
         return counters
 
-    #: ``tick_counters(kind)`` under the serial executor.  Recipe: put the
+    #: ``tick_counters(kind)``, under either executor.  Recipe: put the
     #: checkout's ``src`` and root on ``PYTHONPATH``, import this class from
     #: this file and print ``{k: tick_counters(k) for k in ("gcn", "sage",
     #: "gat")}``.  GCN and SAGE coincide: same widths, and the cost model
@@ -664,11 +669,6 @@ class TestResidentSendSchedule:
                 "edge": (1121655177, 135780, 2410, 353520),
                 "mixed": (3764772896, 208156, 3465, 509536)},
     }
-    #: The GCN/SAGE ticks that differ under the process executor: a worker
-    #: rebuilds its send schedule, memo included, in every run, so it folds
-    #: and charges every row it selects, as d23b566 did everywhere.
-    UNMEMOIZED_TICK_COUNTERS = {"edge": (4550223, 191120, 1982, 231056),
-                                "mixed": (4042367196, 276960, 2812, 327304)}
 
     @pytest.mark.parametrize("kind", ["gcn", "sage", "gat"])
     def test_tick_counters_are_golden(self, kind):
@@ -676,13 +676,8 @@ class TestResidentSendSchedule:
         what re-deriving routing for the frontier's edges sent: every
         incremental instance's records and bytes are unchanged, and its
         compute units are the recorded ones — under whichever executor the
-        environment picks."""
-        from repro.cluster.executor import default_executor_name
-
-        expected = dict(self.GOLDEN_TICK_COUNTERS[kind])
-        if kind != "gat" and default_executor_name() == "process":
-            expected.update(self.UNMEMOIZED_TICK_COUNTERS)
-        assert self.tick_counters(kind, executor=None) == expected
+        environment picks: a process worker keeps its memo between runs."""
+        assert self.tick_counters(kind, executor=None) == self.GOLDEN_TICK_COUNTERS[kind]
 
     @settings(max_examples=12, deadline=None)
     @given(kind=st.sampled_from(["gcn", "sage", "gat"]), partial_gather=st.booleans(),

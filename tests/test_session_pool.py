@@ -249,10 +249,7 @@ class TestDeltaRouting:
         session.discard_pending_deltas()
         session.infer()
         assert not session.plan.delta_seen
-        from repro.inference.pregel_adaptor import has_cached_run
-        engine = session.plan.state["engine"]
-        assert not any(has_cached_run(p, session.model.num_layers)
-                       for p in engine.partitions)
+        assert not session.plan.state["engine"].cache_warm
 
     def test_rekey_onto_resident_fingerprint_keeps_one_plan_per_content(self):
         # Tenant B's delta makes its content byte-identical to tenant A's

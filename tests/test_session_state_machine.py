@@ -1,0 +1,151 @@
+"""Model-based test: any sequence of session calls scores as a fresh session.
+
+A :class:`~hypothesis.stateful.RuleBasedStateMachine` drives one pregel
+:class:`~repro.inference.InferenceSession` — eager and deferred deltas,
+feature and hub-preserving edge deltas (two of them back to back, so the
+out-edge patches compose before a run opens), full and incremental infers,
+``close()`` and, on the process executor, a worker killed between runs.  The
+model is a reference copy of the graph that every delta also lands on; the
+invariant is that every infer equals a fresh ``prepare()+infer()`` on it bit
+for bit.  The one exception is the first infer after a kill: it raises
+:class:`~repro.cluster.executor.WorkerCrashError`, and the one after it is
+exact — a respawned worker starts with no state and its engine runs in full.
+"""
+
+from __future__ import annotations
+
+import os
+import signal
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
+
+from repro.cluster.executor import WorkerCrashError
+from repro.gnn.model import build_model
+from repro.graph.generators import powerlaw_graph
+from repro.graph.graph import Graph
+from repro.inference import GraphDelta, InferenceConfig, InferenceSession, StrategyConfig
+from repro.inference.delta import apply_delta_to_graph
+from repro.streaming.faults import plan_executor
+
+THRESHOLD = 12
+FEATURE_DIM = 4
+MODEL = build_model("gcn", FEATURE_DIM, 8, 3, num_layers=2, seed=0)
+
+
+def tiny_hub_graph() -> Graph:
+    return powerlaw_graph(num_nodes=90, avg_degree=4.0, skew="out", feature_dim=FEATURE_DIM,
+                          num_classes=3, seed=3)
+
+
+def make_config(executor: str) -> InferenceConfig:
+    return InferenceConfig(
+        backend="pregel", num_workers=2, executor=executor,
+        strategies=StrategyConfig(partial_gather=True, broadcast=True, shadow_nodes=True,
+                                  hub_threshold_override=THRESHOLD))
+
+
+def feature_delta(rng: np.random.Generator, graph: Graph) -> GraphDelta:
+    rows = rng.choice(graph.num_nodes, size=3, replace=False)
+    return GraphDelta(node_ids=rows, node_features=rng.normal(size=(3, FEATURE_DIM)))
+
+
+def edge_delta(rng: np.random.Generator, graph: Graph) -> GraphDelta:
+    """Churn that keeps the hub set: every touched edge's source stays well
+    below the threshold."""
+    quiet = graph.out_degrees() < THRESHOLD - 3
+    return GraphDelta(
+        added_src=rng.choice(np.flatnonzero(quiet), size=3, replace=False),
+        added_dst=rng.integers(0, graph.num_nodes, size=3),
+        removed_edge_ids=rng.choice(np.flatnonzero(quiet[graph.src]), size=2, replace=False))
+
+
+def fresh_scores(graph: Graph) -> np.ndarray:
+    return InferenceSession(MODEL, make_config("serial")).infer(graph).scores
+
+
+class SessionMachine(RuleBasedStateMachine):
+    executor = "serial"
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.graph = tiny_hub_graph()
+        self.reference = tiny_hub_graph()
+        self.session = InferenceSession(MODEL, make_config(self.executor))
+        plan = self.session.prepare(self.graph)
+        assert plan.shadow_plan.has_mirrors
+        self.killed = False
+
+    def land(self, delta: GraphDelta, defer: bool = False) -> None:
+        outcome = self.session.apply_delta(delta, defer=defer)
+        assert defer or outcome.in_place
+        apply_delta_to_graph(self.reference, delta)
+
+    @rule(seed=st.integers(0, 2**16))
+    def eager_feature_delta(self, seed):
+        self.land(feature_delta(np.random.default_rng(seed), self.graph))
+
+    @rule(seed=st.integers(0, 2**16))
+    def edge_delta(self, seed):
+        self.land(edge_delta(np.random.default_rng(seed), self.graph))
+
+    @rule(seed=st.integers(0, 2**16))
+    def two_edge_deltas(self, seed):
+        rng = np.random.default_rng(seed)
+        self.land(edge_delta(rng, self.graph))
+        self.land(edge_delta(rng, self.graph))
+
+    @rule(seed=st.integers(0, 2**16), edges=st.booleans())
+    def deferred_delta_then_flush(self, seed, edges):
+        rng = np.random.default_rng(seed)
+        self.land((edge_delta if edges else feature_delta)(rng, self.graph), defer=True)
+        assert self.session.flush_deltas().in_place
+
+    @rule(mode=st.sampled_from(["full", "incremental"]))
+    def infer(self, mode):
+        self.check(mode)
+
+    def check(self, mode: str) -> None:
+        if self.killed:
+            self.killed = False
+            with pytest.raises(WorkerCrashError):
+                self.session.infer(mode=mode)
+        scores = self.session.infer(mode=mode).scores
+        np.testing.assert_array_equal(scores, fresh_scores(self.reference))
+
+    @rule()
+    def release(self):
+        self.session.close()
+        self.killed = False
+
+    @precondition(lambda self: self.executor == "process")
+    @rule(slot=st.integers(0, 1))
+    def kill_worker(self, slot):
+        executor = plan_executor(self.session.plan)
+        live = [] if executor is None else executor.live_processes()
+        if live:
+            victim = live[slot % len(live)]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10.0)
+            self.killed = True
+
+    def teardown(self) -> None:
+        try:            # every call sequence ends in a checked infer
+            self.check("incremental")
+        finally:
+            self.session.close()
+
+
+@pytest.mark.parametrize("executor", ["serial", "process"])
+def test_any_call_sequence_scores_as_a_fresh_session(executor):
+    machine = type(f"SessionMachine_{executor}", (SessionMachine,), {"executor": executor})
+    run_state_machine_as_test(machine, settings=settings(
+        max_examples=40, stateful_step_count=12, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow]))

@@ -6,12 +6,14 @@ localise; end-to-end fault soaks live in ``test_streaming_soak.py``.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cluster.executor import WorkerCrashError
 from repro.gnn.model import build_model
 from repro.graph.generators import powerlaw_graph
 from repro.inference.config import InferenceConfig, StrategyConfig
+from repro.inference.delta import GraphDelta, apply_delta_to_graph
 from repro.inference.pool import SessionPool
 from repro.streaming.faults import (
     FAULTS,
@@ -153,20 +155,31 @@ class TestBuiltinHooks:
     @pytest.mark.parametrize("backend", ["pregel", "mapreduce"])
     def test_kill_worker_crashes_then_recovers_on_process_executor(self, backend):
         pool = make_pool("process", num_workers=2, backend=backend)
-        graph = make_graph()
+        fresh = make_pool("serial", num_workers=2, backend=backend)
+        graph, reference = make_graph(), make_graph()
+        rng = np.random.default_rng(4)
+        deltas = [GraphDelta(node_ids=rows, node_features=rng.normal(size=(5, FEATURE_DIM)))
+                  for rows in (rng.choice(80, 5, replace=False) for _ in range(2))]
         try:
-            before = pool.infer(graph)
+            pool.infer(graph)
+            pool.apply_delta(graph, deltas[0])
+            pool.infer(graph, mode="incremental")       # primes the workers' state cache
             record = self.fire("kill_worker", pool, graph)
             assert "killed worker pid" in record.note
-            # The next execution observes the corpse and raises; the one
-            # after that runs on a respawned worker pool and must still
-            # produce bit-identical scores (nothing was mutated mid-tick).
+            # A dead worker takes its partition's state with it.  The next
+            # execution observes the corpse and raises; the one after runs
+            # on a respawned worker pool — in full, as nothing is cached —
+            # and must equal a fresh session bit for bit.
+            pool.apply_delta(graph, deltas[1])
             with pytest.raises(WorkerCrashError):
-                pool.infer(graph)
-            after = pool.infer(graph)
-            assert (after.scores == before.scores).all()
+                pool.infer(graph, mode="incremental")
+            after = pool.infer(graph, mode="incremental")
+            for delta in deltas:
+                apply_delta_to_graph(reference, delta)
+            np.testing.assert_array_equal(after.scores, fresh.infer(reference).scores)
         finally:
             pool.clear()
+            fresh.clear()
 
     @pytest.mark.parametrize("backend", ["pregel", "mapreduce"])
     def test_plan_executor_finds_the_started_executor_and_starts_none(self, backend):

@@ -1,14 +1,17 @@
-"""What a worker is shipped: the replica map, never the working graph.
+"""What a worker is shipped, and what it keeps.
 
 Programs travel to process workers inside the ``open`` payload, once per
 worker per run, on both backends.  They read two CSR arrays of the shadow
 rewrite (:class:`~repro.inference.shadow.ReplicaMap`); the rewritten graph
 stays with the plan in the coordinator, and a worker attaches its
-partition's arrays through shared memory.
+partition's arrays through shared memory.  A partition's state stays in the
+worker that runs it, between runs too: no payload carries it in, and only
+the outputs come back.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
 
 import numpy as np
@@ -18,8 +21,10 @@ from repro.cluster.executor import ProcessExecutor
 from repro.gnn.model import build_model
 from repro.graph.generators import powerlaw_graph
 from repro.graph.graph import Graph
-from repro.inference import InferenceConfig, InferenceSession, StrategyConfig
+from repro.inference import GraphDelta, InferenceConfig, InferenceSession, StrategyConfig
 from repro.inference.shadow import ReplicaMap
+from repro.pregel.engine import PregelPartitionHarness
+from repro.pregel.vertex import BlockVertexProgram
 
 
 def hub_graph():
@@ -27,9 +32,9 @@ def hub_graph():
                           num_classes=3, seed=1)
 
 
-def hub_session(backend, executor):
+def hub_session(backend, executor, hidden=8):
     graph = hub_graph()
-    model = build_model("gcn", graph.feature_dim, 8, 3, num_layers=2, seed=0)
+    model = build_model("gcn", graph.feature_dim, hidden, 3, num_layers=2, seed=0)
     config = InferenceConfig(
         backend=backend, num_workers=4, executor=executor,
         strategies=StrategyConfig(partial_gather=True, broadcast=True, shadow_nodes=True))
@@ -112,41 +117,139 @@ def test_a_shadow_plan_still_pickles_whole_graph_included():
     np.testing.assert_array_equal(clone.replicas_of(np.arange(5)), shadow.replicas_of(np.arange(5)))
 
 
-def test_the_send_schedule_is_rebuilt_worker_side_and_never_shipped(opened):
-    """Hubs, mirrors and partial-gather, two infers under the process executor:
-    every worker derives its own send schedule (as it derives
-    ``out_src_local``), no ``open`` payload carries one even when the parent
-    holds one, nothing brings one back, and the scores are the serial ones."""
+class ResidentProbe(PregelPartitionHarness):
+    """A harness that runs nothing: at close it reports what its slot keeps
+    for the partition — ``(worker pid, {key: id of the resident send
+    schedule}, whether any schedule holds a memo)``."""
+
+    def __init__(self, partition, program):
+        self.partition = partition
+
+    def finish(self):
+        kept = self.partition.block_state.get("send_schedule", {})
+        return (os.getpid(), {key: id(resident) for key, resident in kept.items()},
+                any(resident.memos for resident in kept.values()))
+
+
+def resident_state(engine, opened, closed):
+    """Each slot's :class:`ResidentProbe` report, read by a session that runs
+    nothing; the probe's own open and close leave the spies' records."""
+    warm = engine.cache_warm
+    try:
+        return engine.drive(BlockVertexProgram(), ResidentProbe, [])
+    finally:
+        engine.cache_warm = warm
+        del opened[-1], closed[-1]
+
+
+def feature_delta(rng, graph, size=20):
+    rows = rng.choice(graph.num_nodes, size=size, replace=False)
+    return GraphDelta(node_ids=rows, node_features=rng.normal(size=(size, graph.feature_dim)))
+
+
+def edge_delta(rng, session, graph, added=12, removed=6):
+    """Hub-preserving churn: every touched edge's source is well below the
+    hub threshold, so the delta lands in place."""
+    quiet = graph.out_degrees() < session.plan.strategy_plan.threshold - 3
+    return GraphDelta(
+        added_src=rng.choice(np.flatnonzero(quiet), size=added, replace=False),
+        added_dst=rng.integers(0, graph.num_nodes, size=added),
+        removed_edge_ids=rng.choice(np.flatnonzero(quiet[graph.src]), size=removed,
+                                    replace=False))
+
+
+@pytest.fixture()
+def closed(monkeypatch):
+    """The result list of every ``ProcessExecutor.close`` the test causes."""
+    seen = []
+    real_close = ProcessExecutor.close
+
+    def spy(self):
+        results = real_close(self)
+        seen.append(list(results))
+        return results
+
+    monkeypatch.setattr(ProcessExecutor, "close", spy)
+    return seen
+
+
+def test_a_worker_builds_its_schedule_once_and_keeps_it(opened, closed):
+    """Hubs, mirrors and partial-gather under the process executor, through a
+    full run, an incremental run and an edge-delta run: every worker builds
+    its send schedule in the first run and keeps that object through the
+    others (the edge delta patches it at ``open``), memos included.  No
+    ``open`` payload or ``close`` result reaches a schedule, a memo, ``h`` or
+    ``h_history``, and every run scores as the serial executor does."""
     from repro.inference.gas import Routed
-    from repro.pregel.engine import LAYOUT_DERIVED_KEYS
+    from repro.inference.pregel_adaptor import SendSchedule, _PartialMemo
     from repro.pregel.vertex import Schedule
 
-    serial, graph = hub_session("pregel", "serial")
-    process, _ = hub_session("pregel", "process")
+    serial, reference = hub_session("pregel", "serial")
+    process, graph = hub_session("pregel", "process")
+    rng = np.random.default_rng(38)
     try:
-        serial.infer(graph)
-        expected = serial.infer(graph).scores
-        assert all(p.block_state["send_schedule"]
-                   for p in serial.plan.state["engine"].partitions)
-
         process.prepare(graph)
-        partitions = process.plan.state["engine"].partitions
+        serial.prepare(reference)
         assert process.plan.shadow_plan.has_mirrors
         assert process.plan.strategy_plan.out_degree_hubs.size
-        # a schedule the parent happens to hold (it ran serially before, say)
-        held = serial.plan.state["engine"].partitions[0].block_state["send_schedule"]
-        partitions[0].block_state["send_schedule"] = held
-        process.infer()
-        scores = process.infer().scores
-        assert partitions[0].block_state["send_schedule"] is held     # parent's own, kept
-        assert all("send_schedule" not in p.block_state for p in partitions[1:])
+        engine = process.plan.state["engine"]
+        np.testing.assert_array_equal(process.infer().scores, serial.infer().scores)
+        built = [(pid, schedules) for pid, schedules, _ in resident_state(engine, opened, closed)]
+        assert all(schedules for _, schedules in built)
+
+        # a priming run (the cache fills), an incremental run, an edge-delta run
+        for delta in (feature_delta(rng, graph), feature_delta(rng, graph),
+                      edge_delta(rng, process, graph)):
+            for session in (process, serial):
+                assert session.apply_delta(delta).in_place
+            np.testing.assert_array_equal(process.infer(mode="incremental").scores,
+                                          serial.infer(mode="incremental").scores)
+            now = resident_state(engine, opened, closed)
+            assert [(pid, schedules) for pid, schedules, _ in now] == built
+        assert any(memo for _, _, memo in now)
     finally:
         serial.close()
         process.close()
 
-    np.testing.assert_array_equal(scores, expected)
-    assert len(opened) == 2
+    assert len(opened) == len(closed) == 4
     for payload in (p for payloads in opened for p in payloads):
-        assert not set(payload["block_state"]) & set(LAYOUT_DERIVED_KEYS)
+        assert "block_state" not in payload
         shipped = reachable(pickle.loads(pickle.dumps(payload)))
-        assert not [obj for obj in shipped if isinstance(obj, (Schedule, Routed))]
+        assert not [obj for obj in shipped
+                    if isinstance(obj, (Schedule, Routed, SendSchedule, _PartialMemo))]
+        assert not [obj for obj in shipped
+                    if isinstance(obj, dict) and {"h", "h_history"} & set(obj)]
+    assert all(type(result) is np.ndarray for results in closed for result in results)
+
+
+def test_an_incremental_tick_ships_less_than_one_superstep_of_state(opened, closed):
+    """Scale-free: a process-executor incremental tick's pickled ``open``
+    payloads plus ``close`` results come to less than one superstep's node
+    state (``sum(h.nbytes)`` over the partitions).  A worker keeps its state
+    cache; only the program, the frontier and the outputs cross the pipes."""
+    rng = np.random.default_rng(5)
+    sessions = [hub_session("pregel", executor, hidden=64)
+                for executor in ("process", "serial")]
+    (process, graph), (serial, _) = sessions
+    priming, delta = feature_delta(rng, graph), feature_delta(rng, graph)
+    try:
+        for session, each in sessions:
+            session.prepare(each)
+            session.infer()
+            session.apply_delta(priming)
+            session.infer(mode="incremental")               # primes the state cache
+            session.apply_delta(delta)
+        del opened[:], closed[:]
+        tick = process.infer(mode="incremental")
+        np.testing.assert_array_equal(tick.scores,
+                                      serial.infer(mode="incremental").scores)
+        state = sum(float(p.block_state["h"].nbytes)
+                    for p in serial.plan.state["engine"].partitions)
+    finally:
+        for session, _ in sessions:
+            session.close()
+
+    (payloads,), (results,) = opened, closed
+    shipped = sum(len(pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL))
+                  for item in payloads + results)
+    assert 0 < shipped < state
