@@ -5,8 +5,8 @@ tenants' transaction graphs on a schedule, each graph drifting between ticks.
 This example walks the whole tier:
 
 1. a :class:`SessionPool` prepares each tenant graph once (plan cache keyed
-   by graph fingerprint, LRU-bounded capacity) — tick 2+ hits the cache and
-   skips strategy planning, shadow rewrite and partitioning entirely;
+   by the tenant's graph handle, capacity-bounded) — tick 2+ hits the cache
+   and skips strategy planning, shadow rewrite and partitioning entirely;
 2. between ticks, each tenant's feature refreshes arrive as several small
    ``GraphDelta``\\ s applied with ``defer=True`` — the pool coalesces them
    and applies **one** merged patch per tenant per tick;

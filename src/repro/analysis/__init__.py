@@ -1,9 +1,9 @@
 """Repo-specific static analysis: executable correctness contracts.
 
 PRs 5-7 turned this reproduction into a concurrent serving stack, and the
-invariants that keep it correct — what may run under the pool lock, where
-graphs may be fingerprinted, which operations must stay deterministic, which
-handlers may swallow an exception — lived only in prose (``docs/ARCHITECTURE.md``)
+invariants that keep it correct — what may run under the pool lock, which
+operations must stay deterministic, which handlers may swallow an
+exception — lived only in prose (``docs/ARCHITECTURE.md``)
 until the first refactor quietly broke them.  This package makes those
 contracts machine-checked:
 

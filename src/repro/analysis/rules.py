@@ -75,15 +75,6 @@ def lock_with_bodies(tree: ast.Module,
                     break
 
 
-def nodes_under_lock(tree: ast.Module, lock_attrs: Set[str]) -> Set[int]:
-    """ids of AST nodes lexically inside a ``with self.<lock>:`` body."""
-    covered: Set[int] = set()
-    for _, body in lock_with_bodies(tree, lock_attrs):
-        for node in walk_excluding_defs(body):
-            covered.add(id(node))
-    return covered
-
-
 # --------------------------------------------------------------------------- #
 # lock-discipline: no slow work under the pool lock        (incident: fcf99ca)
 # --------------------------------------------------------------------------- #
@@ -96,7 +87,7 @@ class LockDisciplineRule:
     across ``prepare()`` and ``close()`` — one tenant's cache miss stalled
     every other tenant's lookup, and an eviction could block behind an
     in-flight run (fixed in fcf99ca by moving slow work outside the lock
-    behind per-fingerprint once-guards).  This rule keeps that shape: in the
+    behind per-key once-guards).  This rule keeps that shape: in the
     serving-layer files, the pool-lock scope may only contain cheap
     bookkeeping — never planning, execution, or session teardown.
     """
@@ -124,44 +115,6 @@ class LockDisciplineRule:
                         f"holding the pool lock; move it outside the "
                         f"`with self._lock:` block (one tenant's slow path "
                         f"must never stall every other tenant's lookup)")
-
-
-# --------------------------------------------------------------------------- #
-# fingerprint-under-lock: no tearing tenant hashes          (incident: fcf99ca)
-# --------------------------------------------------------------------------- #
-
-
-class FingerprintUnderLockRule:
-    """``graph_fingerprint(...)`` in the pool only inside pool-lock scopes.
-
-    The fingerprint-tear race (fixed in fcf99ca): hashing a tenant graph
-    outside the pool lock can read arrays mid-mutation while a concurrent
-    ``apply_delta`` mirrors a delta onto the same graph under the lock — a
-    corrupted cache key that serves wrong scores.  Every fingerprint of a
-    tenant graph in ``pool.py`` must therefore happen under the same lock the
-    mirror holds.
-    """
-
-    name = "fingerprint-under-lock"
-    LOCK_ATTRS = LockDisciplineRule.LOCK_ATTRS
-
-    def applies_to(self, path: str) -> bool:
-        return basename(path) == "pool.py"
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        if not self.applies_to(module.path):
-            return
-        covered = nodes_under_lock(module.tree, self.LOCK_ATTRS)
-        for node in ast.walk(module.tree):
-            if (isinstance(node, ast.Call)
-                    and call_name(node) == "graph_fingerprint"
-                    and id(node) not in covered):
-                yield module.finding(
-                    node, self.name,
-                    "graph_fingerprint() on a tenant graph outside the pool "
-                    "lock can hash half-mutated arrays while apply_delta "
-                    "mirrors a delta under the lock (the fingerprint-tear "
-                    "race); compute it inside `with self._lock:`")
 
 
 # --------------------------------------------------------------------------- #
@@ -361,7 +314,6 @@ class BroadExceptRule:
 #: every rule :func:`~repro.analysis.lint.run_analysis` runs (rules are stateless).
 RULES: Tuple[LintRule, ...] = (
     LockDisciplineRule(),
-    FingerprintUnderLockRule(),
     DeterminismRule(),
     BroadExceptRule(),
 )

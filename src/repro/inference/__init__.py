@@ -54,8 +54,8 @@ bit-identical to eager application.
 
 For multi-tenant serving — one deployed model scoring many prepared
 graphs — :class:`~repro.inference.pool.SessionPool` keeps one session per
-graph content (fingerprint-keyed, capacity-bounded) so every tenant is planned
-once::
+tenant graph handle (capacity-bounded; the pool owns a pooled handle's
+arrays) so every tenant is planned once::
 
     from repro.inference import SessionPool
 

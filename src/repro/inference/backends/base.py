@@ -213,12 +213,9 @@ def merge_hub_mirrors(strategy_plan: StrategyPlan,
     ``object``/``float64`` dtype.
     """
     hubs = np.asarray(strategy_plan.out_degree_hubs, dtype=np.int64).reshape(-1)
-    if shadow_plan is not None and shadow_plan.mirror_origin:
-        hub_set = set(int(h) for h in hubs)
-        mirrors = np.asarray(
-            [int(mid) for mid, origin in shadow_plan.mirror_origin.items()
-             if int(origin) in hub_set],
-            dtype=np.int64)
+    if shadow_plan is not None and shadow_plan.has_mirrors:
+        first = shadow_plan.original_num_nodes
+        mirrors = first + np.flatnonzero(np.isin(shadow_plan.origin_of[first:], hubs))
         hubs = np.concatenate([hubs, mirrors])
     strategy_plan.out_degree_hubs = np.unique(hubs)
 
@@ -238,8 +235,7 @@ def check_edge_delta_stability(plan: ExecutionPlan) -> Tuple[bool, str, int]:
     """
     graph, config = plan.graph, plan.config
     new_threshold = hub_threshold(graph.num_edges, config.num_workers,
-                                  config.strategies.hub_lambda,
-                                  config.strategies.hub_threshold_override)
+                                  override=config.strategies.hub_threshold_override)
     degrees = graph.out_degrees()
     new_hubs = select_hubs(degrees, new_threshold)
     old_hubs = plan.strategy_plan.out_degree_hubs

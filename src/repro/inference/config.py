@@ -14,15 +14,15 @@ class StrategyConfig:
     """Which hub-node strategies are enabled and how the threshold is chosen.
 
     The threshold follows the paper's heuristic
-    ``threshold = hub_lambda * total_edges / num_workers`` (λ = 0.1 by
-    default); ``hub_threshold_override`` replaces the heuristic with an
-    explicit value, which the Fig. 12/13 threshold-sweep experiments use.
+    ``threshold = 0.1 * total_edges / num_workers``
+    (:func:`~repro.inference.strategies.hub_threshold`);
+    ``hub_threshold_override`` replaces the heuristic with an explicit value,
+    which the Fig. 12/13 threshold-sweep experiments use.
     """
 
     partial_gather: bool = True
     broadcast: bool = False
     shadow_nodes: bool = False
-    hub_lambda: float = 0.1
     hub_threshold_override: Optional[int] = None
 
     def describe(self) -> str:

@@ -3,26 +3,30 @@
 The paper's end state is a serving system — one trained model scoring many
 slowly-mutating graphs on a schedule.  :class:`SessionPool` is that tier's
 plan cache: it keeps one :class:`~repro.inference.session.InferenceSession`
-per *graph content* (keyed by
-:func:`~repro.inference.delta.graph_fingerprint`), so N tenant graphs are
-each planned once and every later ``infer()`` reuses the cached plan —
-partition layout, strategy plan, shadow rewrite and backend state included.
+per *tenant graph handle*, so N tenant graphs are each planned once and every
+later ``infer()`` reuses the cached plan — partition layout, strategy plan,
+shadow rewrite and backend state included.
 
-Keying by fingerprint makes the cache **content-addressed**: two tenants
-handing in byte-identical graphs share one plan, and a graph that was mutated
-out of band simply misses the cache and is planned afresh (its stale entry
-ages out through eviction), so the pool can never serve yesterday's plan for
-today's bytes.  Each pooled session is prepared over a **private copy** of
-the tenant's arrays, so the pool never mutates one tenant's buffers on
-another tenant's behalf.  The copy's arrays are read-only outside the
-session's own flush, so the session trusts the copy while its plan's
-fingerprint is current rather than re-hashing it (a flush that raised
-part-way sends the next check to a full re-hash).  The tenant's handle,
-which its caller can write, is hashed in full at every lookup and after
-every mirrored delta.  In-band changes go through
+A pooled handle is **owned by the pool**.  The first lookup of a handle
+rebinds the four arrays inference reads (``src``, ``dst``,
+``node_features``, ``edge_features``) to read-only copies the pool owns, so
+nothing but :meth:`SessionPool.apply_delta` changes what the handle holds: an
+in-place write raises numpy's read-only ``ValueError``.  A lookup trusts the
+handle while it still holds exactly those arrays, read-only — an O(1) check,
+no hash — and a handle whose array was rebound (or unlocked) misses and is
+planned afresh, so the pool can never serve yesterday's plan for today's
+bytes.  Two handles with equal content are two tenants with two sessions.
+:meth:`SessionPool.evict` and :meth:`SessionPool.clear` hand the arrays back
+writeable.
+
+Each pooled session is prepared over a **private copy** of the handle, whose
+arrays are read-only outside the session's own flush, so the session trusts
+the copy while its plan's fingerprint is current rather than re-hashing it (a
+flush that raised part-way sends the next check to a full re-hash, and the
+pool drops the entry).  In-band changes go through
 :meth:`SessionPool.apply_delta`, which routes the delta to the owning
-session *and* mirrors it onto the caller's graph — the tenant's handle and
-the cache key always move together to the post-delta fingerprint.
+session *and* mirrors it onto the handle at once — deferred deltas included,
+so the handle always shows the content the tenant's next infer serves.
 
 Capacity is bounded and eviction is **weighted**: every entry weighs the
 byte size of its graph arrays (a deterministic proxy for prepare cost —
@@ -48,18 +52,16 @@ holding tables converts once with
     print(pool.stats)
 
 The pool is **thread-safe**, and its lock is deliberately cheap to hold.
-Every fingerprint (and the private copy a preparation runs over) is computed
-*inside* the pool lock — the same lock :meth:`SessionPool.apply_delta` holds
-while mirroring a delta onto a tenant's graph — so a concurrent lookup can
-never hash or copy arrays that are mid-mutation.  Everything slow runs
-*outside* it: ``prepare()`` is guarded by a per-fingerprint once-flag (two
-concurrent cold lookups of one content still yield exactly one preparation —
-the loser waits for the winner, then hits), ``session.infer()`` never
-touches the lock, and an evicted session's ``close()`` — which waits for
-any in-flight run on that session — happens only after the lock is
-released, so one tenant's eviction or cache miss never stalls another
-tenant's lookup.  The asyncio serving gateway (:mod:`repro.serving`) drives
-exactly this from a worker thread pool.
+Adopting a handle (and taking the private copy a preparation runs over) and
+mirroring a delta onto it both happen *inside* the pool lock, so a lookup
+never copies a half-mirrored handle.  Everything slow runs *outside* it:
+``prepare()`` is guarded by a per-handle once-flag (two concurrent cold
+lookups of one handle still yield exactly one preparation — the loser waits
+for the winner, then hits), ``session.infer()`` never touches the lock, and
+an evicted session's ``close()`` — which waits for any in-flight run on that
+session — happens only after the lock is released, so one tenant's eviction
+or cache miss never stalls another tenant's lookup.  The asyncio serving
+gateway (:mod:`repro.serving`) drives exactly this from a worker thread pool.
 """
 
 from __future__ import annotations
@@ -70,30 +72,36 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.analysis.lockgraph import tracked_rlock
 
 from repro.gnn.model import GNNModel
 from repro.gnn.signature import ModelSignature
 from repro.graph.graph import Graph
 from repro.inference.config import InferenceConfig
-from repro.inference.delta import (
-    DeltaOutcome,
-    GraphDelta,
-    apply_delta_to_graph,
-    graph_fingerprint,
+from repro.inference.delta import DeltaOutcome, GraphDelta, apply_delta_to_graph
+from repro.inference.session import (
+    InferenceResult,
+    InferenceSession,
+    _set_writeable,
+    _writes_allowed,
 )
-from repro.inference.session import InferenceResult, InferenceSession
 
-Fingerprint = Tuple[int, int, int]
+Arrays = Tuple[Optional[np.ndarray], ...]
+
+
+def _arrays(graph: Graph) -> Arrays:
+    """The arrays inference reads, in a fixed order."""
+    return (graph.src, graph.dst, graph.node_features, graph.edge_features)
 
 
 def _private_copy(graph: Graph) -> Graph:
-    """A deep copy of the arrays inference reads — the session's own graph.
+    """A deep copy of the arrays inference reads.
 
-    Pooled sessions are content-addressed, so several distinct caller objects
-    can map to one session; preparing over (and later delta-patching) a
-    private copy guarantees the pool never mutates a caller's arrays except
-    through the graph explicitly handed to :meth:`SessionPool.apply_delta`.
+    The pool rebinds a handle it adopts onto one such copy, and prepares the
+    handle's session over another, so neither shares a buffer with anything
+    outside the pool.
     """
     return Graph(
         src=graph.src.copy(),
@@ -105,28 +113,50 @@ def _private_copy(graph: Graph) -> Graph:
     )
 
 
+def _adopt(graph: Graph) -> Arrays:
+    """Rebind ``graph`` onto read-only copies the pool owns; return them."""
+    owned = _private_copy(graph)
+    _set_writeable(owned, False)
+    graph.src, graph.dst = owned.src, owned.dst
+    graph.node_features, graph.edge_features = owned.node_features, owned.edge_features
+    return _arrays(graph)
+
+
+def _release(arrays: Arrays) -> None:
+    """Hand arrays the pool locked back writeable.  It takes the recorded
+    arrays, not the handle: a caller may have rebound the handle onto arrays
+    whose flags cannot be set."""
+    for array in arrays:
+        if array is not None:
+            array.flags.writeable = True
+
+
 def _graph_bytes(graph: Graph) -> int:
     """Byte size of the arrays inference reads — an entry's eviction weight."""
-    total = 0
-    for array in (graph.src, graph.dst, graph.node_features, graph.edge_features):
-        if array is not None:
-            total += array.nbytes
-    return total
+    return sum(array.nbytes for array in _arrays(graph) if array is not None)
 
 
 @dataclass
 class PoolEntry:
-    """One cached session plus the bookkeeping weighted eviction reads."""
+    """One cached session, the handle it serves and the bookkeeping weighted
+    eviction reads."""
 
-    fingerprint: Fingerprint
+    handle: Graph
     session: InferenceSession
-    #: Eviction weight: the byte size of the graph the entry now covers (set
-    #: at prepare, refreshed by every mirrored delta) — a deterministic proxy
+    #: The handle's arrays as the pool last left them: owned and read-only.
+    arrays: Arrays
+    #: Eviction weight: the byte size of the handle's arrays (set at
+    #: adoption, refreshed by every mirrored delta) — a deterministic proxy
     #: for how expensive the plan is to rebuild (preparation is O(edges)),
-    #: stable across runs, so timing noise cannot reorder equal-content twins.
+    #: stable across runs, so timing noise cannot reorder equal-sized twins.
     graph_bytes: int
     #: Pool-operation sequence number of the last use (the eviction clock).
     last_used_seq: int
+
+    def holds(self) -> bool:
+        """Whether the handle still holds exactly the recorded arrays, read-only."""
+        return all(now is then and (now is None or not now.flags.writeable)
+                   for now, then in zip(_arrays(self.handle), self.arrays))
 
 
 @dataclass
@@ -160,7 +190,7 @@ class PoolStats:
 
 
 class SessionPool:
-    """A weighted cache of prepared inference sessions.
+    """A weighted cache of prepared inference sessions, one per tenant handle.
 
     Parameters
     ----------
@@ -178,8 +208,8 @@ class SessionPool:
         Maximum number of prepared sessions held at once.  Preparing a graph
         beyond it evicts the entry with the smallest ``bytes / age`` score
         (its plan is rebuilt on the tenant's next appearance).  Each session
-        owns a private copy of its tenant's graph arrays (isolation between
-        content-equal tenants), so capacity also bounds that memory.
+        owns a private copy of its tenant's graph arrays besides the
+        handle's, so capacity also bounds that memory.
     """
 
     def __init__(self, model: Union[GNNModel, ModelSignature],
@@ -190,18 +220,19 @@ class SessionPool:
         self.model = model.build_model() if isinstance(model, ModelSignature) else model
         self.config = config or InferenceConfig()
         self.capacity = int(capacity)
-        self._entries: "OrderedDict[Fingerprint, PoolEntry]" = OrderedDict()
-        # Guards all bookkeeping (entries, counters, fingerprinting of caller
-        # graphs).  Held only for cheap operations: preparation runs outside
-        # it behind the per-fingerprint once-flags in ``_preparing``, and
+        # Keyed by the handle itself: a Graph hashes by identity.
+        self._entries: "OrderedDict[Graph, PoolEntry]" = OrderedDict()
+        # Guards all bookkeeping (entries, counters, adopting and mirroring
+        # onto handles).  Held only for cheap operations: preparation runs
+        # outside it behind the per-handle once-flags in ``_preparing``, and
         # detached sessions are closed after it is released.  Contract-checked
         # twice: the `lock-discipline` lint rule forbids slow calls lexically
         # inside `with self._lock:` blocks, and under REPRO_LOCK_TRACK=1 the
         # runtime tracker fails any slow operation entered while holding it.
         self._lock = tracked_rlock("SessionPool._lock", forbid_slow=True)
-        # Fingerprints with a prepare() in flight; waiters block on the event
+        # Handles with a prepare() in flight; waiters block on the event
         # (outside the pool lock) and re-run their lookup once it sets.
-        self._preparing: Dict[Fingerprint, threading.Event] = {}
+        self._preparing: Dict[Graph, threading.Event] = {}
         # Monotonic pool-operation counter — the "age" clock weighted
         # eviction divides by.  Ticks on every lookup/touch.
         self._seq = 0
@@ -217,12 +248,10 @@ class SessionPool:
             return len(self._entries)
 
     def __contains__(self, graph: Graph) -> bool:
-        """Whether ``graph`` (by current content) has a prepared session."""
+        """Whether ``graph`` has a prepared session its next lookup would hit."""
         with self._lock:
-            # Fingerprint under the lock: apply_delta mirrors deltas onto
-            # tenant graphs while holding it, so an unlocked hash could read
-            # half-mutated feature rows.
-            return graph_fingerprint(graph) in self._entries
+            entry = self._entries.get(graph)
+            return entry is not None and entry.holds()
 
     def sessions(self) -> Iterator[InferenceSession]:
         """The live sessions, least- to most-recently used."""
@@ -240,16 +269,34 @@ class SessionPool:
 
     # ------------------------------------------------------------------ #
     def _detach(self, entry: PoolEntry) -> InferenceSession:
-        """Unlink ``entry`` and count the eviction (lock held); caller closes.
+        """Unlink ``entry``, hand its arrays back writeable and count the
+        eviction (lock held); the caller closes the returned session.
 
         ``session.close()`` waits on the victim's execution lock for any
         in-flight run to finish, so it must never run under the pool lock —
         every caller closes the returned session *after* releasing it, so one
         tenant's eviction cannot stall every other tenant's lookup.
         """
-        self._entries.pop(entry.fingerprint, None)
+        self._entries.pop(entry.handle, None)
+        _release(entry.arrays)
         self._evictions += 1
         return entry.session
+
+    def _detach_unflushed(self, entry: PoolEntry) -> None:
+        """After an exception: detach ``entry`` if a flush raised part-way.
+
+        The handle already carries every delta mirrored onto it, while the
+        plan's private copy may hold none, some or all of them, so the handle
+        must prepare again instead of hitting that plan.
+        """
+        plan = entry.session.plan
+        if plan is not None and plan.fingerprint_current:
+            return
+        with self._lock:
+            if self._entries.get(entry.handle) is not entry:
+                return
+            victim = self._detach(entry)
+        victim.close()
 
     def _eviction_score(self, entry: PoolEntry) -> Tuple[float, int]:
         """Smaller evicts first: ``bytes / age``, recency breaking ties.
@@ -277,20 +324,20 @@ class SessionPool:
     def _touch(self, entry: PoolEntry) -> None:
         self._seq += 1
         entry.last_used_seq = self._seq
-        self._entries.move_to_end(entry.fingerprint)
+        self._entries.move_to_end(entry.handle)
 
-    def _lookup(self, graph: Graph) -> Tuple[Fingerprint, InferenceSession]:
-        """Get-or-create the session covering ``graph``'s current content.
+    def _lookup(self, graph: Graph) -> PoolEntry:
+        """Get-or-create the entry serving the handle ``graph``.
 
-        The fingerprint — and, on a miss, the private copy preparation runs
-        over — is computed **inside** the pool lock: :meth:`apply_delta`
-        mirrors deltas onto tenant graphs under the same lock, so a lookup
-        can never hash (or snapshot) arrays that are mid-mutation.
-        ``prepare()`` itself runs *outside* the lock over that stable private
-        copy, guarded by a per-fingerprint once-flag: two concurrent callers
-        handing in the same content still get exactly one preparation (the
-        loser waits on the flag, then re-looks and hits), and a slow prepare
-        never blocks other tenants' lookups.
+        A hit is the O(1) :meth:`PoolEntry.holds` check.  On a miss the
+        handle is adopted — and the private copy preparation runs over is
+        taken — **inside** the pool lock: :meth:`apply_delta` mirrors deltas
+        onto handles under the same lock, so a lookup never copies arrays
+        that are mid-mutation.  ``prepare()`` itself runs *outside* the lock
+        over that stable private copy, guarded by a per-handle once-flag:
+        two concurrent callers handing in the same handle still get exactly
+        one preparation (the loser waits on the flag, then re-looks and
+        hits), and a slow prepare never blocks other tenants' lookups.
         """
         if not isinstance(graph, Graph):
             raise TypeError(
@@ -298,27 +345,33 @@ class SessionPool:
                 f"onto them), got {type(graph).__name__}; convert a (NodeTable, "
                 "EdgeTable) pair once with tables_to_graph()")
         while True:
-            claimed = False
+            victims: List[InferenceSession] = []
             with self._lock:
-                fingerprint = graph_fingerprint(graph)
-                entry = self._entries.get(fingerprint)
-                if entry is not None:
+                entry = self._entries.get(graph)
+                if entry is not None and entry.holds():
                     self._hits += 1
                     self._touch(entry)
-                    return fingerprint, entry.session
-                pending = self._preparing.get(fingerprint)
+                    return entry
+                if entry is not None:
+                    # An array was rebound or unlocked since the pool last
+                    # left it: the plan may not describe the handle any more.
+                    victims.append(self._detach(entry))
+                pending = self._preparing.get(graph)
+                claimed = False
                 if pending is None:
-                    # Claim the (one-off) preparation for this content; the
-                    # snapshot taken here is what prepare() runs over, so no
-                    # later mirror can reach it.
-                    pending = threading.Event()
-                    self._preparing[fingerprint] = pending
+                    # Claim the (one-off) preparation for this handle; the
+                    # snapshot taken here is what prepare() runs over, and
+                    # the adopted handle is read-only from here on.
+                    pending = self._preparing[graph] = threading.Event()
                     claimed = True
                     self._misses += 1
+                    arrays = _adopt(graph)
                     private = _private_copy(graph)
                     graph_bytes = _graph_bytes(graph)
+            for victim in victims:
+                victim.close()
             if not claimed:
-                # Another thread is preparing this content; wait outside the
+                # Another thread is preparing this handle; wait outside the
                 # lock, then re-look (normally a hit — unless the preparer
                 # failed or the fresh entry was already evicted, in which
                 # case this caller claims the retry).
@@ -332,183 +385,136 @@ class SessionPool:
                 # fingerprint is current instead of re-hashing it.
                 session._prepare(private, owned=True)
             except BaseException:
-                # Release the claim so a waiter can retry (and surface its
-                # own error if the content is truly unpreparable).
+                # Hand the handle back and release the claim so a waiter can
+                # retry (and surface its own error if the graph is truly
+                # unpreparable).
                 with self._lock:
-                    self._preparing.pop(fingerprint, None)
+                    self._preparing.pop(graph, None)
+                    _release(arrays)
                 pending.set()
                 raise
             prepare_seconds = time.perf_counter() - started
             with self._lock:
                 self._prepare_seconds += prepare_seconds
                 self._seq += 1
-                self._entries[fingerprint] = PoolEntry(
-                    fingerprint=fingerprint, session=session,
+                entry = self._entries[graph] = PoolEntry(
+                    handle=graph, session=session, arrays=arrays,
                     graph_bytes=graph_bytes, last_used_seq=self._seq)
                 victims = self._evict_over_capacity_locked()
-                self._preparing.pop(fingerprint, None)
+                self._preparing.pop(graph, None)
             pending.set()
             for victim in victims:
                 victim.close()
-            return fingerprint, session
-
-    def _rekey(self, fingerprint: Fingerprint,
-               session: InferenceSession) -> None:
-        """Move ``session``'s entry from ``fingerprint`` to the content its
-        plan now covers.
-
-        Deltas change the graph content and therefore the fingerprint; the
-        cache key must follow it or the tenant's next lookup would miss.  If
-        another tenant already occupies the new fingerprint (two graphs
-        converged to the same content), the fresher session replaces it —
-        one plan per content.  The move is identity-checked: if a concurrent
-        delta already re-keyed the entry elsewhere (the old key no longer
-        holds *this* session), there is nothing left to move — re-inserting
-        under a stale fingerprint would duplicate the session in the cache.
-        """
-        new_fingerprint = (session.plan.fingerprint
-                           if session.plan is not None else None)
-        with self._lock:
-            victims = self._rekey_locked(fingerprint, new_fingerprint, session)
-        for victim in victims:
-            victim.close()
-
-    def _rekey_locked(self, fingerprint: Fingerprint,
-                      new_fingerprint: Optional[Fingerprint],
-                      session: InferenceSession,
-                      handle: Optional[Graph] = None) -> List[InferenceSession]:
-        """:meth:`_rekey` body (lock held); returns sessions to close.
-
-        ``handle`` is the tenant graph a delta was just mirrored onto: the
-        entry's eviction weight follows its new byte size.
-        """
-        if new_fingerprint is None:
-            return []
-        entry = self._entries.get(fingerprint)
-        if entry is None or entry.session is not session:
-            return []
-        if handle is not None:
-            entry.graph_bytes = _graph_bytes(handle)
-        if new_fingerprint == fingerprint:
-            return []
-        self._entries.pop(fingerprint, None)
-        displaced = self._entries.get(new_fingerprint)
-        victims: List[InferenceSession] = []
-        if displaced is not None and displaced.session is not session:
-            # Two tenants converged to the same content: the fresher
-            # session replaces the resident one — one plan per content.
-            victims.append(self._detach(displaced))
-        entry.fingerprint = new_fingerprint
-        self._entries[new_fingerprint] = entry
-        self._entries.move_to_end(new_fingerprint)
-        return victims
+            return entry
 
     # ------------------------------------------------------------------ #
     def session_for(self, graph: Graph) -> InferenceSession:
-        """The prepared session for ``graph``'s current content (recency-touched).
+        """The prepared session for the handle ``graph`` (recency-touched).
 
         A cache hit returns the existing session without re-planning — the
         plan-reuse guarantee the pool exists for; a miss prepares a new
         session (and may evict the lowest-scored one).  The session's
         ``plan.graph`` is the pool's private copy: its arrays are read-only,
-        and only the session's own flush writes them.
+        and only the session's own flush writes them.  A delta applied to the
+        session directly reaches neither the handle nor the pool: send it
+        through :meth:`apply_delta`.
         """
-        return self._lookup(graph)[1]
+        return self._lookup(graph).session
 
     def infer(self, graph: Graph, mode: str = "full") -> InferenceResult:
         """One inference over ``graph`` through its cached (or fresh) plan.
 
         Pending deferred deltas on the owning session are flushed by the
-        underlying ``infer()`` against the session's private copy; the cache
-        entry was already moved to the post-delta fingerprint when
-        :meth:`apply_delta` mirrored those deltas onto the caller's graph,
-        so the tenant's handle keeps hitting.  (The safety-net re-key here
-        only matters when deltas were applied directly on a session obtained
-        via :meth:`session_for`, bypassing the pool.)
+        underlying ``infer()`` against the session's private copy; the handle
+        already carries them (:meth:`apply_delta` mirrored them).  A flush
+        that raises part-way detaches the entry, so the handle's next lookup
+        prepares afresh.
 
         The execution itself runs *outside* the pool lock, so concurrent
         callers serving different tenants overlap; concurrent callers of one
         tenant serialise on the session's own execution lock.
         """
-        fingerprint, session = self._lookup(graph)
+        entry = self._lookup(graph)
         try:
-            result = session.infer(mode=mode)
-            with self._lock:
-                self._infer_seconds += result.elapsed_seconds
-            return result
-        finally:
-            self._rekey(fingerprint, session)
+            result = entry.session.infer(mode=mode)
+        except BaseException:
+            self._detach_unflushed(entry)
+            raise
+        with self._lock:
+            self._infer_seconds += result.elapsed_seconds
+        return result
 
     def apply_delta(self, graph: Graph, delta: GraphDelta,
                     defer: bool = False) -> DeltaOutcome:
-        """Route ``delta`` to the session serving ``graph`` and re-key it.
+        """Route ``delta`` to the session serving ``graph`` and mirror it
+        onto the handle.
 
-        The lookup happens against the *pre-delta* content (the delta
-        describes a change to the prepared state); the delta is validated
-        into the session's buffer, mirrored onto the **caller's graph** — the
-        tenant's handle is the address, so it must track the content — and
-        the entry moves to the post-delta fingerprint.  The plan patch itself
-        is the session's one merged flush: at the next ``infer`` with
-        ``defer=True``, right here otherwise (the returned outcome is that
-        flush's — a concurrent ``infer()`` that got to the buffer first
-        leaves it reporting "no pending deltas").  A graph not in the pool is
-        prepared first; the delta then lands on that fresh plan.
+        The delta is validated into the session's buffer and mirrored onto
+        the **handle** at once — so the handle always shows what the tenant's
+        next infer serves, and a delta buffered in a session that is later
+        evicted is not lost: the handle prepares again from content that
+        already includes it.  The plan patch itself is the session's one
+        merged flush: at the next ``infer`` with ``defer=True``, right here
+        otherwise (the returned outcome is that flush's — a concurrent
+        ``infer()`` that got to the buffer first leaves it reporting "no
+        pending deltas").  A flush that raises part-way detaches the entry.
+        A graph not in the pool is prepared first; the delta then lands on
+        that fresh plan.
 
-        Concurrency: the buffer→mirror→re-key sequence holds the session's
+        Concurrency: the buffer→mirror sequence holds the session's
         ``buffer_lock``, so concurrent deltas to one tenant reach the
-        session's private copy and the caller's handle in the **same order**
-        — the two can never diverge — and no flush can run between a delta's
-        buffering and its mirror.  The mirror and re-key additionally run
-        under the pool lock, the same lock every lookup fingerprints under,
-        so no reader ever hashes a half-mirrored graph.  Buffering is a fast
-        merge that may overlap the same session's in-flight execution (the
-        serving gateway's tick-overlap path); only an *eager* delta's flush
-        waits for that run to finish — holding neither the buffer lock nor
-        the pool lock, so deferred deltas and other tenants' lookups keep
+        session's private copy and the handle in the **same order** — the
+        two can never diverge — and no flush can run between a delta's
+        buffering and its mirror.  The mirror additionally runs under the
+        pool lock, the same lock every adoption copies under, with the
+        handle's arrays writeable only inside it.  Buffering is a fast merge
+        that may overlap the same session's in-flight execution (the serving
+        gateway's tick-overlap path); only an *eager* delta's flush waits
+        for that run to finish — holding neither the buffer lock nor the
+        pool lock, so deferred deltas and other tenants' lookups keep
         flowing while it waits.
         """
-        fingerprint, session = self._lookup(graph)
-        with session.buffer_lock:
-            outcome = session.apply_delta(delta, defer=True)
+        entry = self._lookup(graph)
+        victims: List[InferenceSession] = []
+        with entry.session.buffer_lock:
+            outcome = entry.session.apply_delta(delta, defer=True)
             with self._lock:
-                # Mirror onto the caller's handle.  The session already
-                # validated the delta against byte-identical content, so this
-                # cannot half-apply; under the pool lock, so no concurrent
-                # lookup fingerprints the graph mid-mirror.
-                if not delta.is_empty:
-                    apply_delta_to_graph(graph, delta)
-                mirrored = graph_fingerprint(graph)
-                # A concurrent delta between the lookup and the buffer lock
-                # may already have moved this session's entry, so re-key from
-                # wherever it lives *now* (identity, not the looked-up
-                # fingerprint) — entries are few, the scan is cheap.
-                current = next((key for key, entry in self._entries.items()
-                                if entry.session is session), fingerprint)
-                victims = self._rekey_locked(current, mirrored, session, graph)
+                live = self._entries.get(graph)
+                if live is not None and (live is not entry or not live.holds()):
+                    # Replaced or rebound since the lookup: the mirror below
+                    # would change the handle under a plan that lacks it.
+                    victims.append(self._detach(live))
+                    live = None
+                # The session already validated the delta against identical
+                # content, so the mirror cannot half-apply.
+                with _writes_allowed(graph, owned=live is not None):
+                    if not delta.is_empty:
+                        apply_delta_to_graph(graph, delta)
+                if live is not None:
+                    live.arrays = _arrays(graph)
+                    live.graph_bytes = _graph_bytes(graph)
         for victim in victims:
             victim.close()
         if not defer:
             try:
-                outcome = session.flush_deltas()
-            finally:
-                # A flush that raised left the private copy pre-delta while
-                # the handle already carries it: move the entry back to what
-                # the plan covers, so the handle misses (and re-prepares)
-                # instead of being served the pre-delta plan.
-                self._rekey(mirrored, session)
+                outcome = entry.session.flush_deltas()
+            except BaseException:
+                self._detach_unflushed(entry)
+                raise
         return outcome
 
     def evict(self, graph: Graph) -> bool:
-        """Drop the session for ``graph``'s current content; True if present.
+        """Drop the session for the handle ``graph``; True if present.
 
         The evicted session is closed (worker processes and shared-memory
-        segments released).  Deltas still *deferred* in its buffer are
-        discarded with it — but never lost: :meth:`apply_delta` mirrors every
-        delta onto the caller's graph at apply time, so the tenant's next
-        appearance re-prepares from content that already includes them.
+        segments released) and the handle's arrays are writeable again.
+        Deltas still *deferred* in its buffer are discarded with it — but
+        never lost: :meth:`apply_delta` mirrors every delta onto the handle
+        at apply time, so the tenant's next appearance re-prepares from
+        content that already includes them.
         """
         with self._lock:
-            entry = self._entries.get(graph_fingerprint(graph))
+            entry = self._entries.get(graph)
             if entry is None:
                 return False
             victim = self._detach(entry)

@@ -22,8 +22,9 @@ out-of-band in-place mutation raises
 yesterday's scores.  A :class:`~repro.inference.pool.SessionPool` session
 runs over a private copy whose arrays are read-only outside its own flush;
 it is trusted while the plan's fingerprint is current, and re-hashed only
-after a flush that raised part-way.  In-band changes travel as a
-:class:`~repro.inference.delta.GraphDelta` through
+after a flush that raised part-way.  (The pool never hashes the tenant's
+handle: it owns the handle's arrays, read-only, and trusts them.)  In-band
+changes travel as a :class:`~repro.inference.delta.GraphDelta` through
 :meth:`~InferenceSession.apply_delta`; afterwards
 ``infer(mode="incremental")`` recomputes only the delta's k-hop reach on
 backends that support it (bit-identical to a fresh full run), and plain
@@ -143,7 +144,7 @@ class InferenceSession:
 
     Serving many graphs from one model?  Use
     :class:`~repro.inference.pool.SessionPool`, which caches one prepared
-    session per graph content.
+    session per tenant graph handle.
     """
 
     def __init__(self, model: Union[GNNModel, ModelSignature],
@@ -174,7 +175,7 @@ class InferenceSession:
         #     reads the graph) but never a flush (which rewrites it).  It is
         #     public because a delta *router* holds it too:
         #     :class:`~repro.inference.pool.SessionPool` keeps it across
-        #     buffer → mirror-onto-the-tenant-handle → re-key, so concurrent
+        #     buffer → mirror-onto-the-tenant-handle, so concurrent
         #     deltas to one session reach the private copy and the caller's
         #     graph in the same order.
         # Lock order is always _exec_lock -> buffer_lock (-> the pool lock,

@@ -27,6 +27,7 @@ lets the backends patch live partitions instead of re-planning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -151,14 +152,10 @@ class ShadowNodePlan:
     graph: Graph
     original_num_nodes: int
     replicas: ReplicaMap = field(default_factory=ReplicaMap)
-    #: mirror id -> original node id
-    mirror_origin: Dict[int, int] = field(default_factory=dict)
-    #: lazily derived dense working id -> original id table (:attr:`origin_of`).
-    _origin_of: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def num_mirrors(self) -> int:
-        return len(self.mirror_origin)
+        return self.graph.num_nodes - self.original_num_nodes
 
     @property
     def replica_indptr(self) -> Optional[np.ndarray]:
@@ -180,16 +177,20 @@ class ShadowNodePlan:
     def expand_rows(self, dst_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return self.replicas.expand_rows(dst_ids)
 
-    @property
+    @cached_property
     def origin_of(self) -> np.ndarray:
-        """Dense ``working id -> original id`` table (identity for non-mirrors)."""
-        if self._origin_of is None:
-            size = self.graph.num_nodes
-            origin = np.arange(size, dtype=np.int64)
-            for mirror, orig in self.mirror_origin.items():
-                origin[int(mirror)] = int(orig)
-            self._origin_of = origin
-        return self._origin_of
+        """Dense ``working id -> original id`` table (identity for non-mirrors).
+
+        Read off the replica CSR: every original node's row lists the node
+        and then its mirrors, and a mirror's own row is just itself.
+        """
+        origin = np.arange(self.graph.num_nodes, dtype=np.int64)
+        indptr, ids = self.replicas.indptr, self.replicas.ids
+        if indptr is not None and ids is not None:
+            rows = indptr[:self.original_num_nodes + 1]
+            origin[ids[:rows[-1]]] = np.repeat(
+                np.arange(self.original_num_nodes, dtype=np.int64), np.diff(rows))
+        return origin
 
     def replicas_of(self, node_ids: np.ndarray) -> np.ndarray:
         """Replica closure of ``node_ids``: every id plus all its co-replicas.
@@ -344,7 +345,6 @@ def apply_shadow_nodes(graph: Graph, threshold: int,
 
     new_src = graph.src.copy()
     replica_lists: Dict[int, np.ndarray] = {}
-    mirror_origin: Dict[int, int] = {}
     extra_features: List[np.ndarray] = []
     extra_labels: List[np.ndarray] = []
     next_id = graph.num_nodes
@@ -365,14 +365,13 @@ def apply_shadow_nodes(graph: Graph, threshold: int,
             next_id += 1
             new_src[edge_positions[slots == slot]] = mirror_id
             replica_ids.append(mirror_id)
-            mirror_origin[mirror_id] = hub
             if graph.node_features is not None:
                 extra_features.append(graph.node_features[hub])
             if graph.labels is not None:
                 extra_labels.append(np.asarray(graph.labels[hub]))
         replica_lists[hub] = np.asarray(replica_ids, dtype=np.int64)
 
-    if not mirror_origin:
+    if next_id == graph.num_nodes:
         return ShadowNodePlan(graph=graph, original_num_nodes=graph.num_nodes)
 
     node_features = graph.node_features
@@ -394,5 +393,4 @@ def apply_shadow_nodes(graph: Graph, threshold: int,
         graph=expanded,
         original_num_nodes=graph.num_nodes,
         replicas=ReplicaMap(*_build_replica_csr(next_id, replica_lists)),
-        mirror_origin=mirror_origin,
     )

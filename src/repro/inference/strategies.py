@@ -88,8 +88,8 @@ def build_strategy_plan(model: GNNModel, graph: Graph, num_workers: int,
     * shadow-nodes is a graph-level preprocessing switch, recorded here so the
       adaptors and experiments read one source of truth.
     """
-    threshold = hub_threshold(graph.num_edges, num_workers, config.hub_lambda,
-                              config.hub_threshold_override)
+    threshold = hub_threshold(graph.num_edges, num_workers,
+                              override=config.hub_threshold_override)
     hubs = select_hubs(graph.out_degrees(), threshold)
 
     layer_strategies: List[LayerStrategy] = []

@@ -4,8 +4,8 @@ The layers compose bottom-up:
 
 * :class:`~repro.inference.session.InferenceSession` — plan once, infer many
   (thread-safe; measures its own per-infer wall clock);
-* :class:`~repro.inference.pool.SessionPool` — one prepared session per graph
-  content, weighted eviction + TTLs (thread-safe);
+* :class:`~repro.inference.pool.SessionPool` — one prepared session per
+  tenant graph handle, weighted eviction (thread-safe);
 * :class:`ServingGateway` (this package) — an asyncio request front-end that
   batches concurrent infer requests per tick, coalesces deltas into one
   deferred flush, overlaps next-tick delta application with current-tick

@@ -185,10 +185,13 @@ class ServingGateway:
         """Bind ``tenant_id`` to its graph handle.
 
         The graph must be an in-memory :class:`~repro.graph.graph.Graph`
-        (deltas are mirrored onto it — the handle tracks the content, exactly
-        as :meth:`SessionPool.apply_delta` requires).  Planning happens
-        lazily on the tenant's first tick; call
-        ``await gateway.warm(tenant_id)`` to front-load it.
+        (deltas are mirrored onto it, exactly as
+        :meth:`SessionPool.apply_delta` does).  The handle is the tenant's
+        key in the pool: once its first tick runs, the pool owns its arrays
+        and makes them read-only until the tenant is evicted, so change the
+        graph through :meth:`submit_delta` only.  Planning happens lazily on
+        the tenant's first tick; call ``await gateway.warm(tenant_id)`` to
+        front-load it.
         """
         self._require_open()
         if not isinstance(graph, Graph):

@@ -23,8 +23,7 @@ from repro.analysis.lint import iter_python_files
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "analysis_fixtures"
 
-EXPECTED_RULES = {"lock-discipline", "fingerprint-under-lock", "determinism",
-                  "broad-except"}
+EXPECTED_RULES = {"lock-discipline", "determinism", "broad-except"}
 
 
 def findings_in(case: str):
@@ -54,14 +53,13 @@ def test_rules_table_is_a_tuple_of_distinct_names():
 
 #: each rule's fixture case (``<case>/bad`` and ``<case>/good``).
 RULE_CASES = {"lock-discipline": "lock_discipline",
-              "fingerprint-under-lock": "fingerprint",
               "determinism": "determinism",
               "broad-except": "broad_except"}
 
 
 @pytest.mark.parametrize("rule", sorted(RULE_CASES))
 def test_bad_fixture_trips_only_its_own_rule(rule):
-    """Every rule runs over every file, so the other three must stay quiet."""
+    """Every rule runs over every file, so the others must stay quiet."""
     found = findings_in(f"{RULE_CASES[rule]}/bad")
     assert found
     assert {finding_rule for finding_rule, _, _ in found} == {rule}
@@ -77,16 +75,6 @@ def test_lock_discipline_flags_fcf99ca_shape():
 
 def test_lock_discipline_accepts_fixed_shape():
     assert findings_in("lock_discipline/good") == []
-
-
-def test_fingerprint_outside_lock_flagged():
-    assert findings_in("fingerprint/bad") == [
-        ("fingerprint-under-lock", "pool.py", 10),
-    ]
-
-
-def test_fingerprint_under_lock_accepted():
-    assert findings_in("fingerprint/good") == []
 
 
 def test_determinism_flags_every_hazard():
@@ -174,10 +162,10 @@ def test_cli_passes_on_clean_tree(capsys):
 
 
 def test_cli_summary_names_rule_count_and_paths(capsys):
-    target = str(FIXTURES / "fingerprint" / "bad")
+    target = str(FIXTURES / "lock_discipline" / "bad")
     assert lint_main([target]) == 1
     last = capsys.readouterr().out.splitlines()[-1]
-    assert last == f"FAIL: 1 finding(s) [{len(RULES)} rule(s) over {target}]"
+    assert last == f"FAIL: 2 finding(s) [{len(RULES)} rule(s) over {target}]"
 
 
 def test_cli_defaults_to_src(monkeypatch, capsys):

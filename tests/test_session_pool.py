@@ -1,10 +1,10 @@
 """The multi-tenant :class:`SessionPool`: plan cache, LRU eviction, deltas.
 
 One deployed model serves many prepared graphs; the pool keys sessions by
-:func:`graph_fingerprint` so a tenant's second ``infer()`` must hit the plan
-cache (no re-prepare — asserted with a backend spy), evicts least-recently
-used beyond capacity, and re-keys entries after deltas so drifting tenants
-keep hitting.
+the tenant's graph handle, so a tenant's second ``infer()`` must hit the plan
+cache (no re-prepare — asserted with a backend spy), evicts by weight and
+recency beyond capacity, and mirrors deltas onto the handle it owns so
+drifting tenants keep hitting.
 """
 
 from __future__ import annotations
@@ -110,11 +110,11 @@ class TestPlanCache:
             solo.prepare(make_graph(seed))
             np.testing.assert_array_equal(pooled, solo.infer().scores)
 
-    def test_identical_content_shares_one_plan(self):
+    def test_equal_content_handles_get_their_own_sessions(self):
         pool = SessionPool(make_model(), make_config(), capacity=4)
         a, b = make_graph(7), make_graph(7)     # equal content, distinct objects
-        assert pool.session_for(a) is pool.session_for(b)
-        assert len(pool) == 1 and pool.stats.hits == 1
+        assert pool.session_for(a) is not pool.session_for(b)
+        assert len(pool) == 2 and pool.stats.misses == 2 and pool.stats.hits == 0
 
     def test_signature_built_once_and_shared(self):
         signature = export_signature(make_model())
@@ -163,7 +163,7 @@ class TestDeltaRouting:
         outcome = pool.apply_delta(graph, GraphDelta(
             node_ids=ids, node_features=rng.standard_normal((10, 8))))
         assert outcome.in_place
-        # The delta mutated the graph; the entry must follow the content.
+        # The delta changed the handle's content; the entry still serves it.
         assert graph_fingerprint(graph) != old_fingerprint
         assert graph in pool and len(pool) == 1
         pool.infer(graph, mode="incremental")
@@ -193,8 +193,8 @@ class TestDeltaRouting:
         outcome = pool.apply_delta(graph, GraphDelta(
             node_ids=np.array([3]), node_features=np.ones((1, 8))), defer=True)
         assert outcome.deferred
-        # The caller's handle mirrors the delta eagerly (the key must track
-        # the content); the session's plan patch is what is deferred.
+        # The caller's handle mirrors the delta eagerly; the session's plan
+        # patch is what is deferred.
         assert graph_fingerprint(graph) != fingerprint_before
         assert session.num_pending_deltas == 1
         pool.infer(graph)                          # hit; flushes the buffer
@@ -203,14 +203,13 @@ class TestDeltaRouting:
         assert pool.stats.misses == 1              # never re-prepared
 
     def test_content_equal_tenants_are_isolated(self):
-        # Two tenants with byte-identical graphs share one plan, but a delta
-        # from tenant B must never mutate tenant A's arrays (the pooled
-        # session owns a private copy), and A keeps being served its own
-        # (pre-delta) content.
+        # Two tenants with byte-identical graphs are two handles with two
+        # sessions: a delta from tenant B must never mutate tenant A's
+        # arrays, and A keeps being served its own (pre-delta) content.
         pool = SessionPool(make_model(), make_config(), capacity=4)
         tenant_a, tenant_b = make_graph(19), make_graph(19)
         scores_before = pool.infer(tenant_a).scores
-        assert pool.session_for(tenant_b) is pool.session_for(tenant_a)
+        assert pool.session_for(tenant_b) is not pool.session_for(tenant_a)
         a_features = tenant_a.node_features.copy()
         rng = np.random.default_rng(3)
         ids = rng.choice(tenant_b.num_nodes, size=10, replace=False)
@@ -226,7 +225,8 @@ class TestDeltaRouting:
     def test_apply_delta_rejects_tables_tenants(self):
         # Tenants are Graph handles (a delta could not be mirrored onto a
         # (NodeTable, EdgeTable) pair): an unconverted pair is refused on
-        # every pool path; the converted graph is served and content-addressed.
+        # every pool path; the converted graph is served, and its second
+        # lookup hits.
         pool = SessionPool(make_model(), make_config(), capacity=4)
         tables = graph_to_tables(make_graph(20))
         with pytest.raises(TypeError, match="tables_to_graph"):
@@ -235,8 +235,9 @@ class TestDeltaRouting:
             pool.apply_delta(tables, GraphDelta(node_ids=np.array([1]),
                                                 node_features=np.ones((1, 8))))
         assert len(pool) == 0 and pool.stats.misses == 0
-        pool.infer(tables_to_graph(*tables))
-        pool.infer(make_graph(20))
+        graph = tables_to_graph(*tables)
+        pool.infer(graph)
+        pool.infer(graph)
         assert pool.stats.hits == 1 and pool.stats.misses == 1
 
     def test_discarded_deferred_deltas_do_not_arm_state_cache(self):
@@ -250,38 +251,6 @@ class TestDeltaRouting:
         session.infer()
         assert not session.plan.delta_seen
         assert not session.plan.state["engine"].cache_warm
-
-    def test_rekey_onto_resident_fingerprint_keeps_one_plan_per_content(self):
-        # Tenant B's delta makes its content byte-identical to tenant A's
-        # (duplicate-content tenants): the re-key lands on a fingerprint that
-        # is already resident.  The fresher session must replace the resident
-        # one — one plan per content — and both handles keep being served
-        # correct scores.
-        pool = SessionPool(make_model(), make_config(), capacity=4)
-        tenant_a = make_graph(30)
-        tenant_b = make_graph(30)
-        rng = np.random.default_rng(5)
-        ids = rng.choice(tenant_b.num_nodes, size=6, replace=False)
-        original_rows = tenant_b.node_features[ids].copy()
-        # Diverge B first so A and B occupy two distinct entries.
-        pool.apply_delta(tenant_b, GraphDelta(
-            node_ids=ids, node_features=rng.standard_normal((6, 8))))
-        scores_a = pool.infer(tenant_a).scores
-        pool.infer(tenant_b)
-        assert len(pool) == 2
-        evictions_before = pool.stats.evictions
-        b_session = pool.session_for(tenant_b)
-        # Converge B back onto A's exact content.
-        pool.apply_delta(tenant_b, GraphDelta(node_ids=ids,
-                                              node_features=original_rows))
-        assert graph_fingerprint(tenant_b) == graph_fingerprint(tenant_a)
-        assert len(pool) == 1, "converged tenants must share one entry"
-        assert pool.stats.evictions == evictions_before + 1
-        # The surviving entry is B's (fresher) session, and it serves the
-        # shared content correctly for both handles.
-        assert pool.session_for(tenant_a) is b_session
-        np.testing.assert_array_equal(pool.infer(tenant_b).scores, scores_a)
-        np.testing.assert_array_equal(pool.infer(tenant_a).scores, scores_a)
 
     def test_eviction_with_deferred_deltas_pending(self):
         # A session holding deferred deltas in its DeltaBuffer gets LRU
@@ -357,16 +326,82 @@ class TestDeltaRouting:
         solo.prepare(reference)
         np.testing.assert_array_equal(scores, solo.infer().scores)
 
-    def test_out_of_band_mutation_misses_instead_of_serving_stale(self):
-        # Content addressing: a foreign in-place mutation changes the key, so
-        # the pool plans the new content instead of serving the stale plan.
+    def test_in_place_write_to_a_pooled_handle_raises_and_changes_nothing(self):
+        # The pool owns a pooled handle's arrays: an in-place write raises,
+        # and the entry keeps serving the same scores without re-preparing.
         pool = SessionPool(make_model(), make_config(), capacity=4)
         graph = make_graph(18)
         before = pool.infer(graph).scores
-        graph.node_features[0] += 1.0
-        after = pool.infer(graph).scores
-        assert pool.stats.misses == 2 and len(pool) == 2
-        assert not np.array_equal(before, after)
+        for array in (graph.src, graph.dst, graph.node_features):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] += 1
+        np.testing.assert_array_equal(pool.infer(graph).scores, before)
+        assert pool.stats.misses == 1 and pool.stats.hits == 1
+
+    def test_out_of_band_mutation_misses_instead_of_serving_stale(self):
+        # A rebound handle array is no longer the one the pool recorded: the
+        # next lookup misses, and the handle is planned afresh.
+        pool = SessionPool(make_model(), make_config(), capacity=4)
+        graph = make_graph(18)
+        before = pool.infer(graph).scores
+        reference = make_graph(18)
+        reference.node_features[0] += 1.0
+        features = graph.node_features.copy()
+        features[0] += 1.0
+        graph.node_features = features                 # rebound
+        rebound = pool.infer(graph).scores
+        assert pool.stats.misses == 2 and len(pool) == 1
+        assert not np.array_equal(before, rebound)
+        np.testing.assert_array_equal(
+            rebound, InferenceSession(make_model(), make_config()).infer(reference).scores)
+
+    def test_unlocked_handle_array_misses_instead_of_serving_stale(self):
+        # An array made writeable again is no longer trusted: after an
+        # in-place write through it, the next lookup misses and the handle is
+        # planned afresh.
+        pool = SessionPool(make_model(), make_config(), capacity=4)
+        graph = make_graph(18)
+        before = pool.infer(graph).scores
+        reference = make_graph(18)
+        reference.node_features[1] -= 1.0
+        graph.node_features.flags.writeable = True     # unlocked
+        graph.node_features[1] -= 1.0
+        unlocked = pool.infer(graph).scores
+        assert pool.stats.misses == 2 and len(pool) == 1
+        assert not np.array_equal(before, unlocked)
+        np.testing.assert_array_equal(
+            unlocked, InferenceSession(make_model(), make_config()).infer(reference).scores)
+
+    def test_a_delta_racing_an_eviction_and_readoption_never_serves_stale(self):
+        # Between apply_delta's lookup and its mirror, another thread evicts
+        # the tenant and prepares it again from the pre-delta handle.  The
+        # mirror must not land under that fresh plan: it is detached, and the
+        # next lookup prepares from the post-delta handle.
+        pool = SessionPool(make_model(), make_config(), capacity=4)
+        graph = make_graph(26)
+        session = pool.session_for(graph)
+        buffer_delta = session.apply_delta
+
+        def evict_and_readopt(delta, defer=False):
+            outcome = buffer_delta(delta, defer=defer)
+            racer = threading.Thread(
+                target=lambda: (pool.evict(graph), pool.session_for(graph)))
+            racer.start()
+            racer.join()
+            return outcome
+
+        session.apply_delta = evict_and_readopt
+        rng = np.random.default_rng(26)
+        delta = GraphDelta(node_ids=np.array([3, 8]),
+                           node_features=rng.standard_normal((2, 8)))
+        pool.apply_delta(graph, delta, defer=True)
+        assert graph not in pool and pool.stats.misses == 2
+        scores = pool.infer(graph).scores
+        assert pool.stats.misses == 3
+        reference = make_graph(26)
+        apply_delta_to_graph(reference, delta)
+        np.testing.assert_array_equal(
+            scores, InferenceSession(make_model(), make_config()).infer(reference).scores)
 
     def test_flush_raising_mid_patch_never_serves_the_private_copy(self):
         # The backend patches the private copy, then raises: the flush never
@@ -400,12 +435,13 @@ class TestDeltaRouting:
         np.testing.assert_array_equal(scores, solo.infer().scores)
 
     def test_private_copy_is_read_only_outside_the_flush(self):
-        # The session trusts its private copy without re-hashing it, so
-        # nothing reachable through the public API may write it — not even
-        # after an edge delta rebinds the edge arrays.  The caller's handle
-        # stays writeable.
-        def assert_read_only(private):
-            for array in (private.src, private.dst, private.node_features):
+        # The session trusts its private copy without re-hashing it, and the
+        # pool trusts the handle without hashing it, so nothing reachable
+        # through the public API may write either — not even after an edge
+        # delta rebinds the edge arrays.  Evicting hands the handle back
+        # writeable.
+        def assert_read_only(graph):
+            for array in (graph.src, graph.dst, graph.node_features):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 0
 
@@ -414,6 +450,7 @@ class TestDeltaRouting:
         pool.infer(graph)
         session = pool.session_for(graph)
         assert_read_only(session.plan.graph)
+        assert_read_only(graph)
         pool.apply_delta(graph, GraphDelta(
             node_ids=np.array([2]), node_features=np.ones((1, 8)),
             added_src=np.array([0]), added_dst=np.array([1])))
@@ -421,11 +458,13 @@ class TestDeltaRouting:
         private = session.plan.graph
         assert private is not graph and private.num_edges == graph.num_edges
         assert_read_only(private)
-        assert all(array.flags.writeable
-                   for array in (graph.src, graph.dst, graph.node_features))
+        assert_read_only(graph)
         np.testing.assert_array_equal(pool.infer(graph).scores,
                                       InferenceSession(make_model(), make_config())
                                       .infer(graph).scores)
+        assert pool.evict(graph)
+        assert all(array.flags.writeable
+                   for array in (graph.src, graph.dst, graph.node_features))
 
 
 class _BlockingBackend:
@@ -497,10 +536,10 @@ class TestThreadSafety:
 
     def test_concurrent_deltas_and_infers_never_tear_fingerprints(self):
         # Regression: apply_delta mirrors the delta onto the caller's graph
-        # under the pool lock, and every lookup fingerprints under that same
-        # lock — so an infer racing a delta must see either fully pre- or
-        # fully post-delta content, with the cache entry keyed to match.  A
-        # torn read would surface as a spurious miss (re-preparing from
+        # under the pool lock, the lock every lookup checks the handle under,
+        # and relocks the rebound arrays before releasing it — so an infer
+        # racing a delta never sees the handle half-mirrored or unlocked.
+        # Either would surface as a spurious miss (re-preparing from
         # half-mutated arrays); with one tenant the pool must miss exactly
         # once, ever.
         pool = SessionPool(make_model(), make_config(), capacity=4)
@@ -546,7 +585,7 @@ class TestThreadSafety:
 
     def test_concurrent_eager_and_deferred_deltas_keep_handle_and_copy_equal(self):
         # Same hammer, two writers on one tenant — one eager, one deferred —
-        # plus readers.  Every delta is buffered, mirrored and re-keyed under
+        # plus readers.  Every delta is buffered and mirrored under
         # the session's buffer lock (the eager writer's flush happens after
         # it, outside), so the tenant's handle and the session's private copy
         # see the deltas in the same order: byte-equal at the end, one miss
@@ -912,9 +951,8 @@ def _tick_deltas(rng, graph):
 
 
 def _count_fingerprint_passes(monkeypatch):
-    """Record the graph of every full ``graph_fingerprint`` pass the pool and
-    the session make."""
-    from repro.inference import pool as pool_module
+    """Record the graph of every full ``graph_fingerprint`` pass the session
+    makes (the pool makes none)."""
     from repro.inference import session as session_module
 
     passes = []
@@ -923,20 +961,17 @@ def _count_fingerprint_passes(monkeypatch):
         passes.append(graph)
         return graph_fingerprint(graph)
 
-    monkeypatch.setattr(pool_module, "graph_fingerprint", counting)
     monkeypatch.setattr(session_module, "graph_fingerprint", counting)
     return passes
 
 
 def test_fingerprint_passes_per_tick(monkeypatch):
     """A ratchet, not a timing: one pooled serving tick — four deferred
-    deltas, then an incremental ``infer`` — hashes the caller's handle in full
-    exactly 9 times (per ``pool.apply_delta``: the lookup and the mirrored
-    re-key; then ``pool.infer``'s lookup).  Those passes are the staleness
-    contract and the pool's content key.  The pool's private copy is hashed
-    once, by the post-flush refresh: it is read-only outside its session's
-    flush, so every other check trusts it while the plan's fingerprint is
-    current."""
+    deltas, then an incremental ``infer`` — never hashes the caller's handle:
+    the pool owns its arrays and trusts it while it holds them, read-only.
+    The pool's private copy is hashed once, by the post-flush refresh: it is
+    read-only outside its session's flush, so every other check trusts it
+    while the plan's fingerprint is current."""
     rng = np.random.default_rng(3)
     graph = make_graph(seed=3)
     pool = SessionPool(make_model(), make_config(), capacity=2)
@@ -957,7 +992,7 @@ def test_fingerprint_passes_per_tick(monkeypatch):
     on_private = sum(each is private for each in passes)
     print(f"graph_fingerprint passes per 4-delta tick: {caller} on the caller's "
           f"handle, {on_private} on the pool's private copy")
-    assert (caller, on_private, len(passes)) == (9, 1, 10)
+    assert (caller, on_private, len(passes)) == (0, 1, 1)
     assert result.scores.shape == (graph.num_nodes, 4)
 
 

@@ -220,9 +220,9 @@ class TestShadowNodes:
     def test_mirror_features_copied(self):
         star = star_graph(60, direction="out")
         plan = apply_shadow_nodes(star, threshold=10, num_workers=8)
-        for mirror, origin in plan.mirror_origin.items():
-            np.testing.assert_allclose(plan.graph.node_features[mirror],
-                                       star.node_features[origin])
+        assert plan.num_mirrors > 0
+        np.testing.assert_allclose(plan.graph.node_features,
+                                   star.node_features[plan.origin_of])
 
     def test_mirror_count_capped_by_workers(self):
         star = star_graph(1000, direction="out")
@@ -265,7 +265,4 @@ def test_shadow_nodes_preserve_edge_multiset(num_leaves, threshold, num_workers)
     plan = apply_shadow_nodes(star, threshold=threshold, num_workers=num_workers)
     assert plan.graph.num_edges == star.num_edges
     np.testing.assert_array_equal(np.sort(plan.graph.dst), np.sort(star.dst))
-    for edge_index in range(plan.graph.num_edges):
-        source = int(plan.graph.src[edge_index])
-        origin = plan.mirror_origin.get(source, source)
-        assert origin == int(star.src[edge_index])
+    np.testing.assert_array_equal(plan.origin_of[plan.graph.src], star.src)

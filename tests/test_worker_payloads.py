@@ -108,7 +108,7 @@ def test_a_shadow_plan_still_pickles_whole_graph_included():
         session.close()
     assert clone.has_mirrors and clone.num_mirrors == shadow.num_mirrors
     assert clone.original_num_nodes == shadow.original_num_nodes
-    assert clone.mirror_origin == shadow.mirror_origin
+    np.testing.assert_array_equal(clone.origin_of, shadow.origin_of)
     np.testing.assert_array_equal(clone.replica_indptr, shadow.replica_indptr)
     np.testing.assert_array_equal(clone.replica_ids, shadow.replica_ids)
     for name in ("src", "dst", "node_features", "labels"):
