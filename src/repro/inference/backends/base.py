@@ -10,8 +10,8 @@ inference under the shared GAS programming model.  Each backend subclasses
   that can be computed once and reused across repeated executions;
 * ``execute(plan, metrics)`` — one inference run over a previously built
   :class:`ExecutionPlan`, recording per-instance counters into ``metrics``;
-* ``apply_delta`` — land a delta on the plan's graphs (shared by both
-  backends; pregel extends it to patch its partitions);
+* ``apply_delta`` — patch a plan for a delta already on its base graph
+  (shared by both backends; pregel extends it to patch its partitions);
 * optionally ``execute_incremental`` / ``release`` — by default an
   incremental request runs in full and there is nothing to release.
 
@@ -23,6 +23,7 @@ system looks a backend up by name via ``get_backend``.
 from __future__ import annotations
 
 import abc
+import copy
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
@@ -35,11 +36,7 @@ from repro.gnn.model import GNNModel
 from repro.graph.graph import Graph
 from repro.graph.partition import HashPartitioner
 from repro.inference.config import InferenceConfig
-from repro.inference.delta import (
-    DeltaOutcome,
-    GraphDelta,
-    apply_delta_to_graph,
-)
+from repro.inference.delta import DeltaOutcome, GraphDelta
 from repro.inference.shadow import ReplicaMap, ShadowNodePlan, apply_shadow_nodes
 from repro.inference.strategies import (
     StrategyPlan,
@@ -68,6 +65,10 @@ class ExecutionPlan:
     graph: Graph
     config: InferenceConfig
     strategy_plan: StrategyPlan
+    #: the graph the backend executes over: the shadow rewrite's, or a second
+    #: ``Graph`` over ``graph``'s arrays.  Never ``graph`` itself, so a delta
+    #: landing on a pooled handle mid-run rebinds nothing a run reads.
+    working_graph: Graph
     shadow_plan: Optional[ShadowNodePlan] = None
     #: dense global→owner / global→local routing tables over the working
     #: graph, computed once at plan time and reused by every execution.
@@ -75,15 +76,15 @@ class ExecutionPlan:
     num_supersteps: int = 0
     #: backend-private precomputed artefacts (engines, executors, pipelines).
     state: Dict[str, Any] = field(default_factory=dict)
-    #: content fingerprint of ``graph`` at plan (or last delta) time — see
+    #: content fingerprint of ``graph`` at plan (or last flush) time — see
     #: :func:`repro.inference.delta.graph_fingerprint`.  The session re-hashes
     #: a caller's graph against it at every public entry and raises
     #: ``StalePlanError`` on out-of-band mutation instead of serving stale
-    #: scores; a pool-private copy only while ``fingerprint_current`` is unset.
+    #: scores; a pooled handle, which only the pool writes, carries none.
     fingerprint: Optional[Tuple[int, int, int]] = None
-    #: whether ``fingerprint`` describes ``graph``: a flush clears it before
-    #: the backend patches the plan and sets it once the fingerprint is
-    #: refreshed, so it stays clear only after a flush that raised part-way.
+    #: whether the plan describes ``graph``: a flush clears it before the
+    #: backend patches the plan and sets it once the patch is done, so it
+    #: stays clear only after a flush that raised part-way.
     fingerprint_current: bool = True
     #: set by the session the first time a delta lands on (or is deferred
     #: against) this plan.  The pregel backend gates its per-superstep state
@@ -92,11 +93,6 @@ class ExecutionPlan:
     #: first post-delta incremental request falls back to one full run,
     #: which primes the cache.
     delta_seen: bool = False
-
-    @property
-    def working_graph(self) -> Graph:
-        """The graph the backend actually executes over (post shadow rewrite)."""
-        return self.shadow_plan.graph if self.shadow_plan is not None else self.graph
 
     @property
     def original_num_nodes(self) -> int:
@@ -128,7 +124,7 @@ class Backend(abc.ABC):
 
     ``plan`` / ``execute`` / ``default_cluster`` are abstract — the
     ``BACKENDS`` table instantiates every backend at import, so an incomplete
-    one fails there.  ``apply_delta`` lands a delta on the plan's graphs.
+    one fails there.  ``apply_delta`` patches a plan for a landed delta.
 
     ``pregel`` overrides all three hooks (bit-identical incremental runs over
     a warm partition cache, feature *and* hub-preserving edge deltas — under
@@ -157,27 +153,31 @@ class Backend(abc.ABC):
     def apply_delta(self, plan: ExecutionPlan, delta: GraphDelta) -> DeltaOutcome:
         """Fold ``delta`` into ``plan``; ``in_place=False`` makes the session re-plan.
 
-        Lands ``delta`` on the base graph (validation happens first — a
-        rejected delta leaves everything untouched), re-checks the hub
-        contract for edge changes (:func:`check_edge_delta_stability`),
-        splices them into the shadow-expanded working graph with the
-        position-stable mirror assignment
-        (:meth:`~repro.inference.shadow.ShadowNodePlan.patch_edge_delta`), and
-        refreshes shadow-mirror feature copies.  The outcome's
-        ``feature_dirty`` is the replica closure of the changed feature rows.
-        Whatever the outcome, the delta has landed on ``plan.graph``, so the
-        session can re-prepare from the updated state.
+        ``delta`` is already on ``plan.graph`` (the session's flush lands a
+        caller's graph, the pool's mirror a pooled handle), and this never
+        writes it.  Re-checks the hub contract for edge changes
+        (:func:`check_edge_delta_stability`), splices them into the working
+        graph with the position-stable mirror assignment
+        (:meth:`~repro.inference.shadow.ShadowNodePlan.patch_edge_delta`) or
+        re-points it at the base arrays, and refreshes shadow-mirror feature
+        copies.  The outcome's ``feature_dirty`` is the replica closure of
+        the changed feature rows; ``topo_dirty`` is read off the unpatched
+        working graph, which keeps the base edge order and ``dst``.
         """
-        graph, shadow = plan.graph, plan.shadow_plan
-        topo_dirty = apply_delta_to_graph(graph, delta)
+        graph, working, shadow = plan.graph, plan.working_graph, plan.shadow_plan
+        topo_dirty = delta.topo_dirty(working.dst)
 
         if delta.has_edge_changes:
             stable, reason, threshold = check_edge_delta_stability(plan)
             if not stable:
                 return DeltaOutcome(in_place=False, reason=reason)
             plan.strategy_plan.threshold = threshold
-            if shadow is not None:
+            if shadow is not None and shadow.has_mirrors:
                 shadow.patch_edge_delta(graph, delta)
+            else:
+                working.src, working.dst = graph.src, graph.dst
+                working.edge_features = graph.edge_features
+                working.invalidate_adjacency()
 
         feature_dirty = np.empty(0, dtype=np.int64)
         if delta.has_feature_changes:
@@ -221,7 +221,7 @@ def merge_hub_mirrors(strategy_plan: StrategyPlan,
 
 
 def check_edge_delta_stability(plan: ExecutionPlan) -> Tuple[bool, str, int]:
-    """Re-check the hub contract after an edge delta landed on ``plan.graph``.
+    """Re-check the hub contract once an edge delta is on ``plan.graph``.
 
     Returns ``(stable, reason, new_threshold)``.  Stable means an in-place
     edge patch is provably equivalent to a re-plan: the recomputed hub
@@ -264,13 +264,17 @@ def plan_gas_execution(backend_name: str, model: GNNModel, graph: Graph,
     strategy_plan = build_strategy_plan(model, graph, config.num_workers,
                                         config.strategies, has_edge_features)
     shadow_plan: Optional[ShadowNodePlan] = None
+    working = copy.copy(graph)
     if config.strategies.shadow_nodes:
         shadow_plan = apply_shadow_nodes(graph, strategy_plan.threshold,
                                          config.num_workers)
         merge_hub_mirrors(strategy_plan, shadow_plan)
+        if shadow_plan.has_mirrors:
+            working = shadow_plan.graph
+        shadow_plan.graph = working
     plan = ExecutionPlan(backend=backend_name, model=model, graph=graph,
                          config=config, strategy_plan=strategy_plan,
-                         shadow_plan=shadow_plan)
+                         working_graph=working, shadow_plan=shadow_plan)
     plan.layout = ClusterLayout.build(plan.working_graph.num_nodes,
                                       HashPartitioner(config.num_workers))
     return plan

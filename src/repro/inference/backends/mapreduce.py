@@ -1,6 +1,6 @@
 """The MapReduce batch-processing backend.
 
-Planning and delta landing are the Pregel backend's: the same
+Planning and the delta patch are the Pregel backend's: the same
 :class:`~repro.pregel.engine.PregelEngine` partitions, patched in place by
 the same ``apply_delta``.  Execution drives the Pregel partition program as
 one map/reduce round per layer

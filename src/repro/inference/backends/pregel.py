@@ -6,9 +6,9 @@ partitions and only swaps in a fresh metrics collector, so repeated
 ``infer()`` calls skip the hash-partitioning pass entirely.
 
 This backend overrides the delta hooks of
-:class:`~repro.inference.backends.base.Backend`: ``apply_delta`` lands the
-delta through the base class and then patches the cached partitions in
-place for feature refreshes (including shadow mirror copies) and
+:class:`~repro.inference.backends.base.Backend`: ``apply_delta`` patches the
+working graph through the base class, then the cached partitions in place
+for feature refreshes (including shadow mirror copies) and
 hub-preserving edge deltas, and ``execute_incremental``
 reruns only the dirty k-hop region against the warm engine — the serving
 path for graphs that change between recurring inference jobs.
@@ -101,16 +101,17 @@ class PregelBackend(Backend):
     def apply_delta(self, plan: ExecutionPlan, delta: GraphDelta) -> DeltaOutcome:
         """Patch the cached plan for ``delta``; report what stays valid.
 
-        Feature rows are always applied in place: the base graph, the
-        shadow-expanded working graph (originals *and* mirror copies, via the
-        replica CSR) and every engine partition's feature slice are updated
-        through one :class:`~repro.cluster.layout.ClusterLayout` translate +
-        grouped scatter.  Edge deltas are applied in place whenever the hub
+        ``delta`` is already on the base graph.  Feature rows are always
+        applied in place: the shadow-expanded working graph (originals *and*
+        mirror copies, via the replica CSR) and every engine partition's
+        feature slice are updated through one
+        :class:`~repro.cluster.layout.ClusterLayout` translate + grouped
+        scatter.  Edge deltas are applied in place whenever the hub
         contract survives (:meth:`~repro.inference.backends.base.Backend.apply_delta`),
         for every layer kind: each stage computes a row from that row's inputs
         alone, so no row's bits depend on how many edges the table holds.
-        Otherwise this returns ``in_place=False`` after landing the delta on
-        the base graph, and the session re-plans from it.  An in-place edge
+        Otherwise this returns ``in_place=False``, and the session re-plans
+        from the base graph.  An in-place edge
         delta tells each partition which of its out-edges survive, so the next
         run patches its resident send schedules instead of rebuilding them.
         """

@@ -9,12 +9,13 @@ bug of plan-once/infer-many systems.  The contract is now explicit:
 * every prepared plan carries a :func:`graph_fingerprint` of the source
   graph's feature buffers and edge arrays; the session re-checks it at every
   public entry and raises :class:`StalePlanError` on any out-of-band
-  mutation — a loud error instead of a silent wrong answer (a pool-private
-  copy, read-only outside its session's flush, is trusted while its plan's
-  fingerprint is current);
+  mutation — a loud error instead of a silent wrong answer (a pooled
+  handle, which only its pool writes, is not hashed);
 * in-band changes travel as a :class:`GraphDelta` through
   ``session.apply_delta(delta)``, which updates the cached plan (and its
-  fingerprint) in place where possible and transparently re-plans where not;
+  fingerprint) in place where possible and transparently re-plans where not
+  (:func:`apply_delta_to_graph` lands it once: on a caller's graph at the
+  flush, on a pooled handle by the pool's mirror);
 * after a delta, ``session.infer(mode="incremental")`` recomputes only the
   k-hop region the delta can reach (see :func:`expand_frontier`), bit-identical
   to a fresh full ``prepare()+infer()``;
@@ -125,6 +126,14 @@ class GraphDelta:
     @property
     def is_empty(self) -> bool:
         return not (self.has_feature_changes or self.has_edge_changes)
+
+    def topo_dirty(self, dst: np.ndarray) -> np.ndarray:
+        """Destinations whose in-edge set this delta changes, given the
+        pre-delta ``dst`` (sorted, unique)."""
+        parts: List[np.ndarray] = [] if self.added_dst is None else [self.added_dst]
+        if self.removed_edge_ids is not None:
+            parts.append(dst[self.removed_edge_ids])
+        return np.unique(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
 
     def describe(self) -> str:
         parts = []
@@ -389,25 +398,19 @@ def apply_delta_to_graph(graph: Graph, delta: GraphDelta) -> np.ndarray:
     half-applied graph and a fingerprint that no longer matches.
     """
     validate_delta_against_graph(graph, delta)
-    removing = delta.removed_edge_ids is not None and delta.removed_edge_ids.size > 0
-    adding = delta.added_src is not None and delta.added_src.size > 0
-
-    topo_dirty: List[np.ndarray] = []
+    topo_dirty = delta.topo_dirty(graph.dst)
     if delta.has_feature_changes:
         graph.node_features[delta.node_ids] = delta.node_features
     if delta.has_edge_changes:
         src, dst = graph.src, graph.dst
         edge_features = graph.edge_features
-        if removing:
-            removed = delta.removed_edge_ids
-            topo_dirty.append(dst[removed])
+        if delta.removed_edge_ids is not None and delta.removed_edge_ids.size:
             keep = np.ones(src.size, dtype=bool)
-            keep[removed] = False
+            keep[delta.removed_edge_ids] = False
             src, dst = src[keep], dst[keep]
             if edge_features is not None:
                 edge_features = edge_features[keep]
-        if adding:
-            topo_dirty.append(delta.added_dst)
+        if delta.added_src is not None and delta.added_src.size:
             src = np.concatenate([src, delta.added_src])
             dst = np.concatenate([dst, delta.added_dst])
             if edge_features is not None:
@@ -416,10 +419,7 @@ def apply_delta_to_graph(graph: Graph, delta: GraphDelta) -> np.ndarray:
         graph.src, graph.dst = src, dst
         graph.edge_features = edge_features
         graph.invalidate_adjacency()
-
-    if not topo_dirty:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(topo_dirty))
+    return topo_dirty
 
 
 # --------------------------------------------------------------------------- #

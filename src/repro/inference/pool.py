@@ -7,26 +7,21 @@ per *tenant graph handle*, so N tenant graphs are each planned once and every
 later ``infer()`` reuses the cached plan — partition layout, strategy plan,
 shadow rewrite and backend state included.
 
-A pooled handle is **owned by the pool**.  The first lookup of a handle
-rebinds the four arrays inference reads (``src``, ``dst``,
-``node_features``, ``edge_features``) to read-only copies the pool owns, so
-nothing but :meth:`SessionPool.apply_delta` changes what the handle holds: an
-in-place write raises numpy's read-only ``ValueError``.  A lookup trusts the
-handle while it still holds exactly those arrays, read-only — an O(1) check,
-no hash — and a handle whose array was rebound (or unlocked) misses and is
-planned afresh, so the pool can never serve yesterday's plan for today's
-bytes.  Two handles with equal content are two tenants with two sessions.
-:meth:`SessionPool.evict` and :meth:`SessionPool.clear` hand the arrays back
-writeable.
-
-Each pooled session is prepared over a **private copy** of the handle, whose
-arrays are read-only outside the session's own flush, so the session trusts
-the copy while its plan's fingerprint is current rather than re-hashing it (a
-flush that raised part-way sends the next check to a full re-hash, and the
-pool drops the entry).  In-band changes go through
-:meth:`SessionPool.apply_delta`, which routes the delta to the owning
-session *and* mirrors it onto the handle at once — deferred deltas included,
-so the handle always shows the content the tenant's next infer serves.
+A pooled handle is **owned by the pool** and is its session's plan graph
+(``pool.session_for(h).plan.graph is h``).  The first lookup rebinds the four
+arrays inference reads (``src``, ``dst``, ``node_features``,
+``edge_features``) to read-only copies the pool owns — the one copy a miss
+takes — so an in-place write raises numpy's read-only ``ValueError``.  A
+lookup trusts the handle while it still holds exactly those arrays, read-only
+— an O(1) check, no hash — and a handle whose array was rebound (or unlocked)
+misses and is planned afresh.  Two handles with equal content are two tenants
+with two sessions.  :meth:`SessionPool.evict` and :meth:`SessionPool.clear`
+hand the arrays back writeable.  :meth:`SessionPool.apply_delta` routes a
+delta to the owning session and mirrors it onto the handle at once, deferred
+deltas included: that mirror is the delta's one landing, so the plan needs no
+fingerprint, and the session's flush patches only what the plan derives from
+the handle.  A flush that raised part-way leaves the plan stale, and the pool
+drops the entry.
 
 Capacity is bounded and eviction is **weighted**: every entry weighs the
 byte size of its graph arrays (a deterministic proxy for prepare cost —
@@ -52,10 +47,9 @@ holding tables converts once with
     print(pool.stats)
 
 The pool is **thread-safe**, and its lock is deliberately cheap to hold.
-Adopting a handle (and taking the private copy a preparation runs over) and
-mirroring a delta onto it both happen *inside* the pool lock, so a lookup
-never copies a half-mirrored handle.  Everything slow runs *outside* it:
-``prepare()`` is guarded by a per-handle once-flag (two concurrent cold
+Adopting a handle and mirroring a delta onto it both happen *inside* the
+pool lock, so a lookup never copies a half-mirrored handle.  Everything slow
+runs *outside* it: ``prepare()`` is guarded by a per-handle once-flag (two concurrent cold
 lookups of one handle still yield exactly one preparation — the loser waits
 for the winner, then hits), ``session.infer()`` never touches the lock, and
 an evicted session's ``close()`` — which waits for any in-flight run on that
@@ -80,13 +74,13 @@ from repro.gnn.model import GNNModel
 from repro.gnn.signature import ModelSignature
 from repro.graph.graph import Graph
 from repro.inference.config import InferenceConfig
-from repro.inference.delta import DeltaOutcome, GraphDelta, apply_delta_to_graph
-from repro.inference.session import (
-    InferenceResult,
-    InferenceSession,
-    _set_writeable,
-    _writes_allowed,
+from repro.inference.delta import (
+    DeltaOutcome,
+    GraphDelta,
+    StalePlanError,
+    apply_delta_to_graph,
 )
+from repro.inference.session import InferenceResult, InferenceSession
 
 Arrays = Tuple[Optional[np.ndarray], ...]
 
@@ -96,39 +90,23 @@ def _arrays(graph: Graph) -> Arrays:
     return (graph.src, graph.dst, graph.node_features, graph.edge_features)
 
 
-def _private_copy(graph: Graph) -> Graph:
-    """A deep copy of the arrays inference reads.
-
-    The pool rebinds a handle it adopts onto one such copy, and prepares the
-    handle's session over another, so neither shares a buffer with anything
-    outside the pool.
-    """
-    return Graph(
-        src=graph.src.copy(),
-        dst=graph.dst.copy(),
-        node_features=None if graph.node_features is None else graph.node_features.copy(),
-        edge_features=None if graph.edge_features is None else graph.edge_features.copy(),
-        labels=None if graph.labels is None else graph.labels.copy(),
-        num_nodes=graph.num_nodes,
-    )
+def _set_writeable(arrays: Arrays, writeable: bool) -> None:
+    """Release takes the recorded arrays, not the handle's: a caller may have
+    rebound the handle onto arrays whose flags cannot be set."""
+    for array in arrays:
+        if array is not None:
+            array.flags.writeable = writeable
 
 
 def _adopt(graph: Graph) -> Arrays:
     """Rebind ``graph`` onto read-only copies the pool owns; return them."""
-    owned = _private_copy(graph)
-    _set_writeable(owned, False)
-    graph.src, graph.dst = owned.src, owned.dst
-    graph.node_features, graph.edge_features = owned.node_features, owned.edge_features
+    graph.src, graph.dst = graph.src.copy(), graph.dst.copy()
+    if graph.node_features is not None:
+        graph.node_features = graph.node_features.copy()
+    if graph.edge_features is not None:
+        graph.edge_features = graph.edge_features.copy()
+    _set_writeable(_arrays(graph), False)
     return _arrays(graph)
-
-
-def _release(arrays: Arrays) -> None:
-    """Hand arrays the pool locked back writeable.  It takes the recorded
-    arrays, not the handle: a caller may have rebound the handle onto arrays
-    whose flags cannot be set."""
-    for array in arrays:
-        if array is not None:
-            array.flags.writeable = True
 
 
 def _graph_bytes(graph: Graph) -> int:
@@ -154,9 +132,11 @@ class PoolEntry:
     last_used_seq: int
 
     def holds(self) -> bool:
-        """Whether the handle still holds exactly the recorded arrays, read-only."""
-        return all(now is then and (now is None or not now.flags.writeable)
-                   for now, then in zip(_arrays(self.handle), self.arrays))
+        """Whether the handle still holds exactly the recorded arrays,
+        read-only, under the plan the pool prepared for it."""
+        return self.session._owns_graph and all(
+            now is then and (now is None or not now.flags.writeable)
+            for now, then in zip(_arrays(self.handle), self.arrays))
 
 
 @dataclass
@@ -207,9 +187,7 @@ class SessionPool:
     capacity:
         Maximum number of prepared sessions held at once.  Preparing a graph
         beyond it evicts the entry with the smallest ``bytes / age`` score
-        (its plan is rebuilt on the tenant's next appearance).  Each session
-        owns a private copy of its tenant's graph arrays besides the
-        handle's, so capacity also bounds that memory.
+        (its plan is rebuilt on the tenant's next appearance).
     """
 
     def __init__(self, model: Union[GNNModel, ModelSignature],
@@ -272,22 +250,29 @@ class SessionPool:
         """Unlink ``entry``, hand its arrays back writeable and count the
         eviction (lock held); the caller closes the returned session.
 
+        The disowned session is stale until prepared again.
         ``session.close()`` waits on the victim's execution lock for any
         in-flight run to finish, so it must never run under the pool lock —
         every caller closes the returned session *after* releasing it, so one
         tenant's eviction cannot stall every other tenant's lookup.
         """
         self._entries.pop(entry.handle, None)
-        _release(entry.arrays)
+        _set_writeable(entry.arrays, True)
+        entry.session._owns_graph = False
         self._evictions += 1
         return entry.session
+
+    def _evicted(self, entry: PoolEntry) -> bool:
+        """Whether ``entry`` no longer serves its handle."""
+        with self._lock:
+            return self._entries.get(entry.handle) is not entry
 
     def _detach_unflushed(self, entry: PoolEntry) -> None:
         """After an exception: detach ``entry`` if a flush raised part-way.
 
         The handle already carries every delta mirrored onto it, while the
-        plan's private copy may hold none, some or all of them, so the handle
-        must prepare again instead of hitting that plan.
+        plan's derived state may hold none, some or all of them, so the
+        handle must prepare again instead of hitting that plan.
         """
         plan = entry.session.plan
         if plan is not None and plan.fingerprint_current:
@@ -330,14 +315,14 @@ class SessionPool:
         """Get-or-create the entry serving the handle ``graph``.
 
         A hit is the O(1) :meth:`PoolEntry.holds` check.  On a miss the
-        handle is adopted — and the private copy preparation runs over is
-        taken — **inside** the pool lock: :meth:`apply_delta` mirrors deltas
-        onto handles under the same lock, so a lookup never copies arrays
-        that are mid-mutation.  ``prepare()`` itself runs *outside* the lock
-        over that stable private copy, guarded by a per-handle once-flag:
-        two concurrent callers handing in the same handle still get exactly
-        one preparation (the loser waits on the flag, then re-looks and
-        hits), and a slow prepare never blocks other tenants' lookups.
+        handle is adopted **inside** the pool lock: :meth:`apply_delta`
+        mirrors deltas onto handles under the same lock, so a lookup never
+        copies arrays that are mid-mutation.  ``prepare()`` itself runs
+        *outside* the lock over the adopted handle (which no mirror touches
+        while it is claimed), guarded by a per-handle once-flag: two
+        concurrent callers handing in the same handle still get exactly one
+        preparation (the loser waits on the flag, then re-looks and hits),
+        and a slow prepare never blocks other tenants' lookups.
         """
         if not isinstance(graph, Graph):
             raise TypeError(
@@ -360,13 +345,11 @@ class SessionPool:
                 claimed = False
                 if pending is None:
                     # Claim the (one-off) preparation for this handle; the
-                    # snapshot taken here is what prepare() runs over, and
-                    # the adopted handle is read-only from here on.
+                    # adopted handle is read-only from here on.
                     pending = self._preparing[graph] = threading.Event()
                     claimed = True
                     self._misses += 1
                     arrays = _adopt(graph)
-                    private = _private_copy(graph)
                     graph_bytes = _graph_bytes(graph)
             for victim in victims:
                 victim.close()
@@ -380,17 +363,14 @@ class SessionPool:
             session = InferenceSession(self.model, self.config)
             started = time.perf_counter()
             try:
-                # Owned: the session makes the copy read-only outside its
-                # own flush, so it trusts the copy while its plan's
-                # fingerprint is current instead of re-hashing it.
-                session._prepare(private, owned=True)
+                session._prepare(graph, owned=True)
             except BaseException:
                 # Hand the handle back and release the claim so a waiter can
                 # retry (and surface its own error if the graph is truly
                 # unpreparable).
                 with self._lock:
                     self._preparing.pop(graph, None)
-                    _release(arrays)
+                    _set_writeable(arrays, True)
                 pending.set()
                 raise
             prepare_seconds = time.perf_counter() - started
@@ -414,32 +394,34 @@ class SessionPool:
         A cache hit returns the existing session without re-planning — the
         plan-reuse guarantee the pool exists for; a miss prepares a new
         session (and may evict the lowest-scored one).  The session's
-        ``plan.graph`` is the pool's private copy: its arrays are read-only,
-        and only the session's own flush writes them.  A delta applied to the
-        session directly reaches neither the handle nor the pool: send it
-        through :meth:`apply_delta`.
+        ``plan.graph`` is the handle; send every delta through
+        :meth:`apply_delta`, the one writer of the handle.
         """
         return self._lookup(graph).session
 
     def infer(self, graph: Graph, mode: str = "full") -> InferenceResult:
         """One inference over ``graph`` through its cached (or fresh) plan.
 
-        Pending deferred deltas on the owning session are flushed by the
-        underlying ``infer()`` against the session's private copy; the handle
-        already carries them (:meth:`apply_delta` mirrored them).  A flush
-        that raises part-way detaches the entry, so the handle's next lookup
-        prepares afresh.
+        Pending deferred deltas are already on the handle; the underlying
+        ``infer()`` flushes them into the plan.  A flush that raises part-way
+        detaches the entry, so the handle's next lookup prepares afresh.  An
+        entry evicted before the run is looked up again: a racing eviction
+        costs a re-prepare, never an error.
 
         The execution itself runs *outside* the pool lock, so concurrent
         callers serving different tenants overlap; concurrent callers of one
         tenant serialise on the session's own execution lock.
         """
-        entry = self._lookup(graph)
-        try:
-            result = entry.session.infer(mode=mode)
-        except BaseException:
-            self._detach_unflushed(entry)
-            raise
+        while True:
+            entry = self._lookup(graph)
+            try:
+                result = entry.session.infer(mode=mode)
+                break
+            except BaseException as error:
+                if isinstance(error, StalePlanError) and self._evicted(entry):
+                    continue
+                self._detach_unflushed(entry)
+                raise
         with self._lock:
             self._infer_seconds += result.elapsed_seconds
         return result
@@ -450,51 +432,44 @@ class SessionPool:
         onto the handle.
 
         The delta is validated into the session's buffer and mirrored onto
-        the **handle** at once — so the handle always shows what the tenant's
-        next infer serves, and a delta buffered in a session that is later
-        evicted is not lost: the handle prepares again from content that
-        already includes it.  The plan patch itself is the session's one
-        merged flush: at the next ``infer`` with ``defer=True``, right here
-        otherwise (the returned outcome is that flush's — a concurrent
+        the **handle** at once — its one landing — so the handle always shows
+        what the tenant's next infer serves, and a delta buffered in a session
+        that is later evicted is not lost: the handle prepares again from
+        content that already includes it.  The session's merged flush then
+        patches the plan: at the next ``infer`` with ``defer=True``, right
+        here otherwise (the returned outcome is that flush's — a concurrent
         ``infer()`` that got to the buffer first leaves it reporting "no
         pending deltas").  A flush that raises part-way detaches the entry.
-        A graph not in the pool is prepared first; the delta then lands on
-        that fresh plan.
+        A graph not in the pool is prepared first, and an entry evicted before
+        the delta reached it is looked up again.
 
         Concurrency: the buffer→mirror sequence holds the session's
-        ``buffer_lock``, so concurrent deltas to one tenant reach the
-        session's private copy and the handle in the **same order** — the
-        two can never diverge — and no flush can run between a delta's
-        buffering and its mirror.  The mirror additionally runs under the
-        pool lock, the same lock every adoption copies under, with the
-        handle's arrays writeable only inside it.  Buffering is a fast merge
-        that may overlap the same session's in-flight execution (the serving
-        gateway's tick-overlap path); only an *eager* delta's flush waits
-        for that run to finish — holding neither the buffer lock nor the
-        pool lock, so deferred deltas and other tenants' lookups keep
-        flowing while it waits.
+        ``buffer_lock``, so concurrent deltas to one tenant are buffered and
+        mirrored in the **same order**, and no flush can run between the two.
+        The mirror additionally runs under the pool lock, the same lock every
+        adoption copies under, with the handle's arrays writeable only inside
+        it.  Buffering is a fast merge that may overlap the same session's
+        in-flight execution (the serving gateway's tick-overlap path; a run
+        reads the working graph and partitions, not the handle); only an
+        *eager* delta's flush waits for that run to finish — holding neither
+        the buffer lock nor the pool lock, so deferred deltas and other
+        tenants' lookups keep flowing while it waits.
         """
-        entry = self._lookup(graph)
-        victims: List[InferenceSession] = []
-        with entry.session.buffer_lock:
-            outcome = entry.session.apply_delta(delta, defer=True)
-            with self._lock:
-                live = self._entries.get(graph)
-                if live is not None and (live is not entry or not live.holds()):
-                    # Replaced or rebound since the lookup: the mirror below
-                    # would change the handle under a plan that lacks it.
-                    victims.append(self._detach(live))
-                    live = None
-                # The session already validated the delta against identical
-                # content, so the mirror cannot half-apply.
-                with _writes_allowed(graph, owned=live is not None):
-                    if not delta.is_empty:
-                        apply_delta_to_graph(graph, delta)
-                if live is not None:
-                    live.arrays = _arrays(graph)
-                    live.graph_bytes = _graph_bytes(graph)
-        for victim in victims:
-            victim.close()
+        while True:
+            entry = self._lookup(graph)
+            with entry.session.buffer_lock:
+                try:
+                    outcome = entry.session.apply_delta(delta, defer=True)
+                except StalePlanError:
+                    if self._evicted(entry):
+                        continue
+                    raise
+                victims = self._mirror(graph, entry, delta)
+            if victims is None:
+                continue
+            for victim in victims:
+                victim.close()
+            break
         if not defer:
             try:
                 outcome = entry.session.flush_deltas()
@@ -502,6 +477,36 @@ class SessionPool:
                 self._detach_unflushed(entry)
                 raise
         return outcome
+
+    def _mirror(self, graph: Graph, entry: PoolEntry,
+                 delta: GraphDelta) -> Optional[List[InferenceSession]]:
+        """Land ``delta``, just buffered in ``entry``'s session, on the handle;
+        return the sessions it detached (to close outside the buffer lock),
+        or None if the handle is being prepared again: the caller then routes
+        the delta to the new entry.
+        """
+        victims: List[InferenceSession] = []
+        with self._lock:
+            if graph in self._preparing:
+                return None
+            live = self._entries.get(graph)
+            if live is not None and (live is not entry or not live.holds()):
+                # Replaced or rebound since the lookup: the mirror below
+                # would change the handle under a plan that lacks it.
+                victims.append(self._detach(live))
+                live = None
+            # A handle the pool let go of is the caller's, never locked.  The
+            # session already validated the delta against identical content,
+            # so the mirror cannot half-apply.
+            if live is not None:
+                _set_writeable(_arrays(graph), True)
+            apply_delta_to_graph(graph, delta)
+            if live is not None:
+                # Edge deltas rebind src/dst/edge_features: lock the new arrays.
+                _set_writeable(_arrays(graph), False)
+                live.arrays = _arrays(graph)
+                live.graph_bytes = _graph_bytes(graph)
+        return victims
 
     def evict(self, graph: Graph) -> bool:
         """Drop the session for the handle ``graph``; True if present.

@@ -20,11 +20,9 @@ time, every public entry (:meth:`~InferenceSession.infer`, a deferred
 out-of-band in-place mutation raises
 :class:`~repro.inference.delta.StalePlanError` instead of silently serving
 yesterday's scores.  A :class:`~repro.inference.pool.SessionPool` session
-runs over a private copy whose arrays are read-only outside its own flush;
-it is trusted while the plan's fingerprint is current, and re-hashed only
-after a flush that raised part-way.  (The pool never hashes the tenant's
-handle: it owns the handle's arrays, read-only, and trusts them.)  In-band
-changes travel as a :class:`~repro.inference.delta.GraphDelta` through
+runs over the tenant's handle, which the pool owns and lands every delta on:
+its plan carries no fingerprint and is trusted until a flush raises
+part-way.  In-band changes travel as a :class:`~repro.inference.delta.GraphDelta` through
 :meth:`~InferenceSession.apply_delta`; afterwards
 ``infer(mode="incremental")`` recomputes only the delta's k-hop reach on
 backends that support it (bit-identical to a fresh full run), and plain
@@ -40,9 +38,8 @@ patch.  ``apply_delta(delta)`` is "buffer, then flush"; ``defer=True`` is
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -59,32 +56,12 @@ from repro.inference.delta import (
     DeltaOutcome,
     GraphDelta,
     StalePlanError,
+    apply_delta_to_graph,
     graph_fingerprint,
 )
 from repro.inference.strategies import StrategyPlan
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
-
-
-def _set_writeable(graph: Graph, writeable: bool) -> None:
-    for array in (graph.src, graph.dst, graph.node_features, graph.edge_features):
-        if array is not None:
-            array.flags.writeable = writeable
-
-
-@contextmanager
-def _writes_allowed(graph: Graph, owned: bool) -> Iterator[None]:
-    """Lift an owned graph's read-only flags for the block (a flush's patch);
-    a caller's graph was never locked."""
-    if not owned:
-        yield
-        return
-    _set_writeable(graph, True)
-    try:
-        yield
-    finally:
-        # Edge deltas rebind src/dst/edge_features to new arrays: lock those.
-        _set_writeable(graph, False)
 
 
 @dataclass
@@ -156,7 +133,7 @@ class InferenceSession:
         self.config = config or InferenceConfig()
         self.backend: Backend = get_backend(self.config.backend)
         self._plan: Optional[ExecutionPlan] = None
-        # Whether only this session can write the plan's graph (see _prepare).
+        # Whether a pool owns the plan's graph (see _prepare).
         self._owns_graph = False
         # Working-graph ids dirtied by flushed deltas since the last
         # execution; they seed the next incremental run's frontier.
@@ -175,9 +152,8 @@ class InferenceSession:
         #     reads the graph) but never a flush (which rewrites it).  It is
         #     public because a delta *router* holds it too:
         #     :class:`~repro.inference.pool.SessionPool` keeps it across
-        #     buffer → mirror-onto-the-tenant-handle, so concurrent
-        #     deltas to one session reach the private copy and the caller's
-        #     graph in the same order.
+        #     buffer → mirror-onto-the-tenant-handle, so concurrent deltas
+        #     to one session are buffered and landed in the same order.
         # Lock order is always _exec_lock -> buffer_lock (-> the pool lock,
         # for a router); buffering takes buffer_lock alone, so no cycle
         # exists.  Under REPRO_LOCK_TRACK=1 the lockgraph tracker records
@@ -250,11 +226,10 @@ class InferenceSession:
         return self._prepare(graph, owned=False)
 
     def _prepare(self, graph: Graph, owned: bool) -> ExecutionPlan:
-        """:meth:`prepare`.  ``owned`` hands ``graph`` to this session:
-        :class:`~repro.inference.pool.SessionPool` passes it for the private
-        copy it made under its lock, and a re-plan inside
-        :meth:`flush_deltas` keeps it.  An owned graph's arrays are made
-        read-only, so nothing but this session's flush can write them."""
+        """:meth:`prepare`.  ``owned``: the graph is a handle a
+        :class:`~repro.inference.pool.SessionPool` adopted, which lands every
+        delta on it before buffering it here, so the plan is not hashed (a
+        re-plan inside :meth:`flush_deltas` keeps the flag)."""
         note_slow_call("prepare")
         if not isinstance(graph, Graph):
             raise TypeError(
@@ -271,10 +246,9 @@ class InferenceSession:
             # for garbage collection.
             if self._plan is not None:
                 self.backend.release(self._plan)
-            if owned:
-                _set_writeable(graph, False)
             self._plan = self.backend.plan(self.model, graph, self.config)
-            self._plan.fingerprint = graph_fingerprint(self._plan.graph)
+            if not owned:
+                self._plan.fingerprint = graph_fingerprint(graph)
             self._owns_graph = owned
             self._feature_dirty = _EMPTY_IDS
             self._topo_dirty = _EMPTY_IDS
@@ -291,19 +265,19 @@ class InferenceSession:
         fingerprint.
 
         A graph the caller handed to :meth:`prepare` is re-hashed in full on
-        every call.  An owned graph (a pool-private copy) is read-only outside
-        this session's flush, so it is re-hashed only while the plan's
-        ``fingerprint_current`` is unset: a flush raised out of
-        ``backend.apply_delta``, possibly with the copy half-patched.
+        every call.  An owned graph (a pooled handle) is never hashed: its
+        plan is stale only once a flush raised out of ``backend.apply_delta``
+        (``fingerprint_current`` unset).  A plan whose pool let go of its
+        graph has no fingerprint, so it is stale until :meth:`prepare`.
         """
         plan = self._plan
         if plan is None:
             raise RuntimeError("session is not prepared; call prepare(graph) first "
                                "(or pass a graph to infer())")
-        trusted = self._owns_graph and plan.fingerprint_current
-        if not trusted and graph_fingerprint(plan.graph) != plan.fingerprint:
+        if (not plan.fingerprint_current if self._owns_graph
+                else graph_fingerprint(plan.graph) != plan.fingerprint):
             raise StalePlanError(
-                "the graph was mutated in place after prepare(); the cached plan "
+                "the graph changed behind the plan after prepare(); the cached plan "
                 "would serve stale scores.  Describe the change as a GraphDelta "
                 "and call session.apply_delta(delta), or call "
                 "session.prepare(graph) to re-plan from scratch")
@@ -379,11 +353,17 @@ class InferenceSession:
         Called automatically at the start of :meth:`infer`, so a serving loop
         only needs it to control *when* the plan patch happens (e.g. off the
         request path).  This is the only place a delta reaches the backend.
+        It lands the merged delta on a caller's graph; an owned graph already
+        holds it (its owner landed each delta), so it is neither written nor
+        hashed.
         """
         with self._exec_lock, self.buffer_lock:
             buffer, self._pending = self._pending, None
             if buffer is None or buffer.is_empty:
                 return DeltaOutcome(in_place=True, reason="no pending deltas")
+            # Read once, before the check: a pool may disown the graph at any
+            # moment, and the owner already landed what an owned flush holds.
+            owned = self._owns_graph
             # The buffered deltas describe changes to the *prepared* state; if
             # the graph was mutated out of band since they were buffered,
             # applying the merged delta would launder that mutation into a
@@ -396,17 +376,18 @@ class InferenceSession:
                 return DeltaOutcome(in_place=True,
                                     reason="pending deltas cancelled out")
             plan.delta_seen = True
-            # Until the refresh below the fingerprint describes the previous
-            # graph, so a raise out of the backend sends the next check to a
-            # full re-hash of the (possibly half-patched) graph.
+            # Until the patch below completes the plan lags its graph, so a
+            # raise out of the backend leaves it stale.
             plan.fingerprint_current = False
-            with _writes_allowed(plan.graph, self._owns_graph):
-                outcome = self.backend.apply_delta(plan, merged)
+            if not owned:
+                apply_delta_to_graph(plan.graph, merged)
+            outcome = self.backend.apply_delta(plan, merged)
             if outcome.in_place:
                 self._feature_dirty = np.union1d(self._feature_dirty,
                                                  outcome.feature_dirty)
                 self._topo_dirty = np.union1d(self._topo_dirty, outcome.topo_dirty)
-                plan.fingerprint = graph_fingerprint(plan.graph)
+                if not owned:
+                    plan.fingerprint = graph_fingerprint(plan.graph)
                 plan.fingerprint_current = True
                 return outcome
             # The hub contract broke: the delta is already on the graph;
@@ -416,8 +397,17 @@ class InferenceSession:
             return outcome
 
     def discard_pending_deltas(self) -> int:
-        """Drop the deferred-delta buffer; returns how many deltas it held."""
+        """Drop the deferred-delta buffer; returns how many deltas it held.
+
+        An owned graph (a pooled handle) already holds the buffered deltas,
+        and only a flush catches the plan up: this raises ``RuntimeError``.
+        """
         with self.buffer_lock:
+            if self._owns_graph:
+                raise RuntimeError(
+                    "a pooled session's deferred deltas are already on the pooled "
+                    "graph; flush_deltas() or infer() catches the plan up with "
+                    "them, and pool.evict(graph) drops the session")
             buffer, self._pending = self._pending, None
             return 0 if buffer is None else buffer.num_pending
 

@@ -213,16 +213,15 @@ class ShadowNodePlan:
                                 changed_ids: np.ndarray) -> np.ndarray:
         """Propagate updated feature rows of ``changed_ids`` into the rewrite.
 
-        Mirror features are copies of their origin's row, taken at rewrite
-        time; after a feature delta the copies (and the expanded graph's rows
-        for the originals, which live in a *separate* concatenated buffer)
-        must be refreshed.  Returns every working-graph id whose feature row
-        was touched — the replica closure of ``changed_ids``.
+        Called on a plan with mirrors only.  Mirror features are copies of
+        their origin's row, taken at rewrite time; after a feature delta the
+        copies (and the expanded graph's rows for the originals, which live in
+        a *separate* concatenated buffer) must be refreshed.  Returns every
+        working-graph id whose feature row was touched — the replica closure
+        of ``changed_ids``.
         """
         replicas = self.replicas_of(changed_ids)
-        if self.graph is not base_graph and self.graph.node_features is not None:
-            self.graph.node_features[replicas] = \
-                base_graph.node_features[self.origin_of[replicas]]
+        self.graph.node_features[replicas] = base_graph.node_features[self.origin_of[replicas]]
         return replicas
 
     # ------------------------------------------------------------------ #
@@ -276,17 +275,15 @@ class ShadowNodePlan:
     def patch_edge_delta(self, base_graph: Graph, delta: GraphDelta) -> None:
         """Splice ``delta``'s edge changes into the expanded working graph.
 
-        The caller has already landed ``delta`` on ``base_graph`` and verified
-        the hub set and :meth:`mirror_groups_stable`.  The expanded graph
-        keeps base edge *order* (only hub sources are rewritten to mirror
-        ids), so the delta's removal positions apply one-to-one; appends get
-        their position-stable mirror assignment.  The result is byte-identical
-        to a fresh :func:`apply_shadow_nodes` over the post-delta base graph.
+        Called on a plan with mirrors only (without them the working graph
+        is re-pointed at the base arrays instead).  ``delta`` is already on
+        ``base_graph``, and the caller verified the hub set and
+        :meth:`mirror_groups_stable`.  The expanded graph keeps base edge
+        *order* (only hub sources are rewritten to mirror ids), so the
+        delta's removal positions apply one-to-one; appends get their
+        position-stable mirror assignment.  The result is byte-identical to a
+        fresh :func:`apply_shadow_nodes` over the post-delta base graph.
         """
-        if self.graph is base_graph:
-            # No mirrors: the working graph IS the base graph, and the delta
-            # already landed there.
-            return
         src, dst = self.graph.src, self.graph.dst
         if delta.removed_edge_ids is not None and delta.removed_edge_ids.size:
             keep = np.ones(src.size, dtype=bool)
@@ -297,8 +294,8 @@ class ShadowNodePlan:
                 [src, self.assign_sources(delta.added_src, delta.added_dst)])
             dst = np.concatenate([dst, delta.added_dst])
         self.graph.src, self.graph.dst = src, dst
-        # The expanded graph shares the base edge-feature buffer; the base
-        # application swapped it for a patched array, so re-point the share.
+        # The expanded graph shares the base edge-feature buffer; landing the
+        # delta swapped it for a patched array, so re-point the share.
         self.graph.edge_features = base_graph.edge_features
         self.graph.invalidate_adjacency()
 

@@ -123,8 +123,9 @@ REASONS = {"feature": "", "stable-edge": "",
 @pytest.mark.parametrize("kind", sorted(REASONS))
 @pytest.mark.parametrize("backend", ["mapreduce", "pregel"])
 def test_base_apply_delta_lands_then_patches_or_replans(backend, kind, executor):
-    """``Backend.apply_delta`` lands every delta on ``plan.graph``; it reports
-    in place unless the hub set moved, and only then does the session re-plan."""
+    """Every delta lands on ``plan.graph`` (the flush lands a caller's graph,
+    then ``Backend.apply_delta`` patches the plan); it reports in place
+    unless the hub set moved, and only then does the session re-plan."""
     graph = powerlaw_graph(num_nodes=300, avg_degree=5.0, skew="out",
                            feature_dim=8, num_classes=3, seed=71)
     reference = Graph(graph.src.copy(), graph.dst.copy(),

@@ -2,12 +2,13 @@
 
 A :class:`~hypothesis.stateful.RuleBasedStateMachine` drives one
 :class:`~repro.inference.SessionPool` over two tenant handles: eager and
-deferred feature and hub-preserving edge deltas, full and incremental
-infers, ``evict`` and ``clear``, an in-place write to a handle array, an
-unlocked or rebound handle array, and a backend whose ``apply_delta`` raises
-after patching the plan's graph.  The model is a reference copy of each handle
-that every mirrored delta (and every write the pool lets through) also
-lands on.  The invariant is contract 3's: no pooled plan ever serves a
+deferred feature and hub-preserving edge deltas, invalid deltas, full and
+incremental infers, ``evict`` and ``clear``, an in-place write to a handle
+array, an unlocked or rebound handle array, a backend whose ``apply_delta``
+raises after patching the plan, discarding a pooled session's deltas and
+using a session after its eviction.  The model is a reference copy of each
+handle that every mirrored delta (and every write the pool lets through)
+also lands on.  The invariant is contract 3's: no pooled plan ever serves a
 mutated handle, so every infer equals a fresh ``prepare()+infer()`` on a
 copy of the handle bit for bit, and the handle always equals its reference.
 """
@@ -20,13 +21,15 @@ from hypothesis import HealthCheck, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule, run_state_machine_as_test
 
 from repro.graph.graph import Graph
-from repro.inference import SessionPool
+from repro.inference import SessionPool, StalePlanError
 from repro.inference.delta import apply_delta_to_graph
 from tests.test_session_state_machine import (
+    INVALID,
     MODEL,
     edge_delta,
     feature_delta,
     fresh_scores,
+    invalid_delta,
     make_config,
     tiny_hub_graph,
 )
@@ -41,8 +44,8 @@ def copy_of(graph: Graph) -> Graph:
 
 
 class PatchThenRaise:
-    """Delegating backend whose ``apply_delta`` patches the plan's graph, then
-    raises — a failure after the arrays moved but before the plan did."""
+    """Delegating backend whose ``apply_delta`` patches the plan, then raises
+    — a failure after the plan moved but before the flush completed."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -51,7 +54,7 @@ class PatchThenRaise:
         return getattr(self.inner, name)
 
     def apply_delta(self, plan, delta):
-        apply_delta_to_graph(plan.graph, delta)
+        self.inner.apply_delta(plan, delta)
         raise RuntimeError("backend failed mid-patch")
 
 
@@ -84,6 +87,36 @@ class PoolMachine(RuleBasedStateMachine):
         outcome = self.lookup(which, lambda graph: self.pool.apply_delta(graph, delta, defer))
         assert outcome.deferred if defer else outcome.in_place
         apply_delta_to_graph(self.references[which], delta)
+
+    @rule(which=HANDLES, kind=INVALID, defer=st.booleans())
+    def reject_invalid_delta(self, which, kind, defer):
+        # Rejected before the mirror: the handle keeps its reference's bytes,
+        # and earlier deferred deltas still land at the next infer.
+        delta = invalid_delta(kind, self.references[which])
+        with pytest.raises(ValueError):
+            self.lookup(which, lambda graph: self.pool.apply_delta(graph, delta, defer))
+        for name in ARRAYS:
+            np.testing.assert_array_equal(getattr(self.handles[which], name),
+                                          getattr(self.references[which], name))
+
+    @rule(which=HANDLES)
+    def discard_pending_deltas(self, which):
+        # They are on the handle already; only a flush catches the plan up.
+        session = self.lookup(which, self.pool.session_for)
+        pending = session.num_pending_deltas
+        with pytest.raises(RuntimeError, match="pooled"):
+            session.discard_pending_deltas()
+        assert session.num_pending_deltas == pending
+
+    @rule(which=HANDLES, seed=st.integers(0, 2**16))
+    def use_an_evicted_session(self, which, seed):
+        session = self.lookup(which, self.pool.session_for)
+        self.pool.evict(self.handles[which])
+        with pytest.raises(StalePlanError):
+            session.apply_delta(feature_delta(np.random.default_rng(seed),
+                                              self.references[which]), defer=True)
+        with pytest.raises(StalePlanError):
+            session.infer()
 
     @rule(which=HANDLES, mode=st.sampled_from(["full", "incremental"]))
     def infer(self, which, mode):
@@ -154,7 +187,7 @@ class PoolMachine(RuleBasedStateMachine):
         finally:
             session.backend = session.backend.inner
         # The mirror landed on the handle before the flush raised; the plan
-        # that half-took it is detached, writeable handle and all.
+        # that was patched part-way is detached, writeable handle and all.
         apply_delta_to_graph(self.references[which], delta)
         assert self.handles[which] not in self.pool
         assert self.handles[which].node_features.flags.writeable

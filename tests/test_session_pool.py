@@ -11,13 +11,20 @@ from __future__ import annotations
 
 import dataclasses
 import threading
+from typing import Dict, List, Set
 
 import numpy as np
 import pytest
 
-from repro.cluster.executor import WorkerCrashError, available_executors
+from repro.cluster.executor import (
+    Executor,
+    SharedArrayPack,
+    WorkerCrashError,
+    available_executors,
+)
+from repro.cluster.metrics import MetricsCollector
 from repro.gnn import export_signature
-from repro.gnn.model import build_model
+from repro.gnn.model import GNNModel, build_model
 from repro.graph.generators import powerlaw_graph
 from repro.graph.graph import Graph
 from repro.graph.tables import graph_to_tables, tables_to_graph
@@ -403,14 +410,14 @@ class TestDeltaRouting:
         np.testing.assert_array_equal(
             scores, InferenceSession(make_model(), make_config()).infer(reference).scores)
 
-    def test_flush_raising_mid_patch_never_serves_the_private_copy(self):
-        # The backend patches the private copy, then raises: the flush never
-        # refreshed the fingerprint, so the plan's versions disagree.  The
-        # session must re-hash the copy and refuse, and the tenant's handle
-        # (which carries the delta) must miss instead of hitting that plan.
+    def test_flush_raising_mid_patch_never_serves_the_half_patched_plan(self):
+        # The backend patches the plan, then raises: the flush never
+        # completed, so the plan may lag the handle (which carries the
+        # delta).  The detached session must refuse, and the tenant's handle
+        # must miss instead of hitting that plan.
         class PatchThenRaise(_PlanCounter):
             def apply_delta(self, plan, delta):
-                apply_delta_to_graph(plan.graph, delta)
+                self._inner.apply_delta(plan, delta)
                 raise RuntimeError("backend failed mid-patch")
 
         pool = SessionPool(make_model(), make_config(), capacity=4)
@@ -434,12 +441,11 @@ class TestDeltaRouting:
         solo.apply_delta(delta)
         np.testing.assert_array_equal(scores, solo.infer().scores)
 
-    def test_private_copy_is_read_only_outside_the_flush(self):
-        # The session trusts its private copy without re-hashing it, and the
-        # pool trusts the handle without hashing it, so nothing reachable
-        # through the public API may write either — not even after an edge
-        # delta rebinds the edge arrays.  Evicting hands the handle back
-        # writeable.
+    def test_plan_graph_is_the_handle_read_only_while_pooled(self):
+        # The session runs over the handle itself and the pool trusts it
+        # without hashing it, so nothing reachable through the public API may
+        # write it — not even after an edge delta rebinds the edge arrays.
+        # Evicting hands the handle back writeable.
         def assert_read_only(graph):
             for array in (graph.src, graph.dst, graph.node_features):
                 with pytest.raises(ValueError, match="read-only"):
@@ -449,15 +455,15 @@ class TestDeltaRouting:
         graph = make_graph(25)
         pool.infer(graph)
         session = pool.session_for(graph)
-        assert_read_only(session.plan.graph)
+        assert session.plan.graph is graph
+        assert session.plan.working_graph is not graph
         assert_read_only(graph)
         pool.apply_delta(graph, GraphDelta(
             node_ids=np.array([2]), node_features=np.ones((1, 8)),
             added_src=np.array([0]), added_dst=np.array([1])))
         pool.infer(graph)
-        private = session.plan.graph
-        assert private is not graph and private.num_edges == graph.num_edges
-        assert_read_only(private)
+        assert session.plan.graph is graph
+        assert session.plan.working_graph.num_edges == graph.num_edges
         assert_read_only(graph)
         np.testing.assert_array_equal(pool.infer(graph).scores,
                                       InferenceSession(make_model(), make_config())
@@ -465,6 +471,55 @@ class TestDeltaRouting:
         assert pool.evict(graph)
         assert all(array.flags.writeable
                    for array in (graph.src, graph.dst, graph.node_features))
+
+    def test_discarding_a_pooled_sessions_deltas_raises_and_keeps_them(self):
+        # The handle already carries a deferred delta (the pool mirrored it);
+        # only a flush can catch the plan up, so discarding it must raise and
+        # keep the buffer, and the next infer serves the handle's content.
+        pool = SessionPool(make_model(), make_config(), capacity=2)
+        graph = make_graph(27)
+        pool.infer(graph)
+        delta = GraphDelta(node_ids=np.array([5, 6]),
+                           node_features=np.full((2, 8), 3.0))
+        pool.apply_delta(graph, delta, defer=True)
+        session = pool.session_for(graph)
+        with pytest.raises(RuntimeError, match="already on the pooled graph"):
+            session.discard_pending_deltas()
+        assert session.num_pending_deltas == 1
+        scores = pool.infer(graph).scores
+        assert pool.stats.misses == 1 and session.num_pending_deltas == 0
+        reference = make_graph(27)
+        apply_delta_to_graph(reference, delta)
+        np.testing.assert_array_equal(
+            scores, InferenceSession(make_model(), make_config()).infer(reference).scores)
+
+    def test_a_pooled_session_prepared_by_hand_misses(self):
+        # A session re-prepared outside the pool no longer runs the plan the
+        # pool mirrors deltas under, so the handle's next lookup misses.
+        pool = SessionPool(make_model(), make_config(), capacity=2)
+        graph = make_graph(30)
+        pool.session_for(graph).prepare(make_graph(31))
+        assert graph not in pool
+        np.testing.assert_array_equal(
+            pool.infer(graph).scores,
+            InferenceSession(make_model(), make_config()).infer(make_graph(30)).scores)
+        assert pool.stats.misses == 2 and pool.session_for(graph).plan.graph is graph
+
+    def test_an_evicted_session_refuses_until_prepared(self):
+        # Evicting hands the handle back to the caller, so the session's
+        # plan, which carries no fingerprint, is stale until prepare().
+        pool = SessionPool(make_model(), make_config(), capacity=2)
+        graph = make_graph(29)
+        scores = pool.infer(graph).scores
+        session = pool.session_for(graph)
+        assert pool.evict(graph)
+        with pytest.raises(StalePlanError):
+            session.infer()
+        with pytest.raises(StalePlanError):
+            session.apply_delta(GraphDelta(node_ids=np.array([1]),
+                                           node_features=np.ones((1, 8))), defer=True)
+        session.prepare(graph)
+        np.testing.assert_array_equal(session.infer().scores, scores)
 
 
 class _BlockingBackend:
@@ -583,13 +638,14 @@ class TestThreadSafety:
         np.testing.assert_array_equal(pool.infer(graph).scores,
                                       solo.infer().scores)
 
-    def test_concurrent_eager_and_deferred_deltas_keep_handle_and_copy_equal(self):
+    def test_concurrent_eager_and_deferred_deltas_keep_handle_and_plan_equal(self):
         # Same hammer, two writers on one tenant — one eager, one deferred —
         # plus readers.  Every delta is buffered and mirrored under
         # the session's buffer lock (the eager writer's flush happens after
-        # it, outside), so the tenant's handle and the session's private copy
-        # see the deltas in the same order: byte-equal at the end, one miss
-        # ever, and scores equal to a fresh plan over the final content.
+        # it, outside), so the session's buffer and the tenant's handle (its
+        # plan's graph) see the deltas in the same order: the working graph's
+        # rows equal the handle's at the end, one miss ever, and scores equal
+        # a fresh plan over the final content.
         pool = SessionPool(make_model(), make_config(), capacity=4)
         graph = make_graph(58, num_nodes=200)
         session = pool.session_for(graph)
@@ -626,10 +682,10 @@ class TestThreadSafety:
         scores = pool.infer(graph).scores
         assert pool.stats.misses == 1 and pool.session_for(graph) is session
         assert session.num_pending_deltas == 0 and session.num_replans == 0
-        private = session.plan.graph
-        assert private is not graph
-        np.testing.assert_array_equal(private.node_features, graph.node_features)
-        assert session.plan.fingerprint == graph_fingerprint(graph)
+        plan = session.plan
+        assert plan.graph is graph and plan.fingerprint is None
+        np.testing.assert_array_equal(plan.working_graph.node_features,
+                                      graph.node_features[plan.shadow_plan.origin_of])
         solo = InferenceSession(make_model(), make_config())
         solo.prepare(graph)
         np.testing.assert_array_equal(scores, solo.infer().scores)
@@ -967,11 +1023,10 @@ def _count_fingerprint_passes(monkeypatch):
 
 def test_fingerprint_passes_per_tick(monkeypatch):
     """A ratchet, not a timing: one pooled serving tick — four deferred
-    deltas, then an incremental ``infer`` — never hashes the caller's handle:
-    the pool owns its arrays and trusts it while it holds them, read-only.
-    The pool's private copy is hashed once, by the post-flush refresh: it is
-    read-only outside its session's flush, so every other check trusts it
-    while the plan's fingerprint is current."""
+    deltas, then an incremental ``infer`` — makes no ``graph_fingerprint``
+    pass.  The session runs over the caller's handle itself, whose arrays
+    the pool owns, read-only, and lands every delta on; so the plan carries
+    no fingerprint and no check or flush hashes anything."""
     rng = np.random.default_rng(3)
     graph = make_graph(seed=3)
     pool = SessionPool(make_model(), make_config(), capacity=2)
@@ -981,7 +1036,7 @@ def test_fingerprint_passes_per_tick(monkeypatch):
         pool.apply_delta(graph, GraphDelta(node_ids=np.array([1]),
                                            node_features=np.ones((1, 8))), defer=True)
         pool.infer(graph, mode="incremental")
-        private = pool.session_for(graph).plan.graph
+        assert pool.session_for(graph).plan.graph is graph
         passes = _count_fingerprint_passes(monkeypatch)
         for delta in _tick_deltas(rng, graph):
             pool.apply_delta(graph, delta, defer=True)
@@ -989,10 +1044,9 @@ def test_fingerprint_passes_per_tick(monkeypatch):
     finally:
         pool.clear()
     caller = sum(each is graph for each in passes)
-    on_private = sum(each is private for each in passes)
     print(f"graph_fingerprint passes per 4-delta tick: {caller} on the caller's "
-          f"handle, {on_private} on the pool's private copy")
-    assert (caller, on_private, len(passes)) == (0, 1, 1)
+          f"handle, {len(passes)} in all")
+    assert (caller, len(passes) - caller, len(passes)) == (0, 0, 0)
     assert result.scores.shape == (graph.num_nodes, 4)
 
 
@@ -1067,3 +1121,66 @@ def test_fingerprint_passes_per_standalone_tick(monkeypatch):
     passes.clear()
     session.infer()                   # nothing to flush: one check, one pass
     assert passes == [graph]
+
+
+#: What a tenant's entry reaches but does not hold: the model every pooled
+#: session shares, the config, a run's counters and the worker processes.
+_NOT_THE_TENANTS = (GNNModel, InferenceConfig, MetricsCollector, Executor, SharedArrayPack)
+
+
+def tenant_arrays(graph: Graph, session: InferenceSession) -> List[np.ndarray]:
+    """The distinct base arrays one pooled tenant holds: those reachable from
+    its handle and from its session's plan — base and working graphs, shadow
+    plan, layout, strategy plan, the engine's partitions and their
+    ``block_state`` (serial executor: the state lives in this process)."""
+    bases: Dict[int, np.ndarray] = {}
+    seen: Set[int] = set()
+    stack: list = [graph, session.plan]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            bases[id(obj)] = obj
+        elif id(obj) in seen or isinstance(obj, _NOT_THE_TENANTS):
+            continue
+        elif isinstance(obj, dict):
+            seen.add(id(obj))
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            seen.add(id(obj))
+            stack.extend(obj)
+        elif type(obj).__module__.startswith("repro."):
+            seen.add(id(obj))
+            stack.extend(getattr(obj, "__dict__", {}).values())
+    return list(bases.values())
+
+
+def test_tenant_resident_bytes():
+    """A ratchet, not a timing: the bytes of the distinct arrays one pooled
+    tenant holds after a tick (:func:`tenant_arrays`).  The handle is the
+    plan's base graph, so its ``node_features`` buffer is the one copy of
+    those rows the tenant holds; the shadow working graph, with its mirror
+    rows, and the partitions' slices are laid out differently."""
+    rng = np.random.default_rng(3)
+    graph = make_graph(seed=3)
+    pool = SessionPool(make_model(), dataclasses.replace(make_config(), executor="serial"),
+                       capacity=2)
+    try:
+        pool.infer(graph)
+        pool.apply_delta(graph, GraphDelta(node_ids=np.array([1]),
+                                           node_features=np.ones((1, 8))), defer=True)
+        pool.infer(graph, mode="incremental")
+        for delta in _tick_deltas(rng, graph):
+            pool.apply_delta(graph, delta, defer=True)
+        pool.infer(graph, mode="incremental")
+        arrays = tenant_arrays(graph, pool.session_for(graph))
+        copies = [array for array in arrays
+                  if array.shape == graph.node_features.shape
+                  and np.array_equal(array, graph.node_features)]
+        assert len(copies) == 1 and copies[0] is graph.node_features
+    finally:
+        pool.clear()
+    resident = sum(array.nbytes for array in arrays)
+    print(f"one pooled tenant holds {resident} B in {len(arrays)} arrays")
+    assert (resident, len(arrays)) == (508_880, 128)

@@ -3,11 +3,13 @@
 A :class:`~hypothesis.stateful.RuleBasedStateMachine` drives one pregel
 :class:`~repro.inference.InferenceSession` — eager and deferred deltas,
 feature and hub-preserving edge deltas (two of them back to back, so the
-out-edge patches compose before a run opens), full and incremental infers,
-``close()`` and, on the process executor, a worker killed between runs.  The
-model is a reference copy of the graph that every delta also lands on; the
-invariant is that every infer equals a fresh ``prepare()+infer()`` on it bit
-for bit.  The one exception is the first infer after a kill: it raises
+out-edge patches compose before a run opens), invalid deltas behind a
+deferred one, full and incremental infers, ``close()`` and, on the process
+executor, a worker killed between runs.  The model is a reference copy of
+the graph that every accepted delta also lands on; the invariant is that
+every infer equals a fresh ``prepare()+infer()`` on it bit for bit, and that
+a rejected delta raises ``ValueError`` and changes nothing.  The one
+exception is the first infer after a kill: it raises
 :class:`~repro.cluster.executor.WorkerCrashError`, and the one after it is
 exact — a respawned worker starts with no state and its engine runs in full.
 """
@@ -37,6 +39,7 @@ from repro.streaming.faults import plan_executor
 
 THRESHOLD = 12
 FEATURE_DIM = 4
+INVALID = st.sampled_from(["id", "nan", "width"])
 MODEL = build_model("gcn", FEATURE_DIM, 8, 3, num_layers=2, seed=0)
 
 
@@ -67,6 +70,21 @@ def edge_delta(rng: np.random.Generator, graph: Graph) -> GraphDelta:
         removed_edge_ids=rng.choice(np.flatnonzero(quiet[graph.src]), size=2, replace=False))
 
 
+def invalid_delta(kind: str, graph: Graph) -> GraphDelta:
+    """A delta every entry path must reject: an edge to a node outside the
+    graph, a NaN feature row or a row of the wrong width."""
+    if kind == "id":
+        return GraphDelta(added_src=[0], added_dst=[graph.num_nodes])
+    rows = np.ones((1, FEATURE_DIM + 1 if kind == "width" else FEATURE_DIM))
+    if kind == "nan":
+        rows[0, 0] = np.nan
+    return GraphDelta(node_ids=[0], node_features=rows)
+
+
+def arrays_of(graph: Graph) -> tuple:
+    return tuple(getattr(graph, name).tobytes() for name in ("src", "dst", "node_features"))
+
+
 def fresh_scores(graph: Graph) -> np.ndarray:
     return InferenceSession(MODEL, make_config("serial")).infer(graph).scores
 
@@ -88,25 +106,38 @@ class SessionMachine(RuleBasedStateMachine):
         assert defer or outcome.in_place
         apply_delta_to_graph(self.reference, delta)
 
+    # Deltas are drawn against the reference: a deferred delta reaches the
+    # graph only at the flush, and the reference is what the buffer describes.
     @rule(seed=st.integers(0, 2**16))
     def eager_feature_delta(self, seed):
-        self.land(feature_delta(np.random.default_rng(seed), self.graph))
+        self.land(feature_delta(np.random.default_rng(seed), self.reference))
 
     @rule(seed=st.integers(0, 2**16))
     def edge_delta(self, seed):
-        self.land(edge_delta(np.random.default_rng(seed), self.graph))
+        self.land(edge_delta(np.random.default_rng(seed), self.reference))
 
     @rule(seed=st.integers(0, 2**16))
     def two_edge_deltas(self, seed):
         rng = np.random.default_rng(seed)
-        self.land(edge_delta(rng, self.graph))
-        self.land(edge_delta(rng, self.graph))
+        self.land(edge_delta(rng, self.reference))
+        self.land(edge_delta(rng, self.reference))
 
     @rule(seed=st.integers(0, 2**16), edges=st.booleans())
     def deferred_delta_then_flush(self, seed, edges):
         rng = np.random.default_rng(seed)
-        self.land((edge_delta if edges else feature_delta)(rng, self.graph), defer=True)
+        self.land((edge_delta if edges else feature_delta)(rng, self.reference), defer=True)
         assert self.session.flush_deltas().in_place
+
+    @rule(seed=st.integers(0, 2**16), kind=INVALID, defer=st.booleans())
+    def invalid_delta_behind_a_deferred_one(self, seed, kind, defer):
+        # The deferred delta stays buffered through the rejection and lands
+        # at the next infer.
+        self.land(feature_delta(np.random.default_rng(seed), self.reference), defer=True)
+        before, pending = arrays_of(self.graph), self.session.num_pending_deltas
+        with pytest.raises(ValueError):
+            self.session.apply_delta(invalid_delta(kind, self.reference), defer=defer)
+        assert arrays_of(self.graph) == before
+        assert self.session.num_pending_deltas == pending
 
     @rule(mode=st.sampled_from(["full", "incremental"]))
     def infer(self, mode):
