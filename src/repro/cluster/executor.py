@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import threading
 import traceback
 import weakref
 from dataclasses import dataclass
@@ -61,6 +62,13 @@ EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
 START_METHOD_ENV_VAR = "REPRO_EXECUTOR_START_METHOD"
 
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
+#: Held while a worker is started and its child-side descriptors are open in
+#: this process.  A fork copies every open descriptor: a worker forked from
+#: one thread while another thread starts its own worker would keep that
+#: worker's pipe end and exit sentinel open, and the sibling's shutdown would
+#: then wait out its join timeout (gateway threads start tenants' executors
+#: concurrently).
+_START_LOCK = threading.Lock()
 
 
 class UnknownExecutorError(ValueError):
@@ -503,12 +511,13 @@ class ProcessExecutor(Executor):
             return
         processes, connections = [], []
         for slot in range(self.num_slots):
-            parent_conn, child_conn = self._context.Pipe(duplex=True)
-            process = self._context.Process(
-                target=_process_worker_main, args=(child_conn, slot),
-                daemon=True, name=f"repro-executor-{slot}")
-            process.start()
-            child_conn.close()
+            with _START_LOCK:
+                parent_conn, child_conn = self._context.Pipe(duplex=True)
+                process = self._context.Process(
+                    target=_process_worker_main, args=(child_conn, slot),
+                    daemon=True, name=f"repro-executor-{slot}")
+                process.start()
+                child_conn.close()
             processes.append(process)
             connections.append(parent_conn)
         self._processes = processes

@@ -395,7 +395,8 @@ class SessionPool:
         plan-reuse guarantee the pool exists for; a miss prepares a new
         session (and may evict the lowest-scored one).  The session's
         ``plan.graph`` is the handle; send every delta through
-        :meth:`apply_delta`, the one writer of the handle.
+        :meth:`apply_delta`, the one writer of the handle (the session's own
+        ``apply_delta`` raises ``RuntimeError``).
         """
         return self._lookup(graph).session
 
@@ -459,7 +460,7 @@ class SessionPool:
             entry = self._lookup(graph)
             with entry.session.buffer_lock:
                 try:
-                    outcome = entry.session.apply_delta(delta, defer=True)
+                    outcome = entry.session._buffer_delta(delta)
                 except StalePlanError:
                     if self._evicted(entry):
                         continue

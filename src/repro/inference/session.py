@@ -187,8 +187,8 @@ class InferenceSession:
     def num_replans(self) -> int:
         """How many deltas invalidated the cached plan and forced a full
         re-``prepare()`` (explicit ``prepare()`` calls are not counted).
-        The streaming soak harness aggregates this across a pool to assert
-        that stable-hub edge churn never re-plans.
+        The soak (``tests/test_streaming_soak.py``) sums this across a pool
+        to assert that stable-hub edge churn never re-plans.
         """
         return self._num_replans
 
@@ -310,7 +310,16 @@ class InferenceSession:
         ``deferred=True`` and reports nothing about plan validity; the
         flush's outcome does.  An eager delta arriving on a non-empty buffer
         joins that same merged patch.
+
+        A pooled session's graph is the pool's handle, and a delta reaches
+        it only through ``pool.apply_delta``, which lands it on the handle
+        too: here it raises ``RuntimeError``.
         """
+        if self._owns_graph:
+            raise RuntimeError(
+                "a pooled session's graph is the pool's handle; send the delta "
+                "through pool.apply_delta(graph, delta), which lands it on the "
+                "handle and buffers it here")
         if defer:
             return self._buffer_delta(delta)
         note_slow_call("apply_delta")

@@ -284,18 +284,19 @@ class ShadowNodePlan:
         position-stable mirror assignment.  The result is byte-identical to a
         fresh :func:`apply_shadow_nodes` over the post-delta base graph.
         """
-        src, dst = self.graph.src, self.graph.dst
+        src = self.graph.src
         if delta.removed_edge_ids is not None and delta.removed_edge_ids.size:
             keep = np.ones(src.size, dtype=bool)
             keep[delta.removed_edge_ids] = False
-            src, dst = src[keep], dst[keep]
+            src = src[keep]
         if delta.added_src is not None and delta.added_src.size:
             src = np.concatenate(
                 [src, self.assign_sources(delta.added_src, delta.added_dst)])
-            dst = np.concatenate([dst, delta.added_dst])
-        self.graph.src, self.graph.dst = src, dst
-        # The expanded graph shares the base edge-feature buffer; landing the
-        # delta swapped it for a patched array, so re-point the share.
+        self.graph.src = src
+        # The expanded graph shares the base dst and edge-feature buffers;
+        # landing the delta swapped them for patched arrays, so re-point the
+        # shares.
+        self.graph.dst = base_graph.dst
         self.graph.edge_features = base_graph.edge_features
         self.graph.invalidate_adjacency()
 
@@ -380,7 +381,7 @@ def apply_shadow_nodes(graph: Graph, threshold: int,
 
     expanded = Graph(
         src=new_src,
-        dst=graph.dst.copy(),
+        dst=graph.dst,
         node_features=node_features,
         edge_features=graph.edge_features,
         labels=labels,

@@ -88,6 +88,20 @@ class TestStaleness:
         with pytest.raises(StalePlanError):
             session.infer()
 
+    @pytest.mark.parametrize("backend", ["pregel", "mapreduce"])
+    def test_a_write_to_the_dst_the_working_graph_shares_raises(self, backend):
+        # The shadow rewrite changes only sources, so the expanded working
+        # graph shares the caller's dst: an in-place write reaches the plan,
+        # and the fingerprint must catch it.
+        graph = make_graph(seed=4)
+        session = make_session(graph, backend=backend)
+        plan = session.prepare(graph)
+        assert plan.shadow_plan.has_mirrors and plan.working_graph is not graph
+        assert plan.working_graph.dst is graph.dst
+        graph.dst[0] = (graph.dst[0] + 1) % graph.num_nodes
+        with pytest.raises(StalePlanError):
+            session.infer()
+
     def test_exact_restore_serves_again(self):
         graph = make_graph(seed=3)
         session = make_session(graph)
@@ -479,6 +493,26 @@ class TestEdgeDelta:
         np.testing.assert_array_equal(session.infer().scores,
                                       fresh_scores(reference))
 
+    def test_an_edge_delta_leaves_the_replaced_dst_untouched(self):
+        # The expanded working graph shares the caller's dst, so neither the
+        # landing nor the shadow patch may write it in place: both move to
+        # one new array, and a holder of the old one sees it unchanged.
+        rng = np.random.default_rng(36)
+        graph = make_graph(seed=36)
+        session = make_session(graph)
+        plan = session.prepare(graph)
+        threshold = plan.strategy_plan.threshold
+        degrees = graph.out_degrees()
+        old, before = graph.dst, graph.dst.copy()
+        delta = GraphDelta(
+            added_src=rng.choice(np.nonzero(degrees < threshold - 3)[0], size=5, replace=False),
+            added_dst=rng.integers(0, graph.num_nodes, size=5),
+            removed_edge_ids=rng.choice(np.nonzero(degrees[graph.src] < threshold - 3)[0],
+                                        size=5, replace=False))
+        assert session.apply_delta(delta).in_place
+        assert graph.dst is not old and np.array_equal(old, before)
+        assert plan.working_graph.dst is graph.dst
+
     @pytest.mark.parametrize("backend", ["pregel", "mapreduce"])
     def test_edge_churn_rounds_stay_in_place_under_shadow_nodes(self, backend):
         # Rounds of balanced churn among non-hubs, as a streaming graph
@@ -502,6 +536,8 @@ class TestEdgeDelta:
                 removed_edge_ids=rng.choice(removable, size=20, replace=False))
             apply_delta_to_graph(reference, delta)
             assert session.apply_delta(delta).in_place
+            # the patch re-points the expanded graph at the landed dst
+            assert session.plan.working_graph.dst is graph.dst
             np.testing.assert_array_equal(session.infer(mode="incremental").scores,
                                           fresh_scores(reference, backend=backend))
         assert session.num_replans == 0

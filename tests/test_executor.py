@@ -16,6 +16,7 @@ import pytest
 
 import os
 import signal
+import threading
 import time
 
 from repro.cluster.cost_model import CostModel
@@ -30,6 +31,7 @@ from repro.cluster.executor import (
     available_executors,
     build_executor,
     default_executor_name,
+    default_start_method,
 )
 from repro.cluster.metrics import MetricsCollector
 from repro.cluster.resources import ClusterSpec
@@ -275,6 +277,52 @@ class TestCrashRecovery:
             executor.close()
         finally:
             executor.shutdown()
+
+
+def _sentinel_write_ends(pid: int) -> set:
+    """The pipes a process holds open for writing (as ``pipe:[inode]``)."""
+    ends = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            target = os.readlink(f"/proc/{pid}/fd/{fd}")
+            with open(f"/proc/{pid}/fdinfo/{fd}") as info:
+                flags = int(info.read().split("flags:")[1].split()[0], 8)
+        except OSError:
+            continue
+        if target.startswith("pipe:") and flags & os.O_ACCMODE == os.O_WRONLY:
+            ends.add(target)
+    return ends
+
+
+@pytest.mark.skipif(default_start_method() != "fork" or not os.path.isdir("/proc/self/fdinfo"),
+                    reason="descriptors leak across fork only; read through /proc")
+def test_workers_started_from_two_threads_keep_no_sibling_sentinel():
+    # A fork copies every open descriptor.  A worker forked from one thread
+    # while another thread starts its own worker must not keep that worker's
+    # exit sentinel open, or the sibling's shutdown waits out its join
+    # timeout for an end-of-file that never comes.
+    for _ in range(5):
+        executors = [ProcessExecutor(2), ProcessExecutor(2)]
+        barrier = threading.Barrier(2)
+
+        def start(executor: ProcessExecutor) -> None:
+            barrier.wait()
+            executor._ensure_workers()
+
+        threads = [threading.Thread(target=start, args=(executor,)) for executor in executors]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            for mine, other in ((0, 1), (1, 0)):
+                sentinels = {os.readlink(f"/proc/self/fd/{process.sentinel}")
+                             for process in executors[mine].live_processes()}
+                for process in executors[other].live_processes():
+                    assert not sentinels & _sentinel_write_ends(process.pid)
+        finally:
+            for executor in executors:
+                executor.shutdown()
 
 
 class TestSharedArrays:

@@ -1,12 +1,13 @@
 """Model-based test: any sequence of pool calls scores as a fresh session.
 
-A :class:`~hypothesis.stateful.RuleBasedStateMachine` drives one
-:class:`~repro.inference.SessionPool` over two tenant handles: eager and
+A :class:`~hypothesis.stateful.RuleBasedStateMachine` drives one pregel or
+mapreduce :class:`~repro.inference.SessionPool` over two tenant handles: eager and
 deferred feature and hub-preserving edge deltas, invalid deltas, full and
 incremental infers, ``evict`` and ``clear``, an in-place write to a handle
 array, an unlocked or rebound handle array, a backend whose ``apply_delta``
-raises after patching the plan, discarding a pooled session's deltas and
-using a session after its eviction.  The model is a reference copy of each
+raises after patching the plan, discarding a pooled session's deltas, a
+delta sent to a pooled session directly, using a session after its
+eviction and, on the process executor, a worker killed between calls.  The model is a reference copy of each
 handle that every mirrored delta (and every write the pool lets through)
 also lands on.  The invariant is contract 3's: no pooled plan ever serves a
 mutated handle, so every infer equals a fresh ``prepare()+infer()`` on a
@@ -15,11 +16,20 @@ copy of the handle bit for bit, and the handle always equals its reference.
 
 from __future__ import annotations
 
+import os
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, rule, run_state_machine_as_test
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
+from repro.cluster.executor import WorkerCrashError
 from repro.graph.graph import Graph
 from repro.inference import SessionPool, StalePlanError
 from repro.inference.delta import apply_delta_to_graph
@@ -60,15 +70,20 @@ class PatchThenRaise:
 
 class PoolMachine(RuleBasedStateMachine):
     executor = "serial"
+    backend = "pregel"
+    capacity = 2
 
     def __init__(self) -> None:
         super().__init__()
-        self.pool = SessionPool(MODEL, make_config(self.executor), capacity=2)
+        self.pool = SessionPool(MODEL, make_config(self.executor, self.backend),
+                                capacity=self.capacity)
         self.handles = [tiny_hub_graph(), tiny_hub_graph()]
         self.references = [tiny_hub_graph(), tiny_hub_graph()]
         # handles whose next lookup must miss (an array was rebound, or a
         # flush raised part-way)
         self.must_miss = [False, False]
+        # handles whose next infer may meet a killed worker
+        self.killed = [False, False]
 
     def lookup(self, which: int, call):
         """Run one pool call on handle ``which``, checking a due miss."""
@@ -108,6 +123,17 @@ class PoolMachine(RuleBasedStateMachine):
             session.discard_pending_deltas()
         assert session.num_pending_deltas == pending
 
+    @rule(which=HANDLES, seed=st.integers(0, 2**16), edges=st.booleans(), defer=st.booleans())
+    def apply_delta_to_the_pooled_session(self, which, seed, edges, defer):
+        # Only the pool lands a delta on the handle, so the session refuses
+        # it, and the handle and the plan stay in step.
+        session = self.lookup(which, self.pool.session_for)
+        delta = (edge_delta if edges else feature_delta)(np.random.default_rng(seed),
+                                                        self.references[which])
+        with pytest.raises(RuntimeError, match="pool.apply_delta"):
+            session.apply_delta(delta, defer=defer)
+        assert self.handles[which] in self.pool
+
     @rule(which=HANDLES, seed=st.integers(0, 2**16))
     def use_an_evicted_session(self, which, seed):
         session = self.lookup(which, self.pool.session_for)
@@ -123,12 +149,35 @@ class PoolMachine(RuleBasedStateMachine):
         self.check(which, mode)
 
     def check(self, which: int, mode: str) -> None:
-        scores = self.lookup(which, lambda graph: self.pool.infer(graph, mode=mode)).scores
+        def infer(graph: Graph) -> np.ndarray:
+            return self.pool.infer(graph, mode=mode).scores
+
+        try:
+            scores = self.lookup(which, infer)
+        except WorkerCrashError:
+            # the tenant's executor was reset; the retry respawns it
+            assert self.killed[which]
+            scores = self.lookup(which, infer)
+        self.killed[which] = False
         handle = self.handles[which]
         for name in ARRAYS:
             np.testing.assert_array_equal(getattr(handle, name),
                                           getattr(self.references[which], name))
-        np.testing.assert_array_equal(scores, fresh_scores(copy_of(handle)))
+        np.testing.assert_array_equal(scores, fresh_scores(copy_of(handle), self.pool.config))
+
+    @precondition(lambda self: self.executor == "process")
+    @rule(which=HANDLES, slot=st.integers(0, 1))
+    def kill_worker(self, which, slot):
+        # A sibling tenant's executor is its own: only this one may crash.
+        if self.handles[which] not in self.pool:
+            return
+        engine = self.pool.session_for(self.handles[which]).plan.state["engine"]
+        live = [] if engine.started_executor is None else engine.started_executor.live_processes()
+        if live:
+            victim = live[slot % len(live)]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10.0)
+            self.killed[which] = True
 
     @rule(which=HANDLES)
     def evict(self, which):
@@ -203,10 +252,20 @@ class PoolMachine(RuleBasedStateMachine):
             assert all(getattr(handle, name).flags.writeable for name in ARRAYS)
 
 
+@pytest.mark.parametrize("backend", ["pregel", "mapreduce"])
 @pytest.mark.parametrize("executor", ["serial", "process"])
-def test_any_pool_call_sequence_scores_as_a_fresh_session(executor):
-    machine = type(f"PoolMachine_{executor}", (PoolMachine,), {"executor": executor})
+def test_any_pool_call_sequence_scores_as_a_fresh_session(executor, backend):
+    machine = type(f"PoolMachine_{executor}_{backend}", (PoolMachine,),
+                   {"executor": executor, "backend": backend})
     run_state_machine_as_test(machine, settings=settings(
         max_examples=30, stateful_step_count=12, deadline=None,
         suppress_health_check=[HealthCheck.too_slow]))
 
+
+def test_a_pool_of_one_scores_as_a_fresh_session():
+    # Each handle's lookup evicts the other's session: a tenant's deltas
+    # must survive the eviction its sibling forces.
+    machine = type("PoolMachine_capacity_one", (PoolMachine,), {"capacity": 1})
+    run_state_machine_as_test(machine, settings=settings(
+        max_examples=30, stateful_step_count=12, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow]))

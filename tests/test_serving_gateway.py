@@ -19,20 +19,26 @@ The contracts under test, each against the layers below rather than mocks:
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import os
+import signal
 import threading
 
 import numpy as np
 import pytest
 
+from repro.cluster.executor import WorkerCrashError, available_executors
 from repro.gnn.model import build_model
 from repro.graph.generators import powerlaw_graph
 from repro.inference import (
     GatewayConfig,
     GraphDelta,
     InferenceConfig,
+    InferenceSession,
     SessionPool,
     StrategyConfig,
 )
+from repro.inference.delta import apply_delta_to_graph
 from repro.serving import Overloaded, ServingGateway
 
 FEATURE_DIM = 8
@@ -293,6 +299,248 @@ class TestOverlap:
         np.testing.assert_array_equal(after.scores,
                                       solo_after.infer(reference_after).scores)
         assert not np.array_equal(before.scores, after.scores)
+
+
+def _gate_tenant(pool, graph) -> _GatedBackend:
+    """Hold the tenant's next execute until ``gate.resume`` is set."""
+    session = pool.session_for(graph)
+    gate = _GatedBackend(session.backend)
+    session.backend = gate
+    return gate
+
+
+async def _until_executing(gate: _GatedBackend) -> None:
+    await asyncio.get_running_loop().run_in_executor(None, gate.entered.wait, 30)
+
+
+class _CountPatches:
+    """Delegating backend counting the plan patches (flushes that landed)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.patches = 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def apply_delta(self, plan, delta):
+        self.patches += 1
+        return self.inner.apply_delta(plan, delta)
+
+
+class _RaiseOnce:
+    """Delegating backend whose first execute raises."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.raised = False
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def execute(self, plan, metrics):
+        if not self.raised:
+            self.raised = True
+            raise RuntimeError("tick failed")
+        return self.inner.execute(plan, metrics)
+
+
+class TestCancellationAndClose:
+    """A caller that gives up, a tick that fails and a gateway closed with
+    requests queued: each tenant keeps serving scores equal to a fresh run."""
+
+    @staticmethod
+    def fresh(seed: int, backend: str = "pregel") -> np.ndarray:
+        return InferenceSession(make_model(), make_config(backend)).infer(
+            make_graph(seed)).scores
+
+    @pytest.mark.parametrize("backend", ["pregel", "mapreduce"])
+    def test_a_cancelled_queued_request_leaves_its_batchmate_and_the_tenant_serving(
+            self, backend):
+        graph = make_graph(90)
+
+        async def run():
+            pool = SessionPool(make_model(), make_config(backend), capacity=2)
+            async with ServingGateway(pool) as gateway:
+                gateway.register("tenant", graph)
+                await gateway.warm("tenant")
+                gate = _gate_tenant(pool, graph)
+                running = asyncio.create_task(gateway.infer("tenant"))
+                await _until_executing(gate)
+                cancelled = asyncio.create_task(gateway.infer("tenant"))
+                batchmate = asyncio.create_task(gateway.infer("tenant"))
+                await asyncio.sleep(0)
+                assert gateway.tenant_stats("tenant").queue_depth == 3
+                cancelled.cancel()
+                gate.resume.set()
+                with pytest.raises(asyncio.CancelledError):
+                    await cancelled
+                results = [await running, await batchmate, await gateway.infer("tenant")]
+                assert gateway.tenant_stats("tenant").queue_depth == 0
+                return results
+
+        for result in asyncio.run(run()):
+            np.testing.assert_array_equal(result.scores, self.fresh(90, backend))
+
+    def test_a_request_cancelled_mid_tick_leaves_the_tenant_serving(self):
+        graph = make_graph(91)
+        delta = GraphDelta(node_ids=np.array([3]), node_features=np.ones((1, FEATURE_DIM)))
+
+        async def run():
+            pool = SessionPool(make_model(), make_config(), capacity=2)
+            async with ServingGateway(pool) as gateway:
+                gateway.register("tenant", graph)
+                await gateway.warm("tenant")
+                gate = _gate_tenant(pool, graph)
+                running = asyncio.create_task(gateway.infer("tenant"))
+                await _until_executing(gate)
+                running.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await running
+                await gateway.submit_delta("tenant", delta)
+                gate.resume.set()
+                return await gateway.infer("tenant", mode="incremental")
+
+        result = asyncio.run(run())
+        reference = make_graph(91)
+        apply_delta_to_graph(reference, delta)
+        np.testing.assert_array_equal(
+            result.scores, InferenceSession(make_model(), make_config()).infer(reference).scores)
+
+    @pytest.mark.parametrize("backend", ["pregel", "mapreduce"])
+    def test_aclose_serves_requests_queued_behind_a_running_tick(self, backend):
+        graph = make_graph(92)
+        delta = GraphDelta(node_ids=np.array([1]), node_features=np.ones((1, FEATURE_DIM)))
+
+        async def run():
+            pool = SessionPool(make_model(), make_config(backend), capacity=2)
+            gateway = ServingGateway(pool)
+            gateway.register("tenant", graph)
+            await gateway.warm("tenant")
+            gate = _gate_tenant(pool, graph)
+            requests = [asyncio.create_task(gateway.infer("tenant"))]
+            await _until_executing(gate)
+            requests += [asyncio.create_task(gateway.infer("tenant", mode=mode))
+                         for mode in ("full", "incremental")]
+            await asyncio.sleep(0)
+            closing = asyncio.create_task(gateway.aclose())
+            await asyncio.sleep(0)
+            with pytest.raises(RuntimeError, match="closed"):
+                await gateway.infer("tenant")
+            with pytest.raises(RuntimeError, match="closed"):
+                await gateway.submit_delta("tenant", delta)
+            gate.resume.set()
+            await closing
+            assert all(request.done() for request in requests)
+            return [request.result() for request in requests]
+
+        for result in asyncio.run(run()):
+            np.testing.assert_array_equal(result.scores, self.fresh(92, backend))
+
+    def test_a_failed_tick_fails_its_batch_and_the_tenant_serves_on(self):
+        graph = make_graph(93)
+
+        async def run():
+            pool = SessionPool(make_model(), make_config(), capacity=2)
+            async with ServingGateway(pool) as gateway:
+                gateway.register("tenant", graph)
+                await gateway.warm("tenant")
+                session = pool.session_for(graph)
+                session.backend = _RaiseOnce(session.backend)
+                first = await asyncio.gather(*(gateway.infer("tenant") for _ in range(3)),
+                                             return_exceptions=True)
+                return first, await gateway.infer("tenant")
+
+        first, after = asyncio.run(run())
+        failed = [outcome for outcome in first if isinstance(outcome, Exception)]
+        assert failed and all(str(error) == "tick failed" for error in failed)
+        for result in [outcome for outcome in first if outcome not in failed] + [after]:
+            np.testing.assert_array_equal(result.scores, self.fresh(93))
+
+    def test_a_burst_of_concurrent_deltas_lands_in_submission_order(self):
+        # Each delta removes the edge the one before it appended and rewrites
+        # the same row: only submission order gives the reference's graph.
+        graph = make_graph(94)
+        base = graph.num_edges
+        deltas = [GraphDelta(node_ids=np.array([7]),
+                             node_features=np.full((1, FEATURE_DIM), float(step)),
+                             added_src=np.array([step]), added_dst=np.array([step + 1]),
+                             removed_edge_ids=None if step == 0 else np.array([base]))
+                  for step in range(4)]
+
+        async def run():
+            pool = SessionPool(make_model(), make_config(), capacity=2)
+            async with ServingGateway(pool) as gateway:
+                gateway.register("tenant", graph)
+                await gateway.warm("tenant")
+                outcomes = await asyncio.gather(
+                    *(gateway.submit_delta("tenant", delta) for delta in deltas))
+                assert [outcome.reason.split(";")[0] for outcome in outcomes] == [
+                    f"buffered ({count} pending)" for count in range(1, len(deltas) + 1)]
+                return await gateway.infer("tenant", mode="incremental")
+
+        result = asyncio.run(run())
+        reference = make_graph(94)
+        for delta in deltas:
+            apply_delta_to_graph(reference, delta)
+        np.testing.assert_array_equal(graph.src, reference.src)
+        np.testing.assert_array_equal(
+            result.scores, InferenceSession(make_model(), make_config()).infer(reference).scores)
+
+
+    def test_a_burst_lands_as_one_flush(self):
+        graph = make_graph(95)
+        rng = np.random.default_rng(95)
+        deltas = [GraphDelta(node_ids=rng.choice(graph.num_nodes, size=3, replace=False),
+                             node_features=rng.standard_normal((3, FEATURE_DIM)))
+                  for _ in range(3)]
+
+        async def run():
+            pool = SessionPool(make_model(), make_config(), capacity=2)
+            async with ServingGateway(pool) as gateway:
+                gateway.register("tenant", graph)
+                await gateway.warm("tenant")
+                session = pool.session_for(graph)
+                spy = session.backend = _CountPatches(session.backend)
+                await asyncio.gather(*(gateway.submit_delta("tenant", delta)
+                                       for delta in deltas))
+                result = await gateway.infer("tenant", mode="incremental")
+                return spy.patches, result
+
+        patches, result = asyncio.run(run())
+        reference = make_graph(95)
+        for delta in deltas:
+            apply_delta_to_graph(reference, delta)
+        assert patches == 1
+        np.testing.assert_array_equal(
+            result.scores, InferenceSession(make_model(), make_config()).infer(reference).scores)
+
+    @pytest.mark.skipif("process" not in available_executors(),
+                        reason="process executor unavailable")
+    @pytest.mark.parametrize("backend", ["pregel", "mapreduce"])
+    def test_a_worker_crash_reaches_its_callers_and_the_next_tick_respawns(self, backend):
+        graph = make_graph(96)
+        config = dataclasses.replace(make_config(backend), executor="process")
+
+        async def run():
+            pool = SessionPool(make_model(), config, capacity=2)
+            try:
+                async with ServingGateway(pool) as gateway:
+                    gateway.register("tenant", graph)
+                    before = await gateway.infer("tenant")
+                    engine = pool.session_for(graph).plan.state["engine"]
+                    victim = engine.started_executor.live_processes()[0]
+                    os.kill(victim.pid, signal.SIGKILL)
+                    victim.join(timeout=10.0)
+                    with pytest.raises(WorkerCrashError):
+                        await gateway.infer("tenant")
+                    return before, await gateway.infer("tenant", mode="incremental")
+            finally:
+                pool.clear()
+
+        before, after = asyncio.run(run())
+        np.testing.assert_array_equal(after.scores, before.scores)
+        np.testing.assert_array_equal(after.scores, self.fresh(96, backend))
 
 
 class TestAdmission:

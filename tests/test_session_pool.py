@@ -387,17 +387,17 @@ class TestDeltaRouting:
         pool = SessionPool(make_model(), make_config(), capacity=4)
         graph = make_graph(26)
         session = pool.session_for(graph)
-        buffer_delta = session.apply_delta
+        buffer_delta = session._buffer_delta
 
-        def evict_and_readopt(delta, defer=False):
-            outcome = buffer_delta(delta, defer=defer)
+        def evict_and_readopt(delta):
+            outcome = buffer_delta(delta)
             racer = threading.Thread(
                 target=lambda: (pool.evict(graph), pool.session_for(graph)))
             racer.start()
             racer.join()
             return outcome
 
-        session.apply_delta = evict_and_readopt
+        session._buffer_delta = evict_and_readopt
         rng = np.random.default_rng(26)
         delta = GraphDelta(node_ids=np.array([3, 8]),
                            node_features=rng.standard_normal((2, 8)))
@@ -492,6 +492,42 @@ class TestDeltaRouting:
         apply_delta_to_graph(reference, delta)
         np.testing.assert_array_equal(
             scores, InferenceSession(make_model(), make_config()).infer(reference).scores)
+
+    @pytest.mark.parametrize("defer", [False, True])
+    def test_a_delta_sent_to_a_pooled_session_directly_raises(self, defer):
+        # Only the pool lands a delta on the handle.  Had the session taken
+        # this edge delta, its plan's working graph would hold one edge more
+        # than the handle, the entry would still hit, and the pool would
+        # serve a graph that is not the handle.
+        from tests.test_session_state_machine import (
+            MODEL, edge_delta, fresh_scores, make_config as machine_config, tiny_hub_graph)
+        config = machine_config("serial")
+        pool = SessionPool(MODEL, config, capacity=2)
+        graph = tiny_hub_graph()
+        session = pool.session_for(graph)
+        delta = edge_delta(np.random.default_rng(0), graph)
+        with pytest.raises(RuntimeError, match="pool.apply_delta"):
+            session.apply_delta(delta, defer=defer)
+        assert session.num_pending_deltas == 0 and graph in pool
+        assert session.plan.working_graph.num_edges == graph.num_edges
+        np.testing.assert_array_equal(pool.infer(graph).scores,
+                                      fresh_scores(tiny_hub_graph(), config))
+        pool.clear()
+
+    def test_a_session_the_pool_let_go_of_takes_direct_deltas_again(self):
+        # Once the session is prepared over a caller's graph, the graph is
+        # the caller's and the refusal lifts.
+        pool = SessionPool(make_model(), make_config(), capacity=2)
+        session = pool.session_for(make_graph(32))
+        own = make_graph(33)
+        session.prepare(own)
+        delta = GraphDelta(node_ids=np.array([4]), node_features=np.ones((1, 8)))
+        assert session.apply_delta(delta).in_place
+        reference = make_graph(33)
+        apply_delta_to_graph(reference, delta)
+        np.testing.assert_array_equal(
+            session.infer().scores,
+            InferenceSession(make_model(), make_config()).infer(reference).scores)
 
     def test_a_pooled_session_prepared_by_hand_misses(self):
         # A session re-prepared outside the pool no longer runs the plan the
@@ -955,12 +991,13 @@ class TestCrashIsolation:
     @pytest.mark.skipif(
         "process" not in available_executors(),
         reason="process executor unavailable")
-    def test_sibling_tenants_survive_a_worker_kill(self):
+    @pytest.mark.parametrize("backend", ["pregel", "mapreduce"])
+    def test_sibling_tenants_survive_a_worker_kill(self, backend):
         import os
         import signal
 
         config = InferenceConfig(
-            backend="pregel", num_workers=2, executor="process",
+            backend=backend, num_workers=2, executor="process",
             strategies=StrategyConfig(partial_gather=True, broadcast=False,
                                       shadow_nodes=False,
                                       hub_threshold_override=1_000_000))
@@ -973,10 +1010,8 @@ class TestCrashIsolation:
 
             # SIGKILL one of tenant A's workers; join the corpse so the next
             # execution deterministically sees the dead pipe.
-            session_a = pool.session_for(graph_a)
-            engine = session_a.plan.state["engine"]
-            victim = next(proc for proc in engine._executor._processes
-                          if proc.is_alive())
+            engine = pool.session_for(graph_a).plan.state["engine"]
+            victim = engine.started_executor.live_processes()[0]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=10.0)
 
@@ -992,6 +1027,27 @@ class TestCrashIsolation:
             np.testing.assert_array_equal(recovered_a, baseline_a)
         finally:
             pool.clear()
+
+    @pytest.mark.parametrize("backend", ["pregel", "mapreduce"])
+    @pytest.mark.parametrize("executor_name", sorted(available_executors()))
+    def test_started_executor_is_the_runs_and_starts_none(self, executor_name, backend):
+        # Either backend's plan holds one engine that owns its executor;
+        # reading it spawns nothing, and the pool's clear() stops its workers
+        # and releases its segments.
+        config = InferenceConfig(backend=backend, num_workers=2, executor=executor_name)
+        pool = SessionPool(make_model(), config, capacity=2)
+        graph = make_graph(83)
+        try:
+            engine = pool.session_for(graph).plan.state["engine"]
+            assert engine.started_executor is None       # nothing run, nothing spawned
+            pool.infer(graph)
+            executor = engine.started_executor
+            assert executor is not None and executor.name == executor_name
+            assert len(executor.live_processes()) == (2 if executor_name == "process" else 0)
+        finally:
+            pool.clear()
+        assert executor.live_processes() == []
+        assert engine.started_executor is None and engine.num_shared_segments == 0
 
 
 def _tick_deltas(rng, graph):
@@ -1161,7 +1217,8 @@ def test_tenant_resident_bytes():
     tenant holds after a tick (:func:`tenant_arrays`).  The handle is the
     plan's base graph, so its ``node_features`` buffer is the one copy of
     those rows the tenant holds; the shadow working graph, with its mirror
-    rows, and the partitions' slices are laid out differently."""
+    rows, and the partitions' slices are laid out differently.  The shadow
+    rewrite leaves ``dst`` alone, so the working graph shares the handle's."""
     rng = np.random.default_rng(3)
     graph = make_graph(seed=3)
     pool = SessionPool(make_model(), dataclasses.replace(make_config(), executor="serial"),
@@ -1174,6 +1231,8 @@ def test_tenant_resident_bytes():
         for delta in _tick_deltas(rng, graph):
             pool.apply_delta(graph, delta, defer=True)
         pool.infer(graph, mode="incremental")
+        plan = pool.session_for(graph).plan
+        assert plan.working_graph is not graph and plan.working_graph.dst is graph.dst
         arrays = tenant_arrays(graph, pool.session_for(graph))
         copies = [array for array in arrays
                   if array.shape == graph.node_features.shape
@@ -1183,4 +1242,4 @@ def test_tenant_resident_bytes():
         pool.clear()
     resident = sum(array.nbytes for array in arrays)
     print(f"one pooled tenant holds {resident} B in {len(arrays)} arrays")
-    assert (resident, len(arrays)) == (508_880, 128)
+    assert (resident, len(arrays)) == (494_600, 127)

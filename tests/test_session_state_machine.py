@@ -1,7 +1,7 @@
 """Model-based test: any sequence of session calls scores as a fresh session.
 
-A :class:`~hypothesis.stateful.RuleBasedStateMachine` drives one pregel
-:class:`~repro.inference.InferenceSession` — eager and deferred deltas,
+A :class:`~hypothesis.stateful.RuleBasedStateMachine` drives one pregel or
+mapreduce :class:`~repro.inference.InferenceSession` — eager and deferred deltas,
 feature and hub-preserving edge deltas (two of them back to back, so the
 out-edge patches compose before a run opens), invalid deltas behind a
 deferred one, full and incremental infers, ``close()`` and, on the process
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import signal
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +36,6 @@ from repro.graph.generators import powerlaw_graph
 from repro.graph.graph import Graph
 from repro.inference import GraphDelta, InferenceConfig, InferenceSession, StrategyConfig
 from repro.inference.delta import apply_delta_to_graph
-from repro.streaming.faults import plan_executor
 
 THRESHOLD = 12
 FEATURE_DIM = 4
@@ -48,10 +48,12 @@ def tiny_hub_graph() -> Graph:
                           num_classes=3, seed=3)
 
 
-def make_config(executor: str) -> InferenceConfig:
+def make_config(executor: str, backend: str = "pregel",
+                shadow_nodes: bool = True) -> InferenceConfig:
     return InferenceConfig(
-        backend="pregel", num_workers=2, executor=executor,
-        strategies=StrategyConfig(partial_gather=True, broadcast=True, shadow_nodes=True,
+        backend=backend, num_workers=2, executor=executor,
+        strategies=StrategyConfig(partial_gather=True, broadcast=True,
+                                  shadow_nodes=shadow_nodes,
                                   hub_threshold_override=THRESHOLD))
 
 
@@ -60,14 +62,15 @@ def feature_delta(rng: np.random.Generator, graph: Graph) -> GraphDelta:
     return GraphDelta(node_ids=rows, node_features=rng.normal(size=(3, FEATURE_DIM)))
 
 
-def edge_delta(rng: np.random.Generator, graph: Graph) -> GraphDelta:
+def edge_delta(rng: np.random.Generator, graph: Graph, removed: int = 2) -> GraphDelta:
     """Churn that keeps the hub set: every touched edge's source stays well
-    below the threshold."""
+    below the threshold.  Three edges come, ``removed`` go."""
     quiet = graph.out_degrees() < THRESHOLD - 3
     return GraphDelta(
         added_src=rng.choice(np.flatnonzero(quiet), size=3, replace=False),
         added_dst=rng.integers(0, graph.num_nodes, size=3),
-        removed_edge_ids=rng.choice(np.flatnonzero(quiet[graph.src]), size=2, replace=False))
+        removed_edge_ids=rng.choice(np.flatnonzero(quiet[graph.src]), size=removed,
+                                    replace=False))
 
 
 def invalid_delta(kind: str, graph: Graph) -> GraphDelta:
@@ -85,18 +88,21 @@ def arrays_of(graph: Graph) -> tuple:
     return tuple(getattr(graph, name).tobytes() for name in ("src", "dst", "node_features"))
 
 
-def fresh_scores(graph: Graph) -> np.ndarray:
-    return InferenceSession(MODEL, make_config("serial")).infer(graph).scores
+def fresh_scores(graph: Graph, config: InferenceConfig = make_config("serial")) -> np.ndarray:
+    """A fresh ``prepare()+infer()`` on ``graph`` (serial, else ``config``)."""
+    return InferenceSession(MODEL, replace(config, executor="serial")).infer(graph).scores
 
 
 class SessionMachine(RuleBasedStateMachine):
     executor = "serial"
+    backend = "pregel"
 
     def __init__(self) -> None:
         super().__init__()
         self.graph = tiny_hub_graph()
         self.reference = tiny_hub_graph()
-        self.session = InferenceSession(MODEL, make_config(self.executor))
+        self.config = make_config(self.executor, self.backend)
+        self.session = InferenceSession(MODEL, self.config)
         plan = self.session.prepare(self.graph)
         assert plan.shadow_plan.has_mirrors
         self.killed = False
@@ -149,7 +155,7 @@ class SessionMachine(RuleBasedStateMachine):
             with pytest.raises(WorkerCrashError):
                 self.session.infer(mode=mode)
         scores = self.session.infer(mode=mode).scores
-        np.testing.assert_array_equal(scores, fresh_scores(self.reference))
+        np.testing.assert_array_equal(scores, fresh_scores(self.reference, self.config))
 
     @rule()
     def release(self):
@@ -159,7 +165,7 @@ class SessionMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.executor == "process")
     @rule(slot=st.integers(0, 1))
     def kill_worker(self, slot):
-        executor = plan_executor(self.session.plan)
+        executor = self.session.plan.state["engine"].started_executor
         live = [] if executor is None else executor.live_processes()
         if live:
             victim = live[slot % len(live)]
@@ -174,9 +180,11 @@ class SessionMachine(RuleBasedStateMachine):
             self.session.close()
 
 
+@pytest.mark.parametrize("backend", ["pregel", "mapreduce"])
 @pytest.mark.parametrize("executor", ["serial", "process"])
-def test_any_call_sequence_scores_as_a_fresh_session(executor):
-    machine = type(f"SessionMachine_{executor}", (SessionMachine,), {"executor": executor})
+def test_any_call_sequence_scores_as_a_fresh_session(executor, backend):
+    machine = type(f"SessionMachine_{executor}_{backend}", (SessionMachine,),
+                   {"executor": executor, "backend": backend})
     run_state_machine_as_test(machine, settings=settings(
         max_examples=40, stateful_step_count=12, deadline=None,
         suppress_health_check=[HealthCheck.too_slow]))

@@ -1,224 +1,231 @@
-"""Soak runs: clean steady state, reproducibility, crash recovery, SLO gates.
+"""The soak: the gateway machine's model run long from one seed.
 
-Every inference tick is checked against the un-faulted oracle.  Most soaks
-here are a few simulated seconds; :class:`TestSloGates` runs
-``$REPRO_SOAK_SECONDS`` of them (30 by default, 600 in the nightly job).
+:func:`soak` drives :class:`~tests.test_gateway_state_machine.GatewayModel`
+for a number of ticks, every choice drawn from
+``np.random.default_rng(seed)``: per tick an optional fault (a worker kill,
+an eviction or an infer cancelled while queued), two submissions of one to
+three deltas (a burst when more than one) and, every ``infer_every`` ticks,
+one infer per tenant.  The model checks every served result against a fresh
+``prepare()+infer()`` on its reference, bit for bit, so a finished soak is
+oracle-clean.  What the soak adds are the gates of a long run: crash
+recovery, delivery accounting, zero re-plans, the shared-memory and worker
+census and replayability.  :class:`TestSloGates` runs ``$REPRO_SOAK_SECONDS``
+ticks (30 by default, 600 in the nightly job) from ``$REPRO_SOAK_SEED``.
 """
 
 from __future__ import annotations
 
+import os
+from typing import Dict, Optional
+
+import numpy as np
 import pytest
 
-from repro.cluster.executor import available_executors
-from repro.streaming.faults import FaultEvent, FaultPlan
-from repro.streaming.soak import (
-    SOAK_SECONDS_ENV,
-    SOAK_SEED_ENV,
-    SoakConfig,
-    run_soak,
-    soak_seconds_from_env,
-    soak_seed_from_env,
-)
-from repro.streaming.workload import WorkloadConfig
+from repro.cluster.executor import available_executors, default_executor_name
+from tests.test_gateway_state_machine import MAX_ATTEMPTS, MODES, GatewayModel
 
 PROCESS_AVAILABLE = "process" in available_executors()
+SOAK_SECONDS_ENV = "REPRO_SOAK_SECONDS"
+SOAK_SEED_ENV = "REPRO_SOAK_SEED"
+FAULTS = ("kill_worker", "evict_tenant", "cancel_queued_infer")
+SUBMISSIONS_PER_TICK = 2
+COUNTS = ("deltas_issued", "deltas_delivered", "infers_issued", "infers_served", "crashes",
+          "recoveries", "kills", "evictions", "cancelled")
 
-SHORT = WorkloadConfig(seed=5, ticks=6, tenants=2, deltas_per_tick=2,
-                       infer_every=2, snapshot_every=3, sliding_window=2)
+
+def soak_seconds_from_env(default: int = 30) -> int:
+    """``$REPRO_SOAK_SECONDS`` (ticks), or ``default``."""
+    raw = os.environ.get(SOAK_SECONDS_ENV)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"{SOAK_SECONDS_ENV}={raw!r} is not an integer") from None
+    if value <= 0:
+        raise ValueError(f"{SOAK_SECONDS_ENV} must be positive, got {value}")
+    return value
 
 
-def small_soak(**overrides) -> SoakConfig:
-    defaults = dict(workload=SHORT, graph_nodes=120, num_workers=2,
-                    feature_dim=6, num_classes=3)
-    defaults.update(overrides)
-    return SoakConfig(**defaults)
+def soak_seed_from_env(default: int = 0) -> int:
+    """``$REPRO_SOAK_SEED``, or ``default`` (any integer is a seed)."""
+    raw = os.environ.get(SOAK_SEED_ENV)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{SOAK_SEED_ENV}={raw!r} is not an integer") from None
+
+
+def census(model: GatewayModel) -> Dict[str, int]:
+    """Shared-memory segments, live worker processes and delta-forced
+    re-plans over the pool's live sessions."""
+    segments = processes = replans = 0
+    for session in model.pool.sessions():
+        engine = session.plan.state["engine"]
+        segments += engine.num_shared_segments
+        executor = engine.started_executor
+        processes += 0 if executor is None else len(executor.live_processes())
+        replans += session.num_replans
+    return {"shm_segments": segments, "worker_processes": processes, "replans": replans}
+
+
+def soak(ticks: int, seed: int, backend: str = "pregel", executor: Optional[str] = None,
+         use_gateway: bool = True, shadow_nodes: bool = True, fault_rate: float = 0.15,
+         edge_share: float = 0.3, infer_every: int = 2) -> Dict[str, object]:
+    """Run the model for ``ticks`` ticks drawn from ``seed``; its summary.
+
+    ``executor=None`` follows ``$REPRO_EXECUTOR``, so the CI matrix runs a
+    soak on both executors: kills are live on the process executor and
+    no-ops on the serial one.
+    """
+    rng = np.random.default_rng(seed)
+    model = GatewayModel(backend, executor or default_executor_name(), shadow_nodes,
+                         use_gateway)
+    peak = {"shm_segments": 0, "worker_processes": 0, "replans": 0}
+    last: Dict[str, int] = {}
+    try:
+        for tick in range(ticks):
+            if rng.random() < fault_rate:
+                fault, which = FAULTS[int(rng.integers(len(FAULTS)))], int(rng.integers(2))
+                if fault == "kill_worker":
+                    model.kill_worker(which, int(rng.integers(64)))
+                elif fault == "evict_tenant":
+                    model.evict(which)
+                else:
+                    model.cancel_queued_infer(which, MODES[int(rng.integers(2))])
+            for _ in range(SUBMISSIONS_PER_TICK):
+                which, size = int(rng.integers(2)), int(rng.integers(1, 4))
+                model.submit(which, [model.draw(rng, which, bool(rng.random() < edge_share))
+                                     for _ in range(size)])
+            if tick % infer_every == infer_every - 1:
+                for which in (0, 1):
+                    model.infer(which, MODES[int(rng.integers(2))])
+            last = census(model)
+            peak = {name: max(peak[name], value) for name, value in last.items()}
+        model.close()
+    finally:
+        model.release()
+    return {**{name: model.counts[name] for name in COUNTS},
+            "attempts": model.attempts, "digest": model.digest,
+            "max_shm_segments": peak["shm_segments"],
+            "final_shm_segments": last.get("shm_segments", 0),
+            "max_worker_processes": peak["worker_processes"],
+            "replans": peak["replans"]}
+
+
+def assert_accountable(summary: Dict[str, object]) -> None:
+    """Every delta delivered, every infer served, every crash recovered."""
+    assert summary["deltas_delivered"] == summary["deltas_issued"] > 0
+    assert summary["infers_served"] == summary["infers_issued"] > 0
+    assert summary["recoveries"] == summary["crashes"]
+    assert all(attempt <= MAX_ATTEMPTS for attempt in summary["attempts"])
 
 
 class TestSteadyState:
     def test_gateway_soak_is_clean_and_accountable(self):
-        # executor=None follows $REPRO_EXECUTOR, so the CI matrix runs this
-        # same soak under both substrates.
-        report = run_soak(small_soak())
-        assert report.clean
-        assert report.mismatches == 0 and report.first_mismatch_tick == -1
-        assert report.deltas_delivered == report.trace_deltas
-        assert report.infers_served == report.trace_infers + report.trace_snapshots
-        assert report.oracle_checks == report.infers_served
-        assert report.trace_snapshots > 0
-        assert set(report.snapshot_digests) == {"0", "1"}
-        assert report.crashes == 0 and report.fault_schedule == []
+        summary = soak(6, seed=5, fault_rate=0.0)
+        assert_accountable(summary)
+        assert summary["crashes"] == 0 and summary["replans"] == 0
 
-    def test_same_seed_reproduces_the_deterministic_summary(self):
-        plan = FaultPlan.generate(seed=3, ticks=SHORT.ticks, tenants=2,
-                                  kinds=("evict_tenant", "delay_deltas"),
-                                  rate=0.4)
-        config = small_soak(faults=plan, executor="serial")
-        first = run_soak(config)
-        second = run_soak(config)
-        assert first.deterministic_summary() == second.deterministic_summary()
-        assert first.fault_digest == plan.digest
-
-    def test_deterministic_summary_mirrors_the_report_without_timings(self):
-        report = run_soak(small_soak(executor="serial"))
-        summary = report.deterministic_summary()
-        assert summary["mismatches"] == report.mismatches == 0
-        assert summary["trace_digest"] == report.trace_digest
-        assert summary["snapshot_digests"] == report.snapshot_digests
-        assert summary["replans"] == report.replans
-        # The measured fields vary run to run, so they stay out of it.
-        measured = {"p50_tick_seconds", "p99_tick_seconds", "mean_tick_seconds",
-                    "wall_seconds", "max_rss_bytes", "fault_notes",
-                    "max_worker_processes"}
-        assert not measured & set(summary)
+    def test_same_seed_reproduces_the_summary(self):
+        first = soak(8, seed=3, executor="serial", fault_rate=0.5)
+        assert first == soak(8, seed=3, executor="serial", fault_rate=0.5)
+        assert first["evictions"] + first["cancelled"] > 0
+        assert first["digest"] != soak(8, seed=4, executor="serial", fault_rate=0.5)["digest"]
 
     def test_bare_pool_path_matches_the_gateway_path(self):
-        # Same trace, same seed — the gateway front-end must not change what
-        # gets computed, so the temporal snapshot digests agree exactly.
-        gateway = run_soak(small_soak(executor="serial"))
-        bare = run_soak(small_soak(executor="serial", use_gateway=False))
-        assert bare.clean
-        assert bare.snapshot_digests == gateway.snapshot_digests
-        assert bare.trace_digest == gateway.trace_digest
+        # The gateway front-end must not change what is computed: the same
+        # draws through the bare pool serve the same scores.
+        gateway = soak(8, seed=9, executor="serial", fault_rate=0.5)
+        bare = soak(8, seed=9, executor="serial", fault_rate=0.5, use_gateway=False)
+        assert_accountable(bare)
+        assert bare["digest"] == gateway["digest"]
+        assert bare["infers_served"] == gateway["infers_served"]
 
 
 class TestFaultedSoaks:
-    @pytest.mark.skipif(not PROCESS_AVAILABLE,
-                        reason="process executor unavailable")
+    @pytest.mark.skipif(not PROCESS_AVAILABLE, reason="process executor unavailable")
     def test_worker_kills_recover_mid_stream(self):
-        plan = FaultPlan(seed=0, ticks=SHORT.ticks, events=(
-            FaultEvent(tick=1, kind="kill_worker", tenant=0),
-            FaultEvent(tick=3, kind="kill_worker", tenant=1, slot=1)))
-        report = run_soak(small_soak(faults=plan, executor="process"))
-        assert report.crashes >= 1
-        assert report.recoveries == report.crashes
-        assert report.unrecovered == 0
-        assert report.clean, "post-recovery scores diverged from the oracle"
-        assert all(a <= 3 for a in report.recovery_attempts)
-        assert any("killed worker pid" in note for note in report.fault_notes)
+        summary = soak(10, seed=2, executor="process", fault_rate=0.6)
+        assert summary["kills"] >= 1 and summary["crashes"] >= 1
+        assert_accountable(summary)
 
-    def test_evictions_and_delays_leave_the_stream_clean(self):
-        plan = FaultPlan(seed=0, ticks=SHORT.ticks, events=(
-            FaultEvent(tick=1, kind="evict_tenant", tenant=0),
-            FaultEvent(tick=2, kind="delay_deltas", tenant=0),
-            FaultEvent(tick=2, kind="delay_deltas", tenant=1),
-            FaultEvent(tick=4, kind="evict_tenant", tenant=1)))
-        report = run_soak(small_soak(faults=plan, executor="serial"))
-        assert report.clean
-        # Delayed deltas still arrive (as the next tick's burst) — nothing
-        # is dropped from the logical stream.
-        assert report.deltas_delivered == report.trace_deltas
-        assert len(report.fault_notes) == 4
-        assert report.fault_schedule == plan.schedule()
+    @pytest.mark.skipif(not PROCESS_AVAILABLE, reason="process executor unavailable")
+    def test_the_process_executor_serves_the_serial_scores(self):
+        # An executor changes speed, never results: worker kills and
+        # respawns included, the bare pool on worker processes serves what
+        # the gateway on the serial executor serves.
+        process = soak(10, seed=6, executor="process", use_gateway=False, fault_rate=0.6)
+        serial = soak(10, seed=6, executor="serial", fault_rate=0.6)
+        assert process["kills"] >= 1 and serial["kills"] == 0
+        assert process["digest"] == serial["digest"]
+
+    def test_evictions_and_cancellations_leave_the_stream_clean(self):
+        summary = soak(10, seed=2, executor="serial", fault_rate=0.6)
+        assert summary["evictions"] >= 1 and summary["cancelled"] >= 1
+        assert summary["kills"] == 0
+        assert_accountable(summary)
 
     def test_mapreduce_soak_matches_the_oracle_bit_for_bit(self):
         # MapReduce runs every tick in full over an in-place-patched graph,
-        # so a faulted stream equals its oracle exactly, shadow rewrite on.
-        # executor=None follows $REPRO_EXECUTOR: the kills are live on the
-        # process leg and recorded no-ops on the serial one.
-        plan = FaultPlan(seed=0, ticks=SHORT.ticks, events=(
-            FaultEvent(tick=1, kind="kill_worker", tenant=0),
-            FaultEvent(tick=2, kind="evict_tenant", tenant=1),
-            FaultEvent(tick=3, kind="delay_deltas", tenant=0),
-            FaultEvent(tick=4, kind="kill_worker", tenant=1, slot=1)))
-        report = run_soak(small_soak(backend="mapreduce", shadow_nodes=True,
-                                     faults=plan))
-        assert report.mismatches == 0 and report.oracle_checks > 0
-        assert report.recoveries == report.crashes and report.unrecovered == 0
-        assert report.clean
+        # shadow rewrite on.  The kills are live on the process leg.
+        summary = soak(10, seed=2, backend="mapreduce", fault_rate=0.6)
+        assert_accountable(summary)
+        if default_executor_name() == "process":
+            assert summary["kills"] >= 1
 
 
 class TestResourceCeilings:
-    @pytest.mark.skipif(not PROCESS_AVAILABLE,
-                        reason="process executor unavailable")
+    @pytest.mark.skipif(not PROCESS_AVAILABLE, reason="process executor unavailable")
     @pytest.mark.parametrize("backend", ["pregel", "mapreduce"])
     def test_shm_segments_plateau_under_edge_churn(self, backend):
-        # Pure edge-delta churn forces a wholesale src/dst array swap every
-        # tick; the PR-5 segment-leak fix means the parent-side shm census
-        # must plateau — a 200-tick run ends with exactly as many segments
-        # as a 20-tick run of the same stream.  Both backends ship their
-        # partitions through the same engine's segments.
-        def churn(ticks: int) -> SoakConfig:
-            return small_soak(
-                backend=backend,
-                workload=WorkloadConfig(seed=13, ticks=ticks, tenants=1,
-                                        deltas_per_tick=1,
-                                        feature_fraction=0.0,
-                                        infer_every=20),
-                executor="process", use_gateway=False, graph_nodes=80)
+        # Edge churn swaps src/dst wholesale every flush; each swap replaces
+        # a segment under its key, so the parent's census after 200 ticks
+        # equals the census after 20.
+        def churn(ticks: int) -> Dict[str, object]:
+            return soak(ticks, seed=13, backend=backend, executor="process",
+                        use_gateway=False, fault_rate=0.0, edge_share=1.0, infer_every=20)
 
-        short = run_soak(churn(20))
-        long = run_soak(churn(200))
-        assert long.clean and short.clean
-        assert short.final_shm_segments > 0
-        assert long.final_shm_segments == short.final_shm_segments
-        assert long.max_shm_segments == short.max_shm_segments
+        short, long = churn(20), churn(200)
+        assert short["final_shm_segments"] > 0
+        assert long["final_shm_segments"] == short["final_shm_segments"]
+        assert long["max_shm_segments"] == short["max_shm_segments"]
 
-    @pytest.mark.skipif(not PROCESS_AVAILABLE,
-                        reason="process executor unavailable")
+    @pytest.mark.skipif(not PROCESS_AVAILABLE, reason="process executor unavailable")
     @pytest.mark.parametrize("backend", ["pregel", "mapreduce"])
     def test_the_census_counts_worker_processes_on_either_backend(self, backend):
-        # Either backend's plan holds an engine that owns its executor: the
-        # census finds both.
-        report = run_soak(small_soak(backend=backend, executor="process",
-                                     use_gateway=False))
-        assert report.clean
-        assert report.max_worker_processes > 0
+        summary = soak(4, seed=1, backend=backend, executor="process", use_gateway=False,
+                       fault_rate=0.0)
+        assert summary["max_worker_processes"] > 0
 
     @pytest.mark.parametrize("shadow_nodes", [False, True])
     def test_stable_hub_edge_churn_never_replans(self, shadow_nodes):
-        # The stable-hub SLO: with the hub threshold pinned high, pure
-        # edge-delta churn must patch every cached plan in place — zero
-        # delta-forced re-plans over the whole stream, shadow rewrite on or
-        # off (position-stable mirror assignment).
-        config = small_soak(
-            workload=WorkloadConfig(seed=17, ticks=12, tenants=2,
-                                    deltas_per_tick=2, feature_fraction=0.0,
-                                    infer_every=3, snapshot_every=4,
-                                    sliding_window=2),
-            executor="serial", use_gateway=False, graph_nodes=80,
-            shadow_nodes=shadow_nodes)
-        report = run_soak(config)
-        assert report.clean
-        assert report.deltas_delivered == report.trace_deltas
-        assert report.replans == 0
+        # Churn that keeps the hub set patches every plan in place, shadow
+        # rewrite on or off (position-stable mirror assignment).
+        summary = soak(12, seed=17, executor="serial", use_gateway=False,
+                       shadow_nodes=shadow_nodes, fault_rate=0.0, edge_share=1.0,
+                       infer_every=3)
+        assert_accountable(summary)
+        assert summary["replans"] == 0
 
 
 class TestSloGates:
     def test_faulted_soak_meets_its_slo_gates(self):
-        # $REPRO_SOAK_SECONDS ticks through the gateway with a seeded plan of
-        # worker kills, forced evictions and delta-arrival bursts, shadow
-        # nodes on.  executor=None follows $REPRO_EXECUTOR: the kills are
-        # live on the process leg and recorded no-ops on the serial one.
-        ticks = soak_seconds_from_env(30)
-        seed = soak_seed_from_env(0)
-
-        def config(ticks: int, faults) -> SoakConfig:
-            return SoakConfig(
-                workload=WorkloadConfig(seed=seed, ticks=ticks, tenants=2,
-                                        deltas_per_tick=2, infer_every=2,
-                                        snapshot_every=5, sliding_window=3),
-                faults=faults, graph_nodes=300, shadow_nodes=True)
-
-        plan = FaultPlan.generate(
-            seed=seed, ticks=ticks, tenants=2,
-            kinds=("kill_worker", "delay_deltas", "evict_tenant"), rate=0.15)
+        # $REPRO_SOAK_SECONDS ticks through the gateway with worker kills,
+        # evictions, cancelled requests and delta bursts, shadow nodes on.
+        ticks, seed = soak_seconds_from_env(30), soak_seed_from_env(0)
         # The shm census of a short un-faulted run of the same stack is the
         # ceiling the faulted run must stay under (the segment-leak gate).
-        baseline = run_soak(config(4, None))
-        report = run_soak(config(ticks, plan))
-        print(f"\n{plan.describe()}\n{report.describe()}")
-
-        assert baseline.clean
-        assert report.clean, (
-            f"{report.mismatches} mismatch(es) (first at tick "
-            f"{report.first_mismatch_tick}), {report.unrecovered} unrecovered")
-        assert report.recoveries == report.crashes
-        assert report.deltas_delivered == report.trace_deltas
-        assert report.infers_served == report.oracle_checks
-        assert report.replans == 0
-        assert report.max_shm_segments <= baseline.max_shm_segments
-        if report.executor == "process":
-            assert baseline.max_shm_segments > 0
+        baseline = soak(4, seed, fault_rate=0.0)
+        summary = soak(ticks, seed)
+        print(f"\nsoak[{ticks} ticks, seed {seed}, {default_executor_name()}]: {summary}")
+        assert_accountable(summary)
+        assert summary["replans"] == 0
+        assert summary["max_shm_segments"] <= baseline["max_shm_segments"]
+        if default_executor_name() == "process":
+            assert baseline["max_shm_segments"] > 0
 
 
 class TestEnvKnobs:
