@@ -89,7 +89,7 @@ class ExecutionPlan:
     #: set by the session the first time a delta lands on (or is deferred
     #: against) this plan.  The pregel backend gates its per-superstep state
     #: cache on it, so sessions that never see a delta keep pre-delta peak
-    #: memory (~(layers+1)x the node-state memory); the price is that the
+    #: memory (~layers× the node-state memory); the price is that the
     #: first post-delta incremental request falls back to one full run,
     #: which primes the cache.
     delta_seen: bool = False

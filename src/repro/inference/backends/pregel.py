@@ -71,7 +71,7 @@ class PregelBackend(Backend):
 
     def execute(self, plan: ExecutionPlan,
                 metrics: MetricsCollector) -> Dict[str, np.ndarray]:
-        # The per-superstep state cache is lazy: it costs ~(layers+1)x the
+        # The per-superstep state cache is lazy: it costs ~layers× the
         # node-state memory, so it only arms once the session has actually
         # seen a delta (plan.delta_seen) — sessions serving an immutable
         # graph keep pre-delta peak memory.  The first post-delta incremental

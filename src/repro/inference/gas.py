@@ -10,10 +10,11 @@ backend called: both run them through one partition program (the Pregel
 adaptor's), which feeds them a mailbox and keeps state in ``block_state``;
 the MapReduce round driver only prices that data flow as shuffled records.
 
-Every node-row stage takes an optional ``rows`` set (incremental inference)
-and computes and charges exactly those rows, bit-equal to
+``encode`` and ``gather_apply`` take an optional ``rows`` set (incremental
+inference) and compute and charge exactly those rows, bit-equal to
 ``stage(...)[rows]`` because every op in a layer is exact per row at any
-shape — the matmul included (:data:`~repro.tensor.tensor.ROW_BLOCK`).  The
+shape — the matmul included (:data:`~repro.tensor.tensor.ROW_BLOCK`);
+``predict`` is given the rows' state itself.  The
 edge stages take the edge arrays they are given: a caller that sends only
 some edges passes those edges' arrays and a :class:`Routed` over them (the
 Pregel adaptor selects both from its resident send schedule).
@@ -201,11 +202,8 @@ def scatter_blocks(model: GNNModel, plan: StrategyPlan,
 
 
 @no_grad()
-def predict(model: GNNModel, state: np.ndarray,
-            rows: Optional[np.ndarray] = None) -> Tuple[np.ndarray, float]:
-    """Last layer's state → logits (the prediction head)."""
-    if rows is not None:
-        state = state[rows]
+def predict(model: GNNModel, state: np.ndarray) -> Tuple[np.ndarray, float]:
+    """Last layer's state rows → their logits (the prediction head)."""
     logits = (model.predict(Tensor(state)).data if state.shape[0]
               else np.zeros((0, model.output_dim)))
     return logits, state.shape[0] * state.shape[1] * max(logits.shape[1], 1)

@@ -136,6 +136,8 @@ class RoundHarness(PregelPartitionHarness):
 
     program: GNNInferenceProgram
     sends: Optional[PartitionContext] = None
+    #: the superstep whose state the slot holds: the last one it computed
+    superstep = 0
 
     def step(self, control: Tuple[int, str],
              incoming: List[Any]) -> Tuple[InstanceMetrics, List[Tuple[int, List[Any]]]]:
@@ -155,8 +157,8 @@ class RoundHarness(PregelPartitionHarness):
         return metrics, [(target, bucket) for target, bucket in enumerate(buckets) if bucket]
 
     def finish(self) -> Any:
-        """The slot's outputs, which it keeps no more than its state."""
-        self.partition.block_state.pop("h", None)
+        """The slot's outputs, which it keeps no more than its state (the
+        last superstep keeps none)."""
         return self.partition.block_state.pop("output", None)
 
     # ------------------------------------------------------------------ #
@@ -169,7 +171,7 @@ class RoundHarness(PregelPartitionHarness):
         """The slot's node rows, by default carrying its current state."""
         partition = self.partition
         if state_bytes is None:
-            state_bytes = tensor_bytes(partition.block_state["h"].shape)
+            state_bytes = tensor_bytes(self.program.state_shape(partition, self.superstep))
         adjacency = float(partition.out_dst.nbytes)
         if partition.out_edge_features is not None:
             adjacency += float(partition.out_edge_features.nbytes)
@@ -185,7 +187,7 @@ class RoundHarness(PregelPartitionHarness):
     def _map(self, round_index: int, metrics: InstanceMetrics) -> List[List[Any]]:
         if round_index == 0:
             context = self.compute(0, None, [], metrics)
-            metrics.observe_memory(tensor_bytes(self.partition.block_state["h"].shape)
+            metrics.observe_memory(tensor_bytes(self.program.state_shape(self.partition, 0))
                                    + self._feature_bytes())
         else:
             assert self.sends is not None
@@ -197,14 +199,15 @@ class RoundHarness(PregelPartitionHarness):
 
     def _reduce(self, round_index: int, items: Sequence[Any],
                 metrics: InstanceMetrics) -> List[Any]:
-        store = self.partition.block_state
         blocks = [item.block for item in items if isinstance(item, Records)]
-        in_width = store["h"].shape[1]
+        widths = self.program.widths
         context = self.compute(round_index + 1, None, blocks, metrics)
-        metrics.observe_memory(self._chunk_peak(blocks, in_width, store["h"].shape[1]))
+        self.superstep = round_index + 1
+        metrics.observe_memory(self._chunk_peak(blocks, widths[round_index],
+                                                widths[round_index + 1]))
         if round_index + 1 == self.program.num_layers:
             rows = int(np.count_nonzero(self.partition.node_ids < self.program.num_outputs))
-            return [StateRows(rows, tensor_bytes((rows, store["output"].shape[1])))]
+            return [StateRows(rows, tensor_bytes((rows, self.program.model.output_dim)))]
         self.sends = context
         return self._written()
 

@@ -20,11 +20,15 @@ Incremental inference
 ---------------------
 
 A session that applied a :class:`~repro.inference.delta.GraphDelta` in place
-can rerun just the delta's reach: full runs cache every superstep's state
-per partition (``h_history``); an incremental run walks a per-superstep dirty
-frontier (:func:`~repro.inference.delta.expand_frontier`), sends only messages
-bound for next-frontier destinations, recomputes only frontier rows, and
-writes them into the cached states.  What it sends it selects from the
+can rerun just the delta's reach: full runs cache, per partition, the state
+of every superstep a later superstep reads (``h_history``: supersteps 0 to
+L-1) and the logits (``output``); an incremental run walks a per-superstep
+dirty frontier (:func:`~repro.inference.delta.expand_frontier`), sends only
+messages bound for next-frontier destinations, recomputes only frontier
+rows, and writes them into the cached states.  Superstep L's state is read
+by nothing but the head, so no run keeps it: an incremental superstep L
+predicts from the frontier rows it computed and splices only their logits
+into ``output``.  What it sends it selects from the
 partition's resident :class:`SendSchedule`, destination by destination.
 Bit-identity with a fresh full run rests on the stage module's row-subset
 rule plus one transport rule kept here: per-destination message *sets and
@@ -399,9 +403,9 @@ class SendSchedule:
 class GNNInferenceProgram(BlockVertexProgram):
     """Block vertex program that runs a GAS GNN model layer by layer.
 
-    ``cache_states=True`` makes a full run record every superstep's state (and
-    the final logits) in partition ``block_state`` — the warm cache
-    incremental runs write into.  Passing ``targets`` makes the run
+    ``cache_states=True`` makes a full run record the states of supersteps
+    ``0 … L-1`` (and the final logits) in partition ``block_state`` — the
+    warm cache incremental runs write into.  Passing ``targets`` makes the run
     incremental against that cache: ``context.frontier_rows`` names the local
     rows to recompute and ``targets[superstep]`` the next frontier, whose
     messages must still be sent.  Nodes below ``num_outputs`` are the
@@ -419,6 +423,9 @@ class GNNInferenceProgram(BlockVertexProgram):
         self.replicas = replicas
         self.num_outputs = num_outputs
         self.num_layers = model.num_layers
+        #: per superstep, the width of the node state it computes
+        self.widths = [model.encoder.out_features] + [layer.output_dim
+                                                      for layer in model.layers]
         self.targets = targets
         self.incremental = targets is not None
         self.cache_states = bool(cache_states) or self.incremental
@@ -445,7 +452,7 @@ class GNNInferenceProgram(BlockVertexProgram):
         """
         if "out_src_local" not in partition.block_state:
             partition.block_state["out_src_local"] = partition.local_indices(partition.out_src)
-        partition.block_state["h"] = None
+        partition.block_state.pop("h", None)
         if self.incremental:
             if not has_cached_run(partition, self.num_layers):
                 raise RuntimeError(
@@ -456,7 +463,7 @@ class GNNInferenceProgram(BlockVertexProgram):
         for resident in partition.block_state.get("send_schedule", {}).values():
             resident.memos.clear()
         if self.cache_states:
-            partition.block_state["h_history"] = [None] * (self.num_layers + 1)
+            partition.block_state["h_history"] = [None] * self.num_layers
         else:
             partition.block_state.pop("h_history", None)
 
@@ -529,9 +536,7 @@ class GNNInferenceProgram(BlockVertexProgram):
         rows = context.frontier_rows if self.incremental else None
         idle = rows is not None and (rows.size == 0 or not partition.num_nodes)
 
-        if idle:
-            state = store["h_history"][superstep]
-        else:
+        if not idle:
             if superstep == 0:
                 state, units = gas.encode(self.model, partition.node_features, rows)
             else:
@@ -540,28 +545,36 @@ class GNNInferenceProgram(BlockVertexProgram):
                                                 store["h"], payload, local_dst,
                                                 counts, rows)
             context.metrics.add_compute(units)
-            if rows is not None:
-                state = gas.splice(store["h_history"][superstep], state, rows)
+        if superstep == self.num_layers:
+            # the last state feeds the head alone: predict from the rows just
+            # computed and keep only their logits
+            store.pop("h", None)
+            if not idle:
+                logits, units = gas.predict(self.model, state)
+                context.metrics.add_compute(units)
+                if rows is None:
+                    store["output"] = logits
+                else:
+                    gas.splice(store["output"], logits, rows)
+            return
+        if idle:
+            state = store["h_history"][superstep]
+        elif rows is not None:
+            state = gas.splice(store["h_history"][superstep], state, rows)
         store["h"] = state
         if self.cache_states:
             store["h_history"][superstep] = state
+        self._scatter(context, partition, state, superstep)
 
-        if superstep < self.num_layers:
-            self._scatter(context, partition, state, superstep)
-        elif not idle:
-            logits, units = gas.predict(self.model, state, rows)
-            context.metrics.add_compute(units)
-            if rows is None:
-                store["output"] = logits
-            elif store["output"] is not state:
-                # without a head the output *is* the last state, spliced above
-                gas.splice(store["output"], logits, rows)
+    def state_shape(self, partition: PregelPartition, superstep: int) -> Tuple[int, int]:
+        """The shape of the superstep's node state in ``partition`` — held or not."""
+        return partition.num_nodes, self.widths[superstep]
 
     def state_bytes(self, partition: PregelPartition, superstep: int) -> float:
-        """The superstep's state (+ the earlier cached superstep states an
-        incremental-capable session keeps warm)."""
+        """The superstep's full state (+ the earlier cached superstep states
+        an incremental-capable session keeps warm)."""
         store = partition.block_state
-        resident = tensor_bytes(store["h"].shape)
+        resident = tensor_bytes(self.state_shape(partition, superstep))
         if self.cache_states:
             resident += sum(float(h.nbytes) for h in store["h_history"][:superstep]
                             if h is not None)
@@ -597,11 +610,12 @@ def build_pregel_engine(working_graph: Graph, config: InferenceConfig,
 
 
 def has_cached_run(partition: PregelPartition, num_layers: int) -> bool:
-    """Whether a partition carries a complete state cache from a full run
-    (asked where the state lives; the parent reads ``engine.cache_warm``)."""
+    """Whether a partition carries a complete state cache from a full run —
+    the states of supersteps ``0 … num_layers-1`` and the logits (asked
+    where the state lives; the parent reads ``engine.cache_warm``)."""
     history = partition.block_state.get("h_history")
     return (history is not None
-            and len(history) == num_layers + 1
+            and len(history) == num_layers
             and all(h is not None for h in history)
             and partition.block_state.get("output") is not None)
 

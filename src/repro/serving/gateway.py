@@ -303,12 +303,19 @@ class ServingGateway:
         """Pop the longest same-mode FIFO prefix, up to ``max_batch``.
 
         Requests batch only when one execution can serve them all; a mode
-        change starts the next tick.
+        change starts the next tick.  A request whose caller is gone (its
+        future is done: cancelled) is dropped as it is reached, so the batch
+        is empty only when nobody queued is still waiting.
         """
-        batch: List[_Request] = [state.queue.popleft()]
-        while (state.queue and len(batch) < self.config.max_batch
-               and state.queue[0].mode == batch[0].mode):
-            batch.append(state.queue.popleft())
+        batch: List[_Request] = []
+        while state.queue and len(batch) < self.config.max_batch:
+            request = state.queue[0]
+            if request.future.done():
+                state.queue.popleft()
+            elif batch and request.mode != batch[0].mode:
+                break
+            else:
+                batch.append(state.queue.popleft())
         return batch
 
     def _execute_tick(self, state: _TenantState, mode: str) -> InferenceResult:
@@ -323,6 +330,8 @@ class ServingGateway:
             state.wake.clear()
             while state.queue:
                 batch = self._next_batch(state)
+                if not batch:           # every waiter cancelled: run no tick
+                    continue
                 state.executing = len(batch)
                 try:
                     result = await loop.run_in_executor(

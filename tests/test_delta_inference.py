@@ -266,10 +266,57 @@ class TestIncrementalFeatureDelta:
                                   for m in result.metrics.instances())
         assert peak(delta_run) > peak(no_delta_run)
 
+    def test_a_warm_cache_holds_only_the_states_a_tick_reads(self, monkeypatch):
+        # After a caching full run, and after an incremental tick, each
+        # partition holds the states of supersteps 0 … L-1 and the logits.
+        # Superstep L's state feeds the head alone: no reference to it, nor
+        # to any part of it, survives the run.
+        from repro.inference import gas
+        from repro.inference.pregel_adaptor import has_cached_run
+
+        graph = make_graph(seed=71)
+        model = build_model("gcn", graph.feature_dim, 16, 4, num_layers=2, seed=0)
+        session = InferenceSession(model, InferenceConfig(
+            backend="pregel", num_workers=4, executor="serial",
+            strategies=StrategyConfig(**ALL_ON)))
+        session.prepare(graph)
+        rng = np.random.default_rng(71)
+        session.apply_delta(random_feature_delta(rng, graph))
+        last_states = []
+        gather_apply = gas.gather_apply
+
+        def recorded(layer, *args, **kwargs):
+            state, units = gather_apply(layer, *args, **kwargs)
+            if layer is model.layers[-1]:
+                last_states.append(state)
+            return state, units
+        monkeypatch.setattr(gas, "gather_apply", recorded)
+
+        for mode in ("full", "incremental"):
+            if mode == "incremental":
+                session.apply_delta(random_feature_delta(rng, graph))
+            del last_states[:]
+            scores = session.infer(mode=mode).scores
+            np.testing.assert_array_equal(scores, fresh_scores(graph))
+            engine = session.plan.state["engine"]
+            assert engine.cache_warm and last_states
+            for partition in engine.partitions:
+                store = partition.block_state
+                assert has_cached_run(partition, model.num_layers)
+                assert set(store) <= {"out_src_local", "send_schedule", "h_history",
+                                      "output"}
+                assert [h.shape for h in store["h_history"]] == [
+                    (partition.num_nodes, 16)] * model.num_layers
+                assert store["output"].shape == (partition.num_nodes, 4)
+                held = store["h_history"] + [store["output"]]
+                assert not any(np.shares_memory(array, state)
+                               for array in held for state in last_states)
+
     def test_a_tick_computes_only_frontier_rows(self, monkeypatch):
         # One serving tick — four deferred deltas (two feature, two edge) and
         # an incremental infer through the pool.  Every stage call computes
-        # exactly the frontier rows of its superstep, summed over partitions.
+        # exactly the frontier rows of its superstep, summed over partitions;
+        # the head predicts from the rows superstep L computed, no others.
         from repro.inference import SessionPool, gas
         from repro.inference.backends import pregel as pregel_backend
 
@@ -295,8 +342,13 @@ class TestIncrementalFeatureDelta:
             monkeypatch.setattr(gas, name, wrapped)
 
         spy("encode", gas.encode, lambda args: "encode")
-        spy("predict", gas.predict, lambda args: "predict")
         spy("gather_apply", gas.gather_apply, lambda args: model.layers.index(args[0]))
+        predict = gas.predict
+
+        def predict_computed_rows(net, state):
+            computed["predict"] += state.shape[0]
+            return predict(net, state)
+        monkeypatch.setattr(gas, "predict", predict_computed_rows)
         expand = pregel_backend.expand_frontier
 
         def recorded_expand(*args, **kwargs):
@@ -319,18 +371,23 @@ class TestIncrementalFeatureDelta:
                             "predict": sizes[2]}
 
     @pytest.mark.parametrize("kind,fails_in", [("gcn", "predict"), ("gat", "predict"),
-                                               ("gcn", "route"), ("gat", "route")],
-                             ids=["gcn", "gat", "gcn-route", "gat-route"])
+                                               ("gcn", "route"), ("gat", "route"),
+                                               ("gcn", "last gather")],
+                             ids=["gcn", "gat", "gcn-route", "gat-route",
+                                  "gcn-last-gather"])
     def test_a_tick_that_raises_mid_run_is_retried_bit_exactly(self, kind, fails_in,
                                                                monkeypatch):
         # A tick writes its frontier rows into the cached states as it goes,
         # and the partials it re-folds into the senders' memos.  When a stage
-        # raises part-way — superstep 2's predict with two partitions done, or
+        # raises part-way — superstep 2's predict with two partitions done,
         # superstep 1's route in the third partition, after that partition's
-        # send rewrote memo rows — the session keeps its dirty sets, no row
-        # outside a frontier has been written, and the engine no longer counts
-        # its cache warm, so the retry runs in full: it, and the incremental
-        # tick after it, equal a fresh prepare()+infer() bit for bit.
+        # send rewrote memo rows, or superstep 2's gather in the third
+        # partition, after its rows are computed and before their logits are
+        # spliced — the session keeps its dirty sets, no row outside a
+        # frontier has been written to the L cached states, and the engine no
+        # longer counts its cache warm, so the retry runs in full: it, and the
+        # incremental tick after it, equal a fresh prepare()+infer() bit for
+        # bit.
         from repro.inference import gas
         from repro.inference.backends import pregel as pregel_backend
         from repro.pregel import engine as pregel_engine
@@ -350,6 +407,7 @@ class TestIncrementalFeatureDelta:
         session.apply_delta(random_feature_delta(rng, graph))
         engine = session.plan.state["engine"]
         cached = [[h.copy() for h in p.block_state["h_history"]] for p in engine.partitions]
+        assert all(len(states) == model.num_layers for states in cached)
         memos = [memo for p in engine.partitions
                  for resident in p.block_state["send_schedule"].values()
                  for superstep, memo in resident.memos.items() if superstep == 1]
@@ -363,8 +421,9 @@ class TestIncrementalFeatureDelta:
             frontiers[:] = expand(*args, **kwargs)
             return frontiers
 
-        owner, name, fail_at = ((gas, "predict", 3) if fails_in == "predict"
-                                else (pregel_engine, "route", 7))    # 4 routes a superstep
+        owner, name, fail_at = {"predict": (gas, "predict", 3),
+                                "route": (pregel_engine, "route", 7),   # 4 routes a superstep
+                                "last gather": (gas, "gather_apply", 3)}[fails_in]
         calls = []
         stage = getattr(owner, name)
 
@@ -374,8 +433,17 @@ class TestIncrementalFeatureDelta:
                 raise RuntimeError("stage failed")
             return stage(*args, **kwargs)
 
+        def failing_after_the_last_gather(layer, *args, **kwargs):
+            out = stage(layer, *args, **kwargs)
+            if layer is model.layers[-1]:
+                calls.append(True)
+                if len(calls) == fail_at:
+                    raise RuntimeError("stage failed")
+            return out
+
         monkeypatch.setattr(pregel_backend, "expand_frontier", recorded_expand)
-        monkeypatch.setattr(owner, name, failing)
+        monkeypatch.setattr(owner, name, failing_after_the_last_gather
+                            if fails_in == "last gather" else failing)
         with pytest.raises(RuntimeError, match="stage failed"):
             session.infer(mode="incremental")
         monkeypatch.undo()
@@ -384,6 +452,7 @@ class TestIncrementalFeatureDelta:
                            for memo, old in zip(memos, memo_rows)))   # memo rows rewritten
         layout = engine.layout
         for partition, before in zip(engine.partitions, cached):
+            assert len(partition.block_state["h_history"]) == len(before)
             for superstep, (now, then) in enumerate(zip(partition.block_state["h_history"],
                                                         before)):
                 frontier = frontiers[superstep]

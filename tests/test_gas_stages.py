@@ -150,7 +150,7 @@ def test_stages_reproduce_the_reference_layer_and_its_row_subsets(arch, edge_dim
     # ---- predict closes the pipeline the same way.
     last = np.random.default_rng(5).normal(size=(6, model.layers[-1].output_dim))
     logits, units = gas.predict(model, last)
-    tail, subset_units = gas.predict(model, last, np.array([4, 1]))
+    tail, subset_units = gas.predict(model, last[[4, 1]])
     with no_grad():
         np.testing.assert_array_equal(logits, model.predict(Tensor(last)).data)
     assert tail.tobytes() == logits[[4, 1]].tobytes()

@@ -159,11 +159,13 @@ class GatewayModel:
             self.counts["kills"] += 1
 
     def cancel_queued_infer(self, which: int, mode: str) -> None:
-        """An infer cancelled while it waits in the tenant's queue; the
-        tenant's next request is served.  The bare pool has no queue, so
-        there only the next request runs."""
+        """An infer cancelled while it waits in the tenant's queue, which
+        costs no tick; the tenant's next request is served, in one.  The
+        bare pool has no queue, so there only the next request runs."""
         gateway = self.gateway
         if gateway is not None:
+            ticks = gateway.tenant_stats(str(which)).ticks
+
             async def cancel() -> None:
                 request = asyncio.ensure_future(gateway.infer(str(which), mode=mode))
                 await asyncio.sleep(0)          # queued, not yet picked up
@@ -175,6 +177,8 @@ class GatewayModel:
             self.loop.run_until_complete(cancel())
             self.counts["cancelled"] += 1
         self.infer(which, mode)
+        if gateway is not None:
+            assert gateway.tenant_stats(str(which)).ticks == ticks + 1
 
     def close(self) -> None:
         """Serve every tenant once more and release everything.  The gateway

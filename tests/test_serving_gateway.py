@@ -382,6 +382,38 @@ class TestCancellationAndClose:
         for result in asyncio.run(run()):
             np.testing.assert_array_equal(result.scores, self.fresh(90, backend))
 
+    def test_a_batch_whose_every_waiter_was_cancelled_runs_no_tick(self):
+        """The only request queued behind a running tick is cancelled: once
+        the gateway has drained, the tenant ran that one tick, not a second
+        one for nobody."""
+        graph = make_graph(93)
+
+        async def run():
+            pool = SessionPool(make_model(), make_config(), capacity=2)
+            async with ServingGateway(pool) as gateway:
+                gateway.register("tenant", graph)
+                await gateway.warm("tenant")
+                session = pool.session_for(graph)
+                before = (session.num_runs, gateway.tenant_stats("tenant").ticks)
+                gate = _gate_tenant(pool, graph)
+                running = asyncio.create_task(gateway.infer("tenant"))
+                await _until_executing(gate)
+                cancelled = asyncio.create_task(gateway.infer("tenant"))
+                await asyncio.sleep(0)
+                assert gateway.tenant_stats("tenant").queue_depth == 2
+                cancelled.cancel()
+                gate.resume.set()
+                with pytest.raises(asyncio.CancelledError):
+                    await cancelled
+                result = await running
+            # closing waited for the tenant's loop to drain its queue
+            after = (session.num_runs, gateway.tenant_stats("tenant").ticks)
+            return result, [now - then for now, then in zip(after, before)]
+
+        result, rise = asyncio.run(run())
+        assert rise == [1, 1]
+        np.testing.assert_array_equal(result.scores, self.fresh(93))
+
     def test_a_request_cancelled_mid_tick_leaves_the_tenant_serving(self):
         graph = make_graph(91)
         delta = GraphDelta(node_ids=np.array([3]), node_features=np.ones((1, FEATURE_DIM)))

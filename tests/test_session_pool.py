@@ -1218,7 +1218,9 @@ def test_tenant_resident_bytes():
     plan's base graph, so its ``node_features`` buffer is the one copy of
     those rows the tenant holds; the shadow working graph, with its mirror
     rows, and the partitions' slices are laid out differently.  The shadow
-    rewrite leaves ``dst`` alone, so the working graph shares the handle's."""
+    rewrite leaves ``dst`` alone, so the working graph shares the handle's.
+    A partition's state cache holds supersteps ``0 … L-1`` and the logits:
+    the last superstep's state is not kept."""
     rng = np.random.default_rng(3)
     graph = make_graph(seed=3)
     pool = SessionPool(make_model(), dataclasses.replace(make_config(), executor="serial"),
@@ -1242,4 +1244,4 @@ def test_tenant_resident_bytes():
         pool.clear()
     resident = sum(array.nbytes for array in arrays)
     print(f"one pooled tenant holds {resident} B in {len(arrays)} arrays")
-    assert (resident, len(arrays)) == (494_600, 127)
+    assert (resident, len(arrays)) == (440_840, 123)

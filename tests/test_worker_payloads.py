@@ -225,8 +225,9 @@ def test_a_worker_builds_its_schedule_once_and_keeps_it(opened, closed):
 def test_an_incremental_tick_ships_less_than_one_superstep_of_state(opened, closed):
     """Scale-free: a process-executor incremental tick's pickled ``open``
     payloads plus ``close`` results come to less than one superstep's node
-    state (``sum(h.nbytes)`` over the partitions).  A worker keeps its state
-    cache; only the program, the frontier and the outputs cross the pipes."""
+    state (the last cached one, summed over the partitions).  A worker keeps
+    its state cache; only the program, the frontier and the outputs cross
+    the pipes."""
     rng = np.random.default_rng(5)
     sessions = [hub_session("pregel", executor, hidden=64)
                 for executor in ("process", "serial")]
@@ -243,7 +244,7 @@ def test_an_incremental_tick_ships_less_than_one_superstep_of_state(opened, clos
         tick = process.infer(mode="incremental")
         np.testing.assert_array_equal(tick.scores,
                                       serial.infer(mode="incremental").scores)
-        state = sum(float(p.block_state["h"].nbytes)
+        state = sum(float(p.block_state["h_history"][-1].nbytes)
                     for p in serial.plan.state["engine"].partitions)
     finally:
         for session, _ in sessions:
