@@ -180,24 +180,26 @@ def scatter_blocks(model: GNNModel, plan: StrategyPlan,
     rows.
 
     :func:`scatter` is the index-only half (pass a ``routed`` over these
-    edges to skip it); the rest only gathers values.  When ``apply_edge`` is
-    the identity a message *is* its source's state row, so each block's
-    payload is gathered from ``state`` once; only a projecting layer
-    materialises the message table of the edges (:func:`edge_messages`).
-    Same bytes, same units either way.
+    edges to skip it); the rest only gathers values.  The plain block is
+    row-indexed (:class:`~repro.pregel.vertex.MessageBlock` ``rows``) into
+    the table its messages come from: ``state`` itself when ``apply_edge``
+    is the identity — a message *is* its source's state row — else the
+    edges' message table (:func:`edge_messages`), which only a projecting
+    layer builds.  So no per-message table exists until a combiner folds
+    the rows or ``route`` cuts them.  Same bytes, same units either way.
     """
     if routed is None:
         routed = scatter(plan.layer(layer_index), plan.out_degree_hubs, replicas,
                          source_ids, dst_ids)
     layer = model.layers[layer_index]
     if not layer.apply_edge_is_identity(edge_features is not None):
-        messages, units = edge_messages(layer, state, src_pos, edge_features)
-        plain, shared = messages[routed.plain_rows], messages[routed.hub_rows]
+        table, units = edge_messages(layer, state, src_pos, edge_features)
+        plain_rows, hub_rows = routed.plain_rows, routed.hub_rows
     else:
-        plain, shared = state[src_pos[routed.plain_rows]], state[src_pos[routed.hub_rows]]
+        table, plain_rows, hub_rows = state, src_pos[routed.plain_rows], src_pos[routed.hub_rows]
         units = src_pos.shape[0] * state.shape[1]
-    blocks = [MessageBlock(routed.plain_dst, plain),
-              BroadcastMessageBlock(routed.hub_dst, routed.hub_refs, shared)]
+    blocks = [MessageBlock(routed.plain_dst, table, rows=plain_rows),
+              BroadcastMessageBlock(routed.hub_dst, routed.hub_refs, table[hub_rows])]
     return [block for block in blocks if block.num_records()], units
 
 

@@ -105,10 +105,10 @@ class Records:
         self.block = block
         self.payload_rows = 0
         if isinstance(block, BroadcastMessageBlock):
-            self.payload_rows = block.unique_payloads.shape[0]
+            self.payload_rows = block.payload.shape[0]
             if layout is not None:
                 self.payload_rows = np.unique(layout.owners(block.dst_ids) * self.payload_rows
-                                              + block.payload_refs).size
+                                              + block.rows).size
 
     def num_records(self) -> int:
         return self.block.num_records() + self.payload_rows
@@ -118,8 +118,8 @@ class Records:
         if isinstance(block, BroadcastMessageBlock):
             return float(rows * (2 * ID_BYTES + TAG_BYTES + COUNT_BYTES)
                          + self.payload_rows * (BROADCAST_KEY_BYTES + TAG_BYTES + ID_BYTES
-                                                + block.unique_payloads.shape[1] * FLOAT_BYTES))
-        return float(rows * (ID_BYTES + TAG_BYTES + COUNT_BYTES) + block.payload.nbytes)
+                                                + block.width * FLOAT_BYTES))
+        return float(rows * (ID_BYTES + TAG_BYTES + COUNT_BYTES + block.width * FLOAT_BYTES))
 
 
 class RoundHarness(PregelPartitionHarness):
@@ -223,10 +223,8 @@ class RoundHarness(PregelPartitionHarness):
                        * (in_width + out_width) * FLOAT_BYTES)
         for block in blocks:
             chunk = self.layout.local_of[block.dst_ids] // REDUCE_CHUNK_NODES
-            payload = (block.unique_payloads if isinstance(block, BroadcastMessageBlock)
-                       else block.payload)
             chunk_bytes += (np.bincount(chunk, minlength=starts.size)
-                            * payload.shape[1] * FLOAT_BYTES)
+                            * block.width * FLOAT_BYTES)
         return float(chunk_bytes.max())
 
 

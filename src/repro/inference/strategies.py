@@ -110,45 +110,40 @@ def build_strategy_plan(model: GNNModel, graph: Graph, num_workers: int,
 
 
 class BroadcastMessageBlock(MessageBlock):
-    """A message block whose payload rows reference a shared payload table.
+    """A row-indexed message block whose table holds one payload per hub.
 
     Hub nodes send the same payload along every out-edge; instead of repeating
-    the row per edge, the block stores each unique payload once
-    (``unique_payloads``) and one integer reference per edge.  The wire-size
-    accounting (:meth:`nbytes`) therefore reflects the paper's broadcast
-    saving: full payload once per destination worker, ids only per edge.
+    the row per edge, the block stores each unique payload once (its
+    ``payload``, built from ``unique_payloads``) and one integer reference per
+    edge (its ``rows``, built from ``payload_refs``).  The wire-size accounting
+    (:meth:`nbytes`) therefore reflects the paper's broadcast saving: full
+    payload once per destination worker, ids only per edge.
     """
 
     combinable = False
+    rows: np.ndarray        # never None: every message references a hub row
 
     def __init__(self, dst_ids: np.ndarray, payload_refs: np.ndarray,
                  unique_payloads: np.ndarray, counts: Optional[np.ndarray] = None) -> None:
-        self.payload_refs = np.asarray(payload_refs, dtype=np.int64)
-        self.unique_payloads = np.asarray(unique_payloads, dtype=np.float64)
-        if self.unique_payloads.ndim == 1:
-            self.unique_payloads = self.unique_payloads.reshape(1, -1)
-        # ``payload`` is materialised lazily; MessageBlock's validation needs a
-        # placeholder with the right row count.
-        super().__init__(dst_ids=dst_ids,
-                         payload=np.zeros((self.payload_refs.shape[0], 0)),
-                         counts=counts)
-
-    def dense_payload(self) -> np.ndarray:
-        return self.unique_payloads[self.payload_refs]
+        unique_payloads = np.asarray(unique_payloads, dtype=np.float64)
+        if unique_payloads.ndim == 1:
+            unique_payloads = unique_payloads.reshape(1, -1)
+        super().__init__(dst_ids=dst_ids, payload=unique_payloads, counts=counts,
+                         rows=payload_refs)
 
     def nbytes(self) -> float:
         per_edge = 2 * ID_BYTES + RECORD_OVERHEAD_BYTES   # dst id + payload reference
-        return float(self.dst_ids.shape[0]) * per_edge + float(self.unique_payloads.nbytes)
+        return float(self.dst_ids.shape[0]) * per_edge + float(self.payload.nbytes)
 
     def take(self, rows: np.ndarray) -> "BroadcastMessageBlock":
         # referenced payloads, renumbered by rank: one table pass, no sort
-        refs = self.payload_refs[rows]
-        used = np.zeros(self.unique_payloads.shape[0], dtype=bool)
+        refs = self.rows[rows]
+        used = np.zeros(self.payload.shape[0], dtype=bool)
         used[refs] = True
         return BroadcastMessageBlock(
             dst_ids=self.dst_ids[rows],
             payload_refs=(np.cumsum(used) - 1)[refs],
-            unique_payloads=self.unique_payloads[used],
+            unique_payloads=self.payload[used],
             counts=self.counts[rows],
         )
 

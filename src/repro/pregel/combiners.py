@@ -8,7 +8,10 @@ the combiner, which is legal exactly when that stage is commutative and
 associative).
 
 There is one fold, :meth:`MessageCombiner.combine_block`; the subclasses only
-name the :func:`~repro.tensor.ops.segment_reduce` op it runs.  It is called
+name the :func:`~repro.tensor.ops.segment_reduce` op it runs.  A row-indexed
+block (a GCN/SAGE send, whose messages are the sender's state rows) is
+folded straight from its table through ``rows=``, so the per-message table
+is never built.  It is called
 from :func:`~repro.pregel.vertex.route`, once per worker per superstep/round
 on either engine, with the slots that land the folded rows in
 destination-partition order — except in an incremental Pregel send, which
@@ -51,8 +54,8 @@ class MessageCombiner:
             dst_ids, slot = np.unique(block.dst_ids, return_inverse=True)
             fold = dst_ids, slot, segment_reduce(block.counts, slot, dst_ids.size, "sum")
         dst_ids, slot, counts = fold
-        return MessageBlock(
-            dst_ids, segment_reduce(block.payload, slot, dst_ids.size, self.op), counts)
+        return MessageBlock(dst_ids, segment_reduce(block.payload, slot, dst_ids.size,
+                                                    self.op, rows=block.rows), counts)
 
 
 class SumCombiner(MessageCombiner):

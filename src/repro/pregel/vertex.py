@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING, Any, List, NamedTuple, Optional, Sequence, Tup
 import numpy as np
 
 from repro.cluster.layout import ClusterLayout, stable_group_by
-from repro.cluster.metrics import ID_BYTES, RECORD_OVERHEAD_BYTES, InstanceMetrics
+from repro.cluster.metrics import FLOAT_BYTES, ID_BYTES, RECORD_OVERHEAD_BYTES, InstanceMetrics
 from repro.tensor.ops import segment_reduce
 
 if TYPE_CHECKING:
@@ -23,11 +23,17 @@ class MessageBlock:
     Row i is a message for vertex ``dst_ids[i]`` with payload ``payload[i]``
     that stands for ``counts[i]`` original messages (counts > 1 appear when a
     sender-side combiner pre-aggregated messages — the partial-gather case).
+    A *row-indexed* block reads row i's payload from ``payload[rows[i]]``:
+    its ``payload`` is a table the messages share (the sender's state rows,
+    when a message is its source's state), and the ``(rows × width)``
+    message table is built only by :meth:`dense_payload` and :meth:`take` —
+    a combiner folds the rows straight from the table.
     """
 
     dst_ids: np.ndarray
     payload: np.ndarray
     counts: Optional[np.ndarray] = None
+    rows: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         self.dst_ids = np.asarray(self.dst_ids, dtype=np.int64)
@@ -38,28 +44,42 @@ class MessageBlock:
             self.counts = np.ones(self.dst_ids.shape[0], dtype=np.int64)
         else:
             self.counts = np.asarray(self.counts, dtype=np.int64)
-        if not (self.dst_ids.shape[0] == self.payload.shape[0] == self.counts.shape[0]):
-            raise ValueError("dst_ids, payload and counts must have matching lengths")
+        if self.rows is not None:
+            self.rows = np.asarray(self.rows, dtype=np.int64)
+        messages = self.payload if self.rows is None else self.rows
+        if not (self.dst_ids.shape[0] == messages.shape[0] == self.counts.shape[0]):
+            raise ValueError("dst_ids, payload (or rows) and counts must have matching lengths")
 
     # Whether a sender-side combiner may fold this block's rows.  Deliberately
     # unannotated so the dataclass machinery treats it as a plain class
     # attribute (subclasses override it), not an instance field.
     combinable = True
 
+    @property
+    def width(self) -> int:
+        """Floats per message, whether the payload is per row or a shared table."""
+        return int(self.payload.shape[1])
+
     def nbytes(self) -> float:
-        return (self.dst_ids.shape[0] * (ID_BYTES + RECORD_OVERHEAD_BYTES)
-                + float(self.payload.nbytes))
+        return float(self.dst_ids.shape[0] * (ID_BYTES + RECORD_OVERHEAD_BYTES
+                                              + self.width * FLOAT_BYTES))
 
     def num_records(self) -> int:
         return int(self.dst_ids.shape[0])
 
     def dense_payload(self) -> np.ndarray:
-        """Payload rows aligned with ``dst_ids`` (identity for plain blocks)."""
-        return self.payload
+        """Payload rows aligned with ``dst_ids`` (no copy unless row-indexed)."""
+        return self.payload if self.rows is None else self.payload[self.rows]
 
     def take(self, rows: np.ndarray) -> "MessageBlock":
-        """A new block containing only the selected rows (same concrete type)."""
-        return MessageBlock(dst_ids=self.dst_ids[rows], payload=self.payload[rows],
+        """A new block containing only the selected rows (same concrete type).
+
+        The result of a plain block carries its own payload rows — it is what
+        crosses the wire — and is a view when ``rows`` is a slice of one that
+        is not row-indexed.
+        """
+        payload = self.payload[rows if self.rows is None else self.rows[rows]]
+        return MessageBlock(dst_ids=self.dst_ids[rows], payload=payload,
                             counts=self.counts[rows])
 
     def split_by(self, targets: np.ndarray,
@@ -97,9 +117,9 @@ def concat_messages(blocks: Sequence[MessageBlock],
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(dst_ids, payload, counts)`` of ``blocks`` end to end, in block order.
 
-    Broadcast blocks are densified on the way, so the result feeds a gather
-    (or a combiner) directly; no blocks give zero rows, and one block gives
-    its own arrays (no copy — every Pregel send folds exactly one).
+    Row-indexed blocks (broadcast ones too) are densified on the way, so the
+    result feeds a gather (or a combiner) directly; no blocks give zero rows,
+    and one block gives its own arrays (no copy unless it is row-indexed).
     """
     if not blocks:
         empty = np.empty(0, dtype=np.int64)
@@ -182,8 +202,10 @@ def route(blocks: Sequence[MessageBlock], combiner: Optional[MessageCombiner],
     if len(schedule.cuts) != len(blocks):
         raise ValueError("schedule was computed for a different send")
     if schedule.folds:
-        blocks[schedule.folds[0]] = combiner.combine_block(MessageBlock(*concat_messages(
-            [blocks[i] for i in schedule.folds])), schedule.fold)
+        folding = [blocks[i] for i in schedule.folds]
+        blocks[schedule.folds[0]] = combiner.combine_block(
+            folding[0] if len(folding) == 1 else MessageBlock(*concat_messages(folding)),
+            schedule.fold)
     buckets: List[List[MessageBlock]] = [[] for _ in range(layout.num_partitions)]
     for block, cuts in zip(blocks, schedule.cuts):
         for bucket, rows in cuts:

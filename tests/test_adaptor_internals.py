@@ -12,7 +12,7 @@ import pytest
 
 from repro.cluster.metrics import tensor_bytes
 from repro.gnn.model import build_model
-from repro.graph.generators import labeled_community_graph, star_graph
+from repro.graph.generators import labeled_community_graph, powerlaw_graph, star_graph
 from repro.inference import InferenceConfig, InferenceSession, StrategyConfig, gas
 from repro.inference.mapreduce_adaptor import Records, StateRows
 from repro.inference.pregel_adaptor import GNNInferenceProgram
@@ -86,12 +86,12 @@ def routed_blocks(outgoing):
 
 def per_destination(blocks, num_nodes):
     """Payload sums, count sums and row counts per destination id."""
-    width = blocks[0].payload.shape[1]
+    width = blocks[0].width
     payload = np.zeros((num_nodes, width))
     counts = np.zeros(num_nodes, dtype=np.int64)
     rows = np.zeros(num_nodes, dtype=np.int64)
     for block in blocks:
-        np.add.at(payload, block.dst_ids, block.payload)
+        np.add.at(payload, block.dst_ids, block.dense_payload())
         np.add.at(counts, block.dst_ids, block.counts)
         np.add.at(rows, block.dst_ids, 1)
     return payload, counts, rows
@@ -137,7 +137,7 @@ class TestCombineMessages:
                 for row, dst in enumerate(block.dst_ids):
                     if rows[dst] == 1:
                         payload, count = routed[int(dst)]
-                        np.testing.assert_array_equal(payload, block.payload[row])
+                        np.testing.assert_array_equal(payload, block.dense_payload()[row])
                         assert count == block.counts[row]   # the count it arrived with
                         singles += 1
         assert singles > 0
@@ -184,7 +184,8 @@ class TestRoundHarness:
                     np.concatenate([block.dst_ids for block in mine]), expected_dst)
                 np.testing.assert_array_equal(
                     np.concatenate([block.payload for block in mine]),
-                    np.concatenate([block.payload[keep] for block, keep in zip(raw, rows)]))
+                    np.concatenate([block.dense_payload()[keep]
+                                    for block, keep in zip(raw, rows)]))
 
     def test_init_round_emits_state_and_messages(self, graph, sage):
         """Round 0's map: the slot's encoded state rows and out-adjacency,
@@ -237,8 +238,8 @@ class TestRoundHarness:
         # reference per out-edge bound there.
         assert [int(engine.layout.owners(block.dst_ids)[0]) for block in blocks] == np.unique(
             engine.layout.owners(neighbors)).tolist()
-        assert all(block.unique_payloads.shape == (1, 8) for block in blocks)
-        assert all((block.payload_refs == 0).all() and (block.counts == 1).all()
+        assert all(block.payload.shape == (1, 8) for block in blocks)
+        assert all((block.rows == 0).all() and (block.counts == 1).all()
                    for block in blocks)
         assert sorted(np.concatenate([b.dst_ids for b in blocks]).tolist()) == sorted(
             neighbors.tolist())
@@ -301,10 +302,11 @@ class TestScatterBlocks:
         plain, hubs = blocks
         assert type(plain) is MessageBlock and type(hubs) is BroadcastMessageBlock
         np.testing.assert_array_equal(plain.dst_ids, [4])
-        np.testing.assert_array_equal(plain.payload, state[[3]])
+        assert plain.payload is state                   # row-indexed: no message table
+        np.testing.assert_array_equal(plain.dense_payload(), state[[3]])
         np.testing.assert_array_equal(hubs.dst_ids, star.dst[:-1])
-        np.testing.assert_array_equal(hubs.unique_payloads, state[[0]])
-        assert (hubs.payload_refs == 0).all()
+        np.testing.assert_array_equal(hubs.payload, state[[0]])
+        assert (hubs.rows == 0).all()
         assert units == star.num_edges * 8
 
     def test_a_path_without_rows_sends_no_block(self):
@@ -316,8 +318,63 @@ class TestScatterBlocks:
         star, state, (block,), units = self.star_blocks(rows=np.array([11, 2]),
                                                         broadcast=False)
         np.testing.assert_array_equal(block.dst_ids, star.dst[[11, 2]])
-        np.testing.assert_array_equal(block.payload, state[star.src[[11, 2]]])
+        np.testing.assert_array_equal(block.dense_payload(), state[star.src[[11, 2]]])
         assert units == 2 * 8
+
+
+class TestFoldFromStateRows:
+    """Partial-gather folds a full superstep's plain block straight from the
+    sender's state: the combiner gets the block row-indexed into the state and
+    never builds its ``(plain rows × width)`` message table."""
+
+    @pytest.mark.parametrize("shadow", [False, True], ids=["no-shadow", "shadow"])
+    @pytest.mark.parametrize("arch, aggregator", [("gcn", "mean"), ("sage", "sum"),
+                                                  ("sage", "mean"), ("sage", "max")])
+    def test_the_fold_of_state_rows_is_the_dense_fold(self, monkeypatch, arch, aggregator,
+                                                      shadow):
+        from repro.pregel import combiners
+        from tests.test_tensor import NoGather
+
+        graph = powerlaw_graph(1500, avg_degree=4.0, skew="both", feature_dim=16,
+                               num_classes=3, seed=1)
+        model = build_model(arch, graph.feature_dim, 8, 3, num_layers=2,
+                            aggregator=aggregator, seed=0)
+        config = InferenceConfig(backend="pregel", num_workers=4, executor="serial",
+                                 strategies=StrategyConfig(partial_gather=True, broadcast=True,
+                                                           shadow_nodes=shadow))
+        real_fold, real_reduce = combiners.MessageCombiner.combine_block, combiners.segment_reduce
+        folds, by_rows = [], []
+
+        def fold(self, block, fold=None):
+            folded = real_fold(self, block, fold)
+            dense = real_fold(self, MessageBlock(block.dst_ids, block.dense_payload(),
+                                                 block.counts), fold)
+            for name in ("dst_ids", "payload", "counts"):
+                assert getattr(folded, name).tobytes() == getattr(dense, name).tobytes()
+            folds.append((block, self.op))
+            return folded
+
+        def reduce(values, ids, num_segments, op, rows=None):
+            if rows is not None:
+                by_rows.append(op)
+                if op == "sum":                     # an index array read raises
+                    values = values.view(NoGather)
+            return real_reduce(values, ids, num_segments, op, rows=rows)
+
+        monkeypatch.setattr(combiners.MessageCombiner, "combine_block", fold)
+        monkeypatch.setattr(combiners, "segment_reduce", reduce)
+        session = InferenceSession(model, config)
+        try:
+            session.infer(graph)
+            assert (session.plan.shadow_plan is not None
+                    and session.plan.shadow_plan.has_mirrors) == shadow
+        finally:
+            session.close()
+        assert len(folds) == 2 * 4                          # two layers, four workers
+        assert all(type(block) is MessageBlock and block.rows is not None
+                   and block.width == 8 for block, _ in folds)
+        assert {op for _, op in folds} == {"max" if aggregator == "max" else "sum"}
+        assert by_rows == [op for _, op in folds]           # each folded through ``rows``
 
 
 class TestPregelProgram:

@@ -179,9 +179,9 @@ def test_gather_apply_rejects_a_message_outside_its_rows(arch):
 def test_scatter_blocks_equals_edge_messages_then_slice(arch, edge_dim, subset):
     """``scatter_blocks`` against the composition it used to be, block by block.
 
-    An identity ``apply_edge`` (GCN / SAGE without edge features) gathers state
-    rows straight into the blocks; a projecting one still builds the message
-    table.  Either way every array of every block, and the units charged,
+    An identity ``apply_edge`` (GCN / SAGE without edge features) row-indexes
+    the state itself; a projecting one still builds the message table.
+    Either way every array of every (densified) block, and the units charged,
     equal ``edge_messages(...)[routed.*_rows]`` — with out-degree hubs on the
     broadcast path and their destinations fanned out to shadow mirrors.
     """
@@ -212,8 +212,10 @@ def test_scatter_blocks_equals_edge_messages_then_slice(arch, edge_dim, subset):
     assert units == expected_units and type(units) is type(expected_units)
     plain = blocks[0]
     assert type(plain) is gas.MessageBlock
+    if layer.apply_edge_is_identity(edge_dim > 0):    # row-indexed into the state itself
+        assert plain.payload is state
     np.testing.assert_array_equal(plain.dst_ids, routed.plain_dst)
-    np.testing.assert_array_equal(plain.payload, messages[routed.plain_rows])
+    np.testing.assert_array_equal(plain.dense_payload(), messages[routed.plain_rows])
     np.testing.assert_array_equal(plain.counts, np.ones(routed.plain_dst.size, np.int64))
     assert np.unique(routed.plain_rows).size < routed.plain_rows.size   # mirror fan-out
     if plan.layer(0).broadcast:
@@ -221,8 +223,8 @@ def test_scatter_blocks_equals_edge_messages_then_slice(arch, edge_dim, subset):
         shared = blocks[1]
         assert type(shared) is gas.BroadcastMessageBlock
         np.testing.assert_array_equal(shared.dst_ids, routed.hub_dst)
-        np.testing.assert_array_equal(shared.payload_refs, routed.hub_refs)
-        np.testing.assert_array_equal(shared.unique_payloads, messages[routed.hub_rows])
+        np.testing.assert_array_equal(shared.rows, routed.hub_refs)
+        np.testing.assert_array_equal(shared.payload, messages[routed.hub_rows])
         np.testing.assert_array_equal(shared.counts, np.ones(routed.hub_dst.size, np.int64))
     else:
         assert len(blocks) == 1 and routed.hub_rows.size == 0

@@ -385,15 +385,28 @@ class TestSizingOracle:
                                     for row, dst in enumerate(block.dst_ids)])
         assert Records(block).nbytes() == 3 * (17 + 8 * 5)
 
+    def test_a_row_indexed_block_is_priced_as_its_dense_twin(self):
+        """A block that reads its messages from a shared table (the sender's
+        state) is priced by its rows' logical width, never by the table."""
+        rng = np.random.default_rng(5)
+        table = rng.normal(size=(2, 5))
+        block = MessageBlock(np.array([3, 9, 3]), table, np.array([1, 4, 1]),
+                             rows=np.array([1, 0, 1]))
+        dense = MessageBlock(block.dst_ids, table[block.rows], block.counts)
+        assert block.width == dense.width == 5
+        assert Records(block).nbytes() == Records(dense).nbytes() == 3 * (17 + 8 * 5)
+        assert Records(block).num_records() == Records(dense).num_records() == 3
+        assert block.nbytes() == dense.nbytes()
+
     def test_broadcast_references_and_one_buckets_payload_rows(self):
         rng = np.random.default_rng(1)
         hub_ids, bucket = [40, 41], 2
         block = BroadcastMessageBlock(np.array([6, 2, 10, 6]), np.array([0, 1, 1, 0]),
                                       rng.normal(size=(2, 5)))
-        records = [(("bc", bucket), ("p", hub, block.unique_payloads[ref]))
+        records = [(("bc", bucket), ("p", hub, block.payload[ref]))
                    for ref, hub in enumerate(hub_ids)]
         records += [(int(dst), ("r", hub_ids[ref], 1))
-                    for dst, ref in zip(block.dst_ids, block.payload_refs)]
+                    for dst, ref in zip(block.dst_ids, block.rows)]
         self.check(Records(block), records)
         assert Records(block).nbytes() == 4 * 25 + 2 * (19 + 8 * 5)
 

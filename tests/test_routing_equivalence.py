@@ -93,8 +93,8 @@ def assert_blocks_equal(actual: MessageBlock, expected: MessageBlock) -> None:
     np.testing.assert_array_equal(actual.counts, expected.counts)
     np.testing.assert_array_equal(actual.dense_payload(), expected.dense_payload())
     if isinstance(actual, BroadcastMessageBlock):
-        np.testing.assert_array_equal(actual.payload_refs, expected.payload_refs)
-        np.testing.assert_array_equal(actual.unique_payloads, expected.unique_payloads)
+        np.testing.assert_array_equal(actual.rows, expected.rows)
+        np.testing.assert_array_equal(actual.payload, expected.payload)
     assert actual.nbytes() == expected.nbytes()
 
 

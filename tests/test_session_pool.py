@@ -1120,7 +1120,7 @@ def _rows_folded_in_a_warm_tick(monkeypatch, forget_memos: bool) -> int:
     combine = MessageCombiner.combine_block
 
     def counting(self, block, fold=None):
-        folded.append(block.payload.shape[0])
+        folded.append(block.num_records())
         return combine(self, block, fold)
 
     try:

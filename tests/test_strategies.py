@@ -190,7 +190,7 @@ class TestBroadcastMessageBlock:
         payloads = np.array([[1.0], [2.0]])
         block = BroadcastMessageBlock(dst_ids=dst, payload_refs=refs, unique_payloads=payloads)
         piece = block.take(np.array([1]))
-        assert piece.unique_payloads.shape[0] == 1
+        assert piece.payload.shape[0] == 1
         np.testing.assert_allclose(piece.dense_payload(), [[2.0]])
 
 

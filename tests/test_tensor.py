@@ -533,6 +533,134 @@ def test_segment_sum_is_np_add_at_bit_for_bit(seed, num_rows, num_segments, trai
         assert out.tobytes() == expected.tobytes()
 
 
+class NoGather(np.ndarray):
+    """A table whose rows may be read by slices only: an index array would
+    build the ``(rows × width)`` operand that ``rows=`` exists to avoid."""
+
+    def __getitem__(self, index):
+        if isinstance(index, np.ndarray) or (
+                isinstance(index, tuple) and any(isinstance(i, np.ndarray) for i in index)):
+            raise AssertionError("segment_reduce gathered values[rows]")
+        return super().__getitem__(index)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    table_rows=st.integers(min_value=0, max_value=40),
+    read=st.sampled_from([0.0, 0.3, 1.0, 2.0, 3.5]),
+    num_segments=st.integers(min_value=1, max_value=12),
+    trailing=st.sampled_from([(), (1,), (5,), (16,), (2, 3)]),
+    integers=st.booleans(),
+    hub=st.booleans(),
+)
+def test_segment_sum_of_rows_is_the_sum_of_the_gathered_rows(
+        seed, table_rows, read, num_segments, trailing, integers, hub):
+    """Property: ``rows=`` reduces ``values[rows]`` — the same bytes as
+    gathering first and as ``np.add.at`` — whether it reads fewer than twice
+    the rows ``values`` holds (the gather path) or more (column by column,
+    no operand built); rows repeat and come in any order."""
+    rng = np.random.default_rng(seed)
+    if integers:
+        values = rng.integers(-10 ** 6, 10 ** 6, size=(table_rows,) + trailing)
+    else:       # magnitudes 1e-8 .. 1e8: any other operand order shows in the last bits
+        values = (rng.normal(size=(table_rows,) + trailing)
+                  * 10.0 ** rng.integers(-8, 9, size=(table_rows,) + trailing))
+    num_rows = int(read * table_rows)
+    rows = rng.integers(0, max(table_rows, 1), size=num_rows)
+    ids = rng.integers(0, num_segments, size=num_rows)
+    if hub:
+        ids[rng.random(num_rows) < 0.7] = num_segments // 2
+    gathered = values[rows]
+    by_rows = ops.segment_reduce(values, ids, num_segments, "sum", rows=rows)
+    expected = add_at_reference(gathered, ids, num_segments)
+    for out in (by_rows, ops.segment_reduce(gathered, ids, num_segments, "sum")):
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert out.flags.c_contiguous
+        assert out.tobytes() == expected.tobytes()
+    if num_rows >= 2 * table_rows:
+        ops.segment_reduce(values.view(NoGather), ids, num_segments, "sum", rows=rows)
+
+
+class TestSegmentReduceRows:
+    def test_only_a_fold_reading_twice_the_rows_goes_column_by_column(self, monkeypatch):
+        """Small folds (most of an incremental tick's) keep the gather path:
+        the transpose costs a pass over every row of ``values``."""
+        calls = []
+        by_column = ops._sum_by_column
+        monkeypatch.setattr(ops, "_sum_by_column",
+                            lambda *args: calls.append(args[3].size) or by_column(*args))
+        values = np.arange(40.0).reshape(10, 4)
+        for size in (3, 10, 19, 20, 25):
+            rows = np.arange(size) % 10
+            out = ops.segment_reduce(values, rows % 4, 4, "sum", rows=rows)
+            assert out.tobytes() == add_at_reference(values[rows], rows % 4, 4).tobytes()
+        assert calls == [20, 25]
+
+    def test_max_reads_the_same_rows(self):
+        rng = np.random.default_rng(4)
+        values = rng.normal(size=(6, 2, 3))
+        for rows in (np.array([5, 0, 5, 2]), np.array([3, 3, 1, 0, 4, 5, 2, 2, 1])):
+            ids = rng.integers(0, 3, size=rows.size)
+            np.testing.assert_array_equal(
+                ops.segment_reduce(values, ids, 4, "max", rows=rows),
+                ops.segment_reduce(values[rows], ids, 4, "max"))
+
+    @pytest.mark.parametrize("op", ["sum", "max"])
+    @pytest.mark.parametrize("rows, ids", [([0, -1, 2], [0, 1, 1]), ([0, 4, 2], [0, 1, 1]),
+                                           ([0, 1, 2], [0, 3, 1])],
+                             ids=["negative-row", "row-too-large", "id-too-large"])
+    def test_a_row_or_id_out_of_range_raises_before_writing(self, op, rows, ids):
+        """A negative row would wrap (``take``, fancy indexing) and a row past
+        the table would read past it: both are errors, as a bad id is."""
+        values = np.ones((4, 2))
+        before = values.copy()
+        with pytest.raises(IndexError, match=r"outside"):
+            ops.segment_reduce(values, np.array(ids), 3, op, rows=np.array(rows))
+        np.testing.assert_array_equal(values, before)
+
+    def test_zero_rows_and_width_one(self):
+        empty = np.empty(0, dtype=np.int64)
+        for table in (np.zeros((0, 3)), np.ones((4, 3))):
+            out = ops.segment_reduce(table, empty, 5, "sum", rows=empty)
+            assert out.shape == (5, 3) and not out.any()
+        column = np.arange(5.0)
+        rows = np.array([4, 4, 0, 1, 2, 3, 1])
+        np.testing.assert_array_equal(
+            ops.segment_reduce(column, rows % 2, 2, "sum", rows=rows),
+            [4.0 + 4.0 + 0.0 + 2.0, 1.0 + 3.0 + 1.0])
+
+    def test_concurrent_reductions_keep_no_shared_state(self):
+        """The kernel keeps nothing between calls — no module or thread
+        workspace — so threads reducing different shapes at once each get the
+        bytes of their serial call."""
+        rng = np.random.default_rng(9)
+        jobs = []
+        for table_rows, width, num_rows, num_segments in (
+                (300, 64, 900, 200), (50, 3, 40, 7), (120, 17, 600, 500), (7, 1, 70, 2)):
+            values = rng.normal(size=(table_rows, width))
+            rows = rng.integers(0, table_rows, size=num_rows)
+            ids = rng.integers(0, num_segments, size=num_rows)
+            jobs.append((values, ids, num_segments, rows))
+        serial = [ops.segment_reduce(v, i, n, "sum", rows=r).tobytes() for v, i, n, r in jobs]
+        results = [[] for _ in jobs]
+        start = threading.Barrier(len(jobs))
+
+        def work(index):
+            values, ids, num_segments, rows = jobs[index]
+            start.wait(timeout=10)
+            for _ in range(30):
+                results[index].append(
+                    ops.segment_reduce(values, ids, num_segments, "sum", rows=rows).tobytes())
+
+        threads = [threading.Thread(target=work, args=(index,)) for index in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert all(each == [expected] * 30 for each, expected in zip(results, serial))
+
+
 @pytest.mark.parametrize("num_rows", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3174])
 def test_matmul_rows_are_bit_stable_under_subsets(num_rows):
     """Property: ``(a @ w)[rows]`` is bit-equal to ``a[rows] @ w`` — any inner

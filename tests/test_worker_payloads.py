@@ -23,8 +23,9 @@ from repro.graph.generators import powerlaw_graph
 from repro.graph.graph import Graph
 from repro.inference import GraphDelta, InferenceConfig, InferenceSession, StrategyConfig
 from repro.inference.shadow import ReplicaMap
+from repro.inference.strategies import BroadcastMessageBlock
 from repro.pregel.engine import PregelPartitionHarness
-from repro.pregel.vertex import BlockVertexProgram
+from repro.pregel.vertex import BlockVertexProgram, MessageBlock, route
 
 
 def hub_graph():
@@ -254,3 +255,41 @@ def test_an_incremental_tick_ships_less_than_one_superstep_of_state(opened, clos
     shipped = sum(len(pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL))
                   for item in payloads + results)
     assert 0 < shipped < state
+
+
+@pytest.mark.parametrize("backend", ["mapreduce", "pregel"])
+def test_mail_is_the_mail_of_the_dense_sends_byte_for_byte(backend, monkeypatch):
+    """A send whose plain block is row-indexed into the sender's state mails,
+    in a full run and in an incremental tick, the bytes that ``route`` mails
+    for the same send with every message table built — what crossed the wire
+    before a combiner could fold state rows directly.  No mailed block indexes
+    a table: a cut carries its own payload rows."""
+    real_route = PregelPartitionHarness.route
+    mailed = []
+
+    def spy(self, context):
+        buckets = real_route(self, context)
+        dense = [block if block.rows is None or isinstance(block, BroadcastMessageBlock)
+                 else MessageBlock(block.dst_ids, block.dense_payload(), block.counts)
+                 for block in context.outgoing_blocks]
+        twin = route(dense, self.program.combiner_for_superstep(context.superstep),
+                     self.layout, context.schedule)
+        assert pickle.dumps(buckets) == pickle.dumps(twin)
+        mail = [block for bucket in buckets for block in bucket]
+        assert all(block.rows is None for block in mail
+                   if not isinstance(block, BroadcastMessageBlock))
+        mailed.append(sum(block.num_records() for block in mail))
+        return buckets
+
+    monkeypatch.setattr(PregelPartitionHarness, "route", spy)
+    session, graph = hub_session(backend, "serial")
+    rng = np.random.default_rng(44)
+    try:
+        session.infer(graph)
+        full = len(mailed)
+        for _ in range(2):                       # a priming tick, then a warm one
+            session.apply_delta(feature_delta(rng, graph))
+            session.infer(mode="incremental")
+    finally:
+        session.close()
+    assert full and len(mailed) > full and sum(mailed[full:]) > 0
