@@ -15,7 +15,8 @@ Public API overview
 * :mod:`repro.baselines`  — traditional (k-hop sampling) inference pipeline,
   the baseline the experiments measure InferTurbo against
 * :mod:`repro.datasets`   — synthetic stand-ins for the paper's datasets
-* :mod:`repro.experiments` — harnesses regenerating every paper table/figure
+* :mod:`repro.experiments` — every paper table/figure as a function returning
+  records (paper vs. reproduced value); its runner writes EXPERIMENTS.md
 """
 
 __version__ = "1.0.0"

@@ -1,55 +1,30 @@
-"""Experiment harnesses — one module per table / figure of the paper.
+"""The paper's artifacts — one function per table / figure.
 
-Every module exposes a ``run(...)`` function with laptop-sized defaults that
-returns a small result dataclass, plus a ``format_result`` helper that prints
-the same rows/series the paper reports.  The benchmarks under ``benchmarks/``
-call these functions; EXPERIMENTS.md records paper-vs-measured values.
+Every artifact is a plain function with laptop-sized defaults that returns
+its items: one :class:`~repro.experiments.records.Record` per reproduced
+number, with the paper's value beside it, and for a figure that plots one
+point per instance a :class:`~repro.experiments.records.Series`.
+``runner.EXPERIMENTS`` maps each artifact over its ``quick`` and ``full``
+presets; ``benchmarks/`` checks the full ones, and the runner's
+``all --preset full`` output is EXPERIMENTS.md.
 
-=====================  =====================================================
-module                 paper artefact
-=====================  =====================================================
-table1_datasets        Table I   — dataset summary
-table2_performance     Table II  — accuracy parity (SAGE/GAT × 3 datasets)
-table3_efficiency      Table III — time / cpu*min vs traditional pipelines
-table4_hops            Table IV  — time / resource vs number of hops
-fig7_consistency       Fig. 7    — prediction consistency under sampling
-fig8_scalability       Fig. 8    — time / resource vs data scale
-fig9_partial_gather    Fig. 9    — per-instance latency vs in-degree skew
-fig10_outdegree        Fig. 10   — variance of instance time per strategy
-fig11_io_partial       Fig. 11   — input bytes per instance (partial-gather)
-fig12_io_broadcast     Fig. 12   — output bytes per instance (broadcast)
-fig13_io_shadow        Fig. 13   — output bytes per instance (shadow-nodes)
-=====================  =====================================================
+=================  ==================================================
+function           paper artefact
+=================  ==================================================
+tables.table1      Table I   — dataset summary
+tables.table2      Table II  — accuracy parity (SAGE/GAT × 3 datasets)
+tables.table3      Table III — time / cpu*min vs traditional pipelines
+tables.table4      Table IV  — time / resource vs number of hops
+figures.fig7       Fig. 7    — prediction consistency under sampling
+figures.fig8       Fig. 8    — time / resource vs data scale
+figures.fig9       Fig. 9    — per-instance latency vs in-degree skew
+figures.fig10      Fig. 10   — variance of instance time per strategy
+figures.fig11      Fig. 11   — input bytes per instance (partial-gather)
+figures.fig12      Fig. 12   — output bytes per instance (broadcast)
+figures.fig13      Fig. 13   — output bytes per instance (shadow-nodes)
+=================  ==================================================
 """
 
-from repro.experiments import (  # noqa: F401
-    common,
-    reporting,
-    table1_datasets,
-    table2_performance,
-    table3_efficiency,
-    table4_hops,
-    fig7_consistency,
-    fig8_scalability,
-    fig9_partial_gather,
-    fig10_outdegree,
-    fig11_io_partial,
-    fig12_io_broadcast,
-    fig13_io_shadow,
-)
+from repro.experiments import common, figures, records, tables  # noqa: F401
 
-__all__ = [
-    "common",
-    "reporting",
-    "table1_datasets",
-    "table2_performance",
-    "table3_efficiency",
-    "table4_hops",
-    "fig7_consistency",
-    "fig8_scalability",
-    "fig9_partial_gather",
-    "fig10_outdegree",
-    "fig11_io_partial",
-    "fig12_io_broadcast",
-    "fig13_io_shadow",
-]
+__all__ = ["common", "figures", "records", "tables"]

@@ -199,7 +199,7 @@ def scatter_blocks(model: GNNModel, plan: StrategyPlan,
         table, plain_rows, hub_rows = state, src_pos[routed.plain_rows], src_pos[routed.hub_rows]
         units = src_pos.shape[0] * state.shape[1]
     blocks = [MessageBlock(routed.plain_dst, table, rows=plain_rows),
-              BroadcastMessageBlock(routed.hub_dst, routed.hub_refs, table[hub_rows])]
+              BroadcastMessageBlock(routed.hub_dst, table[hub_rows], rows=routed.hub_refs)]
     return [block for block in blocks if block.num_records()], units
 
 

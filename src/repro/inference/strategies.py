@@ -114,22 +114,19 @@ class BroadcastMessageBlock(MessageBlock):
 
     Hub nodes send the same payload along every out-edge; instead of repeating
     the row per edge, the block stores each unique payload once (its
-    ``payload``, built from ``unique_payloads``) and one integer reference per
-    edge (its ``rows``, built from ``payload_refs``).  The wire-size accounting
-    (:meth:`nbytes`) therefore reflects the paper's broadcast saving: full
-    payload once per destination worker, ids only per edge.
+    ``payload``) and one integer reference per edge (its ``rows``).  The
+    wire-size accounting (:meth:`nbytes`) therefore reflects the paper's
+    broadcast saving: full payload once per destination worker, ids only per
+    edge.
     """
 
     combinable = False
     rows: np.ndarray        # never None: every message references a hub row
 
-    def __init__(self, dst_ids: np.ndarray, payload_refs: np.ndarray,
-                 unique_payloads: np.ndarray, counts: Optional[np.ndarray] = None) -> None:
-        unique_payloads = np.asarray(unique_payloads, dtype=np.float64)
-        if unique_payloads.ndim == 1:
-            unique_payloads = unique_payloads.reshape(1, -1)
-        super().__init__(dst_ids=dst_ids, payload=unique_payloads, counts=counts,
-                         rows=payload_refs)
+    def __post_init__(self) -> None:
+        if np.ndim(self.rows) != 1:     # None included: rows are not optional here
+            raise ValueError("a broadcast block needs rows: one payload reference per message")
+        super().__post_init__()
 
     def nbytes(self) -> float:
         per_edge = 2 * ID_BYTES + RECORD_OVERHEAD_BYTES   # dst id + payload reference
@@ -142,8 +139,8 @@ class BroadcastMessageBlock(MessageBlock):
         used[refs] = True
         return BroadcastMessageBlock(
             dst_ids=self.dst_ids[rows],
-            payload_refs=(np.cumsum(used) - 1)[refs],
-            unique_payloads=self.payload[used],
+            payload=self.payload[used],
+            rows=(np.cumsum(used) - 1)[refs],
             counts=self.counts[rows],
         )
 

@@ -427,8 +427,8 @@ class TestPregelProgram:
         program = GNNInferenceProgram(sage, plan, num_outputs=graph.num_nodes)
         partition = PregelEngine(graph, num_workers=4).partitions[0]
         owned = partition.node_ids[:3]
-        block = BroadcastMessageBlock(dst_ids=owned, payload_refs=np.array([1, 0, 1]),
-                                      unique_payloads=np.array([[1.0] * 8, [2.0] * 8]))
+        block = BroadcastMessageBlock(dst_ids=owned, rows=np.array([1, 0, 1]),
+                                      payload=np.array([[1.0] * 8, [2.0] * 8]))
         payload, local_dst, _ = program._assemble_messages(partition, [block])
         np.testing.assert_array_equal(payload[:, 0], [2.0, 1.0, 2.0])
         np.testing.assert_array_equal(local_dst, [0, 1, 2])

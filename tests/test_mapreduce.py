@@ -401,8 +401,8 @@ class TestSizingOracle:
     def test_broadcast_references_and_one_buckets_payload_rows(self):
         rng = np.random.default_rng(1)
         hub_ids, bucket = [40, 41], 2
-        block = BroadcastMessageBlock(np.array([6, 2, 10, 6]), np.array([0, 1, 1, 0]),
-                                      rng.normal(size=(2, 5)))
+        block = BroadcastMessageBlock(np.array([6, 2, 10, 6]), rows=np.array([0, 1, 1, 0]),
+                                      payload=rng.normal(size=(2, 5)))
         records = [(("bc", bucket), ("p", hub, block.payload[ref]))
                    for ref, hub in enumerate(hub_ids)]
         records += [(int(dst), ("r", hub_ids[ref], 1))
@@ -416,7 +416,8 @@ class TestSizingOracle:
         engine = PregelEngine(graph, num_workers=4)
         rng = np.random.default_rng(2)
         block = BroadcastMessageBlock(rng.integers(0, graph.num_nodes, size=40),
-                                      rng.integers(0, 3, size=40), rng.normal(size=(3, 5)))
+                                      rows=rng.integers(0, 3, size=40),
+                                      payload=rng.normal(size=(3, 5)))
         pieces = [Records(piece)
                   for _, piece in block.split_by(engine.layout.owners(block.dst_ids), 4)]
         assert len(pieces) > 1

@@ -150,8 +150,8 @@ class TestRouteEquivalence:
         (plain,) = edge_blocks(graph, rng, chunks=1)
         hub_rows = rng.choice(graph.num_edges, size=40, replace=False)
         broadcast = BroadcastMessageBlock(
-            dst_ids=graph.dst[hub_rows], payload_refs=rng.integers(0, 3, size=40),
-            unique_payloads=rng.normal(size=(3, PAYLOAD_DIM)))
+            dst_ids=graph.dst[hub_rows], rows=rng.integers(0, 3, size=40),
+            payload=rng.normal(size=(3, PAYLOAD_DIM)))
         empty = MessageBlock(dst_ids=np.empty(0, dtype=np.int64), payload=np.zeros((0, 0)))
         blocks = [empty, plain, broadcast]
         engine = PregelEngine(graph, num_workers=NUM_WORKERS)
@@ -183,8 +183,8 @@ class TestRouteEquivalence:
         """What split-then-fold never did: with a combiner, every combinable
         block of the send folds into one, which stands where the first was."""
         layout = PregelEngine(random_graph(0), num_workers=NUM_WORKERS).layout
-        broadcast = BroadcastMessageBlock(dst_ids=np.array([8]), payload_refs=np.array([0]),
-                                          unique_payloads=np.ones((1, 2)))
+        broadcast = BroadcastMessageBlock(dst_ids=np.array([8]), rows=np.array([0]),
+                                          payload=np.ones((1, 2)))
         first = MessageBlock(dst_ids=np.array([4, 8]), payload=np.ones((2, 2)))
         second = MessageBlock(dst_ids=np.array([8, 8]), payload=np.full((2, 2), 2.0),
                               counts=np.array([3, 1]))
@@ -203,8 +203,8 @@ class TestRouteEquivalence:
         unique_payloads = rng.normal(size=(3, PAYLOAD_DIM))
         block = BroadcastMessageBlock(
             dst_ids=graph.dst,
-            payload_refs=rng.integers(0, 3, size=num_rows),
-            unique_payloads=unique_payloads,
+            rows=rng.integers(0, 3, size=num_rows),
+            payload=unique_payloads,
             counts=rng.integers(1, 3, size=num_rows).astype(np.int64),
         )
         engine = PregelEngine(graph, num_workers=NUM_WORKERS)
@@ -325,7 +325,7 @@ class TestResidentSchedule:
             return [empty, plain]
         hub_dst = dst[::5]
         return [empty, plain, BroadcastMessageBlock(
-            hub_dst, np.arange(hub_dst.size) % 4, rng.normal(size=(4, PAYLOAD_DIM)))]
+            hub_dst, rows=np.arange(hub_dst.size) % 4, payload=rng.normal(size=(4, PAYLOAD_DIM)))]
 
     @pytest.mark.parametrize("case", ["shadow", "one_owner", "skips_a_bucket"])
     @pytest.mark.parametrize("broadcast", [False, True], ids=["plain", "broadcast"])

@@ -155,7 +155,7 @@ class TestBroadcastMessageBlock:
         dst = np.arange(num_edges)
         refs = np.zeros(num_edges, dtype=np.int64)
         payload = np.random.default_rng(0).normal(size=(1, dim))
-        return BroadcastMessageBlock(dst_ids=dst, payload_refs=refs, unique_payloads=payload)
+        return BroadcastMessageBlock(dst_ids=dst, rows=refs, payload=payload)
 
     def test_dense_payload_expands_refs(self):
         block = self.make_block(num_edges=5, dim=3)
@@ -170,6 +170,10 @@ class TestBroadcastMessageBlock:
                              payload=np.zeros((num_edges, dim)))
         assert broadcast.nbytes() < dense.nbytes()
 
+    def test_rows_are_required(self):
+        with pytest.raises(ValueError):
+            BroadcastMessageBlock(dst_ids=np.arange(2), payload=np.zeros((2, 3)))
+
     def test_not_combinable(self):
         assert self.make_block().combinable is False
         assert MessageBlock(dst_ids=np.array([0]), payload=np.zeros((1, 2))).combinable is True
@@ -178,7 +182,7 @@ class TestBroadcastMessageBlock:
         dst = np.array([10, 20, 30, 40])
         refs = np.array([0, 1, 0, 1])
         payloads = np.array([[1.0, 1.0], [2.0, 2.0]])
-        block = BroadcastMessageBlock(dst_ids=dst, payload_refs=refs, unique_payloads=payloads)
+        block = BroadcastMessageBlock(dst_ids=dst, rows=refs, payload=payloads)
         piece = block.take(np.array([1, 3]))
         assert isinstance(piece, BroadcastMessageBlock)
         np.testing.assert_allclose(piece.dense_payload(), [[2.0, 2.0], [2.0, 2.0]])
@@ -188,7 +192,7 @@ class TestBroadcastMessageBlock:
         dst = np.array([1, 2])
         refs = np.array([0, 1])
         payloads = np.array([[1.0], [2.0]])
-        block = BroadcastMessageBlock(dst_ids=dst, payload_refs=refs, unique_payloads=payloads)
+        block = BroadcastMessageBlock(dst_ids=dst, rows=refs, payload=payloads)
         piece = block.take(np.array([1]))
         assert piece.payload.shape[0] == 1
         np.testing.assert_allclose(piece.dense_payload(), [[2.0]])
