@@ -53,22 +53,16 @@ def stable_group_by(keys: np.ndarray,
     return order, counts, starts
 
 
-def csr_slots(indptr: np.ndarray,
-              ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(slots, counts, ends)`` of the ranges ``indptr[i]:indptr[i+1]``, ``i`` in ``ids``.
+def spans(start: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(slots, ends)`` of the ranges ``start[k]:start[k] + counts[k]``.
 
-    ``slots`` lists every range's positions, ranges in ``ids`` order, each
-    ascending — one repeat/arange pass with no per-id Python; ``counts[k]``
-    is range ``k``'s length and ``ends[k]`` how many slots precede it (one
-    more element: the total).
+    ``slots`` lists every range's positions, ranges in order, each
+    ascending — one repeat/arange pass with no per-range Python; ``ends[k]``
+    is how many slots precede range ``k`` (one more element: the total).
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    start = indptr[ids]
-    counts = indptr[ids + 1] - start
-    ends = np.zeros(ids.size + 1, dtype=np.int64)
+    ends = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=ends[1:])
-    slots = np.arange(int(ends[-1]), dtype=np.int64) + np.repeat(start - ends[:-1], counts)
-    return slots, counts, ends
+    return np.arange(int(ends[-1]), dtype=np.int64) + np.repeat(start - ends[:-1], counts), ends
 
 
 def csr_gather(indptr: np.ndarray, values: np.ndarray,
@@ -77,9 +71,11 @@ def csr_gather(indptr: np.ndarray, values: np.ndarray,
 
     The ranged multi-gather behind every CSR walk in the system (shadow
     replica fan-out, a reducer's edge rows): ranges appear in ``ids`` order,
-    each range in its stored order (:func:`csr_slots`).
+    each range in its stored order (:func:`spans`).
     """
-    return values[csr_slots(indptr, ids)[0]]
+    ids = np.asarray(ids, dtype=np.int64)
+    start = indptr[ids]
+    return values[spans(start, indptr[ids + 1] - start)[0]]
 
 
 class ClusterLayout:

@@ -131,26 +131,36 @@ class PregelBackend(Backend):
                     engine.partitions[pid].node_features[local[sel]] = rows[sel]
         if delta.has_edge_changes:
             # The working edge list is now the surviving old edges, in order,
-            # then the appended ones.  Regroup it per owning partition (one
-            # stable argsort — the same slicing a fresh partitioning would
-            # produce; partitions that lost their last edge get empty arrays),
-            # so each partition's new out-edges are its surviving old ones,
-            # then its appended ones.
+            # then the appended ones, and a partition's out-edges are the
+            # working edges its nodes send, in order: its surviving old ones,
+            # then its appended ones.  ``out_edge_ids`` keeps each
+            # partition's working edge ids (ascending), so a partition finds
+            # its removed rows by binary search and no delta regroups the
+            # whole edge list; a partition the delta misses keeps its arrays.
+            edge_ids = plan.state.get("out_edge_ids")
+            if edge_ids is None:
+                edge_ids = plan.state["out_edge_ids"] = [
+                    ids for _, ids in layout.group_by_owner(old_src)]
             removed = (np.empty(0, dtype=np.int64) if delta.removed_edge_ids is None
-                       else delta.removed_edge_ids)
-            kept = np.ones(old_src.size, dtype=bool)
-            kept[removed] = False
-            old_id = np.flatnonzero(kept)       # of the surviving edge with new id i
+                       else np.unique(delta.removed_edge_ids))
             removed_owner = layout.owners(old_src[removed])
+            first = old_src.size - removed.size     # the first appended edge's id
+            added_owner = layout.owners(working.src[first:])
+            # a survivor's new id: the old ids kept below it
+            renumber = np.ones(old_src.size, dtype=bool)
+            renumber[removed] = False
+            renumber = np.cumsum(renumber) - 1
             efeat = working.edge_features
-            for pid, ids in layout.group_by_owner(working.src):
-                # the partition's old out-edges, ascending: its survivors and
-                # its removed edges; removed edge k had k removed ones before it
-                survivors = old_id[ids[:np.searchsorted(ids, old_id.size)]]
+            for pid, partition in enumerate(engine.partitions):
+                ids = edge_ids[pid]
                 gone = removed[removed_owner == pid]
-                partition_kept = np.ones(survivors.size + gone.size, dtype=bool)
-                partition_kept[np.searchsorted(survivors, gone) + np.arange(gone.size)] = False
-                engine.partitions[pid].replace_out_edges(
-                    working.src[ids], working.dst[ids],
-                    None if efeat is None else efeat[ids], partition_kept)
+                added = first + np.flatnonzero(added_owner == pid)
+                kept = np.ones(ids.size, dtype=bool)
+                kept[np.searchsorted(ids, gone)] = False
+                edge_ids[pid] = np.concatenate(
+                    [renumber[ids[kept] if gone.size else ids], added])
+                if gone.size or added.size:
+                    partition.replace_out_edges(
+                        kept, working.src[added], working.dst[added],
+                        None if efeat is None else efeat[added])
         return outcome

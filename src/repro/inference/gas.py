@@ -133,19 +133,20 @@ def _fan_out(replicas: Optional[ReplicaMap],
     return row_index, expanded_dst
 
 
-def scatter(strategy: LayerStrategy, hubs: np.ndarray,
+def scatter(strategy: LayerStrategy, plan: StrategyPlan,
             replicas: Optional[ReplicaMap], source_ids: np.ndarray,
             dst_ids: np.ndarray) -> Routed:
     """Split out-edge rows into per-edge and broadcast paths; fan out mirrors.
 
     The index-only half of :func:`scatter_blocks`: it reads topology and
     plan, never a state value.  An edge takes the broadcast path iff the
-    layer's strategy enables it and its source is an out-degree hub —
+    layer's strategy enables it and its source is one of ``plan``'s
+    out-degree hubs (read off :attr:`StrategyPlan.is_hub`) —
     ``LayerStrategy.broadcast`` already excludes layers whose messages depend
     on edge features, so this is the whole rule, on every backend.
     """
-    if strategy.broadcast and hubs.size:
-        hub_edges, plain_edges = split_hub_edges(source_ids, hubs)
+    if strategy.broadcast and plan.out_degree_hubs.size:
+        hub_edges, plain_edges = split_hub_edges(source_ids, plan.is_hub)
     else:
         hub_edges, plain_edges = _EMPTY, np.arange(dst_ids.shape[0])
     plain_index, plain_dst = _fan_out(replicas, dst_ids[plain_edges])
@@ -189,7 +190,7 @@ def scatter_blocks(model: GNNModel, plan: StrategyPlan,
     the rows or ``route`` cuts them.  Same bytes, same units either way.
     """
     if routed is None:
-        routed = scatter(plan.layer(layer_index), plan.out_degree_hubs, replicas,
+        routed = scatter(plan.layer(layer_index), plan, replicas,
                          source_ids, dst_ids)
     layer = model.layers[layer_index]
     if not layer.apply_edge_is_identity(edge_features is not None):

@@ -35,9 +35,11 @@ rule plus one transport rule kept here: per-destination message *sets and
 order* are unchanged — a selection keeps all of a frontier destination's
 rows, in full-run order, and drops whole destinations, so the
 order-sensitive segment reductions accumulate identical bits.  An in-place
-edge delta patches the schedule rather than dropping it: appended edges'
-rows follow each destination's surviving rows, where a fresh build puts
-them.
+edge delta patches the schedule rather than dropping it, in time
+proportional to what it touches plus one renumbering pass: the rows of
+each destination that lost or gains an edge are rewritten — its surviving
+rows in order, then the appended edges' rows, where a fresh build puts
+them — and every other destination's stay where they are.
 
 With partial-gather on, a destination's rows from one partition leave as one
 folded partial, and most of a tick's partials fold rows that did not change.
@@ -59,7 +61,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.cluster.layout import ClusterLayout, csr_slots, stable_group_by
+from repro.cluster.layout import ClusterLayout, spans, stable_group_by
 from repro.cluster.metrics import MetricsCollector, tensor_bytes
 from repro.gnn.model import GNNModel
 from repro.graph.graph import Graph
@@ -98,63 +100,108 @@ class Destinations(NamedTuple):
     bounds: np.ndarray
 
 
-class _ByDestination(NamedTuple):
+#: Once the runs edge patches have rewritten leave garbage past this share
+#: of an index's live entries, the patch compacts the index.
+REBUILD_FRACTION = 0.25
+
+
+class _ByDestination:
     """One path of a :class:`~repro.inference.gas.Routed`, per destination.
 
-    A CSR over node ids: destination ``d``'s entries fill slots
-    ``indptr[d]:indptr[d + 1]`` in full-run order.  Per slot: the entry's
-    edge row, whether it delivers that edge to the edge's own destination
-    (every kept edge has exactly one such entry; the rest are its mirror
-    fan-out) and, on the broadcast path, its hub reference.
+    A table of send entries, one per (edge, delivered destination) pair.
+    Per entry: its edge's current out-edge row (``edge``), its ``dst``,
+    whether it delivers the edge to the edge's own destination (every edge
+    has exactly one such entry; the rest are its mirror fan-out) and, on the
+    broadcast path, the position of the edge's source in the plan's sorted
+    hub array (``hub`` is None on the plain path).  Destination ``d``'s
+    entries are the run of ``count[d]`` from ``start[d]``, in a fresh
+    build's order (both ``int32``: together, the bytes of one ``int64``
+    table over node ids).
+
+    An edge patch renumbers every entry's row with one gather (a removed
+    edge's entries read -1: dead) and rewrites only the runs of the
+    destinations it touches — those that lost an entry or gain one: each
+    such run's live entries, then the appended edges' entries bound there,
+    go to the end of the table, where a fresh build's order puts them, and
+    the old run is left as garbage (its rows set to -1).  Once garbage
+    passes :data:`REBUILD_FRACTION` of the live entries, the patch compacts
+    the table.
     """
 
-    indptr: np.ndarray
-    edge: np.ndarray
-    own: np.ndarray
-    ref: np.ndarray
-
-    @classmethod
-    def empty(cls, num_nodes: int) -> "_ByDestination":
-        return cls(np.zeros(num_nodes + 1, dtype=np.int64), _EMPTY,
-                   np.zeros(0, dtype=bool), _EMPTY)
-
-    def patched(self, kept: np.ndarray, renumber: np.ndarray, rerank: np.ndarray,
-                rows: np.ndarray, dst: np.ndarray, refs: np.ndarray,
-                out_dst: np.ndarray) -> "_ByDestination":
-        """The index after an edge patch, in time linear in its size.
-
-        Entries of the edges ``kept`` drops go, the survivors' edge rows map
-        through ``renumber`` and their hub references through ``rerank``;
-        appended entries (edge ``rows[i]`` to ``dst[i]``, reference
-        ``refs[i]``) go after each destination's survivors, in their order.
-        """
-        keep = kept[self.edge]
-        if not (dst.size or self.edge.size):
-            return self
-        before = np.zeros(keep.size + 1, dtype=np.int64)
-        np.cumsum(keep, out=before[1:])
-        indptr = before[self.indptr]
+    def __init__(self, edge: np.ndarray, dst: np.ndarray, own: np.ndarray,
+                 hub: Optional[np.ndarray], num_nodes: int) -> None:
         order = np.argsort(dst, kind="stable")
-        # appended entry i lands after its destination's survivors and the
-        # appended entries before it
-        at = indptr[dst[order] + 1] + np.arange(order.size)
-        survives = np.ones(int(before[-1]) + order.size, dtype=bool)
-        survives[at] = False
-        appended = np.zeros_like(indptr)
-        np.cumsum(np.bincount(dst, minlength=indptr.size - 1), out=appended[1:])
+        self.edge, self.dst, self.own = edge[order], dst[order], own[order]
+        self.hub = None if hub is None else hub[order]
+        self.count = np.bincount(dst, minlength=num_nodes).astype(np.int32)
+        self.start = (np.cumsum(self.count) - self.count).astype(np.int32)
+        self.used, self.garbage = order.size, 0
 
-        def merge(survivors: np.ndarray, added: np.ndarray) -> np.ndarray:
-            merged = np.empty(survives.size, dtype=added.dtype)
-            merged[survives], merged[at] = survivors, added
-            return merged
+    def _fields(self) -> List[str]:
+        return ["edge", "dst", "own"] + ([] if self.hub is None else ["hub"])
 
-        edge = rows[order]
-        return _ByDestination(
-            indptr + appended,
-            merge(renumber[self.edge[keep]], edge),
-            merge(self.own[keep], out_dst[edge] == dst[order]),
-            merge(rerank[self.ref[keep]], refs[order]) if self.ref.size or refs.size
-            else _EMPTY)
+    def take(self, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The entries bound for ``ids``: ``(rows, own, hub, ends)``.
+
+        Destination by destination in ``ids`` order, each in a fresh build's
+        order: their out-edge rows, ``own`` flags and hub positions (empty
+        on the plain path); ``ends[k]`` is how many precede destination
+        ``k``'s (one more element: the total).
+        """
+        position, ends = spans(self.start[ids], self.count[ids])
+        return (self.edge[position], self.own[position],
+                _EMPTY if self.hub is None else self.hub[position], ends)
+
+    def patch(self, renumber: Optional[np.ndarray], edge: np.ndarray, dst: np.ndarray,
+              own: np.ndarray, hub: Optional[np.ndarray]) -> np.ndarray:
+        """Renumber the rows (``renumber``: -1 for a removed row; None when
+        none is) and append the entries ``edge``/``dst``/``own``/``hub``;
+        returns the destinations whose runs changed."""
+        touched = dst
+        if renumber is not None:
+            old = self.edge[:self.used]
+            new = renumber[old]
+            killed = np.flatnonzero((new < 0) & (old >= 0))
+            self.edge[:self.used] = new
+            touched = np.concatenate([self.dst[killed], dst])
+        touched = np.unique(touched)
+        if not touched.size:
+            return touched
+        runs, _ = spans(self.start[touched], self.count[touched])
+        moved = runs[self.edge[runs] >= 0]
+        # each touched run's live entries, then its appended ones, in order
+        order = np.argsort(np.concatenate([self.dst[moved], dst]), kind="stable")
+        end = self.used + order.size
+        fields = self._fields()
+        if end > self.edge.size:        # room up to the compaction point
+            room = end + int(REBUILD_FRACTION * (end - self.garbage)) + 1
+            for name in fields:
+                grown = np.empty(room, dtype=getattr(self, name).dtype)
+                grown[:self.used] = getattr(self, name)[:self.used]
+                setattr(self, name, grown)
+        for name, values in zip(fields, (edge, dst, own, hub)):
+            column = getattr(self, name)
+            column[self.used:end] = np.concatenate([column[moved], values])[order]
+        self.edge[runs] = -1
+        self.garbage += runs.size
+        counts = np.bincount(np.searchsorted(touched, self.dst[self.used:end]),
+                             minlength=touched.size)
+        self.count[touched] = counts
+        self.start[touched] = self.used + np.cumsum(counts) - counts
+        self.used = end
+        return touched
+
+    @property
+    def stale(self) -> bool:
+        """Whether garbage has passed :data:`REBUILD_FRACTION` of the live entries."""
+        return self.garbage > REBUILD_FRACTION * (self.used - self.garbage)
+
+    def compacted(self) -> "_ByDestination":
+        """The live runs as a fresh table."""
+        num_nodes = self.count.size
+        rows, own, hub, ends = self.take(np.arange(num_nodes))
+        return _ByDestination(rows, np.repeat(np.arange(num_nodes), self.count), own,
+                              None if self.hub is None else hub, num_nodes)
 
 
 class _PartialMemo:
@@ -243,15 +290,21 @@ def _used_hubs(refs: np.ndarray, rows: np.ndarray,
 class SendSchedule:
     """A partition's resident routing of its out-edges for one layer kind.
 
-    ``routed`` is the :class:`~repro.inference.gas.Routed` of every out-edge
-    (hub split, mirror fan-out) and ``schedule`` the
+    :meth:`routed` is the :class:`~repro.inference.gas.Routed` of every
+    out-edge (hub split, mirror fan-out) and ``schedule`` the
     :class:`~repro.pregel.vertex.Schedule` of the blocks a full superstep
     sends from it, kept by the first full superstep that routes them.  Both
     depend on the out-edges, the layout and the hub split alone, so a full
     superstep only moves values.  An incremental superstep picks its rows
-    out of ``routed`` (:meth:`select`); an in-place edge delta patches it
-    (:meth:`patch`), and building one is patching the empty schedule with
-    every edge appended.
+    destination by destination (:meth:`select`) from a per-destination index
+    of each path (:class:`_ByDestination`), built from the full routing by
+    the first selection.
+
+    An in-place edge delta patches the indexes (:meth:`patch`): only the
+    appended edges are routed (``gas.scatter``), one gather renumbers every
+    entry's row, and only the runs of the destinations the delta touches
+    are rewritten (:class:`_ByDestination`).  The full routing and schedule
+    go; the next full run rebuilds them.
 
     ``memos`` keeps, per superstep, the partials a folding incremental send
     folded (:class:`_PartialMemo`), so a later one copies every partial none
@@ -260,84 +313,93 @@ class SendSchedule:
     invalidates every destination whose plain rows it changes.
     """
 
-    def __init__(self, strategy: LayerStrategy, hubs: np.ndarray,
-                 replicas: Optional[ReplicaMap], partition: PregelPartition) -> None:
-        self.strategy, self.hubs, self.replicas = strategy, hubs, replicas
-        self.routed = gas.Routed(_EMPTY, _EMPTY, _EMPTY, _EMPTY, _EMPTY, _EMPTY)
+    def __init__(self, strategy: LayerStrategy, plan: StrategyPlan,
+                 replicas: Optional[ReplicaMap]) -> None:
+        self.strategy, self.plan, self.replicas = strategy, plan, replicas
+        self._routed: Optional[gas.Routed] = None
         self.schedule: Optional[Schedule] = None
-        #: per-destination index of ``routed`` (plain path, broadcast path),
-        #: built by the first :meth:`select` that needs it, then patched
         self._by_dst: Optional[Tuple[_ByDestination, _ByDestination]] = None
         self.memos: Dict[int, _PartialMemo] = {}
-        self.patch(partition, np.zeros(0, dtype=bool))
+
+    def routed(self, partition: PregelPartition) -> gas.Routed:
+        """The full run's routing of every out-edge, built on first use."""
+        if self._routed is None:
+            self._routed = gas.scatter(self.strategy, self.plan, self.replicas,
+                                       partition.out_src, partition.out_dst)
+        return self._routed
+
+    def _index(self, partition: PregelPartition, plain_rows: np.ndarray,
+               plain_dst: np.ndarray, ref_rows: np.ndarray, hub_dst: np.ndarray) -> None:
+        """Index the routing these entries make."""
+        num_nodes = partition.layout.num_nodes
+        out_src, out_dst = partition.out_src, partition.out_dst
+        self._by_dst = (
+            _ByDestination(plain_rows, plain_dst, out_dst[plain_rows] == plain_dst, None,
+                           num_nodes),
+            _ByDestination(ref_rows, hub_dst, out_dst[ref_rows] == hub_dst,
+                           np.searchsorted(self.plan.out_degree_hubs, out_src[ref_rows]),
+                           num_nodes))
+
+    def by_destination(self, partition: PregelPartition,
+                       ) -> Tuple[_ByDestination, _ByDestination]:
+        """The per-destination indexes: plain path, broadcast path.
+
+        Built on first use, so batch runs never pay for them; patched in
+        place from then on.
+        """
+        if self._by_dst is None:
+            full = self.routed(partition)
+            self._index(partition, full.plain_rows, full.plain_dst, full.ref_rows, full.hub_dst)
+        assert self._by_dst is not None
+        return self._by_dst
 
     def patch(self, partition: PregelPartition, kept: np.ndarray) -> None:
         """Follow the partition's out-edges: the old ones ``kept`` marks, then appends.
 
-        Removed edges' entries are dropped and the survivors' edge rows
-        renumbered; only the appended edges are routed (``gas.scatter``), and
-        their entries go after every surviving entry — where a fresh build
-        puts them, so each destination's rows keep a fresh build's order.
-        Hubs keep their rank while a surviving reference uses them; appended
-        hubs rank after them.  The hub set itself never changes in place (a
-        hub move re-plans), so the survivors' path split stays valid.  Every
-        memo forgets the destinations of removed and appended plain entries,
-        mirror fan-out included: their partials fold other rows now.
+        A patch that removes and appends nothing changes nothing.  Otherwise
+        only the appended edges are routed; indexes not built yet are built
+        from the kept routing plus theirs, and built ones rewrite the runs
+        of the destinations that lost or gain an entry
+        (:meth:`_ByDestination.patch`).  The hub set never changes in place
+        (a hub move re-plans), so the survivors' path split stays valid.
+        Every memo forgets those destinations on the plain path, mirror
+        fan-out included: their partials fold other rows now.
         """
-        old, start = self.routed, int(np.count_nonzero(kept))
-        renumber = np.cumsum(kept) - 1
-        plain, refs = kept[old.plain_rows], kept[old.ref_rows]
-        hub_refs, ref_rows = old.hub_refs[refs], renumber[old.ref_rows[refs]]
-        hub_rows, rerank = _used_hubs(hub_refs, ref_rows, old.hub_rows.size)
-
-        new = gas.scatter(self.strategy, self.hubs, self.replicas,
+        removed = np.flatnonzero(~kept)
+        start = kept.size - removed.size
+        old, indexes = self._routed, self._by_dst
+        if start == kept.size == partition.num_out_edges or (old is None and indexes is None):
+            return
+        new = gas.scatter(self.strategy, self.plan, self.replicas,
                           partition.out_src[start:], partition.out_dst[start:])
+        self._routed = self.schedule = None
+        # a survivor's new row; -1 for a removed row, and at index -1
+        renumber = np.full(kept.size + 1, -1, dtype=np.int64)
+        renumber[np.flatnonzero(kept)] = np.arange(start)
+        plain_rows, ref_rows = start + new.plain_rows, start + new.ref_rows
+        if indexes is None:
+            assert old is not None
+            plain, refs = kept[old.plain_rows], kept[old.ref_rows]
+            self._index(partition,
+                        np.concatenate([renumber[old.plain_rows[plain]], plain_rows]),
+                        np.concatenate([old.plain_dst[plain], new.plain_dst]),
+                        np.concatenate([renumber[old.ref_rows[refs]], ref_rows]),
+                        np.concatenate([old.hub_dst[refs], new.hub_dst]))
+            return
+        rows = renumber if removed.size else None
+        out_src, out_dst = partition.out_src, partition.out_dst
+        plain, hub = indexes
+        touched = plain.patch(rows, plain_rows, new.plain_dst,
+                              out_dst[plain_rows] == new.plain_dst, None)
+        hub.patch(rows, ref_rows, new.hub_dst, out_dst[ref_rows] == new.hub_dst,
+                  np.searchsorted(self.plan.out_degree_hubs, out_src[ref_rows]))
         for memo in self.memos.values():
-            memo.valid[old.plain_dst[~plain]] = False
-            memo.valid[new.plain_dst] = False
-        rank = np.full(partition.layout.num_nodes, -1, dtype=np.int64)
-        rank[partition.out_src[hub_rows]] = np.arange(hub_rows.size)
-        new_hubs = partition.out_src[start + new.hub_rows]
-        unseen = rank[new_hubs] < 0
-        rank[new_hubs[unseen]] = hub_rows.size + np.arange(int(np.count_nonzero(unseen)))
-        appended = (start + new.plain_rows, start + new.ref_rows,
-                    rank[new_hubs][new.hub_refs])
-        self.routed = gas.Routed(
-            np.concatenate([renumber[old.plain_rows[plain]], appended[0]]),
-            np.concatenate([old.plain_dst[plain], new.plain_dst]),
-            np.concatenate([hub_rows, start + new.hub_rows[unseen]]),
-            np.concatenate([rerank[hub_refs], appended[2]]),
-            np.concatenate([old.hub_dst[refs], new.hub_dst]),
-            np.concatenate([ref_rows, appended[1]]))
-        self.schedule = None
-        if self._by_dst is not None:
-            by_plain, by_hub = self._by_dst
-            self._by_dst = (
-                by_plain.patched(kept, renumber, _EMPTY, appended[0], new.plain_dst,
-                                 _EMPTY, partition.out_dst),
-                by_hub.patched(kept, renumber, rerank, appended[1], new.hub_dst,
-                               appended[2], partition.out_dst))
-
-    def by_destination(self, partition: PregelPartition,
-                       ) -> Tuple[_ByDestination, _ByDestination]:
-        """The per-destination index of ``routed``: plain path, broadcast path.
-
-        Built on first use — appending every entry to an empty index, the
-        same step :meth:`patch` takes for appended edges — so batch runs never
-        pay for it; patched in place from then on.
-        """
-        if self._by_dst is None:
-            full, empty = self.routed, _ByDestination.empty(partition.layout.num_nodes)
-            nothing = np.zeros(0, dtype=bool)
-            self._by_dst = (
-                empty.patched(nothing, _EMPTY, _EMPTY, full.plain_rows, full.plain_dst,
-                              _EMPTY, partition.out_dst),
-                empty.patched(nothing, _EMPTY, _EMPTY, full.ref_rows, full.hub_dst,
-                              full.hub_refs, partition.out_dst))
-        return self._by_dst
+            memo.valid[touched] = False
+        self._by_dst = (plain.compacted() if plain.stale else plain,
+                        hub.compacted() if hub.stale else hub)
 
     def select(self, partition: PregelPartition, targets: Destinations,
-               combiner: Optional[MessageCombiner], superstep: int, stale: np.ndarray,
+               combiner: Optional[MessageCombiner], superstep: int, changed: np.ndarray,
                ) -> Optional[Tuple[np.ndarray, gas.Routed, Schedule, Optional[_Refold]]]:
         """The part of a full send bound for ``targets``: ``(edges, routed, schedule, refold)``.
 
@@ -350,18 +412,19 @@ class SendSchedule:
 
         A send with a ``combiner`` folds itself (``refold``; ``route`` only cuts):
         a destination whose ``superstep`` memo entry is valid and none of
-        whose rows is ``stale`` (a bool per out-edge: its message may have
-        changed since that entry was written) copies the entry, and its rows
-        are neither selected nor computed.  A destination and its mirrors
-        share their rows, so they are copied or folded together.
+        whose rows comes from a ``changed`` row (a bool per local row: its
+        state, so its messages, may have changed since that entry was
+        written) copies the entry, and its rows are neither selected nor
+        computed.  A destination and its mirrors share their rows, so they
+        are copied or folded together.
         """
         plain, hub = self.by_destination(partition)
         ids, bounds = targets
-        plain_slots, plain_count, plain_ends = csr_slots(plain.indptr, ids)
-        plain_edge, own = plain.edge[plain_slots], plain.own[plain_slots]
+        plain_edge, own, _, plain_ends = plain.take(ids)
+        plain_count = np.diff(plain_ends)
         cuts: List[List[Tuple[int, Any]]] = []
         refold: Optional[_Refold] = None
-        if plain_slots.size and combiner is not None:
+        if plain_edge.size and combiner is not None:
             sent = np.nonzero(plain_count)[0]
             rank = np.zeros(ids.size + 1, dtype=np.int64)
             np.cumsum(plain_count > 0, out=rank[1:])
@@ -371,30 +434,31 @@ class SendSchedule:
             if memo is None:
                 memo = self.memos[superstep] = _PartialMemo(partition.layout.num_nodes)
             reused = memo.valid[dst_ids]
-            reused[slot[stale[plain_edge]]] = False
+            stale = changed[partition.block_state["out_src_local"][plain_edge]]
+            reused[slot[stale]] = False
             fresh = ~reused[slot]
             plain_edge, own, slot = plain_edge[fresh], own[fresh], slot[fresh]
             plain_dst = dst_ids[slot]
             refold = _Refold(combiner, memo, (dst_ids, slot, plain_count[sent]), reused)
         else:
             plain_dst = np.repeat(ids, plain_count)
-            if plain_slots.size:
+            if plain_edge.size:
                 cuts.append(bucket_slices(plain_ends[bounds]))
         edges = plain_edge[own]
         hub_refs, hub_dst, hub_edge = _EMPTY, _EMPTY, _EMPTY
-        if hub.edge.size:
-            hub_slots, hub_count, hub_ends = csr_slots(hub.indptr, ids)
-            hub_edge, hub_refs = hub.edge[hub_slots], hub.ref[hub_slots]
-            hub_dst = np.repeat(ids, hub_count)
-            edges = np.concatenate([edges, hub_edge[hub.own[hub_slots]]])
-            if hub_slots.size:
+        if hub.used:
+            hub_edge, hub_own, hub_refs, hub_ends = hub.take(ids)
+            hub_dst = np.repeat(ids, np.diff(hub_ends))
+            edges = np.concatenate([edges, hub_edge[hub_own]])
+            if hub_edge.size:
                 cuts.append(bucket_slices(hub_ends[bounds]))
         if not edges.size and refold is None:
             return None
         where = np.empty(partition.num_out_edges, dtype=np.int64)
         where[edges] = np.arange(edges.size)
         # the broadcast block carries only the hubs its references use
-        hub_rows, rerank = _used_hubs(hub_refs, where[hub_edge], self.routed.hub_rows.size)
+        hub_rows, rerank = _used_hubs(hub_refs, where[hub_edge],
+                                      self.plan.out_degree_hubs.size)
         routed = gas.Routed(where[plain_edge], plain_dst, hub_rows,
                             rerank[hub_refs], hub_dst, where[hub_edge])
         return edges, routed, Schedule([], None, cuts), refold
@@ -445,7 +509,8 @@ class GNNInferenceProgram(BlockVertexProgram):
 
         ``out_src_local`` depends only on the partition layout, so the
         partition keeps it across runs (beside the send schedules ``_scatter``
-        keeps); an in-place edge delta drops it and it is recomputed here.  An
+        keeps); an in-place edge delta patches it where the partition runs
+        (its survivors' rows, then the appended ones'), before this.  An
         incremental run keeps the cached ``h_history``/``output`` (that cache
         *is* its input); a full run resets them and drops the schedules'
         memos, whose partials it may not reproduce.
@@ -493,20 +558,19 @@ class GNNInferenceProgram(BlockVertexProgram):
         kept = partition.block_state.setdefault("send_schedule", {})
         resident = kept.get(key)
         if resident is None:
-            resident = kept[key] = SendSchedule(strategy, self.plan.out_degree_hubs,
-                                                self.replicas, partition)
+            resident = kept[key] = SendSchedule(strategy, self.plan, self.replicas)
         src_pos, features = partition.block_state["out_src_local"], partition.out_edge_features
         edges: Union[slice, np.ndarray]
         refold: Optional[_Refold] = None
         if self.targets is None:
-            edges, routed, schedule = slice(None), resident.routed, resident.schedule
+            edges, routed, schedule = slice(None), resident.routed(partition), resident.schedule
         else:
             # an out-edge's message may have changed iff its source is a
             # frontier row: every other state row keeps its cached bits
             changed = np.zeros(partition.num_nodes, dtype=bool)
             changed[context.frontier_rows] = True
             picked = resident.select(partition, self.targets[superstep], strategy.combiner,
-                                     superstep, changed[src_pos])
+                                     superstep, changed)
             if picked is None:
                 return
             edges, routed, schedule, refold = picked
@@ -589,8 +653,9 @@ class GNNInferenceProgram(BlockVertexProgram):
         """The dense ``[num_outputs, C]`` scores the partitions' results hold."""
         scores = np.zeros((self.num_outputs, self.model.output_dim))
         for partition, output in zip(partitions, outputs):
-            keep = partition.node_ids < self.num_outputs
-            scores[partition.node_ids[keep]] = output[keep]
+            # a partition's ids ascend, so the graph's own come first
+            own = int(np.searchsorted(partition.node_ids, self.num_outputs))
+            scores[partition.node_ids[:own]] = output[:own]
         return scores
 
 

@@ -71,9 +71,20 @@ class StrategyPlan:
     out_degree_hubs: np.ndarray                  # global node ids with out-degree >= threshold
     layer_strategies: List[LayerStrategy] = field(default_factory=list)
     shadow_nodes: bool = False
+    _hub_table: Optional[Tuple[np.ndarray, np.ndarray]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def layer(self, index: int) -> LayerStrategy:
         return self.layer_strategies[index]
+
+    @property
+    def is_hub(self) -> np.ndarray:
+        """``out_degree_hubs`` as a membership table (:func:`hub_membership`),
+        built on first use and again whenever the hub array is replaced."""
+        hubs, table = self.out_degree_hubs, self._hub_table
+        if table is None or table[0] is not hubs:
+            table = self._hub_table = (hubs, hub_membership(hubs))
+        return table[1]
 
 
 def build_strategy_plan(model: GNNModel, graph: Graph, num_workers: int,
@@ -145,16 +156,22 @@ class BroadcastMessageBlock(MessageBlock):
         )
 
 
+def hub_membership(hubs: np.ndarray) -> np.ndarray:
+    """A bool per node id up to one past the largest of ``hubs``, set on
+    them: any id reads its membership with ``take(..., mode="clip")``, since
+    an id past the table clips to its last entry, which is no hub."""
+    hubs = np.asarray(hubs, dtype=np.int64)
+    is_hub = np.zeros(int(hubs.max()) + 2 if hubs.size else 0, dtype=bool)
+    is_hub[hubs] = True
+    return is_hub
+
+
 def split_hub_edges(src_ids: np.ndarray,
-                    hubs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+                    is_hub: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Partition edge positions into (hub-source rows, regular rows).
 
-    ``hubs`` is the plan's sorted ``out_degree_hubs`` array; membership is
-    one vectorised ``np.isin`` pass.
+    ``is_hub`` is the plan's non-empty hub membership table
+    (:attr:`StrategyPlan.is_hub`); membership is one gather.
     """
-    hubs = np.asarray(hubs, dtype=np.int64)
-    src_ids = np.asarray(src_ids, dtype=np.int64)
-    if hubs.size == 0:
-        return np.empty(0, dtype=np.int64), np.arange(src_ids.shape[0])
-    is_hub = np.isin(src_ids, hubs)
-    return np.nonzero(is_hub)[0], np.nonzero(~is_hub)[0]
+    hub = is_hub.take(np.asarray(src_ids, dtype=np.int64), mode="clip")
+    return np.nonzero(hub)[0], np.nonzero(~hub)[0]

@@ -112,31 +112,35 @@ class PregelPartition:
         One gather through the layout's dense ``local_of`` table.  Asking for
         a vertex this partition does not own is a routing bug; it raises a
         :class:`ValueError` naming the partition and the offending global id.
+        The check is one owner gather (an out-of-range id clips to an end of
+        the table) and one pass that also rejects every id out of range: a
+        negative id, read unsigned, lies above them all.
         """
         vertex_ids = np.asarray(vertex_ids, dtype=np.int64)
-        in_range = (vertex_ids >= 0) & (vertex_ids < self._owner_of.size)
-        owned = np.zeros(vertex_ids.shape, dtype=bool)
-        owned[in_range] = self._owner_of[vertex_ids[in_range]] == self.partition_id
-        if not owned.all():
-            offender = int(vertex_ids[~owned][0])
+        foreign = ((self._owner_of.take(vertex_ids, mode="clip") != self.partition_id)
+                   | (vertex_ids.view(np.uint64) >= self._owner_of.size))
+        if foreign.any():
+            offender = int(vertex_ids[foreign][0])
             raise ValueError(
                 f"partition {self.partition_id} does not own vertex {offender}")
         return self._local_of[vertex_ids]
 
-    def replace_out_edges(self, out_src: np.ndarray, out_dst: np.ndarray,
-                          out_edge_features: Optional[np.ndarray],
-                          kept: np.ndarray) -> None:
-        """Swap in the out-edges an in-place edge delta left this partition.
+    def replace_out_edges(self, kept: np.ndarray, added_src: np.ndarray,
+                          added_dst: np.ndarray,
+                          added_features: Optional[np.ndarray]) -> None:
+        """Apply an in-place edge delta to this partition's out-edges.
 
         The new arrays are the old out-edges ``kept`` marks, in order,
-        followed by the appended ones.  ``kept`` composes into
+        followed by the added ones.  ``kept`` composes into
         :attr:`pending_kept`, over the out-edges the resident state last ran
         on (their survivors keep their order, every later edge counts as
         appended), which the next run's ``open`` applies to that state.
         """
-        self.out_src = np.asarray(out_src, dtype=np.int64)
-        self.out_dst = np.asarray(out_dst, dtype=np.int64)
-        self.out_edge_features = out_edge_features
+        self.out_src = np.concatenate([self.out_src[kept], added_src])
+        self.out_dst = np.concatenate([self.out_dst[kept], added_dst])
+        if self.out_edge_features is not None:
+            self.out_edge_features = np.concatenate([self.out_edge_features[kept],
+                                                     added_features])
         pending = self.pending_kept
         if pending is None:
             self.pending_kept = np.array(kept, dtype=bool)
@@ -230,11 +234,15 @@ class PregelPartitionHarness(WorkerHarness):
 def _host(partition: PregelPartition, kept: Optional[np.ndarray],
           payload: Dict[str, Any]) -> PregelPartitionHarness:
     """Both factories' tail: patch the resident state by the pending ``kept``
-    mask — drop ``out_src_local``, patch each send schedule — and host the
-    harness."""
+    mask — ``out_src_local`` (the survivors' rows, then the appended edges')
+    and each send schedule — and host the harness."""
     if kept is not None:
-        partition.block_state.pop("out_src_local", None)
-        for schedule in partition.block_state.get("send_schedule", {}).values():
+        state = partition.block_state
+        if "out_src_local" in state:
+            appended = partition.out_src[int(np.count_nonzero(kept)):]
+            state["out_src_local"] = np.concatenate([state["out_src_local"][kept],
+                                                     partition.local_indices(appended)])
+        for schedule in state.get("send_schedule", {}).values():
             schedule.patch(partition, kept)
     return payload["harness"](partition, payload["program"])
 

@@ -51,12 +51,12 @@ def hub_graph(edge_dim: int) -> Graph:
                  edge_features=edge_features, num_nodes=NUM_NODES)
 
 
-def one_partition_layer(layer, strategy, hubs, shadow, state):
+def one_partition_layer(layer, strategy, plan, shadow, state):
     """Run one layer through the stages over the whole working graph."""
     working = shadow.graph
     messages, edge_units = gas.edge_messages(layer, state, working.src,
                                              working.edge_features)
-    routed = gas.scatter(strategy, hubs, shadow, working.src, working.dst)
+    routed = gas.scatter(strategy, plan, shadow, working.src, working.dst)
     payload = np.concatenate([messages[routed.plain_rows],
                               messages[routed.hub_rows][routed.hub_refs]])
     dst_index = np.concatenate([routed.plain_dst, routed.hub_dst])
@@ -101,7 +101,7 @@ def test_stages_reproduce_the_reference_layer_and_its_row_subsets(arch, edge_dim
     # ---- one full layer over the single partition == the reference forward.
     state = encoded[shadow.origin_of]          # mirrors carry their origin's state
     new_state, messages, routed, payload, dst_index, edge_units, node_units = (
-        one_partition_layer(layer, strategy, plan.out_degree_hubs, shadow, state))
+        one_partition_layer(layer, strategy, plan, shadow, state))
     with no_grad():
         edge_state = None if edge_dim == 0 else Tensor(graph.edge_features)
         expected = layer.forward(Tensor(encoded), graph.src, graph.dst,
@@ -164,7 +164,7 @@ def test_gather_apply_rejects_a_message_outside_its_rows(arch):
     graph, model, plan, shadow = hub_model_and_plan(arch, 0)
     state = gas.encode(model, graph.node_features)[0][shadow.origin_of]
     *_, payload, dst_index, _, _ = one_partition_layer(
-        model.layers[0], plan.layer(0), plan.out_degree_hubs, shadow, state)
+        model.layers[0], plan.layer(0), plan, shadow, state)
     frontier = np.array([9, 2])
     stray = np.isin(dst_index, frontier) | (dst_index == 5)
     assert (dst_index[stray] == 5).any()
@@ -208,7 +208,7 @@ def test_scatter_blocks_equals_edge_messages_then_slice(arch, edge_dim, subset):
                                        edge_features)
 
     messages, expected_units = gas.edge_messages(layer, state, src, edge_features)
-    routed = gas.scatter(plan.layer(0), plan.out_degree_hubs, shadow, src, dst)
+    routed = gas.scatter(plan.layer(0), plan, shadow, src, dst)
     assert units == expected_units and type(units) is type(expected_units)
     plain = blocks[0]
     assert type(plain) is gas.MessageBlock

@@ -335,40 +335,38 @@ class TestResidentSendSchedule:
                                         size=removed, replace=False))
 
     @staticmethod
-    def per_destination(resident, partition):
-        """Each path's entries grouped by destination, in send order: the
-        destinations, the edge rows and the hub node each entry carries."""
-        routed = resident.routed
-        hubs = partition.out_src[routed.hub_rows[routed.hub_refs]]
-        assert (hubs == partition.out_src[routed.ref_rows]).all()   # a hub's own edges
+    def live_entries(resident, partition):
+        """Per path, every destination's live entries, destination by
+        destination and each in send order: the destinations, the edge rows,
+        the ``own`` flags and the hub node each entry carries (broadcast
+        path)."""
+        ids = np.arange(partition.layout.num_nodes)
         paths = []
-        for dst, rows, hub in ((routed.plain_dst, routed.plain_rows, routed.plain_dst[:0]),
-                               (routed.hub_dst, routed.ref_rows, hubs)):
-            order = np.argsort(dst, kind="stable")
-            paths.extend([dst[order], rows[order], hub[order] if hub.size else hub])
+        for index in resident.by_destination(partition):
+            rows, own, hub, ends = index.take(ids)
+            hubs = resident.plan.out_degree_hubs[hub]
+            if hubs.size:                       # a reference names its edge's own source
+                np.testing.assert_array_equal(hubs, partition.out_src[rows])
+            paths.append((np.repeat(ids, np.diff(ends)), rows, own, hubs))
         return paths
 
     @classmethod
     def assert_matches_a_fresh_build(cls, session):
-        """Every partition's schedule equals, per destination, one built from
-        its current out-edges — and so does its per-destination index."""
+        """Every partition's per-destination index holds, per destination,
+        the live entries a schedule built from its current out-edges holds,
+        in the same order: edge rows, ``own`` flags and hub node ids; and its
+        full routing (rebuilt on demand) is a fresh build's."""
         from repro.inference.pregel_adaptor import SendSchedule
 
         for partition in session.plan.state["engine"].partitions:
             for resident in partition.block_state.get("send_schedule", {}).values():
-                fresh = SendSchedule(resident.strategy, resident.hubs, resident.replicas,
-                                     partition)
-                for patched, built in zip(cls.per_destination(resident, partition),
-                                          cls.per_destination(fresh, partition)):
-                    np.testing.assert_array_equal(patched, built)
-                for index, built in zip(resident.by_destination(partition),
-                                        fresh.by_destination(partition)):
-                    np.testing.assert_array_equal(index.indptr, built.indptr)
-                    np.testing.assert_array_equal(index.edge, built.edge)
-                    np.testing.assert_array_equal(index.own, built.own)
-                    np.testing.assert_array_equal(     # the same hub, by node id
-                        partition.out_src[resident.routed.hub_rows[index.ref]],
-                        partition.out_src[fresh.routed.hub_rows[built.ref]])
+                fresh = SendSchedule(resident.strategy, resident.plan, resident.replicas)
+                for patched, built in zip(cls.live_entries(resident, partition),
+                                          cls.live_entries(fresh, partition)):
+                    for mine, theirs in zip(patched, built):
+                        np.testing.assert_array_equal(mine, theirs)
+                for mine, theirs in zip(resident.routed(partition), fresh.routed(partition)):
+                    np.testing.assert_array_equal(mine, theirs)
 
     @staticmethod
     def assert_memo_matches_a_fresh_fold(session):
@@ -391,7 +389,7 @@ class TestResidentSendSchedule:
                     order = np.argsort(owners, kind="stable")
                     bounds = np.searchsorted(owners[order],
                                              np.arange(engine.layout.num_partitions + 1))
-                    no_change = np.zeros(partition.num_out_edges, dtype=bool)
+                    no_change = np.zeros(partition.num_nodes, dtype=bool)
                     edges, routed, _, _ = resident.select(
                         partition, Destinations(kept[order], bounds), None, superstep,
                         no_change)
@@ -554,12 +552,15 @@ class TestResidentSendSchedule:
                 < full.metrics.total("compute_units"))          # it did run incrementally
         np.testing.assert_array_equal(tick.scores, expected)
 
-    def test_feature_delta_keeps_the_schedule_and_an_edge_delta_patches_it(self, monkeypatch):
+    @pytest.mark.parametrize("indexed", [False, True])
+    def test_feature_delta_keeps_the_schedule_and_an_edge_delta_patches_it(self, monkeypatch,
+                                                                           indexed):
         """(b) An in-place edge delta patches each partition's schedule
         objects when the next run opens: only the appended edges are routed
-        (``gas.scatter``), and per destination the result equals a schedule
-        built from the new out-edges; incremental and full runs equal a fresh
-        session."""
+        (``gas.scatter``) — whether or not an incremental send has indexed
+        the schedule yet — and per destination the result equals a schedule
+        built from the new out-edges; incremental and full runs equal a
+        fresh session."""
         from repro.inference import gas
         from repro.inference.delta import apply_delta_to_graph
 
@@ -580,6 +581,11 @@ class TestResidentSendSchedule:
             full_schedules = [{key: resident.schedule for key, resident in schedules.items()}
                               for schedules in residents]
             assert all(full_schedules[0].values())
+            deltas = [feature_delta]
+            if indexed:
+                deltas.append(self.feature_delta(rng, graph))
+                assert session.apply_delta(deltas[-1]).in_place
+                session.infer(mode="incremental")       # indexes the schedules
 
             scattered = []
             real_scatter = gas.scatter
@@ -601,8 +607,8 @@ class TestResidentSendSchedule:
             assert len(scattered) == 4 and sum(scattered) == edge_delta.added_src.size
             self.assert_matches_a_fresh_build(session)
 
-            apply_delta_to_graph(reference, feature_delta)
-            apply_delta_to_graph(reference, edge_delta)
+            for each in deltas + [edge_delta]:
+                apply_delta_to_graph(reference, each)
             fresh.prepare(reference)
             expected = fresh.infer().scores
             np.testing.assert_array_equal(incremental, expected)

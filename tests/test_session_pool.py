@@ -1244,4 +1244,4 @@ def test_tenant_resident_bytes():
         pool.clear()
     resident = sum(array.nbytes for array in arrays)
     print(f"one pooled tenant holds {resident} B in {len(arrays)} arrays")
-    assert (resident, len(arrays)) == (440_840, 123)
+    assert (resident, len(arrays)) == (467_341, 139)

@@ -13,7 +13,9 @@ from repro.inference.config import StrategyConfig
 from repro.inference.shadow import apply_shadow_nodes
 from repro.inference.strategies import (
     BroadcastMessageBlock,
+    StrategyPlan,
     build_strategy_plan,
+    hub_membership,
     hub_threshold,
     select_hubs,
     split_hub_edges,
@@ -86,23 +88,32 @@ class TestStrategyPlan:
 
     def test_split_hub_edges(self):
         src = np.array([0, 1, 0, 2, 0])
-        hub_rows, plain_rows = split_hub_edges(src, np.array([0]))
+        hub_rows, plain_rows = split_hub_edges(src, hub_membership(np.array([0])))
         np.testing.assert_array_equal(hub_rows, [0, 2, 4])
         np.testing.assert_array_equal(plain_rows, [1, 3])
 
     def test_split_hub_edges_empty_hub_set(self):
-        src = np.array([0, 1, 2])
-        hub_rows, plain_rows = split_hub_edges(src, np.empty(0, dtype=np.int64))
-        assert hub_rows.size == 0
-        assert plain_rows.size == 3
+        # no hubs, no table; an id past the largest hub reads "no hub"
+        assert hub_membership(np.empty(0, dtype=np.int64)).size == 0
+        hub_rows, plain_rows = split_hub_edges(np.array([7, 1, 2, 10_000]),
+                                               hub_membership(np.array([1, 2])))
+        np.testing.assert_array_equal(hub_rows, [1, 2])
+        np.testing.assert_array_equal(plain_rows, [0, 3])
+
+    def test_the_plan_table_follows_its_hub_array(self):
+        plan = StrategyPlan(threshold=3, out_degree_hubs=np.array([2, 5]))
+        np.testing.assert_array_equal(np.flatnonzero(plan.is_hub), [2, 5])
+        assert plan.is_hub is plan.is_hub                   # built once
+        plan.out_degree_hubs = np.array([1])
+        np.testing.assert_array_equal(np.flatnonzero(plan.is_hub), [1])
 
     def test_split_hub_edges_array_matches_set_semantics(self):
-        # The hot path passes the plan's sorted hub array; the vectorised
-        # split must be byte-identical to the old per-element set membership.
+        # The hot path gathers the plan's membership table; the split must
+        # be byte-identical to per-element set membership of the hub ids.
         rng = np.random.default_rng(3)
         src = rng.integers(0, 50, size=500)
         hubs = np.unique(rng.integers(0, 50, size=7)).astype(np.int64)
-        hub_rows, plain_rows = split_hub_edges(src, hubs)
+        hub_rows, plain_rows = split_hub_edges(src, hub_membership(hubs))
         hub_set = set(int(h) for h in hubs)
         expected = np.fromiter((int(s) in hub_set for s in src), dtype=bool,
                                count=src.size)
