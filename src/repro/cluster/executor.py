@@ -4,9 +4,10 @@ Both drivers of the partition engine — the Pregel superstep loop, the
 MapReduce round driver — hand their per-slot work to a pluggable worker
 substrate:
 
-* :class:`SerialExecutor` — the historical behaviour, bit for bit: per-slot
-  work runs in the calling process, in slot order, against the engine's live
-  objects.  Zero copies, zero pickling.
+* :class:`SerialExecutor` — per-slot work runs in the calling process,
+  against the engine's live objects: a full wave's slots on the calling
+  thread and the process-wide helper threads side by side, any other wave's
+  in slot order.  Zero copies, zero pickling.
 * :class:`ProcessExecutor` — one **OS process per slot**, started once and
   reused across runs.  Large read-only (or in-place-patched) numpy buffers —
   graph partitions, feature matrices, :class:`~repro.cluster.layout.ClusterLayout`
@@ -30,13 +31,13 @@ one bulk-synchronous wave of exactly ``num_slots`` commands, which keeps the
 pipe protocol trivially deadlock-free.
 
 Determinism contract: an engine that routes its per-slot work through the
-executor interface produces **the same results under both executors** — the
-serial executor calls the very same harness code in the same order, and the
-process executor runs the same numpy ops on the same arrays (BLAS kernels are
-deterministic for identical shapes and inputs on one machine).  Message
-buckets are delivered in sending-slot order, matching the serial loop's
-mailbox extension order, so order-sensitive reductions see identical operand
-sequences.  The conformance suite (``tests/test_backend_conformance.py``)
+executor interface produces **the same results under both executors** —
+each slot's step reads only its own partition and what was mailed to it, so
+where and when it runs does not change its bits (both executors run the same
+numpy ops on the same arrays, and BLAS kernels are deterministic for
+identical shapes and inputs on one machine).  Results come back, and message
+buckets are delivered, in sending-slot order whichever slot finished first,
+so order-sensitive reductions see identical operand sequences.  The conformance suite (``tests/test_backend_conformance.py``)
 asserts this for every backend.
 """
 
@@ -47,6 +48,7 @@ import pickle
 import threading
 import traceback
 import weakref
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from multiprocessing import get_context, shared_memory
 from multiprocessing.connection import Connection
@@ -284,7 +286,13 @@ class Executor:
     def open(self, factory: Callable[..., Any], payloads: Sequence[Any]) -> None:
         raise NotImplementedError
 
-    def step(self, controls: Sequence[Any]) -> List[Any]:
+    def step(self, controls: Sequence[Any], full: bool = False) -> List[Any]:
+        """One wave: a control per slot in, a result per slot out (slot order).
+
+        ``full`` says every slot computes its whole partition this wave, so
+        an executor may run the slots side by side; a wave that is not full
+        touches a few rows per slot.
+        """
         raise NotImplementedError
 
     def close(self) -> List[Any]:
@@ -337,12 +345,93 @@ class Executor:
         return False
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API (macOS, Windows)
+        return os.cpu_count() or 1
+
+
+#: The process-wide helper threads full waves share: every in-process
+#: executor hands its spare slots to the same pool, so a process holds at
+#: most ``usable_cpus() - 1`` helpers (and their malloc arenas) however many
+#: sessions it serves.  Built on first use, grown only if a wider wave asks.
+_HELPERS: Optional[ThreadPoolExecutor] = None
+_HELPER_COUNT = 0
+_HELPERS_LOCK = threading.Lock()
+
+
+def _hire_helpers(work: Callable[[], None], count: int) -> List["Future[None]"]:
+    """Queue ``count`` calls of ``work`` on the helper pool (grown to ``count``)."""
+    global _HELPERS, _HELPER_COUNT
+    with _HELPERS_LOCK:
+        if _HELPERS is None or _HELPER_COUNT < count:
+            retired, _HELPER_COUNT = _HELPERS, count
+            _HELPERS = ThreadPoolExecutor(count, thread_name_prefix="repro-slot")
+            if retired is not None:
+                retired.shutdown(wait=False)   # its queued calls still run
+        return [_HELPERS.submit(work) for _ in range(count)]
+
+
+class _Wave:
+    """One wave's slots, each taken once, in slot order, by whoever is free.
+
+    :meth:`run` is the caller's share: it works alongside ``width - 1``
+    helpers until no slot is left, cancels the helpers that have not
+    started, waits for the rest (each ends once it finds no slot left) and
+    returns each slot's ``(result, outgoing)`` in slot order.  After a
+    failure no further slot starts and the lowest failing slot's exception
+    is raised; slots are taken in order, so every slot below a failing one
+    has started.
+    """
+
+    def __init__(self, step: Callable[[int], Any], num_slots: int) -> None:
+        self._step = step
+        self._num_slots = num_slots
+        self._outcomes: List[Any] = [None] * num_slots
+        self._failures: Dict[int, BaseException] = {}
+        self._next = 0
+        self._lock = threading.Lock()
+
+    def _take(self) -> Optional[int]:
+        with self._lock:
+            if self._next == self._num_slots or self._failures:
+                return None
+            self._next += 1
+            return self._next - 1
+
+    def _work(self) -> None:
+        while (slot := self._take()) is not None:
+            try:
+                self._outcomes[slot] = self._step(slot)
+            except BaseException as exc:  # noqa: BLE001 - re-raised by run()
+                with self._lock:
+                    self._failures[slot] = exc
+
+    def run(self, width: int) -> List[Any]:
+        helpers = _hire_helpers(self._work, width - 1) if width > 1 else []
+        self._work()
+        for helper in helpers:
+            helper.cancel()
+        wait(helpers)
+        if self._failures:
+            raise self._failures[min(self._failures)]
+        return self._outcomes
+
+
 class SerialExecutor(Executor):
-    """The historical in-process loop: slot ``i`` runs ``i``-th, same process.
+    """The in-process executor: slots run in this process, on live objects.
 
     Harnesses operate on the engine's live objects (payloads are passed by
-    reference), so behaviour — including every mutation of partition state —
-    is bit-identical to the pre-executor code path.
+    reference), so every mutation of partition state happens where the
+    engine can see it.  A ``full`` wave — one where every slot computes its
+    whole partition — runs its slots concurrently: the calling thread and
+    the process-wide helper threads each take the next unstarted slot, up
+    to :func:`usable_cpus` at once (no thread at one CPU); its numpy
+    kernels release the GIL.  Any other wave runs slot ``i`` ``i``-th on
+    the calling thread.  Either way results and mail are merged in slot
+    order, so every message order, counter and bit is the same.
     """
 
     name = "serial"
@@ -360,14 +449,18 @@ class SerialExecutor(Executor):
                            for slot, payload in enumerate(payloads)]
         self._mailboxes = [[] for _ in range(self.num_slots)]
 
-    def step(self, controls: Sequence[Any]) -> List[Any]:
-        if self._harnesses is None:
+    def step(self, controls: Sequence[Any], full: bool = False) -> List[Any]:
+        harnesses = self._harnesses
+        if harnesses is None:
             raise RuntimeError("no open harness session")
         self._check_per_slot("controls", controls)
+        mailboxes = self._mailboxes
+        wave = _Wave(lambda slot: harnesses[slot].step(controls[slot], mailboxes[slot]),
+                     self.num_slots)
+        stepped = wave.run(min(usable_cpus(), self.num_slots) if full else 1)
         results: List[Any] = []
         next_mailboxes: List[List[Any]] = [[] for _ in range(self.num_slots)]
-        for slot, harness in enumerate(self._harnesses):
-            result, outgoing = harness.step(controls[slot], self._mailboxes[slot])
+        for result, outgoing in stepped:
             results.append(result)
             for target, messages in outgoing:
                 next_mailboxes[target].extend(messages)
@@ -582,7 +675,7 @@ class ProcessExecutor(Executor):
             self._close_quietly()
             raise
 
-    def step(self, controls: Sequence[Any]) -> List[Any]:
+    def step(self, controls: Sequence[Any], full: bool = False) -> List[Any]:
         if not self._session_open:
             raise RuntimeError("no open harness session")
         self._check_per_slot("controls", controls)

@@ -93,7 +93,7 @@ class ClusterLayout:
         ``[0, num_partitions)``.
     """
 
-    __slots__ = ("num_partitions", "owner_of", "local_of", "_order", "_starts", "_counts")
+    __slots__ = ("num_partitions", "owner_of", "local_of", "_grouping")
 
     def __init__(self, owner_of: np.ndarray, local_of: np.ndarray,
                  num_partitions: int) -> None:
@@ -107,19 +107,21 @@ class ClusterLayout:
         if self.owner_of.size and (int(self.owner_of.min()) < 0
                                    or int(self.owner_of.max()) >= self.num_partitions):
             raise ValueError("owner_of entries must lie in [0, num_partitions)")
-        # Grouped view: ``_order`` lists global ids grouped by owner (each
-        # group ascending); ``_starts``/``_counts`` slice it per partition.
-        # Built lazily — :meth:`from_assignments` already has the grouping as
-        # a by-product of computing ``local_of`` and injects it instead of
-        # paying a second argsort.
-        self._order: Optional[np.ndarray] = None
-        self._counts: Optional[np.ndarray] = None
-        self._starts: Optional[np.ndarray] = None
+        # Grouped view ``(order, counts, starts)``: ``order`` lists global
+        # ids grouped by owner (each group ascending); ``starts``/``counts``
+        # slice it per partition.  Built lazily — :meth:`from_assignments`
+        # already has the grouping as a by-product of computing ``local_of``
+        # and injects it instead of paying a second argsort.
+        self._grouping: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
-    def _ensure_grouping(self) -> None:
-        if self._order is None:
-            self._order, self._counts, self._starts = stable_group_by(
-                self.owner_of, self.num_partitions)
+    def _grouped(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The grouped view, built on first use and published in one
+        assignment: partitions stepped side by side share this layout, and a
+        reader must never see one of the three arrays without the others."""
+        grouping = self._grouping
+        if grouping is None:
+            grouping = self._grouping = stable_group_by(self.owner_of, self.num_partitions)
+        return grouping
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -136,7 +138,7 @@ class ClusterLayout:
         local_of[order] = np.arange(num_nodes, dtype=np.int64) - np.repeat(starts, counts)
         layout = cls(owner_of=assignments, local_of=local_of,
                      num_partitions=int(num_partitions))
-        layout._order, layout._counts, layout._starts = order, counts, starts
+        layout._grouping = order, counts, starts
         return layout
 
     @classmethod
@@ -202,14 +204,13 @@ class ClusterLayout:
         if not 0 <= pid < self.num_partitions:
             raise ValueError(f"partition id {pid} out of range "
                              f"[0, {self.num_partitions})")
-        self._ensure_grouping()
-        start = int(self._starts[pid])
-        return self._order[start:start + int(self._counts[pid])]
+        order, counts, starts = self._grouped()
+        start = int(starts[pid])
+        return order[start:start + int(counts[pid])]
 
     def partition_sizes(self) -> np.ndarray:
         """Number of owned nodes per partition (``int64 [num_partitions]``)."""
-        self._ensure_grouping()
-        return self._counts.copy()
+        return self._grouped()[1].copy()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ClusterLayout(num_nodes={self.num_nodes}, "

@@ -95,8 +95,9 @@ class InferenceConfig:
         mappers/reducers per round).
     executor:
         Worker substrate the sharded backends run their per-partition compute
-        on — ``"serial"`` (the default: instances run sequentially in-process,
-        parallelism is simulated) or ``"process"`` (one OS process per
+        on — ``"serial"`` (the default: instances run in-process, a full
+        run's side by side on threads up to the usable CPUs, an incremental
+        tick's in slot order) or ``"process"`` (one OS process per
         instance; graph partitions, feature buffers and the cluster layout
         ship once via shared memory, per-superstep message blocks travel as
         pickled numpy bundles).  Scores are identical under both — serial vs

@@ -237,5 +237,5 @@ def run_rounds(engine: PregelEngine, program: GNNInferenceProgram,
     outputs = engine.drive(program, RoundHarness,
                            ([(round_index, stage)] * slots
                             for round_index in range(program.num_layers)
-                            for stage in ("map", "reduce")))
+                            for stage in ("map", "reduce")), full=True)
     return {"scores": program.scores(engine.partitions, outputs)}

@@ -183,6 +183,11 @@ class ShadowNodePlan:
 
         Read off the replica CSR: every original node's row lists the node
         and then its mirrors, and a mirror's own row is just itself.
+
+        ``cached_property`` takes no lock (Python 3.12 dropped it), so two
+        threads reading it first may both compute it.  That is harmless
+        only because the table is a pure function of the replica map: keep
+        it one.
         """
         origin = np.arange(self.graph.num_nodes, dtype=np.int64)
         indptr, ids = self.replicas.indptr, self.replicas.ids

@@ -80,7 +80,13 @@ class StrategyPlan:
     @property
     def is_hub(self) -> np.ndarray:
         """``out_degree_hubs`` as a membership table (:func:`hub_membership`),
-        built on first use and again whenever the hub array is replaced."""
+        built on first use and again whenever the hub array is replaced.
+
+        Partitions stepped side by side share the plan, so the table is
+        published with the hub array it was built from as one tuple, in one
+        assignment: a reader sees the old pair or the new one, never a table
+        for other hubs.  Two first readers may both build it; the tables are
+        equal, and either may win."""
         hubs, table = self.out_degree_hubs, self._hub_table
         if table is None or table[0] is not hubs:
             table = self._hub_table = (hubs, hub_membership(hubs))

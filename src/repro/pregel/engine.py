@@ -10,10 +10,12 @@ wall-clock / cpu*min numbers afterwards.
 A "worker" is a partition processed through the engine's
 :class:`~repro.cluster.executor.Executor`:
 
-* the default :class:`~repro.cluster.executor.SerialExecutor` runs each
-  partition sequentially in-process — the historical behaviour, which
-  preserves the system's data-flow shape (message volumes, per-worker skew,
-  superstep structure) while staying laptop-sized;
+* the default :class:`~repro.cluster.executor.SerialExecutor` runs the
+  partitions in-process, on the engine's live objects: a full superstep's
+  side by side on the box's CPUs (threads; the numpy kernels release the
+  GIL), an incremental one's in slot order.  The data-flow shape (message
+  volumes, per-worker skew, superstep structure) is the simulated cluster's
+  either way, and so is every bit;
 * the :class:`~repro.cluster.executor.ProcessExecutor` runs one OS process
   per partition: partition arrays and the
   :class:`~repro.cluster.layout.ClusterLayout` tables ship once through
@@ -435,14 +437,17 @@ class PregelEngine:
 
     # ------------------------------------------------------------------ #
     def drive(self, program: BlockVertexProgram, harness: Type[PregelPartitionHarness],
-              waves: Iterable[Sequence[Any]]) -> List[Any]:
+              waves: Iterable[Sequence[Any]], *, full: bool) -> List[Any]:
         """One executor session of ``program``: the session runner of both
         drivers, the superstep loop (:meth:`run`) and the MapReduce rounds.
 
         Every slot hosts a ``harness`` over its partition (the class ships in
         the payload); each wave is one control per partition, stepped as one
         barrier, and every record a step reports is filed with
-        :attr:`metrics`.  Returns each partition's result, as the harnesses'
+        :attr:`metrics`, in slot order.  ``full`` tells the executor that
+        every wave computes whole partitions, so it may step the slots side
+        by side; an incremental run's waves touch a few rows each and stay
+        in slot order.  Returns each partition's result, as the harnesses'
         ``finish()`` hands it back at close.
         """
         self.cache_warm = False
@@ -457,7 +462,7 @@ class PregelEngine:
 
         with executor.session(factory, payloads) as results:
             for controls in waves:
-                for instance in executor.step(controls):
+                for instance in executor.step(controls, full):
                     self.metrics.add(instance)
         self.cache_warm = program.cache_states
         return results
@@ -475,7 +480,8 @@ class PregelEngine:
         :class:`~repro.inference.delta.GraphDelta` can reach.
 
         All per-partition work runs through :meth:`drive`; the waves here
-        only own the bulk-synchronous structure: one superstep each.
+        only own the bulk-synchronous structure: one superstep each, full
+        when there is no ``frontier``.
         """
         max_supersteps = program.max_supersteps()
         empty = np.empty(0, dtype=np.int64)
@@ -483,6 +489,6 @@ class PregelEngine:
             [(superstep, None if frontier is None or superstep >= len(frontier)
               else frontier[superstep].get(partition.partition_id, empty))
              for partition in self.partitions]
-            for superstep in range(max_supersteps)))
+            for superstep in range(max_supersteps)), full=frontier is None)
         return PregelResult(num_supersteps=max_supersteps, partitions=self.partitions,
                             results=results, metrics=self.metrics, engine=self)

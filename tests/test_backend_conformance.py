@@ -26,6 +26,12 @@ assumes, under **every** executor substrate
    benchmark's ``sim_*`` metrics must not move".
 7. **Degenerate shapes** — no edges, more workers than nodes, every node a
    hub, a zero-row delta: the GAS backends still match ``model.forward``.
+8. **Concurrent slots** — the in-process executor steps a full wave's slots
+   side by side: the scores and every deterministic counter equal the
+   one-slot-at-a-time run's, incremental ticks on the cache those slots
+   wrote included; a wave with failing slots raises the lowest one's error
+   once every started slot is done; two sessions sharing the helper
+   threads neither deadlock nor change a bit.
 
 The parametrisation is over ``available_backends()``, so a backend added to
 the table inherits this suite.
@@ -33,10 +39,15 @@ the table inherits this suite.
 
 from __future__ import annotations
 
+import dataclasses
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.baselines.khop_pipeline import TraditionalConfig, TraditionalPipeline
+from repro.cluster import executor as executor_module
 from repro.cluster.executor import available_executors
 from repro.gnn.model import build_model
 from repro.graph.generators import powerlaw_graph
@@ -413,3 +424,154 @@ def test_backends_spend_the_same_compute_units(strategies):
     backends fold the same message subsets and charge the same compute."""
     assert (GOLDEN_COUNTERS["mapreduce", strategies][0]
             == GOLDEN_COUNTERS["pregel", strategies][0])
+
+
+# --------------------------------------------------------------------------- #
+# the in-process executor's concurrent full waves
+# --------------------------------------------------------------------------- #
+def slot_width(monkeypatch, width):
+    """Step full waves ``width`` slots at a time (``None``: the box's CPUs)."""
+    if width is not None:
+        monkeypatch.setattr(executor_module, "usable_cpus", lambda: width)
+
+
+def deterministic_record(result):
+    """Everything a run reports but host time: the scores' bytes, every
+    (phase, instance) record without ``measured_seconds``, and the cost."""
+    records = sorted(dataclasses.astuple(dataclasses.replace(metric, measured_seconds=0.0))
+                     for metric in result.metrics.instances())
+    cost = result.cost
+    return (result.scores.tobytes(), records, cost.wall_clock_seconds,
+            cost.cpu_minutes, cost.total_bytes)
+
+
+def tick_deltas(rng, graph, threshold):
+    """One tick: fresh feature rows, and edges added and removed at sources
+    far below the hub ``threshold``, so the delta lands in place."""
+    low = np.flatnonzero(graph.out_degrees() < threshold // 3)
+    removable = np.flatnonzero(np.isin(graph.src, low))
+    return [GraphDelta(node_ids=rng.choice(graph.num_nodes, 6, replace=False),
+                       node_features=rng.standard_normal((6, graph.feature_dim))),
+            GraphDelta(added_src=rng.choice(low, 4), added_dst=rng.choice(low, 4),
+                       removed_edge_ids=rng.choice(removable, 3, replace=False))]
+
+
+def serial_session(backend, strategies="PG+BC+SN"):
+    return InferenceSession(make_model(), InferenceConfig(
+        backend=backend, num_workers=NUM_WORKERS, executor="serial",
+        strategies=StrategyConfig(hub_threshold_override=15,
+                                  **STRATEGY_SETS[strategies])))
+
+
+def full_then_ticks(backend, strategies):
+    """A full run, then two ticks of deltas each served incrementally (on
+    pregel the first fills the state cache with a full run, the second
+    splices into it): each run's :func:`deterministic_record`."""
+    rng = np.random.default_rng(17)
+    graph = make_graph(seed=0)
+    session = serial_session(backend, strategies)
+    try:
+        runs = [deterministic_record(session.infer(graph))]
+        for _ in range(2):
+            for delta in tick_deltas(rng, graph, 15):
+                assert session.apply_delta(delta).in_place
+            runs.append(deterministic_record(session.infer(mode="incremental")))
+        assert session.num_replans == 0
+    finally:
+        session.close()
+    return runs
+
+
+@pytest.mark.parametrize("width", [None, 4], ids=["box-cpus", "four-slots"])
+@pytest.mark.parametrize("strategies", sorted(STRATEGY_SETS))
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_concurrent_slots_change_no_bit_and_no_counter(backend, strategies, width,
+                                                       monkeypatch):
+    slot_width(monkeypatch, 1)
+    one_at_a_time = full_then_ticks(backend, strategies)
+    monkeypatch.undo()
+    slot_width(monkeypatch, width)
+    assert full_then_ticks(backend, strategies) == one_at_a_time
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_full_wave_raises_its_lowest_failing_slot(backend, monkeypatch):
+    """Slots 1 and 3 of the first wave raise, slot 3 first: slot 1's error
+    surfaces, only after every started slot's step is done, and the
+    session's next infer equals a fresh session's."""
+    from repro.inference.mapreduce_adaptor import RoundHarness
+    from repro.pregel.engine import PregelPartitionHarness
+
+    harness = RoundHarness if backend == "mapreduce" else PregelPartitionHarness
+    real_step = harness.step
+    lock = threading.Lock()
+    running, raised = [0], []
+
+    def step(self, control, incoming):
+        slot = self.partition.partition_id
+        with lock:
+            running[0] += 1
+        try:
+            if control[0] == 0 and slot in (1, 3):
+                if slot == 1:
+                    time.sleep(0.05)
+                with lock:
+                    raised.append(slot)
+                raise RuntimeError(f"slot {slot} failed")
+            return real_step(self, control, incoming)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    graph = make_graph(seed=2)
+    session = serial_session(backend)
+    fresh = serial_session(backend)
+    try:
+        session.prepare(graph)
+        slot_width(monkeypatch, 4)
+        monkeypatch.setattr(harness, "step", step)
+        with pytest.raises(RuntimeError, match="slot 1 failed"):
+            session.infer()
+        assert running[0] == 0 and 1 in raised
+        monkeypatch.undo()
+        assert (deterministic_record(session.infer())
+                == deterministic_record(fresh.infer(make_graph(seed=2))))
+    finally:
+        session.close()
+        fresh.close()
+
+
+def test_two_sessions_share_the_helpers_without_deadlock(monkeypatch):
+    """Two threads run full infers at once, each wave wider than the box
+    when it has one CPU: nobody waits on a helper the other holds, and the
+    scores equal the one-slot-at-a-time ones."""
+    graphs = {backend: make_graph(seed=8 + index) for index, backend in enumerate(BACKENDS)}
+    slot_width(monkeypatch, 1)
+    expected = {}
+    for backend, graph in graphs.items():
+        session = serial_session(backend)
+        try:
+            expected[backend] = session.infer(graph).scores
+        finally:
+            session.close()
+    slot_width(monkeypatch, 3)
+    errors = []
+
+    def serve(backend):
+        session = serial_session(backend)
+        try:
+            session.prepare(graphs[backend])
+            for _ in range(6):
+                np.testing.assert_array_equal(session.infer().scores, expected[backend])
+        except BaseException as exc:  # noqa: BLE001 - reported by the main thread
+            errors.append(exc)
+        finally:
+            session.close()
+
+    threads = [threading.Thread(target=serve, args=(backend,)) for backend in BACKENDS]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads), "deadlocked"
+    assert errors == []

@@ -11,6 +11,8 @@ full run).
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -331,13 +333,15 @@ class TestIncrementalFeatureDelta:
         pool.infer(graph, mode="incremental")        # arms the state cache
 
         frontiers, computed = [], {"encode": 0, "predict": 0, 0: 0, 1: 0}
+        counting = threading.Lock()     # a full superstep steps partitions on threads
 
         def spy(name, stage, key):
             def wrapped(*args, **kwargs):
                 rows = kwargs.get("rows", args[-1])
                 out, units = stage(*args, **kwargs)
                 assert rows is not None and out.shape[0] == rows.size
-                computed[key(args)] += rows.size
+                with counting:
+                    computed[key(args)] += rows.size
                 return out, units
             monkeypatch.setattr(gas, name, wrapped)
 
@@ -346,7 +350,8 @@ class TestIncrementalFeatureDelta:
         predict = gas.predict
 
         def predict_computed_rows(net, state):
-            computed["predict"] += state.shape[0]
+            with counting:
+                computed["predict"] += state.shape[0]
             return predict(net, state)
         monkeypatch.setattr(gas, "predict", predict_computed_rows)
         expand = pregel_backend.expand_frontier
@@ -425,20 +430,23 @@ class TestIncrementalFeatureDelta:
                                 "route": (pregel_engine, "route", 7),   # 4 routes a superstep
                                 "last gather": (gas, "gather_apply", 3)}[fails_in]
         calls = []
+        counting = threading.Lock()     # a full superstep steps partitions on threads
         stage = getattr(owner, name)
 
+        def count_reaches_fail_at():
+            with counting:
+                calls.append(True)
+                return len(calls) == fail_at
+
         def failing(*args, **kwargs):
-            calls.append(True)
-            if len(calls) == fail_at:
+            if count_reaches_fail_at():
                 raise RuntimeError("stage failed")
             return stage(*args, **kwargs)
 
         def failing_after_the_last_gather(layer, *args, **kwargs):
             out = stage(layer, *args, **kwargs)
-            if layer is model.layers[-1]:
-                calls.append(True)
-                if len(calls) == fail_at:
-                    raise RuntimeError("stage failed")
+            if layer is model.layers[-1] and count_reaches_fail_at():
+                raise RuntimeError("stage failed")
             return out
 
         monkeypatch.setattr(pregel_backend, "expand_frontier", recorded_expand)

@@ -19,6 +19,7 @@ import signal
 import threading
 import time
 
+from repro.cluster import executor as executor_module
 from repro.cluster.cost_model import CostModel
 from repro.cluster.executor import (
     ProcessExecutor,
@@ -155,6 +156,19 @@ class TestStepResults:
         finally:
             executor.shutdown()
 
+    def test_a_full_wave_keeps_slot_order(self, name):
+        """Results and mail come back in slot order whichever slot finished
+        first: the same as a wave stepped one slot at a time."""
+        executor = build_executor(name, 4)
+        try:
+            executor.open(_build_echo_harness, [{"num_slots": 4}] * 4)
+            assert executor.step([10] * 4, full=True) == [(slot, []) for slot in range(4)]
+            second = executor.step([20] * 4, full=True)
+            assert [incoming for _, incoming in second] == [[13], [10], [11], [12]]
+            executor.close()
+        finally:
+            executor.shutdown()
+
     @pytest.mark.parametrize("count", [1, 3])
     def test_control_count_mismatch(self, name, count):
         executor = build_executor(name, 2)
@@ -255,6 +269,87 @@ class TestHarnessSession:
                 executor.open(_build_echo_harness, [{"num_slots": 2}])
         finally:
             executor.shutdown()
+
+
+class _ThreadProbe(WorkerHarness):
+    """Runs the callable its control names and reports the thread it ran on."""
+
+    def __init__(self, slot_id, payload):
+        self.slot_id = slot_id
+
+    def step(self, control, incoming):
+        control(self.slot_id)
+        return threading.get_ident(), []
+
+
+class TestConcurrentWaves:
+    """The in-process executor's full waves: slots side by side, up to the
+    usable CPUs (``usable_cpus``, patched here), on the process-wide helpers."""
+
+    @staticmethod
+    def stepped(width, controls, full=True, monkeypatch=None):
+        monkeypatch.setattr(executor_module, "usable_cpus", lambda: width)
+        executor = SerialExecutor(len(controls))
+        executor.open(_ThreadProbe, [None] * len(controls))
+        try:
+            return executor.step(controls, full=full)
+        finally:
+            executor.close()
+
+    def test_usable_cpus_reads_the_affinity_mask(self):
+        assert executor_module.usable_cpus() == len(os.sched_getaffinity(0))
+
+    def test_slots_of_a_full_wave_run_side_by_side(self, monkeypatch):
+        # Slots 0 and 1 each wait for the other: the wave ends only if they
+        # overlap (a lone thread would break the barrier at its timeout).
+        both = threading.Barrier(2, timeout=10)
+        threads = self.stepped(3, [lambda slot: both.wait()] * 2
+                               + [lambda slot: None] * 4, monkeypatch=monkeypatch)
+        assert len(set(threads[:2])) == 2
+
+    @pytest.mark.parametrize("width,full", [(1, True), (4, False)],
+                             ids=["one-cpu", "incremental-wave"])
+    def test_other_waves_run_in_slot_order_on_the_caller(self, width, full, monkeypatch):
+        order = []
+        threads = self.stepped(width, [order.append] * 5, full=full, monkeypatch=monkeypatch)
+        assert order == list(range(5))
+        assert set(threads) == {threading.get_ident()}
+
+    def test_failing_slots_raise_the_lowest_once_every_started_slot_is_done(self,
+                                                                           monkeypatch):
+        """Slot 3 fails first, slot 1 after it: slot 1's error surfaces, no
+        step is still running when ``step`` returns, nothing starts after a
+        failure, and the session steps on."""
+        monkeypatch.setattr(executor_module, "usable_cpus", lambda: 4)
+        slot_three_failed = threading.Event()
+        lock = threading.Lock()
+        running, started = [0], []
+
+        def work(slot):
+            with lock:
+                running[0] += 1
+                started.append(slot)
+            try:
+                if slot == 3:
+                    slot_three_failed.set()
+                    raise ValueError("slot 3 failed")
+                if slot == 1:
+                    assert slot_three_failed.wait(10)
+                    raise ValueError("slot 1 failed")
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        executor = SerialExecutor(6)
+        executor.open(_ThreadProbe, [None] * 6)
+        try:
+            with pytest.raises(ValueError, match="slot 1 failed"):
+                executor.step([work] * 6, full=True)
+            assert running[0] == 0
+            assert sorted(started) == [0, 1, 2, 3]
+            assert len(executor.step([lambda slot: None] * 6, full=True)) == 6
+        finally:
+            executor.close()
 
 
 class TestCrashRecovery:

@@ -104,16 +104,18 @@ class TestRoundDriver:
     @pytest.mark.parametrize("executor_name", sorted(available_executors()))
     def test_between_rounds_a_step_returns_only_its_metrics(self, executor_name):
         """The coordinator relays the shuffle and sees nothing but each step's
-        record; the scores come back once, through ``finish()``."""
+        record; the scores come back once, through ``finish()``.  Every wave
+        is full, so the in-process executor may step its slots side by side."""
         session, graph = hub_session(executor_name)
         try:
             session.prepare(graph)
             executor = session.plan.state["engine"].executor
-            results, finals = [], []
+            results, finals, fulls = [], [], []
             real_step, real_close = executor.step, executor.close
 
-            def step(controls):
-                results.extend(real_step(controls))
+            def step(controls, full):
+                fulls.append(full)
+                results.extend(real_step(controls, full))
                 return results[-len(controls):]
 
             def close():
@@ -125,6 +127,7 @@ class TestRoundDriver:
         finally:
             session.close()
         assert len(results) == 2 * 2 * 4
+        assert fulls == [True] * 4          # every round computes whole slots
         assert all(type(result) is InstanceMetrics for result in results)
         assert [result.phase for result in results[::4]] == [
             "round_0/map", "round_0/reduce", "round_1/map", "round_1/reduce"]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from typing import Optional
 
@@ -29,6 +30,21 @@ def ring_graph(num_nodes: int) -> Graph:
     src = np.arange(num_nodes)
     dst = (src + 1) % num_nodes
     return Graph(src, dst, num_nodes=num_nodes)
+
+
+def counting_spies(calls):
+    """``counting(name, fn)``: ``fn`` behind a spy that counts its calls in
+    ``calls[name]``, under a lock — the partitions of a full superstep call
+    it from several threads at once."""
+    lock = threading.Lock()
+
+    def counting(name, fn):
+        def spy(*args, **kwargs):
+            with lock:
+                calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+    return counting
 
 
 class PageRankProgram(BlockVertexProgram):
@@ -482,11 +498,7 @@ class TestResidentSendSchedule:
         session, graph = self.hub_session(kind, partial_gather)
         calls = {"scatter": 0, "unique": 0, "stable_group_by": 0}
 
-        def counting(name, fn):
-            def spy(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return spy
+        counting = counting_spies(calls)
 
         monkeypatch.setattr(gas, "scatter", counting("scatter", gas.scatter))
         monkeypatch.setattr(np, "unique", counting("unique", np.unique))
@@ -524,11 +536,7 @@ class TestResidentSendSchedule:
         fresh, _ = self.hub_session(kind, partial_gather)
         calls = {"scatter": 0, "unique": 0, "stable_group_by": 0}
 
-        def counting(name, fn):
-            def spy(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return spy
+        counting = counting_spies(calls)
 
         try:
             session.prepare(graph)

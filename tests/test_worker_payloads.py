@@ -137,7 +137,7 @@ def resident_state(engine, opened, closed):
     nothing; the probe's own open and close leave the spies' records."""
     warm = engine.cache_warm
     try:
-        return engine.drive(BlockVertexProgram(), ResidentProbe, [])
+        return engine.drive(BlockVertexProgram(), ResidentProbe, [], full=False)
     finally:
         engine.cache_warm = warm
         del opened[-1], closed[-1]
