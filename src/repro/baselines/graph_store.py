@@ -52,12 +52,13 @@ class DistributedGraphStore:
     def query_khop(self, targets: Sequence[int], num_hops: int,
                    sampler: Optional[NeighborSampler] = None,
                    rng: Optional[np.random.Generator] = None,
-                   requester_id: int = 0, phase: str = "graph_store") -> KHopSubgraph:
+                   phase: str = "graph_store") -> KHopSubgraph:
         """Materialise the (sampled) k-hop neighbourhood of ``targets``.
 
         The transferred bytes are charged to the store workers (spread evenly,
-        as a hash-partitioned store would) as ``bytes_out`` and to the
-        requesting inference worker as ``bytes_in`` under its own phase.
+        as a hash-partitioned store would) as ``bytes_out`` under ``phase``;
+        the requester records its own ``bytes_in``
+        (:meth:`subgraph_bytes`).
         """
         subgraph = khop_neighborhood(self.graph, targets, num_hops, sampler=sampler, rng=rng)
         transferred = self.subgraph_bytes(subgraph)

@@ -52,7 +52,7 @@ class TraditionalConfig:
         if self.cluster is None:
             self.cluster = ClusterSpec.traditional_default(self.num_workers)
 
-    def sampler(self, rng: np.random.Generator) -> NeighborSampler:
+    def sampler(self) -> NeighborSampler:
         if self.fanout is None:
             return FullNeighborSampler()
         return UniformNeighborSampler(self.fanout)
@@ -113,7 +113,7 @@ class TraditionalPipeline:
         """
         config = self.config
         rng = np.random.default_rng(config.seed if seed is None else seed)
-        sampler = config.sampler(rng)
+        sampler = config.sampler()
         if targets is None:
             targets = np.arange(graph.num_nodes, dtype=np.int64)
         else:
@@ -130,8 +130,7 @@ class TraditionalPipeline:
         for start in range(0, targets.size, config.batch_size):
             seeds = targets[start:start + config.batch_size]
             worker_id = num_batches % config.num_workers
-            subgraph = store.query_khop(seeds, self.model.num_layers, sampler=sampler, rng=rng,
-                                        requester_id=worker_id, phase="graph_store")
+            subgraph = store.query_khop(seeds, self.model.num_layers, sampler=sampler, rng=rng)
             costs = self._batch_costs(subgraph)
             metrics.record(
                 "inference", worker_id,
@@ -170,7 +169,7 @@ class TraditionalPipeline:
         """
         config = self.config
         rng = np.random.default_rng(config.seed if seed is None else seed)
-        sampler = config.sampler(rng)
+        sampler = config.sampler()
         if targets is None:
             targets = np.arange(graph.num_nodes, dtype=np.int64)
         else:

@@ -151,13 +151,14 @@ class SharedArrayPack:
     """Parent-side registry of numpy arrays exported to shared memory.
 
     :meth:`share` copies an array into a fresh segment **once** and returns a
-    shm-backed view with identical contents; the caller is expected to replace
-    its live reference with that view, so later in-place writes (e.g. feature
-    rows scattered by a :class:`~repro.inference.delta.GraphDelta`) land
-    directly in shared memory and are visible to every attached worker without
-    re-shipping.  Re-sharing the *same* array object under the same key is a
-    no-op returning the cached spec; sharing a different object (the engine
-    swapped the array wholesale, e.g. an edge delta) replaces the segment.
+    shm-backed view with identical contents, and its spec; the caller is
+    expected to replace its live reference with that view, so later in-place
+    writes (e.g. feature rows scattered by a
+    :class:`~repro.inference.delta.GraphDelta`) land directly in shared memory
+    and are visible to every attached worker without re-shipping.  Re-sharing
+    that view under the same key is a no-op returning it and the cached spec;
+    sharing a different object (the engine swapped the array wholesale, e.g.
+    an edge delta) replaces the segment.
     """
 
     def __init__(self) -> None:
@@ -167,11 +168,10 @@ class SharedArrayPack:
         self._finalizer = weakref.finalize(self, _unlink_segments,
                                            self._segments)
 
-    def share(self, key: str, array: np.ndarray) -> SharedArraySpec:
+    def share(self, key: str, array: np.ndarray) -> Tuple[np.ndarray, SharedArraySpec]:
         array = np.ascontiguousarray(array)
-        cached = self._arrays.get(key)
-        if cached is not None and cached is array:
-            return self._specs[key]
+        if self._arrays.get(key) is array:
+            return array, self._specs[key]
         old = self._segments.pop(key, None)
         if old is not None:
             _unlink_segments({key: old})
@@ -180,7 +180,7 @@ class SharedArrayPack:
                                    dtype=array.dtype.str)
             self._arrays[key] = array
             self._specs[key] = spec
-            return spec
+            return array, spec
         segment = shared_memory.SharedMemory(create=True, size=array.nbytes)
         view = np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
         view[...] = array
@@ -189,19 +189,11 @@ class SharedArrayPack:
         spec = SharedArraySpec(name=segment.name, shape=array.shape,
                                dtype=array.dtype.str)
         self._specs[key] = spec
-        return spec
+        return view, spec
 
     def __len__(self) -> int:
         """Live segments (empty arrays take none)."""
         return len(self._segments)
-
-    def array_for(self, key: str) -> np.ndarray:
-        """The parent-side (shm-backed) view registered under ``key``."""
-        return self._arrays[key]
-
-    def spec_for(self, key: str) -> SharedArraySpec:
-        """The picklable descriptor of the array registered under ``key``."""
-        return self._specs[key]
 
     def is_current(self, key: str, array: np.ndarray) -> bool:
         """Whether ``array`` is exactly the view already shared under ``key``."""
@@ -727,23 +719,23 @@ def available_executors() -> Set[str]:
     return set(_EXECUTORS)
 
 
+def executor_class(name: str, source: str = "executor") -> Type[Executor]:
+    """The executor class registered as ``name``; :class:`UnknownExecutorError`
+    names ``source`` (where the name came from) and the known names."""
+    try:
+        return _EXECUTORS[name]
+    except KeyError:
+        known = ", ".join(repr(n) for n in sorted(_EXECUTORS))
+        raise UnknownExecutorError(
+            f"unknown {source} {name!r}; known executors: {known}") from None
+
+
 def default_executor_name() -> str:
     """``$REPRO_EXECUTOR`` when set (validated), else ``"serial"``."""
     name = os.environ.get(EXECUTOR_ENV_VAR, SerialExecutor.name)
-    if name not in _EXECUTORS:
-        known = ", ".join(repr(n) for n in sorted(_EXECUTORS))
-        raise UnknownExecutorError(
-            f"{EXECUTOR_ENV_VAR}={name!r} names no executor; known: {known}")
-    return name
+    return executor_class(name, EXECUTOR_ENV_VAR).name
 
 
 def build_executor(name: Optional[str] = None, num_slots: int = 1) -> Executor:
     """Instantiate an executor by registry name (None → the env default)."""
-    resolved = default_executor_name() if name is None else name
-    try:
-        cls = _EXECUTORS[resolved]
-    except KeyError:
-        known = ", ".join(repr(n) for n in sorted(_EXECUTORS))
-        raise UnknownExecutorError(
-            f"unknown executor {resolved!r}; known executors: {known}") from None
-    return cls(num_slots)
+    return executor_class(default_executor_name() if name is None else name)(num_slots)

@@ -15,7 +15,7 @@ message batches with two fancy-indexing gathers instead of per-element Python
 dict lookups.  The layout is immutable after construction and safe to share
 across partitions, executions and sessions.
 
-The local index convention matches the partitioners: within a partition,
+The local index convention is the engine's partitions': within a partition,
 owned global ids are stored in ascending order, so ``nodes_of(pid)`` is
 sorted and ``nodes_of(pid)[local_of[g]] == g`` for every owned ``g``.
 """

@@ -129,12 +129,6 @@ ID_BYTES = 8
 RECORD_OVERHEAD_BYTES = 16
 
 
-def message_bytes(num_rows: int, payload_dim: int, ids_per_row: int = 1) -> float:
-    """Estimated wire size of ``num_rows`` messages with ``payload_dim`` floats."""
-    per_row = payload_dim * FLOAT_BYTES + ids_per_row * ID_BYTES + RECORD_OVERHEAD_BYTES
-    return float(num_rows) * per_row
-
-
 def tensor_bytes(shape: Iterable[int]) -> float:
     """In-memory size of a dense float tensor of the given shape."""
     total = 1.0

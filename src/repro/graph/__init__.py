@@ -3,26 +3,23 @@
 This package owns the representation of the input graph at three granularities:
 
 * :class:`~repro.graph.graph.Graph` — an in-memory attributed directed graph in
-  COO form with cached CSR/CSC indices, used for training and by the Pregel
-  backend's partition loader.
+  COO form with cached CSR/CSC indices, used for training and sliced into the
+  Pregel engine's partitions.
 * :class:`~repro.graph.tables.NodeTable` / :class:`~repro.graph.tables.EdgeTable`
   — the "data warehouse" table format (node id, features, out-neighbour ids /
   src, dst, edge features) of the paper's Section IV-C2 input; sessions and
   pools take a ``Graph``, so tables are converted once with
   :func:`~repro.graph.tables.tables_to_graph`.
-* partitioning, k-hop neighbourhood extraction and neighbour sampling — the
-  machinery behind both the mini-batch training phase and the traditional
+* node placement (:class:`~repro.graph.partition.HashPartitioner`, ``id mod
+  N``), from which the execution engine slices its own partitions.
+* k-hop neighbourhood extraction and neighbour sampling — the machinery
+  behind both the mini-batch training phase and the traditional
   (PyG/DGL-style) inference baseline.
 """
 
 from repro.graph.graph import Graph
 from repro.graph.tables import NodeTable, EdgeTable, graph_to_tables, tables_to_graph
-from repro.graph.partition import (
-    HashPartitioner,
-    Partition,
-    partition_graph,
-    partition_graph_with_layout,
-)
+from repro.graph.partition import HashPartitioner
 from repro.graph.khop import khop_neighborhood, KHopSubgraph
 from repro.graph.sampling import UniformNeighborSampler, FullNeighborSampler
 from repro.graph import generators
@@ -34,9 +31,6 @@ __all__ = [
     "graph_to_tables",
     "tables_to_graph",
     "HashPartitioner",
-    "Partition",
-    "partition_graph",
-    "partition_graph_with_layout",
     "khop_neighborhood",
     "KHopSubgraph",
     "UniformNeighborSampler",

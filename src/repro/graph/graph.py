@@ -5,7 +5,7 @@ weighted, attributed graph with node features ``X`` and optional edge features.
 Edges are stored in COO form (``src``, ``dst``); CSR (grouped by source, i.e.
 out-edges) and CSC (grouped by destination, i.e. in-edges) index structures
 are built lazily and cached because both the trainer (in-edge gathers) and the
-partitioners (out-edge ownership) need them.
+table export and shadow-node rewrite (out-edges) need them.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.cluster.executor import available_executors, default_executor_name
+from repro.cluster.executor import default_executor_name, executor_class
 from repro.cluster.resources import ClusterSpec
 
 
@@ -60,15 +60,11 @@ class GatewayConfig:
         parallelism comes from the backend substrate (the ``process``
         executor runs compute off-GIL); these threads mainly overlap tenants
         and keep the event loop free.
-    default_retry_after_seconds:
-        The ``retry_after`` hint handed to rejected requests before the
-        tenant has any latency history to estimate from.
     """
 
     max_queue_depth: int = 64
     max_batch: int = 32
     max_concurrent_ticks: int = 4
-    default_retry_after_seconds: float = 0.05
 
     def __post_init__(self) -> None:
         if self.max_queue_depth <= 0:
@@ -77,8 +73,6 @@ class GatewayConfig:
             raise ValueError("max_batch must be positive")
         if self.max_concurrent_ticks <= 0:
             raise ValueError("max_concurrent_ticks must be positive")
-        if self.default_retry_after_seconds <= 0:
-            raise ValueError("default_retry_after_seconds must be positive")
 
 
 @dataclass
@@ -121,10 +115,7 @@ class InferenceConfig:
         from repro.inference.backends import get_backend
 
         backend = get_backend(self.backend)  # raises with the known names
-        if self.executor not in available_executors():
-            known = ", ".join(repr(name) for name in sorted(available_executors()))
-            raise ValueError(
-                f"unknown executor {self.executor!r}; known executors: {known}")
+        executor_class(self.executor)
         if self.num_workers <= 0:
             raise ValueError("num_workers must be positive")
         if self.cluster is None:

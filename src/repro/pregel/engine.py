@@ -32,8 +32,8 @@ How message routing works
 -------------------------
 
 Routing is columnar, built on the shared
-:class:`~repro.cluster.layout.ClusterLayout` the partitioner produces once per
-partitioning:
+:class:`~repro.cluster.layout.ClusterLayout` the engine slices its partitions
+from, built once per plan:
 
 * ``layout.owner_of`` and ``layout.local_of`` are dense ``int64`` tables
   mapping every global node id to its owning partition and to its local row
@@ -69,28 +69,34 @@ from repro.cluster.executor import (
     build_executor,
     prune_attached_segments,
 )
-from repro.cluster.layout import ClusterLayout
+from repro.cluster.layout import ClusterLayout, stable_group_by
 from repro.cluster.metrics import InstanceMetrics, MetricsCollector, run_instance
 from repro.graph.graph import Graph
-from repro.graph.partition import HashPartitioner, Partition, partition_graph_with_layout
+from repro.graph.partition import HashPartitioner
 from repro.pregel.vertex import BlockVertexProgram, MessageBlock, PartitionContext, route
 
 class PregelPartition:
     """A worker's share of the graph plus its in-memory block state.
 
-    Global→local translation goes through the cluster-wide
-    :class:`~repro.cluster.layout.ClusterLayout` tables (shared across all
-    partitions of one engine).
+    ``node_ids`` are the owned global ids, ascending; ``out_src`` /
+    ``out_dst`` / ``out_edge_features`` the out-edges of those nodes in the
+    graph's edge order; ``node_features`` / ``labels`` the owned nodes' rows
+    (``None`` where the graph has none).  Global→local translation goes
+    through the cluster-wide :class:`~repro.cluster.layout.ClusterLayout`
+    tables (shared across all partitions of one engine).
     """
 
-    def __init__(self, partition: Partition, layout: ClusterLayout) -> None:
-        self.partition_id = partition.partition_id
-        self.node_ids = partition.node_ids
-        self.node_features = partition.node_features
-        self.labels = partition.labels
-        self.out_src = partition.out_src
-        self.out_dst = partition.out_dst
-        self.out_edge_features = partition.out_edge_features
+    def __init__(self, partition_id: int, layout: ClusterLayout, *,
+                 node_ids: np.ndarray, node_features: Optional[np.ndarray],
+                 labels: Optional[np.ndarray], out_src: np.ndarray, out_dst: np.ndarray,
+                 out_edge_features: Optional[np.ndarray]) -> None:
+        self.partition_id = partition_id
+        self.node_ids = node_ids
+        self.node_features = node_features
+        self.labels = labels
+        self.out_src = out_src
+        self.out_dst = out_dst
+        self.out_edge_features = out_edge_features
         self.layout = layout
         self._owner_of = layout.owner_of
         self._local_of = layout.local_of
@@ -253,7 +259,12 @@ def _build_serial_harness(slot_id: int, payload: Dict[str, Any]) -> PregelPartit
     """Serial-executor factory: wrap the engine's live partition (no copies)."""
     partition = payload["partition"]
     kept, partition.pending_kept = partition.pending_kept, None
-    return _host(partition, kept, payload)
+    try:
+        return _host(partition, kept, payload)
+    except BaseException:
+        # the mask is spent: a state it half patched must not survive it
+        partition.block_state = {}
+        raise
 
 
 #: worker-side: each partition's ``block_state``, kept between runs (as
@@ -282,18 +293,10 @@ def _build_process_harness(slot_id: int, payload: Dict[str, Any]) -> PregelParti
         local_of=attach_shared_array(layout_payload["local_of"]),
         num_partitions=layout_payload["num_partitions"],
     )
-    arrays = {name: None if spec is None else attach_shared_array(spec)
-              for name, spec in payload["arrays"].items()}
-    base = Partition(
-        partition_id=payload["partition_id"],
-        node_ids=arrays["node_ids"],
-        out_src=arrays["out_src"],
-        out_dst=arrays["out_dst"],
-        out_edge_features=arrays["out_edge_features"],
-        node_features=arrays["node_features"],
-        labels=arrays["labels"],
-    )
-    partition = PregelPartition(base, layout)
+    partition = PregelPartition(
+        payload["partition_id"], layout,
+        **{name: None if spec is None else attach_shared_array(spec)
+           for name, spec in payload["arrays"].items()})
     # out of the table until hosted: a factory that raises leaves this worker
     # with no state, never with a stale one
     partition.block_state = _RESIDENT_BLOCK_STATES.pop(partition.partition_id, {})
@@ -326,10 +329,33 @@ class PregelEngine:
     ) -> None:
         self.graph = graph
         self.num_workers = int(num_workers)
-        self.partitioner = HashPartitioner(self.num_workers)
-        partitions, self.layout = partition_graph_with_layout(
-            graph, self.partitioner, layout)
-        self.partitions = [PregelPartition(p, self.layout) for p in partitions]
+        if layout is None:
+            layout = ClusterLayout.build(graph.num_nodes, HashPartitioner(self.num_workers))
+        elif (layout.num_nodes, layout.num_partitions) != (graph.num_nodes, self.num_workers):
+            raise ValueError(
+                f"layout covers {layout.num_nodes} nodes / {layout.num_partitions} "
+                f"partitions but the graph has {graph.num_nodes} nodes and the "
+                f"engine {self.num_workers} workers")
+        self.layout = layout
+        # Each partition's out-edges in one stable grouping by owner, so
+        # they keep the graph's edge order.
+        edge_order, edge_counts, edge_starts = stable_group_by(
+            layout.owners(graph.src), self.num_workers)
+
+        def rows(array: Optional[np.ndarray], ids: np.ndarray) -> Optional[np.ndarray]:
+            return None if array is None else array[ids]
+
+        self.partitions: List[PregelPartition] = []
+        for pid in range(self.num_workers):
+            node_ids = layout.nodes_of(pid)
+            start = int(edge_starts[pid])
+            edge_ids = edge_order[start:start + int(edge_counts[pid])]
+            self.partitions.append(PregelPartition(
+                pid, layout, node_ids=node_ids,
+                node_features=rows(graph.node_features, node_ids),
+                labels=rows(graph.labels, node_ids),
+                out_src=graph.src[edge_ids], out_dst=graph.dst[edge_ids],
+                out_edge_features=rows(graph.edge_features, edge_ids)))
         self.metrics = metrics or MetricsCollector()
         self._executor: Optional[Executor] = None
         self.executor_name = executor
@@ -401,11 +427,9 @@ class PregelEngine:
         array = getattr(owner, attr)
         if array is None:
             return None
-        pack = self._shm_pack
-        if not pack.is_current(key, array):
-            pack.share(key, array)
-            setattr(owner, attr, pack.array_for(key))
-        return pack.spec_for(key)
+        view, spec = self._shm_pack.share(key, array)
+        setattr(owner, attr, view)
+        return spec
 
     def _process_payloads(self, program: BlockVertexProgram,
                           harness: Type[PregelPartitionHarness]) -> List[Dict[str, Any]]:

@@ -10,7 +10,8 @@ deferred buffers) untouched.
 
 The ``retry_after`` hint is an estimate of when the queue will have drained
 enough to admit the caller: ``ticks_to_drain * recent mean tick latency``,
-falling back to a configured default before any latency history exists.
+falling back to :data:`DEFAULT_RETRY_AFTER_SECONDS` before any latency
+history exists.
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ from __future__ import annotations
 import math
 
 from repro.serving.metrics import LatencyWindow
+
+#: the ``retry_after`` hint handed to a rejected request before its tenant
+#: has any latency history to estimate from
+DEFAULT_RETRY_AFTER_SECONDS = 0.05
 
 
 class Overloaded(Exception):
@@ -41,24 +46,22 @@ class Overloaded(Exception):
 class AdmissionController:
     """Decides whether one more infer request may join a tenant's queue."""
 
-    def __init__(self, max_queue_depth: int, max_batch: int,
-                 default_retry_after_seconds: float) -> None:
+    def __init__(self, max_queue_depth: int, max_batch: int) -> None:
         self.max_queue_depth = max_queue_depth
         self.max_batch = max_batch
-        self.default_retry_after_seconds = default_retry_after_seconds
 
     def retry_after(self, queue_depth: int, window: LatencyWindow) -> float:
         """Estimated seconds until the queue admits again.
 
         The queue drains up to ``max_batch`` requests per tick, each tick
         costing roughly the tenant's recent mean latency; with no history yet
-        the configured default stands in.
+        :data:`DEFAULT_RETRY_AFTER_SECONDS` stands in, and it is the floor.
         """
         mean = window.mean()
         if mean <= 0.0:
-            return self.default_retry_after_seconds
+            return DEFAULT_RETRY_AFTER_SECONDS
         ticks_to_drain = max(1, math.ceil(queue_depth / self.max_batch))
-        return max(self.default_retry_after_seconds, ticks_to_drain * mean)
+        return max(DEFAULT_RETRY_AFTER_SECONDS, ticks_to_drain * mean)
 
     def admit(self, tenant_id: str, queue_depth: int,
               window: LatencyWindow) -> None:

@@ -129,8 +129,7 @@ class ServingGateway:
         self.config = config or GatewayConfig()
         self._admission = AdmissionController(
             max_queue_depth=self.config.max_queue_depth,
-            max_batch=self.config.max_batch,
-            default_retry_after_seconds=self.config.default_retry_after_seconds)
+            max_batch=self.config.max_batch)
         self._tenants: Dict[str, _TenantState] = {}
         self._executor: Optional["ThreadPoolExecutor"] = None
         self._closed = False

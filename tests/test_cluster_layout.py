@@ -1,4 +1,4 @@
-"""Tests for the ClusterLayout routing tables and their partitioning hooks."""
+"""Tests for the ClusterLayout routing tables and the partitions sliced from them."""
 
 from __future__ import annotations
 
@@ -6,11 +6,8 @@ import numpy as np
 import pytest
 
 from repro.cluster.layout import ClusterLayout
-from repro.graph.partition import (
-    HashPartitioner,
-    partition_graph,
-    partition_graph_with_layout,
-)
+from repro.graph.partition import HashPartitioner
+from repro.pregel.engine import PregelEngine
 
 
 class TestClusterLayoutConstruction:
@@ -33,12 +30,6 @@ class TestClusterLayoutConstruction:
         layout = ClusterLayout.build(100, partitioner)
         np.testing.assert_array_equal(
             layout.owner_of, partitioner.assign_many(np.arange(100)))
-
-    def test_build_with_custom_hash(self):
-        partitioner = HashPartitioner(4, hash_fn=lambda node: node * 31 + 7)
-        layout = ClusterLayout.build(64, partitioner)
-        expected = np.array([(n * 31 + 7) % 4 for n in range(64)])
-        np.testing.assert_array_equal(layout.owner_of, expected)
 
     def test_rejects_out_of_range_owners(self):
         with pytest.raises(ValueError):
@@ -87,53 +78,27 @@ class TestClusterLayoutLookups:
             layout.nodes_of(4)
 
 
-class TestPartitionerVectorisation:
-    def test_custom_hash_assign_many_matches_assign(self):
-        partitioner = HashPartitioner(6, hash_fn=lambda node: (node ^ 21) * 13)
-        ids = np.arange(50, dtype=np.int64)
-        expected = np.array([partitioner.assign(int(n)) for n in ids])
-        np.testing.assert_array_equal(partitioner.assign_many(ids), expected)
-
-    def test_custom_hash_assign_many_empty(self):
-        partitioner = HashPartitioner(3, hash_fn=lambda node: node + 1)
-        assert partitioner.assign_many(np.empty(0, dtype=np.int64)).size == 0
-
-    def test_custom_hash_wider_than_int64(self):
-        """Hash values beyond int64 (e.g. md5 placements) must not overflow."""
-        partitioner = HashPartitioner(5, hash_fn=lambda node: (node + 3) ** 23)
-        ids = np.arange(40, dtype=np.int64)
-        expected = np.array([partitioner.assign(int(n)) for n in ids])
-        np.testing.assert_array_equal(partitioner.assign_many(ids), expected)
-
-
-class TestPartitionGraphWithLayout:
-    def test_partitions_match_plain_partition_graph(self, small_graph):
-        partitioner = HashPartitioner(5)
-        plain = partition_graph(small_graph, partitioner)
-        with_layout, layout = partition_graph_with_layout(small_graph, partitioner)
-        assert layout.num_nodes == small_graph.num_nodes
-        for p, q in zip(plain, with_layout):
-            np.testing.assert_array_equal(p.node_ids, q.node_ids)
-            np.testing.assert_array_equal(p.out_src, q.out_src)
-            np.testing.assert_array_equal(p.out_dst, q.out_dst)
-
+class TestEnginePartitionsFromLayout:
     def test_layout_agrees_with_partitions(self, small_graph):
-        partitions, layout = partition_graph_with_layout(small_graph, HashPartitioner(4))
-        for partition in partitions:
-            np.testing.assert_array_equal(layout.nodes_of(partition.partition_id),
+        engine = PregelEngine(small_graph, 4)
+        assert engine.layout.num_nodes == small_graph.num_nodes
+        for partition in engine.partitions:
+            np.testing.assert_array_equal(engine.layout.nodes_of(partition.partition_id),
                                           partition.node_ids)
-            owners = layout.owners(partition.node_ids)
+            owners = engine.layout.owners(partition.node_ids)
             assert np.all(owners == partition.partition_id)
 
     def test_precomputed_layout_reused(self, small_graph):
-        partitioner = HashPartitioner(4)
-        layout = ClusterLayout.build(small_graph.num_nodes, partitioner)
-        partitions, returned = partition_graph_with_layout(
-            small_graph, partitioner, layout)
-        assert returned is layout
-        assert len(partitions) == 4
+        layout = ClusterLayout.build(small_graph.num_nodes, HashPartitioner(4))
+        engine = PregelEngine(small_graph, 4, layout=layout)
+        assert engine.layout is layout
+        assert all(p.layout is layout for p in engine.partitions)
+        assert len(engine.partitions) == 4
 
     def test_mismatched_layout_rejected(self, small_graph):
         layout = ClusterLayout.build(small_graph.num_nodes, HashPartitioner(3))
         with pytest.raises(ValueError, match="layout covers"):
-            partition_graph_with_layout(small_graph, HashPartitioner(4), layout)
+            PregelEngine(small_graph, 4, layout=layout)
+        layout = ClusterLayout.build(small_graph.num_nodes - 1, HashPartitioner(4))
+        with pytest.raises(ValueError, match="layout covers"):
+            PregelEngine(small_graph, 4, layout=layout)

@@ -16,6 +16,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.cluster.executor import available_executors
 from repro.gnn.model import build_model
 from repro.graph.generators import powerlaw_graph
 from repro.graph.graph import Graph
@@ -64,6 +65,14 @@ def random_feature_delta(rng: np.random.Generator, graph: Graph,
     ids = rng.choice(graph.num_nodes, size=count, replace=False)
     rows = rng.standard_normal((count, graph.feature_dim))
     return GraphDelta(node_ids=ids, node_features=rows)
+
+
+class _KeptMaskThatFailsToPatch(np.ndarray):
+    """A pending edge mask whose complement raises: ``out_src_local`` takes
+    it, then the first send schedule's patch (``~kept``) fails."""
+
+    def __invert__(self):
+        raise RuntimeError("patch failed")
 
 
 # --------------------------------------------------------------------------- #
@@ -477,6 +486,55 @@ class TestIncrementalFeatureDelta:
         session.apply_delta(random_feature_delta(rng, graph))
         np.testing.assert_array_equal(session.infer(mode="incremental").scores,
                                       fresh_scores(graph, kind))
+
+    @pytest.mark.parametrize("executor", sorted(available_executors()))
+    @pytest.mark.parametrize("backend", ["pregel", "mapreduce"])
+    def test_an_edge_patch_that_raises_at_open_is_retried_bit_exactly(self, backend,
+                                                                      executor):
+        # An edge tick's open patches each partition's resident state by its
+        # pending ``kept`` mask: ``out_src_local``, then every send schedule.
+        # When a schedule's patch raises, the mask is spent and the state half
+        # patched, so the slot must drop that state — a process worker took
+        # it out of its table before hosting, the in-process factory drops it
+        # on the raise — and the retry rebuilds it: it, and the edge tick
+        # after it, equal a fresh prepare()+infer() bit for bit.  The mask
+        # ships in the open payload, so the raise reaches a process worker.
+        graph = make_graph(seed=67)
+        model = build_model("gcn", graph.feature_dim, 16, 4, num_layers=2, seed=0)
+        session = InferenceSession(model, InferenceConfig(
+            backend=backend, num_workers=4, executor=executor,
+            strategies=StrategyConfig(**ALL_ON)))
+        rng = np.random.default_rng(67)
+
+        def in_place_edge_delta():
+            # sources far below the hub threshold keep the hub set
+            low = graph.out_degrees() < ALL_ON["hub_threshold_override"] - 3
+            return GraphDelta(
+                added_src=rng.choice(np.flatnonzero(low), size=12, replace=False),
+                added_dst=rng.integers(0, graph.num_nodes, size=12),
+                removed_edge_ids=rng.choice(np.flatnonzero(low[graph.src]), size=6,
+                                            replace=False))
+
+        try:
+            session.prepare(graph)
+            session.infer()
+            assert session.apply_delta(in_place_edge_delta()).in_place
+            pending = [partition for partition in session.plan.state["engine"].partitions
+                       if partition.pending_kept is not None]
+            assert len(pending) > 1
+            # one slot fails; on the in-process executor those before it are
+            # hosted (their masks applied) and those after it are not
+            failing = pending[len(pending) // 2]
+            failing.pending_kept = failing.pending_kept.view(_KeptMaskThatFailsToPatch)
+            with pytest.raises(RuntimeError, match="patch failed"):
+                session.infer(mode="incremental")
+            np.testing.assert_array_equal(session.infer(mode="incremental").scores,
+                                          fresh_scores(graph, backend=backend))
+            assert session.apply_delta(in_place_edge_delta()).in_place
+            np.testing.assert_array_equal(session.infer(mode="incremental").scores,
+                                          fresh_scores(graph, backend=backend))
+        finally:
+            session.close()
 
     def test_invalid_mode_rejected(self):
         graph = make_graph(seed=27)

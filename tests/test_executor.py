@@ -36,6 +36,7 @@ from repro.cluster.executor import (
 )
 from repro.cluster.metrics import MetricsCollector
 from repro.cluster.resources import ClusterSpec
+from repro.inference import InferenceConfig
 
 EXECUTOR_NAMES = sorted(available_executors())
 
@@ -122,8 +123,13 @@ class TestRegistry:
         assert default_executor_name() == "process"
         assert build_executor(None, 2).name == "process"
         monkeypatch.setenv("REPRO_EXECUTOR", "bogus")
-        with pytest.raises(UnknownExecutorError):
+        with pytest.raises(UnknownExecutorError, match="REPRO_EXECUTOR 'bogus'"):
             default_executor_name()
+
+    def test_config_checks_the_name_the_same_way(self):
+        with pytest.raises(UnknownExecutorError,
+                           match="unknown executor 'threads'; known executors: 'process', 'serial'"):
+            InferenceConfig(executor="threads")
 
     def test_invalid_slot_count(self):
         with pytest.raises(ValueError):
@@ -425,8 +431,7 @@ class TestSharedArrays:
         pack = SharedArrayPack()
         try:
             source = np.arange(12, dtype=np.float64).reshape(4, 3)
-            spec = pack.share("x", source)
-            view = pack.array_for("x")
+            view, spec = pack.share("x", source)
             np.testing.assert_array_equal(view, source)
 
             executor = ProcessExecutor(1)
@@ -442,18 +447,19 @@ class TestSharedArrays:
                 executor.shutdown()
 
             # Re-sharing the same view is a no-op returning the same segment.
-            assert pack.share("x", view).name == spec.name
+            again, same = pack.share("x", view)
+            assert again is view and same.name == spec.name
             assert pack.is_current("x", view)
             # A wholesale-replaced array gets a fresh segment.
             replacement = np.zeros((2, 2))
-            assert pack.share("x", replacement).name != spec.name
+            assert pack.share("x", replacement)[1].name != spec.name
         finally:
             pack.close()
 
     def test_empty_arrays_ship_inline(self):
         pack = SharedArrayPack()
         try:
-            spec = pack.share("empty", np.empty(0, dtype=np.int64))
+            _, spec = pack.share("empty", np.empty(0, dtype=np.int64))
             assert spec.name is None
             attached = attach_shared_array(spec)
             assert attached.size == 0 and attached.dtype == np.int64

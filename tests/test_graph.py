@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graph.graph import Graph
-from repro.graph.partition import HashPartitioner, partition_graph
+from repro.graph.partition import HashPartitioner
 from repro.graph.tables import EdgeTable, NodeTable, graph_to_tables, tables_to_graph
+from repro.pregel.engine import PregelEngine
 
 
 def make_graph(num_nodes=10, num_edges=30, seed=0, with_features=True):
@@ -131,54 +132,63 @@ class TestTables:
 
 class TestPartitioning:
     def test_assign_deterministic_and_in_range(self):
-        partitioner = HashPartitioner(7)
         ids = np.arange(100)
-        assignments = partitioner.assign_many(ids)
+        assignments = HashPartitioner(7).assign_many(ids)
         assert np.all((assignments >= 0) & (assignments < 7))
-        for node in range(100):
-            assert partitioner.assign(node) == assignments[node]
-
-    def test_custom_hash_fn(self):
-        partitioner = HashPartitioner(4, hash_fn=lambda node: 0)
-        assert set(partitioner.assign_many(np.arange(10)).tolist()) == {0}
+        np.testing.assert_array_equal(assignments, ids % 7)
 
     def test_invalid_partition_count(self):
         with pytest.raises(ValueError):
             HashPartitioner(0)
 
     def test_partition_graph_covers_all_nodes_and_edges(self, small_graph):
-        partitions = partition_graph(small_graph, HashPartitioner(5))
+        partitions = PregelEngine(small_graph, 5).partitions
         all_nodes = np.concatenate([p.node_ids for p in partitions])
         assert np.array_equal(np.sort(all_nodes), np.arange(small_graph.num_nodes))
         assert sum(p.num_out_edges for p in partitions) == small_graph.num_edges
 
     def test_partition_owns_out_edges_of_its_nodes(self, small_graph):
-        partitions = partition_graph(small_graph, HashPartitioner(4))
-        for partition in partitions:
+        for partition in PregelEngine(small_graph, 4).partitions:
             owned = set(partition.node_ids.tolist())
             assert all(int(s) in owned for s in partition.out_src)
 
     def test_partition_features_sliced(self, small_graph):
-        partitions = partition_graph(small_graph, HashPartitioner(3))
-        for partition in partitions:
+        for partition in PregelEngine(small_graph, 3).partitions:
             np.testing.assert_allclose(partition.node_features,
                                        small_graph.node_features[partition.node_ids])
 
 
 @settings(max_examples=30, deadline=None)
-@given(num_nodes=st.integers(min_value=2, max_value=40),
+@given(num_nodes=st.integers(min_value=1, max_value=40),
        num_edges=st.integers(min_value=0, max_value=120),
-       num_partitions=st.integers(min_value=1, max_value=8))
+       num_partitions=st.integers(min_value=1, max_value=48))
 def test_partitioning_is_exhaustive_and_disjoint(num_nodes, num_edges, num_partitions):
-    """Property: every node appears in exactly one partition; edges conserved."""
+    """Property: every node appears in exactly one partition; edges conserved;
+    partition ``p`` holds the nodes ``v`` with ``v % N == p`` ascending, their
+    out-edges in the graph's edge order, and those nodes' and edges' rows
+    (more partitions than nodes leaves some empty)."""
     rng = np.random.default_rng(num_nodes * 97 + num_edges)
     src = rng.integers(0, num_nodes, size=num_edges)
     dst = rng.integers(0, num_nodes, size=num_edges)
-    graph = Graph(src, dst, num_nodes=num_nodes)
-    partitions = partition_graph(graph, HashPartitioner(num_partitions))
-    all_nodes = np.concatenate([p.node_ids for p in partitions]) if partitions else np.array([])
+    graph = Graph(src, dst, node_features=rng.normal(size=(num_nodes, 3)),
+                  edge_features=rng.normal(size=(num_edges, 2)),
+                  labels=rng.integers(0, 4, size=num_nodes), num_nodes=num_nodes)
+    partitions = PregelEngine(graph, num_partitions).partitions
+    assert [p.partition_id for p in partitions] == list(range(num_partitions))
+    all_nodes = np.concatenate([p.node_ids for p in partitions])
     assert np.array_equal(np.sort(all_nodes), np.arange(num_nodes))
     assert sum(p.num_out_edges for p in partitions) == num_edges
+    for p in partitions:
+        assert np.all(np.diff(p.node_ids) > 0)
+        assert np.all(p.node_ids % num_partitions == p.partition_id)
+        nodes = np.flatnonzero(np.arange(num_nodes) % num_partitions == p.partition_id)
+        edges = np.flatnonzero(src % num_partitions == p.partition_id)
+        np.testing.assert_array_equal(p.node_ids, nodes)
+        np.testing.assert_array_equal(p.out_src, src[edges])
+        np.testing.assert_array_equal(p.out_dst, dst[edges])
+        np.testing.assert_array_equal(p.node_features, graph.node_features[nodes])
+        np.testing.assert_array_equal(p.labels, graph.labels[nodes])
+        np.testing.assert_array_equal(p.out_edge_features, graph.edge_features[edges])
 
 
 @settings(max_examples=30, deadline=None)

@@ -19,7 +19,6 @@ from repro.cluster.metrics import (
     RECORD_OVERHEAD_BYTES,
     InstanceMetrics,
     MetricsCollector,
-    message_bytes,
     tensor_bytes,
 )
 from repro.cluster.resources import ClusterSpec, WorkerSpec
@@ -518,7 +517,6 @@ class TestMetricsCollector:
 
     def test_size_estimators(self):
         assert tensor_bytes((10, 10)) == 800
-        assert message_bytes(10, 4) == 10 * (4 * 8 + 8 + 16)
 
 
 class TestCostModel:

@@ -133,7 +133,7 @@ class TestRouteEquivalence:
         rng = np.random.default_rng(seed + 100)
         blocks = edge_blocks(graph, rng)
         engine = PregelEngine(graph, num_workers=NUM_WORKERS)
-        expected = naive_route_blocks(blocks, engine.partitioner, NUM_WORKERS)
+        expected = naive_route_blocks(blocks, HashPartitioner(NUM_WORKERS), NUM_WORKERS)
         assert_mailboxes_equal(route(blocks, None, engine.layout), expected)
 
     @pytest.mark.parametrize("kind", sorted(COMBINERS))
@@ -155,7 +155,7 @@ class TestRouteEquivalence:
         empty = MessageBlock(dst_ids=np.empty(0, dtype=np.int64), payload=np.zeros((0, 0)))
         blocks = [empty, plain, broadcast]
         engine = PregelEngine(graph, num_workers=NUM_WORKERS)
-        expected = naive_route_blocks(blocks, engine.partitioner, NUM_WORKERS,
+        expected = naive_route_blocks(blocks, HashPartitioner(NUM_WORKERS), NUM_WORKERS,
                                       COMBINERS[kind]())
         actual = route(blocks, COMBINERS[kind](), engine.layout)
         assert_mailboxes_equal(actual, expected)
@@ -209,7 +209,7 @@ class TestRouteEquivalence:
         )
         engine = PregelEngine(graph, num_workers=NUM_WORKERS)
         # Broadcast blocks are not combinable; the combiner must pass through.
-        expected = naive_route_blocks([block], engine.partitioner, NUM_WORKERS,
+        expected = naive_route_blocks([block], HashPartitioner(NUM_WORKERS), NUM_WORKERS,
                                       SumCombiner())
         assert_mailboxes_equal(route([block], SumCombiner(), engine.layout), expected)
 
@@ -232,7 +232,7 @@ class TestRouteEquivalence:
         # built over the shadow-expanded graph.
         block = MessageBlock(dst_ids=actual[0], payload=actual[1], counts=actual[2])
         engine = PregelEngine(plan.graph, num_workers=NUM_WORKERS)
-        reference = naive_route_blocks([block], engine.partitioner, NUM_WORKERS)
+        reference = naive_route_blocks([block], HashPartitioner(NUM_WORKERS), NUM_WORKERS)
         assert_mailboxes_equal(route([block], None, engine.layout), reference)
 
     @pytest.mark.parametrize("seed", SEEDS)

@@ -39,7 +39,7 @@ from repro.inference import (
     StrategyConfig,
 )
 from repro.inference.delta import apply_delta_to_graph
-from repro.serving import Overloaded, ServingGateway
+from repro.serving import Overloaded, ServingGateway, admission
 
 FEATURE_DIM = 8
 NUM_CLASSES = 4
@@ -787,17 +787,17 @@ class TestFaultPaths:
         np.testing.assert_array_equal(result.scores,
                                       solo.infer(reference).scores)
 
-    def test_retry_after_reflects_queue_depth_and_latency(self):
+    def test_retry_after_reflects_queue_depth_and_latency(self, monkeypatch):
         # With latency history the hint is ceil(depth / max_batch) * mean
         # tick latency (the default floor is pinned tiny so the estimate,
         # not the fallback, is under test).
+        monkeypatch.setattr(admission, "DEFAULT_RETRY_AFTER_SECONDS", 1e-9)
         model = make_model()
         graph = make_graph(72)
 
         async def run():
             pool = SessionPool(model, make_config(), capacity=2)
-            config = GatewayConfig(max_queue_depth=2, max_batch=1,
-                                   default_retry_after_seconds=1e-9)
+            config = GatewayConfig(max_queue_depth=2, max_batch=1)
             async with ServingGateway(pool, config) as gateway:
                 gateway.register("tenant", graph)
                 await gateway.warm("tenant")
@@ -824,14 +824,14 @@ class TestFaultPaths:
         assert overloaded.retry_after == pytest.approx(2 * mean_before)
         assert overloaded.queue_depth == 2
 
-    def test_retry_after_falls_back_before_any_history(self):
+    def test_retry_after_falls_back_before_any_history(self, monkeypatch):
+        monkeypatch.setattr(admission, "DEFAULT_RETRY_AFTER_SECONDS", 0.25)
         model = make_model()
         graph = make_graph(73)
 
         async def run():
             pool = SessionPool(model, make_config(), capacity=2)
-            config = GatewayConfig(max_queue_depth=1, max_batch=1,
-                                   default_retry_after_seconds=0.25)
+            config = GatewayConfig(max_queue_depth=1, max_batch=1)
             async with ServingGateway(pool, config) as gateway:
                 gateway.register("tenant", graph)
                 await gateway.warm("tenant")      # warms the plan, no sample
