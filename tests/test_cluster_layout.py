@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.layout import ClusterLayout
+from repro.graph.graph import Graph
 from repro.graph.partition import HashPartitioner
 from repro.pregel.engine import PregelEngine
 
@@ -79,6 +80,31 @@ class TestClusterLayoutLookups:
 
 
 class TestEnginePartitionsFromLayout:
+    @pytest.mark.parametrize("num_workers", [1, 5, 13])
+    def test_partitions_match_a_reference_slicing(self, num_workers):
+        # Reference: partition p owns the ids with id % N == p, ascending, and
+        # the out-edges of those ids in the graph's edge order, with the
+        # owned rows of every per-node and per-edge array.
+        rng = np.random.default_rng(num_workers)
+        num_nodes, num_edges = 60, 400
+        graph = Graph(rng.integers(0, num_nodes, size=num_edges),
+                      rng.integers(0, num_nodes, size=num_edges),
+                      node_features=rng.normal(size=(num_nodes, 3)),
+                      edge_features=rng.normal(size=(num_edges, 2)),
+                      labels=rng.integers(0, 4, size=num_nodes), num_nodes=num_nodes)
+        partitions = PregelEngine(graph, num_workers).partitions
+        assert [p.partition_id for p in partitions] == list(range(num_workers))
+        for pid, partition in enumerate(partitions):
+            owned = np.flatnonzero(np.arange(num_nodes) % num_workers == pid)
+            edges = np.flatnonzero(graph.src % num_workers == pid)
+            np.testing.assert_array_equal(partition.node_ids, owned)
+            np.testing.assert_array_equal(partition.node_features, graph.node_features[owned])
+            np.testing.assert_array_equal(partition.labels, graph.labels[owned])
+            np.testing.assert_array_equal(partition.out_src, graph.src[edges])
+            np.testing.assert_array_equal(partition.out_dst, graph.dst[edges])
+            np.testing.assert_array_equal(partition.out_edge_features,
+                                          graph.edge_features[edges])
+
     def test_layout_agrees_with_partitions(self, small_graph):
         engine = PregelEngine(small_graph, 4)
         assert engine.layout.num_nodes == small_graph.num_nodes
