@@ -4,7 +4,7 @@ Public API overview
 -------------------
 
 * :mod:`repro.tensor`     — numpy autodiff + NN substrate
-* :mod:`repro.graph`      — attributed graphs, tables, partitioning, sampling
+* :mod:`repro.graph`      — attributed graphs, placement, sampling
 * :mod:`repro.gnn`        — GAS-abstraction GNN layers and model signatures
 * :mod:`repro.training`   — mini-batch k-hop training
 * :mod:`repro.pregel`     — Pregel-like graph processing engine (both backends

@@ -159,8 +159,9 @@ class TrackedRLock:
     # ------------------------------------------------------------------ #
     def _record_acquire(self) -> None:
         holder_names = {held.name for held in _held.stack}
-        if self.name in holder_names:
-            return      # re-entrant acquisition: no new ordering information
+        if self.name in holder_names or all((outer, self.name) in _edges
+                                            for outer in holder_names):
+            return      # re-entrant, or nothing held, or every edge known
         witness = "".join(traceback.format_stack(limit=8))
         with _state_lock:
             for outer in holder_names:

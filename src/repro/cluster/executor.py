@@ -58,6 +58,8 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 
 import numpy as np
 
+from repro.analysis.lockgraph import tracked_rlock
+
 #: environment variable naming the default executor (``build_executor(None)``).
 EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
 #: environment variable overriding the multiprocessing start method.
@@ -351,7 +353,7 @@ def usable_cpus() -> int:
 #: sessions it serves.  Built on first use, grown only if a wider wave asks.
 _HELPERS: Optional[ThreadPoolExecutor] = None
 _HELPER_COUNT = 0
-_HELPERS_LOCK = threading.Lock()
+_HELPERS_LOCK = tracked_rlock("executor._HELPERS_LOCK")
 
 
 def _hire_helpers(work: Callable[[], None], count: int) -> List["Future[None]"]:
@@ -384,7 +386,7 @@ class _Wave:
         self._outcomes: List[Any] = [None] * num_slots
         self._failures: Dict[int, BaseException] = {}
         self._next = 0
-        self._lock = threading.Lock()
+        self._lock = tracked_rlock("executor._Wave._lock")
 
     def _take(self) -> Optional[int]:
         with self._lock:

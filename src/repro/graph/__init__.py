@@ -1,15 +1,13 @@
-"""Graph substrate: attributed directed graphs, tables, partitioning, sampling.
+"""Graph substrate: attributed directed graphs, placement, sampling.
 
-This package owns the representation of the input graph at three granularities:
+This package owns the representation of the input graph:
 
 * :class:`~repro.graph.graph.Graph` — an in-memory attributed directed graph in
-  COO form with cached CSR/CSC indices, used for training and sliced into the
-  Pregel engine's partitions.
-* :class:`~repro.graph.tables.NodeTable` / :class:`~repro.graph.tables.EdgeTable`
-  — the "data warehouse" table format (node id, features, out-neighbour ids /
-  src, dst, edge features) of the paper's Section IV-C2 input; sessions and
-  pools take a ``Graph``, so tables are converted once with
-  :func:`~repro.graph.tables.tables_to_graph`.
+  COO form with cached CSR/CSC edge-id indexes (read by the shadow-node
+  rewrite and k-hop extraction), used for training and sliced into the
+  Pregel engine's partitions.  Sessions and pools take a ``Graph``; the
+  paper's node-table rows (Section IV-C2) are priced where the MapReduce
+  backend reads them (``mapreduce_adaptor.StateRows``).
 * node placement (:class:`~repro.graph.partition.HashPartitioner`, ``id mod
   N``), from which the execution engine slices its own partitions.
 * k-hop neighbourhood extraction and neighbour sampling — the machinery
@@ -18,7 +16,6 @@ This package owns the representation of the input graph at three granularities:
 """
 
 from repro.graph.graph import Graph
-from repro.graph.tables import NodeTable, EdgeTable, graph_to_tables, tables_to_graph
 from repro.graph.partition import HashPartitioner
 from repro.graph.khop import khop_neighborhood, KHopSubgraph
 from repro.graph.sampling import UniformNeighborSampler, FullNeighborSampler
@@ -26,10 +23,6 @@ from repro.graph import generators
 
 __all__ = [
     "Graph",
-    "NodeTable",
-    "EdgeTable",
-    "graph_to_tables",
-    "tables_to_graph",
     "HashPartitioner",
     "khop_neighborhood",
     "KHopSubgraph",

@@ -3,15 +3,16 @@
 The graph follows the paper's definition G = {V, E, X, E_feat}: a directed,
 weighted, attributed graph with node features ``X`` and optional edge features.
 Edges are stored in COO form (``src``, ``dst``); CSR (grouped by source, i.e.
-out-edges) and CSC (grouped by destination, i.e. in-edges) index structures
-are built lazily and cached because both the trainer (in-edge gathers) and the
-table export and shadow-node rewrite (out-edges) need them.
+out-edges) and CSC (grouped by destination, i.e. in-edges) edge-id indexes are
+built lazily and cached for the shadow-node rewrite (a hub's out-edges) and
+the k-hop extraction behind training and the k-hop baseline (a node's
+in-edges).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -22,7 +23,6 @@ class _AdjacencyIndex:
 
     indptr: np.ndarray
     edge_ids: np.ndarray
-    neighbor_ids: np.ndarray
 
 
 class Graph:
@@ -114,33 +114,20 @@ class Graph:
     # adjacency indices
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _build_index(keys: np.ndarray, values: np.ndarray, num_nodes: int) -> _AdjacencyIndex:
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
+    def _build_index(keys: np.ndarray, num_nodes: int) -> _AdjacencyIndex:
         indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        counts = np.bincount(sorted_keys, minlength=num_nodes)
-        indptr[1:] = np.cumsum(counts)
-        return _AdjacencyIndex(indptr=indptr, edge_ids=order, neighbor_ids=values[order])
+        indptr[1:] = np.cumsum(np.bincount(keys, minlength=num_nodes))
+        return _AdjacencyIndex(indptr=indptr, edge_ids=np.argsort(keys, kind="stable"))
 
     def _out(self) -> _AdjacencyIndex:
         if self._out_index is None:
-            self._out_index = self._build_index(self.src, self.dst, self.num_nodes)
+            self._out_index = self._build_index(self.src, self.num_nodes)
         return self._out_index
 
     def _in(self) -> _AdjacencyIndex:
         if self._in_index is None:
-            self._in_index = self._build_index(self.dst, self.src, self.num_nodes)
+            self._in_index = self._build_index(self.dst, self.num_nodes)
         return self._in_index
-
-    def out_neighbors(self, node: int) -> np.ndarray:
-        """Destination ids of the node's out-edges."""
-        index = self._out()
-        return index.neighbor_ids[index.indptr[node]:index.indptr[node + 1]]
-
-    def in_neighbors(self, node: int) -> np.ndarray:
-        """Source ids of the node's in-edges."""
-        index = self._in()
-        return index.neighbor_ids[index.indptr[node]:index.indptr[node + 1]]
 
     def out_edge_ids(self, node: int) -> np.ndarray:
         """Edge ids (positions in src/dst) of the node's out-edges."""
@@ -153,7 +140,7 @@ class Graph:
         The adjacency indices are derived from ``src``/``dst`` lazily; any code
         that swaps those arrays (e.g. applying a
         :class:`~repro.inference.delta.GraphDelta`) must call this so the next
-        neighbour lookup rebuilds them instead of reading stale slices.
+        edge-id lookup rebuilds them instead of reading stale slices.
         """
         self._out_index = None
         self._in_index = None
@@ -162,43 +149,6 @@ class Graph:
         """Edge ids (positions in src/dst) of the node's in-edges."""
         index = self._in()
         return index.edge_ids[index.indptr[node]:index.indptr[node + 1]]
-
-    # ------------------------------------------------------------------ #
-    # derived graphs
-    # ------------------------------------------------------------------ #
-    def subgraph(self, node_ids: np.ndarray) -> Tuple["Graph", np.ndarray, np.ndarray]:
-        """Induced subgraph over ``node_ids``.
-
-        Returns (subgraph, node_ids, edge_ids) where node/edge ids map local
-        indices back to the parent graph.  Features and labels are sliced.
-        """
-        node_ids = np.asarray(node_ids, dtype=np.int64)
-        lookup = np.full(self.num_nodes, -1, dtype=np.int64)
-        lookup[node_ids] = np.arange(node_ids.size)
-        keep = (lookup[self.src] >= 0) & (lookup[self.dst] >= 0)
-        edge_ids = np.nonzero(keep)[0]
-        sub_src = lookup[self.src[edge_ids]]
-        sub_dst = lookup[self.dst[edge_ids]]
-        sub = Graph(
-            src=sub_src,
-            dst=sub_dst,
-            node_features=None if self.node_features is None else self.node_features[node_ids],
-            edge_features=None if self.edge_features is None else self.edge_features[edge_ids],
-            labels=None if self.labels is None else self.labels[node_ids],
-            num_nodes=node_ids.size,
-        )
-        return sub, node_ids, edge_ids
-
-    def reverse(self) -> "Graph":
-        """Graph with all edge directions flipped (features preserved)."""
-        return Graph(
-            src=self.dst.copy(),
-            dst=self.src.copy(),
-            node_features=self.node_features,
-            edge_features=self.edge_features,
-            labels=self.labels,
-            num_nodes=self.num_nodes,
-        )
 
     # ------------------------------------------------------------------ #
     # statistics used by the dataset-summary experiment (Table I)

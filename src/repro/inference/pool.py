@@ -32,9 +32,8 @@ first, while an untouched heavy plan still ages out once its ``age`` (pool
 operations since last use) outgrows its weight advantage.  With equal sizes
 the policy degrades to exact LRU.
 
-Tenants are in-memory :class:`~repro.graph.graph.Graph` handles (a caller
-holding tables converts once with
-:func:`~repro.graph.tables.tables_to_graph`).  Typical multi-tenant flow::
+Tenants are in-memory :class:`~repro.graph.graph.Graph` handles.  Typical
+multi-tenant flow::
 
     pool = SessionPool(signature, InferenceConfig(backend="pregel"),
                        capacity=64)
@@ -327,8 +326,7 @@ class SessionPool:
         if not isinstance(graph, Graph):
             raise TypeError(
                 f"pool tenants are in-memory Graph handles (deltas are mirrored "
-                f"onto them), got {type(graph).__name__}; convert a (NodeTable, "
-                "EdgeTable) pair once with tables_to_graph()")
+                f"onto them), got {type(graph).__name__}")
         while True:
             victims: List[InferenceSession] = []
             with self._lock:

@@ -98,9 +98,7 @@ class InferenceSession:
         Backend name, worker count, cluster spec and strategy switches; the
         backend is looked up by name in ``BACKENDS``.
 
-    Graphs are in-memory :class:`~repro.graph.graph.Graph` objects; a caller
-    holding a ``(NodeTable, EdgeTable)`` pair converts it once with
-    :func:`~repro.graph.tables.tables_to_graph`.
+    Graphs are in-memory :class:`~repro.graph.graph.Graph` objects.
 
     Typical serving flow::
 
@@ -232,9 +230,7 @@ class InferenceSession:
         re-plan inside :meth:`flush_deltas` keeps the flag)."""
         note_slow_call("prepare")
         if not isinstance(graph, Graph):
-            raise TypeError(
-                f"expected a Graph, got {type(graph).__name__}; convert a "
-                "(NodeTable, EdgeTable) pair once with tables_to_graph()")
+            raise TypeError(f"expected a Graph, got {type(graph).__name__}")
         with self._exec_lock, self.buffer_lock:
             if self._pending is not None and not self._pending.is_empty:
                 raise RuntimeError(

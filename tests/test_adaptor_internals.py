@@ -227,7 +227,7 @@ class TestRoundHarness:
         engine, slots = round_slots(model, star, broadcast=True, hub_threshold_override=10)
         assert slots[0].program.plan.layer(0).broadcast
         _, outgoing = slots[0].step((0, "map"), [])
-        return star.out_neighbors(0), engine, slots[0].partition, outgoing
+        return star.dst[star.out_edge_ids(0)], engine, slots[0].partition, outgoing
 
     def test_hub_emits_one_payload_per_bucket_plus_refs(self):
         neighbors, engine, partition, outgoing = self.star_hub_map(edge_feature_dim=0)

@@ -782,16 +782,12 @@ class TestEdgeDelta:
 # --------------------------------------------------------------------------- #
 class TestFallbackBackends:
     @pytest.mark.parametrize("backend", ["pregel", "mapreduce"])
-    def test_tables_source_survives_the_replan_path(self, backend):
-        # A session prepared from a converted (NodeTable, EdgeTable) pair
-        # whose delta moves the hub set must keep serving post-delta scores
-        # when called as infer(source) — the re-plan runs over the same
-        # (patched) Graph object, so the source stays current.
-        from repro.graph.tables import graph_to_tables, tables_to_graph
-
-        graph = make_graph(seed=43, num_nodes=300)
-        source = tables_to_graph(*graph_to_tables(graph))
-        session = make_session(graph, backend=backend)
+    def test_source_graph_survives_the_replan_path(self, backend):
+        # A session whose delta moves the hub set must keep serving
+        # post-delta scores when called as infer(source) — the re-plan runs
+        # over the same (patched) Graph object, so the source stays current.
+        source = make_graph(seed=43, num_nodes=300)
+        session = make_session(source, backend=backend)
         plan = session.prepare(source)
         session.infer()
         low = np.nonzero(source.out_degrees() < 5)[0][0]

@@ -1,4 +1,4 @@
-"""Tests for the Graph data structure, tables and partitioning."""
+"""Tests for the Graph data structure, its edge-id indexes and partitioning."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph.graph import Graph
 from repro.graph.partition import HashPartitioner
-from repro.graph.tables import EdgeTable, NodeTable, graph_to_tables, tables_to_graph
+from repro.inference.delta import GraphDelta, apply_delta_to_graph
 from repro.pregel.engine import PregelEngine
 
 
@@ -32,19 +32,12 @@ class TestGraphBasics:
         assert graph.in_degrees().sum() == graph.num_edges
         assert graph.out_degrees().sum() == graph.num_edges
 
-    def test_neighbors_line_graph(self, tiny_line_graph):
-        np.testing.assert_array_equal(tiny_line_graph.out_neighbors(0), [1])
-        np.testing.assert_array_equal(tiny_line_graph.in_neighbors(3), [2])
-        assert tiny_line_graph.out_neighbors(3).size == 0
-        assert tiny_line_graph.in_neighbors(0).size == 0
-
-    def test_edge_ids_consistent_with_neighbors(self):
-        graph = make_graph(15, 60, seed=2)
-        for node in range(graph.num_nodes):
-            out_ids = graph.out_edge_ids(node)
-            np.testing.assert_array_equal(graph.dst[out_ids], graph.out_neighbors(node))
-            in_ids = graph.in_edge_ids(node)
-            np.testing.assert_array_equal(graph.src[in_ids], graph.in_neighbors(node))
+    def test_edge_ids_consistent_with_neighbors(self, tiny_line_graph):
+        graph = tiny_line_graph
+        np.testing.assert_array_equal(graph.dst[graph.out_edge_ids(0)], [1])
+        np.testing.assert_array_equal(graph.src[graph.in_edge_ids(3)], [2])
+        assert graph.out_edge_ids(3).size == 0
+        assert graph.in_edge_ids(0).size == 0
 
     def test_mismatched_src_dst_rejected(self):
         with pytest.raises(ValueError):
@@ -69,65 +62,6 @@ class TestGraphBasics:
         assert stats["num_nodes"] == small_graph.num_nodes
         assert stats["num_classes"] == 4
         assert stats["mean_degree"] == pytest.approx(small_graph.num_edges / small_graph.num_nodes)
-
-
-class TestDerivedGraphs:
-    def test_reverse_swaps_degrees(self):
-        graph = make_graph(12, 40, seed=3)
-        reverse = graph.reverse()
-        np.testing.assert_array_equal(graph.in_degrees(), reverse.out_degrees())
-        np.testing.assert_array_equal(graph.out_degrees(), reverse.in_degrees())
-
-    def test_subgraph_induced_edges(self, tiny_line_graph):
-        sub, node_ids, edge_ids = tiny_line_graph.subgraph(np.array([0, 1, 2]))
-        assert sub.num_nodes == 3
-        assert sub.num_edges == 2          # 0→1 and 1→2; 2→3 leaves the set
-        np.testing.assert_array_equal(node_ids, [0, 1, 2])
-        assert set(edge_ids.tolist()) == {0, 1}
-
-    def test_subgraph_slices_attributes(self):
-        graph = make_graph(10, 25, seed=5)
-        keep = np.array([1, 3, 5, 7])
-        sub, _, _ = graph.subgraph(keep)
-        np.testing.assert_allclose(sub.node_features, graph.node_features[keep])
-        np.testing.assert_array_equal(sub.labels, graph.labels[keep])
-
-
-class TestTables:
-    def test_roundtrip_preserves_structure(self, small_graph):
-        node_table, edge_table = graph_to_tables(small_graph)
-        rebuilt = tables_to_graph(node_table, edge_table)
-        assert rebuilt.num_nodes == small_graph.num_nodes
-        assert rebuilt.num_edges == small_graph.num_edges
-        np.testing.assert_array_equal(np.sort(rebuilt.src), np.sort(small_graph.src))
-        np.testing.assert_allclose(rebuilt.node_features, small_graph.node_features)
-
-    def test_node_table_adjacency_matches_edges(self, small_graph):
-        node_table, edge_table = graph_to_tables(small_graph)
-        assert node_table.num_out_edges() == len(edge_table)
-        for position in range(min(20, len(node_table))):
-            node_id, _, neighbors = node_table.row(position)
-            np.testing.assert_array_equal(np.sort(neighbors),
-                                          np.sort(small_graph.out_neighbors(node_id)))
-
-    def test_node_table_validation(self):
-        with pytest.raises(ValueError):
-            NodeTable(node_ids=np.array([0, 1]), features=np.zeros((3, 2)),
-                      out_neighbors=[np.array([]), np.array([])])
-        with pytest.raises(ValueError):
-            NodeTable(node_ids=np.array([0, 1]), features=None, out_neighbors=[np.array([])])
-
-    def test_isolated_nodes_survive_table_roundtrip(self):
-        graph = Graph(np.array([0]), np.array([1]),
-                      node_features=np.ones((5, 2)), num_nodes=5)
-        rebuilt = tables_to_graph(*graph_to_tables(graph))
-        assert rebuilt.num_nodes == 5
-
-    def test_edge_table_validation(self):
-        with pytest.raises(ValueError):
-            EdgeTable(src=np.array([0, 1]), dst=np.array([0]))
-        with pytest.raises(ValueError):
-            EdgeTable(src=np.array([0]), dst=np.array([1]), features=np.zeros((3, 2)))
 
 
 class TestPartitioning:
@@ -189,6 +123,41 @@ def test_partitioning_is_exhaustive_and_disjoint(num_nodes, num_edges, num_parti
         np.testing.assert_array_equal(p.node_features, graph.node_features[nodes])
         np.testing.assert_array_equal(p.labels, graph.labels[nodes])
         np.testing.assert_array_equal(p.out_edge_features, graph.edge_features[edges])
+
+
+def assert_edge_ids_match_a_scan(graph):
+    for node in range(graph.num_nodes):
+        np.testing.assert_array_equal(graph.out_edge_ids(node),
+                                      np.flatnonzero(graph.src == node))
+        np.testing.assert_array_equal(graph.in_edge_ids(node),
+                                      np.flatnonzero(graph.dst == node))
+
+
+@settings(max_examples=40, deadline=None)
+@given(num_nodes=st.integers(min_value=1, max_value=30),
+       num_edges=st.integers(min_value=0, max_value=90),
+       num_removed=st.integers(min_value=0, max_value=20),
+       num_added=st.integers(min_value=0, max_value=20),
+       seed=st.integers(min_value=0, max_value=2**16))
+def test_edge_ids_match_a_scan_before_and_after_a_delta(num_nodes, num_edges, num_removed,
+                                                       num_added, seed):
+    """Property: every node's ``out_edge_ids``/``in_edge_ids`` list exactly
+    the positions of its out-/in-edges in ascending order, isolated nodes
+    included, and still do after a delta swaps the edge arrays under an
+    index already cached."""
+    rng = np.random.default_rng(seed)
+    # endpoints come from the lower half of the ids, so the upper half is isolated
+    reach = max(1, num_nodes // 2)
+    graph = Graph(rng.integers(0, reach, size=num_edges), rng.integers(0, reach, size=num_edges),
+                  num_nodes=num_nodes)
+    assert_edge_ids_match_a_scan(graph)
+    removed = rng.choice(num_edges, size=min(num_removed, num_edges), replace=False)
+    apply_delta_to_graph(graph, GraphDelta(
+        removed_edge_ids=removed,
+        added_src=rng.integers(0, num_nodes, size=num_added),
+        added_dst=rng.integers(0, num_nodes, size=num_added)))
+    assert graph.num_edges == num_edges - removed.size + num_added
+    assert_edge_ids_match_a_scan(graph)
 
 
 @settings(max_examples=30, deadline=None)

@@ -13,7 +13,6 @@ from repro.gnn.model import build_model
 from repro.gnn.signature import export_signature
 from repro.graph.generators import labeled_community_graph, powerlaw_graph, star_graph
 from repro.graph.graph import Graph
-from repro.graph.tables import graph_to_tables, tables_to_graph
 from repro.inference import InferenceConfig, InferenceSession, StrategyConfig
 from repro.tensor.tensor import Tensor, no_grad
 
@@ -155,18 +154,6 @@ class TestEquivalence:
         expected = reference_scores(model, community)
         result = InferenceSession(signature, InferenceConfig(backend="pregel", num_workers=4)).infer(community)
         np.testing.assert_allclose(result.scores, expected, atol=1e-9)
-
-    def test_runs_from_tables(self, community):
-        model = build_model("gcn", community.feature_dim, 16, 4, seed=7)
-        expected = reference_scores(model, community)
-        source = tables_to_graph(*graph_to_tables(community))
-        result = InferenceSession(model, InferenceConfig(backend="mapreduce", num_workers=4)).infer(source)
-        np.testing.assert_allclose(result.scores, expected, atol=1e-9)
-
-    def test_rejects_bad_table_pair(self, community):
-        model = build_model("sage", community.feature_dim, 8, 4, seed=0)
-        with pytest.raises(TypeError):
-            InferenceSession(model).infer(("not", "tables"))
 
     def test_predicted_classes_helper(self, community):
         model = build_model("sage", community.feature_dim, 16, 4, seed=1)

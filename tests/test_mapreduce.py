@@ -456,7 +456,7 @@ class TestSizingOracle:
             metrics, _ = harness.step((0, "map"), [])
             self.check(harness._state_rows(float(partition.node_features.nbytes),
                                            tagged=False), [
-                (int(node), (graph.node_features[node], graph.out_neighbors(node),
+                (int(node), (graph.node_features[node], graph.dst[graph.out_edge_ids(node)],
                              graph.edge_features[graph.out_edge_ids(node)]))
                 for node in partition.node_ids])
             assert metrics.bytes_in == harness._state_rows(

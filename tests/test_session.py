@@ -8,7 +8,6 @@ import pytest
 from repro.gnn.model import build_model
 from repro.gnn.signature import export_signature
 from repro.graph.generators import labeled_community_graph, powerlaw_graph
-from repro.graph.tables import graph_to_tables, tables_to_graph
 from repro.inference import (
     InferenceConfig,
     InferenceSession,
@@ -129,37 +128,25 @@ class TestSessionLifecycle:
         assert session.num_runs == 0
         assert len(session.infer_many(np.int64(2))) == 2
 
-    def test_session_from_signature_and_tables(self, community):
+    def test_session_from_signature(self, community):
         model = build_model("sage", community.feature_dim, 8, 4, seed=3)
         from_model = InferenceSession(model, InferenceConfig(num_workers=3)).infer(community)
         signature_session = InferenceSession(export_signature(model),
                                              InferenceConfig(num_workers=3))
-        from_signature = signature_session.infer(
-            tables_to_graph(*graph_to_tables(community)))
+        from_signature = signature_session.infer(community)
         np.testing.assert_allclose(from_model.scores, from_signature.scores, atol=1e-12)
 
-    def test_table_pair_does_not_replan_per_infer(self, community):
-        """A converted (NodeTable, EdgeTable) source is planned once, not per call."""
+    def test_prepared_source_does_not_replan_per_infer(self, community):
+        """A source passed to every infer() is planned once, not per call."""
         model = build_model("sage", community.feature_dim, 8, 4, seed=1)
         session = InferenceSession(model, InferenceConfig(backend="pregel", num_workers=2))
         spy = _CountingBackend(session.backend)
         session.backend = spy
-        source = tables_to_graph(*graph_to_tables(community))
-        session.prepare(source)
-        first = session.infer(source)
-        second = session.infer(source)
+        session.prepare(community)
+        first = session.infer(community)
+        second = session.infer(community)
         assert spy.plan_calls == 1
         np.testing.assert_array_equal(first.scores, second.scores)
-
-    def test_bad_table_pair_rejected(self, community):
-        # Sessions take a Graph; an unconverted pair fails loudly at the door.
-        model = build_model("sage", community.feature_dim, 8, 4, seed=0)
-        session = InferenceSession(model, InferenceConfig(num_workers=2))
-        with pytest.raises(TypeError, match="tables_to_graph"):
-            session.prepare(("not", "tables"))
-        with pytest.raises(TypeError, match="tables_to_graph"):
-            session.prepare(graph_to_tables(community))
-        assert not session.is_prepared
 
 
 class TestMeasuredWallClock:

@@ -10,12 +10,17 @@ drifting tenants keep hitting.
 from __future__ import annotations
 
 import dataclasses
+import os
+import signal
 import threading
+import time
+import types
 from typing import Dict, List, Set
 
 import numpy as np
 import pytest
 
+from repro.cluster import executor as executor_module
 from repro.cluster.executor import (
     Executor,
     SharedArrayPack,
@@ -27,7 +32,6 @@ from repro.gnn import export_signature
 from repro.gnn.model import GNNModel, build_model
 from repro.graph.generators import powerlaw_graph
 from repro.graph.graph import Graph
-from repro.graph.tables import graph_to_tables, tables_to_graph
 from repro.inference import (
     GraphDelta,
     InferenceConfig,
@@ -38,6 +42,7 @@ from repro.inference import (
     graph_fingerprint,
 )
 from repro.inference.delta import apply_delta_to_graph
+from repro.serving import ServingGateway
 
 
 def make_graph(seed: int, num_nodes: int = 400):
@@ -228,24 +233,6 @@ class TestDeltaRouting:
         hits_before = pool.stats.hits
         pool.infer(tenant_b, mode="incremental")
         assert pool.stats.hits == hits_before + 1
-
-    def test_apply_delta_rejects_tables_tenants(self):
-        # Tenants are Graph handles (a delta could not be mirrored onto a
-        # (NodeTable, EdgeTable) pair): an unconverted pair is refused on
-        # every pool path; the converted graph is served, and its second
-        # lookup hits.
-        pool = SessionPool(make_model(), make_config(), capacity=4)
-        tables = graph_to_tables(make_graph(20))
-        with pytest.raises(TypeError, match="tables_to_graph"):
-            pool.infer(tables)
-        with pytest.raises(TypeError, match="tables_to_graph"):
-            pool.apply_delta(tables, GraphDelta(node_ids=np.array([1]),
-                                                node_features=np.ones((1, 8))))
-        assert len(pool) == 0 and pool.stats.misses == 0
-        graph = tables_to_graph(*tables)
-        pool.infer(graph)
-        pool.infer(graph)
-        assert pool.stats.hits == 1 and pool.stats.misses == 1
 
     def test_discarded_deferred_deltas_do_not_arm_state_cache(self):
         session = InferenceSession(make_model(), make_config())
@@ -993,9 +980,6 @@ class TestCrashIsolation:
         reason="process executor unavailable")
     @pytest.mark.parametrize("backend", ["pregel", "mapreduce"])
     def test_sibling_tenants_survive_a_worker_kill(self, backend):
-        import os
-        import signal
-
         config = InferenceConfig(
             backend=backend, num_workers=2, executor="process",
             strategies=StrategyConfig(partial_gather=True, broadcast=False,
@@ -1048,6 +1032,117 @@ class TestCrashIsolation:
             pool.clear()
         assert executor.live_processes() == []
         assert engine.started_executor is None and engine.num_shared_segments == 0
+
+
+#: Each entry that takes a graph, called with ``not_graph`` in its place.
+REFUSING_ENTRIES = {
+    "session.prepare": lambda session, pool, gateway, not_graph: session.prepare(not_graph),
+    "session.infer": lambda session, pool, gateway, not_graph: session.infer(not_graph),
+    "pool.infer": lambda session, pool, gateway, not_graph: pool.infer(not_graph),
+    "pool.apply_delta": lambda session, pool, gateway, not_graph: pool.apply_delta(
+        not_graph, GraphDelta(node_ids=np.array([1]), node_features=np.ones((1, 8)))),
+    "gateway.register": lambda session, pool, gateway, not_graph: gateway.register(
+        "tenant", not_graph),
+}
+
+
+@pytest.mark.parametrize("kind", ["arrays", "lookalike"])
+@pytest.mark.parametrize("entry", sorted(REFUSING_ENTRIES))
+def test_every_entry_refuses_a_non_graph_and_touches_nothing(entry, kind):
+    """Sessions, pools and the gateway take an in-memory ``Graph`` only: a
+    bare ``(src, dst)`` pair or an object carrying a graph's attributes is
+    refused with ``TypeError`` before any plan, pool entry, miss or tenant
+    exists."""
+    graph = make_graph(19)
+    not_graph = ((graph.src, graph.dst) if kind == "arrays"
+                 else types.SimpleNamespace(**vars(graph)))
+    session = InferenceSession(make_model(), make_config())
+    pool = SessionPool(make_model(), make_config(), capacity=4)
+    gateway = ServingGateway(pool)
+    with pytest.raises(TypeError, match="Graph"):
+        REFUSING_ENTRIES[entry](session, pool, gateway, not_graph)
+    assert not session.is_prepared and session.num_runs == 0
+    assert len(pool) == 0 and pool.stats.misses == 0 and pool.stats.hits == 0
+    assert gateway.tenants() == []
+
+
+@pytest.mark.skipif("process" not in available_executors(),
+                    reason="process executor unavailable")
+@pytest.mark.parametrize("backend", ["pregel", "mapreduce"])
+def test_in_process_waves_and_worker_forks_share_one_process(monkeypatch, backend):
+    """Two pools in one process, one per executor.  A thread loops full
+    infers on the in-process pool, whose full waves run on the helper
+    threads, while a second thread twice kills a worker of the process pool
+    and retries, forking replacements mid-wave.  Every score equals a fresh
+    session's.  The main thread only joins both with a timeout, so a lock a
+    forked worker inherits in a held state fails the test instead of
+    hanging it."""
+    monkeypatch.setattr(executor_module, "usable_cpus", lambda: 4)
+    strategies = StrategyConfig(partial_gather=True, broadcast=True, shadow_nodes=True,
+                                hub_threshold_override=20)
+    configs = {name: InferenceConfig(backend=backend, num_workers=4, executor=name,
+                                     strategies=strategies)
+               for name in ("serial", "process")}
+    expected = {name: InferenceSession(make_model(), configs[name]).infer(
+        make_graph(seed)).scores for name, seed in (("serial", 84), ("process", 85))}
+    in_process = SessionPool(make_model(), configs["serial"], capacity=2)
+    forking = SessionPool(make_model(), configs["process"], capacity=2)
+    graph = make_graph(84)
+    tenant = make_graph(85)
+    stop = threading.Event()
+    spans: List[tuple] = []            # (start, end) of each in-process infer
+    recoveries: List[tuple] = []       # (start, end) of each infer that forks
+    errors: List[BaseException] = []
+
+    def loop_full_infers():
+        try:
+            while not stop.is_set():
+                began = time.monotonic()
+                scores = in_process.infer(graph).scores
+                spans.append((began, time.monotonic()))
+                np.testing.assert_array_equal(scores, expected["serial"])
+        except BaseException as exc:  # noqa: BLE001 - re-raised on the main thread
+            errors.append(exc)
+
+    def kill_and_recover():
+        try:
+            np.testing.assert_array_equal(forking.infer(tenant).scores, expected["process"])
+            for _ in range(2):
+                engine = forking.session_for(tenant).plan.state["engine"]
+                victim = engine.started_executor.live_processes()[0]
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join(timeout=10.0)
+                with pytest.raises(WorkerCrashError):
+                    forking.infer(tenant)
+                began = time.monotonic()
+                scores = forking.infer(tenant).scores     # forks replacements
+                recoveries.append((began, time.monotonic()))
+                np.testing.assert_array_equal(scores, expected["process"])
+        except BaseException as exc:  # noqa: BLE001 - re-raised on the main thread
+            errors.append(exc)
+
+    looper = threading.Thread(target=loop_full_infers, daemon=True)
+    killer = threading.Thread(target=kill_and_recover, daemon=True)
+    try:
+        looper.start()
+        while not spans and not errors and looper.is_alive():
+            time.sleep(0.01)
+        killer.start()
+        killer.join(timeout=120.0)
+        assert not killer.is_alive(), "the process pool hung next to in-process waves"
+    finally:
+        stop.set()
+        looper.join(timeout=60.0)
+        forking.clear()
+        if not looper.is_alive():
+            in_process.clear()
+    assert not looper.is_alive(), "the in-process pool hung next to worker forks"
+    if errors:
+        raise errors[0]
+    assert len(recoveries) == 2
+    # the in-process thread kept looping across each recovery's forks
+    assert all(any(start < end_r and start_r < end for start, end in spans)
+               for start_r, end_r in recoveries)
 
 
 def _tick_deltas(rng, graph):
